@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test verify-checkpoints verify-mlck verify-localized verify-policy verify-workflow verify-reconfig verify-reconfig-deep bench bench-baseline bench-stream bench-obs bench-localized bench-workflow bench-fleet report trace obs-report forensics-demo examples all clean
+.PHONY: install test verify-checkpoints verify-mlck verify-localized verify-policy verify-workflow verify-reconfig verify-reconfig-deep bench bench-baseline bench-stream bench-obs bench-localized bench-workflow bench-fleet bench-e2e bench-e2e-quick report trace obs-report forensics-demo examples all clean
 
 # fixed seed so the gate is fully deterministic; DEEP_SEED rotates daily
 VERIFY_SEED ?= 20260806
@@ -104,6 +104,19 @@ bench-workflow:
 # utilization edge over the rigid one
 bench-fleet:
 	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_fleet_policies.py --check
+
+# the wall-clock recovery-cycle benchmark (benchmarks/e2e, declared in
+# BENCHMARK.json): the driver's command once per workload, end to end
+bench-e2e:
+	@for w in $$($(PYTHON) -c "import json; print(' '.join(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))"); do \
+		echo "== $$w"; python3 benchmarks/e2e/run.py --workload $$w || exit 1; \
+	done
+
+# the harness self-test: two rotations on 64x64 arrays through every
+# pass with the oracle gate, then the span-arithmetic tests
+bench-e2e-quick:
+	PYTHONPATH=src $(PYTHON) -m benchmarks.e2e --quick --check
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e/tests
 
 report:
 	$(PYTHON) -m repro.tools.report --out benchmarks/out

@@ -23,6 +23,7 @@ from repro.checkpoint.format import (
     array_name,
     task_segment_name,
     sha1_hex,
+    commit_two_phase,
 )
 from repro.checkpoint.validate import (
     ValidationReport,
@@ -35,13 +36,16 @@ from repro.checkpoint.recover import (
     restart_candidates,
     restart_latest_valid,
     select_restart_state,
+    walk_generations,
 )
 from repro.checkpoint.drms import (
     CheckpointBreakdown,
     RestartBreakdown,
     RestoredState,
+    PFSCheckpointSource,
     drms_checkpoint,
     drms_restart,
+    restore,
 )
 from repro.checkpoint.spmd import spmd_checkpoint, spmd_restart
 from repro.checkpoint.restart import checkpoint_kind, list_checkpoints, saved_state_bytes
@@ -62,6 +66,7 @@ __all__ = [
     "array_name",
     "task_segment_name",
     "sha1_hex",
+    "commit_two_phase",
     "ValidationReport",
     "validate_checkpoint",
     "verify_checkpoint",
@@ -70,11 +75,14 @@ __all__ = [
     "restart_candidates",
     "restart_latest_valid",
     "select_restart_state",
+    "walk_generations",
     "CheckpointBreakdown",
     "RestartBreakdown",
     "RestoredState",
+    "PFSCheckpointSource",
     "drms_checkpoint",
     "drms_restart",
+    "restore",
     "spmd_checkpoint",
     "spmd_restart",
     "checkpoint_kind",

@@ -6,7 +6,10 @@ parallel array-section streaming.  Restart: every task loads the single
 saved data segment (restoring replicated variables and execution
 context), then each array is streamed in under the distribution
 appropriate for the *new* number of tasks — which may differ from the
-checkpointing task count.
+checkpointing task count.  That restart is one routine, :func:`restore`,
+whatever tier holds the bytes: the PFS copy (:class:`PFSCheckpointSource`)
+or the L1 replicas of :mod:`repro.mlck` are *generation sources* it is
+handed.
 
 Each step is an I/O phase, so both operations return the same component
 breakdown the paper reports in Table 6 (data-segment time/rate, array
@@ -40,7 +43,7 @@ from repro.errors import (
     MemoryTierError,
     RestartError,
 )
-from repro.obs import get_tracer
+from repro.obs import NULL_TRACER, get_tracer
 from repro.pfs.phase import IOKind
 from repro.pfs.piofs import PIOFS
 from repro.streaming.order import stream_order_bytes
@@ -51,8 +54,13 @@ __all__ = [
     "CheckpointBreakdown",
     "RestartBreakdown",
     "RestoredState",
+    "PFSCheckpointSource",
     "drms_checkpoint",
     "drms_restart",
+    "l1_validation",
+    "restart_distribution",
+    "restore",
+    "serving_tier",
 ]
 
 _MB = 1e6  # the paper reports decimal MB/s
@@ -291,6 +299,273 @@ def drms_checkpoint(
     return bd
 
 
+# -- the restore pipeline -------------------------------------------------------
+
+
+def _charge_restart_init(obs, seconds: float) -> None:
+    """Fixed initialization (text-segment load) happens before any
+    checkpoint I/O, whichever tier serves the state; its simulated cost
+    is a machine parameter."""
+    with obs.span("restart_init") as sp:
+        obs.advance(seconds)
+        sp.set(seconds=seconds)
+
+
+def restart_distribution(spec: Dict, ntasks: int, overrides: Dict[str, object]):
+    """The distribution one checkpointed array restarts under: the
+    caller's override when given, else the stored spec adjusted to
+    ``ntasks``."""
+    dist = overrides.get(spec["name"]) or spec_to_distribution(
+        spec["distribution"], ntasks=ntasks
+    )
+    if dist.ntasks != ntasks:
+        raise RestartError(
+            f"override distribution for {spec['name']!r} targets "
+            f"{dist.ntasks} tasks; restart uses {ntasks}"
+        )
+    return dist
+
+
+def restore(
+    source,
+    ntasks: int,
+    order: Optional[str] = None,
+    distribution_overrides: Optional[Dict[str, object]] = None,
+) -> Tuple[RestoredState, RestartBreakdown]:
+    """Restore one DRMS generation from ``source`` onto ``ntasks`` tasks
+    (any count >= 1) — the single restore routine every tier shares.
+
+    The pipeline owns what a restart *is*: the fixed initialization
+    charge, the saved data segment, one array after another under the
+    distribution for the new task count, the component breakdown.  A
+    *generation source* owns where the bytes are and what moving them
+    costs (DESIGN.md §8, "Restore pipeline"):
+
+    * ``kind`` — breakdown/span kind; None marks an internal, uncharged
+      read (the drain) that leaves no span and no metric;
+    * ``prefix``, ``manifest`` — the generation's name and its
+      manifest-shaped metadata (the v3 keys, whatever the tier);
+    * ``init_seconds``, ``spans`` — the fixed initialization this
+      restart pays; ``(segment span name, per-array span stem)``;
+    * ``fetch_segment(ntasks) -> (header, seconds, nbytes)`` and
+      ``load_array(arr, spec, order) -> (seconds, nbytes, span attrs)``
+      — the charged steps, in simulated seconds and charged bytes;
+    * ``verify_segment(header)`` / ``verify_array(spec)`` — the tier's
+      integrity checks, outside the charged steps, raising its error.
+
+    ``distribution_overrides`` maps array names to explicit
+    :class:`~repro.arrays.distributions.Distribution` objects (the
+    Fig. 1 ``drms_adjust``/``drms_distribute`` path); everything else
+    is auto-adjusted from the stored spec.
+    """
+    manifest = source.manifest
+    if manifest.get("kind") != "drms":
+        raise RestartError(
+            f"checkpoint {source.prefix!r} is kind {manifest.get('kind')!r}; "
+            "a reconfigured restart needs a DRMS checkpoint"
+        )
+    if ntasks < 1:
+        raise RestartError(f"cannot restart on {ntasks} tasks")
+    order = order or manifest.get("order", "F")
+    overrides = distribution_overrides or {}
+    observed = source.kind is not None
+    obs = get_tracer() if observed else NULL_TRACER
+    bd = RestartBreakdown(kind=source.kind, prefix=source.prefix, ntasks=ntasks)
+    bd.other_seconds = source.init_seconds
+    segment_span, array_span = source.spans
+
+    with obs.span(
+        "restart",
+        kind=source.kind,
+        prefix=source.prefix,
+        ntasks=ntasks,
+        checkpoint_ntasks=manifest["ntasks"],
+    ) as op:
+        _charge_restart_init(obs, bd.other_seconds)
+
+        # Phase 1: every task gets the single saved data segment.
+        with obs.span(segment_span, file=manifest["segment_file"]) as sp:
+            head, seconds, nbytes = source.fetch_segment(ntasks)
+            obs.advance(seconds)
+            sp.set(nbytes=nbytes, seconds=seconds)
+        source.verify_segment(head)
+        segment = DataSegment.deserialize(head)
+        bd.segment_seconds = seconds
+        bd.segment_bytes = nbytes
+
+        # Phase 2..N+1: arrays under the (possibly adjusted) distributions.
+        arrays: Dict[str, DistributedArray] = {}
+        for spec in manifest["arrays"]:
+            name = spec["name"]
+            arr = DistributedArray(
+                name,
+                spec["shape"],
+                np.dtype(spec["dtype"]),
+                restart_distribution(spec, ntasks, overrides),
+                store_data=not spec["virtual"],
+            )
+            source.verify_array(spec)
+            with obs.span(f"{array_span}:{name}", file=spec["file"]) as sp:
+                seconds, nbytes, attrs = source.load_array(arr, spec, order)
+                obs.advance(seconds)
+                sp.set(nbytes=nbytes, **attrs, seconds=seconds)
+            bd.arrays_seconds += seconds
+            bd.arrays_bytes += nbytes
+            bd.per_array.append((name, seconds, nbytes))
+            arrays[name] = arr
+        op.set(nbytes=bd.total_bytes, seconds=bd.total_seconds)
+
+    if observed:
+        _publish_breakdown("restart", bd)
+    state = RestoredState(
+        segment=segment,
+        arrays=arrays,
+        ntasks=ntasks,
+        checkpoint_ntasks=manifest["ntasks"],
+        manifest=manifest,
+    )
+    return state, bd
+
+
+class PFSCheckpointSource:
+    """Generation source over the committed PFS copy of ``prefix``: the
+    segment is one shared read phase, each array one parallel
+    stream-in phase.
+
+    With ``verify`` the manifest's SHA-1 checksums are checked — the
+    segment header after its read phase, each stored array file before
+    it is streamed in — raising
+    :class:`~repro.errors.CheckpointIntegrityError` on any mismatch or
+    size disagreement, *before* corrupt data reaches the application.
+    Verification reads are untimed (they model a background scrub, not
+    the restart's I/O phases)."""
+
+    kind = "drms"
+    spans = ("segment_read", "parstream")
+
+    def __init__(
+        self,
+        pfs: PIOFS,
+        prefix: str,
+        io_tasks: Optional[int] = None,
+        target_bytes: int = 1 << 20,
+        verify: bool = True,
+        concurrency: str = "threads",
+    ):
+        self.pfs = pfs
+        self.prefix = prefix
+        self.manifest = read_manifest(pfs, prefix)
+        self.init_seconds = pfs.params.restart_init_s
+        self.io_tasks = io_tasks
+        self.target_bytes = target_bytes
+        self.verify = verify
+        self.concurrency = concurrency
+
+    def fetch_segment(self, ntasks: int) -> Tuple[bytes, float, int]:
+        """One shared read phase: task 0 reads the exact header, every
+        task is charged the whole (sized) segment file."""
+        pfs = self.pfs
+        seg = self.manifest["segment_file"]
+        seg_size = pfs.file_size(seg)
+        pfs.begin_phase(IOKind.READ_SHARED)
+        head = pfs.read_at(
+            seg, 0, min(seg_size, DataSegment.header_prefix_bytes()), client=0
+        )
+        if seg_size > len(head):
+            pfs.read_virtual(seg, len(head), seg_size - len(head), client=0)
+        for t in range(1, ntasks):
+            pfs.read_virtual(seg, 0, seg_size, client=t)
+        res = pfs.end_phase()
+        return head, res.seconds, seg_size * ntasks  # every task reads the file
+
+    def verify_segment(self, head: bytes) -> None:
+        """Check the header just read against the manifest's SHA-1."""
+        if not self.verify:
+            return
+        seg = self.manifest["segment_file"]
+        with get_tracer().span("validate:segment", file=seg):
+            verify_stored_sha1(
+                self.pfs,
+                seg,
+                self.manifest.get("segment_sha1"),
+                self.manifest.get("segment_sha1_bytes"),
+                head=head,
+            )
+
+    def verify_array(self, spec: Dict) -> None:
+        """Scrub one stored array file (size, then SHA-1) before it is
+        streamed in."""
+        if not self.verify or spec["virtual"]:
+            return
+        pfs, fname = self.pfs, spec["file"]
+        with get_tracer().span(f"validate:{spec['name']}", file=fname):
+            expected = spec.get("nbytes")
+            if expected is not None and pfs.file_size(fname) != expected:
+                raise CheckpointIntegrityError(
+                    f"array file {fname!r} is {pfs.file_size(fname)} bytes; "
+                    f"manifest records {expected} (torn or short write)"
+                )
+            verify_stored_sha1(pfs, fname, spec.get("sha1"), expected)
+
+    def load_array(
+        self, arr: DistributedArray, spec: Dict, order: str
+    ) -> Tuple[float, int, Dict[str, int]]:
+        """One parallel read phase: stream the file into ``arr`` under
+        its (new) distribution."""
+        pfs = self.pfs
+        pfs.begin_phase(IOKind.READ_PARALLEL)
+        stats = stream_in_parallel(
+            arr, PFSSource(pfs, spec["file"]), P=self.io_tasks, order=order,
+            target_bytes=self.target_bytes, concurrency=self.concurrency,
+        )
+        res = pfs.end_phase()
+        return res.seconds, stats.bytes_streamed, {
+            "pieces": stats.pieces,
+            "redistribution_bytes": stats.redistribution_bytes,
+        }
+
+
+def l1_validation(l1, prefix: str):
+    """The audit of ``prefix``'s copy in the L1 store ``l1`` (a
+    :class:`~repro.checkpoint.validate.ValidationReport`), or None when
+    there is no such copy to try.  Dead nodes' memory is dropped first,
+    so the verdict reflects the machine as it is now."""
+    if l1 is None or not l1.has(prefix):
+        return None
+    l1.sync_with_machine()
+    return l1.validate_generation(prefix)
+
+
+def serving_tier(prefix: str, tier: str, l1) -> str:
+    """Which tier serves a restart of ``prefix`` — the one place the
+    "L1 replicas if they validate, else the PFS copy" decision is made.
+
+    ``tier="pfs"`` reads the PFS; ``"memory+pfs"`` prefers surviving L1
+    replicas of ``l1`` and falls back to the PFS copy when the L1
+    generation is lost or invalid; ``"memory"`` forbids the fallback and
+    raises :class:`~repro.errors.MemoryTierError` instead.  Returns
+    ``"l1"`` or ``"l2"``."""
+    if tier == "pfs":
+        return "l2"
+    if tier not in ("memory", "memory+pfs"):
+        raise RestartError(
+            f"unknown restart tier {tier!r} "
+            "(expected 'pfs', 'memory', or 'memory+pfs')"
+        )
+    if l1 is None:
+        raise RestartError(f"tier={tier!r} requires an L1Store (l1=)")
+    report = l1_validation(l1, prefix)
+    if report is not None and report.ok:
+        return "l1"
+    if tier == "memory":
+        raise MemoryTierError(
+            f"generation {prefix!r} cannot be served from L1 "
+            "(lost replicas or never captured) and tier='memory' "
+            "forbids the PFS fallback"
+        )
+    return "l2"
+
+
 def drms_restart(
     pfs: PIOFS,
     prefix: str,
@@ -304,167 +579,21 @@ def drms_restart(
     tier: str = "pfs",
     l1=None,
 ) -> Tuple[RestoredState, RestartBreakdown]:
-    """Restore a DRMS checkpoint onto ``ntasks`` tasks (any count >= 1).
-
-    ``distribution_overrides`` maps array names to explicit
-    :class:`~repro.arrays.distributions.Distribution` objects, for
-    callers that specify their own post-reconfiguration distributions
-    (the Fig. 1 ``drms_adjust``/``drms_distribute`` path); everything
-    else is auto-adjusted from the stored spec.
-
-    With ``verify`` (the default) the manifest's SHA-1 checksums are
-    checked — the segment header after its read phase, each stored
-    array file before it is streamed in — raising
-    :class:`~repro.errors.CheckpointIntegrityError` on any mismatch or
-    size disagreement, *before* corrupt data reaches the application.
-    Verification reads are untimed (they model a background scrub, not
-    the restart's I/O phases).
-
-    ``tier``/``l1`` extend restart to the multi-level store:
-    ``"memory"`` restores from surviving L1 replicas of ``l1`` and
-    raises :class:`~repro.errors.MemoryTierError` when they cannot
-    serve; ``"memory+pfs"`` prefers L1 but falls back to the PFS copy
-    when the L1 generation is lost or invalid.  Both charge the fixed
-    restart initialization exactly like the PFS path.
-    """
-    if tier != "pfs":
-        if tier not in ("memory", "memory+pfs"):
-            raise RestartError(
-                f"unknown restart tier {tier!r} "
-                "(expected 'pfs', 'memory', or 'memory+pfs')"
-            )
-        if l1 is None:
-            raise RestartError(f"tier={tier!r} requires an L1Store (l1=)")
-        l1.sync_with_machine()
-        if l1.has(prefix) and l1.validate_generation(prefix).ok:
-            return l1.restore_drms(
-                prefix,
-                ntasks,
-                order=order,
-                distribution_overrides=distribution_overrides,
-                init_seconds=pfs.params.restart_init_s,
-            )
-        if tier == "memory":
-            raise MemoryTierError(
-                f"generation {prefix!r} cannot be served from L1 "
-                "(lost replicas or never captured) and tier='memory' "
-                "forbids the PFS fallback"
-            )
-        # tier == "memory+pfs": fall through to the PFS copy
-    manifest = read_manifest(pfs, prefix)
-    if manifest.get("kind") != "drms":
-        raise RestartError(
-            f"checkpoint {prefix!r} is kind {manifest.get('kind')!r}; "
-            "a reconfigured restart needs a DRMS checkpoint"
+    """Restore a DRMS checkpoint onto ``ntasks`` tasks (any count >= 1):
+    :func:`restore` over the PFS copy (see :class:`PFSCheckpointSource`
+    for ``verify``) or, under the memory tiers of :func:`serving_tier`,
+    over surviving replicas of the L1 store ``l1``.  Every tier charges
+    the fixed restart initialization."""
+    if serving_tier(prefix, tier, l1) == "l1":
+        return l1.restore_drms(
+            prefix,
+            ntasks,
+            order=order,
+            distribution_overrides=distribution_overrides,
+            init_seconds=pfs.params.restart_init_s,
         )
-    if ntasks < 1:
-        raise RestartError(f"cannot restart on {ntasks} tasks")
-    order = order or manifest.get("order", "F")
-    bd = RestartBreakdown(kind="drms", prefix=prefix, ntasks=ntasks)
-    bd.other_seconds = pfs.params.restart_init_s
-    obs = get_tracer()
-
-    with obs.span(
-        "restart",
-        kind="drms",
-        prefix=prefix,
-        ntasks=ntasks,
-        checkpoint_ntasks=manifest["ntasks"],
-    ) as op:
-        # Fixed initialization (text-segment load) happens before any
-        # checkpoint I/O; its simulated cost is a machine parameter.
-        with obs.span("restart_init") as sp:
-            obs.advance(bd.other_seconds)
-            sp.set(seconds=bd.other_seconds)
-
-        # Phase 1: every task reads the single saved data segment.
-        seg = manifest["segment_file"]
-        seg_size = pfs.file_size(seg)
-        with obs.span("segment_read", file=seg) as sp:
-            pfs.begin_phase(IOKind.READ_SHARED)
-            head = pfs.read_at(
-                seg, 0, min(seg_size, DataSegment.header_prefix_bytes()), client=0
-            )
-            if seg_size > len(head):
-                pfs.read_virtual(seg, len(head), seg_size - len(head), client=0)
-            for t in range(1, ntasks):
-                pfs.read_virtual(seg, 0, seg_size, client=t)
-            res = pfs.end_phase()
-            obs.advance(res.seconds)
-            sp.set(nbytes=seg_size * ntasks, seconds=res.seconds)
-        if verify:
-            with obs.span("validate:segment", file=seg):
-                verify_stored_sha1(
-                    pfs,
-                    seg,
-                    manifest.get("segment_sha1"),
-                    manifest.get("segment_sha1_bytes"),
-                    head=head,
-                )
-        segment = DataSegment.deserialize(head)
-        bd.segment_seconds = res.seconds
-        bd.segment_bytes = seg_size * ntasks  # every task reads the file
-
-        # Phase 2..N+1: arrays under the (possibly adjusted) distributions.
-        arrays: Dict[str, DistributedArray] = {}
-        overrides = distribution_overrides or {}
-        for spec in manifest["arrays"]:
-            name = spec["name"]
-            dist = overrides.get(name) or spec_to_distribution(
-                spec["distribution"], ntasks=ntasks
-            )
-            if dist.ntasks != ntasks:
-                raise RestartError(
-                    f"override distribution for {name!r} targets {dist.ntasks} "
-                    f"tasks; restart uses {ntasks}"
-                )
-            arr = DistributedArray(
-                name,
-                spec["shape"],
-                np.dtype(spec["dtype"]),
-                dist,
-                store_data=not spec["virtual"],
-            )
-            if verify and not spec["virtual"]:
-                with obs.span(f"validate:{name}", file=spec["file"]):
-                    expected = spec.get("nbytes")
-                    if (
-                        expected is not None
-                        and pfs.file_size(spec["file"]) != expected
-                    ):
-                        raise CheckpointIntegrityError(
-                            f"array file {spec['file']!r} is "
-                            f"{pfs.file_size(spec['file'])} bytes; manifest "
-                            f"records {expected} (torn or short write)"
-                        )
-                    verify_stored_sha1(pfs, spec["file"], spec.get("sha1"), expected)
-            source = PFSSource(pfs, spec["file"])
-            with obs.span(f"parstream:{name}", file=spec["file"]) as sp:
-                pfs.begin_phase(IOKind.READ_PARALLEL)
-                stats = stream_in_parallel(
-                    arr, source, P=io_tasks, order=order, target_bytes=target_bytes,
-                    concurrency=concurrency,
-                )
-                res = pfs.end_phase()
-                obs.advance(res.seconds)
-                sp.set(
-                    nbytes=stats.bytes_streamed,
-                    pieces=stats.pieces,
-                    redistribution_bytes=stats.redistribution_bytes,
-                    seconds=res.seconds,
-                )
-            bd.arrays_seconds += res.seconds
-            bd.arrays_bytes += stats.bytes_streamed
-            bd.per_array.append((name, res.seconds, stats.bytes_streamed))
-            arrays[name] = arr
-        op.set(nbytes=bd.total_bytes, seconds=bd.total_seconds)
-
-    _publish_breakdown("restart", bd)
-    state = RestoredState(
-        segment=segment,
-        arrays=arrays,
-        ntasks=ntasks,
-        checkpoint_ntasks=manifest["ntasks"],
-        manifest=manifest,
+    source = PFSCheckpointSource(
+        pfs, prefix, io_tasks=io_tasks, target_bytes=target_bytes,
+        verify=verify, concurrency=concurrency,
     )
-    return state, bd
+    return restore(source, ntasks, order, distribution_overrides)

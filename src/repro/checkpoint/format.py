@@ -60,6 +60,7 @@ __all__ = [
     "distribution_to_spec",
     "spec_to_distribution",
     "sha1_hex",
+    "commit_two_phase",
     "write_manifest",
     "read_manifest",
 ]
@@ -73,9 +74,10 @@ def manifest_name(prefix: str) -> str:
 
 
 def manifest_tmp_name(prefix: str) -> str:
-    """Staging name of an uncommitted manifest (phase one of the
-    two-phase commit); never matches the ``.manifest`` suffix scans."""
-    return f"{prefix}.manifest.tmp"
+    """Staging name of an uncommitted manifest (phase one of
+    :func:`commit_two_phase`); never matches the ``.manifest`` suffix
+    scans."""
+    return manifest_name(prefix) + ".tmp"
 
 
 def segment_name(prefix: str) -> str:
@@ -206,33 +208,39 @@ def sha1_hex(data: bytes) -> str:
     return hashlib.sha1(data).hexdigest()
 
 
-def write_manifest(pfs: PIOFS, prefix: str, manifest: Dict[str, Any]) -> None:
-    """Commit a checkpoint manifest atomically (stamps the format
-    version).
+def commit_two_phase(pfs: PIOFS, name: str, data: bytes) -> None:
+    """Commit ``data`` as file ``name`` atomically — the one two-phase
+    commit every manifest (checkpoint and workflow) goes through.
 
-    Two-phase protocol: the JSON is staged to ``<prefix>.manifest.tmp``,
-    read back and compared byte-for-byte (catching torn and short
-    writes), then renamed onto the final ``.manifest`` name.  A crash —
-    or an injected I/O fault — anywhere before the rename leaves no
-    ``.manifest`` file at all, so the half-written state is invisible to
-    :func:`~repro.checkpoint.rotation.latest_checkpoint`; the stale
+    The bytes are staged to ``<name>.tmp``, read back and compared
+    byte-for-byte (catching torn and short writes), then renamed onto
+    the final name.  A crash — or an injected I/O fault — anywhere
+    before the rename leaves no ``name`` at all, so the half-written
+    state is invisible to every scan for committed manifests; the stale
     ``.tmp`` still reserves the generation number against reuse.
     """
+    tmp = name + ".tmp"
+    pfs.create(tmp, virtual=False)
+    pfs.write_at(tmp, 0, data)
+    back = pfs.read_at(tmp, 0, pfs.file_size(tmp))
+    if back != data:
+        raise CheckpointIntegrityError(
+            f"manifest {name!r} failed write validation: staged "
+            f"{len(back)} bytes, expected {len(data)} (torn write?)"
+        )
+    pfs.rename(tmp, name)
+
+
+def write_manifest(pfs: PIOFS, prefix: str, manifest: Dict[str, Any]) -> None:
+    """Commit a checkpoint manifest atomically (stamps the format
+    version) through :func:`commit_two_phase`, so a crash mid-commit is
+    invisible to :func:`~repro.checkpoint.rotation.latest_checkpoint`."""
     manifest = dict(manifest)
     manifest["version"] = CHECKPOINT_VERSION
     data = json.dumps(manifest, sort_keys=True).encode()
     name = manifest_name(prefix)
-    tmp = manifest_tmp_name(prefix)
     with get_tracer().span("manifest_commit", file=name, nbytes=len(data)):
-        pfs.create(tmp, virtual=False)
-        pfs.write_at(tmp, 0, data)
-        back = pfs.read_at(tmp, 0, pfs.file_size(tmp))
-        if back != data:
-            raise CheckpointIntegrityError(
-                f"manifest {name!r} failed write validation: staged "
-                f"{len(back)} bytes, expected {len(data)} (torn write?)"
-            )
-        pfs.rename(tmp, name)
+        commit_two_phase(pfs, name, data)
 
 
 def read_manifest(pfs: PIOFS, prefix: str) -> Dict[str, Any]:

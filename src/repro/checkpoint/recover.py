@@ -9,30 +9,47 @@ from the first sound one — so a state corrupted by a torn write or a
 flipped bit costs one generation of progress instead of a failed
 recovery.
 
-Every decision is observable: when an :class:`~repro.infra.events.EventLog`
-is supplied, the walk emits ``checkpoint_rejected`` for each corrupt
-candidate, ``checkpoint_verified`` for the chosen one, and
-``restart_fallback`` whenever the chosen state is not the newest.
+There is one such walk, :func:`walk_generations`; the PFS-only policy
+here, the tier-aware one of :mod:`repro.mlck.recovery` and the workflow
+and MPMD line walks of :mod:`repro.workflow.manifest` hand it their
+candidates and their validator.  Every decision is observable, the same
+way for every walk: spans, marks, metrics and flight records always,
+and — when an :class:`~repro.infra.events.EventLog` is supplied —
+``checkpoint_rejected`` for each corrupt candidate,
+``checkpoint_verified`` for the chosen one, and ``restart_fallback``
+whenever the chosen state is not the newest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.checkpoint.format import manifest_name
 from repro.checkpoint.rotation import generations
-from repro.checkpoint.validate import ValidationReport, validate_checkpoint
+from repro.checkpoint.validate import validate_checkpoint
 from repro.errors import RestartError
-from repro.obs import get_tracer
+from repro.obs import get_flight, get_tracer
 from repro.pfs.piofs import PIOFS
 
 __all__ = [
+    "CHECKPOINT_WALK",
     "RecoveryDecision",
+    "WalkNames",
+    "first_rejections",
     "restart_candidates",
     "restart_latest_valid",
     "select_restart_state",
+    "walk_checkpoints",
+    "walk_generations",
 ]
+
+
+def first_rejections(rejected: Sequence[Tuple[Any, List[str]]], label: str = "") -> str:
+    """`` (<first candidates passed over>: <first error of each>; ...)``
+    for a "nothing validates" message; empty when nothing was rejected."""
+    detail = "; ".join(f"{label}{key}: {errs[0]}" for key, errs in rejected[:3])
+    return f" ({detail})" if detail else ""
 
 
 @dataclass
@@ -53,6 +70,103 @@ class RecoveryDecision:
         """True when the chosen state is not the newest candidate."""
         return self.prefix is not None and bool(self.rejected)
 
+    def failure(self) -> str:
+        """Why the walk found nothing to restart from: names the first
+        rejected candidates and the first error of each, so a failed
+        recovery surfaces its root cause."""
+        return (
+            f"no checkpoint under {self.base!r} passes validation on any tier"
+            + first_rejections(self.rejected)
+        )
+
+
+class WalkNames(NamedTuple):
+    """The vocabulary one family of walks records under."""
+
+    #: span name; flight records ``<walk>_started`` / ``<walk>_done``
+    walk: str
+    #: ``<item>_verified`` / ``<item>_rejected`` marks, flight records, events
+    item: str
+    #: mark, flight record and event when the chosen candidate is not the newest
+    fallback: str
+    #: counter root: ``<metrics>.verified|rejected|fallback``
+    metrics: str
+    #: what a candidate is called in every record
+    key: str
+
+
+CHECKPOINT_WALK = WalkNames(
+    "recovery_walk", "checkpoint", "restart_fallback", "recover", "prefix"
+)
+
+
+def walk_generations(
+    candidates: Sequence[Tuple[Any, Optional[str]]],
+    validate: Callable[[Any, Optional[str]], Tuple[List[str], Dict[str, Any]]],
+    names: WalkNames = CHECKPOINT_WALK,
+    events=None,
+    clock: float = 0.0,
+    **context: Any,
+) -> Tuple[Any, Optional[str], List[Tuple[Any, List[str]]]]:
+    """The newest-to-oldest walk: take the first candidate that
+    validates, record every one passed over.
+
+    ``candidates`` are ``(key, tier)`` pairs, newest first — within one
+    generation the preferred tier first; ``tier`` is None for walks
+    that do not distinguish tiers.  ``validate(key, tier)`` returns
+    ``(errors, detail)``: no errors accepts the candidate, and
+    ``detail`` describes the accepted state in its ``verified`` records.
+    ``context`` (``base=``, ``job=``) is attached to every record.
+
+    Returns ``(key, tier, rejected)`` — ``key`` None when nothing
+    validated; ``rejected`` lists ``(key, errors)`` for every candidate
+    passed over, errors tier-tagged when the walk has tiers.  This is
+    the one place a walk emits its marks, metrics, flight records and
+    ``events`` (an :class:`~repro.infra.events.EventLog` stamped with
+    ``clock``)."""
+    obs = get_tracer()
+    fr = get_flight()
+    m = obs.metrics
+
+    def note(kind: str, **detail: Any) -> None:
+        obs.mark(kind, **detail)
+        fr.record(kind, time=clock, **detail, **context)
+        if events is not None:
+            events.emit(clock, kind, **detail, **context)
+
+    generations_seen = len({key for key, _ in candidates})
+    chosen = chosen_tier = None
+    rejected: List[Tuple[Any, List[str]]] = []
+    with obs.span(names.walk, **context) as sp:
+        fr.record(
+            f"{names.walk}_started", time=clock,
+            candidates=generations_seen, **context,
+        )
+        for key, tier in candidates:
+            where = {names.key: key, **({"tier": tier} if tier else {})}
+            errors, detail = validate(key, tier)
+            if errors:
+                errors = [f"{tier}: {e}" for e in errors] if tier else list(errors)
+                rejected.append((key, errors))
+                m.counter(f"{names.metrics}.rejected").inc()
+                note(f"{names.item}_rejected", errors=errors, **where)
+                continue
+            chosen, chosen_tier = key, tier
+            m.counter(f"{names.metrics}.verified").inc()
+            note(f"{names.item}_verified", **where, **detail)
+            if rejected:
+                m.counter(f"{names.metrics}.fallback").inc()
+                note(names.fallback, skipped=[k for k, _ in rejected], **where)
+            break
+        done = {
+            "rejected": len(rejected),
+            "chosen": chosen,
+            **({"tier": chosen_tier} if chosen_tier else {}),
+        }
+        sp.set(candidates=generations_seen, **done)
+        fr.record(f"{names.walk}_done", time=clock, **done, **context)
+    return chosen, chosen_tier, rejected
+
 
 def restart_candidates(pfs: PIOFS, base: str) -> List[str]:
     """Restartable prefixes under ``base``, newest first: the rotation
@@ -62,6 +176,35 @@ def restart_candidates(pfs: PIOFS, base: str) -> List[str]:
     if pfs.exists(manifest_name(base)):
         out.append(base)
     return out
+
+
+def walk_checkpoints(
+    pfs: PIOFS,
+    base: str,
+    candidates: Sequence[Tuple[str, Optional[str]]],
+    l1=None,
+    events=None,
+    clock: float = 0.0,
+    job: Optional[str] = None,
+) -> RecoveryDecision:
+    """:func:`walk_generations` over checkpoint states: ``"l1"``
+    candidates are audited against the replicas of ``l1``, every other
+    against the PFS copy."""
+
+    def validate(prefix: str, tier: Optional[str]):
+        if tier == "l1":
+            report = l1.validate_generation(prefix)
+        else:
+            report = validate_checkpoint(pfs, prefix)
+        return report.errors, {
+            "files": report.files, "bytes_hashed": report.bytes_hashed,
+        }
+
+    prefix, tier, rejected = walk_generations(
+        candidates, validate, CHECKPOINT_WALK, events, clock,
+        base=base, job=job,
+    )
+    return RecoveryDecision(base=base, prefix=prefix, rejected=rejected, tier=tier)
 
 
 def select_restart_state(
@@ -89,51 +232,10 @@ def select_restart_state(
         return select_tiered_restart_state(
             pfs, base, l1, events=events, clock=clock, job=job
         )
-    decision = RecoveryDecision(base=base, prefix=None)
-    obs = get_tracer()
-    with obs.span("recovery_walk", base=base, job=job) as sp:
-        candidates = restart_candidates(pfs, base)
-        for candidate in candidates:
-            report = validate_checkpoint(pfs, candidate)
-            if report.ok:
-                decision.prefix = candidate
-                obs.metrics.counter("recover.verified").inc()
-                if events is not None:
-                    events.emit(
-                        clock, "checkpoint_verified",
-                        job=job, prefix=candidate, files=report.files,
-                        bytes_hashed=report.bytes_hashed,
-                    )
-                    if decision.rejected:
-                        events.emit(
-                            clock, "restart_fallback",
-                            job=job, prefix=candidate,
-                            skipped=[p for p, _ in decision.rejected],
-                        )
-                if decision.rejected:
-                    obs.mark(
-                        "restart_fallback",
-                        chosen=candidate,
-                        skipped=[p for p, _ in decision.rejected],
-                    )
-                    obs.metrics.counter("recover.fallback").inc()
-                break
-            decision.rejected.append((candidate, report.errors))
-            obs.mark(
-                "checkpoint_rejected", prefix=candidate, errors=len(report.errors)
-            )
-            obs.metrics.counter("recover.rejected").inc()
-            if events is not None:
-                events.emit(
-                    clock, "checkpoint_rejected",
-                    job=job, prefix=candidate, errors=list(report.errors),
-                )
-        sp.set(
-            candidates=len(candidates),
-            rejected=len(decision.rejected),
-            chosen=decision.prefix,
-        )
-    return decision
+    candidates = [(p, None) for p in restart_candidates(pfs, base)]
+    return walk_checkpoints(
+        pfs, base, candidates, events=events, clock=clock, job=job
+    )
 
 
 def restart_latest_valid(pfs: PIOFS, base: str, ntasks: int, **kwargs):
@@ -145,12 +247,6 @@ def restart_latest_valid(pfs: PIOFS, base: str, ntasks: int, **kwargs):
 
     decision = select_restart_state(pfs, base)
     if decision.prefix is None:
-        detail = "; ".join(
-            f"{p}: {errs[0]}" for p, errs in decision.rejected[:3]
-        )
-        raise RestartError(
-            f"no checkpoint under {base!r} passes validation"
-            + (f" ({detail})" if detail else "")
-        )
+        raise RestartError(decision.failure())
     state, bd = drms_restart(pfs, decision.prefix, ntasks, **kwargs)
     return state, bd, decision

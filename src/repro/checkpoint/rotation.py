@@ -24,9 +24,32 @@ from repro.checkpoint.format import manifest_name, read_manifest
 from repro.errors import CheckpointError
 from repro.pfs.piofs import PIOFS
 
-__all__ = ["CheckpointRotation", "latest_checkpoint", "generations"]
+__all__ = [
+    "CheckpointRotation",
+    "committed_prefixes",
+    "generations",
+    "latest_checkpoint",
+]
 
 _GEN_RE = re.compile(r"^(?P<base>.+)\.(?P<gen>\d{6})$")
+
+
+def committed_prefixes(pfs: PIOFS, base: str) -> List[str]:
+    """Rotation prefixes under ``base`` with a manifest under its final
+    name, from *names* alone — nothing is read.  Sound because the
+    manifest two-phase commit renames ``.manifest.tmp`` to ``.manifest``
+    only after read-back validation: a listed name is a committed
+    manifest."""
+    suffix = ".manifest"
+    out = []
+    for name in pfs.listdir(base + "."):
+        if not name.endswith(suffix):
+            continue
+        prefix = name[: -len(suffix)]
+        m = _GEN_RE.match(prefix)
+        if m is not None and m.group("base") == base:
+            out.append(prefix)
+    return out
 
 
 def generations(pfs: PIOFS, base: str) -> List[str]:
@@ -34,14 +57,7 @@ def generations(pfs: PIOFS, base: str) -> List[str]:
     states with a readable manifest count (the manifest is written last,
     so a half-written state is invisible here)."""
     out = []
-    suffix = ".manifest"
-    for name in pfs.listdir(base + "."):
-        if not name.endswith(suffix):
-            continue
-        prefix = name[: -len(suffix)]
-        m = _GEN_RE.match(prefix)
-        if m is None or m.group("base") != base:
-            continue
+    for prefix in committed_prefixes(pfs, base):
         try:
             read_manifest(pfs, prefix)
         except CheckpointError:

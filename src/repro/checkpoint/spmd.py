@@ -21,7 +21,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.checkpoint.drms import (
     CheckpointBreakdown,
     RestartBreakdown,
+    _charge_restart_init,
     _publish_breakdown,
+    serving_tier,
 )
 from repro.checkpoint.format import (
     read_manifest,
@@ -31,7 +33,7 @@ from repro.checkpoint.format import (
 )
 from repro.checkpoint.segment import DataSegment, SegmentProfile
 from repro.checkpoint.validate import verify_stored_sha1
-from repro.errors import CheckpointError, MemoryTierError, RestartError
+from repro.errors import CheckpointError, RestartError
 from repro.obs import get_tracer
 from repro.pfs.phase import IOKind
 from repro.pfs.piofs import PIOFS
@@ -191,28 +193,12 @@ def spmd_restart(
     decoded, raising
     :class:`~repro.errors.CheckpointIntegrityError` on corruption.
 
-    ``tier``/``l1`` mirror :func:`~repro.checkpoint.drms.drms_restart`:
-    ``"memory"`` serves from surviving L1 replicas only,
-    ``"memory+pfs"`` prefers L1 and falls back to the PFS copy."""
-    if tier != "pfs":
-        if tier not in ("memory", "memory+pfs"):
-            raise RestartError(
-                f"unknown restart tier {tier!r} "
-                "(expected 'pfs', 'memory', or 'memory+pfs')"
-            )
-        if l1 is None:
-            raise RestartError(f"tier={tier!r} requires an L1Store (l1=)")
-        l1.sync_with_machine()
-        if l1.has(prefix) and l1.validate_generation(prefix).ok:
-            return l1.restore_spmd(
-                prefix, ntasks, init_seconds=pfs.params.restart_init_s
-            )
-        if tier == "memory":
-            raise MemoryTierError(
-                f"generation {prefix!r} cannot be served from L1 "
-                "(lost replicas or never captured) and tier='memory' "
-                "forbids the PFS fallback"
-            )
+    ``tier``/``l1`` select the serving tier exactly as for a DRMS
+    restart (:func:`~repro.checkpoint.drms.serving_tier`)."""
+    if serving_tier(prefix, tier, l1) == "l1":
+        return l1.restore_spmd(
+            prefix, ntasks, init_seconds=pfs.params.restart_init_s
+        )
     manifest = read_manifest(pfs, prefix)
     if manifest.get("kind") != "spmd":
         raise RestartError(
@@ -235,9 +221,7 @@ def spmd_restart(
         "restart", kind="spmd", prefix=prefix, ntasks=ntasks,
         checkpoint_ntasks=saved,
     ) as op:
-        with obs.span("restart_init") as sp:
-            obs.advance(bd.other_seconds)
-            sp.set(seconds=bd.other_seconds)
+        _charge_restart_init(obs, bd.other_seconds)
         with obs.span("segment_read", files=ntasks) as sp:
             pfs.begin_phase(IOKind.READ_DISTINCT)
             for t, fname in enumerate(manifest["task_files"]):

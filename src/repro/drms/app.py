@@ -236,7 +236,6 @@ class DRMSApplication:
         #: re-samples the backlog gauges
         self.health = None
         self._ckpt_enable = threading.Event()
-        self.runs: List[RunReport] = []
         #: optional armed FailurePlan (set by the failure injector)
         self.failure_plan = None
         #: live-steering queue; clients read/write fields of a running
@@ -361,6 +360,19 @@ class DRMSApplication:
             make_context=lambda comm: DRMSContext(comm, runtime),
         )
 
+    def _report(
+        self, runtime: AppRuntime, result: SPMDResult, **restart: Any
+    ) -> RunReport:
+        return RunReport(
+            ntasks=runtime.ntasks,
+            returns=result.returns,
+            sim_elapsed=result.elapsed,
+            checkpoints=runtime.checkpoints,
+            replicated=dict(runtime.replicated),
+            arrays=dict(runtime.arrays),
+            **restart,
+        )
+
     def start(
         self,
         ntasks: int,
@@ -373,16 +385,7 @@ class DRMSApplication:
         runtime = AppRuntime(self, ntasks)
         self._last_runtime = runtime
         result = self._execute(ntasks, runtime, args, kwargs, nodes)
-        report = RunReport(
-            ntasks=ntasks,
-            returns=result.returns,
-            sim_elapsed=result.elapsed,
-            checkpoints=runtime.checkpoints,
-            replicated=dict(runtime.replicated),
-            arrays=dict(runtime.arrays),
-        )
-        self.runs.append(report)
-        return report
+        return self._report(runtime, result)
 
     def restart(
         self,
@@ -400,48 +403,7 @@ class DRMSApplication:
         generation chosen by the tier-aware recovery walk) is served
         from surviving L1 memory replicas when they validate — no PFS
         checkpoint read at all — and from the PFS copy otherwise."""
-        self.soq.check(ntasks)
-        state = bd = None
-        if self.tier == "memory+pfs":
-            for ck in self._mlck.values():
-                if ck.store.has(prefix):
-                    ck.store.sync_with_machine()
-                    if ck.store.validate_generation(prefix).ok:
-                        state, bd = ck.store.restore_drms(
-                            prefix,
-                            ntasks,
-                            init_seconds=self.pfs.params.restart_init_s,
-                        )
-                    break
-        if state is None:
-            state, bd = drms_restart(
-                self.pfs,
-                prefix,
-                ntasks,
-                order=self.order,
-                io_tasks=self.io_tasks,
-                target_bytes=self.target_bytes,
-            )
-        runtime = AppRuntime(
-            self,
-            ntasks,
-            restored=state,
-            pending_clock_charge=bd.total_seconds,
-        )
-        self._last_runtime = runtime
-        result = self._execute(ntasks, runtime, args, kwargs, nodes)
-        report = RunReport(
-            ntasks=ntasks,
-            returns=result.returns,
-            sim_elapsed=result.elapsed,
-            checkpoints=runtime.checkpoints,
-            restarted_from=prefix,
-            restart_breakdown=bd,
-            replicated=dict(runtime.replicated),
-            arrays=dict(runtime.arrays),
-        )
-        self.runs.append(report)
-        return report
+        return self._relaunch(prefix, ntasks, args, kwargs, nodes)
 
     def restart_localized(
         self,
@@ -463,57 +425,47 @@ class DRMSApplication:
         re-placed outside the replacement nodes' failure domains.  When
         the L1 generation cannot serve (the failure took every copy of
         some piece), survivors' own state of that generation is gone
-        too, and the restart degrades to a full, metered PFS read."""
-        from repro.mlck.localized import (
-            compute_rebuild_scope,
-            localized_restore_drms,
-            rereplicate_after_failure,
-        )
-        from repro.obs import get_tracer
+        too, and the restart degrades to a full, metered PFS read
+        (:func:`~repro.mlck.localized.localized_restart`)."""
+        failure = (dict(placement or {}), failed_nodes, dict(replacements or {}))
+        return self._relaunch(prefix, ntasks, args, kwargs, nodes, failure)
 
+    def _relaunch(
+        self,
+        prefix: str,
+        ntasks: int,
+        args: Sequence[Any],
+        kwargs: Optional[dict],
+        nodes: Optional[Sequence[int]],
+        failure: Optional[Tuple[Dict[int, int], Sequence[int], Dict[int, int]]] = None,
+    ) -> RunReport:
+        """Restore ``prefix`` onto ``ntasks`` tasks and run on from it;
+        ``failure`` (placement, failed nodes, replacements) makes the
+        restore a localized one."""
         self.soq.check(ntasks)
-        placement = dict(placement or {})
-        replacements = dict(replacements or {})
-        state = bd = scope = None
-        if self.tier == "memory+pfs":
-            for ck in self._mlck.values():
-                if ck.store.has(prefix):
-                    ck.store.sync_with_machine()
-                    if ck.store.validate_generation(prefix).ok:
-                        state, bd, scope = localized_restore_drms(
-                            ck.store, prefix, ntasks,
-                            placement, failed_nodes,
-                            replacements=replacements,
-                            init_seconds=self.pfs.params.restart_init_s,
-                        )
-                        avoid = sorted(
-                            {
-                                self.machine.domain_of(n)
-                                for n in replacements.values()
-                                if 0 <= n < self.machine.num_nodes
-                            }
-                        )
-                        rereplicate_after_failure(
-                            ck.store, failed_nodes, avoid_domains=avoid
-                        )
-                    break
-        if state is None:
+        # the L1 store holding this generation, if any: the restore
+        # entry points decide whether its replicas can still serve
+        l1 = next(
+            (ck.store for ck in self._mlck.values() if ck.store.has(prefix)),
+            None,
+        )
+        options = dict(
+            order=self.order, io_tasks=self.io_tasks,
+            target_bytes=self.target_bytes, l1=l1,
+        )
+        scope = None
+        if failure is None:
             state, bd = drms_restart(
-                self.pfs,
-                prefix,
-                ntasks,
-                order=self.order,
-                io_tasks=self.io_tasks,
-                target_bytes=self.target_bytes,
+                self.pfs, prefix, ntasks,
+                tier="memory+pfs" if l1 is not None else "pfs", **options,
             )
-            scope = compute_rebuild_scope(
-                dict(state.manifest, prefix=prefix),
-                ntasks, placement, failed_nodes,
-                replacements=replacements, order=self.order,
+        else:
+            # repro.mlck loads only for applications that use it
+            from repro.mlck.localized import localized_restart
+
+            state, bd, scope = localized_restart(
+                self.pfs, prefix, ntasks, *failure, **options
             )
-            get_tracer().metrics.counter(
-                "mlck.localized.pfs_fallbacks"
-            ).inc()
         runtime = AppRuntime(
             self,
             ntasks,
@@ -522,16 +474,7 @@ class DRMSApplication:
         )
         self._last_runtime = runtime
         result = self._execute(ntasks, runtime, args, kwargs, nodes)
-        report = RunReport(
-            ntasks=ntasks,
-            returns=result.returns,
-            sim_elapsed=result.elapsed,
-            checkpoints=runtime.checkpoints,
-            restarted_from=prefix,
-            restart_breakdown=bd,
-            replicated=dict(runtime.replicated),
-            arrays=dict(runtime.arrays),
-            rebuild_scope=scope,
+        return self._report(
+            runtime, result,
+            restarted_from=prefix, restart_breakdown=bd, rebuild_scope=scope,
         )
-        self.runs.append(report)
-        return report

@@ -138,7 +138,6 @@ class ElasticRunner:
                     replicated=dict(runtime.replicated),
                     arrays=dict(runtime.arrays),
                 )
-                app.runs.append(report.final)
                 return report
             raise ReconfigurationError(
                 f"more than {max_segments} reconfigurations; livelock?"

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.checkpoint.format import manifest_name
+from repro.checkpoint.recover import first_rejections
 from repro.drms.app import DRMSApplication, RunReport
 from repro.errors import ReconfigurationError, RestartError
 from repro.pfs.piofs import PIOFS
@@ -172,12 +173,9 @@ class MPMDApplication:
             self.pfs, exact, l1_stores
         )
         if resolved is None:
-            detail = "; ".join(
-                f"gen {g}: {errs[0]}" for g, errs in rejected[:3]
-            )
             raise RestartError(
                 f"no MPMD generation under {prefix!r} has every "
-                "component byte-valid" + (f" ({detail})" if detail else "")
+                "component byte-valid" + first_rejections(rejected, "gen ")
             )
         return resolved
 

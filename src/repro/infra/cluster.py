@@ -129,70 +129,9 @@ class DRMSCluster:
         """Run ``app``; if a processor fails mid-run, recover it from
         its latest checkpoint on the surviving nodes and run to
         completion.  Without a failure plan this is a plain run."""
-        job = self.jsa.submit(job_id, app, args=args, kwargs=kwargs, prefix=prefix)
-        app.failure_plan = failure
-        try:
-            report = self.jsa.run(job_id, ntasks=ntasks)
-            self.health.sample_cluster(self, apps=[app])
-            return RecoveryOutcome(
-                failed_node=None,
-                tasks_before=ntasks,
-                tasks_after=ntasks,
-                final_report=report,
-                recovery_latency_s=0.0,
-                node_repair_s=self.rc.node_repair_s,
-                events=list(self.events),
-            )
-        except NodeFailure as exc:
-            failed_node = exc.node_id
-        except TaskFailure:
-            # A sibling task's failure echo won: find the failed node
-            # from the armed plan.
-            if failure is None or not failure.fired:
-                raise
-            failed_node = failure.node_id
-        finally:
-            app.failure_plan = None
-
-        # Anchor the forensic timeline at the instant the node died,
-        # before the detector delay elapses.
-        self.events.emit(
-            self.rc.clock, "failure_injected", node=failed_node, job=job_id
-        )
-        fr = get_flight()
-        fr.record(
-            "failure_injected", node=failed_node, time=self.rc.clock,
-            job=job_id,
-        )
-        # Failure detected (lost TC connection) after the detector delay.
-        self.rc.advance(self.detection_s)
-        t_fail = self.rc.clock
-        self.rc.handle_processor_failure(failed_node)
-        # The dead node's memory is gone with it: drop any L1 replica
-        # copies it held so the tier-aware recovery walk sees the loss.
-        app.on_node_failure(failed_node, clock=self.rc.clock)
-        # The RC (or the L1 drop) already snapshotted the dead node's
-        # ring; this is the backstop for non-mlck configurations.
-        fr.auto_blackbox(
-            failed_node, reason="failure plan fired", time=self.rc.clock
-        )
-
-        # The JSA restarts the job from its latest checkpoint on the
-        # surviving processors.  It does NOT wait for the repair.
-        report = self.jsa.recover(job_id, ntasks=restart_ntasks)
-        latency = report.restart_breakdown.total_seconds + (
-            self.rc.tc_restart_s + self.detection_s
-        )
-        self.health.sample_cluster(self, apps=[app])
-        return RecoveryOutcome(
-            failed_node=failed_node,
-            tasks_before=ntasks,
-            tasks_after=report.ntasks,
-            final_report=report,
-            recovery_latency_s=latency,
-            node_repair_s=self.rc.node_repair_s,
-            events=list(self.events),
-            failed_nodes=[failed_node],
+        return self._run_recovering(
+            job_id, app, ntasks, args, kwargs, prefix, failure,
+            restart_ntasks, localized=False,
         )
 
     def run_with_localized_recovery(
@@ -214,10 +153,28 @@ class DRMSCluster:
         same task count.  Entries of a ``FailurePlan(multi=)`` schedule
         that share the crash iteration strike as one simultaneous
         multi-node failure."""
-        job = self.jsa.submit(
-            job_id, app, args=args, kwargs=kwargs, prefix=prefix
+        return self._run_recovering(
+            job_id, app, ntasks, args, kwargs, prefix, failure,
+            None, localized=True,
         )
-        del job
+
+    def _run_recovering(
+        self,
+        job_id: str,
+        app: DRMSApplication,
+        ntasks: int,
+        args: Sequence[Any],
+        kwargs: Optional[dict],
+        prefix: str,
+        failure: Optional[FailurePlan],
+        restart_ntasks: Optional[int],
+        localized: bool,
+    ) -> RecoveryOutcome:
+        """The scenario both protocols share: run, and on a node failure
+        inject → detect → RC failure protocol → drop the dead memory →
+        JSA recovery.  The protocols differ in what the RC does to the
+        pool and in which recovery the JSA runs."""
+        self.jsa.submit(job_id, app, args=args, kwargs=kwargs, prefix=prefix)
         app.failure_plan = failure
         try:
             report = self.jsa.run(job_id, ntasks=ntasks)
@@ -234,26 +191,33 @@ class DRMSCluster:
         except NodeFailure as exc:
             failed_nodes = [exc.node_id]
         except TaskFailure:
-            if failure is None or not failure.fired_nodes:
+            # A sibling task's failure echo won: find the failed node
+            # from the armed plan.
+            if failure is None or not (
+                failure.fired_nodes if localized else failure.fired
+            ):
                 raise
-            failed_nodes = [failure.fired_nodes[-1]]
+            failed_nodes = [
+                failure.fired_nodes[-1] if localized else failure.node_id
+            ]
         finally:
             app.failure_plan = None
 
-        # Same-iteration schedule entries strike together: the first
-        # victim's crash killed the task group before its siblings'
-        # claims could run, so drain them into this incident.
-        if failure is not None:
-            for node in failure.drain_simultaneous():
-                if node not in failed_nodes:
-                    failed_nodes.append(node)
-                    if self.machine.node(node).up:
-                        self.machine.fail_node(node)
+        if localized:
+            # Same-iteration schedule entries strike together: the first
+            # victim's crash killed the task group before its siblings'
+            # claims could run, so drain them into this incident.
+            if failure is not None:
+                for node in failure.drain_simultaneous():
+                    if node not in failed_nodes:
+                        failed_nodes.append(node)
+                        if self.machine.node(node).up:
+                            self.machine.fail_node(node)
+            # The pre-failure placement, before the RC patches the pool.
+            placement = dict(enumerate(self.rc.pool_of(job_id)))
 
-        # The pre-failure placement, before the RC patches the pool.
-        placement = {
-            rank: nid for rank, nid in enumerate(self.rc.pool_of(job_id))
-        }
+        # Anchor the forensic timeline at the instant the nodes died,
+        # before the detector delay elapses.
         fr = get_flight()
         for node in failed_nodes:
             self.events.emit(
@@ -263,27 +227,39 @@ class DRMSCluster:
                 "failure_injected", node=node, time=self.rc.clock,
                 job=job_id,
             )
-        # Failure detected after the detector delay; survivors quiesce
-        # at the last SOP the group crossed before the crash.
+        # Failure detected (lost TC connection) after the detector delay.
         self.rc.advance(self.detection_s)
-        quiesce = app.sop_quiescence()
-        self.events.emit(
-            self.rc.clock, "survivors_quiesced", job=job_id,
-            nodes=[n for n in placement.values() if n not in failed_nodes],
-            **(quiesce or {}),
-        )
-        replacements = self.rc.handle_localized_failure(
-            failed_nodes, job_id=job_id
-        )
+        if localized:
+            # survivors quiesce at the last SOP the group crossed
+            self.events.emit(
+                self.rc.clock, "survivors_quiesced", job=job_id,
+                nodes=[n for n in placement.values() if n not in failed_nodes],
+                **(app.sop_quiescence() or {}),
+            )
+            replacements = self.rc.handle_localized_failure(
+                failed_nodes, job_id=job_id
+            )
+        else:
+            self.rc.handle_processor_failure(failed_nodes[0])
         for node in failed_nodes:
+            # The dead node's memory is gone with it: drop any L1
+            # replica copies it held so the tier-aware recovery walk
+            # sees the loss.  The RC (or the L1 drop) already
+            # snapshotted the dead node's ring; the black box here is
+            # the backstop for non-mlck configurations.
             app.on_node_failure(node, clock=self.rc.clock)
             fr.auto_blackbox(
                 node, reason="failure plan fired", time=self.rc.clock
             )
 
-        report = self.jsa.recover_localized(
-            job_id, placement, failed_nodes, replacements
-        )
+        # The JSA restarts the job from its latest checkpoint.  It does
+        # NOT wait for the repair.
+        if localized:
+            report = self.jsa.recover_localized(
+                job_id, placement, failed_nodes, replacements
+            )
+        else:
+            report = self.jsa.recover(job_id, ntasks=restart_ntasks)
         latency = report.restart_breakdown.total_seconds + (
             self.rc.tc_restart_s + self.detection_s
         )

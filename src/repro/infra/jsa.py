@@ -118,26 +118,12 @@ class JobSchedulerAnalyzer:
         obs.sync(self.rc.clock)
         with obs.span("job.run", job=job_id, ntasks=n):
             nodes = self.rc.form_pool(job_id, n)
-            job.state = JobState.RUNNING
-            job.ntasks = n
-            try:
-                report = job.app.start(
+            report = self._execute(
+                job, n,
+                lambda: job.app.start(
                     n, args=job.args, kwargs=job.kwargs, nodes=nodes
-                )
-            except TaskFailure:
-                # Pool stays attached: the RC's failure protocol owns the
-                # cleanup (it must see which pool the dead TC belonged to).
-                job.state = JobState.KILLED
-                raise
-            except Exception:
-                job.state = JobState.KILLED
-                self.rc.release_pool(job_id)
-                raise
-            self.rc.release_pool(job_id)
-            job.state = JobState.COMPLETED
-            job.reports.append(report)
-            self.rc.advance(report.sim_elapsed)
-            obs.sync(self.rc.clock)
+                ),
+            )
         self.events.emit(
             self.rc.clock, "job_completed", job=job_id, ntasks=n,
             sim_elapsed=report.sim_elapsed,
@@ -148,76 +134,125 @@ class JobSchedulerAnalyzer:
         self._sample_health()
         return report
 
+    def _execute(self, job: Job, n: int, launch) -> RunReport:
+        """Run ``launch()`` as the job's execution on its pool of ``n``
+        nodes, and settle the books."""
+        job.state = JobState.RUNNING
+        job.ntasks = n
+        try:
+            report = launch()
+        except TaskFailure:
+            # Pool stays attached: the RC's failure protocol owns the
+            # cleanup (it must see which pool the dead TC belonged to).
+            job.state = JobState.KILLED
+            raise
+        except Exception:
+            job.state = JobState.KILLED
+            self.rc.release_pool(job.job_id)
+            raise
+        self.rc.release_pool(job.job_id)
+        job.state = JobState.COMPLETED
+        job.reports.append(report)
+        self.rc.advance(report.sim_elapsed)
+        get_tracer().sync(self.rc.clock)
+        return report
+
     def restart(self, job_id: str, ntasks: Optional[int] = None) -> RunReport:
         """Restart a job from the newest checkpointed state under its
         prefix that passes integrity validation, on a (possibly
         different-sized) pool of currently available processors.
         Corrupt newer states are skipped — each rejection and the
         eventual fallback are recorded in the event log."""
-        job = self._job(job_id)
+        return self._restart(self._job(job_id), ntasks)
+
+    def _restart(
+        self,
+        job: Job,
+        ntasks: Optional[int] = None,
+        failure: Optional[Tuple[Dict[int, int], Sequence[int], Dict[int, int]]] = None,
+    ) -> RunReport:
+        """Select the restart state, settle the pool, relaunch, account.
+        A plain restart forms a fresh pool of ``ntasks``; ``failure``
+        (pre-failure placement, failed nodes, failed node -> replacement
+        node) makes it a localized one that keeps the patched pool."""
+        job_id = job.job_id
         obs = get_tracer()
         obs.sync(self.rc.clock)
         with obs.span("job.restart", job=job_id) as sp:
             decision = self._select_state(job)
             if decision.prefix is None:
-                raise SchedulerError(
-                    f"job {job_id!r} has no checkpoint under prefix "
-                    f"{job.prefix!r} that passes validation"
+                raise SchedulerError(f"job {job_id!r}: {decision.failure()}")
+            if failure is None:
+                n = self.pick_ntasks(job, ntasks)
+                nodes = self.rc.form_pool(job_id, n)
+                localized = {}
+            else:
+                placement, failed_nodes, replacements = failure
+                n = len(placement)
+                nodes = self.rc.pool_of(job_id)
+                if len(nodes) != n:
+                    raise SchedulerError(
+                        f"localized recovery keeps the task count: pool has "
+                        f"{len(nodes)} nodes for {n} ranks"
+                    )
+                localized = dict(
+                    placement=placement,
+                    failed_nodes=failed_nodes,
+                    # lost rank -> its replacement node
+                    replacements={
+                        r: replacements[nd]
+                        for r, nd in placement.items()
+                        if nd in replacements
+                    },
                 )
-            n = self.pick_ntasks(job, ntasks)
             sp.set(ntasks=n, prefix=decision.prefix)
-            nodes = self.rc.form_pool(job_id, n)
-            job.state = JobState.RUNNING
-            job.ntasks = n
-            try:
-                report = job.app.restart(
-                    decision.prefix, n, args=job.args, kwargs=job.kwargs, nodes=nodes
-                )
-            except TaskFailure:
-                job.state = JobState.KILLED
-                raise
-            except Exception:
-                job.state = JobState.KILLED
-                self.rc.release_pool(job_id)
-                raise
-            self.rc.release_pool(job_id)
-            job.state = JobState.COMPLETED
-            job.reports.append(report)
-            self.rc.advance(report.sim_elapsed)
-            obs.sync(self.rc.clock)
+            relaunch = job.app.restart_localized if localized else job.app.restart
+            report = self._execute(
+                job, n,
+                lambda: relaunch(
+                    decision.prefix, n, args=job.args, kwargs=job.kwargs,
+                    nodes=nodes, **localized,
+                ),
+            )
         bd = report.restart_breakdown
         restart_seconds = bd.total_seconds if bd is not None else 0.0
-        restart_kind = bd.kind if bd is not None else None
+        scope = report.rebuild_scope
         self.events.emit(
             self.rc.clock, "job_restarted", job=job_id, ntasks=n,
             sim_elapsed=report.sim_elapsed,
             prefix=decision.prefix,
             restart_seconds=restart_seconds,
-            restart_kind=restart_kind,
+            restart_kind=bd.kind if bd is not None else None,
+            **({"rebuild_scope": scope.describe()} if scope is not None else {}),
         )
         get_flight().record(
             "job_restarted", time=self.rc.clock, job=job_id, ntasks=n,
             prefix=decision.prefix, restart_seconds=restart_seconds,
+            **({"localized": True} if localized else {}),
         )
         self._sample_health()
         return report
 
     # -- policy hooks -----------------------------------------------------------
 
+    def _recovering(self, job: Job, **how: Any):
+        """Announce a recovery and open its span."""
+        self.events.emit(self.rc.clock, "recovery_started", job=job.job_id, **how)
+        get_flight().record(
+            "recovery_started", time=self.rc.clock, job=job.job_id, **how
+        )
+        obs = get_tracer()
+        obs.sync(self.rc.clock)
+        obs.metrics.counter("jsa.recoveries").inc()
+        return obs.span("job.recover", job=job.job_id, **how)
+
     def recover(self, job_id: str, ntasks: Optional[int] = None) -> RunReport:
         """Failure recovery: restart the killed job from its latest
         checkpoint on the surviving processors.  The new pool may be
         smaller (failed node out for repair), equal, or larger."""
         job = self._job(job_id)
-        self.events.emit(self.rc.clock, "recovery_started", job=job_id)
-        get_flight().record(
-            "recovery_started", time=self.rc.clock, job=job_id
-        )
-        obs = get_tracer()
-        obs.sync(self.rc.clock)
-        with obs.span("job.recover", job=job_id):
-            obs.metrics.counter("jsa.recoveries").inc()
-            return self.restart(job_id, ntasks=ntasks)
+        with self._recovering(job):
+            return self._restart(job, ntasks)
 
     def recover_localized(
         self,
@@ -234,77 +269,8 @@ class JobSchedulerAnalyzer:
         ``{rank: node}`` map; ``replacements`` maps each failed node to
         the node that took over its ranks."""
         job = self._job(job_id)
-        self.events.emit(
-            self.rc.clock, "recovery_started", job=job_id, localized=True
-        )
-        get_flight().record(
-            "recovery_started", time=self.rc.clock, job=job_id,
-            localized=True,
-        )
-        obs = get_tracer()
-        obs.sync(self.rc.clock)
-        with obs.span("job.recover", job=job_id, localized=True) as sp:
-            obs.metrics.counter("jsa.recoveries").inc()
-            decision = self._select_state(job)
-            if decision.prefix is None:
-                raise SchedulerError(
-                    f"job {job_id!r} has no checkpoint under prefix "
-                    f"{job.prefix!r} that passes validation"
-                )
-            n = len(placement)
-            pool = self.rc.pool_of(job_id)
-            if len(pool) != n:
-                raise SchedulerError(
-                    f"localized recovery keeps the task count: pool has "
-                    f"{len(pool)} nodes for {n} ranks"
-                )
-            sp.set(ntasks=n, prefix=decision.prefix)
-            # lost rank -> its replacement node
-            rank_replacements = {
-                r: replacements[nd]
-                for r, nd in placement.items()
-                if nd in replacements
-            }
-            job.state = JobState.RUNNING
-            job.ntasks = n
-            try:
-                report = job.app.restart_localized(
-                    decision.prefix, n,
-                    args=job.args, kwargs=job.kwargs, nodes=pool,
-                    placement=placement, failed_nodes=failed_nodes,
-                    replacements=rank_replacements,
-                )
-            except TaskFailure:
-                job.state = JobState.KILLED
-                raise
-            except Exception:
-                job.state = JobState.KILLED
-                self.rc.release_pool(job_id)
-                raise
-            self.rc.release_pool(job_id)
-            job.state = JobState.COMPLETED
-            job.reports.append(report)
-            self.rc.advance(report.sim_elapsed)
-            obs.sync(self.rc.clock)
-        bd = report.restart_breakdown
-        restart_seconds = bd.total_seconds if bd is not None else 0.0
-        restart_kind = bd.kind if bd is not None else None
-        scope = report.rebuild_scope
-        self.events.emit(
-            self.rc.clock, "job_restarted", job=job_id, ntasks=n,
-            sim_elapsed=report.sim_elapsed,
-            prefix=decision.prefix,
-            restart_seconds=restart_seconds,
-            restart_kind=restart_kind,
-            rebuild_scope=scope.describe() if scope is not None else None,
-        )
-        get_flight().record(
-            "job_restarted", time=self.rc.clock, job=job_id, ntasks=n,
-            prefix=decision.prefix, restart_seconds=restart_seconds,
-            localized=True,
-        )
-        self._sample_health()
-        return report
+        with self._recovering(job, localized=True):
+            return self._restart(job, failure=(placement, failed_nodes, replacements))
 
     def enable_system_checkpoint(self, job_id: str) -> None:
         """Arm a system-initiated checkpoint: the job's next

@@ -40,13 +40,20 @@ from repro.mlck.localized import (
     RebuildScope,
     ReplicationRepair,
     compute_rebuild_scope,
+    localized_restart,
     localized_restore_drms,
     rebuild_lost_sections,
     rereplicate_after_failure,
 )
 from repro.mlck.placement import replica_nodes, select_partners
 from repro.mlck.recovery import select_tiered_restart_state
-from repro.mlck.store import L1ArrayEntry, L1Generation, L1Piece, L1Store
+from repro.mlck.store import (
+    L1ArrayEntry,
+    L1Generation,
+    L1Piece,
+    L1ReplicaSource,
+    L1Store,
+)
 
 __all__ = [
     "ArrayScope",
@@ -55,12 +62,14 @@ __all__ = [
     "L1ArrayEntry",
     "L1Generation",
     "L1Piece",
+    "L1ReplicaSource",
     "L1Store",
     "MLCKBreakdown",
     "MultiLevelCheckpointer",
     "RebuildScope",
     "ReplicationRepair",
     "compute_rebuild_scope",
+    "localized_restart",
     "localized_restore_drms",
     "rebuild_lost_sections",
     "replica_nodes",

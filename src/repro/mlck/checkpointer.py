@@ -33,6 +33,7 @@ from repro.checkpoint.rotation import _GEN_RE, CheckpointRotation
 from repro.checkpoint.segment import DataSegment
 from repro.errors import RestartError
 from repro.mlck.drain import DrainController, DrainState
+from repro.mlck.localized import localized_restart
 from repro.mlck.recovery import select_tiered_restart_state
 from repro.mlck.store import L1Store
 from repro.pfs.piofs import PIOFS
@@ -196,29 +197,14 @@ class MultiLevelCheckpointer:
         ``ntasks`` tasks.  L1-served restores still charge the fixed
         restart initialization (program text loads from the PFS
         regardless of which tier serves the checkpoint data)."""
-        decision = self.select_restart_state(clock=clock, job=job)
-        if decision.prefix is None:
-            detail = "; ".join(
-                f"{p}: {errs[0]}" for p, errs in decision.rejected[:3]
-            )
-            raise RestartError(
-                f"no checkpoint under {self.base!r} passes validation on "
-                "any tier" + (f" ({detail})" if detail else "")
-            )
-        if decision.tier == "l1":
-            state, bd = self.store.restore_drms(
-                decision.prefix, ntasks,
-                order=self.order,
-                distribution_overrides=distribution_overrides,
-                init_seconds=self.pfs.params.restart_init_s,
-            )
-        else:
-            state, bd = drms_restart(
-                self.pfs, decision.prefix, ntasks,
-                order=self.order, io_tasks=self.io_tasks,
-                distribution_overrides=distribution_overrides,
-                verify=verify,
-            )
+        decision, l1 = self._select_or_raise(clock, job)
+        state, bd = drms_restart(
+            self.pfs, decision.prefix, ntasks,
+            order=self.order, io_tasks=self.io_tasks,
+            distribution_overrides=distribution_overrides,
+            verify=verify,
+            tier="memory+pfs" if l1 is not None else "pfs", l1=l1,
+        )
         return state, bd, decision
 
     def restart_localized(
@@ -233,68 +219,32 @@ class MultiLevelCheckpointer:
         verify: bool = True,
     ):
         """Localized recovery: restore the newest satisfiable
-        generation with survivor-local cost accounting
-        (:func:`~repro.mlck.localized.localized_restore_drms`), then
-        re-place the dead nodes' replicas outside the replacement
-        nodes' failure domains.  When the walk lands on the L2 tier
-        (surviving replicas cannot serve — e.g. a whole-frame loss took
-        every copy of some piece), the survivors' own L1 state of that
-        generation is gone too, so recovery degrades to a full,
-        correctly-metered PFS read of the newest byte-valid generation.
+        generation with survivor-local cost accounting, then re-place
+        the dead nodes' replicas outside the replacement nodes' failure
+        domains; a walk that lands on the L2 tier degrades to a full,
+        correctly-metered PFS read
+        (:func:`~repro.mlck.localized.localized_restart`).
         Returns ``(state, breakdown, decision, scope)``."""
-        from repro.mlck.localized import (
-            compute_rebuild_scope,
-            localized_restore_drms,
-            rereplicate_after_failure,
+        decision, l1 = self._select_or_raise(clock, job)
+        state, bd, scope = localized_restart(
+            self.pfs, decision.prefix, ntasks,
+            placement, failed_nodes, replacements,
+            l1=l1, clock=clock,
+            order=self.order, io_tasks=self.io_tasks,
+            distribution_overrides=distribution_overrides,
+            verify=verify,
         )
-        from repro.obs import get_tracer
+        return state, bd, decision, scope
 
+    def _select_or_raise(
+        self, clock: float, job: Optional[str]
+    ) -> Tuple[RecoveryDecision, Optional[L1Store]]:
+        """The recovery walk, and the L1 store when the walk chose the
+        memory tier (None: restore from the PFS copy)."""
         decision = self.select_restart_state(clock=clock, job=job)
         if decision.prefix is None:
-            detail = "; ".join(
-                f"{p}: {errs[0]}" for p, errs in decision.rejected[:3]
-            )
-            raise RestartError(
-                f"no checkpoint under {self.base!r} passes validation on "
-                "any tier" + (f" ({detail})" if detail else "")
-            )
-        if decision.tier == "l1":
-            state, bd, scope = localized_restore_drms(
-                self.store, decision.prefix, ntasks,
-                placement, failed_nodes,
-                replacements=replacements,
-                order=self.order,
-                distribution_overrides=distribution_overrides,
-                init_seconds=self.pfs.params.restart_init_s,
-            )
-            avoid = sorted(
-                {
-                    self.machine.domain_of(n)
-                    for n in (replacements or {}).values()
-                    if 0 <= n < self.machine.num_nodes
-                }
-            )
-            rereplicate_after_failure(
-                self.store, failed_nodes, avoid_domains=avoid, clock=clock
-            )
-        else:
-            state, bd = drms_restart(
-                self.pfs, decision.prefix, ntasks,
-                order=self.order, io_tasks=self.io_tasks,
-                distribution_overrides=distribution_overrides,
-                verify=verify,
-            )
-            scope = compute_rebuild_scope(
-                dict(state.manifest, prefix=decision.prefix),
-                ntasks, placement, failed_nodes,
-                replacements=replacements,
-                order=self.order,
-                distribution_overrides=distribution_overrides,
-            )
-            get_tracer().metrics.counter(
-                "mlck.localized.pfs_fallbacks"
-            ).inc()
-        return state, bd, decision, scope
+            raise RestartError(decision.failure())
+        return decision, (self.store if decision.tier == "l1" else None)
 
     # -- drain control -------------------------------------------------------
 

@@ -42,7 +42,7 @@ from repro.checkpoint.drms import drms_checkpoint
 from repro.checkpoint.rotation import CheckpointRotation
 from repro.checkpoint.spmd import _decode_task_file, spmd_checkpoint
 from repro.errors import CheckpointError
-from repro.mlck.store import L1Store
+from repro.mlck.store import L1Store, UnchargedFetch
 from repro.obs import get_flight, get_tracer
 from repro.pfs.piofs import PIOFS
 from repro.streaming.executor import submit_task
@@ -176,16 +176,12 @@ class DrainController:
                     )
                 else:
                     # exact payloads survive in the L1 task headers
-                    payloads = []
-                    for t in range(gen.ntasks):
-                        head = self.store._fetch_pieces(
-                            gen.task_pieces[t],
-                            # untimed: drain charges PFS write time
-                            _untimed_acct(self.store),
-                            0,
-                            count_hits=False,
-                        )
-                        payloads.append(_decode_task_file(head))
+                    # (uncharged: the drain's cost is its PFS write)
+                    fetch = UnchargedFetch(self.store).fetch
+                    payloads = [
+                        _decode_task_file(fetch(pieces))
+                        for pieces in gen.task_pieces
+                    ]
                     spmd_checkpoint(
                         self.pfs, prefix, gen.ntasks,
                         gen.spmd_segment_bytes,
@@ -227,11 +223,3 @@ class DrainController:
                 if self.health is not None:
                     self.health.sample_drainer(self)
         return gen.drain_state
-
-
-def _untimed_acct(store: L1Store):
-    """A throwaway accounting sink for drain-side fetches (the drain's
-    measured cost is its PFS write, not the memory reads)."""
-    from repro.mlck.store import _Accounting
-
-    return _Accounting(store.machine)

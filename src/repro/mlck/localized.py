@@ -39,20 +39,22 @@ from repro.arrays.slices import Slice
 from repro.checkpoint.drms import (
     RestartBreakdown,
     RestoredState,
-    _publish_breakdown,
+    drms_restart,
+    restart_distribution,
+    restore,
+    serving_tier,
 )
-from repro.checkpoint.format import (
-    segment_name,
-    sha1_hex,
-    spec_to_distribution,
-)
-from repro.checkpoint.segment import DataSegment
-from repro.errors import MemoryTierError, RestartError
 from repro.mlck.placement import _rotate_past
-from repro.mlck.store import L1Store, _Accounting
+from repro.mlck.store import (
+    L1ReplicaSource,
+    L1Store,
+    UnchargedFetch,
+    _Accounting,
+)
 from repro.obs import get_flight, get_tracer
+from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine
-from repro.streaming.order import bytes_to_section, check_order
+from repro.streaming.order import check_order
 from repro.streaming.vectorized import _cached_index_plan
 
 __all__ = [
@@ -60,7 +62,9 @@ __all__ = [
     "RebuildScope",
     "compute_rebuild_scope",
     "rebuild_lost_sections",
+    "SurvivorLocal",
     "localized_restore_drms",
+    "localized_restart",
     "rereplicate_after_failure",
 ]
 
@@ -154,30 +158,8 @@ def _merge_intervals(intervals: List[Tuple[int, int]]) -> Tuple[Tuple[int, int],
     return tuple(merged)
 
 
-def _array_specs(gen_or_manifest) -> List[Dict]:
-    """Uniform array-spec dicts from an L1Generation or a manifest."""
-    if isinstance(gen_or_manifest, dict):
-        return list(gen_or_manifest.get("arrays", []))
-    return [
-        {
-            "name": e.name,
-            "shape": list(e.shape),
-            "dtype": e.dtype,
-            "nbytes": e.nbytes,
-            "distribution": e.distribution,
-        }
-        for e in gen_or_manifest.arrays
-    ]
-
-
-def _segment_bytes(gen_or_manifest) -> int:
-    if isinstance(gen_or_manifest, dict):
-        return int(gen_or_manifest.get("segment_bytes", 0))
-    return int(gen_or_manifest.segment_bytes)
-
-
 def compute_rebuild_scope(
-    gen_or_manifest,
+    manifest: Dict,
     ntasks: int,
     placement: Dict[int, int],
     failed_nodes: Sequence[int],
@@ -190,36 +172,25 @@ def compute_rebuild_scope(
     which stream byte intervals of each checkpointed array they owned
     under the restart distributions.
 
-    ``gen_or_manifest`` is an :class:`~repro.mlck.store.L1Generation`
-    or a manifest-shaped dict (the PFS-fallback path).  ``replacements``
-    maps lost ranks to their replacement nodes; lost ranks without an
-    entry fall back to their old (repaired-later) node id, which only
-    affects accounting attribution, never bytes.
+    ``manifest`` is the manifest-shaped metadata of the generation
+    (every generation source exposes one; a ``"prefix"`` key names the
+    scope).  ``replacements`` maps lost ranks to their replacement
+    nodes; lost ranks without an entry fall back to their old
+    (repaired-later) node id, which only affects accounting
+    attribution, never bytes.
     """
     check_order(order)
     failed = set(int(n) for n in failed_nodes)
     lost = tuple(sorted(r for r, nd in placement.items() if nd in failed))
     survivors = tuple(sorted(r for r in placement if r not in lost))
-    prefix = (
-        gen_or_manifest.get("prefix", "")
-        if isinstance(gen_or_manifest, dict)
-        else gen_or_manifest.prefix
-    )
     repl = {int(r): int(n) for r, n in (replacements or {}).items()}
     for r in lost:
         repl.setdefault(r, placement[r])
     overrides = distribution_overrides or {}
     lost_set = set(lost)
     scopes: List[ArrayScope] = []
-    for spec in _array_specs(gen_or_manifest):
-        dist = overrides.get(spec["name"]) or spec_to_distribution(
-            spec["distribution"], ntasks=ntasks
-        )
-        if dist.ntasks != ntasks:
-            raise RestartError(
-                f"override distribution for {spec['name']!r} targets "
-                f"{dist.ntasks} tasks; localized restart uses {ntasks}"
-            )
+    for spec in manifest.get("arrays", []):
+        dist = restart_distribution(spec, ntasks, overrides)
         itemsize = np.dtype(spec["dtype"]).itemsize
         section = Slice.full(spec["shape"])
         plan = _cached_index_plan(dist, section, order, "assigned")
@@ -242,14 +213,14 @@ def compute_rebuild_scope(
             )
         )
     return RebuildScope(
-        prefix=prefix,
+        prefix=manifest.get("prefix", ""),
         ntasks=ntasks,
         failed_nodes=tuple(sorted(failed)),
         lost_ranks=lost,
         survivor_ranks=survivors,
         replacements=repl,
         placement={int(r): int(n) for r, n in placement.items()},
-        segment_bytes=_segment_bytes(gen_or_manifest),
+        segment_bytes=int(manifest.get("segment_bytes", 0)),
         arrays=tuple(scopes),
     )
 
@@ -278,6 +249,65 @@ def rebuild_lost_sections(
     return delivered
 
 
+class SurvivorLocal(UnchargedFetch):
+    """Accountant of a localized restart (an
+    :class:`~repro.mlck.store.L1ReplicaSource` accountant): every rank
+    rolls back to the generation, but each surviving rank reloads its
+    assigned section from its own node's replica memory
+    (``mem_copy_mbps`` local copies, zero switch traffic) and only the
+    lost ranks' sections are served over the switch from surviving
+    replicas to their replacement nodes.  The bytes themselves are
+    reassembled uncharged; the :class:`RebuildScope` computed in
+    :meth:`begin` says who pays what."""
+
+    kind = "mlck-l1-localized"
+    array_span = "l1_localized_fetch"
+
+    def __init__(self, store: L1Store, scope_of):
+        super().__init__(store)
+        #: ``scope_of(source, ntasks) -> RebuildScope``
+        self.scope_of = scope_of
+        self.scope: Optional[RebuildScope] = None
+
+    def begin(self, source: L1ReplicaSource, ntasks: int) -> None:
+        super().begin(source, ntasks)
+        self.scope = self.scope_of(source, ntasks)
+
+    def _charge(
+        self, acct: _Accounting, servers: List[int], nbytes_of
+    ) -> None:
+        """Survivors copy ``nbytes_of(rank)`` locally; lost ranks'
+        replacements pull theirs from ``servers`` over the switch."""
+        scope = self.scope
+        for r in scope.survivor_ranks:
+            acct.copy(scope.placement[r], nbytes_of(r))
+        for i, r in enumerate(scope.lost_ranks):
+            nb = nbytes_of(r)
+            if nb:
+                acct.send(servers[i % len(servers)], scope.replacements[r], nb)
+
+    def segment(self, acct: _Accounting, gen) -> bytes:
+        header = self.fetch(gen.segment_pieces)
+        servers = self.store._servers(gen.segment_pieces) or [self.requester]
+        self._charge(acct, servers, lambda r: gen.segment_bytes)
+        return header
+
+    def array(self, acct: _Accounting, index: int, entry):
+        scope = self.scope
+        ascope = scope.arrays[index]
+        if not entry.virtual:
+            data = self.fetch(entry.pieces)
+            servers = self.store._servers(entry.pieces)
+        else:
+            data = None
+            servers = [scope.placement[r] for r in scope.survivor_ranks]
+        self._charge(
+            acct, servers or [self.requester],
+            lambda r: ascope.rank_bytes.get(r, 0),
+        )
+        return data, {"lost_bytes": ascope.lost_bytes}
+
+
 def localized_restore_drms(
     store: L1Store,
     prefix: str,
@@ -293,163 +323,41 @@ def localized_restore_drms(
 
     The restored state is byte-identical to
     :meth:`~repro.mlck.store.L1Store.restore_drms` of the same
-    generation — everyone rolls back to the checkpoint.  The charging
-    differs: each surviving rank reloads its assigned section from its
-    own node's replica memory (``mem_copy_mbps`` local copies, zero
-    switch traffic), only the lost ranks' sections are served over the
-    switch from surviving replicas to their replacement nodes, and
-    ``init_seconds`` (program-text load) is charged only when there is
-    a replacement task to initialize.  Raises
-    :class:`~repro.errors.MemoryTierError` when any piece has lost
-    every valid replica — the caller then falls back to the PFS tier.
+    generation — the same :func:`~repro.checkpoint.drms.restore` over
+    the same replica source; only the accountant differs
+    (:class:`SurvivorLocal`), and ``init_seconds`` (program-text load)
+    is charged only when there is a replacement task to initialize.
+    Raises :class:`~repro.errors.MemoryTierError` when any piece has
+    lost every valid replica — the caller then falls back to the PFS
+    tier.
     """
-    gen = store.gen(prefix)
-    if gen.kind != "drms":
-        raise RestartError(
-            f"L1 generation {prefix!r} is kind {gen.kind!r}; "
-            "localized restart needs a DRMS checkpoint"
-        )
-    if ntasks < 1:
-        raise RestartError(f"cannot restart on {ntasks} tasks")
-    order = order or gen.order
-    scope = compute_rebuild_scope(
-        gen,
-        ntasks,
-        placement,
-        failed_nodes,
-        replacements=replacements,
-        order=order,
-        distribution_overrides=distribution_overrides,
-    )
-    bd = RestartBreakdown(
-        kind="mlck-l1-localized", prefix=prefix, ntasks=ntasks
-    )
+    failed = set(int(n) for n in failed_nodes)
     # Survivors never reload program text; only replacement tasks do.
-    bd.other_seconds = float(init_seconds) if scope.lost_ranks else 0.0
-    obs = get_tracer()
-    machine = store.machine
-    untimed = _Accounting(machine)
-    any_up = (machine.up_nodes() or [0])[0]
-    with obs.span(
-        "restart", kind="mlck-l1-localized", prefix=prefix, ntasks=ntasks,
-        checkpoint_ntasks=gen.ntasks, lost_ranks=list(scope.lost_ranks),
-    ) as op:
-        with obs.span("restart_init") as sp:
-            obs.advance(bd.other_seconds)
-            sp.set(seconds=bd.other_seconds)
-
-        # Segment: every rank rolls back to the generation's segment.
-        # Survivors copy it from local replica memory; replacements
-        # pull it over the switch from the serving nodes.
-        acct = _Accounting(machine)
-        with obs.span(
-            "l1_segment_fetch", file=segment_name(prefix), localized=True
-        ) as sp:
-            header = store._fetch_pieces(
-                gen.segment_pieces, untimed, any_up, count_hits=False
-            )
-            servers = sorted(
-                {store._serving_replica(p) for p in gen.segment_pieces}
-                - {None}
-            ) or [any_up]
-            for r in scope.survivor_ranks:
-                acct.copy(scope.placement[r], gen.segment_bytes)
-            for i, r in enumerate(scope.lost_ranks):
-                acct.send(
-                    servers[i % len(servers)],
-                    scope.replacements[r],
-                    gen.segment_bytes,
-                )
-            sec = acct.seconds()
-            obs.advance(sec)
-            sp.set(nbytes=gen.segment_bytes * ntasks, seconds=sec)
-        if sha1_hex(header) != gen.segment_sha1:
-            raise MemoryTierError(
-                f"L1 segment of {prefix!r} failed checksum validation"
-            )
-        segment = DataSegment.deserialize(header)
-        bd.segment_seconds = sec
-        bd.segment_bytes = gen.segment_bytes * ntasks
-
-        overrides = distribution_overrides or {}
-        scope_by_name = {a.name: a for a in scope.arrays}
-        arrays: Dict[str, DistributedArray] = {}
-        for e in gen.arrays:
-            ascope = scope_by_name[e.name]
-            dist = overrides.get(e.name) or spec_to_distribution(
-                e.distribution, ntasks=ntasks
-            )
-            arr = DistributedArray(
-                e.name, e.shape, np.dtype(e.dtype), dist,
-                store_data=not e.virtual,
-            )
-            acct = _Accounting(machine)
-            with obs.span(
-                f"l1_localized_fetch:{e.name}", file=e.file
-            ) as sp:
-                if not e.virtual:
-                    data = store._fetch_pieces(
-                        e.pieces, untimed, any_up, count_hits=False
-                    )
-                    if e.sha1 is not None and sha1_hex(data) != e.sha1:
-                        raise MemoryTierError(
-                            f"L1 stream {e.file!r} failed checksum validation"
-                        )
-                    arr.set_global(
-                        bytes_to_section(data, e.shape, e.dtype, order)
-                    )
-                    servers = sorted(
-                        {store._serving_replica(p) for p in e.pieces}
-                        - {None}
-                    ) or [any_up]
-                else:
-                    servers = [
-                        scope.placement[r] for r in scope.survivor_ranks
-                    ] or [any_up]
-                for r in scope.survivor_ranks:
-                    acct.copy(
-                        scope.placement[r], ascope.rank_bytes.get(r, 0)
-                    )
-                for i, r in enumerate(scope.lost_ranks):
-                    nb = ascope.rank_bytes.get(r, 0)
-                    if nb:
-                        acct.send(
-                            servers[i % len(servers)],
-                            scope.replacements[r],
-                            nb,
-                        )
-                sec = acct.seconds()
-                obs.advance(sec)
-                sp.set(
-                    nbytes=e.nbytes, lost_bytes=ascope.lost_bytes,
-                    seconds=sec,
-                )
-            bd.arrays_seconds += sec
-            bd.arrays_bytes += e.nbytes
-            bd.per_array.append((e.name, sec, e.nbytes))
-            arrays[e.name] = arr
-        op.set(nbytes=bd.total_bytes, seconds=bd.total_seconds)
-    _publish_breakdown("restart", bd)
-    m = obs.metrics
+    if not any(nd in failed for nd in placement.values()):
+        init_seconds = 0.0
+    accountant = SurvivorLocal(
+        store,
+        lambda source, n: compute_rebuild_scope(
+            dict(source.manifest, prefix=prefix), n, placement, failed_nodes,
+            replacements=replacements,
+            order=order or source.manifest["order"],
+            distribution_overrides=distribution_overrides,
+        ),
+    )
+    source = L1ReplicaSource(store, prefix, accountant, init_seconds)
+    state, bd = restore(source, ntasks, order, distribution_overrides)
+    scope = accountant.scope
+    m = get_tracer().metrics
     m.counter("mlck.localized.restores").inc()
     m.counter("mlck.localized.lost.bytes").inc(scope.lost_bytes)
     m.counter("mlck.localized.survivor.bytes").inc(
         max(0, scope.total_bytes - scope.lost_bytes)
     )
     m.counter("mlck.restore.localized.seconds").inc(bd.total_seconds)
-    fr = get_flight()
-    if fr.enabled:
-        fr.record(
-            "localized_rebuilt", time=0.0, prefix=prefix,
-            lost_ranks=list(scope.lost_ranks),
-            lost_bytes=scope.lost_bytes, seconds=bd.total_seconds,
-        )
-    state = RestoredState(
-        segment=segment,
-        arrays=arrays,
-        ntasks=ntasks,
-        checkpoint_ntasks=gen.ntasks,
-        manifest=store._drms_manifest_like(gen),
+    get_flight().record(
+        "localized_rebuilt", time=0.0, prefix=prefix,
+        lost_ranks=list(scope.lost_ranks),
+        lost_bytes=scope.lost_bytes, seconds=bd.total_seconds,
     )
     return state, bd, scope
 
@@ -566,3 +474,64 @@ def rereplicate_after_failure(
     m.counter("mlck.localized.rereplicate.bytes").inc(repair.nbytes)
     store._update_resident_gauge()
     return repair
+
+
+def localized_restart(
+    pfs: PIOFS,
+    prefix: str,
+    ntasks: int,
+    placement: Dict[int, int],
+    failed_nodes: Sequence[int],
+    replacements: Optional[Dict[int, int]] = None,
+    l1: Optional[L1Store] = None,
+    clock: float = 0.0,
+    order: Optional[str] = None,
+    io_tasks: Optional[int] = None,
+    target_bytes: int = 1 << 20,
+    distribution_overrides: Optional[Dict[str, object]] = None,
+    verify: bool = True,
+) -> Tuple[RestoredState, RestartBreakdown, RebuildScope]:
+    """Localized recovery of the generation under ``prefix``, from
+    whichever tier can serve it.  While the replicas of ``l1`` validate
+    (:func:`~repro.checkpoint.drms.serving_tier`), the data movement is
+    survivor-local (:func:`localized_restore_drms`) and the dead nodes'
+    replicas are then re-placed outside the replacement nodes' failure
+    domains.  Otherwise — no L1 copy, or the failure took every replica
+    of some piece, and with it the survivors' own state of that
+    generation — recovery degrades to a full, correctly-metered PFS
+    read (:func:`~repro.checkpoint.drms.drms_restart`), and the scope
+    still names every rank the incident lost."""
+    if l1 is not None and serving_tier(prefix, "memory+pfs", l1) == "l1":
+        state, bd, scope = localized_restore_drms(
+            l1, prefix, ntasks, placement, failed_nodes,
+            replacements=replacements,
+            order=order,
+            distribution_overrides=distribution_overrides,
+            init_seconds=pfs.params.restart_init_s,
+        )
+        machine = l1.machine
+        avoid = sorted(
+            {
+                machine.domain_of(n)
+                for n in (replacements or {}).values()
+                if 0 <= n < machine.num_nodes
+            }
+        )
+        rereplicate_after_failure(
+            l1, failed_nodes, avoid_domains=avoid, clock=clock
+        )
+        return state, bd, scope
+    state, bd = drms_restart(
+        pfs, prefix, ntasks,
+        order=order, io_tasks=io_tasks, target_bytes=target_bytes,
+        distribution_overrides=distribution_overrides, verify=verify,
+    )
+    scope = compute_rebuild_scope(
+        dict(state.manifest, prefix=prefix),
+        ntasks, placement, failed_nodes,
+        replacements=replacements,
+        order=order or state.manifest.get("order", "F"),
+        distribution_overrides=distribution_overrides,
+    )
+    get_tracer().metrics.counter("mlck.localized.pfs_fallbacks").inc()
+    return state, bd, scope

@@ -28,11 +28,10 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.checkpoint.format import manifest_name
-from repro.checkpoint.recover import RecoveryDecision
-from repro.checkpoint.rotation import _GEN_RE
-from repro.checkpoint.validate import validate_checkpoint
+from repro.checkpoint.recover import RecoveryDecision, walk_checkpoints
+from repro.checkpoint.rotation import _GEN_RE, committed_prefixes
 from repro.mlck.store import L1Store
-from repro.obs import get_flight, get_tracer
+from repro.obs import get_tracer
 from repro.pfs.piofs import PIOFS
 
 __all__ = ["tiered_candidates", "select_tiered_restart_state"]
@@ -47,26 +46,6 @@ def _gen_number(prefix: str, base: str) -> int:
     return 0
 
 
-def _l2_prefixes_by_name(pfs: PIOFS, base: str) -> List[str]:
-    """Committed L2 prefixes under ``base``, discovered from manifest
-    *names* alone — no manifest is read, so enumerating candidates
-    costs no PFS read.  Sound because the manifest two-phase commit
-    renames ``.manifest.tmp`` to ``.manifest`` only after read-back
-    validation: a listed name is a committed manifest."""
-    suffix = ".manifest"
-    out = []
-    for name in pfs.listdir(base + "."):
-        if not name.endswith(suffix):
-            continue
-        prefix = name[: -len(suffix)]
-        m = _GEN_RE.match(prefix)
-        if m is not None and m.group("base") == base:
-            out.append(prefix)
-    if pfs.exists(manifest_name(base)):
-        out.append(base)
-    return out
-
-
 def tiered_candidates(
     pfs: PIOFS, base: str, l1: L1Store
 ) -> List[Tuple[str, List[str]]]:
@@ -78,7 +57,10 @@ def tiered_candidates(
         for p in l1.generations()
         if p == base or _GEN_RE.match(p) and _GEN_RE.match(p).group("base") == base
     }
-    l2_prefixes = set(_l2_prefixes_by_name(pfs, base))
+    # L2 candidates come from manifest names alone: no PFS read
+    l2_prefixes = set(committed_prefixes(pfs, base))
+    if pfs.exists(manifest_name(base)):
+        l2_prefixes.add(base)
     merged = sorted(
         l1_prefixes | l2_prefixes,
         key=lambda p: _gen_number(p, base),
@@ -107,84 +89,27 @@ def select_tiered_restart_state(
     tier, preferring L1 within a generation.  Returns a
     :class:`~repro.checkpoint.recover.RecoveryDecision` whose ``tier``
     names the serving tier; every rejected (generation, tier) pair is
-    recorded with tier-tagged errors, and the walk emits the same
+    recorded with tier-tagged errors, and the walk — the shared
+    :func:`~repro.checkpoint.recover.walk_generations` — emits the same
     ``checkpoint_verified`` / ``checkpoint_rejected`` /
     ``restart_fallback`` events as the PFS-only policy."""
-    decision = RecoveryDecision(base=base, prefix=None)
-    obs = get_tracer()
-    fr = get_flight()
-    m = obs.metrics
-    with obs.span("recovery_walk", base=base, job=job, tiered=True) as sp:
-        candidates = tiered_candidates(pfs, base, l1)
-        fr.record(
-            "recovery_walk_started", time=clock, base=base, job=job,
-            candidates=len(candidates),
-        )
-        for prefix, tiers in candidates:
-            for tier in tiers:
-                if tier == "l1":
-                    report = l1.validate_generation(prefix)
-                else:
-                    report = validate_checkpoint(pfs, prefix)
-                if report.ok:
-                    decision.prefix = prefix
-                    decision.tier = tier
-                    m.counter("recover.verified").inc()
-                    m.counter(f"mlck.recover.{tier}").inc()
-                    if tier == "l2" and any(
-                        err.startswith("l1:")
-                        for _, errs in decision.rejected
-                        for err in errs
-                    ):
-                        # an L1 candidate existed but could not serve
-                        m.counter("mlck.l2.fallbacks").inc()
-                    if events is not None:
-                        events.emit(
-                            clock, "checkpoint_verified",
-                            job=job, prefix=prefix, tier=tier,
-                            files=report.files,
-                            bytes_hashed=report.bytes_hashed,
-                        )
-                        if decision.rejected:
-                            events.emit(
-                                clock, "restart_fallback",
-                                job=job, prefix=prefix, tier=tier,
-                                skipped=[p for p, _ in decision.rejected],
-                            )
-                    if decision.rejected:
-                        obs.mark(
-                            "restart_fallback", chosen=prefix, tier=tier,
-                            skipped=[p for p, _ in decision.rejected],
-                        )
-                        m.counter("recover.fallback").inc()
-                    break
-                tagged = [f"{tier}: {e}" for e in report.errors]
-                decision.rejected.append((prefix, tagged))
-                obs.mark(
-                    "checkpoint_rejected", prefix=prefix, tier=tier,
-                    errors=len(report.errors),
-                )
-                fr.record(
-                    "checkpoint_rejected", time=clock, prefix=prefix,
-                    tier=tier, errors=len(report.errors),
-                )
-                m.counter("recover.rejected").inc()
-                if events is not None:
-                    events.emit(
-                        clock, "checkpoint_rejected",
-                        job=job, prefix=prefix, tier=tier, errors=tagged,
-                    )
-            if decision.prefix is not None:
-                break
-        sp.set(
-            candidates=len(candidates),
-            rejected=len(decision.rejected),
-            chosen=decision.prefix,
-            tier=decision.tier,
-        )
-        fr.record(
-            "recovery_walk_done", time=clock, base=base, job=job,
-            chosen=decision.prefix, tier=decision.tier,
-            rejected=len(decision.rejected),
-        )
+    candidates = [
+        (prefix, tier)
+        for prefix, tiers in tiered_candidates(pfs, base, l1)
+        for tier in tiers
+    ]
+    decision = walk_checkpoints(
+        pfs, base, candidates, l1=l1, events=events, clock=clock, job=job
+    )
+    tier = decision.tier
+    if tier is not None:
+        m = get_tracer().metrics
+        m.counter(f"mlck.recover.{tier}").inc()
+        if tier == "l2" and any(
+            err.startswith("l1:")
+            for _, errs in decision.rejected
+            for err in errs
+        ):
+            # an L1 candidate existed but could not serve
+            m.counter("mlck.l2.fallbacks").inc()
     return decision

@@ -33,14 +33,14 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.arrays.darray import DistributedArray
 from repro.checkpoint.drms import (
     CheckpointBreakdown,
     RestartBreakdown,
     RestoredState,
+    _charge_restart_init,
     _publish_breakdown,
+    restore,
 )
 from repro.checkpoint.format import (
     array_name,
@@ -48,7 +48,6 @@ from repro.checkpoint.format import (
     np_dtype_name,
     segment_name,
     sha1_hex,
-    spec_to_distribution,
     task_segment_name,
 )
 from repro.checkpoint.segment import DataSegment
@@ -60,7 +59,15 @@ from repro.obs import get_flight, get_tracer
 from repro.runtime.machine import Machine
 from repro.streaming.order import bytes_to_section, check_order, stream_order_bytes
 
-__all__ = ["L1Piece", "L1ArrayEntry", "L1Generation", "L1Store"]
+__all__ = [
+    "L1Piece",
+    "L1ArrayEntry",
+    "L1Generation",
+    "L1Store",
+    "L1ReplicaSource",
+    "SwitchFetch",
+    "UnchargedFetch",
+]
 
 _MB = 1e6
 
@@ -674,33 +681,9 @@ class L1Store:
 
     # -- restore -------------------------------------------------------------
 
-    def _drms_manifest_like(self, gen: L1Generation) -> Dict:
-        """A manifest-shaped dict so L1 restores satisfy the same
-        consumers as :func:`~repro.checkpoint.drms.drms_restart`."""
-        return {
-            "kind": "drms",
-            "tier": "l1",
-            "app_name": gen.app_name,
-            "ntasks": gen.ntasks,
-            "order": gen.order,
-            "segment_file": segment_name(gen.prefix),
-            "segment_bytes": gen.segment_bytes,
-            "segment_sha1": gen.segment_sha1,
-            "segment_sha1_bytes": gen.segment_sha1_bytes,
-            "arrays": [
-                {
-                    "name": e.name,
-                    "shape": list(e.shape),
-                    "dtype": e.dtype,
-                    "file": e.file,
-                    "nbytes": e.nbytes,
-                    "sha1": e.sha1,
-                    "virtual": e.virtual,
-                    "distribution": e.distribution,
-                }
-                for e in gen.arrays
-            ],
-        }
+    def _servers(self, pieces: Sequence[L1Piece]) -> List[int]:
+        """Nodes currently able to serve ``pieces``, ascending."""
+        return sorted({self._serving_replica(p) for p in pieces} - {None})
 
     def restore_drms(
         self,
@@ -712,124 +695,21 @@ class L1Store:
     ) -> Tuple[RestoredState, RestartBreakdown]:
         """Restore a DRMS generation from surviving L1 replicas onto
         ``ntasks`` tasks (reconfiguration included — the canonical
-        stream is distribution-independent regardless of tier).
+        stream is distribution-independent regardless of tier):
+        :func:`~repro.checkpoint.drms.restore` over an
+        :class:`L1ReplicaSource` that charges every byte across the
+        switch to the task that needs it.
 
         ``init_seconds`` charges the fixed restart initialization
         (text-segment load), which happens whatever tier serves the
         state.  Raises :class:`~repro.errors.MemoryTierError` when any
         piece has lost every valid replica.
         """
-        gen = self.gen(prefix)
-        if gen.kind != "drms":
-            raise RestartError(
-                f"L1 generation {prefix!r} is kind {gen.kind!r}; "
-                "a reconfigured restart needs a DRMS checkpoint"
-            )
-        if ntasks < 1:
-            raise RestartError(f"cannot restart on {ntasks} tasks")
-        order = order or gen.order
-        bd = RestartBreakdown(kind="mlck-l1", prefix=prefix, ntasks=ntasks)
-        bd.other_seconds = float(init_seconds)
-        obs = get_tracer()
-        requesters = (self.machine.up_nodes() or [0])[:ntasks]
-        with obs.span(
-            "restart", kind="mlck-l1", prefix=prefix, ntasks=ntasks,
-            checkpoint_ntasks=gen.ntasks,
-        ) as op:
-            with obs.span("restart_init") as sp:
-                obs.advance(bd.other_seconds)
-                sp.set(seconds=bd.other_seconds)
-
-            # Every restarting task needs the segment; surviving
-            # replicas serve the fetches in parallel.
-            acct = _Accounting(self.machine)
-            with obs.span("l1_segment_fetch", file=segment_name(prefix)) as sp:
-                header = self._fetch_pieces(
-                    gen.segment_pieces, acct, requesters[0]
-                )
-                # remaining tasks pull the same (sized) segment bytes
-                servers = sorted(
-                    {
-                        self._serving_replica(p)
-                        for p in gen.segment_pieces
-                    }
-                    - {None}
-                ) or [requesters[0]]
-                for i, task_node in enumerate(requesters[1:], start=1):
-                    acct.send(
-                        servers[i % len(servers)], task_node, gen.segment_bytes
-                    )
-                # the sized pad rides the first fetch too
-                acct.send(
-                    servers[0], requesters[0],
-                    max(0, gen.segment_bytes - len(header)),
-                )
-                sec = acct.seconds()
-                obs.advance(sec)
-                sp.set(nbytes=gen.segment_bytes * ntasks, seconds=sec)
-            if sha1_hex(header) != gen.segment_sha1:
-                raise MemoryTierError(
-                    f"L1 segment of {prefix!r} failed checksum validation"
-                )
-            segment = DataSegment.deserialize(header)
-            bd.segment_seconds = sec
-            bd.segment_bytes = gen.segment_bytes * ntasks
-
-            arrays: Dict[str, DistributedArray] = {}
-            overrides = distribution_overrides or {}
-            for i, e in enumerate(gen.arrays):
-                dist = overrides.get(e.name) or spec_to_distribution(
-                    e.distribution, ntasks=ntasks
-                )
-                if dist.ntasks != ntasks:
-                    raise RestartError(
-                        f"override distribution for {e.name!r} targets "
-                        f"{dist.ntasks} tasks; restart uses {ntasks}"
-                    )
-                arr = DistributedArray(
-                    e.name, e.shape, np.dtype(e.dtype), dist,
-                    store_data=not e.virtual,
-                )
-                acct = _Accounting(self.machine)
-                with obs.span(f"l1_fetch:{e.name}", file=e.file) as sp:
-                    if not e.virtual:
-                        requester = requesters[i % len(requesters)]
-                        data = self._fetch_pieces(e.pieces, acct, requester)
-                        if e.sha1 is not None and sha1_hex(data) != e.sha1:
-                            raise MemoryTierError(
-                                f"L1 stream {e.file!r} failed checksum "
-                                "validation"
-                            )
-                        arr.set_global(
-                            bytes_to_section(data, e.shape, e.dtype, order)
-                        )
-                    else:
-                        # sized virtual payload: charged over one link
-                        acct.send(
-                            requesters[0],
-                            requesters[-1] if len(requesters) > 1
-                            else requesters[0],
-                            e.nbytes,
-                        )
-                    sec = acct.seconds()
-                    obs.advance(sec)
-                    sp.set(nbytes=e.nbytes, seconds=sec)
-                bd.arrays_seconds += sec
-                bd.arrays_bytes += e.nbytes
-                bd.per_array.append((e.name, sec, e.nbytes))
-                arrays[e.name] = arr
-            op.set(nbytes=bd.total_bytes, seconds=bd.total_seconds)
-        _publish_breakdown("restart", bd)
-        m = obs.metrics
+        source = L1ReplicaSource(self, prefix, SwitchFetch(self), init_seconds)
+        state, bd = restore(source, ntasks, order, distribution_overrides)
+        m = get_tracer().metrics
         m.counter("mlck.l1.restores").inc()
         m.counter("mlck.restore.l1.seconds").inc(bd.total_seconds)
-        state = RestoredState(
-            segment=segment,
-            arrays=arrays,
-            ntasks=ntasks,
-            checkpoint_ntasks=gen.ntasks,
-            manifest=self._drms_manifest_like(gen),
-        )
         return state, bd
 
     def restore_spmd(
@@ -857,9 +737,7 @@ class L1Store:
             "restart", kind="mlck-l1", prefix=prefix, ntasks=ntasks,
             checkpoint_ntasks=gen.ntasks,
         ) as op:
-            with obs.span("restart_init") as sp:
-                obs.advance(bd.other_seconds)
-                sp.set(seconds=bd.other_seconds)
+            _charge_restart_init(obs, bd.other_seconds)
             acct = _Accounting(self.machine)
             with obs.span("l1_segment_fetch", files=ntasks) as sp:
                 for t in range(ntasks):
@@ -912,39 +790,177 @@ class L1Store:
         """Rebuild the segment and arrays of a DRMS generation from L1
         replicas, under their *original* distributions — what the drain
         hands to :func:`~repro.checkpoint.drms.drms_checkpoint` so the
-        L2 state is byte-identical to a direct PFS checkpoint."""
-        gen = self.gen(prefix)
-        if gen.kind != "drms":
-            raise RestartError(
-                f"cannot materialize L1 generation of kind {gen.kind!r}"
-            )
-        acct = _Accounting(self.machine)  # untimed: drain charges PFS time
-        requester = (self.machine.up_nodes() or [0])[0]
-        header = self._fetch_pieces(
-            gen.segment_pieces, acct, requester, count_hits=False
+        L2 state is byte-identical to a direct PFS checkpoint.  An
+        uncharged, untraced restore: the drain's measured cost is its
+        PFS write."""
+        source = L1ReplicaSource(self, prefix, UnchargedFetch(self))
+        state, _ = restore(source, source.manifest["ntasks"])
+        return state.segment, list(state.arrays.values())
+
+
+class UnchargedFetch:
+    """Accountant of an internal read: bytes are reassembled from any
+    serving replica, nothing is charged, and the recovery hit counters
+    stay untouched (``kind`` None keeps the restore out of traces and
+    metrics)."""
+
+    kind: Optional[str] = None
+    array_span = "l1_fetch"
+
+    def __init__(self, store: L1Store):
+        self.store = store
+        self.requester = 0
+
+    def begin(self, source: "L1ReplicaSource", ntasks: int) -> None:
+        """A restore of ``source`` onto ``ntasks`` tasks starts."""
+        self.requester = (self.store.machine.up_nodes() or [0])[0]
+
+    def fetch(self, pieces: Sequence[L1Piece]) -> bytes:
+        """Reassemble one stream, charging no one."""
+        return self.store._fetch_pieces(
+            pieces, _Accounting(self.store.machine), self.requester,
+            count_hits=False,
         )
-        if sha1_hex(header) != gen.segment_sha1:
+
+    def segment(self, acct: _Accounting, gen: L1Generation) -> bytes:
+        """The segment header, its movement charged to ``acct``."""
+        return self.fetch(gen.segment_pieces)
+
+    def array(
+        self, acct: _Accounting, index: int, entry: L1ArrayEntry
+    ) -> Tuple[Optional[bytes], Dict[str, int]]:
+        """The ``index``-th array's stream (None when virtual) and the
+        extra attributes of its span, its movement charged to ``acct``."""
+        return (None if entry.virtual else self.fetch(entry.pieces)), {}
+
+
+class SwitchFetch:
+    """Accountant of a full restart from L1: every restarting task pulls
+    the bytes it needs from the serving replicas over the switch."""
+
+    kind = "mlck-l1"
+    array_span = "l1_fetch"
+
+    def __init__(self, store: L1Store):
+        self.store = store
+        self.requesters: List[int] = []
+
+    def begin(self, source: "L1ReplicaSource", ntasks: int) -> None:
+        """The restarting tasks sit on the first ``ntasks`` up nodes."""
+        self.requesters = (self.store.machine.up_nodes() or [0])[:ntasks]
+
+    def segment(self, acct: _Accounting, gen: L1Generation) -> bytes:
+        """Every restarting task needs the segment; surviving replicas
+        serve the fetches in parallel."""
+        store, requesters = self.store, self.requesters
+        header = store._fetch_pieces(gen.segment_pieces, acct, requesters[0])
+        servers = store._servers(gen.segment_pieces) or [requesters[0]]
+        # remaining tasks pull the same (sized) segment bytes
+        for i, task_node in enumerate(requesters[1:], start=1):
+            acct.send(servers[i % len(servers)], task_node, gen.segment_bytes)
+        # the sized pad rides the first fetch too
+        acct.send(
+            servers[0], requesters[0], max(0, gen.segment_bytes - len(header))
+        )
+        return header
+
+    def array(
+        self, acct: _Accounting, index: int, entry: L1ArrayEntry
+    ) -> Tuple[Optional[bytes], Dict[str, int]]:
+        """Arrays go round-robin to the requesters, each pulling its
+        whole stream from the serving replicas."""
+        requesters = self.requesters
+        if not entry.virtual:
+            requester = requesters[index % len(requesters)]
+            return self.store._fetch_pieces(entry.pieces, acct, requester), {}
+        # sized virtual payload: charged over one link
+        acct.send(requesters[0], requesters[-1], entry.nbytes)
+        return None, {}
+
+
+class L1ReplicaSource:
+    """Generation source over the surviving replicas of one L1
+    generation (see :func:`~repro.checkpoint.drms.restore`).
+
+    The source owns what every restore from memory shares — the
+    manifest shape, reassembling each stream from checksum-valid
+    replicas, re-checking the whole stream's SHA-1, handing the bytes
+    to the array.  *Who pays for which byte* is the ``accountant``'s:
+    :class:`SwitchFetch` for a full restart,
+    :class:`~repro.mlck.localized.SurvivorLocal` for a localized one,
+    :class:`UnchargedFetch` for the drain.  An accountant names the
+    breakdown ``kind`` and the per-array span stem, learns the task
+    count in ``begin(source, ntasks)``, and fetches-and-charges in
+    ``segment(acct, gen)`` / ``array(acct, index, entry)``."""
+
+    def __init__(
+        self, store: L1Store, prefix: str, accountant, init_seconds: float = 0.0
+    ):
+        gen = store.gen(prefix)
+        self.store = store
+        self.gen = gen
+        self.prefix = prefix
+        self.accountant = accountant
+        self.kind = accountant.kind
+        self.spans = ("l1_segment_fetch", accountant.array_span)
+        self.init_seconds = float(init_seconds)
+        self.manifest = {
+            "kind": gen.kind,
+            "tier": "l1",
+            "app_name": gen.app_name,
+            "ntasks": gen.ntasks,
+            "order": gen.order,
+            "segment_file": segment_name(prefix),
+            "segment_bytes": gen.segment_bytes,
+            "segment_sha1": gen.segment_sha1,
+            "segment_sha1_bytes": gen.segment_sha1_bytes,
+            "arrays": [
+                {
+                    "name": e.name,
+                    "shape": list(e.shape),
+                    "dtype": e.dtype,
+                    "file": e.file,
+                    "nbytes": e.nbytes,
+                    "sha1": e.sha1,
+                    "virtual": e.virtual,
+                    "distribution": e.distribution,
+                }
+                for e in gen.arrays
+            ],
+        }
+        self._entries = {e.name: (i, e) for i, e in enumerate(gen.arrays)}
+
+    def fetch_segment(self, ntasks: int) -> Tuple[bytes, float, int]:
+        """Reassemble the segment header; every task is charged the
+        whole (sized) segment as the accountant sees fit."""
+        self.accountant.begin(self, ntasks)
+        acct = _Accounting(self.store.machine)
+        header = self.accountant.segment(acct, self.gen)
+        return header, acct.seconds(), self.gen.segment_bytes * ntasks
+
+    def verify_segment(self, header: bytes) -> None:
+        """Check the reassembled header against its capture-time SHA-1."""
+        if sha1_hex(header) != self.gen.segment_sha1:
             raise MemoryTierError(
-                f"L1 segment of {prefix!r} failed checksum validation"
+                f"L1 segment of {self.prefix!r} failed checksum validation"
             )
-        segment = DataSegment.deserialize(header)
-        arrays = []
-        for e in gen.arrays:
-            dist = spec_to_distribution(e.distribution)
-            arr = DistributedArray(
-                e.name, e.shape, np.dtype(e.dtype), dist,
-                store_data=not e.virtual,
-            )
-            if not e.virtual:
-                data = self._fetch_pieces(
-                    e.pieces, acct, requester, count_hits=False
+
+    def verify_array(self, spec: Dict) -> None:
+        """Nothing to scrub ahead of the fetch: replica bytes are
+        re-hashed as they are served (:meth:`load_array`)."""
+
+    def load_array(
+        self, arr: DistributedArray, spec: Dict, order: str
+    ) -> Tuple[float, int, Dict[str, int]]:
+        """Reassemble one array's stream, re-check its SHA-1, and hand
+        the bytes to ``arr`` under its (new) distribution."""
+        index, e = self._entries[spec["name"]]
+        acct = _Accounting(self.store.machine)
+        data, attrs = self.accountant.array(acct, index, e)
+        if data is not None:
+            if e.sha1 is not None and sha1_hex(data) != e.sha1:
+                raise MemoryTierError(
+                    f"L1 stream {e.file!r} failed checksum validation"
                 )
-                if e.sha1 is not None and sha1_hex(data) != e.sha1:
-                    raise MemoryTierError(
-                        f"L1 stream {e.file!r} failed checksum validation"
-                    )
-                arr.set_global(
-                    bytes_to_section(data, e.shape, e.dtype, gen.order)
-                )
-            arrays.append(arr)
-        return segment, arrays
+            arr.set_global(bytes_to_section(data, e.shape, e.dtype, order))
+        return acct.seconds(), e.nbytes, attrs

@@ -39,6 +39,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.checkpoint.recover import first_rejections
 from repro.drms.app import DRMSApplication, RunReport
 from repro.drms.steering import app_transfer
 from repro.errors import ArrayError, ReconfigurationError, WorkflowError
@@ -316,12 +317,9 @@ class WorkflowCoordinator:
         verify and from the PFS otherwise."""
         decision = self._select(generation)
         if decision.generation is None:
-            detail = "; ".join(
-                f"gen {g}: {errs[0]}" for g, errs in decision.rejected[:3]
-            )
             raise WorkflowError(
                 f"no workflow generation under {self.base!r} has every "
-                "member byte-valid" + (f" ({detail})" if detail else "")
+                "member byte-valid" + first_rejections(decision.rejected, "gen ")
             )
         prefixes = {
             name: entry["prefix"]

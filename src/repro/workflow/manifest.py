@@ -27,10 +27,13 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.checkpoint.drms import l1_validation
+from repro.checkpoint.format import commit_two_phase
+from repro.checkpoint.recover import WalkNames, walk_generations
+from repro.checkpoint.rotation import _GEN_RE, generations
 from repro.checkpoint.validate import validate_checkpoint
-from repro.errors import CheckpointError, CheckpointIntegrityError, WorkflowError
+from repro.errors import CheckpointError, WorkflowError
 from repro.obs import get_tracer
-from repro.obs.flight import GLOBAL_NODE, get_flight
 from repro.pfs.piofs import PIOFS
 
 __all__ = [
@@ -58,6 +61,12 @@ _MEMBER_NAME_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
 _GEN_LIKE_RE = re.compile(r"^\d{6}$")
 _RESERVED_NAMES = frozenset(
     {"workflow", "mpmd", "manifest", "segment", "array", "task"}
+)
+
+#: workflow and MPMD line walks record under this vocabulary
+WORKFLOW_WALK = WalkNames(
+    "workflow_recovery_walk", "workflow_line", "workflow_restart_fallback",
+    "workflow.lines", "generation",
 )
 
 _WF_MANIFEST_RE = re.compile(r"\.workflow\.(?P<gen>\d{6})\.manifest$")
@@ -114,28 +123,18 @@ def write_workflow_manifest(
     """Commit a workflow manifest atomically (stamps the workflow
     format version); returns the manifest file name.
 
-    Same two-phase protocol as the v3 member manifests: stage to
-    ``.manifest.tmp``, read back byte-for-byte, rename onto the final
-    name.  A crash anywhere before the rename leaves no workflow
-    manifest, so the half-committed line is invisible to
-    :func:`workflow_generations`."""
+    Same two-phase commit as the v3 member manifests
+    (:func:`~repro.checkpoint.format.commit_two_phase`): a crash
+    anywhere before the rename leaves no workflow manifest, so the
+    half-committed line is invisible to :func:`workflow_generations`."""
     manifest = dict(manifest)
     manifest["workflow_version"] = WORKFLOW_VERSION
     manifest["base"] = base
     manifest["generation"] = generation
     data = json.dumps(manifest, sort_keys=True).encode()
     name = workflow_manifest_name(base, generation)
-    tmp = name + ".tmp"
     with get_tracer().span("workflow_manifest_commit", file=name, nbytes=len(data)):
-        pfs.create(tmp, virtual=False)
-        pfs.write_at(tmp, 0, data)
-        back = pfs.read_at(tmp, 0, pfs.file_size(tmp))
-        if back != data:
-            raise CheckpointIntegrityError(
-                f"workflow manifest {name!r} failed write validation: "
-                f"staged {len(back)} bytes, expected {len(data)} (torn write?)"
-            )
-        pfs.rename(tmp, name)
+        commit_two_phase(pfs, name, data)
     return name
 
 
@@ -158,22 +157,29 @@ def read_workflow_manifest(pfs: PIOFS, base: str, generation: int) -> Dict[str, 
     return manifest
 
 
+def _committed_line_numbers(pfs: PIOFS, base: str) -> List[int]:
+    """Generation numbers with a workflow manifest under its final
+    name, oldest first — from names alone, nothing is parsed."""
+    out = []
+    for name in pfs.listdir(f"{base}.workflow."):
+        m = _WF_MANIFEST_RE.search(name)
+        if m is not None and name == workflow_manifest_name(base, int(m.group("gen"))):
+            out.append(int(m.group("gen")))
+    return sorted(out)
+
+
 def workflow_generations(pfs: PIOFS, base: str) -> List[int]:
     """Committed workflow generations under ``base``, oldest first.
     Only readable manifests count (the manifest is written last, so a
     half-committed line is invisible here)."""
     out = []
-    head = f"{base}.workflow."
-    for name in pfs.listdir(head):
-        m = _WF_MANIFEST_RE.search(name)
-        if m is None or name != workflow_manifest_name(base, int(m.group("gen"))):
-            continue
+    for gen in _committed_line_numbers(pfs, base):
         try:
-            read_workflow_manifest(pfs, base, int(m.group("gen")))
+            read_workflow_manifest(pfs, base, gen)
         except WorkflowError:
             continue
-        out.append(int(m.group("gen")))
-    return sorted(out)
+        out.append(gen)
+    return out
 
 
 def next_workflow_generation(
@@ -221,9 +227,8 @@ def _validate_member(pfs: PIOFS, prefix: str, l1=None) -> Tuple[Optional[str], L
     tier (``"l1"``/``"l2"``) and the accumulated errors when neither
     tier can serve."""
     errors: List[str] = []
-    if l1 is not None and l1.has(prefix):
-        l1.sync_with_machine()
-        report = l1.validate_generation(prefix)
+    report = l1_validation(l1, prefix)
+    if report is not None:
         if report.ok:
             return "l1", []
         errors.extend(f"l1 {prefix}: {e}" for e in report.errors)
@@ -289,71 +294,39 @@ def select_workflow_restart_state(
     clock: float = 0.0,
 ) -> WorkflowDecision:
     """Pick the newest workflow generation whose every member state is
-    byte-valid, walking newest-to-oldest and rejecting torn lines *as a
-    unit* — one lost or corrupt member never costs less than the whole
-    line, and never mixes with a state from another line.
+    byte-valid, walking newest-to-oldest
+    (:func:`~repro.checkpoint.recover.walk_generations`) and rejecting
+    torn lines *as a unit* — one lost or corrupt member never costs less
+    than the whole line, and never mixes with a state from another
+    line.  A committed manifest that no longer parses is a rejected
+    line like any other, with its parse error as the reason.
 
     ``l1_stores`` maps member names to their
     :class:`~repro.mlck.store.L1Store` (or None), upgrading per-member
     validation to the tier-aware policy: members whose memory replicas
     verify are served from L1, the rest from the PFS."""
-    decision = WorkflowDecision(base=base, generation=None)
-    obs = get_tracer()
-    fr = get_flight()
-    with obs.span("workflow_recovery_walk", base=base) as sp:
-        lines = list(reversed(workflow_generations(pfs, base)))
-        for gen in lines:
+    audited: Dict[int, Tuple[Dict[str, Any], WorkflowValidation]] = {}
+
+    def validate(gen: int, _tier):
+        try:
             manifest = read_workflow_manifest(pfs, base, gen)
-            report = validate_workflow_line(pfs, manifest, l1_stores)
-            if report.ok:
-                decision.generation = gen
-                decision.manifest = manifest
-                decision.member_tiers = dict(report.member_tiers)
-                obs.metrics.counter("workflow.lines.verified").inc()
-                for tier in report.member_tiers.values():
-                    obs.metrics.counter(f"workflow.restore.{tier}").inc()
-                if fr.enabled:
-                    fr.record(
-                        "workflow_line_verified", node=GLOBAL_NODE, time=clock,
-                        base=base, generation=gen,
-                        tiers=dict(report.member_tiers),
-                    )
-                if events is not None:
-                    events.emit(
-                        clock, "workflow_line_verified",
-                        base=base, generation=gen,
-                        tiers=dict(report.member_tiers),
-                    )
-                if decision.rejected:
-                    obs.mark(
-                        "workflow_restart_fallback", chosen=gen,
-                        skipped=[g for g, _ in decision.rejected],
-                    )
-                    obs.metrics.counter("workflow.lines.fallback").inc()
-                    if events is not None:
-                        events.emit(
-                            clock, "workflow_restart_fallback",
-                            base=base, generation=gen,
-                            skipped=[g for g, _ in decision.rejected],
-                        )
-                break
-            decision.rejected.append((gen, list(report.errors)))
-            obs.metrics.counter("workflow.lines.rejected").inc()
-            if fr.enabled:
-                fr.record(
-                    "workflow_line_rejected", node=GLOBAL_NODE, time=clock,
-                    base=base, generation=gen, errors=len(report.errors),
-                )
-            if events is not None:
-                events.emit(
-                    clock, "workflow_line_rejected",
-                    base=base, generation=gen, errors=list(report.errors),
-                )
-        sp.set(
-            lines=len(lines),
-            rejected=len(decision.rejected),
-            chosen=decision.generation,
-        )
+        except WorkflowError as exc:
+            return [str(exc)], {}
+        report = validate_workflow_line(pfs, manifest, l1_stores)
+        audited[gen] = (manifest, report)
+        return list(report.errors), {"tiers": dict(report.member_tiers)}
+
+    lines = [(g, None) for g in reversed(_committed_line_numbers(pfs, base))]
+    gen, _, rejected = walk_generations(
+        lines, validate, WORKFLOW_WALK, events, clock, base=base
+    )
+    decision = WorkflowDecision(base=base, generation=gen, rejected=rejected)
+    if gen is not None:
+        decision.manifest, report = audited[gen]
+        decision.member_tiers = dict(report.member_tiers)
+        m = get_tracer().metrics
+        for tier in report.member_tiers.values():
+            m.counter(f"workflow.restore.{tier}").inc()
     return decision
 
 
@@ -376,16 +349,15 @@ def newest_consistent_generations(
     Returns ``({member: prefix}, rejected)`` with ``rejected`` the list
     of ``(generation, errors)`` skipped, or ``(None, rejected)`` when no
     number is consistent."""
-    from repro.checkpoint.rotation import _GEN_RE, generations
-
     l1_stores = dict(l1_stores or {})
-    candidates: set = set()
+    numbers: set = set()
     for mbase in bases.values():
         for prefix in generations(pfs, mbase):
-            candidates.add(int(_GEN_RE.match(prefix).group("gen")))
-    rejected: List[Tuple[int, List[str]]] = []
-    for g in sorted(candidates, reverse=True):
-        resolved: Dict[str, str] = {}
+            numbers.add(int(_GEN_RE.match(prefix).group("gen")))
+    resolved: Dict[int, Dict[str, str]] = {}
+
+    def validate(g: int, _tier):
+        resolved[g] = {}
         errors: List[str] = []
         for member, mbase in sorted(bases.items()):
             prefix = f"{mbase}.{g:06d}"
@@ -395,8 +367,11 @@ def newest_consistent_generations(
             if tier is None:
                 errors.append(f"{member}: " + "; ".join(errs[:2]))
             else:
-                resolved[member] = prefix
-        if not errors:
-            return resolved, rejected
-        rejected.append((g, errors))
-    return None, rejected
+                resolved[g][member] = prefix
+        return errors, {"prefixes": resolved[g]}
+
+    g, _, rejected = walk_generations(
+        [(n, None) for n in sorted(numbers, reverse=True)],
+        validate, WORKFLOW_WALK, bases=dict(bases),
+    )
+    return (resolved[g] if g is not None else None), rejected

@@ -309,6 +309,29 @@ class TestRecoverySelection:
             "job.000002"
         ]
 
+    def test_pfs_only_walk_writes_flight_records(self, env):
+        """The PFS-only walk once left no flight records at all; every
+        walk now records start, each rejection, the verdict and the end."""
+        from repro.obs import FlightRecorder, use_flight
+
+        pfs = self._two_generations(env)
+        flip_stored_bit(pfs, "job.000002.array.u", 100)
+        with use_flight(FlightRecorder()) as fr:
+            select_restart_state(pfs, "job", clock=7.0, job="j")
+        events = fr.events()
+        assert [e.kind for e in events] == [
+            "recovery_walk_started", "checkpoint_rejected",
+            "checkpoint_verified", "restart_fallback", "recovery_walk_done",
+        ]
+        assert all(e.time == 7.0 and e.detail["job"] == "j" for e in events)
+        assert events[0].detail["candidates"] == 2
+        assert events[1].detail["prefix"] == "job.000002"
+        assert "checksum mismatch" in events[1].detail["errors"][0]
+        assert events[2].detail["prefix"] == "job.000001"
+        assert events[3].detail["skipped"] == ["job.000002"]
+        assert events[4].detail["chosen"] == "job.000001"
+        assert events[4].detail["rejected"] == 1
+
     def test_nothing_valid(self, env):
         pfs = self._two_generations(env)
         flip_stored_bit(pfs, "job.000001.array.u", 1)

@@ -144,6 +144,26 @@ class TestRestart:
         assert state.arrays["u"].to_global()[0, 0] == 2.0  # after it=1
 
 
+def test_earlier_reports_are_not_retained_by_the_application(app):
+    """A long-lived application restarted many times must not keep
+    every run's arrays alive (it once appended each RunReport to a
+    write-only ``runs`` list, and restart time doubled after a dozen
+    restarts of one application)."""
+    import gc
+    import weakref
+
+    first = app.start(4, args=(6, "ck"))
+    refs = [weakref.ref(first.arrays["u"]), weakref.ref(first)]
+    del first
+    second = app.restart("ck", 3, args=(6, "ck"))
+    refs.append(weakref.ref(second.arrays["u"]))
+    del second
+    app.restart("ck", 2, args=(6, "ck"))
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+    assert not hasattr(app, "runs")
+
+
 class TestInitializeContract:
     def test_double_initialize_rejected(self):
         def bad(ctx):

@@ -283,6 +283,32 @@ def test_bit_flip_in_newest_generation_falls_back_automatically(cluster):
     assert kinds.index("checkpoint_rejected") < kinds.index("job_restarted")
 
 
+@pytest.mark.crash_consistency
+def test_recovery_on_an_all_corrupt_prefix_names_the_root_cause(cluster):
+    """When every generation is corrupt, the scheduler's error says
+    which generation was rejected first and why (it once said only
+    that nothing passed validation)."""
+    from repro.errors import SchedulerError, TaskFailure
+    from repro.pfs.faults import flip_stored_bit
+
+    app = cluster.build_app(rotating_main)
+    cluster.jsa.submit("j", app, args=("ck",), prefix="ck")
+    app.failure_plan = FailurePlan(iteration=11, node_id=2)
+    with pytest.raises(TaskFailure):
+        cluster.jsa.run("j", ntasks=6)
+    app.failure_plan = None
+    cluster.rc.handle_processor_failure(2)
+    for gen in (1, 2, 3):
+        flip_stored_bit(cluster.pfs, f"ck.{gen:06d}.array.u", 40, bit=6)
+
+    with pytest.raises(SchedulerError) as exc:
+        cluster.jsa.recover("j")
+    message = str(exc.value)
+    assert message.startswith("job 'j': no checkpoint under 'ck' passes validation")
+    first = message.index("ck.000003: file 'ck.000003.array.u' checksum mismatch")
+    assert first < message.index("ck.000002: file 'ck.000002.array.u' checksum")
+
+
 def test_recovery_event_log_records_verification(cluster):
     """Healthy path: recovery verifies the chosen state and says so."""
     app = cluster.build_app(rotating_main)

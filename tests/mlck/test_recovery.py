@@ -118,3 +118,32 @@ def test_pfs_only_states_still_recoverable(env, workload):
     decision = select_tiered_restart_state(pfs, "ck", store)
     assert decision.prefix == "ck.000001"
     assert decision.tier == "l2"
+
+
+def test_tiered_walk_writes_the_same_flight_records(env, workload):
+    """One walk, one set of records: the tier-aware walk leaves the
+    kinds the PFS-only walk leaves, tier-tagged."""
+    from repro.obs import FlightRecorder, use_flight
+
+    machine, pfs, store = env
+    _take(store, pfs, workload, 1)
+    _take(store, pfs, workload, 2, drain=False)  # L1 only
+    for node in range(machine.num_nodes):
+        store.drop_node(node)  # every replica gone: only gen 1 on L2 left
+    with use_flight(FlightRecorder()) as fr:
+        decision = select_tiered_restart_state(pfs, "ck", store)
+    assert (decision.prefix, decision.tier) == ("ck.000001", "l2")
+    walk = fr.events()
+    assert [(e.kind, e.detail.get("prefix"), e.detail.get("tier")) for e in walk] == [
+        ("recovery_walk_started", None, None),
+        ("checkpoint_rejected", "ck.000002", "l1"),
+        ("checkpoint_rejected", "ck.000001", "l1"),
+        ("checkpoint_verified", "ck.000001", "l2"),
+        ("restart_fallback", "ck.000001", "l2"),
+        ("recovery_walk_done", None, "l2"),
+    ]
+    assert walk[0].detail["candidates"] == 2
+    assert walk[-1].detail == {
+        "rejected": 2, "chosen": "ck.000001", "tier": "l2",
+        "base": "ck", "job": None,
+    }

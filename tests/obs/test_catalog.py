@@ -30,6 +30,7 @@ _TEMPLATE_VALUES = {
     "kind.value": "write",
     "kind": "transfer",
     "plan.mode": "fail",
+    "names.metrics": "recover",
 }
 
 _BRACE_RE = re.compile(r"\{([^}:!]+)(?:[:!][^}]*)?\}")

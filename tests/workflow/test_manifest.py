@@ -202,6 +202,56 @@ class TestRecoveryWalk:
         assert [g for g, _ in decision.rejected] == [1]
 
 
+    def test_unreadable_manifest_is_a_rejected_line(self, pfs):
+        """A committed workflow manifest that no longer parses used to
+        be filtered out before the walk: it never reached ``rejected``.
+        It is a torn line like any other, with the parse error as its
+        reason — and the walk leaves the records every walk leaves."""
+        from repro.infra.events import EventLog
+        from repro.obs import FlightRecorder, use_flight
+        from repro.workflow.manifest import workflow_manifest_name
+
+        for gen in (1, 2):
+            self.commit_line(pfs, gen, {"a": gen, "b": gen + 10})
+        flip_stored_bit(pfs, workflow_manifest_name("wf", 2), 0, 0)
+        events = EventLog()
+        with use_flight(FlightRecorder()) as fr:
+            decision = select_workflow_restart_state(
+                pfs, "wf", events=events, clock=3.0
+            )
+        assert decision.generation == 1 and decision.fell_back
+        ((gen, errors),) = decision.rejected
+        assert gen == 2
+        assert "corrupt workflow manifest 'wf.workflow.000002.manifest'" in errors[0]
+        assert [e.kind for e in events] == [
+            "workflow_line_rejected", "workflow_line_verified",
+            "workflow_restart_fallback",
+        ]
+        assert events.of_kind("workflow_line_rejected")[0].detail["errors"] == errors
+        assert [e.kind for e in fr.events()] == [
+            "workflow_recovery_walk_started", "workflow_line_rejected",
+            "workflow_line_verified", "workflow_restart_fallback",
+            "workflow_recovery_walk_done",
+        ]
+        # the committed list still hides it (nothing to restart from there)
+        assert workflow_generations(pfs, "wf") == [1]
+
+    def test_each_surviving_manifest_is_parsed_once(self, pfs, monkeypatch):
+        from repro.workflow import manifest as wm
+
+        for gen in (1, 2, 3):
+            self.commit_line(pfs, gen, {"a": gen})
+        flip_stored_bit(pfs, array_name("wf.a.000003", "u"), 9, 1)
+        reads = []
+        real = wm.read_workflow_manifest
+        monkeypatch.setattr(
+            wm, "read_workflow_manifest",
+            lambda pfs, base, gen: reads.append(gen) or real(pfs, base, gen),
+        )
+        assert select_workflow_restart_state(pfs, "wf").generation == 2
+        assert reads == [3, 2]
+
+
 class TestJointRotationWalk:
     """newest_consistent_generations: the manifest-free MPMD variant of
     the same all-or-nothing rule."""
@@ -232,3 +282,26 @@ class TestJointRotationWalk:
         resolved, rejected = newest_consistent_generations(pfs, {"a": "g.a"})
         assert resolved is None
         assert [g for g, _ in rejected] == [1]
+
+    def test_joint_walk_leaves_the_walk_records(self, pfs):
+        """The MPMD joint walk was silent; it is the same walk now."""
+        from repro.obs import FlightRecorder, Tracer, use_flight, use_tracer
+
+        for gen in (1, 2):
+            take(pfs, f"g.a.{gen:06d}", gen)
+        take(pfs, "g.b.000001", 1)
+        with use_tracer(Tracer()) as tracer, use_flight(FlightRecorder()) as fr:
+            newest_consistent_generations(pfs, {"a": "g.a", "b": "g.b"})
+        assert [(e.kind, e.detail.get("generation")) for e in fr.events()] == [
+            ("workflow_recovery_walk_started", None),
+            ("workflow_line_rejected", 2),
+            ("workflow_line_verified", 1),
+            ("workflow_restart_fallback", 1),
+            ("workflow_recovery_walk_done", None),
+        ]
+        flat = tracer.metrics.flat()
+        assert flat["workflow.lines.rejected"] == 1
+        assert flat["workflow.lines.verified"] == 1
+        assert flat["workflow.lines.fallback"] == 1
+        (span,) = tracer.find("workflow_recovery_walk")
+        assert span.attrs["chosen"] == 1 and span.attrs["rejected"] == 1
