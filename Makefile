@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test verify-checkpoints verify-mlck verify-localized verify-policy verify-workflow verify-reconfig verify-reconfig-deep bench bench-baseline bench-stream bench-obs bench-localized bench-workflow bench-fleet bench-e2e bench-e2e-quick report trace obs-report forensics-demo examples all clean
+.PHONY: install test verify-checkpoints verify-mlck verify-localized verify-policy verify-workflow verify-reconfig verify-reconfig-deep bench bench-baseline bench-stream bench-obs bench-localized bench-workflow bench-fleet bench-e2e bench-e2e-quick bench-e2e-compare report trace obs-report forensics-demo examples all clean
 
 # fixed seed so the gate is fully deterministic; DEEP_SEED rotates daily
 VERIFY_SEED ?= 20260806
@@ -117,6 +117,24 @@ bench-e2e:
 bench-e2e-quick:
 	PYTHONPATH=src $(PYTHON) -m benchmarks.e2e --quick --check
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e/tests
+
+# a perf claim as one command: `make bench-e2e-compare BASE=<rev>
+# [WORKLOAD=<name>]` runs the end-to-end pass ten times at BASE and ten
+# times in the working tree, then prints --compare A B (exit 1 on a
+# `worse` row).  The child puts its own checkout's src/ first on
+# PYTHONPATH, so each side runs from its own tree: BASE is exported
+# with `git archive` into the git-ignored .bench_build/base and removed
+# afterwards.  benchmarks/e2e must be identical on both sides.
+BENCH_CMP := $(CURDIR)/.bench_build
+E2E_RUNS = --pass e2e --runs 10 $(if $(WORKLOAD),--workload $(WORKLOAD))
+bench-e2e-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-e2e-compare BASE=<rev> [WORKLOAD=<name>]"; exit 2; }
+	rm -rf $(BENCH_CMP)/base && mkdir -p $(BENCH_CMP)/base
+	git archive $(BASE) | tar -x -C $(BENCH_CMP)/base
+	cd $(BENCH_CMP)/base && python3 benchmarks/e2e/run.py $(E2E_RUNS) --out $(BENCH_CMP)/A.json; \
+		status=$$?; rm -rf $(BENCH_CMP)/base; exit $$status
+	python3 benchmarks/e2e/run.py $(E2E_RUNS) --out $(BENCH_CMP)/B.json
+	python3 benchmarks/e2e/run.py --compare $(BENCH_CMP)/A.json $(BENCH_CMP)/B.json
 
 report:
 	$(PYTHON) -m repro.tools.report --out benchmarks/out

@@ -46,7 +46,6 @@ from repro.errors import (
 from repro.obs import NULL_TRACER, get_tracer
 from repro.pfs.phase import IOKind
 from repro.pfs.piofs import PIOFS
-from repro.streaming.order import stream_order_bytes
 from repro.streaming.parallel import stream_in_parallel, stream_out_parallel
 from repro.streaming.streams import PFSSink, PFSSource
 
@@ -258,14 +257,6 @@ def drms_checkpoint(
             bd.arrays_seconds += res.seconds
             bd.arrays_bytes += stats.bytes_streamed
             bd.per_array.append((a.name, res.seconds, stats.bytes_streamed))
-            # Integrity record: SHA-1 over the *intended* canonical stream
-            # bytes (not the file content), so a torn or short write that
-            # corrupted the stored file is caught at restart.
-            sha = (
-                sha1_hex(stream_order_bytes(a.to_global(), order))
-                if a.store_data
-                else None
-            )
             manifest_arrays.append(
                 {
                     "name": a.name,
@@ -273,7 +264,11 @@ def drms_checkpoint(
                     "dtype": np_dtype_name(a.dtype),
                     "file": fname,
                     "nbytes": stats.bytes_streamed,
-                    "sha1": sha,
+                    # Integrity record: SHA-1 over the *intended* stream
+                    # (the stream-out's gather buffer, not the file
+                    # content), so a torn or short write that corrupted
+                    # the stored file is caught at restart.
+                    "sha1": stats.sha1,
                     "virtual": not a.store_data,
                     "distribution": distribution_to_spec(a.distribution),
                 }

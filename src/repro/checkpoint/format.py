@@ -27,7 +27,6 @@ checksums (segment header, per-array stream bytes) that restart and
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, Dict, List, Optional
 
@@ -47,6 +46,7 @@ from repro.arrays.ranges import Range
 from repro.errors import CheckpointError, CheckpointIntegrityError
 from repro.obs import get_tracer
 from repro.pfs.piofs import PIOFS
+from repro.streaming.order import sha1_hex
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -200,12 +200,6 @@ def spec_to_distribution(
 
 
 # -- manifests ------------------------------------------------------------------
-
-
-def sha1_hex(data: bytes) -> str:
-    """SHA-1 hex digest — the checksum recorded in manifests (matching
-    the content hashing of :mod:`repro.checkpoint.incremental`)."""
-    return hashlib.sha1(data).hexdigest()
 
 
 def commit_two_phase(pfs: PIOFS, name: str, data: bytes) -> None:

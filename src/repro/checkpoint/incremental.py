@@ -57,8 +57,7 @@ from repro.streaming.order import bytes_to_section
 # cached front-ends: repeated full/incremental checkpoints of the same
 # arrays replan the piece partition only once (see repro.plancache)
 from repro.plancache.plans import partition_for_target, piece_offsets
-from repro.streaming.serial import _strict_default, scatter_piece
-from repro.streaming.vectorized import gather_section_flat
+from repro.streaming.serial import scatter_piece, stream_u8
 from repro.arrays.slices import Slice
 
 __all__ = ["IncrementalCheckpointer", "excluded_segment_bytes"]
@@ -76,23 +75,6 @@ def excluded_segment_bytes(
     p = segment.profile
     kept_private = int(p.private_bytes * (1.0 - clean_private_fraction))
     return p.local_section_bytes + p.system_bytes + kept_private
-
-
-def _piece_hash(data) -> str:
-    """SHA-1 of one piece's stream bytes (any buffer-protocol object:
-    bytes, or a contiguous uint8 view of the bulk-gathered stream)."""
-    return hashlib.sha1(data).hexdigest()
-
-
-def _stream_u8(arr: DistributedArray, order: str) -> np.ndarray:
-    """The array's full stream as a uint8 vector, via one bulk
-    vectorized gather: piece ``j`` of the Fig. 5a partition is exactly
-    the byte interval ``[offsets[j], offsets[j] + size_j)`` of it, so
-    per-piece hashing and delta writes slice instead of re-gathering."""
-    flat = gather_section_flat(
-        arr, Slice.full(arr.shape), order=order, strict=_strict_default()
-    )
-    return flat.view(np.uint8)
 
 
 @dataclass
@@ -170,14 +152,12 @@ class IncrementalCheckpointer:
         for arr in arrays:
             plan = self._plan_for(arr)
             if arr.store_data:
-                u8 = _stream_u8(arr, self.order)
+                u8 = stream_u8(arr, order=self.order)
                 for i, piece in enumerate(plan.pieces):
                     if piece.is_empty:
                         continue
                     off = plan.offsets[i]
-                    plan.hashes[i] = _piece_hash(
-                        u8[off:off + piece.size * arr.itemsize]
-                    )
+                    plan.hashes[i] = sha1_hex(u8[off:off + piece.size * arr.itemsize])
             self._plans[arr.name] = plan
         self.version = 0
         self._write_chain_manifest(arrays, deltas=[])
@@ -228,7 +208,7 @@ class IncrementalCheckpointer:
                 fname = f"{self.prefix}.d{k}.array.{arr.name}"
                 self.pfs.create(fname, virtual=not arr.store_data)
                 entries = []
-                u8 = _stream_u8(arr, self.order) if arr.store_data else None
+                u8 = stream_u8(arr, order=self.order) if arr.store_data else None
                 with obs.span(f"delta:{arr.name}", file=fname) as sp:
                     self.pfs.begin_phase(IOKind.WRITE_PARALLEL)
                     pos = 0
@@ -240,9 +220,9 @@ class IncrementalCheckpointer:
                         nbytes = piece.size * arr.itemsize
                         if u8 is not None:
                             off = plan.offsets[j]
-                            data = u8[off:off + nbytes].tobytes()
+                            data = u8[off:off + nbytes]
                             self.pfs.write_at(fname, pos, data, client=j % P)
-                            plan.hashes[j] = _piece_hash(data)
+                            plan.hashes[j] = sha1_hex(data)
                             file_hash.update(data)
                         else:
                             self.pfs.write_at(fname, pos, None, nbytes=nbytes, client=j % P)
@@ -292,12 +272,12 @@ class IncrementalCheckpointer:
     def _dirty_pieces(self, arr: DistributedArray, plan: _ArrayPlan) -> List[int]:
         nonempty = [j for j, p in enumerate(plan.pieces) if not p.is_empty]
         if arr.store_data:
-            u8 = _stream_u8(arr, self.order)
+            u8 = stream_u8(arr, order=self.order)
             out = []
             for j in nonempty:
                 off = plan.offsets[j]
                 nb = plan.pieces[j].size * arr.itemsize
-                if _piece_hash(u8[off:off + nb]) != plan.hashes[j]:
+                if sha1_hex(u8[off:off + nb]) != plan.hashes[j]:
                     out.append(j)
             return out
         fraction = self.declared_dirty.get(arr.name, 1.0)

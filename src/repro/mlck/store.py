@@ -57,7 +57,8 @@ from repro.errors import CheckpointError, MemoryTierError, RestartError
 from repro.mlck.placement import select_partners
 from repro.obs import get_flight, get_tracer
 from repro.runtime.machine import Machine
-from repro.streaming.order import bytes_to_section, check_order, stream_order_bytes
+from repro.streaming.order import bytes_to_section, check_order
+from repro.streaming.serial import stream_u8
 
 __all__ = [
     "L1Piece",
@@ -372,7 +373,7 @@ class L1Store:
                     acct,
                     f"{file}#{i:06d}",
                     off,
-                    data[off : off + n],
+                    bytes(data[off : off + n]),  # each piece owns its bytes
                     charged,
                     owner,
                     partner_cache[owner],
@@ -455,11 +456,7 @@ class L1Store:
 
             for a in arrays:
                 fname = array_name(prefix, a.name)
-                stream = (
-                    stream_order_bytes(a.to_global(), order)
-                    if a.store_data
-                    else b""
-                )
+                stream = stream_u8(a, order=order) if a.store_data else b""
                 charged = len(stream) if a.store_data else int(a.nbytes_global)
                 acct = _Accounting(self.machine)
                 with obs.span(f"l1_replicate:{a.name}", file=fname) as sp:

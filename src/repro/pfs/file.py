@@ -14,7 +14,21 @@ from typing import Dict, List, Optional
 
 from repro.errors import PFSError
 
-__all__ = ["PFSFile"]
+__all__ = ["PFSFile", "byte_view"]
+
+
+def byte_view(data, error=PFSError) -> memoryview:
+    """A write payload (any buffer-protocol object) as a flat view of
+    its bytes — how every sink sizes and slices one.  ``len(data)`` is
+    the *element* count of a buffer of wider items: an ``f8`` array
+    would be recorded at 1/8 of its size.  Non-contiguous buffers raise
+    ``error``."""
+    try:
+        view = memoryview(data)
+        # a zero-extent n-d buffer cannot be cast; it holds no bytes
+        return view.cast("B") if view.nbytes else memoryview(b"")
+    except TypeError as exc:
+        raise error(f"write payload must be a C-contiguous buffer: {exc}") from None
 
 
 class PFSFile:
@@ -65,9 +79,10 @@ class PFSFile:
 
     # -- data access -------------------------------------------------------
 
-    def write_at(self, offset: int, data: Optional[bytes], nbytes: Optional[int] = None) -> int:
-        """Write ``data`` at ``offset``; returns bytes written.  Writing
-        past EOF zero-fills the gap (POSIX seek+write).  With
+    def write_at(self, offset: int, data, nbytes: Optional[int] = None) -> int:
+        """Write ``data`` (any contiguous buffer; the file keeps its
+        own copy) at ``offset``; returns bytes written.  Writing past
+        the stored content zero-fills the gap (POSIX seek+write).  With
         ``data=None`` and ``nbytes`` set, the write is *sparse*: the file
         grows but no content is stored; sparse regions read back as
         zeros.  Virtual files store nothing either way."""
@@ -77,15 +92,26 @@ class PFSFile:
             if nbytes is None:
                 if data is None:
                     raise PFSError("content-free write needs nbytes")
-                nbytes = len(data)
-            self._size = max(self._size, offset + int(nbytes))
-            return int(nbytes)
-        end = offset + len(data)
-        if end > len(self._data):
-            self._data.extend(b"\x00" * (end - len(self._data)))
-        self._data[offset:end] = data
-        self._size = max(self._size, end)
-        return len(data)
+                nbytes = len(byte_view(data))
+            nbytes = int(nbytes)
+            if not self.virtual:
+                self._grow_sparse(offset + nbytes)
+        else:
+            data = byte_view(data)
+            nbytes = len(data)
+            self._store(offset, data)
+        self._size = max(self._size, offset + nbytes)
+        return nbytes
+
+    def _store(self, offset: int, data: memoryview) -> None:
+        """Copy ``data`` into the stored content at ``offset``."""
+        if offset > len(self._data):  # zero-fill a real gap only
+            self._data.extend(bytes(offset - len(self._data)))
+        # overwrites what is stored, then appends the rest: one copy
+        self._data[offset:offset + len(data)] = data
+
+    def _grow_sparse(self, end: int) -> None:
+        """A sparse span up to ``end``: in memory, nothing to store."""
 
     def append(self, data: Optional[bytes], nbytes: Optional[int] = None) -> int:
         """Sequential write at EOF (what serial streaming uses; needs no
@@ -102,7 +128,7 @@ class PFSFile:
                 f"{self.name!r} of size {self._size}"
             )
         stored_end = min(offset + nbytes, len(self._data))
-        out = bytes(self._data[offset:stored_end]) if stored_end > offset else b""
+        out = bytes(memoryview(self._data)[offset:stored_end])  # one copy
         if len(out) < nbytes:  # sparse tail reads back as zeros
             out += b"\x00" * (nbytes - len(out))
         return out

@@ -59,26 +59,15 @@ class HostFile(PFSFile):
         # on-disk files cannot distinguish sparse tails portably
         return 0 if self.virtual else self._size
 
-    def write_at(self, offset: int, data, nbytes: Optional[int] = None) -> int:
-        """Write (persisting virtual-file sizes to the sidecar metadata)."""
-        if offset < 0:
-            raise PFSError(f"negative offset {offset}")
-        if self.virtual or data is None:
-            if nbytes is None:
-                if data is None:
-                    raise PFSError("content-free write needs nbytes")
-                nbytes = len(data)
-            end = offset + int(nbytes)
-            if not self.virtual and end > self._size:
-                with open(self._path, "r+b") as fh:
-                    fh.truncate(end)  # OS sparse extension
-            self._size = max(self._size, end)
-            return int(nbytes)
+    def _store(self, offset: int, data: memoryview) -> None:
         with open(self._path, "r+b") as fh:
             fh.seek(offset)
             fh.write(data)
-        self._size = max(self._size, offset + len(data))
-        return len(data)
+
+    def _grow_sparse(self, end: int) -> None:
+        if end > self._size:
+            with open(self._path, "r+b") as fh:
+                fh.truncate(end)  # OS sparse extension
 
     def flip_bit(self, offset: int, bit: int = 0) -> None:
         """Flip one bit of the on-disk file (fault-injection support)."""

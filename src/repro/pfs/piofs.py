@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import IOFaultError, PFSError
 from repro.obs import get_tracer
-from repro.pfs.file import PFSFile
+from repro.pfs.file import PFSFile, byte_view
 from repro.pfs.params import PIOFSParams
 from repro.pfs.phase import IOKind, IOPhaseResult, PhaseTransfer, solve_phase
 from repro.runtime.machine import Machine
@@ -128,11 +128,12 @@ class PIOFS:
         plan = self.faults.match_write(name)
         if plan is None:
             return data, nbytes, None
+        if data is not None:
+            data = byte_view(data)  # sized and torn in bytes, not elements
+        intended = len(data) if data is not None else int(nbytes or 0)
         if plan.mode == "fail":
-            intended = len(data) if data is not None else int(nbytes or 0)
             self.faults.record_write_effect(plan, intended, 0)
             raise IOFaultError(f"injected write failure on {name!r}")
-        intended = len(data) if data is not None else int(nbytes or 0)
         keep = plan.keep_bytes if plan.keep_bytes is not None else intended // 2
         keep = max(0, min(int(keep), intended))
         self.faults.record_write_effect(plan, intended, keep)

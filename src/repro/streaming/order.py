@@ -10,12 +10,15 @@ representation.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from repro.arrays.slices import Slice
 from repro.errors import StreamingError
 
-__all__ = ["check_order", "stream_order_bytes", "bytes_to_section", "section_stream_positions"]
+__all__ = ["check_order", "sha1_hex", "stream_order_bytes", "bytes_to_section",
+           "section_stream_positions"]
 
 
 def check_order(order: str) -> str:
@@ -23,6 +26,13 @@ def check_order(order: str) -> str:
     if order not in ("F", "C"):
         raise StreamingError(f"stream order must be 'F' or 'C', got {order!r}")
     return order
+
+
+def sha1_hex(data) -> str:
+    """SHA-1 hex digest of a buffer — the checksum manifests record
+    (:mod:`repro.checkpoint.format` re-exports it).  Defined below the
+    checkpoint layer because stream-out takes the per-array digest."""
+    return hashlib.sha1(data).hexdigest()
 
 
 def stream_order_bytes(values: np.ndarray, order: str = "F") -> bytes:

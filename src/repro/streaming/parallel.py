@@ -36,10 +36,15 @@ offsets are disjoint in the stream (writes never race on a byte), and
 sinks serialize internal bookkeeping behind their own locks.  Because
 every piece's bytes and offset are fixed by the plan, all engines are
 byte-identical for every interleaving — the property the verify oracle
-checks, made cheap to compare by the ``content_sha1`` op-span
-attribute: an order-stable digest-of-digests over the per-piece SHA-1s,
-computed identically (and always, including the serial fallback) in
-every engine.
+checks.
+
+One pass over the state: every engine gathers the section once into a
+flat stream-order buffer, takes the SHA-1 of that buffer — the stream
+it *intends* to write, before any sink call — and hands the sink slices
+of it (a storing sink copies them, once).  The digest is
+``StreamStats.sha1`` and the ``content_sha1`` op-span attribute;
+``drms_checkpoint`` puts it in the manifest, so a torn, short or failed
+write is caught against it at restart without a second gather or hash.
 
 Virtual (geometry-only) arrays keep the legacy per-piece round-robin
 paths in every mode: there is nothing to gather, and the per-piece
@@ -52,7 +57,6 @@ data must reach the I/O tasks) but perform no I/O.
 
 from __future__ import annotations
 
-import hashlib
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -67,13 +71,12 @@ from repro.streaming.serial import (
     StreamStats,
     _cached_plan,
     _index_plan,
+    _intended_stream,
     _piece_redis,
     _require_full_read,
-    _strict_default,
 )
 from repro.streaming.streams import ByteSink, ByteSource
 from repro.streaming.vectorized import (
-    gather_section_flat,
     range_redistribution_bytes,
     scatter_section_flat,
 )
@@ -135,16 +138,6 @@ def _coalesced_runs(
     return runs
 
 
-def _content_sha1(digests: List[Tuple[int, str]]) -> str:
-    """Order-stable digest-of-digests: the per-piece SHA-1 hexdigests
-    sorted by piece index, concatenated, hashed — a fingerprint of the
-    piece contents in stream order, cheap to compare across engines."""
-    digests.sort()
-    return hashlib.sha1(
-        "".join(d for _, d in digests).encode("ascii")
-    ).hexdigest()
-
-
 def _pick_engine(darray, endpoint, concurrency: str, jobs) -> str:
     """Resolve the execution engine for this operation.  Fault plans
     force the deterministic serial loop.  Virtual arrays always take
@@ -180,7 +173,6 @@ def stream_out_parallel(
     obs = get_tracer()
     total = 0
     redis = 0
-    digests: List[Tuple[int, str]] = []
     with obs.span(
         "stream.out.parallel",
         array=darray.name,
@@ -188,37 +180,22 @@ def stream_out_parallel(
         concurrency=engine,
         plan_pieces=len(pieces),
     ) as op:
+        plan_idx = _index_plan(darray, section, order)
+        stream, sha = _intended_stream(darray, section, order, plan_idx)
         if engine in ("threads", "vectorized"):
-            # Bulk path (data-bearing arrays only): one vectorized
-            # gather of the whole section, then at most P coalesced
+            # Bulk path (data-bearing arrays only): at most P coalesced
             # writes — run p covers a contiguous byte interval of the
             # stream, so each I/O task issues a single write_at.
             # Worker threads open no spans: the tracer's span stacks
             # are per-thread, so worker spans would surface as
             # parentless roots.  Per-run accounting is aggregated.
-            plan_idx = _index_plan(darray, section, order)
-            flat = gather_section_flat(
-                darray, section, order=order,
-                strict=_strict_default(), plan=plan_idx,
-            )
-            flat_u8 = flat.view(np.uint8)
             runs = _coalesced_runs(jobs, itemsize, P)
 
             def io_task(p: int):
                 run = runs[p]
                 start = offsets[run[0][0]]
                 nbytes = sum(piece.size for _, piece in run) * itemsize
-                t_digests = []
-                for j, piece in run:
-                    t_digests.append((
-                        j,
-                        hashlib.sha1(
-                            flat_u8[offsets[j]:offsets[j] + piece.size * itemsize]
-                        ).hexdigest(),
-                    ))
-                sink.write_at(
-                    start, flat_u8[start:start + nbytes].tobytes(), client=p
-                )
+                sink.write_at(start, stream[start:start + nbytes], client=p)
                 t_redis = range_redistribution_bytes(
                     plan_idx,
                     start // itemsize,
@@ -226,7 +203,7 @@ def stream_out_parallel(
                     p,
                     itemsize,
                 )
-                return nbytes, t_redis, t_digests
+                return nbytes, t_redis
 
             thunks = [lambda p=p: io_task(p) for p in range(len(runs))]
             results = (
@@ -234,43 +211,32 @@ def stream_out_parallel(
                 if engine == "threads"
                 else [t() for t in thunks]
             )
-            for t_bytes, t_redis, d in results:
+            for t_bytes, t_redis in results:
                 total += t_bytes
                 redis += t_redis
-                digests.extend(d)
         else:
             # Deterministic per-piece round-robin loop: the write
             # sequence and the j % P client attribution are what fault
             # plans and the simulated phase baselines address.
-            plan_idx = _index_plan(darray, section, order)
-            flat_u8 = None
-            if darray.store_data and jobs:
-                flat = gather_section_flat(
-                    darray, section, order=order,
-                    strict=_strict_default(), plan=plan_idx,
-                )
-                flat_u8 = flat.view(np.uint8)
             for j, piece in jobs:
                 p = j % P  # I/O task for this piece (round-robin rounds of P)
                 nbytes = piece.size * itemsize
                 redis += _piece_redis(
                     darray, plan_idx, piece, offsets[j] // itemsize, p
                 )
-                if flat_u8 is not None:
-                    data = flat_u8[offsets[j]:offsets[j] + nbytes].tobytes()
-                    digests.append((j, hashlib.sha1(data).hexdigest()))
-                    sink.write_at(offsets[j], data, client=p)
-                else:
-                    sink.write_at(offsets[j], None, nbytes=nbytes, client=p)
+                # virtual arrays write content-free, sized spans
+                data = None if stream is None else stream[offsets[j]:offsets[j] + nbytes]
+                sink.write_at(offsets[j], data, nbytes=nbytes, client=p)
                 total += nbytes
-        if darray.store_data and digests:
-            op.set(content_sha1=_content_sha1(digests))
+        if sha is not None:
+            op.set(content_sha1=sha)
         op.set(pieces=len(jobs), nbytes=total, redistribution_bytes=redis)
     return StreamStats(
         pieces=len(jobs),
         bytes_streamed=total,
         redistribution_bytes=redis,
         io_tasks=P,
+        sha1=sha,
     ).publish("out", engine="parstream")
 
 

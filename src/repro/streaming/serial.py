@@ -40,7 +40,7 @@ from repro.arrays.darray import DistributedArray
 from repro.arrays.slices import Slice
 from repro.errors import StreamingError
 from repro.obs import get_flight, get_tracer
-from repro.streaming.order import check_order
+from repro.streaming.order import check_order, sha1_hex
 from repro.streaming.streams import ByteSink, ByteSource
 from repro.streaming.vectorized import (
     gather_section_flat,
@@ -54,6 +54,7 @@ __all__ = [
     "stream_in_serial",
     "gather_piece",
     "scatter_piece",
+    "stream_u8",
     "strict_gather",
 ]
 
@@ -91,6 +92,10 @@ class StreamStats:
     #: bytes moved between distinct tasks to marshal pieces
     redistribution_bytes: int
     io_tasks: int
+    #: stream-out of a data-bearing array: SHA-1 of the stream it
+    #: *intended* to write, taken from the gather buffer before any sink
+    #: call — what a manifest records, so damaged writes are caught
+    sha1: Optional[str] = None
 
     def publish(self, direction: str, engine: str = "serial") -> "StreamStats":
         """Feed this operation's accounting into the active metrics
@@ -133,6 +138,34 @@ def gather_piece(
         strict = _strict_default()
     flat = gather_section_flat(darray, piece, order=order, strict=strict)
     return flat.reshape(piece.shape, order=order)
+
+
+def stream_u8(
+    darray: DistributedArray, section: Optional[Slice] = None,
+    order: str = "F", plan=None,
+) -> memoryview:
+    """The canonical stream of ``darray[section]`` (default: the whole
+    array) as a flat view of its bytes — one bulk gather under the
+    scoped strictness, undefined elements zero.  Piece ``j`` of the
+    Fig. 5a partition is its byte interval ``[offsets[j], offsets[j] +
+    size_j)``, so writers and per-piece hashing slice instead of
+    re-gathering."""
+    flat = gather_section_flat(
+        darray, section or Slice.full(darray.shape), order=order,
+        strict=_strict_default(), plan=plan,
+    )
+    return memoryview(flat.view(np.uint8))
+
+
+def _intended_stream(darray: DistributedArray, section: Slice, order: str, plan_idx):
+    """What a stream-out is about to write, as ``(byte view, SHA-1)``:
+    one hash pass over the gather buffer before any byte reaches the
+    sink, which is handed slices of the view.  ``(None, None)`` for
+    virtual arrays."""
+    if not darray.store_data:
+        return None, None
+    stream = stream_u8(darray, section, order, plan_idx)
+    return stream, sha1_hex(stream)
 
 
 def scatter_piece(
@@ -245,29 +278,20 @@ def stream_out_serial(
         io_task=io_task,
         plan_pieces=len(pieces),
     ) as op:
-        flat_u8 = None
-        if darray.store_data and jobs:
-            flat = gather_section_flat(
-                darray, section, order=order,
-                strict=_strict_default(), plan=plan_idx,
-            )
-            flat_u8 = flat.view(np.uint8)
+        stream, sha = _intended_stream(darray, section, order, plan_idx)
         for j, piece in jobs:
             nbytes = piece.size * itemsize
             redis += _piece_redis(
                 darray, plan_idx, piece, offsets[j] // itemsize, io_task
             )
-            if flat_u8 is not None:
-                sink.append(
-                    flat_u8[offsets[j]:offsets[j] + nbytes].tobytes(),
-                    client=io_task,
-                )
-            else:
-                sink.append(None, nbytes=nbytes, client=io_task)
+            # virtual arrays append content-free, sized spans
+            data = None if stream is None else stream[offsets[j]:offsets[j] + nbytes]
+            sink.append(data, nbytes=nbytes, client=io_task)
             total += nbytes
         op.set(pieces=len(jobs), nbytes=total, redistribution_bytes=redis)
     return StreamStats(
-        pieces=len(jobs), bytes_streamed=total, redistribution_bytes=redis, io_tasks=1
+        pieces=len(jobs), bytes_streamed=total, redistribution_bytes=redis,
+        io_tasks=1, sha1=sha,
     ).publish("out")
 
 

@@ -20,31 +20,39 @@ import threading
 from typing import Optional
 
 from repro.errors import StreamingError
+from repro.pfs.file import byte_view
 from repro.pfs.piofs import PIOFS
 
 __all__ = ["ByteSink", "ByteSource", "MemorySink", "MemorySource", "PFSSink", "PFSSource"]
 
 
-def _check_payload(data: Optional[bytes], nbytes: Optional[int]) -> None:
-    """A caller passing both ``data`` and ``nbytes`` must pass them
+def _payload_view(data, nbytes: Optional[int]) -> Optional[memoryview]:
+    """The payload as a flat byte view (None for a content-free write).
+    A caller passing both ``data`` and ``nbytes`` must pass them
     consistently: silently preferring one corrupts stream accounting
     (offsets are precomputed from the sizes the caller claimed)."""
-    if data is not None and nbytes is not None and nbytes != len(data):
+    if data is None:
+        return None
+    view = byte_view(data, StreamingError)
+    if nbytes is not None and nbytes != len(view):
         raise StreamingError(
             f"inconsistent write: nbytes={nbytes} but payload is "
-            f"{len(data)} bytes"
+            f"{len(view)} bytes"
         )
+    return view
 
 
 class ByteSink:
-    """Write-side interface."""
+    """Write-side interface.  ``data`` is any contiguous buffer (or
+    None with ``nbytes`` for a content-free write) that the caller may
+    reuse once the call returns: a sink that stores bytes copies them."""
 
     seekable: bool = True
 
-    def write_at(self, offset: int, data: Optional[bytes], nbytes: Optional[int] = None, client: int = 0) -> None:
+    def write_at(self, offset: int, data, nbytes: Optional[int] = None, client: int = 0) -> None:
         raise NotImplementedError
 
-    def append(self, data: Optional[bytes], nbytes: Optional[int] = None, client: int = 0) -> None:
+    def append(self, data, nbytes: Optional[int] = None, client: int = 0) -> None:
         raise NotImplementedError
 
 
@@ -68,25 +76,25 @@ class MemorySink(ByteSink):
         self._lock = threading.Lock()
 
     def write_at(self, offset, data, nbytes=None, client=0):
-        """Write at an absolute offset (appends only when non-seekable)."""
+        """Write at an absolute offset (appends only when non-seekable).
+        The sink keeps its own copy of the payload."""
         if data is None:
             raise StreamingError("memory sink requires real bytes")
-        _check_payload(data, nbytes)
+        data = _payload_view(data, nbytes)
         with self._lock:
             if not self.seekable and offset != len(self._buf):
                 raise StreamingError(
                     "non-seekable sink only supports sequential appends"
                 )
-            end = offset + len(data)
-            if end > len(self._buf):
-                self._buf.extend(b"\x00" * (end - len(self._buf)))
-            self._buf[offset:end] = data
+            if offset > len(self._buf):
+                self._buf.extend(bytes(offset - len(self._buf)))
+            self._buf[offset:offset + len(data)] = data
 
     def append(self, data, nbytes=None, client=0):
         """Sequential append to the buffer."""
         if data is None:
             raise StreamingError("memory sink requires real bytes")
-        _check_payload(data, nbytes)
+        data = _payload_view(data, nbytes)
         with self._lock:
             self._buf.extend(data)
 
@@ -124,11 +132,11 @@ class PFSSink(ByteSink):
             pfs.create(name, virtual=virtual)
 
     def write_at(self, offset, data, nbytes=None, client=0):
-        _check_payload(data, nbytes)
+        data = _payload_view(data, nbytes)
         self.pfs.write_at(self.name, offset, data, nbytes=nbytes, client=client)
 
     def append(self, data, nbytes=None, client=0):
-        _check_payload(data, nbytes)
+        data = _payload_view(data, nbytes)
         self.pfs.append(self.name, data, nbytes=nbytes, client=client)
 
 

@@ -53,7 +53,7 @@ from repro.checkpoint.incremental import IncrementalCheckpointer
 from repro.checkpoint.recover import select_restart_state
 from repro.checkpoint.rotation import latest_checkpoint
 from repro.checkpoint.segment import DataSegment, ExecutionContext, SegmentProfile
-from repro.checkpoint.format import array_name, segment_name
+from repro.checkpoint.format import array_name, segment_name, sha1_hex
 from repro.checkpoint.spmd import spmd_checkpoint, spmd_restart
 from repro.errors import (
     CheckpointError,
@@ -261,12 +261,12 @@ def _gather_strictness(arrays):
 
 
 def _check_cross_engine(c: _Checker, arrays) -> None:
-    """Every parstream engine must emit byte-identical streams with
-    matching ``content_sha1`` digests.  Each real-data array is streamed
-    through serial, threaded, and vectorized executors into memory
-    sinks under throwaway tracers; the bytes must equal the
-    distribution-independent ``stream_order_bytes`` reference and the
-    op spans' digests must agree across engines."""
+    """Every parstream engine must emit byte-identical streams and the
+    same ``content_sha1`` stream digest.  Each real-data array is
+    streamed through serial, threaded, and vectorized executors into
+    memory sinks under throwaway tracers; the bytes must equal the
+    distribution-independent ``stream_order_bytes`` reference and every
+    engine's op-span digest must be the SHA-1 of that reference."""
     for arr in arrays:
         if not arr.store_data:
             continue
@@ -293,9 +293,9 @@ def _check_cross_engine(c: _Checker, arrays) -> None:
             )
             digests[engine] = shas[0] if shas else None
         c.check(
-            len(set(digests.values())) == 1,
-            f"content_sha1 diverges across engines for {arr.name!r}: "
-            f"{digests}",
+            set(digests.values()) == {sha1_hex(ref)},
+            f"content_sha1 of {arr.name!r} is not the digest of the "
+            f"reference stream in every engine: {digests}",
         )
 
 

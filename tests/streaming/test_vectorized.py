@@ -7,6 +7,7 @@ against them, including on degenerate geometry — zero-extent sections,
 empty pieces, partially-covered INDEXED axes, single-element arrays.
 """
 
+import hashlib
 import threading
 
 import numpy as np
@@ -21,8 +22,9 @@ from repro.arrays.distributions import (
 )
 from repro.arrays.ranges import Range
 from repro.arrays.slices import Slice
-from repro.errors import StreamingError
+from repro.errors import IOFaultError, StreamingError
 from repro.obs import Tracer, use_tracer
+from repro.pfs.faults import FaultInjector
 from repro.pfs.piofs import PIOFS
 from repro.streaming.executor import run_tasks
 from repro.streaming.order import stream_order_bytes
@@ -252,7 +254,80 @@ class TestStreamingFixes:
             ]
             assert len(shas) == 1, engine
             digests[engine] = shas[0]
-        assert len(set(digests.values())) == 1, digests
+        # the span attribute is the stream digest itself, not a
+        # digest-of-digests over pieces
+        want = hashlib.sha1(stream_order_bytes(g, "F")).hexdigest()
+        assert set(digests.values()) == {want}, digests
+
+
+class TestStreamDigest:
+    """``StreamStats.sha1`` is the SHA-1 of the stream the operation
+    intended to write — one hash over the gather buffer, equal in every
+    engine to the independent ``stream_order_bytes(to_global())``
+    reference (which lives in tests only)."""
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_every_engine_returns_the_reference_digest(self, order):
+        zero = DistributedArray(
+            "zero", (0, 5), np.float64, block_distribution((0, 5), 2)
+        )
+        for arr in _arrays() + [zero]:
+            want = hashlib.sha1(
+                stream_order_bytes(arr.to_global(), order)
+            ).hexdigest()
+            for P in sorted({1, arr.ntasks}):  # P < ntasks and P == ntasks
+                for engine in ("serial", "threads", "vectorized"):
+                    sink = MemorySink()
+                    stats = stream_out_parallel(
+                        arr, sink, P=P, order=order, target_bytes=64,
+                        concurrency=engine,
+                    )
+                    assert stats.sha1 == want, (arr.name, P, engine)
+                    assert hashlib.sha1(sink.getvalue()).hexdigest() == want
+            stats = stream_out_serial(
+                arr, MemorySink(), order=order, target_bytes=64
+            )
+            assert stats.sha1 == want, arr.name
+
+    def test_section_digest_covers_the_section_only(self):
+        arr = _arrays()[0]
+        sec = SECTIONS["blk"][1]
+        want = hashlib.sha1(
+            stream_order_bytes(_scalar_gather_piece(arr, sec), "F")
+        ).hexdigest()
+        stats = stream_out_parallel(arr, MemorySink(), section=sec, target_bytes=64)
+        assert stats.sha1 == want
+
+    def test_no_digest_for_virtual_arrays_and_stream_in(self):
+        v = DistributedArray(
+            "v", (8, 8), np.float64, block_distribution((8, 8), 2),
+            store_data=False,
+        )
+        pfs = PIOFS()
+        assert stream_out_parallel(v, PFSSink(pfs, "v", virtual=True)).sha1 is None
+        assert stream_out_serial(v, PFSSink(pfs, "w", virtual=True)).sha1 is None
+        a = _arrays()[0]
+        sink = MemorySink()
+        stream_out_parallel(a, sink)
+        back = a.redistributed(a.distribution)
+        assert stream_in_parallel(back, MemorySource(sink.getvalue())).sha1 is None
+
+    def test_digest_is_taken_before_a_torn_write(self):
+        """A write fault damages the file, never the digest: the
+        operation raises (torn) or returns the intended digest (short)."""
+        a = _arrays()[0]
+        want = hashlib.sha1(stream_order_bytes(a.to_global(), "F")).hexdigest()
+        pfs = PIOFS()
+        inj = FaultInjector()
+        pfs.attach_faults(inj)
+        inj.fail_write(nth=2, match="short", mode="short")
+        stats = stream_out_parallel(a, PFSSink(pfs, "short"), target_bytes=256)
+        assert stats.sha1 == want
+        stored = pfs.read_at("short", 0, pfs.file_size("short"))
+        assert hashlib.sha1(stored).hexdigest() != want
+        inj.fail_write(nth=2, match="torn", mode="torn")
+        with pytest.raises(IOFaultError):
+            stream_out_parallel(a, PFSSink(pfs, "torn"), target_bytes=256)
 
 
 @pytest.mark.streamvec
