@@ -30,6 +30,12 @@ from repro.errors import ArrayError
 __all__ = ["DistributedArray"]
 
 
+def _detached(selected: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """``selected`` as memory of its own: basic slices select a view of
+    ``owner`` and are copied here, an ``np.ix_`` mesh already copied."""
+    return selected.copy() if np.may_share_memory(selected, owner) else selected
+
+
 class DistributedArray:
     """A global array distributed over the tasks of an application."""
 
@@ -111,7 +117,7 @@ class DistributedArray:
 
     def local_flat(self, task: int) -> np.ndarray:
         """1-D C-order view of ``task``'s local array — the address
-        space the vectorized gather/scatter index plans target.  Writes
+        space the index vectors of an irregular plan entry target.  Writes
         through to local storage; a local that is not C-contiguous (not
         produced here, but possible via direct mutation) is normalized
         first so the flat view is guaranteed to alias it."""
@@ -123,8 +129,11 @@ class DistributedArray:
         return arr.reshape(-1)
 
     def assigned_view(self, task: int) -> np.ndarray:
-        """View of the task's *assigned* (owned) elements within its
-        local array."""
+        """The task's *assigned* (owned) elements within its local
+        array: a strided view that writes through to local storage when
+        the assigned section is a box within the mapped one, a copy when
+        an axis is irregular (INDEXED) — callers that keep or mutate the
+        result copy it."""
         self._need_data()
         d = self.distribution
         idx = d.assigned(task).local_index_within(d.mapped(task))
@@ -139,14 +148,17 @@ class DistributedArray:
 
     def section_from_task(self, task: int, section: Slice) -> np.ndarray:
         """Copy ``section`` (a subset of the task's mapped slice) out of
-        the task's local array."""
+        the task's local array — never memory of the local itself, also
+        when the section is the whole (contiguous) local."""
         self._need_data()
         m = self.distribution.mapped(task)
         if not section.issubset(m):
             raise ArrayError(
                 f"section {section!r} not within mapped slice of task {task}"
             )
-        return np.ascontiguousarray(self._locals[task][section.local_index_within(m)])
+        return _detached(
+            self._locals[task][section.local_index_within(m)], self._locals[task]
+        )
 
     def section_to_task(self, task: int, section: Slice, values: np.ndarray) -> None:
         """Write ``section`` (a subset of the task's mapped slice) into

@@ -14,14 +14,41 @@ first axis is split first.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.arrays.ranges import Range
-from repro.errors import SliceError
+from repro.errors import RangeError, SliceError
 
-__all__ = ["Slice"]
+__all__ = ["Slice", "arithmetic_slice"]
+
+
+def arithmetic_slice(sub: Range, outer: Optional[Range] = None) -> Optional[slice]:
+    """The basic ``slice`` selecting ``sub``'s positions within ``outer``
+    (default: within the index space itself), or None when those
+    positions are not an arithmetic progression — the one rule that
+    decides whether a section meets numpy as a strided box or as index
+    vectors.  ``sub`` must be a subset of ``outer``.  Two triplets
+    answer in O(1); anything else is checked on
+    :meth:`Range.positions_of`, O(extent)."""
+    if sub.is_empty:
+        return slice(0, 0, 1)
+    if outer is None:
+        outer = Range.regular(0, sub.last)
+    n = sub.size
+    if sub.is_regular and outer.is_regular and not outer.is_empty:
+        first, off = divmod(sub.first - outer.first, outer.step)
+        step, odd = divmod(sub.step, outer.step) if n > 1 else (1, 0)
+        if off or odd or first < 0 or sub.last > outer.last:
+            raise RangeError(f"{sub!r} is not a subset of {outer!r}")
+    else:
+        pos = outer.positions_of(sub)
+        first = int(pos[0])
+        step = (int(pos[-1]) - first) // (n - 1) if n > 1 else 1
+        if n > 2 and not bool(np.all(np.diff(pos) == step)):
+            return None
+    return slice(first, first + (n - 1) * step + 1, step)
 
 
 class Slice:
@@ -198,14 +225,17 @@ class Slice:
     # -- numpy interop ----------------------------------------------------
 
     def np_index(self) -> tuple:
-        """An ``np.ix_``-style open-mesh index selecting this section
-        from a global numpy array."""
-        return np.ix_(*[r.indices() for r in self._ranges])
+        """An index selecting this section from a global numpy array: a
+        tuple of basic ``slice``s (a strided view) when every range is
+        arithmetic, an ``np.ix_`` open mesh (a copy) otherwise."""
+        box = tuple(arithmetic_slice(r) for r in self._ranges)
+        return np.ix_(*[r.indices() for r in self._ranges]) if None in box else box
 
-    def local_index_within(self, outer: "Slice") -> tuple:
-        """An ``np.ix_`` index selecting this section from the *local*
-        array that stores the ``outer`` section.  ``self`` must be a
-        subset of ``outer``.
+    def box_within(self, outer: "Slice") -> Optional[Tuple[slice, ...]]:
+        """The strided box this section occupies in the array that
+        stores ``outer`` — one basic ``slice`` per axis, O(rank) to keep
+        — or None when the positions on some axis are not arithmetic.
+        ``self`` must be a subset of ``outer``.
 
         An empty section selects nothing regardless of its per-axis
         ranges (a zero-extent slice may carry non-empty ranges on other
@@ -213,12 +243,19 @@ class Slice:
         if self.rank != outer.rank:
             raise SliceError("rank mismatch")
         if self.is_empty:
-            return np.ix_(*[np.empty(0, dtype=np.int64)] * self.rank)
-        return np.ix_(
-            *[
-                o.positions_of(r)
-                for r, o in zip(self._ranges, outer._ranges)
-            ]
+            return (slice(0, 0, 1),) * self.rank
+        box = tuple(
+            arithmetic_slice(r, o) for r, o in zip(self._ranges, outer._ranges)
+        )
+        return None if None in box else box
+
+    def local_index_within(self, outer: "Slice") -> tuple:
+        """An index selecting this section from the *local* array that
+        stores the ``outer`` section: :meth:`box_within` (a strided
+        view) when there is one, an ``np.ix_`` open mesh (a copy)
+        otherwise."""
+        return self.box_within(outer) or np.ix_(
+            *[o.positions_of(r) for r, o in zip(self._ranges, outer._ranges)]
         )
 
     def flat_positions_within(

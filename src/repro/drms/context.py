@@ -70,8 +70,10 @@ class TaskArrayView:
 
     @property
     def assigned(self) -> np.ndarray:
-        """Copy of the task's owned elements."""
-        return self.array.assigned_view(self.rank)
+        """Copy of the task's owned elements — safe to keep across a
+        later :meth:`set_assigned` and to combine with other operands
+        (:meth:`DistributedArray.assigned_view` may alias the local)."""
+        return self.array.section_from_task(self.rank, self.assigned_slice)
 
     def set_assigned(self, values: np.ndarray) -> None:
         self.array.set_assigned(self.rank, values)

@@ -135,19 +135,6 @@ class RebuildScope:
         }
 
 
-def _byte_intervals(spos_sorted: np.ndarray, itemsize: int) -> List[Tuple[int, int]]:
-    """Contiguous byte intervals of sorted stream positions."""
-    if spos_sorted.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(spos_sorted) != 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [spos_sorted.size - 1]))
-    return [
-        (int(spos_sorted[s]) * itemsize, (int(spos_sorted[e]) + 1) * itemsize)
-        for s, e in zip(starts, ends)
-    ]
-
-
 def _merge_intervals(intervals: List[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
     merged: List[Tuple[int, int]] = []
     for lo, hi in sorted(intervals):
@@ -198,11 +185,13 @@ def compute_rebuild_scope(
         intervals: List[Tuple[int, int]] = []
         lost_bytes = 0
         for entry in plan.entries:
-            nb = int(entry.spos.size) * itemsize
+            nb = entry.size * itemsize
             rank_bytes[entry.task] = nb
             if entry.task in lost_set:
                 lost_bytes += nb
-                intervals.extend(_byte_intervals(entry.spos_sorted, itemsize))
+                intervals.extend(
+                    (lo * itemsize, hi * itemsize) for lo, hi in entry.runs()
+                )
         scopes.append(
             ArrayScope(
                 name=spec["name"],
@@ -234,18 +223,18 @@ def rebuild_lost_sections(
     """Scatter only the lost ranks' mapped pieces of a stream-ordered
     value vector into ``darray``, leaving every survivor's local section
     untouched — the section-scoped rebuild primitive, built on the
-    vectorized "mapped" index plans.  Returns elements delivered."""
+    "mapped" section plans.  Returns elements delivered."""
     check_order(order)
     section = Slice.full(darray.shape)
     plan = _cached_index_plan(darray.distribution, section, order, "mapped")
     lost = set(int(r) for r in lost_ranks)
     flat = np.ascontiguousarray(flat).reshape(-1)
+    mesh = flat.reshape(darray.shape, order=order)
     delivered = 0
     for entry in plan.entries:
-        if entry.task not in lost or entry.spos.size == 0:
-            continue
-        darray.local_flat(entry.task)[entry.lflat] = flat[entry.spos]
-        delivered += int(entry.spos.size)
+        if entry.task in lost:
+            entry.scatter(flat, mesh, darray)
+            delivered += entry.size
     return delivered
 
 

@@ -90,8 +90,9 @@ METRIC_FAMILIES: List[Tuple[str, str, str]] = [
     ),
     (
         "plancache",
-        rf"plancache\.(hit|miss|eviction|invalidation|saved_seconds)({_ENT})?",
-        "plan-cache hit/miss/eviction accounting",
+        rf"plancache\.(hit|miss|eviction|invalidation|saved_seconds|resident_bytes)"
+        rf"({_ENT})?",
+        "plan-cache hit/miss/eviction accounting and resident plan bytes",
     ),
     (
         "recover",

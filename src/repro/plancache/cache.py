@@ -31,7 +31,8 @@ distribution and want its plans gone now rather than aged out).
 Every lookup feeds the active :mod:`repro.obs` metrics registry:
 ``plancache.hit`` / ``plancache.miss`` / ``plancache.eviction``
 counters (plus per-kind ``plancache.hit[<kind>]`` series under a live
-tracer) and ``plancache.saved_seconds`` — the wall-clock cost of the
+tracer), the ``plancache.resident_bytes`` gauge and
+``plancache.saved_seconds`` — the wall-clock cost of the
 original computation, credited on every hit — so ``breakdown_report``
 can attribute the planning time the cache saved.
 """
@@ -127,7 +128,9 @@ class PlanCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
                 evicted += 1
+            resident = self._resident_bytes()
         m.counter("plancache.miss").inc()
+        m.gauge("plancache.resident_bytes").set(resident)
         if m.enabled:
             m.counter(f"plancache.miss[{kind}]").inc()
         if evicted:
@@ -150,8 +153,11 @@ class PlanCache:
             for k in doomed:
                 del self._entries[k]
             self.invalidations += len(doomed)
+            resident = self._resident_bytes()
         if doomed:
-            get_tracer().metrics.counter("plancache.invalidation").inc(len(doomed))
+            m = get_tracer().metrics
+            m.counter("plancache.invalidation").inc(len(doomed))
+            m.gauge("plancache.resident_bytes").set(resident)
         return len(doomed)
 
     def clear(self) -> None:
@@ -160,6 +166,12 @@ class PlanCache:
             self._entries.clear()
 
     # -- introspection -----------------------------------------------------
+
+    def _resident_bytes(self) -> int:
+        """Bytes the cached values hold, by their own ``nbytes`` (index
+        plans, position vectors; 0 for a value without one) — the entry
+        bound says nothing about memory.  Caller holds the lock."""
+        return sum(int(getattr(v[0], "nbytes", 0)) for v in self._entries.values())
 
     def __len__(self) -> int:
         with self._lock:
@@ -183,6 +195,7 @@ class PlanCache:
                 "invalidations": self.invalidations,
                 "hit_rate": self.hit_rate,
                 "saved_seconds": self.saved_seconds,
+                "resident_bytes": self._resident_bytes(),
             }
 
     def __repr__(self) -> str:

@@ -136,8 +136,8 @@ def section_index_plan(
     kind: str = "assigned",
 ):
     """Memoized :func:`repro.streaming.vectorized.
-    build_section_index_plan` — the per-task (stream-position,
-    local-flat) index-array pairs of a vectorized gather (kind
+    build_section_index_plan` — the per-task strided boxes (or, for
+    irregular axes, index-vector pairs) of a bulk gather (kind
     ``"assigned"``) or scatter (kind ``"mapped"``).  The distribution
     enters the key only via its fingerprint, so the entry is dropped by
     :meth:`PlanCache.invalidate_distribution`.  The plan's index arrays

@@ -1,4 +1,4 @@
-"""Vectorized bulk gather/scatter over precomputed index-array plans.
+"""Vectorized bulk gather/scatter over precomputed section plans.
 
 The scalar hot path assembled every piece with nested Python loops:
 for each owner task, intersect, build an ``np.ix_`` mesh, copy a small
@@ -6,43 +6,42 @@ block.  At bench piece sizes (KB-scale) the interpreter overhead of
 those loops — not the byte copies — dominated the parstream executor
 (BENCH_parstream.json: threads_vs_serial 0.87–0.97).
 
-This module replaces the loops with single fancy-indexed numpy copies
+This module replaces the loops with one numpy copy per overlapping task,
 driven by a **section index plan**: for a (distribution, section,
-order) triple and a coverage kind, the plan holds per overlapping task
-two parallel int64 vectors
+order) triple and a coverage kind, one entry per task whose section
+meets the section.  What an entry holds is read off its geometry
+(:func:`repro.arrays.slices.arithmetic_slice`, per axis, both sides):
 
-* ``spos``  — stream positions of the overlap's elements within the
-  section's stream (``order``-major over the section's own mesh);
-* ``lflat`` — flat positions of the same elements within the task's
-  C-contiguous local array (which stores the task's *mapped* section).
+* a :class:`BoxEntry` when the overlap's positions are arithmetic on
+  every axis, within the section's own mesh *and* within the task's
+  local array (BLOCK, CYCLIC, GENBLOCK, replicated axes, any shadows):
+  one tuple of ``slice``s per side, and gather is ``mesh[sbox] =
+  local[lbox]`` on ``mesh = flat.reshape(section.shape, order)``, a
+  view of the flat stream buffer — a strided copy, O(rank) metadata;
+* a :class:`VectorEntry` when some axis is irregular (INDEXED index
+  lists, multi-block BLOCK(k)): int64 vectors ``spos`` (stream
+  positions within the section) and ``lflat`` (flat positions within
+  the task's C-contiguous local array), both enumerating the overlap in
+  its own ``order``-major stream, so gather is ``flat[spos] =
+  local_flat[lflat]`` — 24 B of index per element, sorted copy included.
 
-Both vectors enumerate the overlap in its own ``order``-major stream,
-so the element correspondence is positional and
-
-* gather is ``flat[spos] = local_flat[lflat]`` per owner
-  (kind ``"assigned"``; owners are pairwise disjoint), and
-* scatter is ``local_flat[lflat] = flat[spos]`` per mapping task
-  (kind ``"mapped"``; overlapping copies all receive the same value).
-
-Plans depend only on distribution geometry, so they are cached in
+Scatter is the transposed assignment per mapping task (kind
+``"mapped"``; overlapping copies all receive the same value); gather
+runs over owners (kind ``"assigned"``; pairwise disjoint).  Plans depend
+only on distribution geometry, so they are cached in
 :mod:`repro.plancache` (kind ``"indexplan"``, keyed by the distribution
-fingerprint) and invalidated with the distribution.  The sorted copy of
-``spos`` carried per entry turns per-piece redistribution accounting
-into two binary searches per owner (:func:`range_redistribution_bytes`)
-— pieces of the Fig. 5a partition are stream-contiguous, so a piece is
-exactly a stream-position interval.
-
-Memory note: a bulk gather materializes the whole section (the plan
-vectors are O(section) as well).  The simulated machine is in-process —
-every task's local array is already resident — so this trades a
-bounded, same-order allocation for the removal of the per-piece
-interpreter loop.
+fingerprint, ``nbytes`` summed into ``plancache.resident_bytes``).
+Pieces of the Fig. 5a partition are stream-contiguous, so a piece is a
+stream-position interval and its redistribution accounting
+(:func:`range_redistribution_bytes`) counts each owner's elements
+inside it: a box in closed form, a vector entry by binary search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -53,7 +52,8 @@ from repro.errors import StreamingError
 from repro.streaming.order import check_order
 
 __all__ = [
-    "PlanEntry",
+    "BoxEntry",
+    "VectorEntry",
     "SectionIndexPlan",
     "build_section_index_plan",
     "gather_section_flat",
@@ -67,10 +67,77 @@ _KINDS = ("assigned", "mapped")
 
 
 @dataclass(frozen=True)
-class PlanEntry:
-    """One task's share of a section index plan (all arrays read-only)."""
+class BoxEntry:
+    """One task's share of a plan, as a strided box on both sides."""
 
     task: int
+    size: int
+    #: slices into the section's mesh / into the task's local array
+    sbox: Tuple[slice, ...]
+    lbox: Tuple[slice, ...]
+    #: ``sbox`` in stream terms, slowest axis first: per axis (stream
+    #: stride, first index, step, count, box elements in the faster axes)
+    walk: Tuple[Tuple[int, int, int, int, int], ...]
+
+    @property
+    def nbytes(self) -> int:
+        return 88 * len(self.sbox)  # eleven integers per axis
+
+    def gather(self, flat, mesh, darray: DistributedArray) -> None:
+        mesh[self.sbox] = darray.local(self.task)[self.lbox]
+
+    def scatter(self, flat, mesh, darray: DistributedArray) -> None:
+        darray.local(self.task)[self.lbox] = mesh[self.sbox]
+
+    def _count_below(self, pos: int) -> int:
+        """Box elements at stream positions ``< pos``: per axis, every
+        box index below the position's digit contributes the box
+        elements of the faster axes; descend while the digit itself is
+        a box index."""
+        count = 0
+        for stride, first, step, n, inner in self.walk:
+            digit, pos = divmod(pos, stride)
+            k, off = divmod(digit - first, step)
+            if k < 0:
+                return count
+            if k >= n:
+                return count + n * inner
+            count += (k + (off > 0)) * inner
+            if off:
+                break
+        return count
+
+    def count_between(self, lo: int, hi: int) -> int:
+        """Box elements at stream positions in ``[lo, hi)``."""
+        return self._count_below(hi) - self._count_below(lo)
+
+    def runs(self) -> List[Tuple[int, int]]:
+        """Stream-position intervals ``[start, stop)`` covering the box:
+        the fastest axes fold into one run while each has step 1 (a
+        single index does) and all faster ones span their full extent;
+        the run starts are the outer product of the remaining axes."""
+        outer = list(self.walk)
+        run, base = 1, 0
+        while outer:
+            stride, first, step, n, _ = outer[-1]
+            if stride != run or step != 1:
+                break
+            outer.pop()
+            run, base = n * stride, base + first * stride
+        starts = np.full(1, base, dtype=np.int64)
+        for stride, first, step, n, _ in outer:
+            axis = (first + step * np.arange(n, dtype=np.int64)) * stride
+            starts = np.add.outer(starts, axis).ravel()
+        return [(s, s + run) for s in starts.tolist()]
+
+
+@dataclass(frozen=True)
+class VectorEntry:
+    """One task's share of a plan with an irregular axis, as index
+    vectors (all read-only)."""
+
+    task: int
+    size: int
     #: stream positions within the section, in the overlap's own stream
     spos: np.ndarray
     #: flat positions within the task's C-contiguous local array, in the
@@ -79,17 +146,57 @@ class PlanEntry:
     #: ``np.sort(spos)`` — interval counting for accounting
     spos_sorted: np.ndarray
 
+    @property
+    def nbytes(self) -> int:
+        return self.spos.nbytes + self.lflat.nbytes + self.spos_sorted.nbytes
+
+    def gather(self, flat, mesh, darray: DistributedArray) -> None:
+        flat[self.spos] = darray.local_flat(self.task)[self.lflat]
+
+    def scatter(self, flat, mesh, darray: DistributedArray) -> None:
+        darray.local_flat(self.task)[self.lflat] = flat[self.spos]
+
+    def count_between(self, lo: int, hi: int) -> int:
+        a, b = np.searchsorted(self.spos_sorted, (lo, hi))
+        return int(b - a)
+
+    def runs(self) -> List[Tuple[int, int]]:
+        """Maximal contiguous intervals of the sorted stream positions."""
+        sp = self.spos_sorted
+        breaks = np.flatnonzero(np.diff(sp) != 1)
+        starts = sp[np.concatenate(([0], breaks + 1))]
+        stops = sp[np.concatenate((breaks, [sp.size - 1]))] + 1
+        return list(zip(starts.tolist(), stops.tolist()))
+
 
 @dataclass(frozen=True)
 class SectionIndexPlan:
-    """Cached index arrays for one (distribution, section, order, kind)."""
+    """Cached per-task entries for one (distribution, section, order,
+    kind)."""
 
     section_size: int
     kind: str
-    entries: Tuple[PlanEntry, ...]
+    entries: Tuple[Union[BoxEntry, VectorEntry], ...]
     #: total overlap elements; exact coverage for "assigned" (owners are
     #: pairwise disjoint), an upper bound for "mapped"
     covered: int
+
+    @property
+    def nbytes(self) -> int:
+        return sum(e.nbytes for e in self.entries)
+
+
+def _stream_walk(sbox: Tuple[slice, ...], counts, shape: Tuple[int, ...], order: str):
+    """:attr:`BoxEntry.walk` of a box of ``counts`` elements per axis
+    within a (nonempty) section mesh of ``shape``."""
+    stride, inner = math.prod(shape), math.prod(counts)
+    walk = []
+    # slowest stream axis first: the last for "F", the first for "C"
+    for i in range(len(shape))[:: -1 if order == "F" else 1]:
+        stride //= shape[i]
+        inner //= counts[i]
+        walk.append((stride, sbox[i].start, sbox[i].step, counts[i], inner))
+    return tuple(walk)
 
 
 def build_section_index_plan(
@@ -98,7 +205,7 @@ def build_section_index_plan(
     order: str = "F",
     kind: str = "assigned",
 ) -> SectionIndexPlan:
-    """Compute the index-array plan (pure; cached via
+    """Compute the plan (pure; cached via
     :func:`repro.plancache.plans.section_index_plan`)."""
     check_order(order)
     if kind not in _KINDS:
@@ -106,33 +213,32 @@ def build_section_index_plan(
             f"unknown index-plan kind {kind!r}; expected one of {_KINDS}"
         )
     entries = []
-    covered = 0
-    tasks = (
-        dist.owner_tasks(section)
-        if kind == "assigned"
-        else dist.mapped_tasks(section)
-    )
-    for t in tasks:
-        base = dist.assigned(t) if kind == "assigned" else dist.mapped(t)
-        sec = base.intersect(section)
+    owners = kind == "assigned"
+    for t in dist.owner_tasks(section) if owners else dist.mapped_tasks(section):
+        mapped = dist.mapped(t)
+        sec = (dist.assigned(t) if owners else mapped).intersect(section)
         if sec.is_empty:
+            continue
+        sbox, lbox = sec.box_within(section), sec.box_within(mapped)
+        if sbox is not None and lbox is not None:
+            walk = _stream_walk(sbox, sec.shape, section.shape, order)
+            entries.append(BoxEntry(t, sec.size, sbox, lbox, walk))
             continue
         spos = sec.flat_positions_within(
             section, enum_order=order, address_order=order
         )
         lflat = sec.flat_positions_within(
-            dist.mapped(t), enum_order=order, address_order="C"
+            mapped, enum_order=order, address_order="C"
         )
         spos_sorted = np.sort(spos)
         for v in (spos, lflat, spos_sorted):
             v.setflags(write=False)
-        entries.append(PlanEntry(t, spos, lflat, spos_sorted))
-        covered += sec.size
+        entries.append(VectorEntry(t, sec.size, spos, lflat, spos_sorted))
     return SectionIndexPlan(
         section_size=section.size,
         kind=kind,
         entries=tuple(entries),
-        covered=covered,
+        covered=sum(e.size for e in entries),
     )
 
 
@@ -154,9 +260,10 @@ def gather_section_flat(
     plan: SectionIndexPlan | None = None,
 ) -> np.ndarray:
     """The section's elements as one 1-D array in stream order, copied
-    from the owner tasks with one fancy-indexed assignment per owner.
-    Elements assigned to no task are zeros, or raise under ``strict``
-    (the :func:`repro.streaming.serial.strict_gather` semantics)."""
+    from the owner tasks with one strided (or, for an irregular entry,
+    fancy-indexed) assignment per owner.  Elements assigned to no task
+    are zeros, or raise under ``strict`` (the
+    :func:`repro.streaming.serial.strict_gather` semantics)."""
     check_order(order)
     if plan is None:
         plan = _cached_index_plan(darray.distribution, section, order, "assigned")
@@ -166,9 +273,12 @@ def gather_section_flat(
             f"{plan.section_size - plan.covered} undefined element(s) "
             f"(no owning task) in array {darray.name!r}"
         )
-    flat = np.zeros(plan.section_size, dtype=darray.dtype)
+    # owners are disjoint: a fully covered section needs no zero fill
+    exact = plan.kind == "assigned" and plan.covered == plan.section_size
+    flat = (np.empty if exact else np.zeros)(plan.section_size, dtype=darray.dtype)
+    mesh = flat.reshape(section.shape, order=order)
     for e in plan.entries:
-        flat[e.spos] = darray.local_flat(e.task)[e.lflat]
+        e.gather(flat, mesh, darray)
     return flat
 
 
@@ -181,7 +291,8 @@ def scatter_section_flat(
 ) -> None:
     """Deliver a stream-ordered 1-D value vector into every task whose
     mapped section overlaps ``section`` — all copies of every element
-    are updated consistently, one fancy-indexed assignment per task."""
+    are updated consistently, one strided (or fancy-indexed) assignment
+    per task."""
     check_order(order)
     if plan is None:
         plan = _cached_index_plan(darray.distribution, section, order, "mapped")
@@ -191,8 +302,9 @@ def scatter_section_flat(
             f"scatter of {flat.size} values into a section of "
             f"{plan.section_size} elements"
         )
+    mesh = flat.reshape(section.shape, order=order)
     for e in plan.entries:
-        darray.local_flat(e.task)[e.lflat] = flat[e.spos]
+        e.scatter(flat, mesh, darray)
 
 
 def range_redistribution_bytes(
@@ -203,10 +315,6 @@ def range_redistribution_bytes(
     interval reaching I/O task ``io_task``.  Requires an "assigned"
     plan; undefined elements (no owner) move nothing, matching the
     scalar accounting."""
-    moved = 0
-    for e in plan.entries:
-        if e.task == io_task:
-            continue
-        a, b = np.searchsorted(e.spos_sorted, (lo, hi))
-        moved += int(b - a)
-    return moved * itemsize
+    return itemsize * sum(
+        e.count_between(lo, hi) for e in plan.entries if e.task != io_task
+    )

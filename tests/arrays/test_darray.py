@@ -92,6 +92,76 @@ class TestSections:
         assert (arr.assigned_view(0)[:2, :2] == -5.0).all()
 
 
+def _indexed_rows():
+    from repro.arrays.distributions import Indexed, Replicated
+
+    # task 0 owns rows 0, 1, 5 and also maps ghost row 2: its owned rows
+    # sit at local positions 0, 1, 3 — no stride describes them
+    d = Distribution(
+        (8, 3), [Indexed([Range([0, 1, 5]), Range([2, 3, 4, 6, 7])]), Replicated()], 2,
+        mapped=[
+            Slice([Range([0, 1, 2, 5]), Range.of_size(3)]),
+            Slice([Range([2, 3, 4, 6, 7]), Range.of_size(3)]),
+        ],
+    )
+    a = DistributedArray("rows", (8, 3), np.float64, d)
+    a.set_global(np.arange(24, dtype=np.float64).reshape(8, 3))
+    return a
+
+
+class TestAliasing:
+    """Who owns the memory a local-access call returns: basic slices
+    select views, so every documented "copy" must copy on purpose."""
+
+    @pytest.fixture(params=["block", "indexed"])
+    def any_arr(self, request, arr):
+        return arr if request.param == "block" else _indexed_rows()
+
+    def test_assigned_view_writes_through_when_regular(self, arr):
+        view = arr.assigned_view(0)
+        assert np.shares_memory(view, arr.local(0))
+        view += 100.0
+        assert np.array_equal(arr.assigned_view(0), view)
+        assert (arr.to_global()[:6, :5] >= 100.0).all()
+
+    def test_assigned_view_is_a_copy_when_irregular(self):
+        a = _indexed_rows()
+        before = a.local(0).copy()
+        a.assigned_view(0)[...] = -1.0
+        assert np.array_equal(a.local(0), before)
+
+    def test_task_view_assigned_is_a_copy(self, any_arr):
+        from repro.drms.context import TaskArrayView
+
+        u = TaskArrayView(any_arr, 0)
+        before = any_arr.local(0).copy()
+        kept = u.assigned
+        assert np.array_equal(kept, any_arr.assigned_view(0))
+        kept += 1.0  # mutate the returned array: the local must not move
+        assert np.array_equal(any_arr.local(0), before)
+        u.set_assigned(kept)  # ... and a later write does not reach it
+        snapshot = kept.copy()
+        u.set_assigned(kept * 2.0)
+        assert np.array_equal(kept, snapshot)
+
+    def test_section_from_task_is_a_copy(self, any_arr):
+        d = any_arr.distribution
+        # mapped(0) is the whole local: contiguous as it stands
+        for sec in (d.assigned(0), d.mapped(0)):
+            before = any_arr.local(0).copy()
+            got = any_arr.section_from_task(0, sec)
+            assert not np.shares_memory(got, any_arr.local(0))
+            got[...] = -7.0
+            assert np.array_equal(any_arr.local(0), before)
+
+    def test_update_shadows_with_source_equal_destination(self, arr, grid):
+        arr.set_assigned(0, arr.assigned_view(0) + 100.0)
+        want = arr.to_global()
+        arr.update_shadows()  # apply_schedule(arr, arr, ...)
+        assert arr.is_consistent()
+        assert np.array_equal(arr.to_global(), want)
+
+
 class TestRedistribution:
     @pytest.mark.parametrize("nt", [1, 2, 3, 6, 8])
     def test_block_to_block(self, arr, grid, nt):

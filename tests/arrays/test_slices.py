@@ -120,6 +120,67 @@ class TestNumpyInterop:
         # rows 9,12 -> positions 1,3; cols 18,22 -> positions 1,4
         assert picked.tolist() == [[6, 9], [16, 19]]
 
+    def test_regular_sections_index_with_basic_slices(self):
+        """Regular-in-regular selects through a tuple of ``slice``s (a
+        strided view), anything irregular through an ``np.ix_`` mesh —
+        and both forms select the same elements."""
+        a = np.arange(30 * 30).reshape(30, 30)
+        outer = Slice([Range.regular(2, 29), Range.regular(1, 28, 3)])
+        local = a[np.ix_(outer[0].indices(), outer[1].indices())]
+        cases = [
+            # stride-3 range inside a stride-1 outer, stride 6 inside stride 3
+            (Slice([Range.regular(5, 26, 3), Range.regular(4, 28, 6)]), True),
+            (Slice([Range(7), Range.regular(1, 28, 3)]), True),
+            (Slice([Range([3, 5, 7]), Range([1, 28])]), True),  # regular after all
+            (Slice([Range([3, 4, 9]), Range.regular(4, 28, 6)]), False),
+            (Slice([Range.regular(5, 26, 3), Range([1, 4, 13])]), False),
+            (Slice([Range.empty(), Range.regular(4, 28, 6)]), True),
+            (Slice.empty(2), True),
+        ]
+        for sec, regular in cases:
+            mesh = np.ix_(*[r.indices() for r in sec])
+            for index, source in (
+                (sec.np_index(), a),
+                (sec.local_index_within(outer), local),
+            ):
+                assert all(isinstance(i, slice) for i in index) == regular, sec
+                assert any(isinstance(i, np.ndarray) for i in index) != regular
+                if sec.is_empty:  # selects nothing, whatever the other axes say
+                    assert source[index].size == 0
+                else:
+                    assert np.array_equal(source[index], a[mesh])
+            box = sec.box_within(outer)
+            assert (box == sec.local_index_within(outer)) if regular else box is None
+
+    def test_arithmetic_slice_rule(self):
+        from repro.arrays.slices import arithmetic_slice
+        from repro.errors import RangeError
+
+        assert arithmetic_slice(Range.empty(), Range.regular(0, 9)) == slice(0, 0, 1)
+        assert arithmetic_slice(Range(4)) == slice(4, 5, 1)
+        assert arithmetic_slice(Range([2, 9])) == slice(2, 10, 7)
+        assert arithmetic_slice(Range([0, 1, 3])) is None
+        # two triplets, closed form: positions of 5:26:6 within 2:29:3
+        assert arithmetic_slice(
+            Range.regular(5, 26, 6), Range.regular(2, 29, 3)
+        ) == slice(1, 8, 2)
+        # an index-list outer: checked on the positions themselves
+        outer = Range([0, 2, 3, 4, 8, 9])
+        assert arithmetic_slice(Range.regular(2, 4), outer) == slice(1, 4, 1)
+        assert arithmetic_slice(Range([0, 3, 8]), outer) == slice(0, 5, 2)
+        assert arithmetic_slice(Range([0, 2, 8]), outer) is None
+        # same end points and count as 0:8:2, but not evenly spaced
+        assert arithmetic_slice(Range([0, 2, 3, 4, 8]), Range.regular(0, 9)) is None
+        for sub, within in (
+            (Range.regular(0, 4), Range.regular(1, 9)),      # starts before
+            (Range.regular(5, 12), Range.regular(1, 9)),     # ends after
+            (Range.regular(2, 8, 2), Range.regular(1, 9, 2)),  # off the lattice
+            (Range.regular(1, 7, 3), Range.regular(1, 9, 2)),  # stride not a multiple
+            (Range([0, 5]), Range([0, 2, 3])),
+        ):
+            with pytest.raises(RangeError):
+                arithmetic_slice(sub, within)
+
     def test_enumerate_stream_f_order(self):
         s = Slice([Range([0, 1]), Range([5, 7])])
         pts = s.enumerate_stream("F").tolist()

@@ -6,6 +6,7 @@ reference) — and the stored files own their bytes."""
 
 import hashlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from repro.arrays.distributions import (
     block_distribution,
 )
 from repro.arrays.ranges import Range
+from repro.arrays.slices import Slice
 from repro.checkpoint.drms import drms_checkpoint, drms_restart
 from repro.checkpoint.format import manifest_name, read_manifest, sha1_hex
 from repro.checkpoint.segment import DataSegment, SegmentProfile
@@ -28,7 +30,9 @@ from repro.mlck.store import L1Store
 from repro.pfs.faults import FaultInjector
 from repro.pfs.hostfs import HostFS
 from repro.pfs.piofs import PIOFS
+from repro.plancache import PlanCache, use_plan_cache
 from repro.runtime.machine import Machine, MachineParams
+from repro.streaming import vectorized
 from repro.streaming.order import stream_order_bytes
 from repro.streaming.vectorized import gather_section_flat
 
@@ -206,6 +210,82 @@ def test_one_gather_one_hash_pass_and_each_byte_written_once(monkeypatch):
     assert sum(written) == len(header) + pad + stream_bytes + manifest_bytes
     # header, pad, one coalesced run per I/O task per array, the manifest
     assert len(written) == 2 + 4 * len(arrays) + 1
+
+
+def _checkpoint_restart_counting_vectors(monkeypatch, arrays, overrides=None):
+    """checkpoint on 4 tasks -> restart on 3 under a cold plan cache;
+    returns (``Slice.flat_positions_within`` calls, tracemalloc peaks of
+    the cold section-plan builds, restored state)."""
+    calls, peaks = [], []
+
+    def positions_spy(self, *args, _fn=Slice.flat_positions_within, **kwargs):
+        calls.append(self)
+        return _fn(self, *args, **kwargs)
+
+    def traced_build(*args, _fn=vectorized.build_section_index_plan, **kwargs):
+        tracemalloc.start()
+        try:
+            plan = _fn(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return plan
+
+    monkeypatch.setattr(Slice, "flat_positions_within", positions_spy)
+    monkeypatch.setattr(vectorized, "build_section_index_plan", traced_build)
+    pfs = PIOFS()
+    with use_plan_cache(PlanCache()):
+        drms_checkpoint(pfs, "ck", _segment(), arrays)
+        state, _ = drms_restart(pfs, "ck", 3, distribution_overrides=overrides)
+    return len(calls), peaks, state
+
+
+def test_block_arrays_never_build_index_vectors(monkeypatch):
+    """Two shadowed BLOCK arrays through checkpoint -> restart: every
+    plan entry is a strided box, so no position vector is ever expanded
+    and a cold plan build allocates O(axis extent), not O(elements)."""
+    shape = (512, 512)
+    rng = np.random.default_rng(7)
+    arrays = []
+    for name in ("u", "v"):
+        a = DistributedArray(
+            name, shape, np.float64, block_distribution(shape, 4, shadow=(1, 1))
+        )
+        a.set_global(rng.standard_normal(shape))
+        arrays.append(a)
+    want = {a.name: a.to_global() for a in arrays}
+    ncalls, peaks, state = _checkpoint_restart_counting_vectors(monkeypatch, arrays)
+    assert ncalls == 0
+    # u and v share a geometry: assigned at t1=4, assigned + mapped at t2=3
+    assert len(peaks) == 3
+    assert max(peaks) < 0.01 * arrays[0].nbytes_global
+    for name, arr in state.arrays.items():
+        np.testing.assert_array_equal(arr.to_global(), want[name])
+
+
+def test_indexed_arrays_keep_their_index_vectors(monkeypatch):
+    """The same sequence over an [INDEXED, *] array, restarted under an
+    irregular override: two position vectors per (section ∩ task) overlap
+    of every plan built, exactly as before strided boxes existed."""
+    def rows(ntasks):
+        owner = np.random.default_rng(ntasks).permutation(np.arange(64) % ntasks)
+        return Distribution(
+            (64, 16),
+            [Indexed([np.flatnonzero(owner == t) for t in range(ntasks)]),
+             Replicated()],
+            ntasks,
+        )
+
+    a = DistributedArray("w", (64, 16), np.float64, rows(4))
+    a.set_global(np.random.default_rng(8).standard_normal((64, 16)))
+    want = a.to_global()
+    ncalls, peaks, state = _checkpoint_restart_counting_vectors(
+        monkeypatch, [a], overrides={"w": rows(3)}
+    )
+    # assigned at t1=4 (4 overlaps), assigned + mapped at t2=3 (3 each)
+    assert len(peaks) == 3
+    assert ncalls == 2 * (4 + 3 + 3)
+    np.testing.assert_array_equal(state.arrays["w"].to_global(), want)
 
 
 # -- ownership, end to end ------------------------------------------------------------

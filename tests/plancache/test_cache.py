@@ -166,3 +166,58 @@ class TestMetrics:
             assert cache.saved_seconds == 0.0
             partition_for_target(s, 8, target_bytes=64)
         assert cache.saved_seconds > 0.0
+
+
+class TestResidentBytes:
+    """The cache is bounded by entries; ``resident_bytes`` says what the
+    entries hold: O(rank) integers for a strided-box plan, 24 B of index
+    per element for an irregular one."""
+
+    SHAPE = (1024, 1024)
+
+    def _block(self):
+        return block_distribution(self.SHAPE, 4, shadow=(1, 1))
+
+    def _indexed(self):
+        from repro.arrays.distributions import Distribution, Indexed, Replicated
+
+        owner = np.random.default_rng(3).permutation(np.arange(1024) % 4)
+        rows = [np.flatnonzero(owner == t) for t in range(4)]
+        return Distribution(self.SHAPE, [Indexed(rows), Replicated()], 4)
+
+    @pytest.mark.parametrize("kind", ["assigned", "mapped"])
+    def test_box_plans_are_small_and_vector_plans_are_not(self, kind):
+        from repro.plancache.plans import section_index_plan
+
+        section = Slice.full(self.SHAPE)
+        cache = PlanCache()
+        with use_tracer(Tracer()) as tracer, use_plan_cache(cache):
+            assert cache.stats()["resident_bytes"] == 0
+            section_index_plan(self._block(), section, kind=kind)
+            box_bytes = cache.stats()["resident_bytes"]
+            assert 0 < box_bytes < 4096
+            indexed = self._indexed()
+            plan = section_index_plan(indexed, section, kind=kind)
+            assert plan.nbytes >= 24 * section.size
+            assert cache.stats()["resident_bytes"] == box_bytes + plan.nbytes
+            gauge = tracer.metrics.flat()["plancache.resident_bytes"]
+            assert gauge == box_bytes + plan.nbytes
+            # plans without an ``nbytes`` count 0; ndarrays count theirs
+            partition_for_target(section, 8)
+            assert cache.stats()["resident_bytes"] == box_bytes + plan.nbytes
+            assert cache.invalidate_distribution(indexed) == 1
+            assert cache.stats()["resident_bytes"] == box_bytes
+            assert tracer.metrics.flat()["plancache.resident_bytes"] == box_bytes
+            cache.clear()
+            assert cache.stats()["resident_bytes"] == 0
+
+    def test_eviction_releases_the_bytes(self):
+        cache = PlanCache(maxsize=1)
+        with use_plan_cache(cache):
+            pos = section_stream_positions(
+                Slice.full((64, 64)), Slice.full((64, 64))
+            )
+            assert cache.stats()["resident_bytes"] == pos.nbytes == 64 * 64 * 8
+            partition_for_target(Slice.full((8, 8)), 8)  # evicts the vector
+            assert cache.evictions == 1
+            assert cache.stats()["resident_bytes"] == 0
