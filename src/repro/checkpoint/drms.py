@@ -19,7 +19,7 @@ time/rate, fixed restart initialization).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from repro.errors import (
     MemoryTierError,
     RestartError,
 )
-from repro.obs import NULL_TRACER, get_tracer
+from repro.obs import get_tracer
 from repro.pfs.phase import IOKind
 from repro.pfs.piofs import PIOFS
 from repro.streaming.parallel import stream_in_parallel, stream_out_parallel
@@ -56,7 +56,6 @@ __all__ = [
     "PFSCheckpointSource",
     "drms_checkpoint",
     "drms_restart",
-    "l1_validation",
     "restart_distribution",
     "restore",
     "serving_tier",
@@ -152,6 +151,19 @@ class RestoredState:
         return self.ntasks - self.checkpoint_ntasks
 
 
+def _common_ntasks(arrays: Sequence[DistributedArray]) -> int:
+    """The task count the uniquely named ``arrays`` share (1 if none)."""
+    if len({a.name for a in arrays}) != len(arrays):
+        raise CheckpointError("distributed array names must be unique")
+    ntasks = arrays[0].ntasks if arrays else 1
+    for a in arrays:
+        if a.ntasks != ntasks:
+            raise CheckpointError(
+                f"array {a.name!r} has {a.ntasks} tasks; expected {ntasks}"
+            )
+    return ntasks
+
+
 def drms_checkpoint(
     pfs: PIOFS,
     prefix: str,
@@ -167,6 +179,11 @@ def drms_checkpoint(
     drain=None,
 ) -> CheckpointBreakdown:
     """Write a reconfigurable checkpoint under ``prefix``.
+
+    ``arrays`` are the stream sources: distributed arrays, or
+    :class:`~repro.streaming.serial.StoredStream` objects bringing
+    their captured bytes and digest (the L1 drain) — same state, byte
+    for byte.
 
     ``concurrency`` selects the parstream executor (``"threads"`` runs
     the P I/O tasks on a thread pool, ``"vectorized"`` the same bulk
@@ -203,15 +220,7 @@ def drms_checkpoint(
                 io_tasks=io_tasks, target_bytes=target_bytes,
             ).schedule(prefix)
         return bd
-    names = {a.name for a in arrays}
-    if len(names) != len(arrays):
-        raise CheckpointError("distributed array names must be unique")
-    ntasks = arrays[0].ntasks if arrays else 1
-    for a in arrays:
-        if a.ntasks != ntasks:
-            raise CheckpointError(
-                f"array {a.name!r} has {a.ntasks} tasks; expected {ntasks}"
-            )
+    ntasks = _common_ntasks(arrays)
     bd = CheckpointBreakdown(kind="drms", prefix=prefix, ntasks=ntasks)
     obs = get_tracer()
 
@@ -336,8 +345,7 @@ def restore(
     *generation source* owns where the bytes are and what moving them
     costs (DESIGN.md §8, "Restore pipeline"):
 
-    * ``kind`` — breakdown/span kind; None marks an internal, uncharged
-      read (the drain) that leaves no span and no metric;
+    * ``kind`` — breakdown/span kind;
     * ``prefix``, ``manifest`` — the generation's name and its
       manifest-shaped metadata (the v3 keys, whatever the tier);
     * ``init_seconds``, ``spans`` — the fixed initialization this
@@ -346,7 +354,8 @@ def restore(
       ``load_array(arr, spec, order) -> (seconds, nbytes, span attrs)``
       — the charged steps, in simulated seconds and charged bytes;
     * ``verify_segment(header)`` / ``verify_array(spec)`` — the tier's
-      integrity checks, outside the charged steps, raising its error.
+      integrity checks, outside the charged steps, raising its error
+      (the L1 source has verified everything by the time it exists).
 
     ``distribution_overrides`` maps array names to explicit
     :class:`~repro.arrays.distributions.Distribution` objects (the
@@ -363,8 +372,7 @@ def restore(
         raise RestartError(f"cannot restart on {ntasks} tasks")
     order = order or manifest.get("order", "F")
     overrides = distribution_overrides or {}
-    observed = source.kind is not None
-    obs = get_tracer() if observed else NULL_TRACER
+    obs = get_tracer()
     bd = RestartBreakdown(kind=source.kind, prefix=source.prefix, ntasks=ntasks)
     bd.other_seconds = source.init_seconds
     segment_span, array_span = source.spans
@@ -410,8 +418,7 @@ def restore(
             arrays[name] = arr
         op.set(nbytes=bd.total_bytes, seconds=bd.total_seconds)
 
-    if observed:
-        _publish_breakdown("restart", bd)
+    _publish_breakdown("restart", bd)
     state = RestoredState(
         segment=segment,
         arrays=arrays,
@@ -520,28 +527,20 @@ class PFSCheckpointSource:
         }
 
 
-def l1_validation(l1, prefix: str):
-    """The audit of ``prefix``'s copy in the L1 store ``l1`` (a
-    :class:`~repro.checkpoint.validate.ValidationReport`), or None when
-    there is no such copy to try.  Dead nodes' memory is dropped first,
-    so the verdict reflects the machine as it is now."""
-    if l1 is None or not l1.has(prefix):
-        return None
-    l1.sync_with_machine()
-    return l1.validate_generation(prefix)
+def serving_tier(prefix: str, tier: str, l1, from_l1: Callable[[], Any]):
+    """Serve a restart of ``prefix`` from memory when memory can — the
+    one place the "L1 replicas if they can serve, else the PFS copy"
+    decision is made, by *opening* the source rather than auditing the
+    generation again (the recovery walk has).  Returns what ``from_l1``
+    returns, or None when the PFS copy must serve.
 
-
-def serving_tier(prefix: str, tier: str, l1) -> str:
-    """Which tier serves a restart of ``prefix`` — the one place the
-    "L1 replicas if they validate, else the PFS copy" decision is made.
-
-    ``tier="pfs"`` reads the PFS; ``"memory+pfs"`` prefers surviving L1
-    replicas of ``l1`` and falls back to the PFS copy when the L1
-    generation is lost or invalid; ``"memory"`` forbids the fallback and
-    raises :class:`~repro.errors.MemoryTierError` instead.  Returns
-    ``"l1"`` or ``"l2"``."""
+    ``tier="pfs"`` is None at once.  ``"memory+pfs"`` runs ``from_l1``
+    — a restore over an :class:`~repro.mlck.store.L1ReplicaSource`,
+    whose construction is the verifying fetch of every stream — and is
+    None when that raises :class:`~repro.errors.MemoryTierError`
+    (before anything is charged).  ``"memory"`` raises instead."""
     if tier == "pfs":
-        return "l2"
+        return None
     if tier not in ("memory", "memory+pfs"):
         raise RestartError(
             f"unknown restart tier {tier!r} "
@@ -549,16 +548,17 @@ def serving_tier(prefix: str, tier: str, l1) -> str:
         )
     if l1 is None:
         raise RestartError(f"tier={tier!r} requires an L1Store (l1=)")
-    report = l1_validation(l1, prefix)
-    if report is not None and report.ok:
-        return "l1"
-    if tier == "memory":
-        raise MemoryTierError(
-            f"generation {prefix!r} cannot be served from L1 "
-            "(lost replicas or never captured) and tier='memory' "
-            "forbids the PFS fallback"
-        )
-    return "l2"
+    # drop dead nodes' memory first: serve from the machine as it is now
+    l1.sync_with_machine()
+    try:
+        return from_l1()
+    except MemoryTierError as exc:
+        if tier == "memory":
+            raise MemoryTierError(
+                f"generation {prefix!r} cannot be served from L1 ({exc}) "
+                "and tier='memory' forbids the PFS fallback"
+            ) from exc
+    return None
 
 
 def drms_restart(
@@ -579,14 +579,18 @@ def drms_restart(
     for ``verify``) or, under the memory tiers of :func:`serving_tier`,
     over surviving replicas of the L1 store ``l1``.  Every tier charges
     the fixed restart initialization."""
-    if serving_tier(prefix, tier, l1) == "l1":
-        return l1.restore_drms(
+    restored = serving_tier(
+        prefix, tier, l1,
+        lambda: l1.restore_drms(
             prefix,
             ntasks,
             order=order,
             distribution_overrides=distribution_overrides,
             init_seconds=pfs.params.restart_init_s,
-        )
+        ),
+    )
+    if restored is not None:
+        return restored
     source = PFSCheckpointSource(
         pfs, prefix, io_tasks=io_tasks, target_bytes=target_bytes,
         verify=verify, concurrency=concurrency,

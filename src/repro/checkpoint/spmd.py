@@ -195,10 +195,14 @@ def spmd_restart(
 
     ``tier``/``l1`` select the serving tier exactly as for a DRMS
     restart (:func:`~repro.checkpoint.drms.serving_tier`)."""
-    if serving_tier(prefix, tier, l1) == "l1":
-        return l1.restore_spmd(
+    restored = serving_tier(
+        prefix, tier, l1,
+        lambda: l1.restore_spmd(
             prefix, ntasks, init_seconds=pfs.params.restart_init_s
-        )
+        ),
+    )
+    if restored is not None:
+        return restored
     manifest = read_manifest(pfs, prefix)
     if manifest.get("kind") != "spmd":
         raise RestartError(

@@ -415,6 +415,7 @@ class DRMSApplication:
         placement: Optional[Dict[int, int]] = None,
         failed_nodes: Sequence[int] = (),
         replacements: Optional[Dict[int, int]] = None,
+        clock: float = 0.0,
     ) -> RunReport:
         """Localized restart after a node failure: every task rolls back
         to the generation under ``prefix``, but the data movement is
@@ -426,9 +427,10 @@ class DRMSApplication:
         the L1 generation cannot serve (the failure took every copy of
         some piece), survivors' own state of that generation is gone
         too, and the restart degrades to a full, metered PFS read
-        (:func:`~repro.mlck.localized.localized_restart`)."""
+        (:func:`~repro.mlck.localized.localized_restart`).  ``clock``
+        (the incident's cluster time) stamps the recovery's records."""
         failure = (dict(placement or {}), failed_nodes, dict(replacements or {}))
-        return self._relaunch(prefix, ntasks, args, kwargs, nodes, failure)
+        return self._relaunch(prefix, ntasks, args, kwargs, nodes, failure, clock)
 
     def _relaunch(
         self,
@@ -438,10 +440,11 @@ class DRMSApplication:
         kwargs: Optional[dict],
         nodes: Optional[Sequence[int]],
         failure: Optional[Tuple[Dict[int, int], Sequence[int], Dict[int, int]]] = None,
+        clock: float = 0.0,
     ) -> RunReport:
         """Restore ``prefix`` onto ``ntasks`` tasks and run on from it;
         ``failure`` (placement, failed nodes, replacements) makes the
-        restore a localized one."""
+        restore a localized one, its records stamped ``clock``."""
         self.soq.check(ntasks)
         # the L1 store holding this generation, if any: the restore
         # entry points decide whether its replicas can still serve
@@ -464,7 +467,7 @@ class DRMSApplication:
             from repro.mlck.localized import localized_restart
 
             state, bd, scope = localized_restart(
-                self.pfs, prefix, ntasks, *failure, **options
+                self.pfs, prefix, ntasks, *failure, clock=clock, **options
             )
         runtime = AppRuntime(
             self,

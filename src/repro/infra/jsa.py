@@ -204,6 +204,7 @@ class JobSchedulerAnalyzer:
                         for r, nd in placement.items()
                         if nd in replacements
                     },
+                    clock=self.rc.clock,
                 )
             sp.set(ntasks=n, prefix=decision.prefix)
             relaunch = job.app.restart_localized if localized else job.app.restart

@@ -11,14 +11,18 @@ State machine per generation::
     pending --> draining --> durable
                         \\-> failed     (fault, node loss mid-drain)
 
-The drain reconstructs segment and arrays *from the L1 replicas* and
-writes them through the ordinary
+The drain *replays the stored streams*: the pieces, each verified as it
+is fetched from the L1 replicas, are written with the capture-time
+stream digest through the ordinary
 :func:`~repro.checkpoint.drms.drms_checkpoint` /
 :func:`~repro.checkpoint.spmd.spmd_checkpoint` paths, so the durable
 state is byte-identical to a direct PFS checkpoint — manifest two-phase
 commit included.  A drain that dies mid-flight therefore leaves *no*
 manifest: the half-written generation is invisible to recovery, which
 falls back to the newest byte-valid L2 state (or a surviving L1 one).
+
+Retention covers both tiers: what the rotation prunes from the PFS is
+discarded from replica memory too.
 
 Retention interlock: while a drain is in flight, the rotation's newest
 durable generation is **pinned** — it is the only durable fallback
@@ -42,7 +46,7 @@ from repro.checkpoint.drms import drms_checkpoint
 from repro.checkpoint.rotation import CheckpointRotation
 from repro.checkpoint.spmd import _decode_task_file, spmd_checkpoint
 from repro.errors import CheckpointError
-from repro.mlck.store import L1Store, UnchargedFetch
+from repro.mlck.store import L1Store
 from repro.obs import get_flight, get_tracer
 from repro.pfs.piofs import PIOFS
 from repro.streaming.executor import submit_task
@@ -167,9 +171,9 @@ class DrainController:
             fr.record("drain_state", prefix=prefix, state=DrainState.DRAINING)
             try:
                 if gen.kind == "drms":
-                    segment, arrays = self.store.materialize_drms(prefix)
+                    segment, streams = self.store.stored_streams(prefix)
                     drms_checkpoint(
-                        self.pfs, prefix, segment, arrays,
+                        self.pfs, prefix, segment, streams,
                         order=gen.order, io_tasks=self.io_tasks,
                         target_bytes=self.target_bytes,
                         app_name=gen.app_name,
@@ -177,10 +181,10 @@ class DrainController:
                 else:
                     # exact payloads survive in the L1 task headers
                     # (uncharged: the drain's cost is its PFS write)
-                    fetch = UnchargedFetch(self.store).fetch
+                    fetch = self.store._fetch_pieces
                     payloads = [
-                        _decode_task_file(fetch(pieces))
-                        for pieces in gen.task_pieces
+                        _decode_task_file(b"".join(fetch(pieces, nbytes)[0]))
+                        for pieces, nbytes in zip(gen.task_pieces, gen.task_sha1_bytes)
                     ]
                     spmd_checkpoint(
                         self.pfs, prefix, gen.ntasks,
@@ -198,8 +202,9 @@ class DrainController:
                 if self.rotation is not None:
                     # retention now that the new generation is durable
                     # (prune, not commit: an interleaved direct PFS
-                    # checkpoint may already be newer than this drain)
-                    self.rotation.prune()
+                    # checkpoint may already be newer), in both tiers
+                    for pruned in self.rotation.prune():
+                        self.store.discard(pruned)
                 if self.evict_after_drain:
                     self.store.discard(prefix)
             except Exception as exc:  # noqa: BLE001 - recorded, not raised

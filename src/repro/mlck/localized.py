@@ -45,12 +45,7 @@ from repro.checkpoint.drms import (
     serving_tier,
 )
 from repro.mlck.placement import _rotate_past
-from repro.mlck.store import (
-    L1ReplicaSource,
-    L1Store,
-    UnchargedFetch,
-    _Accounting,
-)
+from repro.mlck.store import L1ReplicaSource, L1Store, SwitchFetch, _Accounting
 from repro.obs import get_flight, get_tracer
 from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine
@@ -238,36 +233,27 @@ def rebuild_lost_sections(
     return delivered
 
 
-class SurvivorLocal(UnchargedFetch):
+class SurvivorLocal(SwitchFetch):
     """Accountant of a localized restart (an
     :class:`~repro.mlck.store.L1ReplicaSource` accountant): every rank
     rolls back to the generation, but each surviving rank reloads its
     assigned section from its own node's replica memory
     (``mem_copy_mbps`` local copies, zero switch traffic) and only the
-    lost ranks' sections are served over the switch from surviving
-    replicas to their replacement nodes.  The bytes themselves are
-    reassembled uncharged; the :class:`RebuildScope` computed in
-    :meth:`begin` says who pays what."""
+    lost ranks' sections are served over the switch, from the replicas
+    that served the source's verifying fetch, to their replacement
+    nodes.  The :class:`RebuildScope` in ``scope`` (set by
+    :func:`localized_restore_drms` once the source is open) says who
+    pays what."""
 
     kind = "mlck-l1-localized"
     array_span = "l1_localized_fetch"
+    scope: Optional[RebuildScope] = None
 
-    def __init__(self, store: L1Store, scope_of):
-        super().__init__(store)
-        #: ``scope_of(source, ntasks) -> RebuildScope``
-        self.scope_of = scope_of
-        self.scope: Optional[RebuildScope] = None
-
-    def begin(self, source: L1ReplicaSource, ntasks: int) -> None:
-        super().begin(source, ntasks)
-        self.scope = self.scope_of(source, ntasks)
-
-    def _charge(
-        self, acct: _Accounting, servers: List[int], nbytes_of
-    ) -> None:
+    def _charge(self, acct: _Accounting, servers: List[int], nbytes_of) -> None:
         """Survivors copy ``nbytes_of(rank)`` locally; lost ranks'
         replacements pull theirs from ``servers`` over the switch."""
         scope = self.scope
+        servers = servers or self.requesters[:1]
         for r in scope.survivor_ranks:
             acct.copy(scope.placement[r], nbytes_of(r))
         for i, r in enumerate(scope.lost_ranks):
@@ -275,26 +261,25 @@ class SurvivorLocal(UnchargedFetch):
             if nb:
                 acct.send(servers[i % len(servers)], scope.replacements[r], nb)
 
-    def segment(self, acct: _Accounting, gen) -> bytes:
-        header = self.fetch(gen.segment_pieces)
-        servers = self.store._servers(gen.segment_pieces) or [self.requester]
-        self._charge(acct, servers, lambda r: gen.segment_bytes)
-        return header
+    def segment(self, acct: _Accounting, gen, nodes: Sequence[int]) -> None:
+        """Every rank reloads the whole (sized) segment; ``nodes``
+        served its pieces."""
+        self._charge(acct, sorted(set(nodes)), lambda r: gen.segment_bytes)
 
-    def array(self, acct: _Accounting, index: int, entry):
+    def array(
+        self, acct: _Accounting, index: int, entry, nodes: Sequence[int]
+    ) -> Dict[str, int]:
+        """Every rank reloads its assigned section of the array; a
+        virtual array's sized payload is served by the survivors."""
         scope = self.scope
         ascope = scope.arrays[index]
-        if not entry.virtual:
-            data = self.fetch(entry.pieces)
-            servers = self.store._servers(entry.pieces)
-        else:
-            data = None
-            servers = [scope.placement[r] for r in scope.survivor_ranks]
-        self._charge(
-            acct, servers or [self.requester],
-            lambda r: ascope.rank_bytes.get(r, 0),
+        servers = (
+            [scope.placement[r] for r in scope.survivor_ranks]
+            if entry.virtual
+            else sorted(set(nodes))
         )
-        return data, {"lost_bytes": ascope.lost_bytes}
+        self._charge(acct, servers, lambda r: ascope.rank_bytes.get(r, 0))
+        return {"lost_bytes": ascope.lost_bytes}
 
 
 def localized_restore_drms(
@@ -307,6 +292,7 @@ def localized_restore_drms(
     order: Optional[str] = None,
     distribution_overrides: Optional[Dict[str, object]] = None,
     init_seconds: float = 0.0,
+    clock: float = 0.0,
 ) -> Tuple[RestoredState, RestartBreakdown, RebuildScope]:
     """Restore a DRMS generation with localized cost accounting.
 
@@ -316,26 +302,23 @@ def localized_restore_drms(
     the same replica source; only the accountant differs
     (:class:`SurvivorLocal`), and ``init_seconds`` (program-text load)
     is charged only when there is a replacement task to initialize.
-    Raises :class:`~repro.errors.MemoryTierError` when any piece has
-    lost every valid replica — the caller then falls back to the PFS
-    tier.
+    ``clock`` stamps the ``localized_rebuilt`` flight record.  Raises
+    :class:`~repro.errors.MemoryTierError` when any piece has lost
+    every valid replica — the caller then falls back to the PFS tier.
     """
     failed = set(int(n) for n in failed_nodes)
     # Survivors never reload program text; only replacement tasks do.
     if not any(nd in failed for nd in placement.values()):
         init_seconds = 0.0
-    accountant = SurvivorLocal(
-        store,
-        lambda source, n: compute_rebuild_scope(
-            dict(source.manifest, prefix=prefix), n, placement, failed_nodes,
-            replacements=replacements,
-            order=order or source.manifest["order"],
-            distribution_overrides=distribution_overrides,
-        ),
-    )
+    accountant = SurvivorLocal(store)
     source = L1ReplicaSource(store, prefix, accountant, init_seconds)
+    accountant.scope = scope = compute_rebuild_scope(
+        dict(source.manifest, prefix=prefix), ntasks, placement, failed_nodes,
+        replacements=replacements,
+        order=order or source.manifest["order"],
+        distribution_overrides=distribution_overrides,
+    )
     state, bd = restore(source, ntasks, order, distribution_overrides)
-    scope = accountant.scope
     m = get_tracer().metrics
     m.counter("mlck.localized.restores").inc()
     m.counter("mlck.localized.lost.bytes").inc(scope.lost_bytes)
@@ -344,7 +327,7 @@ def localized_restore_drms(
     )
     m.counter("mlck.restore.localized.seconds").inc(bd.total_seconds)
     get_flight().record(
-        "localized_rebuilt", time=0.0, prefix=prefix,
+        "localized_rebuilt", time=clock, prefix=prefix,
         lost_ranks=list(scope.lost_ranks),
         lost_bytes=scope.lost_bytes, seconds=bd.total_seconds,
     )
@@ -375,20 +358,13 @@ def _repair_candidates(
     excluded = set(exclude)
     avoid = set(avoid_domains)
     src_domain = machine.domain_of(source)
-    outside = [
+    eligible = [
         n
         for n in machine.up_nodes()
-        if n not in excluded
-        and machine.domain_of(n) not in avoid
-        and machine.domain_of(n) != src_domain
+        if n not in excluded and machine.domain_of(n) not in avoid
     ]
-    inside = [
-        n
-        for n in machine.up_nodes()
-        if n not in excluded
-        and machine.domain_of(n) not in avoid
-        and machine.domain_of(n) == src_domain
-    ]
+    outside = [n for n in eligible if machine.domain_of(n) != src_domain]
+    inside = [n for n in eligible if machine.domain_of(n) == src_domain]
     return _rotate_past(outside, source) + _rotate_past(inside, source)
 
 
@@ -404,59 +380,57 @@ def rereplicate_after_failure(
     outside ``avoid_domains`` (the replacement node's failure domain,
     so a repeat of the same correlated failure cannot take both the
     replacement task and its recovery data).  Byte copies are charged
-    as switch transfers; returns the repair accounting."""
+    as switch transfers; returns the repair accounting.  The scrub and
+    the count against ``k + 1`` ask about *liveness* only; bytes are
+    hashed where they are handed on — the source of a piece that gets a
+    new copy — so the cost follows the pieces whose count dropped."""
     failed = set(int(n) for n in failed_nodes)
     machine = store.machine
     acct = _Accounting(machine)
     repair = ReplicationRepair()
     fr = get_flight()
     with store._lock:
-        for prefix in store.generations():
-            gen = store._gens.get(prefix)
-            if gen is None:
-                continue
-            all_pieces = (
-                [gen.segment_pieces]
-                + [e.pieces for e in gen.arrays]
-                + gen.task_pieces
-            )
-            for pieces in all_pieces:
-                for piece in pieces:
-                    # Scrub every unservable entry, not just this
-                    # incident's victims: nodes that died in earlier
-                    # incidents (or were repaired empty) still linger
-                    # in replica lists until a repair pass cleans them.
-                    piece.replicas[:] = [
-                        n
-                        for n in piece.replicas
-                        if n not in failed and store._replica_valid(piece, n)
-                    ]
-                    source = store._serving_replica(piece)
-                    if source is None:
-                        # Every copy is gone: validation will reject
-                        # this generation; nothing to re-replicate.
-                        continue
-                    need = (store.k + 1) - len(piece.replicas)
-                    if need <= 0:
-                        continue
-                    candidates = _repair_candidates(
-                        machine, source, piece.replicas, avoid_domains
-                    )
-                    if len(candidates) < need:
-                        repair.short.append(piece.key)
-                    data = store._mem[source][piece.key]
-                    for new in candidates[:need]:
-                        store._node_mem(new)[piece.key] = data
-                        piece.replicas.append(new)
-                        acct.send(source, new, piece.nbytes)
-                        repair.copies += 1
-                        repair.nbytes += piece.nbytes
-                        if fr.enabled:
-                            fr.record(
-                                "replica_replaced", node=new, time=clock,
-                                key=piece.key, source=source,
-                                nbytes=piece.nbytes,
-                            )
+        for gen in store._gens.values():
+            for piece in gen.pieces():
+                # Scrub every unservable entry, not just this
+                # incident's victims: nodes that died in earlier
+                # incidents (or were repaired empty) still linger
+                # in replica lists until a repair pass cleans them.
+                piece.replicas[:] = [
+                    n
+                    for n in piece.replicas
+                    if n not in failed and store._replica_live(piece, n)
+                ]
+                if len(piece.replicas) > store.k:
+                    continue
+                # a source that decayed is no replica: drop it, try the
+                # next (none left: validation rejects the generation)
+                data = None
+                while piece.replicas and data is None:
+                    source = piece.replicas[0]
+                    data = store._verified_bytes(piece, source)
+                    if data is None:
+                        del piece.replicas[0]
+                if data is None:
+                    continue
+                need = (store.k + 1) - len(piece.replicas)
+                candidates = _repair_candidates(
+                    machine, source, piece.replicas, avoid_domains
+                )
+                if len(candidates) < need:
+                    repair.short.append(piece.key)
+                for new in candidates[:need]:
+                    store._node_mem(new)[piece.key] = data
+                    piece.replicas.append(new)
+                    acct.send(source, new, piece.nbytes)
+                    repair.copies += 1
+                    repair.nbytes += piece.nbytes
+                    if fr.enabled:
+                        fr.record(
+                            "replica_replaced", node=new, time=clock,
+                            key=piece.key, source=source,
+                            nbytes=piece.nbytes,
+                        )
     repair.seconds = acct.seconds()
     m = get_tracer().metrics
     m.counter("mlck.localized.rereplicate.copies").inc(repair.copies)
@@ -481,23 +455,28 @@ def localized_restart(
     verify: bool = True,
 ) -> Tuple[RestoredState, RestartBreakdown, RebuildScope]:
     """Localized recovery of the generation under ``prefix``, from
-    whichever tier can serve it.  While the replicas of ``l1`` validate
-    (:func:`~repro.checkpoint.drms.serving_tier`), the data movement is
-    survivor-local (:func:`localized_restore_drms`) and the dead nodes'
-    replicas are then re-placed outside the replacement nodes' failure
-    domains.  Otherwise — no L1 copy, or the failure took every replica
-    of some piece, and with it the survivors' own state of that
-    generation — recovery degrades to a full, correctly-metered PFS
-    read (:func:`~repro.checkpoint.drms.drms_restart`), and the scope
-    still names every rank the incident lost."""
-    if l1 is not None and serving_tier(prefix, "memory+pfs", l1) == "l1":
-        state, bd, scope = localized_restore_drms(
+    whichever tier can serve it.  While the replicas of ``l1`` can
+    serve every piece (:func:`~repro.checkpoint.drms.serving_tier`), the
+    data movement is survivor-local (:func:`localized_restore_drms`)
+    and the dead nodes' replicas are then re-placed outside the
+    replacement nodes' failure domains.  Otherwise — no L1 copy, or the
+    failure took every replica of some piece, and with it the
+    survivors' own state of that generation — recovery degrades to a
+    full, correctly-metered PFS read
+    (:func:`~repro.checkpoint.drms.drms_restart`), and the scope still
+    names every rank the incident lost."""
+    restored = serving_tier(
+        prefix, "pfs" if l1 is None else "memory+pfs", l1,
+        lambda: localized_restore_drms(
             l1, prefix, ntasks, placement, failed_nodes,
             replacements=replacements,
             order=order,
             distribution_overrides=distribution_overrides,
             init_seconds=pfs.params.restart_init_s,
-        )
+            clock=clock,
+        ),
+    )
+    if restored is not None:
         machine = l1.machine
         avoid = sorted(
             {
@@ -509,7 +488,7 @@ def localized_restart(
         rereplicate_after_failure(
             l1, failed_nodes, avoid_domains=avoid, clock=clock
         )
-        return state, bd, scope
+        return restored
     state, bd = drms_restart(
         pfs, prefix, ntasks,
         order=order, io_tasks=io_tasks, target_bytes=target_bytes,

@@ -11,10 +11,16 @@ node failure is served entirely from surviving replicas: no PFS read
 at all.
 
 Integrity mirrors the v3 manifest discipline: every piece records a
-SHA-1 over its bytes at capture time, and both validation and fetch
-re-hash the resident bytes — a replica that decayed (or a node that
-died) is detected exactly like a torn PFS file, and the tier-aware
-recovery walk falls back to the next candidate.
+SHA-1 over its bytes at capture time, and a replica that decayed (or a
+node that died) is detected exactly like a torn PFS file.  Who hashes
+when (DESIGN.md §12): a byte is hashed when it is captured and when it
+is handed to someone, never to answer a question about a replica.
+*Liveness* (:meth:`L1Store._replica_live`, O(1)) is all a replica-list
+scrub or a choice of charged servers needs; *verification* (the SHA-1)
+is done by the fetch (:meth:`L1Store._fetch_pieces`) on the replica it
+serves — once per byte delivered to a restore, the drain or a new
+replica — and by :meth:`L1Store.validate_generation`, the full audit
+of the recovery walk.  Every pass goes through :func:`_hashed`.
 
 Like the PFS segment file, the bulk byte components (segment pad,
 virtual arrays) are *sized*, not stored: timing charges the full
@@ -31,7 +37,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.arrays.darray import DistributedArray
 from repro.checkpoint.drms import (
@@ -39,6 +48,7 @@ from repro.checkpoint.drms import (
     RestartBreakdown,
     RestoredState,
     _charge_restart_init,
+    _common_ntasks,
     _publish_breakdown,
     restore,
 )
@@ -48,6 +58,7 @@ from repro.checkpoint.format import (
     np_dtype_name,
     segment_name,
     sha1_hex,
+    spec_to_distribution,
     task_segment_name,
 )
 from repro.checkpoint.segment import DataSegment
@@ -58,7 +69,7 @@ from repro.mlck.placement import select_partners
 from repro.obs import get_flight, get_tracer
 from repro.runtime.machine import Machine
 from repro.streaming.order import bytes_to_section, check_order
-from repro.streaming.serial import stream_u8
+from repro.streaming.serial import StoredStream, stream_u8
 
 __all__ = [
     "L1Piece",
@@ -67,7 +78,6 @@ __all__ = [
     "L1Store",
     "L1ReplicaSource",
     "SwitchFetch",
-    "UnchargedFetch",
 ]
 
 _MB = 1e6
@@ -136,13 +146,18 @@ class L1Generation:
     drain_state: str = "pending"
     drain_error: Optional[str] = None
 
+    def pieces(self) -> Iterator[L1Piece]:
+        """Every piece of the generation: segment, arrays, task files."""
+        yield from self.segment_pieces
+        for entry in self.arrays:
+            yield from entry.pieces
+        for pieces in self.task_pieces:
+            yield from pieces
+
     @property
     def resident_bytes(self) -> int:
         """Bytes actually held in memory (one copy), not charged bytes."""
-        total = sum(p.nbytes for p in self.segment_pieces)
-        total += sum(p.nbytes for e in self.arrays for p in e.pieces)
-        total += sum(p.nbytes for ps in self.task_pieces for p in ps)
-        return total
+        return sum(p.nbytes for p in self.pieces())
 
 
 def _chunk_spans(nbytes: int, target: int) -> List[Tuple[int, int]]:
@@ -157,6 +172,13 @@ def _chunk_spans(nbytes: int, target: int) -> List[Tuple[int, int]]:
         spans.append((pos, n))
         pos += n
     return spans
+
+
+def _hashed(data) -> str:
+    """SHA-1 of ``data``, counted: ``mlck.l1.verified.bytes`` is the
+    tier's whole hashing volume (capture, audit, fetch, repair)."""
+    get_tracer().metrics.counter("mlck.l1.verified.bytes").inc(len(data))
+    return sha1_hex(data)
 
 
 class _Accounting:
@@ -176,6 +198,17 @@ class _Accounting:
         self.sent[src] = self.sent.get(src, 0) + nbytes
         self.msgs[src] = self.msgs.get(src, 0) + 1
         self.recv[dst] = self.recv.get(dst, 0) + nbytes
+
+    def fetch(
+        self, pieces: Sequence[L1Piece], nodes: Sequence[int], requester: int
+    ) -> None:
+        """``requester`` pulls each piece from the node that served it
+        (a local copy when that is the requester itself)."""
+        for piece, node in zip(pieces, nodes):
+            if node != requester:
+                self.send(node, requester, piece.nbytes)
+            else:
+                self.copy(node, piece.nbytes)
 
     def seconds(self) -> float:
         p = self.machine.params
@@ -268,14 +301,9 @@ class L1Store:
             gen = self._gens.pop(prefix, None)
             if gen is None:
                 return
-            for pieces in (
-                [gen.segment_pieces]
-                + [e.pieces for e in gen.arrays]
-                + gen.task_pieces
-            ):
-                for piece in pieces:
-                    for node in piece.replicas:
-                        self._mem.get(node, {}).pop(piece.key, None)
+            for piece in gen.pieces():
+                for node in piece.replicas:
+                    self._mem.get(node, {}).pop(piece.key, None)
         self._update_resident_gauge()
 
     # -- node failure --------------------------------------------------------
@@ -314,33 +342,6 @@ class L1Store:
 
     # -- capture -------------------------------------------------------------
 
-    def _store_piece(
-        self,
-        acct: _Accounting,
-        key: str,
-        offset: int,
-        data: bytes,
-        charged: int,
-        owner: int,
-        partners: Sequence[int],
-        store: bool = True,
-    ) -> L1Piece:
-        replicas = [owner, *partners]
-        if store:
-            with self._lock:
-                for node in replicas:
-                    self._node_mem(node)[key] = data
-        acct.copy(owner, charged)
-        for partner in partners:
-            acct.send(owner, partner, charged)
-        return L1Piece(
-            key=key,
-            offset=offset,
-            nbytes=len(data) if store else 0,
-            sha1=sha1_hex(data),
-            replicas=replicas,
-        )
-
     def _capture_stream(
         self,
         acct: _Accounting,
@@ -359,6 +360,8 @@ class L1Store:
         pieces and the advanced round-robin counter."""
         spans = _chunk_spans(len(data), self.target_bytes)
         extra = max(0, charged_total - len(data))
+        # views of the one captured buffer: a replica is charged, not copied
+        data = memoryview(data).toreadonly()
         pieces = []
         for i, (off, n) in enumerate(spans):
             owner = nodes[(start + i) % len(nodes)]
@@ -368,18 +371,22 @@ class L1Store:
                     events=self.events, clock=clock,
                 )
             charged = n + (extra if i == len(spans) - 1 else 0)
-            pieces.append(
-                self._store_piece(
-                    acct,
-                    f"{file}#{i:06d}",
-                    off,
-                    bytes(data[off : off + n]),  # each piece owns its bytes
-                    charged,
-                    owner,
-                    partner_cache[owner],
-                    store=store,
-                )
+            chunk = data[off : off + n]
+            piece = L1Piece(
+                key=f"{file}#{i:06d}",
+                offset=off,
+                nbytes=n if store else 0,
+                sha1=_hashed(chunk),
+                replicas=[owner, *partner_cache[owner]],
             )
+            if store:
+                with self._lock:
+                    for node in piece.replicas:
+                        self._node_mem(node)[piece.key] = chunk
+            acct.copy(owner, charged)
+            for partner in partner_cache[owner]:
+                acct.send(owner, partner, charged)
+            pieces.append(piece)
         fr = get_flight()
         if fr.enabled:
             for p in pieces:
@@ -407,27 +414,11 @@ class L1Store:
         and a :class:`CheckpointBreakdown` of kind ``mlck-l1``.
         """
         check_order(order)
-        names = {a.name for a in arrays}
-        if len(names) != len(arrays):
-            raise CheckpointError("distributed array names must be unique")
-        ntasks = arrays[0].ntasks if arrays else 1
-        for a in arrays:
-            if a.ntasks != ntasks:
-                raise CheckpointError(
-                    f"array {a.name!r} has {a.ntasks} tasks; expected {ntasks}"
-                )
-        with self._lock:
-            if prefix in self._gens:
-                raise CheckpointError(
-                    f"L1 generation {prefix!r} already captured"
-                )
-        nodes = list(nodes) if nodes is not None else self.machine.up_nodes()
-        if not nodes:
-            raise CheckpointError("no up nodes to hold the L1 checkpoint")
+        ntasks = _common_ntasks(arrays)
+        nodes = self._capture_nodes(prefix, nodes)
         partner_cache: Dict[int, List[int]] = {}
         bd = CheckpointBreakdown(kind="mlck-l1", prefix=prefix, ntasks=ntasks)
         obs = get_tracer()
-        m = obs.metrics
         gen = L1Generation(
             prefix=prefix, kind="drms", ntasks=ntasks, order=order,
             app_name=app_name,
@@ -438,7 +429,7 @@ class L1Store:
         ) as op:
             header, pad = segment.serialize()
             gen.segment_bytes = len(header) + pad
-            gen.segment_sha1 = sha1_hex(header)
+            gen.segment_sha1 = _hashed(header)
             gen.segment_sha1_bytes = len(header)
             acct = _Accounting(self.machine)
             with obs.span(
@@ -474,7 +465,7 @@ class L1Store:
                         shape=list(a.shape),
                         dtype=np_dtype_name(a.dtype),
                         nbytes=charged,
-                        sha1=sha1_hex(stream) if a.store_data else None,
+                        sha1=_hashed(stream) if a.store_data else None,
                         virtual=not a.store_data,
                         distribution=distribution_to_spec(a.distribution),
                         pieces=pieces if a.store_data else [],
@@ -484,19 +475,7 @@ class L1Store:
                 bd.arrays_bytes += charged
                 bd.per_array.append((a.name, sec, charged))
             op.set(nbytes=bd.total_bytes, seconds=bd.total_seconds)
-        gen.capture_seconds = bd.total_seconds
-        gen.captured_at = clock
-        with self._lock:
-            self._gens[prefix] = gen
-        _publish_breakdown("checkpoint", bd)
-        m.counter("mlck.l1.captures").inc()
-        m.counter("mlck.l1.capture.bytes").inc(bd.total_bytes)
-        get_flight().record(
-            "l1_captured", time=clock, prefix=prefix, gen_kind="drms",
-            nbytes=bd.total_bytes, seconds=bd.total_seconds,
-        )
-        self._update_resident_gauge()
-        return gen, bd
+        return self._captured(gen, bd, clock)
 
     def capture_spmd(
         self,
@@ -514,14 +493,7 @@ class L1Store:
             raise CheckpointError("SPMD checkpoint needs at least one task")
         if payloads is not None and len(payloads) != ntasks:
             raise CheckpointError(f"{len(payloads)} payloads for {ntasks} tasks")
-        with self._lock:
-            if prefix in self._gens:
-                raise CheckpointError(
-                    f"L1 generation {prefix!r} already captured"
-                )
-        nodes = list(nodes) if nodes is not None else self.machine.up_nodes()
-        if not nodes:
-            raise CheckpointError("no up nodes to hold the L1 checkpoint")
+        nodes = self._capture_nodes(prefix, nodes)
         partner_cache: Dict[int, List[int]] = {}
         bd = CheckpointBreakdown(kind="mlck-l1", prefix=prefix, ntasks=ntasks)
         obs = get_tracer()
@@ -546,7 +518,7 @@ class L1Store:
                     )
                     gen.task_pieces.append(pieces)
                     gen.task_bytes.append(len(header) + pad)
-                    gen.task_sha1.append(sha1_hex(header))
+                    gen.task_sha1.append(_hashed(header))
                     gen.task_sha1_bytes.append(len(header))
                 sec = acct.seconds()
                 obs.advance(sec)
@@ -554,16 +526,35 @@ class L1Store:
             bd.segment_seconds = sec
             bd.segment_bytes = sum(gen.task_bytes)
             op.set(nbytes=bd.total_bytes, seconds=bd.total_seconds)
+        return self._captured(gen, bd, clock)
+
+    def _capture_nodes(self, prefix: str, nodes: Optional[Sequence[int]]) -> List[int]:
+        """The nodes a capture of ``prefix`` spreads its pieces over
+        (default: every up node); refuses a prefix already captured."""
+        with self._lock:
+            if prefix in self._gens:
+                raise CheckpointError(
+                    f"L1 generation {prefix!r} already captured"
+                )
+        nodes = list(nodes) if nodes is not None else self.machine.up_nodes()
+        if not nodes:
+            raise CheckpointError("no up nodes to hold the L1 checkpoint")
+        return nodes
+
+    def _captured(
+        self, gen: L1Generation, bd: CheckpointBreakdown, clock: float
+    ) -> Tuple[L1Generation, CheckpointBreakdown]:
+        """Register a finished capture and publish its accounting."""
         gen.capture_seconds = bd.total_seconds
         gen.captured_at = clock
         with self._lock:
-            self._gens[prefix] = gen
+            self._gens[gen.prefix] = gen
         _publish_breakdown("checkpoint", bd)
-        m = obs.metrics
+        m = get_tracer().metrics
         m.counter("mlck.l1.captures").inc()
         m.counter("mlck.l1.capture.bytes").inc(bd.total_bytes)
         get_flight().record(
-            "l1_captured", time=clock, prefix=prefix, gen_kind="spmd",
+            "l1_captured", time=clock, prefix=gen.prefix, gen_kind=gen.kind,
             nbytes=bd.total_bytes, seconds=bd.total_seconds,
         )
         self._update_resident_gauge()
@@ -580,33 +571,46 @@ class L1Store:
         self._mem_epoch[node_id] = inc
         return self._mem.setdefault(node_id, {})
 
-    # -- validation and fetch ------------------------------------------------
+    # -- liveness, verification and fetch -------------------------------------
 
-    def _replica_valid(self, piece: L1Piece, node: int) -> bool:
-        """True when ``node`` is up, on the incarnation its bytes were
-        stored under, and holds checksum-valid bytes of ``piece``."""
+    def _replica_live(self, piece: L1Piece, node: int) -> bool:
+        """Liveness, O(1): ``node`` is up, on the incarnation its bytes
+        were stored under, and holds ``piece.nbytes`` bytes of it."""
         if not (0 <= node < self.machine.num_nodes):
             return False
-        if not self.machine.node(node).up:
-            return False
-        if self._mem_epoch.get(node) != self.machine.node(node).incarnation:
+        n = self.machine.node(node)
+        if not n.up or self._mem_epoch.get(node) != n.incarnation:
             return False
         data = self._mem.get(node, {}).get(piece.key)
-        if data is None or len(data) != piece.nbytes:
-            return False
-        return sha1_hex(data) == piece.sha1
+        return data is not None and len(data) == piece.nbytes
 
-    def _serving_replica(self, piece: L1Piece) -> Optional[int]:
-        """First replica node that is up, on the incarnation its bytes
-        were stored under, and holds checksum-valid bytes."""
+    def _verified_bytes(self, piece: L1Piece, node: int):
+        """Verification: ``node``'s bytes of ``piece`` when live and
+        hashing to the capture-time SHA-1, else None — the one gate
+        replica bytes leave node memory through."""
+        if not self._replica_live(piece, node):
+            return None
+        data = self._mem[node][piece.key]
+        return data if _hashed(data) == piece.sha1 else None
+
+    def _replica_valid(self, piece: L1Piece, node: int) -> bool:
+        """True when ``node`` holds a live, checksum-valid replica of
+        ``piece`` (a full hash: the audit's question, not the scrub's)."""
+        return self._verified_bytes(piece, node) is not None
+
+    def _serve(self, piece: L1Piece):
+        """``(node, bytes)`` of the first replica, owner first, whose
+        bytes verify; None when no replica does."""
         for node in piece.replicas:
-            if self._replica_valid(piece, node):
-                return node
+            data = self._verified_bytes(piece, node)
+            if data is not None:
+                return node, data
         return None
 
     def validate_generation(self, prefix: str) -> ValidationReport:
         """Audit one L1 generation: every piece must have at least one
-        surviving, checksum-valid replica.  Collects problems like
+        surviving, checksum-valid replica (a full hash pass).  Collects
+        problems like
         :func:`~repro.checkpoint.validate.validate_checkpoint` so the
         tier-aware recovery walk can rank candidates."""
         report = ValidationReport(prefix=prefix)
@@ -617,26 +621,20 @@ class L1Store:
                     f"generation {prefix!r} was never captured in L1"
                 )
                 return report
-            streams: List[Tuple[str, List[L1Piece]]] = []
-            if gen.kind == "drms":
-                streams.append((segment_name(prefix), gen.segment_pieces))
-                for e in gen.arrays:
-                    if not e.virtual:
-                        streams.append((e.file, e.pieces))
-            else:
-                for t, pieces in enumerate(gen.task_pieces):
-                    streams.append((task_segment_name(prefix, t), pieces))
-            for fname, pieces in streams:
-                report.files += 1
-                for piece in pieces:
-                    node = self._serving_replica(piece)
-                    if node is None:
-                        report.errors.append(
-                            f"piece {piece.key!r}: no surviving valid "
-                            f"replica (replicas {piece.replicas})"
-                        )
-                    else:
-                        report.bytes_hashed += piece.nbytes
+            # the stored streams: segment and data arrays, or task files
+            report.files = (
+                (gen.kind == "drms")
+                + sum(not e.virtual for e in gen.arrays)
+                + len(gen.task_pieces)
+            )
+            for piece in gen.pieces():
+                if self._serve(piece) is None:
+                    report.errors.append(
+                        f"piece {piece.key!r}: no surviving valid "
+                        f"replica (replicas {piece.replicas})"
+                    )
+                else:
+                    report.bytes_hashed += piece.nbytes
         m = get_tracer().metrics
         m.counter("mlck.l1.validations").inc()
         if not report.ok:
@@ -644,43 +642,40 @@ class L1Store:
         return report
 
     def _fetch_pieces(
-        self,
-        pieces: Sequence[L1Piece],
-        acct: _Accounting,
-        requester: int,
-        count_hits: bool = True,
-    ) -> bytes:
-        """Reassemble one stream from surviving replicas, charging each
-        transfer to its serving node; raises
-        :class:`~repro.errors.MemoryTierError` on any lost piece.
-        ``count_hits=False`` keeps background readers (the drain) out of
-        the ``mlck.l1.hits`` recovery metric."""
+        self, pieces: Sequence[L1Piece], nbytes: int
+    ) -> Tuple[List[bytes], List[int]]:
+        """The verifying fetch of one stream of ``nbytes`` stored bytes:
+        each piece comes from its first replica whose bytes hash to the
+        capture-time digest, and the pieces must tile the stream —
+        which together say what a hash of the concatenation would.
+        Returns the bytes of each piece (references, not yet joined)
+        and the node that served it; raises
+        :class:`~repro.errors.MemoryTierError` on a piece no replica
+        can serve."""
+        ends = list(accumulate((p.nbytes for p in pieces), initial=0))
+        if [p.offset for p in pieces] != ends[:-1] or ends[-1] != nbytes:
+            raise MemoryTierError(
+                f"pieces {[p.key for p in pieces]} do not tile a stream of "
+                f"{nbytes} stored bytes"
+            )
         m = get_tracer().metrics
-        out = []
+        chunks, nodes = [], []
         with self._lock:
             for piece in pieces:
-                node = self._serving_replica(piece)
-                if node is None:
+                served = self._serve(piece)
+                if served is None:
                     raise MemoryTierError(
                         f"piece {piece.key!r}: no surviving valid replica "
                         f"(replicas {piece.replicas})"
                     )
-                out.append(self._mem[node][piece.key])
-                if count_hits:
-                    m.counter("mlck.l1.hits").inc()
-                    if node != piece.owner:
-                        m.counter("mlck.l1.partner_serves").inc()
-                if node != requester:
-                    acct.send(node, requester, piece.nbytes)
-                else:
-                    acct.copy(node, piece.nbytes)
-        return b"".join(out)
+                node, data = served
+                nodes.append(node)
+                chunks.append(data)
+                if node != piece.owner:
+                    m.counter("mlck.l1.partner_serves").inc()
+        return chunks, nodes
 
     # -- restore -------------------------------------------------------------
-
-    def _servers(self, pieces: Sequence[L1Piece]) -> List[int]:
-        """Nodes currently able to serve ``pieces``, ascending."""
-        return sorted({self._serving_replica(p) for p in pieces} - {None})
 
     def restore_drms(
         self,
@@ -725,9 +720,15 @@ class L1Store:
                 f"restart requested {ntasks}. Reconfigured restart "
                 "requires a DRMS checkpoint."
             )
+        # before any span: a lost piece leaves no partial restart
+        fetched = [
+            self._fetch_pieces(pieces, nbytes)
+            for pieces, nbytes in zip(gen.task_pieces, gen.task_sha1_bytes)
+        ]
         bd = RestartBreakdown(kind="mlck-l1", prefix=prefix, ntasks=ntasks)
         bd.other_seconds = float(init_seconds)
         obs = get_tracer()
+        m = obs.metrics
         requesters = (self.machine.up_nodes() or [0])[:ntasks] or [0]
         payloads = []
         with obs.span(
@@ -737,16 +738,11 @@ class L1Store:
             _charge_restart_init(obs, bd.other_seconds)
             acct = _Accounting(self.machine)
             with obs.span("l1_segment_fetch", files=ntasks) as sp:
-                for t in range(ntasks):
+                for t, (chunks, nodes) in enumerate(fetched):
                     requester = requesters[t % len(requesters)]
-                    head = self._fetch_pieces(
-                        gen.task_pieces[t], acct, requester
-                    )
-                    if sha1_hex(head) != gen.task_sha1[t]:
-                        raise MemoryTierError(
-                            f"L1 task segment {t} of {prefix!r} failed "
-                            "checksum validation"
-                        )
+                    acct.fetch(gen.task_pieces[t], nodes, requester)
+                    m.counter("mlck.l1.hits").inc(len(nodes))
+                    head = b"".join(chunks)
                     # sized bulk rides along
                     acct.copy(requester, max(0, gen.task_bytes[t] - len(head)))
                     payloads.append(_decode_task_file(head))
@@ -757,7 +753,6 @@ class L1Store:
             bd.segment_bytes = sum(gen.task_bytes)
             op.set(nbytes=bd.total_bytes, seconds=bd.total_seconds)
         _publish_breakdown("restart", bd)
-        m = obs.metrics
         m.counter("mlck.l1.restores").inc()
         m.counter("mlck.restore.l1.seconds").inc(bd.total_seconds)
         return (
@@ -781,54 +776,35 @@ class L1Store:
 
     # -- drain support -------------------------------------------------------
 
-    def materialize_drms(
-        self, prefix: str
-    ) -> Tuple[DataSegment, List[DistributedArray]]:
-        """Rebuild the segment and arrays of a DRMS generation from L1
-        replicas, under their *original* distributions — what the drain
-        hands to :func:`~repro.checkpoint.drms.drms_checkpoint` so the
-        L2 state is byte-identical to a direct PFS checkpoint.  An
-        uncharged, untraced restore: the drain's measured cost is its
-        PFS write."""
-        source = L1ReplicaSource(self, prefix, UnchargedFetch(self))
-        state, _ = restore(source, source.manifest["ntasks"])
-        return state.segment, list(state.arrays.values())
-
-
-class UnchargedFetch:
-    """Accountant of an internal read: bytes are reassembled from any
-    serving replica, nothing is charged, and the recovery hit counters
-    stay untouched (``kind`` None keeps the restore out of traces and
-    metrics)."""
-
-    kind: Optional[str] = None
-    array_span = "l1_fetch"
-
-    def __init__(self, store: L1Store):
-        self.store = store
-        self.requester = 0
-
-    def begin(self, source: "L1ReplicaSource", ntasks: int) -> None:
-        """A restore of ``source`` onto ``ntasks`` tasks starts."""
-        self.requester = (self.store.machine.up_nodes() or [0])[0]
-
-    def fetch(self, pieces: Sequence[L1Piece]) -> bytes:
-        """Reassemble one stream, charging no one."""
-        return self.store._fetch_pieces(
-            pieces, _Accounting(self.store.machine), self.requester,
-            count_hits=False,
-        )
-
-    def segment(self, acct: _Accounting, gen: L1Generation) -> bytes:
-        """The segment header, its movement charged to ``acct``."""
-        return self.fetch(gen.segment_pieces)
-
-    def array(
-        self, acct: _Accounting, index: int, entry: L1ArrayEntry
-    ) -> Tuple[Optional[bytes], Dict[str, int]]:
-        """The ``index``-th array's stream (None when virtual) and the
-        extra attributes of its span, its movement charged to ``acct``."""
-        return (None if entry.virtual else self.fetch(entry.pieces)), {}
+    def stored_streams(self, prefix: str) -> Tuple[DataSegment, List[StoredStream]]:
+        """The segment and the stored streams of a DRMS generation, as
+        the drain replays them through
+        :func:`~repro.checkpoint.drms.drms_checkpoint`: each array under
+        its original distribution, with the bytes of its pieces — every
+        one verified by this fetch — and the stream digest taken at
+        capture.  Uncharged: the drain's measured cost is its PFS write."""
+        gen = self.gen(prefix)
+        head, _ = self._fetch_pieces(gen.segment_pieces, gen.segment_sha1_bytes)
+        streams = []
+        for e in gen.arrays:
+            data = None
+            if not e.virtual:
+                chunks, _ = self._fetch_pieces(e.pieces, e.nbytes)
+                data = memoryview(b"".join(chunks))
+            streams.append(
+                StoredStream(
+                    name=e.name,
+                    shape=tuple(e.shape),
+                    dtype=np.dtype(e.dtype),
+                    distribution=spec_to_distribution(
+                        e.distribution, ntasks=gen.ntasks
+                    ),
+                    order=gen.order,
+                    stream=data,
+                    sha1=e.sha1,
+                )
+            )
+        return DataSegment.deserialize(b"".join(head)), streams
 
 
 class SwitchFetch:
@@ -846,49 +822,54 @@ class SwitchFetch:
         """The restarting tasks sit on the first ``ntasks`` up nodes."""
         self.requesters = (self.store.machine.up_nodes() or [0])[:ntasks]
 
-    def segment(self, acct: _Accounting, gen: L1Generation) -> bytes:
-        """Every restarting task needs the segment; surviving replicas
-        serve the fetches in parallel."""
-        store, requesters = self.store, self.requesters
-        header = store._fetch_pieces(gen.segment_pieces, acct, requesters[0])
-        servers = store._servers(gen.segment_pieces) or [requesters[0]]
+    def segment(self, acct: _Accounting, gen: L1Generation, nodes: Sequence[int]) -> None:
+        """Every restarting task needs the segment; the replicas that
+        served its pieces (``nodes``) serve the tasks in parallel."""
+        requesters = self.requesters
+        acct.fetch(gen.segment_pieces, nodes, requesters[0])
+        servers = sorted(set(nodes)) or [requesters[0]]
         # remaining tasks pull the same (sized) segment bytes
         for i, task_node in enumerate(requesters[1:], start=1):
             acct.send(servers[i % len(servers)], task_node, gen.segment_bytes)
         # the sized pad rides the first fetch too
         acct.send(
-            servers[0], requesters[0], max(0, gen.segment_bytes - len(header))
+            servers[0], requesters[0],
+            max(0, gen.segment_bytes - gen.segment_sha1_bytes),
         )
-        return header
 
     def array(
-        self, acct: _Accounting, index: int, entry: L1ArrayEntry
-    ) -> Tuple[Optional[bytes], Dict[str, int]]:
+        self, acct: _Accounting, index: int, entry: L1ArrayEntry,
+        nodes: Sequence[int],
+    ) -> Dict[str, int]:
         """Arrays go round-robin to the requesters, each pulling its
-        whole stream from the serving replicas."""
+        whole stream from ``nodes``.  Returns the span's extra attributes."""
         requesters = self.requesters
-        if not entry.virtual:
-            requester = requesters[index % len(requesters)]
-            return self.store._fetch_pieces(entry.pieces, acct, requester), {}
-        # sized virtual payload: charged over one link
-        acct.send(requesters[0], requesters[-1], entry.nbytes)
-        return None, {}
+        if entry.virtual:
+            # sized virtual payload: charged over one link
+            acct.send(requesters[0], requesters[-1], entry.nbytes)
+        else:
+            acct.fetch(entry.pieces, nodes, requesters[index % len(requesters)])
+        return {}
 
 
 class L1ReplicaSource:
     """Generation source over the surviving replicas of one L1
     generation (see :func:`~repro.checkpoint.drms.restore`).
 
-    The source owns what every restore from memory shares — the
-    manifest shape, reassembling each stream from checksum-valid
-    replicas, re-checking the whole stream's SHA-1, handing the bytes
-    to the array.  *Who pays for which byte* is the ``accountant``'s:
+    *Opening* the source is the one hash pass of a restore from memory:
+    the constructor runs the verifying fetch over the segment and every
+    stored array and holds the served bytes as references, raising
+    :class:`~repro.errors.MemoryTierError` there — before
+    :func:`~repro.checkpoint.drms.restore` opens a span or charges a
+    second, and before corrupt bytes can reach an array.
+
+    *Who pays for which byte* is the ``accountant``'s:
     :class:`SwitchFetch` for a full restart,
-    :class:`~repro.mlck.localized.SurvivorLocal` for a localized one,
-    :class:`UnchargedFetch` for the drain.  An accountant names the
-    breakdown ``kind`` and the per-array span stem, learns the task
-    count in ``begin(source, ntasks)``, and fetches-and-charges in
-    ``segment(acct, gen)`` / ``array(acct, index, entry)``."""
+    :class:`~repro.mlck.localized.SurvivorLocal` for a localized one.
+    An accountant names the breakdown ``kind`` and the per-array span
+    stem, learns the task count in ``begin(source, ntasks)``, and
+    charges, from the serving node the fetch reported per piece, in
+    ``segment(acct, gen, nodes)`` / ``array(acct, index, entry, nodes)``."""
 
     def __init__(
         self, store: L1Store, prefix: str, accountant, init_seconds: float = 0.0
@@ -913,51 +894,56 @@ class L1ReplicaSource:
             "segment_sha1_bytes": gen.segment_sha1_bytes,
             "arrays": [
                 {
-                    "name": e.name,
-                    "shape": list(e.shape),
-                    "dtype": e.dtype,
-                    "file": e.file,
-                    "nbytes": e.nbytes,
-                    "sha1": e.sha1,
-                    "virtual": e.virtual,
-                    "distribution": e.distribution,
+                    key: getattr(e, key)
+                    for key in (
+                        "name", "shape", "dtype", "file", "nbytes", "sha1",
+                        "virtual", "distribution",
+                    )
                 }
                 for e in gen.arrays
             ],
         }
         self._entries = {e.name: (i, e) for i, e in enumerate(gen.arrays)}
+        #: file -> (bytes of each piece, node that served it), for the
+        #: segment and every stored array: the open
+        self._fetched = {
+            self.manifest["segment_file"]: store._fetch_pieces(
+                gen.segment_pieces, gen.segment_sha1_bytes
+            )
+        }
+        for e in gen.arrays:
+            if not e.virtual:
+                self._fetched[e.file] = store._fetch_pieces(e.pieces, e.nbytes)
+        get_tracer().metrics.counter("mlck.l1.hits").inc(
+            sum(len(nodes) for _, nodes in self._fetched.values())
+        )
 
     def fetch_segment(self, ntasks: int) -> Tuple[bytes, float, int]:
-        """Reassemble the segment header; every task is charged the
+        """The segment header as fetched; every task is charged the
         whole (sized) segment as the accountant sees fit."""
         self.accountant.begin(self, ntasks)
         acct = _Accounting(self.store.machine)
-        header = self.accountant.segment(acct, self.gen)
-        return header, acct.seconds(), self.gen.segment_bytes * ntasks
+        chunks, nodes = self._fetched[self.manifest["segment_file"]]
+        self.accountant.segment(acct, self.gen, nodes)
+        return b"".join(chunks), acct.seconds(), self.gen.segment_bytes * ntasks
 
     def verify_segment(self, header: bytes) -> None:
-        """Check the reassembled header against its capture-time SHA-1."""
-        if sha1_hex(header) != self.gen.segment_sha1:
-            raise MemoryTierError(
-                f"L1 segment of {self.prefix!r} failed checksum validation"
-            )
+        """Nothing left to check: verified as the source opened."""
 
     def verify_array(self, spec: Dict) -> None:
-        """Nothing to scrub ahead of the fetch: replica bytes are
-        re-hashed as they are served (:meth:`load_array`)."""
+        """Nothing left to check: verified as the source opened."""
 
     def load_array(
         self, arr: DistributedArray, spec: Dict, order: str
     ) -> Tuple[float, int, Dict[str, int]]:
-        """Reassemble one array's stream, re-check its SHA-1, and hand
-        the bytes to ``arr`` under its (new) distribution."""
+        """Join one array's verified pieces and hand the stream to
+        ``arr`` under its (new) distribution."""
         index, e = self._entries[spec["name"]]
+        chunks, nodes = self._fetched.get(e.file, ([], []))
         acct = _Accounting(self.store.machine)
-        data, attrs = self.accountant.array(acct, index, e)
-        if data is not None:
-            if e.sha1 is not None and sha1_hex(data) != e.sha1:
-                raise MemoryTierError(
-                    f"L1 stream {e.file!r} failed checksum validation"
-                )
-            arr.set_global(bytes_to_section(data, e.shape, e.dtype, order))
+        attrs = self.accountant.array(acct, index, e, nodes)
+        if not e.virtual:
+            arr.set_global(
+                bytes_to_section(b"".join(chunks), e.shape, e.dtype, order)
+            )
         return acct.seconds(), e.nbytes, attrs

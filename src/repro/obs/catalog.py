@@ -62,7 +62,8 @@ METRIC_FAMILIES: List[Tuple[str, str, str]] = [
         "mlck",
         rf"mlck\.(l1|l2|drain|recover|restore|localized)\.{_SEG}(\.{_SEG})?",
         "multi-level checkpoint store: captures, drains, tier hits, "
-        "localized-recovery scope/re-replication accounting",
+        "bytes hashed (mlck.l1.verified.bytes), localized-recovery "
+        "scope/re-replication accounting",
     ),
     (
         "pfs",

@@ -91,22 +91,16 @@ class HealthRegistry:
         newest = store.latest()
         min_live: Optional[int] = None
         if newest is not None:
-            gen = store.gen(newest)
-            for pieces in (
-                [gen.segment_pieces]
-                + [e.pieces for e in gen.arrays]
-                + gen.task_pieces
-            ):
-                for piece in pieces:
-                    live = 0
-                    for node in piece.replicas:
-                        if not (0 <= node < machine.num_nodes):
-                            continue
-                        if not machine.node(node).up:
-                            continue
-                        live += 1
-                        domain_copies[machine.domain_of(node)] += 1
-                    min_live = live if min_live is None else min(min_live, live)
+            for piece in store.gen(newest).pieces():
+                live = 0
+                for node in piece.replicas:
+                    if not (0 <= node < machine.num_nodes):
+                        continue
+                    if not machine.node(node).up:
+                        continue
+                    live += 1
+                    domain_copies[machine.domain_of(node)] += 1
+                min_live = live if min_live is None else min(min_live, live)
         for domain, copies in sorted(domain_copies.items()):
             self.metrics.gauge(f"health.l1.replicas[{domain}]").set(copies)
         self.metrics.gauge("health.l1.min_live_replicas").set(

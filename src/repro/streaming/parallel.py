@@ -159,7 +159,9 @@ def stream_out_parallel(
     target_bytes: int = 1 << 20,
     concurrency: str = "threads",
 ) -> StreamStats:
-    """Stream ``darray[section]`` out with ``P`` parallel I/O tasks."""
+    """Stream ``darray[section]`` out with ``P`` parallel I/O tasks.
+    ``darray`` is the stream source: a distributed array, or a
+    :class:`~repro.streaming.serial.StoredStream` replayed whole."""
     _check_mode(concurrency)
     if not getattr(sink, "seekable", True) and (P or darray.ntasks) > 1:
         raise StreamingError(

@@ -32,11 +32,12 @@ from __future__ import annotations
 import contextvars
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.arrays.darray import DistributedArray
+from repro.arrays.distributions import Distribution
 from repro.arrays.slices import Slice
 from repro.errors import StreamingError
 from repro.obs import get_flight, get_tracer
@@ -50,6 +51,7 @@ from repro.streaming.vectorized import (
 
 __all__ = [
     "StreamStats",
+    "StoredStream",
     "stream_out_serial",
     "stream_in_serial",
     "gather_piece",
@@ -157,13 +159,53 @@ def stream_u8(
     return memoryview(flat.view(np.uint8))
 
 
-def _intended_stream(darray: DistributedArray, section: Slice, order: str, plan_idx):
+@dataclass(frozen=True)
+class StoredStream:
+    """A stream source that is not an array: the geometry of a
+    checkpointed array beside its canonical stream as it was captured.
+    Stream-out asks its source for geometry and for the bytes it is
+    about to write with their digest: an array gathers and hashes, a
+    stored stream hands over ``stream`` (a flat byte view in ``order``,
+    None for a virtual array) and ``sha1``, the digest taken at capture
+    — whoever built it vouches for the bytes (the L1 drain verifies
+    each piece as it fetches it)."""
+
+    name: str
+    shape: Tuple[int, ...]
+    dtype: np.dtype
+    distribution: Distribution
+    order: str
+    stream: Optional[memoryview]
+    sha1: Optional[str]
+
+    @property
+    def store_data(self) -> bool:
+        return self.stream is not None
+
+    @property
+    def itemsize(self) -> int:
+        return self.dtype.itemsize
+
+    @property
+    def ntasks(self) -> int:
+        return self.distribution.ntasks
+
+
+def _intended_stream(darray, section: Slice, order: str, plan_idx):
     """What a stream-out is about to write, as ``(byte view, SHA-1)``:
-    one hash pass over the gather buffer before any byte reaches the
-    sink, which is handed slices of the view.  ``(None, None)`` for
-    virtual arrays."""
+    one gather and one hash pass over an array's gather buffer (or the
+    bytes and digest a :class:`StoredStream` holds) before any byte
+    reaches the sink, which is handed slices of the view.
+    ``(None, None)`` for virtual arrays."""
     if not darray.store_data:
         return None, None
+    if isinstance(darray, StoredStream):
+        if order != darray.order or section != Slice.full(darray.shape):
+            raise StreamingError(
+                f"stored stream {darray.name!r} replays whole and in order "
+                f"{darray.order!r}; asked for {section} in order {order!r}"
+            )
+        return darray.stream, darray.sha1
     stream = stream_u8(darray, section, order, plan_idx)
     return stream, sha1_hex(stream)
 

@@ -745,10 +745,7 @@ def _run_mlck_schedule(
             prefix, segment, arrays, order=case.order, app_name="verify"
         )
         rec = _MLCKGeneration(prefix=prefix, refs=refs, segment=segment)
-        pieces = list(l1gen.segment_pieces)
-        for entry in l1gen.arrays:
-            pieces.extend(entry.pieces)
-        rec.piece_replicas = [list(p.replicas) for p in pieces]
+        rec.piece_replicas = [list(p.replicas) for p in l1gen.pieces()]
 
         inj = FaultInjector()
         crash_plans = _arm_drain_events(inj, case.events, g)
@@ -916,7 +913,7 @@ def _run_localized(case: Case) -> CaseResult:
     reference stream) and the post-recovery re-replication repair."""
     from repro.mlck.drain import DrainController
     from repro.mlck.localized import (
-        compute_rebuild_scope,
+        localized_restart,
         localized_restore_drms,
         rebuild_lost_sections,
         rereplicate_after_failure,
@@ -1004,32 +1001,17 @@ def _run_localized(case: Case) -> CaseResult:
             # Every L1 copy of the chosen generation is unservable, so
             # the survivors' own replica memory is gone too: localized
             # recovery degrades to the same full, metered PFS read.
+            pfs_read = dict(
+                order=case.order, io_tasks=case.p2,
+                target_bytes=case.target_bytes,
+                distribution_overrides=overrides,
+            )
             full_state, full_bd = drms_restart(
-                pfs,
-                decision.prefix,
-                ntasks=n,
-                order=case.order,
-                io_tasks=case.p2,
-                target_bytes=case.target_bytes,
-                distribution_overrides=overrides,
+                pfs, decision.prefix, ntasks=n, **pfs_read
             )
-            loc_state, loc_bd = drms_restart(
-                pfs,
-                decision.prefix,
-                ntasks=n,
-                order=case.order,
-                io_tasks=case.p2,
-                target_bytes=case.target_bytes,
-                distribution_overrides=overrides,
-            )
-            scope = compute_rebuild_scope(
-                dict(loc_state.manifest, prefix=decision.prefix),
-                n,
-                placement,
-                failed_in,
-                replacements=repl,
-                order=case.order,
-                distribution_overrides=overrides,
+            loc_state, loc_bd, scope = localized_restart(
+                pfs, decision.prefix, n, placement, failed_in,
+                replacements=repl, **pfs_read,
             )
 
         # -- the equivalence block: bytes, segment, manifest, ledgers --
@@ -1130,30 +1112,23 @@ def _run_localized(case: Case) -> CaseResult:
             )
             short = set(repair.short)
             with store._lock:
-                gen = store._gens[decision.prefix]
-                for pieces in (
-                    [gen.segment_pieces]
-                    + [e.pieces for e in gen.arrays]
-                    + gen.task_pieces
-                ):
-                    for piece in pieces:
-                        c.check(
-                            not (set(piece.replicas) & failed),
-                            f"piece {piece.key}: dead node still listed "
-                            "as a replica after re-replication",
-                        )
-                        live = [
-                            nd
-                            for nd in piece.replicas
-                            if store._replica_valid(piece, nd)
-                        ]
-                        c.check(
-                            len(live) >= store.k + 1
-                            or piece.key in short,
-                            f"piece {piece.key}: {len(live)} valid "
-                            f"replicas after repair, need {store.k + 1} "
-                            "(and not recorded as short)",
-                        )
+                for piece in store._gens[decision.prefix].pieces():
+                    c.check(
+                        not (set(piece.replicas) & failed),
+                        f"piece {piece.key}: dead node still listed "
+                        "as a replica after re-replication",
+                    )
+                    live = [
+                        nd
+                        for nd in piece.replicas
+                        if store._replica_valid(piece, nd)
+                    ]
+                    c.check(
+                        len(live) >= store.k + 1 or piece.key in short,
+                        f"piece {piece.key}: {len(live)} valid "
+                        f"replicas after repair, need {store.k + 1} "
+                        "(and not recorded as short)",
+                    )
             details["rereplicated"] = repair.copies
     violations = span_tree_violations(tracer)
     c.check(not violations, f"span tree violations: {violations[:3]}")

@@ -27,7 +27,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.checkpoint.drms import l1_validation
 from repro.checkpoint.format import commit_two_phase
 from repro.checkpoint.recover import WalkNames, walk_generations
 from repro.checkpoint.rotation import _GEN_RE, generations
@@ -227,8 +226,10 @@ def _validate_member(pfs: PIOFS, prefix: str, l1=None) -> Tuple[Optional[str], L
     tier (``"l1"``/``"l2"``) and the accumulated errors when neither
     tier can serve."""
     errors: List[str] = []
-    report = l1_validation(l1, prefix)
-    if report is not None:
+    if l1 is not None and l1.has(prefix):
+        # dead nodes' memory goes first: audit the machine as it is now
+        l1.sync_with_machine()
+        report = l1.validate_generation(prefix)
         if report.ok:
             return "l1", []
         errors.extend(f"l1 {prefix}: {e}" for e in report.errors)

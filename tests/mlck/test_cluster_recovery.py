@@ -17,7 +17,8 @@ from repro.drms.context import CheckpointStatus
 from repro.errors import TaskFailure
 from repro.infra import DRMSCluster, FailurePlan
 from repro.mlck.placement import select_partners
-from repro.obs import Tracer, use_tracer
+from repro.obs import FlightRecorder, Tracer, use_flight, use_tracer
+from repro.obs.forensics import make_incident, reconstruct_timeline
 from repro.runtime.machine import Machine, MachineParams
 
 pytestmark = pytest.mark.mlck
@@ -115,3 +116,35 @@ def test_partner_loss_schedule_falls_back_to_pfs(cluster):
     assert np.all(g == 1.0 + NITER)
     verified = cluster.events.of_kind("checkpoint_verified", prefix="ck.000003")
     assert verified[-1].detail["tier"] == "l2"
+
+
+def test_localized_recovery_records_carry_the_incident_clock(cluster):
+    """The rebuild and every re-placed replica are stamped with the RC
+    clock of the recovery that caused them — not 0.0, which sorts them
+    before the failure in the reconstructed incident timeline."""
+    app = cluster.build_app(main, tier="memory+pfs", mlck_drain="sync")
+    with use_flight(FlightRecorder()) as fr:
+        out = cluster.run_with_localized_recovery(
+            "j", app, 6, args=("ck",), prefix="ck",
+            failure=FailurePlan(iteration=7, node_id=0),
+        )
+        assert out.final_report.restart_breakdown.kind == "mlck-l1-localized"
+        (started,) = cluster.events.of_kind("recovery_started")
+        (restarted,) = cluster.events.of_kind("job_restarted")
+        records = [
+            e for e in fr.events()
+            if e.kind in ("localized_rebuilt", "replica_replaced")
+        ]
+        assert {e.kind for e in records} == {"localized_rebuilt", "replica_replaced"}
+        assert started.time > 0.0
+        for e in records:
+            assert started.time <= e.time <= restarted.time
+        # dump the rings the records sit on and rebuild the timeline
+        for node in sorted({e.node for e in records}):
+            fr.blackbox(node, reason="post-recovery", time=cluster.rc.clock)
+        tl = reconstruct_timeline(make_incident(cluster.events, flight=fr, job="j"))
+    kinds = [e.kind for e in tl.entries]
+    after = kinds.index("recovery_started")
+    assert kinds.index("failure_injected") < after
+    for kind in ("localized_rebuilt", "replica_replaced"):
+        assert kind in kinds and kinds.index(kind) > after

@@ -9,6 +9,7 @@ from repro.checkpoint.validate import validate_checkpoint
 from repro.errors import CheckpointError
 from repro.mlck.drain import DrainController, DrainState
 from repro.mlck.store import L1Store
+from repro.obs import Tracer, use_tracer
 from repro.pfs.faults import FaultInjector
 from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine, MachineParams
@@ -123,6 +124,88 @@ def test_sync_drain_applies_retention(env, workload):
         store.capture_drms(f"ck.{g:06d}", seg, arrays)
         drainer.schedule(f"ck.{g:06d}")
     assert generations(pfs, "ck") == ["ck.000002", "ck.000003"]
+
+
+def test_retention_releases_replica_memory_too(env, workload):
+    """What the rotation prunes from the PFS leaves replica memory as
+    well: ``keep`` is the budget of both tiers, so resident bytes stop
+    growing once the budget is full."""
+    machine, pfs, store = env
+    rot = CheckpointRotation(pfs, "ck", keep=2)
+    drainer = DrainController(store, pfs, rotation=rot, synchronous=True)
+    resident = []
+    with use_tracer(Tracer()) as tracer:
+        for g in range(1, 7):
+            seg, arrays = workload(iteration=1)
+            store.capture_drms(f"ck.{g:06d}", seg, arrays)
+            drainer.schedule(f"ck.{g:06d}")
+            resident.append(tracer.metrics.flat()["mlck.l1.resident_bytes"])
+    assert store.generations() == ["ck.000005", "ck.000006"]
+    assert store.generations() == generations(pfs, "ck")
+    assert resident[0] < resident[1] == store.resident_bytes()
+    assert set(resident[2:]) == {resident[1]}  # flat from the third on
+
+
+def test_retention_never_discards_an_undrained_or_pinned_generation(
+    env, workload
+):
+    machine, pfs, store = env
+    rot = CheckpointRotation(pfs, "ck", keep=1)
+    drainer = DrainController(store, pfs, rotation=rot, synchronous=True)
+    for g in (1, 2, 3, 4):
+        store.capture_drms(f"ck.{g:06d}", *workload(iteration=g))
+    # ck.000001 is never scheduled: it exists in memory only
+    drainer.schedule("ck.000002")
+    rot.pin("ck.000002")  # as a drain in flight elsewhere would
+    try:
+        drainer.schedule("ck.000003")
+        # keep=1 dooms ck.000002 the moment ck.000003 is durable, but
+        # the pin holds it on the PFS, and so in memory
+        assert store.generations() == [f"ck.{g:06d}" for g in (1, 2, 3, 4)]
+    finally:
+        rot.unpin("ck.000002")
+    drainer.schedule("ck.000004")
+    # retention caught up with ck.000002 (ck.000003 was this drain's
+    # pinned fallback); memory holds what the PFS holds — and the
+    # undrained generation, still there, still drainable
+    assert generations(pfs, "ck") == ["ck.000003", "ck.000004"]
+    assert store.generations() == ["ck.000001", "ck.000003", "ck.000004"]
+    assert store.gen("ck.000001").drain_state == DrainState.PENDING
+
+
+def test_async_drains_discard_only_what_is_durable_and_pruned(
+    env, workload, monkeypatch
+):
+    machine, pfs, store = env
+    rot = CheckpointRotation(pfs, "ck", keep=2)
+    drainer = DrainController(store, pfs, rotation=rot, synchronous=False)
+    discarded = []
+    discard = store.discard
+
+    def spy(prefix):
+        discarded.append(
+            (prefix, store.gen(prefix).drain_state, pfs.exists(f"{prefix}.manifest"))
+        )
+        discard(prefix)
+
+    monkeypatch.setattr(store, "discard", spy)
+    for g in range(1, 6):
+        store.capture_drms(f"ck.{g:06d}", *workload(iteration=g))
+        drainer.schedule(f"ck.{g:06d}")
+    drainer.wait(timeout=30.0)
+    assert drainer.pending == 0
+    # whatever the interleaving (a pin can hold one extra generation
+    # past the last prune), both tiers hold the same generations...
+    kept = store.generations()
+    assert kept == generations(pfs, "ck")
+    assert kept[-2:] == ["ck.000004", "ck.000005"] and len(kept) <= 3
+    # ...and nothing left memory before it was durable and pruned
+    assert sorted(p for p, _, _ in discarded) == [
+        f"ck.{g:06d}" for g in range(1, 6 - len(kept))
+    ]
+    assert {(state, on_pfs) for _, state, on_pfs in discarded} == {
+        (DrainState.DURABLE, False)
+    }
 
 
 def test_evict_after_drain_frees_memory(env, workload):

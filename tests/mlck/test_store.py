@@ -146,7 +146,7 @@ def test_fail_repair_cycle_does_not_resurrect_stale_replicas(
     machine.fail_node(owner)
     machine.repair_node(owner)  # up again, one incarnation later
     assert owner in piece.replicas  # the entry still lingers...
-    assert store._serving_replica(piece) != owner  # ...but never serves
+    assert store._serve(piece)[0] != owner  # ...but never serves
     assert store.validate_generation("ck.000001").ok  # partner carries it
     state, _ = store.restore_drms("ck.000001", ntasks=2)
     for name, got in _globals(state).items():
@@ -186,7 +186,7 @@ def test_replacement_capture_after_drop_does_not_revive_old_entries(
     # generation 1's entry on the node stays dead despite the listing
     assert owner in piece.replicas
     assert not store._replica_valid(piece, owner)
-    assert store._serving_replica(piece) != owner
+    assert store._serve(piece)[0] != owner
     state, _ = store.restore_drms("ck.000001", ntasks=2)
     for name, got in _globals(state).items():
         np.testing.assert_array_equal(got, refs[name])

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from repro.checkpoint.format import array_name, manifest_name
+from repro.checkpoint.rotation import generations
 from repro.drms.context import CheckpointStatus
 from repro.errors import WorkflowError
 from repro.pfs.faults import flip_stored_bit
 from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine, MachineParams
 from repro.workflow import WorkflowCoordinator
+from repro.workflow.manifest import read_workflow_manifest, validate_workflow_line
 
 pytestmark = pytest.mark.workflow
 
@@ -21,13 +23,13 @@ TASKS1 = {"m0": 3, "m1": 2}
 TASKS2 = {"m0": 2, "m1": 4}
 
 
-def member_main(ctx, base):
+def member_main(ctx, base, niter=NITER):
     ctx.initialize()
     d = ctx.create_distribution((N, N))
     u = ctx.distribute("u", d, init_global=np.full((N, N), float(base)))
     ctx.distribute("inbox", d, init_global=np.zeros((N, N)))
-    for it in ctx.iterations(1, NITER + 1):
-        status, delta = ctx.workflow_exchange(final=(it == NITER))
+    for it in ctx.iterations(1, niter + 1):
+        status, delta = ctx.workflow_exchange(final=(it == niter))
         if status is CheckpointStatus.RESTARTED and delta != 0:
             u = ctx.distribute("u", ctx.adjust("u"))
             ctx.distribute("inbox", ctx.adjust("inbox"))
@@ -36,12 +38,12 @@ def member_main(ctx, base):
     return float(u.assigned.sum())
 
 
-def build(tier_m1="pfs"):
+def build(tier_m1="pfs", niter=NITER):
     machine = Machine(MachineParams(num_nodes=12))
     coord = WorkflowCoordinator("wf", machine=machine, pfs=PIOFS(machine=machine))
-    coord.add_member("m0", member_main, args=(1.0,))
+    coord.add_member("m0", member_main, args=(1.0, niter))
     coord.add_member(
-        "m1", member_main, args=(5.0,), tier=tier_m1,
+        "m1", member_main, args=(5.0, niter), tier=tier_m1,
         mlck_drain="sync" if tier_m1 == "memory+pfs" else "async",
     )
     coord.couple("m0", "u", "m1", "inbox")
@@ -129,3 +131,28 @@ def test_mixed_tier_restart_serves_memory_member_from_l1():
     assert rep.decision.member_tiers["m0"] == "l2"
     for name in TASKS2:
         assert np.array_equal(final_u(rep, name), final_u(ref, name))
+
+
+def test_memory_member_keeps_every_generation_a_valid_line_names():
+    """Retention now releases replica memory with the PFS copy
+    (``mlck_keep=4`` for members): after more exchanges than that, the
+    member's L1 store holds exactly its surviving PFS generations, and
+    every line that still validates is served from memory."""
+    niter = 6
+    coord = build(tier_m1="memory+pfs", niter=niter)
+    coord.run(TASKS1)
+    store = coord.member("m1").l1_store_for(coord.member_base("m1"))
+    assert store.generations() == generations(coord.pfs, coord.member_base("m1"))
+    assert len(store.generations()) == 4 < niter
+    valid = []
+    for gen in coord.committed_generations():
+        line = validate_workflow_line(
+            coord.pfs,
+            read_workflow_manifest(coord.pfs, "wf", gen),
+            coord._l1_stores(),
+        )
+        if line.ok:
+            valid.append(gen)
+            assert line.member_tiers["m1"] == "l1"
+    assert valid == [3, 4, 5, 6]
+    assert coord.restart_workflow(TASKS2).decision.member_tiers["m1"] == "l1"
