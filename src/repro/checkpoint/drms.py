@@ -19,7 +19,7 @@ time/rate, fixed restart initialization).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from repro.arrays.darray import DistributedArray
 from repro.checkpoint.format import (
     array_name,
     distribution_to_spec,
-    manifest_name,
     np_dtype_name,
     read_manifest,
     segment_name,
@@ -35,8 +34,13 @@ from repro.checkpoint.format import (
     spec_to_distribution,
     write_manifest,
 )
+from repro.checkpoint.recover import (
+    OpenedGeneration,
+    first_rejections,
+    open_latest_valid,
+)
 from repro.checkpoint.segment import DataSegment
-from repro.checkpoint.validate import verify_stored_sha1
+from repro.checkpoint.validate import file_problem, verify_stored_sha1
 from repro.errors import (
     CheckpointError,
     CheckpointIntegrityError,
@@ -56,9 +60,10 @@ __all__ = [
     "PFSCheckpointSource",
     "drms_checkpoint",
     "drms_restart",
+    "open_generation",
     "restart_distribution",
+    "restart_opener",
     "restore",
-    "serving_tier",
 ]
 
 _MB = 1e6  # the paper reports decimal MB/s
@@ -342,8 +347,8 @@ def restore(
     The pipeline owns what a restart *is*: the fixed initialization
     charge, the saved data segment, one array after another under the
     distribution for the new task count, the component breakdown.  A
-    *generation source* owns where the bytes are and what moving them
-    costs (DESIGN.md §8, "Restore pipeline"):
+    *generation source* owns where the bytes are, what moving them
+    costs, and that they are sound (DESIGN.md §8, "Restore pipeline"):
 
     * ``kind`` — breakdown/span kind;
     * ``prefix``, ``manifest`` — the generation's name and its
@@ -352,10 +357,10 @@ def restore(
       restart pays; ``(segment span name, per-array span stem)``;
     * ``fetch_segment(ntasks) -> (header, seconds, nbytes)`` and
       ``load_array(arr, spec, order) -> (seconds, nbytes, span attrs)``
-      — the charged steps, in simulated seconds and charged bytes;
-    * ``verify_segment(header)`` / ``verify_array(spec)`` — the tier's
-      integrity checks, outside the charged steps, raising its error
-      (the L1 source has verified everything by the time it exists).
+      — the charged steps, in simulated seconds and charged bytes, each
+      verifying what it delivers against the manifest's (or capture's)
+      digest first and raising the tier's error having delivered
+      nothing — so a recovery walk can open the next candidate.
 
     ``distribution_overrides`` maps array names to explicit
     :class:`~repro.arrays.distributions.Distribution` objects (the
@@ -391,7 +396,6 @@ def restore(
             head, seconds, nbytes = source.fetch_segment(ntasks)
             obs.advance(seconds)
             sp.set(nbytes=nbytes, seconds=seconds)
-        source.verify_segment(head)
         segment = DataSegment.deserialize(head)
         bd.segment_seconds = seconds
         bd.segment_bytes = nbytes
@@ -407,7 +411,6 @@ def restore(
                 restart_distribution(spec, ntasks, overrides),
                 store_data=not spec["virtual"],
             )
-            source.verify_array(spec)
             with obs.span(f"{array_span}:{name}", file=spec["file"]) as sp:
                 seconds, nbytes, attrs = source.load_array(arr, spec, order)
                 obs.advance(seconds)
@@ -432,15 +435,13 @@ def restore(
 class PFSCheckpointSource:
     """Generation source over the committed PFS copy of ``prefix``: the
     segment is one shared read phase, each array one parallel
-    stream-in phase.
-
-    With ``verify`` the manifest's SHA-1 checksums are checked — the
-    segment header after its read phase, each stored array file before
-    it is streamed in — raising
-    :class:`~repro.errors.CheckpointIntegrityError` on any mismatch or
-    size disagreement, *before* corrupt data reaches the application.
-    Verification reads are untimed (they model a background scrub, not
-    the restart's I/O phases)."""
+    stream-in phase.  Opening it parses the manifest and checks every
+    component file is present at its recorded size, reading no data;
+    each step then verifies what it delivers against the manifest's
+    SHA-1 — the segment header as it is read, each array's stream-in
+    buffer before the scatter — raising
+    :class:`~repro.errors.CheckpointIntegrityError` with no phase left
+    open.  Every stored byte is read once and hashed once."""
 
     kind = "drms"
     spans = ("segment_read", "parstream")
@@ -451,23 +452,29 @@ class PFSCheckpointSource:
         prefix: str,
         io_tasks: Optional[int] = None,
         target_bytes: int = 1 << 20,
-        verify: bool = True,
         concurrency: str = "threads",
     ):
         self.pfs = pfs
         self.prefix = prefix
-        self.manifest = read_manifest(pfs, prefix)
+        self.manifest = m = read_manifest(pfs, prefix)
+        if m.get("kind") == "drms":
+            for name, nbytes in [(m["segment_file"], m.get("segment_bytes"))] + [
+                (spec["file"], spec.get("nbytes")) for spec in m["arrays"]
+            ]:
+                problem = file_problem(pfs, name, nbytes)
+                if problem is not None:
+                    raise CheckpointIntegrityError(problem)
         self.init_seconds = pfs.params.restart_init_s
         self.io_tasks = io_tasks
         self.target_bytes = target_bytes
-        self.verify = verify
         self.concurrency = concurrency
 
     def fetch_segment(self, ntasks: int) -> Tuple[bytes, float, int]:
         """One shared read phase: task 0 reads the exact header, every
-        task is charged the whole (sized) segment file."""
-        pfs = self.pfs
-        seg = self.manifest["segment_file"]
+        task is charged the whole (sized) segment file; the header read
+        is then checked against the manifest's digest."""
+        pfs, m = self.pfs, self.manifest
+        seg = m["segment_file"]
         seg_size = pfs.file_size(seg)
         pfs.begin_phase(IOKind.READ_SHARED)
         head = pfs.read_at(
@@ -478,48 +485,29 @@ class PFSCheckpointSource:
         for t in range(1, ntasks):
             pfs.read_virtual(seg, 0, seg_size, client=t)
         res = pfs.end_phase()
+        verify_stored_sha1(
+            pfs, seg, m.get("segment_sha1"), m.get("segment_sha1_bytes"), head=head
+        )
         return head, res.seconds, seg_size * ntasks  # every task reads the file
-
-    def verify_segment(self, head: bytes) -> None:
-        """Check the header just read against the manifest's SHA-1."""
-        if not self.verify:
-            return
-        seg = self.manifest["segment_file"]
-        with get_tracer().span("validate:segment", file=seg):
-            verify_stored_sha1(
-                self.pfs,
-                seg,
-                self.manifest.get("segment_sha1"),
-                self.manifest.get("segment_sha1_bytes"),
-                head=head,
-            )
-
-    def verify_array(self, spec: Dict) -> None:
-        """Scrub one stored array file (size, then SHA-1) before it is
-        streamed in."""
-        if not self.verify or spec["virtual"]:
-            return
-        pfs, fname = self.pfs, spec["file"]
-        with get_tracer().span(f"validate:{spec['name']}", file=fname):
-            expected = spec.get("nbytes")
-            if expected is not None and pfs.file_size(fname) != expected:
-                raise CheckpointIntegrityError(
-                    f"array file {fname!r} is {pfs.file_size(fname)} bytes; "
-                    f"manifest records {expected} (torn or short write)"
-                )
-            verify_stored_sha1(pfs, fname, spec.get("sha1"), expected)
 
     def load_array(
         self, arr: DistributedArray, spec: Dict, order: str
     ) -> Tuple[float, int, Dict[str, int]]:
         """One parallel read phase: stream the file into ``arr`` under
-        its (new) distribution."""
+        its (new) distribution, verified before the scatter."""
         pfs = self.pfs
         pfs.begin_phase(IOKind.READ_PARALLEL)
-        stats = stream_in_parallel(
-            arr, PFSSource(pfs, spec["file"]), P=self.io_tasks, order=order,
-            target_bytes=self.target_bytes, concurrency=self.concurrency,
-        )
+        try:
+            stats = stream_in_parallel(
+                arr, PFSSource(pfs, spec["file"]), P=self.io_tasks, order=order,
+                target_bytes=self.target_bytes, concurrency=self.concurrency,
+                sha1=spec.get("sha1"),
+            )
+        except BaseException:
+            # a failed open leaves no phase open to hide its error
+            # behind the next begin_phase ("phases do not nest")
+            pfs.abort_phase()
+            raise
         res = pfs.end_phase()
         return res.seconds, stats.bytes_streamed, {
             "pieces": stats.pieces,
@@ -527,20 +515,41 @@ class PFSCheckpointSource:
         }
 
 
-def serving_tier(prefix: str, tier: str, l1, from_l1: Callable[[], Any]):
-    """Serve a restart of ``prefix`` from memory when memory can — the
-    one place the "L1 replicas if they can serve, else the PFS copy"
-    decision is made, by *opening* the source rather than auditing the
-    generation again (the recovery walk has).  Returns what ``from_l1``
-    returns, or None when the PFS copy must serve.
+def restart_opener(
+    pfs: PIOFS, ntasks: int, l1=None, order: Optional[str] = None,
+    io_tasks: Optional[int] = None, target_bytes: int = 1 << 20,
+    distribution_overrides: Optional[Dict[str, object]] = None,
+    concurrency: str = "threads",
+):
+    """``open_one(prefix, tier)`` of a full restart onto ``ntasks``
+    tasks (:func:`~repro.checkpoint.recover.open_latest_valid`): an
+    ``"l1"`` candidate from the replicas of ``l1``
+    (:meth:`~repro.mlck.store.L1Store.restore_drms`), any other from the
+    PFS copy (:func:`drms_restart`)."""
 
-    ``tier="pfs"`` is None at once.  ``"memory+pfs"`` runs ``from_l1``
-    — a restore over an :class:`~repro.mlck.store.L1ReplicaSource`,
-    whose construction is the verifying fetch of every stream — and is
-    None when that raises :class:`~repro.errors.MemoryTierError`
-    (before anything is charged).  ``"memory"`` raises instead."""
+    def open_one(prefix: str, tier: Optional[str]):
+        if tier == "l1":
+            return l1.restore_drms(
+                prefix, ntasks, order, distribution_overrides,
+                init_seconds=pfs.params.restart_init_s,
+            )
+        return drms_restart(
+            pfs, prefix, ntasks, order, io_tasks, target_bytes,
+            distribution_overrides, concurrency,
+        )
+
+    return open_one
+
+
+def open_generation(
+    pfs: PIOFS, prefix: str, tier: str, l1, open_one: Callable[[str, Optional[str]], tuple]
+) -> OpenedGeneration:
+    """Open the one generation ``prefix`` with ``open_one`` under
+    ``tier``: ``"pfs"`` the PFS copy; ``"memory+pfs"`` a walk over the
+    replicas of ``l1``, then the PFS copy; ``"memory"`` the replicas
+    alone, raising :class:`~repro.errors.MemoryTierError`."""
     if tier == "pfs":
-        return None
+        return OpenedGeneration(prefix, *open_one(prefix, "l2"))
     if tier not in ("memory", "memory+pfs"):
         raise RestartError(
             f"unknown restart tier {tier!r} "
@@ -550,15 +559,19 @@ def serving_tier(prefix: str, tier: str, l1, from_l1: Callable[[], Any]):
         raise RestartError(f"tier={tier!r} requires an L1Store (l1=)")
     # drop dead nodes' memory first: serve from the machine as it is now
     l1.sync_with_machine()
-    try:
-        return from_l1()
-    except MemoryTierError as exc:
-        if tier == "memory":
-            raise MemoryTierError(
-                f"generation {prefix!r} cannot be served from L1 ({exc}) "
-                "and tier='memory' forbids the PFS fallback"
-            ) from exc
-    return None
+    tiers = ("l1", "l2") if tier == "memory+pfs" else ("l1",)
+    opened, decision = open_latest_valid(
+        pfs, prefix, open_one, l1, [(prefix, t) for t in tiers]
+    )
+    if opened is not None:
+        return opened
+    if tier == "memory":
+        raise MemoryTierError(
+            f"generation {prefix!r} cannot be served from L1"
+            f"{first_rejections(decision.rejected)} and tier='memory' "
+            "forbids the PFS fallback"
+        )
+    raise RestartError(decision.failure())
 
 
 def drms_restart(
@@ -569,30 +582,24 @@ def drms_restart(
     io_tasks: Optional[int] = None,
     target_bytes: int = 1 << 20,
     distribution_overrides: Optional[Dict[str, object]] = None,
-    verify: bool = True,
     concurrency: str = "threads",
     tier: str = "pfs",
     l1=None,
 ) -> Tuple[RestoredState, RestartBreakdown]:
     """Restore a DRMS checkpoint onto ``ntasks`` tasks (any count >= 1):
-    :func:`restore` over the PFS copy (see :class:`PFSCheckpointSource`
-    for ``verify``) or, under the memory tiers of :func:`serving_tier`,
-    over surviving replicas of the L1 store ``l1``.  Every tier charges
-    the fixed restart initialization."""
-    restored = serving_tier(
-        prefix, tier, l1,
-        lambda: l1.restore_drms(
-            prefix,
-            ntasks,
-            order=order,
-            distribution_overrides=distribution_overrides,
-            init_seconds=pfs.params.restart_init_s,
+    :func:`restore` over the PFS copy or, under the memory tiers of
+    :func:`open_generation`, over the surviving replicas of the L1 store
+    ``l1`` first.  Every tier charges the fixed restart initialization."""
+    if tier == "pfs":
+        source = PFSCheckpointSource(
+            pfs, prefix, io_tasks, target_bytes, concurrency
+        )
+        return restore(source, ntasks, order, distribution_overrides)
+    opened = open_generation(
+        pfs, prefix, tier, l1,
+        restart_opener(
+            pfs, ntasks, l1, order, io_tasks, target_bytes,
+            distribution_overrides, concurrency,
         ),
     )
-    if restored is not None:
-        return restored
-    source = PFSCheckpointSource(
-        pfs, prefix, io_tasks=io_tasks, target_bytes=target_bytes,
-        verify=verify, concurrency=concurrency,
-    )
-    return restore(source, ntasks, order, distribution_overrides)
+    return opened.state, opened.breakdown

@@ -1,20 +1,23 @@
-"""Recovery policy: restart from the newest checkpoint that verifies.
+"""Recovery policy: restart from the newest checkpoint that opens.
 
 The paper (Section 3) keeps multiple checkpointed states under rotating
 prefixes precisely so that "the application can be restarted from any
 of them".  This module turns that flexibility into an automatic
-policy: walk the candidate states newest-to-oldest, audit each with
-:func:`~repro.checkpoint.validate.validate_checkpoint`, and restart
-from the first sound one — so a state corrupted by a torn write or a
-flipped bit costs one generation of progress instead of a failed
-recovery.
+policy: walk the candidate states newest-to-oldest and restart from the
+first that opens — so a state corrupted by a torn write or a flipped
+bit costs one generation of progress instead of a failed recovery.
+*A generation is chosen by opening it* (:func:`open_latest_valid`): the
+restore is the validator, and it verifies exactly the bytes it delivers
+(structural checks first, then one read and one hash per stored byte);
+:func:`select_restart_state` is the audit — every candidate validated,
+nothing restored — for the tools and the verify oracle's ground truth.
 
-There is one such walk, :func:`walk_generations`; the PFS-only policy
-here, the tier-aware one of :mod:`repro.mlck.recovery` and the workflow
-and MPMD line walks of :mod:`repro.workflow.manifest` hand it their
-candidates and their validator.  Every decision is observable, the same
-way for every walk: spans, marks, metrics and flight records always,
-and — when an :class:`~repro.infra.events.EventLog` is supplied —
+There is one walk, :func:`walk_generations`; the audit and the open
+here and the workflow and MPMD line walks of
+:mod:`repro.workflow.manifest` hand it their candidates and their
+validator.  Every decision is observable, the same way for every walk:
+spans, marks, metrics and flight records always, and — when an
+:class:`~repro.infra.events.EventLog` is supplied —
 ``checkpoint_rejected`` for each corrupt candidate,
 ``checkpoint_verified`` for the chosen one, and ``restart_fallback``
 whenever the chosen state is not the newest.
@@ -26,17 +29,19 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.checkpoint.format import manifest_name
-from repro.checkpoint.rotation import generations
+from repro.checkpoint.rotation import committed_prefixes
 from repro.checkpoint.validate import validate_checkpoint
-from repro.errors import RestartError
+from repro.errors import CheckpointError, PFSError, RestartError
 from repro.obs import get_flight, get_tracer
 from repro.pfs.piofs import PIOFS
 
 __all__ = [
     "CHECKPOINT_WALK",
+    "OpenedGeneration",
     "RecoveryDecision",
     "WalkNames",
     "first_rejections",
+    "open_latest_valid",
     "restart_candidates",
     "restart_latest_valid",
     "select_restart_state",
@@ -169,41 +174,43 @@ def walk_generations(
 
 
 def restart_candidates(pfs: PIOFS, base: str) -> List[str]:
-    """Restartable prefixes under ``base``, newest first: the rotation
-    generations (``base.NNNNNN``) in reverse order, then ``base``
-    itself when a plain un-rotated state exists under that name."""
-    out = list(reversed(generations(pfs, base)))
+    """Restartable prefixes under ``base``, newest first: the committed
+    rotation generations (``base.NNNNNN``), then ``base`` itself when a
+    plain un-rotated state exists — from manifest names alone; whether
+    a manifest parses is each candidate's first check."""
+    out = sorted(committed_prefixes(pfs, base), key=lambda p: p[-6:], reverse=True)
     if pfs.exists(manifest_name(base)):
         out.append(base)
     return out
 
 
 def walk_checkpoints(
-    pfs: PIOFS,
-    base: str,
-    candidates: Sequence[Tuple[str, Optional[str]]],
-    l1=None,
-    events=None,
-    clock: float = 0.0,
-    job: Optional[str] = None,
+    pfs: PIOFS, base: str, validate: Callable, l1=None,
+    candidates: Optional[Sequence[Tuple[str, Optional[str]]]] = None,
+    events=None, clock: float = 0.0, job: Optional[str] = None,
 ) -> RecoveryDecision:
-    """:func:`walk_generations` over checkpoint states: ``"l1"``
-    candidates are audited against the replicas of ``l1``, every other
-    against the PFS copy."""
+    """:func:`walk_generations` over the states under ``base`` (or
+    ``candidates``) as a :class:`RecoveryDecision`; tier-aware given an
+    L1 store ``l1`` (:func:`~repro.mlck.recovery.tiered_candidates`),
+    counting ``mlck.recover.<tier>`` and ``mlck.l2.fallbacks``."""
+    if candidates is None and l1 is None:
+        candidates = [(p, None) for p in restart_candidates(pfs, base)]
+    elif candidates is None:
+        from repro.mlck.recovery import tiered_candidates
 
-    def validate(prefix: str, tier: Optional[str]):
-        if tier == "l1":
-            report = l1.validate_generation(prefix)
-        else:
-            report = validate_checkpoint(pfs, prefix)
-        return report.errors, {
-            "files": report.files, "bytes_hashed": report.bytes_hashed,
-        }
-
+        candidates = [(p, t) for p, ts in tiered_candidates(pfs, base, l1) for t in ts]
     prefix, tier, rejected = walk_generations(
         candidates, validate, CHECKPOINT_WALK, events, clock,
         base=base, job=job,
     )
+    if tier is not None:
+        m = get_tracer().metrics
+        m.counter(f"mlck.recover.{tier}").inc()
+        if tier == "l2" and any(
+            err.startswith("l1:") for _, errs in rejected for err in errs
+        ):
+            # an L1 candidate existed but could not serve
+            m.counter("mlck.l2.fallbacks").inc()
     return RecoveryDecision(base=base, prefix=prefix, rejected=rejected, tier=tier)
 
 
@@ -215,38 +222,74 @@ def select_restart_state(
     job: Optional[str] = None,
     l1=None,
 ) -> RecoveryDecision:
-    """Pick the newest checkpointed state under ``base`` that passes
-    validation, recording (and optionally emitting as events) each
-    rejected newer state.  ``events``/``clock``/``job`` hook the walk
-    into a cluster's :class:`~repro.infra.events.EventLog`.
+    """The audit walk: the newest state under ``base`` that passes
+    :func:`validate_checkpoint` (``l1`` candidates:
+    :meth:`~repro.mlck.store.L1Store.validate_generation`), nothing
+    restored.  ``events``/``clock``/``job`` hook it into a cluster's
+    :class:`~repro.infra.events.EventLog`; ``l1`` makes it tier-aware."""
 
-    ``l1``, when given an :class:`~repro.mlck.store.L1Store`, upgrades
-    the walk to the tier-aware policy of
-    :func:`~repro.mlck.recovery.select_tiered_restart_state`: the
-    newest generation satisfiable from *any* tier wins, memory replicas
-    preferred over the PFS, and the decision's ``tier`` says which tier
-    serves it."""
-    if l1 is not None:
-        from repro.mlck.recovery import select_tiered_restart_state
+    def audit(prefix: str, tier: Optional[str]):
+        if tier == "l1":
+            report = l1.validate_generation(prefix)
+        else:
+            report = validate_checkpoint(pfs, prefix)
+        return report.errors, {
+            "files": report.files, "bytes_hashed": report.bytes_hashed,
+        }
 
-        return select_tiered_restart_state(
-            pfs, base, l1, events=events, clock=clock, job=job
-        )
-    candidates = [(p, None) for p in restart_candidates(pfs, base)]
-    return walk_checkpoints(
-        pfs, base, candidates, events=events, clock=clock, job=job
+    return walk_checkpoints(pfs, base, audit, l1, None, events, clock, job)
+
+
+class OpenedGeneration(NamedTuple):
+    """A generation a walk chose by opening it, as its restore returned
+    it (``scope``: a localized one's RebuildScope) — what the JSA hands
+    the application instead of a name to open again."""
+
+    prefix: str
+    state: Any
+    breakdown: Any
+    scope: Any = None
+
+
+def open_latest_valid(
+    pfs: PIOFS, base: str, open_one: Callable, l1=None,
+    candidates: Optional[Sequence[Tuple[str, Optional[str]]]] = None,
+    events=None, clock: float = 0.0, job: Optional[str] = None,
+) -> Tuple[Optional[OpenedGeneration], RecoveryDecision]:
+    """The walk of a restart: :func:`walk_checkpoints`, each candidate
+    *opened* by ``open_one(prefix, tier) -> (state, breakdown[, scope])``
+    — an open that raises a checkpoint or PFS error delivered nothing and
+    is a rejection.  Returns the opened generation (or None) and the
+    decision."""
+    opened: List[OpenedGeneration] = []
+
+    def validate(prefix: str, tier: Optional[str]):
+        try:
+            opened.append(OpenedGeneration(prefix, *open_one(prefix, tier)))
+        except (CheckpointError, PFSError) as exc:
+            return [str(exc)], {}
+        return [], {"seconds": opened[0].breakdown.total_seconds}
+
+    decision = walk_checkpoints(
+        pfs, base, validate, l1, candidates, events, clock, job
     )
+    return (opened[0] if opened else None), decision
 
 
-def restart_latest_valid(pfs: PIOFS, base: str, ntasks: int, **kwargs):
-    """Convenience engine entry point: :func:`select_restart_state`
-    followed by :func:`~repro.checkpoint.drms.drms_restart` of the
-    chosen state.  Raises :class:`~repro.errors.RestartError` when no
-    checkpoint under ``base`` verifies."""
-    from repro.checkpoint.drms import drms_restart
+def restart_latest_valid(
+    pfs: PIOFS, base: str, ntasks: int, l1=None, events=None,
+    clock: float = 0.0, job: Optional[str] = None, **options: Any,
+) -> Tuple[Any, Any, RecoveryDecision]:
+    """``(state, breakdown, decision)`` of the newest generation under
+    ``base`` that opens onto ``ntasks`` tasks (:func:`open_latest_valid`
+    with :func:`~repro.checkpoint.drms.restart_opener`'s ``options``);
+    :class:`~repro.errors.RestartError` when nothing opens."""
+    from repro.checkpoint.drms import restart_opener
 
-    decision = select_restart_state(pfs, base)
-    if decision.prefix is None:
+    opened, decision = open_latest_valid(
+        pfs, base, restart_opener(pfs, ntasks, l1=l1, **options), l1,
+        events=events, clock=clock, job=job,
+    )
+    if opened is None:
         raise RestartError(decision.failure())
-    state, bd = drms_restart(pfs, decision.prefix, ntasks, **kwargs)
-    return state, bd, decision
+    return opened.state, opened.breakdown, decision

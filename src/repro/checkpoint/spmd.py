@@ -23,7 +23,7 @@ from repro.checkpoint.drms import (
     RestartBreakdown,
     _charge_restart_init,
     _publish_breakdown,
-    serving_tier,
+    open_generation,
 )
 from repro.checkpoint.format import (
     read_manifest,
@@ -31,7 +31,7 @@ from repro.checkpoint.format import (
     task_segment_name,
     write_manifest,
 )
-from repro.checkpoint.segment import DataSegment, SegmentProfile
+from repro.checkpoint.segment import DataSegment
 from repro.checkpoint.validate import verify_stored_sha1
 from repro.errors import CheckpointError, RestartError
 from repro.obs import get_tracer
@@ -179,7 +179,6 @@ def spmd_restart(
     pfs: PIOFS,
     prefix: str,
     ntasks: int,
-    verify: bool = True,
     tier: str = "pfs",
     l1=None,
 ) -> Tuple[SPMDRestoredState, RestartBreakdown]:
@@ -188,21 +187,22 @@ def spmd_restart(
     checkpointing (paper Section 2.2): the application state lives in
     per-task segments, so no reconfiguration is possible.
 
-    With ``verify`` (the default), each task file's header is checked
-    against the manifest's recorded SHA-1 before the payload is
-    decoded, raising
+    Each task file's header is checked against the manifest's recorded
+    SHA-1 before the payload is decoded, raising
     :class:`~repro.errors.CheckpointIntegrityError` on corruption.
 
-    ``tier``/``l1`` select the serving tier exactly as for a DRMS
-    restart (:func:`~repro.checkpoint.drms.serving_tier`)."""
-    restored = serving_tier(
-        prefix, tier, l1,
-        lambda: l1.restore_spmd(
+    ``tier``/``l1`` select the serving tiers exactly as for a DRMS
+    restart (:func:`~repro.checkpoint.drms.open_generation`)."""
+    opened = open_generation(
+        pfs, prefix, tier, l1,
+        lambda prefix, tier: l1.restore_spmd(
             prefix, ntasks, init_seconds=pfs.params.restart_init_s
-        ),
+        ) if tier == "l1" else _restart_from_pfs(pfs, prefix, ntasks),
     )
-    if restored is not None:
-        return restored
+    return opened.state, opened.breakdown
+
+
+def _restart_from_pfs(pfs: PIOFS, prefix: str, ntasks: int):
     manifest = read_manifest(pfs, prefix)
     if manifest.get("kind") != "spmd":
         raise RestartError(
@@ -242,7 +242,7 @@ def spmd_restart(
         sha_bytes = manifest.get("task_sha1_bytes") or []
         with obs.span("validate:task_files", files=len(heads)):
             for t, (fname, head) in enumerate(zip(manifest["task_files"], heads)):
-                if verify and t < len(shas):
+                if t < len(shas):
                     verify_stored_sha1(
                         pfs, fname, shas[t],
                         sha_bytes[t] if t < len(sha_bytes) else None,

@@ -1,24 +1,27 @@
-"""Checkpoint integrity validation.
+"""Checkpoint integrity validation: the audit.
 
 A crash — or a silently misbehaving I/O path — can leave a checkpointed
 state whose manifest committed but whose data files are torn, short, or
 bit-flipped.  The manifest's version-3 checksums (SHA-1 over the
 *intended* bytes, recorded at write time) make such states detectable:
 
-* :func:`verify_stored_sha1` checks one file against its recorded
-  digest, raising :class:`~repro.errors.CheckpointIntegrityError` on a
-  truncation or mismatch — the primitive restart uses inline;
+* :func:`file_problem` — one file missing or not its recorded size, no
+  data read (a PFS restore's first check, too);
+* :func:`verify_stored_sha1` checks one stored file (or the ``head`` a
+  restore just read of it) against its recorded digest, raising
+  :class:`~repro.errors.CheckpointIntegrityError` on a truncation or
+  mismatch;
 * :func:`validate_checkpoint` audits a complete state (either
   checkpoint kind, including incremental chains) and returns a
-  :class:`ValidationReport` instead of raising, so a recovery policy
-  can walk candidate states and pick the newest one that verifies
-  (:mod:`repro.checkpoint.recover`);
+  :class:`ValidationReport` instead of raising, so the decision-only
+  walk, the workflow line check and the tools can rank candidates;
 * :func:`verify_checkpoint` is the raising form of the audit.
 
-Validation reads are untimed (no I/O phase is opened): they model an
-out-of-band scrub, not part of the restart's measured I/O.  States
-written by format version 2 carry no checksums; their files are only
-checked for existence and size, which keeps old states readable.
+A DRMS restart does not audit: it verifies the bytes it delivers as it
+reads them (:mod:`repro.checkpoint.recover`).  Validation reads are
+untimed (no I/O phase is opened): they model an out-of-band scrub.
+States written by format version 2 carry no checksums; their files are
+only checked for existence and size, which keeps old states readable.
 """
 
 from __future__ import annotations
@@ -27,19 +30,31 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
-from repro.checkpoint.format import manifest_name, read_manifest, sha1_hex
+from repro.checkpoint.format import read_manifest, sha1_hex
 from repro.errors import CheckpointError, CheckpointIntegrityError, PFSError
 from repro.obs import get_tracer
 from repro.pfs.piofs import PIOFS
 
 __all__ = [
     "ValidationReport",
+    "file_problem",
     "validate_checkpoint",
     "verify_checkpoint",
     "verify_stored_sha1",
 ]
 
 _CHUNK = 4 << 20
+
+
+def file_problem(pfs: PIOFS, name: str, expected_bytes: Optional[int]) -> Optional[str]:
+    """Why a component file is unusable before a byte of it is read —
+    missing, or not ``expected_bytes`` long (None: unchecked) — or None."""
+    if not pfs.exists(name):
+        return f"missing file {name!r}"
+    size = pfs.file_size(name)
+    if expected_bytes is not None and size != expected_bytes:
+        return f"file {name!r} is {size} bytes; manifest records {expected_bytes}"
+    return None
 
 
 def verify_stored_sha1(
@@ -113,16 +128,11 @@ def _check_file(
     sha_bytes: Optional[int],
 ) -> None:
     """Audit one component file into ``report`` (never raises)."""
-    if not pfs.exists(name):
-        report.errors.append(f"missing file {name!r}")
+    problem = file_problem(pfs, name, expected_bytes)
+    if problem is not None:
+        report.errors.append(problem)
         return
     report.files += 1
-    size = pfs.file_size(name)
-    if expected_bytes is not None and size != expected_bytes:
-        report.errors.append(
-            f"file {name!r} is {size} bytes; manifest records {expected_bytes}"
-        )
-        return
     try:
         report.bytes_hashed += verify_stored_sha1(pfs, name, sha1, sha_bytes)
     except (CheckpointIntegrityError, PFSError) as exc:
@@ -172,21 +182,16 @@ def validate_checkpoint(
         return report
     report.files += 1
     kind = manifest.get("kind")
-    if kind == "drms":
+    if kind in ("drms", "drms-delta"):
+        # a delta's segment digest covers the whole (unpadded) file
         _check_file(
-            pfs,
-            report,
-            manifest["segment_file"],
-            manifest.get("segment_bytes"),
+            pfs, report, manifest["segment_file"], manifest.get("segment_bytes"),
             manifest.get("segment_sha1"),
-            manifest.get("segment_sha1_bytes"),
+            manifest.get("segment_sha1_bytes" if kind == "drms" else "segment_bytes"),
         )
         for spec in manifest["arrays"]:
             _check_file(
-                pfs,
-                report,
-                spec["file"],
-                spec.get("nbytes"),
+                pfs, report, spec["file"], spec.get("nbytes"),
                 None if spec.get("virtual") else spec.get("sha1"),
                 spec.get("nbytes"),
             )
@@ -202,24 +207,6 @@ def validate_checkpoint(
                 sizes[i] if i < len(sizes) else None,
                 shas[i] if i < len(shas) else None,
                 sha_bytes[i] if i < len(sha_bytes) else None,
-            )
-    elif kind == "drms-delta":
-        _check_file(
-            pfs,
-            report,
-            manifest["segment_file"],
-            manifest.get("segment_bytes"),
-            manifest.get("segment_sha1"),
-            manifest.get("segment_bytes"),
-        )
-        for spec in manifest["arrays"]:
-            _check_file(
-                pfs,
-                report,
-                spec["file"],
-                spec.get("nbytes"),
-                spec.get("sha1"),
-                spec.get("nbytes"),
             )
     elif kind == "drms-chain":
         for sub in [manifest["base"], *manifest["deltas"]]:

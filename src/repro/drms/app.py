@@ -17,15 +17,17 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.checkpoint.drms import (
     CheckpointBreakdown,
     RestartBreakdown,
     RestoredState,
     drms_checkpoint,
-    drms_restart,
+    open_generation,
+    restart_opener,
 )
+from repro.checkpoint.recover import OpenedGeneration
 from repro.checkpoint.segment import DataSegment, ExecutionContext, SegmentProfile
 from repro.drms.context import DRMSContext
 from repro.drms.soq import SOQSpec
@@ -389,7 +391,7 @@ class DRMSApplication:
 
     def restart(
         self,
-        prefix: str,
+        prefix: Union[str, OpenedGeneration],
         ntasks: int,
         args: Sequence[Any] = (),
         kwargs: Optional[dict] = None,
@@ -399,15 +401,16 @@ class DRMSApplication:
         task pool of ``ntasks`` (equal, larger, or smaller than the
         checkpointing pool).
 
-        Under ``tier="memory+pfs"``, ``prefix`` (typically a rotation
-        generation chosen by the tier-aware recovery walk) is served
-        from surviving L1 memory replicas when they validate — no PFS
-        checkpoint read at all — and from the PFS copy otherwise."""
+        Under ``tier="memory+pfs"``, ``prefix`` is served from surviving
+        L1 memory replicas when they verify — no PFS checkpoint read at
+        all — and from the PFS copy otherwise.  ``prefix`` may also be
+        the generation a recovery walk already opened (what the JSA
+        hands over): it runs on as restored."""
         return self._relaunch(prefix, ntasks, args, kwargs, nodes)
 
     def restart_localized(
         self,
-        prefix: str,
+        prefix: Union[str, OpenedGeneration],
         ntasks: int,
         args: Sequence[Any] = (),
         kwargs: Optional[dict] = None,
@@ -427,14 +430,28 @@ class DRMSApplication:
         the L1 generation cannot serve (the failure took every copy of
         some piece), survivors' own state of that generation is gone
         too, and the restart degrades to a full, metered PFS read
-        (:func:`~repro.mlck.localized.localized_restart`).  ``clock``
-        (the incident's cluster time) stamps the recovery's records."""
+        (:func:`~repro.mlck.localized.localized_opener`).  ``clock``
+        (the incident's cluster time) stamps the recovery's records.
+        An opened ``prefix`` runs on as restored, as for :meth:`restart`."""
         failure = (dict(placement or {}), failed_nodes, dict(replacements or {}))
         return self._relaunch(prefix, ntasks, args, kwargs, nodes, failure, clock)
 
+    def opener(self, ntasks: int, l1=None, failure=None, clock: float = 0.0):
+        """How this application opens a recovery walk's candidate onto
+        ``ntasks`` tasks (``l1``: its L1 store): a full restore, or a
+        localized one given ``failure`` (placement, failed nodes,
+        replacements) stamped ``clock``."""
+        options = (self.order, self.io_tasks, self.target_bytes)
+        if failure is None:
+            return restart_opener(self.pfs, ntasks, l1, *options)
+        # repro.mlck loads only for applications that use it
+        from repro.mlck.localized import localized_opener
+
+        return localized_opener(self.pfs, ntasks, *failure, l1, clock, *options)
+
     def _relaunch(
         self,
-        prefix: str,
+        generation: Union[str, OpenedGeneration],
         ntasks: int,
         args: Sequence[Any],
         kwargs: Optional[dict],
@@ -442,42 +459,30 @@ class DRMSApplication:
         failure: Optional[Tuple[Dict[int, int], Sequence[int], Dict[int, int]]] = None,
         clock: float = 0.0,
     ) -> RunReport:
-        """Restore ``prefix`` onto ``ntasks`` tasks and run on from it;
-        ``failure`` (placement, failed nodes, replacements) makes the
-        restore a localized one, its records stamped ``clock``."""
+        """Run on from ``generation`` on ``ntasks`` tasks; a name is
+        opened first — the walk over that one generation's tiers,
+        localized given ``failure``, its records stamped ``clock``."""
         self.soq.check(ntasks)
-        # the L1 store holding this generation, if any: the restore
-        # entry points decide whether its replicas can still serve
-        l1 = next(
-            (ck.store for ck in self._mlck.values() if ck.store.has(prefix)),
-            None,
-        )
-        options = dict(
-            order=self.order, io_tasks=self.io_tasks,
-            target_bytes=self.target_bytes, l1=l1,
-        )
-        scope = None
-        if failure is None:
-            state, bd = drms_restart(
-                self.pfs, prefix, ntasks,
-                tier="memory+pfs" if l1 is not None else "pfs", **options,
+        if isinstance(generation, str):
+            # the L1 store holding this generation, if any
+            l1 = next(
+                (ck.store for ck in self._mlck.values() if ck.store.has(generation)),
+                None,
             )
-        else:
-            # repro.mlck loads only for applications that use it
-            from repro.mlck.localized import localized_restart
-
-            state, bd, scope = localized_restart(
-                self.pfs, prefix, ntasks, *failure, clock=clock, **options
+            generation = open_generation(
+                self.pfs, generation, "pfs" if l1 is None else "memory+pfs", l1,
+                self.opener(ntasks, l1, failure, clock),
             )
         runtime = AppRuntime(
             self,
             ntasks,
-            restored=state,
-            pending_clock_charge=bd.total_seconds,
+            restored=generation.state,
+            pending_clock_charge=generation.breakdown.total_seconds,
         )
         self._last_runtime = runtime
         result = self._execute(ntasks, runtime, args, kwargs, nodes)
         return self._report(
-            runtime, result,
-            restarted_from=prefix, restart_breakdown=bd, rebuild_scope=scope,
+            runtime, result, restarted_from=generation.prefix,
+            restart_breakdown=generation.breakdown,
+            rebuild_scope=generation.scope,
         )

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.checkpoint.recover import RecoveryDecision, select_restart_state
+from repro.checkpoint.recover import open_latest_valid
 from repro.drms.app import DRMSApplication, RunReport
 from repro.errors import SchedulerError, TaskFailure
 from repro.infra.events import EventLog
@@ -159,10 +159,10 @@ class JobSchedulerAnalyzer:
 
     def restart(self, job_id: str, ntasks: Optional[int] = None) -> RunReport:
         """Restart a job from the newest checkpointed state under its
-        prefix that passes integrity validation, on a (possibly
-        different-sized) pool of currently available processors.
-        Corrupt newer states are skipped — each rejection and the
-        eventual fallback are recorded in the event log."""
+        prefix that opens — every byte it delivers verifies — on a
+        (possibly different-sized) pool of currently available
+        processors.  Corrupt newer states are skipped — each rejection
+        and the eventual fallback are recorded in the event log."""
         return self._restart(self._job(job_id), ntasks)
 
     def _restart(
@@ -171,21 +171,19 @@ class JobSchedulerAnalyzer:
         ntasks: Optional[int] = None,
         failure: Optional[Tuple[Dict[int, int], Sequence[int], Dict[int, int]]] = None,
     ) -> RunReport:
-        """Select the restart state, settle the pool, relaunch, account.
+        """Open the restart state, settle the pool, relaunch, account.
         A plain restart forms a fresh pool of ``ntasks``; ``failure``
         (pre-failure placement, failed nodes, failed node -> replacement
-        node) makes it a localized one that keeps the patched pool."""
+        node) makes it a localized one that keeps the patched pool.  The
+        walk opens the generation onto the relaunch's task count and the
+        application is handed the opened state."""
         job_id = job.job_id
         obs = get_tracer()
         obs.sync(self.rc.clock)
         with obs.span("job.restart", job=job_id) as sp:
-            decision = self._select_state(job)
-            if decision.prefix is None:
-                raise SchedulerError(f"job {job_id!r}: {decision.failure()}")
             if failure is None:
                 n = self.pick_ntasks(job, ntasks)
-                nodes = self.rc.form_pool(job_id, n)
-                localized = {}
+                localized = None
             else:
                 placement, failed_nodes, replacements = failure
                 n = len(placement)
@@ -195,24 +193,38 @@ class JobSchedulerAnalyzer:
                         f"localized recovery keeps the task count: pool has "
                         f"{len(nodes)} nodes for {n} ranks"
                     )
-                localized = dict(
-                    placement=placement,
-                    failed_nodes=failed_nodes,
+                localized = (
+                    placement,
+                    failed_nodes,
                     # lost rank -> its replacement node
-                    replacements={
+                    {
                         r: replacements[nd]
                         for r, nd in placement.items()
                         if nd in replacements
                     },
-                    clock=self.rc.clock,
                 )
-            sp.set(ntasks=n, prefix=decision.prefix)
+            # Walk the rotation generations (then the bare prefix) newest
+            # first, opening each; memory+pfs applications contribute
+            # their L1 store, dead nodes' memory dropped first (newest
+            # generation satisfiable from any tier, memory preferred).
+            l1 = job.app.l1_store_for(job.prefix)
+            if l1 is not None:
+                l1.sync_with_machine(clock=self.rc.clock)
+            opened, decision = open_latest_valid(
+                job.app.pfs, job.prefix,
+                job.app.opener(n, l1, localized, self.rc.clock), l1,
+                events=self.events, clock=self.rc.clock, job=job_id,
+            )
+            if opened is None:
+                raise SchedulerError(f"job {job_id!r}: {decision.failure()}")
+            if failure is None:
+                nodes = self.rc.form_pool(job_id, n)
+            sp.set(ntasks=n, prefix=opened.prefix)
             relaunch = job.app.restart_localized if localized else job.app.restart
             report = self._execute(
                 job, n,
                 lambda: relaunch(
-                    decision.prefix, n, args=job.args, kwargs=job.kwargs,
-                    nodes=nodes, **localized,
+                    opened, n, args=job.args, kwargs=job.kwargs, nodes=nodes,
                 ),
             )
         bd = report.restart_breakdown
@@ -221,14 +233,14 @@ class JobSchedulerAnalyzer:
         self.events.emit(
             self.rc.clock, "job_restarted", job=job_id, ntasks=n,
             sim_elapsed=report.sim_elapsed,
-            prefix=decision.prefix,
+            prefix=opened.prefix,
             restart_seconds=restart_seconds,
             restart_kind=bd.kind if bd is not None else None,
             **({"rebuild_scope": scope.describe()} if scope is not None else {}),
         )
         get_flight().record(
             "job_restarted", time=self.rc.clock, job=job_id, ntasks=n,
-            prefix=decision.prefix, restart_seconds=restart_seconds,
+            prefix=opened.prefix, restart_seconds=restart_seconds,
             **({"localized": True} if localized else {}),
         )
         self._sample_health()
@@ -279,25 +291,6 @@ class JobSchedulerAnalyzer:
         planned shrink/grow or priority preemption)."""
         self._job(job_id).app.enable_checkpoint()
         self.events.emit(self.rc.clock, "checkpoint_enabled", job=job_id)
-
-    def _select_state(self, job: Job) -> RecoveryDecision:
-        # Walk the rotation generations (then the bare prefix) newest
-        # first, validating each; emits checkpoint_verified /
-        # checkpoint_rejected / restart_fallback events.  Applications
-        # on the memory+pfs tier contribute their L1 store, upgrading
-        # the walk to the tier-aware policy (newest generation
-        # satisfiable from any tier, memory replicas preferred).
-        l1 = getattr(job.app, "l1_store_for", lambda base: None)(job.prefix)
-        if l1 is not None:
-            l1.sync_with_machine(clock=self.rc.clock)
-        return select_restart_state(
-            job.app.pfs,
-            job.prefix,
-            events=self.events,
-            clock=self.rc.clock,
-            job=job.job_id,
-            l1=l1,
-        )
 
     def _job(self, job_id: str) -> Job:
         try:

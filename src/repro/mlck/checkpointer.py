@@ -11,29 +11,29 @@ One object owns the whole multi-level pipeline for one application:
 
 ``checkpoint()`` returns after the L1 capture — the application's next
 SOP proceeds while the drain writes the PFS — and ``restart()`` runs
-the tier-aware recovery walk, restoring from surviving memory replicas
-when possible and falling back to the newest byte-valid PFS state.
+the tier-aware recovery walk, choosing a generation by opening it:
+from surviving memory replicas when they serve, else from the newest
+PFS state whose bytes verify as they are read.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.arrays.darray import DistributedArray
-from repro.checkpoint.drms import (
-    CheckpointBreakdown,
-    RestartBreakdown,
-    RestoredState,
-    drms_restart,
+from repro.checkpoint.drms import CheckpointBreakdown, RestartBreakdown, RestoredState
+from repro.checkpoint.recover import (
+    RecoveryDecision,
+    open_latest_valid,
+    restart_latest_valid,
 )
-from repro.checkpoint.recover import RecoveryDecision
 from repro.checkpoint.rotation import _GEN_RE, CheckpointRotation
 from repro.checkpoint.segment import DataSegment
 from repro.errors import RestartError
 from repro.mlck.drain import DrainController, DrainState
-from repro.mlck.localized import localized_restart
+from repro.mlck.localized import localized_opener
 from repro.mlck.recovery import select_tiered_restart_state
 from repro.mlck.store import L1Store
 from repro.pfs.piofs import PIOFS
@@ -178,7 +178,8 @@ class MultiLevelCheckpointer:
     def select_restart_state(
         self, clock: float = 0.0, job: Optional[str] = None
     ) -> RecoveryDecision:
-        """The tier-aware recovery walk for this application's states."""
+        """The tier-aware audit walk over this application's states — a
+        decision, nothing restored (:meth:`restart` opens instead)."""
         self.store.sync_with_machine(clock=clock)
         return select_tiered_restart_state(
             self.pfs, self.base, self.store,
@@ -191,21 +192,18 @@ class MultiLevelCheckpointer:
         distribution_overrides: Optional[Dict[str, object]] = None,
         clock: float = 0.0,
         job: Optional[str] = None,
-        verify: bool = True,
     ) -> Tuple[RestoredState, RestartBreakdown, RecoveryDecision]:
         """Restore the newest generation satisfiable from any tier onto
-        ``ntasks`` tasks.  L1-served restores still charge the fixed
-        restart initialization (program text loads from the PFS
-        regardless of which tier serves the checkpoint data)."""
-        decision, l1 = self._select_or_raise(clock, job)
-        state, bd = drms_restart(
-            self.pfs, decision.prefix, ntasks,
+        ``ntasks`` tasks — the tier-aware walk, each candidate chosen by
+        opening it.  L1-served restores still charge the fixed restart
+        initialization (program text loads from the PFS regardless of
+        which tier serves the checkpoint data)."""
+        self.store.sync_with_machine(clock=clock)
+        return restart_latest_valid(
+            self.pfs, self.base, ntasks, self.store, self.events, clock, job,
             order=self.order, io_tasks=self.io_tasks,
             distribution_overrides=distribution_overrides,
-            verify=verify,
-            tier="memory+pfs" if l1 is not None else "pfs", l1=l1,
         )
-        return state, bd, decision
 
     def restart_localized(
         self,
@@ -216,35 +214,26 @@ class MultiLevelCheckpointer:
         distribution_overrides: Optional[Dict[str, object]] = None,
         clock: float = 0.0,
         job: Optional[str] = None,
-        verify: bool = True,
     ):
-        """Localized recovery: restore the newest satisfiable
-        generation with survivor-local cost accounting, then re-place
-        the dead nodes' replicas outside the replacement nodes' failure
-        domains; a walk that lands on the L2 tier degrades to a full,
-        correctly-metered PFS read
-        (:func:`~repro.mlck.localized.localized_restart`).
+        """Localized recovery: the same walk, each candidate opened with
+        survivor-local cost accounting and the dead nodes' replicas
+        re-placed outside the replacement nodes' failure domains once an
+        L1 candidate opens; an L2 candidate is a full, correctly-metered
+        PFS read (:func:`~repro.mlck.localized.localized_opener`).
         Returns ``(state, breakdown, decision, scope)``."""
-        decision, l1 = self._select_or_raise(clock, job)
-        state, bd, scope = localized_restart(
-            self.pfs, decision.prefix, ntasks,
-            placement, failed_nodes, replacements,
-            l1=l1, clock=clock,
-            order=self.order, io_tasks=self.io_tasks,
-            distribution_overrides=distribution_overrides,
-            verify=verify,
+        self.store.sync_with_machine(clock=clock)
+        opened, decision = open_latest_valid(
+            self.pfs, self.base,
+            localized_opener(
+                self.pfs, ntasks, placement, failed_nodes, replacements,
+                self.store, clock, self.order, self.io_tasks,
+                distribution_overrides=distribution_overrides,
+            ),
+            self.store, events=self.events, clock=clock, job=job,
         )
-        return state, bd, decision, scope
-
-    def _select_or_raise(
-        self, clock: float, job: Optional[str]
-    ) -> Tuple[RecoveryDecision, Optional[L1Store]]:
-        """The recovery walk, and the L1 store when the walk chose the
-        memory tier (None: restore from the PFS copy)."""
-        decision = self.select_restart_state(clock=clock, job=job)
-        if decision.prefix is None:
+        if opened is None:
             raise RestartError(decision.failure())
-        return decision, (self.store if decision.tier == "l1" else None)
+        return opened.state, opened.breakdown, decision, opened.scope
 
     # -- drain control -------------------------------------------------------
 

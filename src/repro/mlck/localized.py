@@ -40,9 +40,9 @@ from repro.checkpoint.drms import (
     RestartBreakdown,
     RestoredState,
     drms_restart,
+    open_generation,
     restart_distribution,
     restore,
-    serving_tier,
 )
 from repro.mlck.placement import _rotate_past
 from repro.mlck.store import L1ReplicaSource, L1Store, SwitchFetch, _Accounting
@@ -58,6 +58,7 @@ __all__ = [
     "compute_rebuild_scope",
     "rebuild_lost_sections",
     "SurvivorLocal",
+    "localized_opener",
     "localized_restore_drms",
     "localized_restart",
     "rereplicate_after_failure",
@@ -439,6 +440,52 @@ def rereplicate_after_failure(
     return repair
 
 
+def localized_opener(
+    pfs: PIOFS, ntasks: int, placement: Dict[int, int],
+    failed_nodes: Sequence[int], replacements: Optional[Dict[int, int]] = None,
+    l1: Optional[L1Store] = None, clock: float = 0.0,
+    order: Optional[str] = None, io_tasks: Optional[int] = None,
+    target_bytes: int = 1 << 20,
+    distribution_overrides: Optional[Dict[str, object]] = None,
+):
+    """``open_one(prefix, tier)`` of a localized recovery
+    (:func:`~repro.checkpoint.recover.open_latest_valid`), returning
+    ``(state, breakdown, scope)``: an ``"l1"`` candidate restores
+    survivor-locally from ``l1`` (:func:`localized_restore_drms`), then
+    the dead nodes' replicas are re-placed outside the replacement
+    nodes' failure domains; any other — its L1 copy gone, and with it
+    the survivors' own state of that generation — degrades to a full,
+    metered PFS read whose scope still names every rank lost."""
+
+    def open_one(prefix: str, tier: Optional[str]):
+        if tier == "l1":
+            opened = localized_restore_drms(
+                l1, prefix, ntasks, placement, failed_nodes, replacements,
+                order, distribution_overrides,
+                init_seconds=pfs.params.restart_init_s, clock=clock,
+            )
+            machine = l1.machine
+            avoid = {
+                machine.domain_of(n) for n in (replacements or {}).values()
+                if 0 <= n < machine.num_nodes
+            }
+            rereplicate_after_failure(l1, failed_nodes, sorted(avoid), clock)
+            return opened
+        state, bd = drms_restart(
+            pfs, prefix, ntasks, order, io_tasks, target_bytes,
+            distribution_overrides,
+        )
+        scope = compute_rebuild_scope(
+            dict(state.manifest, prefix=prefix), ntasks, placement,
+            failed_nodes, replacements,
+            order or state.manifest.get("order", "F"), distribution_overrides,
+        )
+        get_tracer().metrics.counter("mlck.localized.pfs_fallbacks").inc()
+        return state, bd, scope
+
+    return open_one
+
+
 def localized_restart(
     pfs: PIOFS,
     prefix: str,
@@ -452,54 +499,16 @@ def localized_restart(
     io_tasks: Optional[int] = None,
     target_bytes: int = 1 << 20,
     distribution_overrides: Optional[Dict[str, object]] = None,
-    verify: bool = True,
 ) -> Tuple[RestoredState, RestartBreakdown, RebuildScope]:
-    """Localized recovery of the generation under ``prefix``, from
-    whichever tier can serve it.  While the replicas of ``l1`` can
-    serve every piece (:func:`~repro.checkpoint.drms.serving_tier`), the
-    data movement is survivor-local (:func:`localized_restore_drms`)
-    and the dead nodes' replicas are then re-placed outside the
-    replacement nodes' failure domains.  Otherwise — no L1 copy, or the
-    failure took every replica of some piece, and with it the
-    survivors' own state of that generation — recovery degrades to a
-    full, correctly-metered PFS read
-    (:func:`~repro.checkpoint.drms.drms_restart`), and the scope still
-    names every rank the incident lost."""
-    restored = serving_tier(
-        prefix, "pfs" if l1 is None else "memory+pfs", l1,
-        lambda: localized_restore_drms(
-            l1, prefix, ntasks, placement, failed_nodes,
-            replacements=replacements,
-            order=order,
-            distribution_overrides=distribution_overrides,
-            init_seconds=pfs.params.restart_init_s,
-            clock=clock,
+    """Localized recovery of the generation under ``prefix`` from
+    whichever tier serves it: :func:`localized_opener` over the L1
+    replicas of ``l1``, then the PFS copy
+    (:func:`~repro.checkpoint.drms.open_generation`)."""
+    opened = open_generation(
+        pfs, prefix, "pfs" if l1 is None else "memory+pfs", l1,
+        localized_opener(
+            pfs, ntasks, placement, failed_nodes, replacements, l1, clock,
+            order, io_tasks, target_bytes, distribution_overrides,
         ),
     )
-    if restored is not None:
-        machine = l1.machine
-        avoid = sorted(
-            {
-                machine.domain_of(n)
-                for n in (replacements or {}).values()
-                if 0 <= n < machine.num_nodes
-            }
-        )
-        rereplicate_after_failure(
-            l1, failed_nodes, avoid_domains=avoid, clock=clock
-        )
-        return restored
-    state, bd = drms_restart(
-        pfs, prefix, ntasks,
-        order=order, io_tasks=io_tasks, target_bytes=target_bytes,
-        distribution_overrides=distribution_overrides, verify=verify,
-    )
-    scope = compute_rebuild_scope(
-        dict(state.manifest, prefix=prefix),
-        ntasks, placement, failed_nodes,
-        replacements=replacements,
-        order=order or state.manifest.get("order", "F"),
-        distribution_overrides=distribution_overrides,
-    )
-    get_tracer().metrics.counter("mlck.localized.pfs_fallbacks").inc()
-    return state, bd, scope
+    return opened.state, opened.breakdown, opened.scope

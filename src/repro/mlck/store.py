@@ -20,7 +20,8 @@ scrub or a choice of charged servers needs; *verification* (the SHA-1)
 is done by the fetch (:meth:`L1Store._fetch_pieces`) on the replica it
 serves — once per byte delivered to a restore, the drain or a new
 replica — and by :meth:`L1Store.validate_generation`, the full audit
-of the recovery walk.  Every pass goes through :func:`_hashed`.
+(a restart's walk opens instead: liveness, then the fetch).  Every
+pass goes through :func:`_hashed`.
 
 Like the PFS segment file, the bulk byte components (segment pad,
 virtual arrays) are *sized*, not stored: timing charges the full
@@ -612,7 +613,7 @@ class L1Store:
         surviving, checksum-valid replica (a full hash pass).  Collects
         problems like
         :func:`~repro.checkpoint.validate.validate_checkpoint` so the
-        tier-aware recovery walk can rank candidates."""
+        tier-aware audit walk can rank candidates."""
         report = ValidationReport(prefix=prefix)
         with self._lock:
             gen = self._gens.get(prefix)
@@ -857,11 +858,11 @@ class L1ReplicaSource:
     generation (see :func:`~repro.checkpoint.drms.restore`).
 
     *Opening* the source is the one hash pass of a restore from memory:
-    the constructor runs the verifying fetch over the segment and every
-    stored array and holds the served bytes as references, raising
-    :class:`~repro.errors.MemoryTierError` there — before
-    :func:`~repro.checkpoint.drms.restore` opens a span or charges a
-    second, and before corrupt bytes can reach an array.
+    the constructor checks liveness, then runs the verifying fetch over
+    the segment and every stored array and holds the served bytes as
+    references, raising :class:`~repro.errors.MemoryTierError` there —
+    before :func:`~repro.checkpoint.drms.restore` opens a span or
+    charges a second, and before corrupt bytes can reach an array.
 
     *Who pays for which byte* is the ``accountant``'s:
     :class:`SwitchFetch` for a full restart,
@@ -904,6 +905,14 @@ class L1ReplicaSource:
             ],
         }
         self._entries = {e.name: (i, e) for i, e in enumerate(gen.arrays)}
+        # liveness first: a piece with no live replica costs no hashing
+        with store._lock:
+            for piece in gen.pieces():
+                if not any(store._replica_live(piece, n) for n in piece.replicas):
+                    raise MemoryTierError(
+                        f"piece {piece.key!r}: no surviving valid replica "
+                        f"(replicas {piece.replicas})"
+                    )
         #: file -> (bytes of each piece, node that served it), for the
         #: segment and every stored array: the open
         self._fetched = {
@@ -926,12 +935,6 @@ class L1ReplicaSource:
         chunks, nodes = self._fetched[self.manifest["segment_file"]]
         self.accountant.segment(acct, self.gen, nodes)
         return b"".join(chunks), acct.seconds(), self.gen.segment_bytes * ntasks
-
-    def verify_segment(self, header: bytes) -> None:
-        """Nothing left to check: verified as the source opened."""
-
-    def verify_array(self, spec: Dict) -> None:
-        """Nothing left to check: verified as the source opened."""
 
     def load_array(
         self, arr: DistributedArray, spec: Dict, order: str

@@ -43,8 +43,10 @@ flat stream-order buffer, takes the SHA-1 of that buffer — the stream
 it *intends* to write, before any sink call — and hands the sink slices
 of it (a storing sink copies them, once).  The digest is
 ``StreamStats.sha1`` and the ``content_sha1`` op-span attribute;
-``drms_checkpoint`` puts it in the manifest, so a torn, short or failed
-write is caught against it at restart without a second gather or hash.
+``drms_checkpoint`` puts it in the manifest.  Stream-in mirrors it:
+given that digest, it hashes the flat buffer its reads filled and
+compares before the scatter, so a damaged write or read is caught with
+no second read or hash, and no unverified byte reaches an array.
 
 Virtual (geometry-only) arrays keep the legacy per-piece round-robin
 paths in every mode: there is nothing to gather, and the per-piece
@@ -63,10 +65,10 @@ import numpy as np
 
 from repro.arrays.darray import DistributedArray
 from repro.arrays.slices import Slice
-from repro.errors import StreamingError
+from repro.errors import CheckpointIntegrityError, StreamingError
 from repro.obs import get_tracer
 from repro.streaming.executor import faults_armed, run_tasks
-from repro.streaming.order import check_order
+from repro.streaming.order import check_order, sha1_hex
 from repro.streaming.serial import (
     StreamStats,
     _cached_plan,
@@ -251,6 +253,7 @@ def stream_in_parallel(
     target_bytes: int = 1 << 20,
     source_offset: int = 0,
     concurrency: str = "threads",
+    sha1: Optional[str] = None,
 ) -> StreamStats:
     """Stream a section into ``darray`` with ``P`` parallel I/O tasks.
     The inverse of :func:`stream_out_parallel`: task ``p`` reads its
@@ -258,7 +261,12 @@ def stream_in_parallel(
     section to every task mapping part of it.  Concurrent reads fill
     disjoint intervals of the flat buffer, so they never race; the
     scatter is applied once, after every read returned whole — a short
-    read aborts with the target array untouched."""
+    read aborts with the target array untouched.
+
+    Given ``sha1`` (a manifest's digest of the stream) the buffer the
+    scatter consumes is hashed first, a mismatch raising
+    :class:`~repro.errors.CheckpointIntegrityError` with ``darray``
+    untouched."""
     _check_mode(concurrency)
     section, P, pieces, offsets = _plan(darray, section, P, order, target_bytes)
     jobs = [(j, piece) for j, piece in enumerate(pieces) if not piece.is_empty]
@@ -274,10 +282,14 @@ def stream_in_parallel(
         concurrency=engine,
         plan_pieces=len(pieces),
     ) as op:
+        plan_idx = _index_plan(darray, section, order)
+        flat = (
+            np.empty(section.size, dtype=darray.dtype)
+            if darray.store_data and jobs
+            else None
+        )
+        flat_u8 = flat.view(np.uint8) if flat is not None else None
         if engine in ("threads", "vectorized"):
-            plan_idx = _index_plan(darray, section, order)
-            flat = np.empty(section.size, dtype=darray.dtype)
-            flat_u8 = flat.view(np.uint8)
             runs = _coalesced_runs(jobs, itemsize, P)
 
             def io_task(p: int):
@@ -305,15 +317,7 @@ def stream_in_parallel(
             for t_bytes, t_redis in results:
                 total += t_bytes
                 redis += t_redis
-            scatter_section_flat(darray, section, flat, order=order)
         else:
-            plan_idx = _index_plan(darray, section, order)
-            flat = (
-                np.empty(section.size, dtype=darray.dtype)
-                if darray.store_data and jobs
-                else None
-            )
-            flat_u8 = flat.view(np.uint8) if flat is not None else None
             for j, piece in jobs:
                 p = j % P
                 nbytes = piece.size * itemsize
@@ -327,8 +331,14 @@ def stream_in_parallel(
                         data, dtype=np.uint8
                     )
                 total += nbytes
-            if flat is not None:
-                scatter_section_flat(darray, section, flat, order=order)
+        if flat is not None:
+            digest = sha1 and sha1_hex(flat_u8)
+            if digest != sha1:
+                raise CheckpointIntegrityError(
+                    f"file {getattr(source, 'name', darray.name)!r} checksum "
+                    f"mismatch: bytes read hash to {digest}, manifest records {sha1}"
+                )
+            scatter_section_flat(darray, section, flat, order=order)
         op.set(pieces=len(jobs), nbytes=total, redistribution_bytes=redis)
     return StreamStats(
         pieces=len(jobs),

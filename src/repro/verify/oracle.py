@@ -28,9 +28,10 @@ attempts under the case's fault schedule, then computes ground truth
 checkpoint call committed a manifest AND every one of its files still
 byte-matches the intended content the oracle itself recorded while
 writing.  The invariant under the ``validated`` policy
-(:func:`repro.checkpoint.recover.select_restart_state`) is that the
-decision lands exactly on the newest ground-truth-valid generation and
-rejects exactly the newer corrupt ones; the deliberately ``naive``
+(:func:`repro.checkpoint.recover.open_latest_valid`, the walk a restart
+runs: each candidate chosen by opening it) is that the decision lands
+exactly on the newest ground-truth-valid generation, rejects exactly
+the newer corrupt ones, and restores it; the deliberately ``naive``
 policy (newest complete manifest, no validation) is the defeatable
 target used to demonstrate shrinking.
 
@@ -48,9 +49,9 @@ import numpy as np
 
 from repro.arrays.darray import DistributedArray
 from repro.arrays.slices import Slice
-from repro.checkpoint.drms import drms_checkpoint, drms_restart
+from repro.checkpoint.drms import drms_checkpoint, drms_restart, restart_opener
 from repro.checkpoint.incremental import IncrementalCheckpointer
-from repro.checkpoint.recover import select_restart_state
+from repro.checkpoint.recover import open_latest_valid
 from repro.checkpoint.rotation import latest_checkpoint
 from repro.checkpoint.segment import DataSegment, ExecutionContext, SegmentProfile
 from repro.checkpoint.format import array_name, segment_name, sha1_hex
@@ -610,8 +611,18 @@ def _run_fault(case: Case) -> CaseResult:
         expected_prefix = valid[-1].prefix if valid else None
         committed = [g for g in gens if g.committed]
 
+        restore_options = dict(
+            order=case.order,
+            io_tasks=case.p2,
+            target_bytes=case.target_bytes,
+            distribution_overrides={
+                spec.name: case.distribution2(spec) for spec in case.arrays
+            },
+        )
         if case.policy == "validated":
-            decision = select_restart_state(pfs, base)
+            opened, decision = open_latest_valid(
+                pfs, base, restart_opener(pfs, case.t2, **restore_options)
+            )
             chosen = decision.prefix
             c.check(
                 chosen == expected_prefix,
@@ -641,18 +652,12 @@ def _run_fault(case: Case) -> CaseResult:
         if chosen is not None and chosen == expected_prefix:
             by_prefix = {g.prefix: g for g in gens}
             gen = by_prefix[chosen]
-            state, _ = drms_restart(
-                pfs,
-                chosen,
-                ntasks=case.t2,
-                order=case.order,
-                io_tasks=case.p2,
-                target_bytes=case.target_bytes,
-                distribution_overrides={
-                    spec.name: case.distribution2(spec)
-                    for spec in case.arrays
-                },
-            )
+            if case.policy == "validated":
+                state = opened.state  # the walk restored what it chose
+            else:
+                state, _ = drms_restart(
+                    pfs, chosen, ntasks=case.t2, **restore_options
+                )
             _check_restored(c, state.arrays, gen.refs)
             c.check(
                 state.segment.serialize() == gen.segment.serialize(),
@@ -806,79 +811,97 @@ def _mlck_ground_truth(
     return None, None
 
 
-def _run_mlck_fault(case: Case) -> CaseResult:
-    """The multi-level oracle: ``generations`` L1 capture + synchronous
-    drain rounds under the case's schedule of drain faults and node
-    losses, then the tier-aware recovery walk.  Ground truth per
-    generation is recomputed from capture-time intent alone: L1-valid
-    iff every piece kept a replica on a surviving node, L2-valid iff
-    the drain committed a manifest AND every durable file still
-    byte-matches what the drain meant to write.  The walk must land on
-    the newest generation valid on *either* tier, report the tier the
-    ground truth predicts, and — when the newest generation is L1-valid
-    — decide without a single PFS read."""
+@dataclass
+class _MLCKRun:
+    """One multi-level case run up to its recovery walk."""
+
+    machine: Machine
+    pfs: PIOFS
+    store: object
+    gens: List[_MLCKGeneration]
+    failed: set
+    expected: Tuple[Optional[str], Optional[str]]
+    #: restore options of the walk's PFS reads
+    options: Dict[str, object]
+    opened: object = None
+    decision: object = None
+    #: PFS reads the walk issued
+    reads: float = 0.0
+
+
+def _run_mlck_recovery(c: _Checker, case: Case, tracer: Tracer) -> _MLCKRun:
+    """The multi-level oracles' common part: ``generations`` L1 capture
+    + synchronous drain rounds under the case's schedule of drain faults
+    and node losses, ground truth from capture-time intent, then the
+    walk a restart runs — tier-aware, each candidate opened onto
+    ``case.t2`` tasks — whose choice of generation and tier must be the
+    ground truth's."""
     from repro.mlck.drain import DrainController
     from repro.mlck.store import L1Store
 
-    c = _Checker(case)
-    machine = Machine(
-        MachineParams(num_nodes=case.num_nodes)
-    )
+    machine = Machine(MachineParams(num_nodes=case.num_nodes))
     pfs = PIOFS(machine=machine)
-    base = "app.ck"
-    with use_tracer(Tracer()) as tracer:
-        store = L1Store(machine, k=case.k, target_bytes=case.target_bytes)
-        drainer = DrainController(
-            store, pfs, synchronous=True, target_bytes=case.target_bytes
-        )
-        gens, failed = _run_mlck_schedule(
-            c, case, machine, pfs, store, drainer, base
-        )
-        expected_prefix, expected_tier = _mlck_ground_truth(gens, failed, pfs)
+    store = L1Store(machine, k=case.k, target_bytes=case.target_bytes)
+    drainer = DrainController(
+        store, pfs, synchronous=True, target_bytes=case.target_bytes
+    )
+    gens, failed = _run_mlck_schedule(c, case, machine, pfs, store, drainer, "app.ck")
+    run = _MLCKRun(
+        machine, pfs, store, gens, failed, _mlck_ground_truth(gens, failed, pfs),
+        dict(
+            order=case.order, io_tasks=case.p2, target_bytes=case.target_bytes,
+            distribution_overrides={
+                spec.name: case.distribution2(spec) for spec in case.arrays
+            },
+        ),
+    )
+    reads_before = tracer.metrics.flat().get("pfs.read.count", 0.0)
+    run.opened, run.decision = open_latest_valid(
+        pfs, "app.ck", restart_opener(pfs, case.t2, l1=store, **run.options),
+        l1=store,
+    )
+    run.reads = tracer.metrics.flat().get("pfs.read.count", 0.0) - reads_before
+    (expected_prefix, expected_tier), decision = run.expected, run.decision
+    c.check(
+        decision.prefix == expected_prefix,
+        f"tiered recovery chose {decision.prefix!r}; newest "
+        f"any-tier-valid state is {expected_prefix!r}",
+    )
+    c.check(
+        decision.tier == expected_tier,
+        f"tiered recovery used tier {decision.tier!r}; ground truth "
+        f"says {expected_tier!r}",
+    )
+    return run
 
-        reads_before = tracer.metrics.flat().get("pfs.read.count", 0.0)
-        decision = select_restart_state(pfs, base, l1=store)
-        reads_during = (
-            tracer.metrics.flat().get("pfs.read.count", 0.0) - reads_before
-        )
-        c.check(
-            decision.prefix == expected_prefix,
-            f"tiered recovery chose {decision.prefix!r}; newest "
-            f"any-tier-valid state is {expected_prefix!r}",
-        )
-        c.check(
-            decision.tier == expected_tier,
-            f"tiered recovery used tier {decision.tier!r}; ground truth "
-            f"says {expected_tier!r}",
-        )
+
+def _run_mlck_fault(case: Case) -> CaseResult:
+    """The multi-level oracle (:func:`_run_mlck_recovery`).  Ground
+    truth per generation: L1-valid iff every piece kept a replica on a
+    surviving node, L2-valid iff the drain committed a manifest AND
+    every durable file still byte-matches what the drain meant to
+    write.  The walk must land on the newest generation valid on
+    *either* tier, report the tier the ground truth predicts, restore
+    it, and — when the newest generation is L1-valid — open it without
+    a single PFS read."""
+    c = _Checker(case)
+    with use_tracer(Tracer()) as tracer:
+        run = _run_mlck_recovery(c, case, tracer)
+        (expected_prefix, expected_tier), decision = run.expected, run.decision
+        gens = run.gens
         if gens and expected_prefix == gens[-1].prefix and expected_tier == "l1":
             c.check(
-                reads_during == 0,
+                run.reads == 0,
                 f"newest generation is L1-servable but the recovery walk "
-                f"issued {reads_during:g} PFS reads",
+                f"issued {run.reads:g} PFS reads",
             )
         flat = tracer.metrics.flat()
         if expected_tier is not None:
             _flat_eq(c, flat, f"mlck.recover.{expected_tier}", 1)
 
         if decision.prefix is not None and decision.prefix == expected_prefix:
-            by_prefix = {rec.prefix: rec for rec in gens}
-            rec = by_prefix[decision.prefix]
-            overrides = {
-                spec.name: case.distribution2(spec) for spec in case.arrays
-            }
-            if decision.tier == "l1":
-                state, _ = store.restore_drms(
-                    decision.prefix, case.t2, order=case.order,
-                    distribution_overrides=overrides,
-                )
-            else:
-                state, _ = drms_restart(
-                    pfs, decision.prefix, ntasks=case.t2,
-                    order=case.order, io_tasks=case.p2,
-                    target_bytes=case.target_bytes,
-                    distribution_overrides=overrides,
-                )
+            rec = {g.prefix: g for g in gens}[decision.prefix]
+            state = run.opened.state  # the walk restored what it chose
             _check_restored(c, state.arrays, rec.refs)
             c.check(
                 state.segment.serialize() == rec.segment.serialize(),
@@ -892,8 +915,8 @@ def _run_mlck_fault(case: Case) -> CaseResult:
             "expected_tier": expected_tier,
             "chosen": decision.prefix,
             "tier": decision.tier,
-            "failed_nodes": sorted(failed),
-            "pfs_reads_during_walk": reads_during,
+            "failed_nodes": sorted(run.failed),
+            "pfs_reads_during_walk": run.reads,
         }
     )
 
@@ -904,47 +927,26 @@ def _run_mlck_fault(case: Case) -> CaseResult:
 def _run_localized(case: Case) -> CaseResult:
     """The localized equivalence oracle: run the case's fault schedule,
     then recover the chosen generation through BOTH paths — the full
-    restore and the localized one (survivors reload locally, only lost
-    ranks' sections cross the switch) — and assert the post-recovery
-    array bytes, segment, manifest state, and breakdown byte ledgers
-    are identical.  Localized recovery changes the *cost model*, never
-    the bytes.  Additionally exercises the section-scoped scatter
-    primitive (zero the lost ranks' locals, rebuild only them from the
-    reference stream) and the post-recovery re-replication repair."""
-    from repro.mlck.drain import DrainController
+    restore (the walk's) and the localized one (survivors reload
+    locally, only lost ranks' sections cross the switch) — and assert
+    the post-recovery array bytes, segment, manifest state, and
+    breakdown byte ledgers are identical.  Localized recovery changes
+    the *cost model*, never the bytes.  Additionally exercises the
+    section-scoped scatter primitive (zero the lost ranks' locals,
+    rebuild only them from the reference stream) and the post-recovery
+    re-replication repair."""
     from repro.mlck.localized import (
         localized_restart,
         localized_restore_drms,
         rebuild_lost_sections,
         rereplicate_after_failure,
     )
-    from repro.mlck.store import L1Store
 
     c = _Checker(case)
-    machine = Machine(MachineParams(num_nodes=case.num_nodes))
-    pfs = PIOFS(machine=machine)
-    base = "app.ck"
     with use_tracer(Tracer()) as tracer:
-        store = L1Store(machine, k=case.k, target_bytes=case.target_bytes)
-        drainer = DrainController(
-            store, pfs, synchronous=True, target_bytes=case.target_bytes
-        )
-        gens, failed = _run_mlck_schedule(
-            c, case, machine, pfs, store, drainer, base
-        )
-        expected_prefix, expected_tier = _mlck_ground_truth(gens, failed, pfs)
-
-        decision = select_restart_state(pfs, base, l1=store)
-        c.check(
-            decision.prefix == expected_prefix,
-            f"tiered recovery chose {decision.prefix!r}; newest "
-            f"any-tier-valid state is {expected_prefix!r}",
-        )
-        c.check(
-            decision.tier == expected_tier,
-            f"tiered recovery used tier {decision.tier!r}; ground truth "
-            f"says {expected_tier!r}",
-        )
+        run = _run_mlck_recovery(c, case, tracer)
+        machine, store, failed, decision = run.machine, run.store, run.failed, run.decision
+        expected_prefix, expected_tier = run.expected
         details: Dict[str, object] = {
             "expected_prefix": expected_prefix,
             "expected_tier": expected_tier,
@@ -955,10 +957,8 @@ def _run_localized(case: Case) -> CaseResult:
             c.check(not violations, f"span tree violations: {violations[:3]}")
             return c.finish(details)
 
-        rec = {g.prefix: g for g in gens}[decision.prefix]
-        overrides = {
-            spec.name: case.distribution2(spec) for spec in case.arrays
-        }
+        rec = {g.prefix: g for g in run.gens}[decision.prefix]
+        full_state, full_bd = run.opened.state, run.opened.breakdown
         n = case.t2
         # Restart ranks live on the first n nodes; ranks whose node the
         # schedule killed are the lost ranks.  Replacement nodes are
@@ -979,21 +979,10 @@ def _run_localized(case: Case) -> CaseResult:
         }
 
         if decision.tier == "l1":
-            full_state, full_bd = store.restore_drms(
-                decision.prefix,
-                n,
-                order=case.order,
-                distribution_overrides=overrides,
-            )
             loc_state, loc_bd, scope = localized_restore_drms(
-                store,
-                decision.prefix,
-                n,
-                placement,
-                failed_in,
-                replacements=repl,
-                order=case.order,
-                distribution_overrides=overrides,
+                store, decision.prefix, n, placement, failed_in,
+                replacements=repl, order=case.order,
+                distribution_overrides=run.options["distribution_overrides"],
             )
             flat = tracer.metrics.flat()
             _flat_eq(c, flat, "mlck.localized.restores", 1)
@@ -1001,20 +990,12 @@ def _run_localized(case: Case) -> CaseResult:
             # Every L1 copy of the chosen generation is unservable, so
             # the survivors' own replica memory is gone too: localized
             # recovery degrades to the same full, metered PFS read.
-            pfs_read = dict(
-                order=case.order, io_tasks=case.p2,
-                target_bytes=case.target_bytes,
-                distribution_overrides=overrides,
-            )
-            full_state, full_bd = drms_restart(
-                pfs, decision.prefix, ntasks=n, **pfs_read
-            )
             loc_state, loc_bd, scope = localized_restart(
-                pfs, decision.prefix, n, placement, failed_in,
-                replacements=repl, **pfs_read,
+                run.pfs, decision.prefix, n, placement, failed_in,
+                replacements=repl, **run.options,
             )
 
-        # -- the equivalence block: bytes, segment, manifest, ledgers --
+    # -- the equivalence block: bytes, segment, manifest, ledgers --
         _check_restored(c, full_state.arrays, rec.refs)
         _check_restored(c, loc_state.arrays, rec.refs)
         for spec in case.arrays:

@@ -1,13 +1,20 @@
-"""The memory tier's hash budget, in passes per stored byte, held so it
-cannot creep back: a byte is hashed when it is captured (piece digest +
+"""The recovery's read and hash budget, in passes per stored byte, held
+so it cannot creep back.
+
+The memory tier: a byte is hashed when it is captured (piece digest +
 the v3 stream digest: 2) and when it is handed to someone — the drain
 (1), a restore (1), a new replica (1 per piece re-replicated) — and
-never to answer a question about a replica.
+never to answer a question about a replica.  A recovery: a generation
+is chosen by opening it, so the walk and the restore are one pass — a
+PFS recovery reads every stored byte once and hashes it once, a memory
+recovery hashes it once, and a rejected newer generation costs at most
+its own bytes once more.
 
-The ruler is the one ``benchmarks/e2e/layers.py`` uses for
-``checkpoint.sha1_bytes``: ``sha1_hex`` wrapped in every loaded
-``repro.*`` module that holds it.  ``mlck.l1.verified.bytes`` is the
-same number published from inside."""
+The rulers are the ones ``benchmarks/e2e/layers.py`` uses for
+``checkpoint.sha1_bytes`` and ``pfs.read_bytes``: ``sha1_hex`` wrapped
+in every loaded ``repro.*`` module that holds it, ``PIOFS.read_at``
+wrapped on its class.  ``mlck.l1.verified.bytes`` is the memory tier's
+number published from inside."""
 
 import sys
 
@@ -16,16 +23,17 @@ import pytest
 
 from repro.arrays.darray import DistributedArray
 from repro.arrays.distributions import block_distribution
-from repro.checkpoint.format import sha1_hex
+from repro.checkpoint.drms import drms_checkpoint
+from repro.checkpoint.format import array_name, manifest_name, segment_name, sha1_hex
+from repro.checkpoint.recover import restart_latest_valid
 from repro.checkpoint.segment import DataSegment, SegmentProfile
 from repro.mlck.drain import DrainController, DrainState
 from repro.mlck.localized import localized_restart, rereplicate_after_failure
 from repro.mlck.store import L1Store
 from repro.obs import Tracer, use_tracer
+from repro.pfs.faults import flip_stored_bit
 from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine, MachineParams
-
-pytestmark = [pytest.mark.mlck, pytest.mark.localized]
 
 PREFIX = "ck.000001"
 NTASKS = 4
@@ -71,6 +79,30 @@ def meter(monkeypatch):
         yield m
 
 
+@pytest.fixture
+def reads(monkeypatch):
+    """Bytes ``PIOFS.read_at`` returned, read as deltas by ``take()``."""
+
+    class Reads:
+        total = 0
+        seen = 0
+
+        def take(self):
+            delta, self.seen = self.total - self.seen, self.total
+            return delta
+
+    r = Reads()
+    real = PIOFS.read_at
+
+    def spy(self, name, offset, nbytes, client=0):
+        out = real(self, name, offset, nbytes, client=client)
+        r.total += len(out)
+        return out
+
+    monkeypatch.setattr(PIOFS, "read_at", spy)
+    return r
+
+
 def _state(ntasks=NTASKS):
     """Two 512x512 float64 BLOCK arrays (2 MiB each) and a segment."""
     rng = np.random.default_rng(20)
@@ -90,6 +122,8 @@ def _lose(machine, store, node):
     store.drop_node(node)
 
 
+@pytest.mark.mlck
+@pytest.mark.localized
 def test_passes_per_stored_byte(meter):
     machine = Machine(MachineParams(num_nodes=8))
     pfs = PIOFS(machine=machine)
@@ -145,6 +179,8 @@ def _repair_bytes(meter, num_nodes):
     return wrapped, stored
 
 
+@pytest.mark.mlck
+@pytest.mark.localized
 def test_repair_follows_the_lost_fraction(meter):
     """Every rank rolls back, so the reload is the whole state by
     construction; what scales with the loss is the repair."""
@@ -152,3 +188,71 @@ def test_repair_follows_the_lost_fraction(meter):
     of_four, _ = _repair_bytes(meter, 4)
     assert of_eight <= 0.6 * of_four
     assert of_four < stored  # nowhere near (1 + k) x resident
+
+
+# -- a recovery: the walk opens, so walk + restore is one pass ------------------
+
+
+def _pfs_generations(count):
+    """``count`` PFS generations of the same state on NTASKS tasks, and
+    what one of them is: (stored, header, segment file, manifest) bytes."""
+    pfs = PIOFS(machine=Machine(MachineParams(num_nodes=8)))
+    segment, arrays, stored = _state()
+    for g in range(1, count + 1):
+        drms_checkpoint(pfs, f"ck.{g:06d}", segment, arrays)
+    return pfs, (
+        stored,
+        len(segment.serialize()[0]),
+        pfs.file_size(segment_name(PREFIX)),
+        pfs.file_size(manifest_name(PREFIX)),
+    )
+
+
+@pytest.mark.crash_consistency
+def test_a_pfs_recovery_reads_and_hashes_each_stored_byte_once(meter, reads):
+    pfs, (stored, header, segment_file, manifest) = _pfs_generations(1)
+    meter.take()
+    reads.take()
+    state, _, decision = restart_latest_valid(pfs, "ck", 3)
+    assert (decision.prefix, state.ntasks) == (PREFIX, 3)
+    # the manifest, the segment, every array byte: once each
+    assert reads.take() == stored + segment_file + manifest
+    # the segment header as it is read, each stream-in buffer: once each
+    wrapped, _ = meter.take()
+    assert wrapped == stored + header
+
+
+@pytest.mark.crash_consistency
+def test_a_rejected_newest_generation_costs_its_own_bytes_once(meter, reads):
+    pfs, (stored, header, segment_file, manifest) = _pfs_generations(2)
+    one_read, one_hash = stored + segment_file + manifest, stored + header
+    flip_stored_bit(pfs, array_name("ck.000002", "v"), 1000)
+    meter.take()
+    reads.take()
+    state, _, decision = restart_latest_valid(pfs, "ck", 3)
+    assert decision.prefix == PREFIX
+    assert [p for p, _ in decision.rejected] == ["ck.000002"]
+    assert one_read < reads.take() <= 2 * one_read
+    wrapped, _ = meter.take()
+    assert one_hash < wrapped <= 2 * one_hash
+
+
+@pytest.mark.crash_consistency
+@pytest.mark.mlck
+def test_a_tiered_recovery_from_memory_hashes_each_stored_byte_once(meter, reads):
+    machine = Machine(MachineParams(num_nodes=8))
+    pfs = PIOFS(machine=machine)
+    store = L1Store(machine, k=1)
+    segment, arrays, stored = _state()
+    header = len(segment.serialize()[0])
+    store.capture_drms(PREFIX, segment, arrays, nodes=range(NTASKS))
+    DrainController(store, pfs, synchronous=True).schedule(PREFIX)
+    meter.take()
+    reads.take()
+    # the tiered walk opens the L1 candidate: liveness, then the one
+    # verifying fetch — no audit pass before it, no PFS byte read
+    state, bd, decision = restart_latest_valid(pfs, "ck", 3, l1=store)
+    assert (decision.prefix, decision.tier, bd.kind) == (PREFIX, "l1", "mlck-l1")
+    wrapped, published = meter.take()
+    assert wrapped == published == stored + header
+    assert reads.take() == 0

@@ -53,7 +53,6 @@ class DictSource:
         self.streams = {
             n: stream_order_bytes(g, "F") for n, g in globals_by_name.items()
         }
-        self.verified = []
         self.manifest = {
             "kind": "drms",
             "ntasks": ntasks,
@@ -79,12 +78,6 @@ class DictSource:
     def fetch_segment(self, ntasks):
         return self.header, 0.25, self.manifest["segment_bytes"] * ntasks
 
-    def verify_segment(self, header):
-        self.verified.append("segment")
-
-    def verify_array(self, spec):
-        self.verified.append(spec["name"])
-
     def load_array(self, arr, spec, order):
         data = self.streams[spec["name"]]
         arr.set_global(bytes_to_section(data, spec["shape"], spec["dtype"], order))
@@ -105,7 +98,6 @@ def test_pipeline_runs_over_a_source_that_is_no_tier():
     for name, want in globals_by_name.items():
         assert state.arrays[name].ntasks == 3
         np.testing.assert_array_equal(state.arrays[name].to_global(), want)
-    assert source.verified == ["segment", "a", "b"]
     # the pipeline, not the source, fills the breakdown and opens the spans
     assert (bd.kind, bd.other_seconds, bd.segment_seconds) == ("fake", 2.0, 0.25)
     assert bd.segment_bytes == 3 * source.manifest["segment_bytes"]
