@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test verify-checkpoints verify-mlck verify-localized verify-policy verify-workflow verify-reconfig verify-reconfig-deep bench bench-baseline bench-stream bench-obs bench-localized bench-workflow bench-fleet bench-e2e bench-e2e-quick bench-e2e-compare report trace obs-report forensics-demo examples all clean
+.PHONY: install test verify-checkpoints verify-mlck verify-localized verify-policy verify-workflow verify-reconfig verify-reconfig-deep bench bench-baseline bench-obs bench-localized bench-workflow bench-fleet bench-e2e bench-e2e-quick bench-e2e-compare report trace obs-report forensics-demo examples all clean
 
 # fixed seed so the gate is fully deterministic; DEEP_SEED rotates daily
 VERIFY_SEED ?= 20260806
@@ -65,19 +65,11 @@ verify-reconfig-deep:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# the performance baselines: writes benchmarks/out/BENCH_plancache.json,
-# BENCH_parstream.json, and BENCH_mlck.json
+# the performance baselines: writes benchmarks/out/BENCH_plancache.json
+# and BENCH_mlck.json
 bench-baseline:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_plancache.py \
-		benchmarks/bench_parstream_concurrency.py \
 		benchmarks/bench_mlck_recovery.py --benchmark-only -s
-
-# the vectorized-streaming gate: regenerates BENCH_stream_vec.json and
-# fails if the coalesced thread engine loses to the bulk serial loop
-# (threads_vs_serial <= 1.0) or any engine's bytes diverge from the
-# scalar baseline
-bench-stream:
-	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_stream_vectorized.py --check
 
 # the observability-overhead gate: regenerates BENCH_obs_overhead.json
 # and fails if the always-on flight recorder costs more than 5% over

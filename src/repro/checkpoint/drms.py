@@ -178,7 +178,6 @@ def drms_checkpoint(
     io_tasks: Optional[int] = None,
     target_bytes: int = 1 << 20,
     app_name: str = "",
-    concurrency: str = "threads",
     tier: str = "pfs",
     l1=None,
     drain=None,
@@ -190,11 +189,11 @@ def drms_checkpoint(
     their captured bytes and digest (the L1 drain) — same state, byte
     for byte.
 
-    ``concurrency`` selects the parstream executor (``"threads"`` runs
-    the P I/O tasks on a thread pool, ``"vectorized"`` the same bulk
-    pipeline inline without a pool, ``"serial"`` the deterministic
-    per-piece round-robin loop); output bytes are identical in every
-    engine.
+    Each array is one parstream phase
+    (:func:`~repro.streaming.parallel.stream_out_parallel`): at most
+    ``io_tasks`` bulk writes, or the per-piece loop when ``pfs`` has a
+    fault injector attached or the array is virtual; the stored bytes
+    are the same either way.
 
     ``tier`` selects the checkpoint store: ``"pfs"`` (default) writes
     the PFS directly; ``"memory"`` captures into the in-memory L1 store
@@ -257,8 +256,7 @@ def drms_checkpoint(
             with obs.span(f"parstream:{a.name}", file=fname) as sp:
                 pfs.begin_phase(IOKind.WRITE_PARALLEL)
                 stats = stream_out_parallel(
-                    a, sink, P=io_tasks, order=order, target_bytes=target_bytes,
-                    concurrency=concurrency,
+                    a, sink, P=io_tasks, order=order, target_bytes=target_bytes
                 )
                 res = pfs.end_phase()
                 obs.advance(res.seconds)
@@ -452,7 +450,6 @@ class PFSCheckpointSource:
         prefix: str,
         io_tasks: Optional[int] = None,
         target_bytes: int = 1 << 20,
-        concurrency: str = "threads",
     ):
         self.pfs = pfs
         self.prefix = prefix
@@ -467,7 +464,6 @@ class PFSCheckpointSource:
         self.init_seconds = pfs.params.restart_init_s
         self.io_tasks = io_tasks
         self.target_bytes = target_bytes
-        self.concurrency = concurrency
 
     def fetch_segment(self, ntasks: int) -> Tuple[bytes, float, int]:
         """One shared read phase: task 0 reads the exact header, every
@@ -500,8 +496,7 @@ class PFSCheckpointSource:
         try:
             stats = stream_in_parallel(
                 arr, PFSSource(pfs, spec["file"]), P=self.io_tasks, order=order,
-                target_bytes=self.target_bytes, concurrency=self.concurrency,
-                sha1=spec.get("sha1"),
+                target_bytes=self.target_bytes, sha1=spec.get("sha1"),
             )
         except BaseException:
             # a failed open leaves no phase open to hide its error
@@ -519,7 +514,6 @@ def restart_opener(
     pfs: PIOFS, ntasks: int, l1=None, order: Optional[str] = None,
     io_tasks: Optional[int] = None, target_bytes: int = 1 << 20,
     distribution_overrides: Optional[Dict[str, object]] = None,
-    concurrency: str = "threads",
 ):
     """``open_one(prefix, tier)`` of a full restart onto ``ntasks``
     tasks (:func:`~repro.checkpoint.recover.open_latest_valid`): an
@@ -535,7 +529,7 @@ def restart_opener(
             )
         return drms_restart(
             pfs, prefix, ntasks, order, io_tasks, target_bytes,
-            distribution_overrides, concurrency,
+            distribution_overrides,
         )
 
     return open_one
@@ -582,7 +576,6 @@ def drms_restart(
     io_tasks: Optional[int] = None,
     target_bytes: int = 1 << 20,
     distribution_overrides: Optional[Dict[str, object]] = None,
-    concurrency: str = "threads",
     tier: str = "pfs",
     l1=None,
 ) -> Tuple[RestoredState, RestartBreakdown]:
@@ -591,15 +584,13 @@ def drms_restart(
     :func:`open_generation`, over the surviving replicas of the L1 store
     ``l1`` first.  Every tier charges the fixed restart initialization."""
     if tier == "pfs":
-        source = PFSCheckpointSource(
-            pfs, prefix, io_tasks, target_bytes, concurrency
-        )
+        source = PFSCheckpointSource(pfs, prefix, io_tasks, target_bytes)
         return restore(source, ntasks, order, distribution_overrides)
     opened = open_generation(
         pfs, prefix, tier, l1,
         restart_opener(
             pfs, ntasks, l1, order, io_tasks, target_bytes,
-            distribution_overrides, concurrency,
+            distribution_overrides,
         ),
     )
     return opened.state, opened.breakdown

@@ -37,7 +37,6 @@ from repro.errors import CheckpointError, RestartError
 from repro.obs import get_tracer
 from repro.pfs.phase import IOKind
 from repro.pfs.piofs import PIOFS
-from repro.streaming.executor import run_tasks
 
 __all__ = ["spmd_checkpoint", "spmd_restart", "SPMDRestoredState"]
 
@@ -79,7 +78,8 @@ def spmd_checkpoint(
     l1=None,
     drain=None,
 ) -> CheckpointBreakdown:
-    """Write one segment file per task, all tasks concurrently.
+    """Write one segment file per task in one distinct-file phase (the
+    simulated clock charges the tasks as concurrent clients).
 
     ``segment_bytes`` is the per-task data-segment size — fixed at
     compile time (for the minimum task count) in the Fortran codes the
@@ -126,8 +126,8 @@ def spmd_checkpoint(
         sha_bytes: List[int] = []
         with obs.span("segment_write", files=ntasks) as sp:
             pfs.begin_phase(IOKind.WRITE_DISTINCT)
-            # encode and create serially (deterministic namespace and
-            # manifest order), then write the distinct files concurrently
+            # create every file first, then write them in task order:
+            # a deterministic namespace, manifest order and write sequence
             encoded = []
             for t in range(ntasks):
                 fname = task_segment_name(prefix, t)
@@ -140,18 +140,10 @@ def spmd_checkpoint(
                 # not stored), so a torn write of the file is caught at restart
                 shas.append(sha1_hex(header))
                 sha_bytes.append(len(header))
-
-            def write_task(t: int, fname: str, header: bytes, pad: int) -> None:
+            for t, fname, header, pad in encoded:
                 pfs.write_at(fname, 0, header, client=t)
                 if pad:
                     pfs.write_at(fname, len(header), None, nbytes=pad, client=t)
-
-            if pfs.faults is not None:
-                # nth-write fault plans need the deterministic sequence
-                for e in encoded:
-                    write_task(*e)
-            else:
-                run_tasks([lambda e=e: write_task(*e) for e in encoded])
             res = pfs.end_phase()
             obs.advance(res.seconds)
             sp.set(nbytes=sum(sizes), seconds=res.seconds)

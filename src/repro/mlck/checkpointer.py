@@ -61,7 +61,7 @@ class MultiLevelCheckpointer:
     """Two-tier checkpointing for one application under one base prefix.
 
     ``drain="async"`` (default) promotes generations on the shared
-    streaming pool; ``drain="sync"`` drains inline before
+    drain pool; ``drain="sync"`` drains inline before
     :meth:`checkpoint` returns — deterministic, used by the verify
     oracle and the benchmarks.  ``k`` is the L1 partner-replica count;
     ``keep`` the durable-tier retention budget.

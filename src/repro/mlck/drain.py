@@ -2,7 +2,7 @@
 
 After an L1 capture the application continues immediately; the drain
 promotes the generation to the parallel file system in the background,
-on the shared :mod:`repro.streaming.executor` thread pool — so the slow
+on a shared thread pool (:func:`submit_task`) — so the slow
 PFS write (the paper's dominant checkpoint cost, Table 6) overlaps the
 next SOPs instead of stalling them.
 
@@ -30,17 +30,20 @@ until the draining generation supersedes it, so
 :meth:`~repro.checkpoint.rotation.CheckpointRotation.prune` must not
 delete it, however many newer generations commit meanwhile.
 
-Drains are serialized on one lock: PFS I/O phases do not nest, and a
-single writer keeps generation commit order monotone.  ``synchronous``
+Drains are serialized on one lock: PFS I/O phases do not nest.  An
+asynchronous drain also waits for the one scheduled before it, so
+generations commit in the order they were scheduled.  ``synchronous``
 mode runs the drain inline in :meth:`DrainController.schedule` — the
 deterministic mode the verify oracle and the benchmarks use.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
 import threading
-from concurrent.futures import Future
-from typing import Dict, List, Optional
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from typing import Callable, Dict, List, Optional
 
 from repro.checkpoint.drms import drms_checkpoint
 from repro.checkpoint.rotation import CheckpointRotation
@@ -49,9 +52,23 @@ from repro.errors import CheckpointError
 from repro.mlck.store import L1Store
 from repro.obs import get_flight, get_tracer
 from repro.pfs.piofs import PIOFS
-from repro.streaming.executor import submit_task
 
-__all__ = ["DrainState", "DrainController"]
+__all__ = ["DrainState", "DrainController", "submit_task"]
+
+#: the shared drain pool (threads start on first use and are reused, so
+#: a periodic checkpointer never pays thread startup); wide enough for
+#: every plausible number of queued drains
+_POOL = ThreadPoolExecutor(
+    max_workers=max(8, (os.cpu_count() or 4) * 2), thread_name_prefix="drain"
+)
+
+
+def submit_task(task: Callable[[], object]) -> Future:
+    """Run ``task`` on the shared drain pool and return its Future.  The
+    task runs in a copy of the submitting thread's context, so it
+    observes the caller's :mod:`contextvars` scopes (notably
+    ``strict_gather``)."""
+    return _POOL.submit(contextvars.copy_context().run, task)
 
 
 class DrainState:
@@ -94,6 +111,8 @@ class DrainController:
         self._serial = threading.Lock()  # PFS phases do not nest
         self._state_lock = threading.Lock()
         self._futures: Dict[str, Future] = {}
+        #: the newest asynchronous drain: the next one waits for it
+        self._last: Optional[Future] = None
         self._pending = 0
         #: prefix -> clock at schedule time, while the drain is in
         #: flight (drives the health backlog-age gauge)
@@ -127,7 +146,7 @@ class DrainController:
 
     def schedule(self, prefix: str, clock: float = 0.0) -> Optional[Future]:
         """Queue the drain of ``prefix``.  Asynchronous mode returns the
-        Future running on the shared streaming pool; synchronous mode
+        Future running on the shared drain pool; synchronous mode
         drains inline and returns None.  ``clock`` stamps the backlog
         entry for the health gauges."""
         gen = self.store.gen(prefix)
@@ -152,17 +171,23 @@ class DrainController:
         if self.synchronous:
             self._drain(prefix, protect)
             return None
-        future = submit_task(lambda: self._drain(prefix, protect))
         with self._state_lock:
-            self._futures[prefix] = future
+            after = self._last
+            future = submit_task(lambda: self._drain(prefix, protect, after))
+            self._futures[prefix] = self._last = future
         return future
 
     # -- the drain itself ----------------------------------------------------
 
-    def _drain(self, prefix: str, protect: Optional[str]) -> str:
-        """Runs on the pool (or inline): returns the final drain state.
-        Failures are recorded on the generation, never raised — a broken
-        drain must not take the application down; recovery falls back."""
+    def _drain(
+        self, prefix: str, protect: Optional[str], after: Optional[Future] = None
+    ) -> str:
+        """Runs on the pool (or inline), once the drain ``after`` has
+        finished: returns the final drain state.  Failures are recorded
+        on the generation, never raised — a broken drain must not take
+        the application down; recovery falls back."""
+        if after is not None:
+            wait([after])
         m = get_tracer().metrics
         fr = get_flight()
         with self._serial:

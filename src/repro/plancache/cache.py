@@ -66,8 +66,8 @@ class PlanCache:
     Values are treated as immutable by contract: callers of the cached
     plan functions (:mod:`repro.plancache.plans`) receive either the
     cached object or a shallow copy, and must not mutate entries.
-    Thread-safe: the parstream executor's worker threads may plan
-    concurrently.
+    Thread-safe: streaming ops on different threads (async drains,
+    workflow members) may plan concurrently.
     """
 
     enabled = True

@@ -14,8 +14,8 @@ plancache.cache.PlanCache`:
 * :func:`section_stream_positions` — the stream-position map of a
   sub-section (``streaming/order.py``), returned read-only because the
   cached ndarray is shared between callers;
-* :func:`streaming_plan` — the (pieces, offsets) pair the parstream
-  executor needs, as one composite entry.
+* :func:`streaming_plan` — the (pieces, offsets) pair parallel
+  streaming needs, as one composite entry.
 
 The wrapped functions stay pure and uncached in their home modules;
 callers that want memoization import from here.  Results that callers

@@ -11,46 +11,41 @@ pieces.  The output is byte-identical to serial streaming; only the
 access pattern differs, which is why parallel streaming requires a
 seekable sink.
 
-Execution engines (the ``concurrency`` parameter):
+Two execution paths, chosen by what the call observes — there is no
+option:
 
-* ``"threads"`` (default) — the section is bulk-gathered once through
-  the cached index-array plans (:mod:`repro.streaming.vectorized`),
-  the nonempty pieces are coalesced into at most P stream-contiguous
-  byte runs of near-equal volume, and the P I/O tasks run as a thread
-  pool, each issuing **one** bulk ``write_at``/``read_at`` for its run.
-  Empty pieces occupy zero bytes, so the nonempty pieces are
-  byte-contiguous in stream order and every run is a single interval.
-* ``"vectorized"`` — the same bulk-gather + coalesced-run pipeline,
-  executed inline on the calling thread: no pool dispatch, the right
-  choice when cores are scarce or the caller is already a pool worker.
-* ``"serial"`` — the deterministic per-piece round-robin loop.  Also
-  entered automatically (from either other mode) when the sink's PFS
-  has fault injection armed: fault plans address the *nth matching
-  write*, which only means something over a deterministic write
-  sequence, so the per-piece write granularity and ``j % P`` client
-  attribution are preserved exactly.
+* **bulk** — for data-bearing arrays with no armed fault injector: the
+  section is gathered once through the cached plans
+  (:mod:`repro.streaming.vectorized`), the nonempty pieces are
+  coalesced into at most P stream-contiguous byte runs of near-equal
+  volume, and run ``p`` is I/O task ``p``'s **one** ``write_at`` /
+  ``read_at``, issued inline.  Empty pieces occupy zero bytes, so the
+  nonempty pieces are byte-contiguous in stream order and every run is
+  a single interval.
+* **per-piece** — the deterministic round-robin loop, one call per
+  nonempty piece in ``j`` order with ``client = j % P``.  It runs when
+  the endpoint's PIOFS has a fault injector attached (fault plans
+  address the *nth matching write*, which only means something over
+  this write sequence) and for virtual (geometry-only) arrays, whose
+  per-piece transfers are what the simulated Class-A baselines account.
 
-Correctness relies on three structural facts: pieces are disjoint in
-the global index space (gather/scatter never race on an element),
-offsets are disjoint in the stream (writes never race on a byte), and
-sinks serialize internal bookkeeping behind their own locks.  Because
-every piece's bytes and offset are fixed by the plan, all engines are
-byte-identical for every interleaving — the property the verify oracle
-checks.
+The simulated PIOFS phase models the P I/O tasks as concurrent clients
+whatever the host does, so neither path runs host threads.
 
-One pass over the state: every engine gathers the section once into a
-flat stream-order buffer, takes the SHA-1 of that buffer — the stream
-it *intends* to write, before any sink call — and hands the sink slices
+Pieces are disjoint in the global index space and their offsets are
+disjoint in the stream, so every piece's bytes and offset are fixed by
+the plan: both paths are byte-identical to serial streaming — the
+property the verify oracle checks.
+
+One pass over the state: both paths gather the section once into a
+flat stream-order buffer, take the SHA-1 of that buffer — the stream
+they *intend* to write, before any sink call — and hand the sink slices
 of it (a storing sink copies them, once).  The digest is
 ``StreamStats.sha1`` and the ``content_sha1`` op-span attribute;
 ``drms_checkpoint`` puts it in the manifest.  Stream-in mirrors it:
 given that digest, it hashes the flat buffer its reads filled and
 compares before the scatter, so a damaged write or read is caught with
 no second read or hash, and no unverified byte reaches an array.
-
-Virtual (geometry-only) arrays keep the legacy per-piece round-robin
-paths in every mode: there is nothing to gather, and the per-piece
-transfer granularity is what the simulated Class-A baselines account.
 
 ``P`` may be anything from 1 (fully serial) to the number of tasks;
 tasks beyond ``P`` still participate in redistribution (their assigned
@@ -67,7 +62,6 @@ from repro.arrays.darray import DistributedArray
 from repro.arrays.slices import Slice
 from repro.errors import CheckpointIntegrityError, StreamingError
 from repro.obs import get_tracer
-from repro.streaming.executor import faults_armed, run_tasks
 from repro.streaming.order import check_order, sha1_hex
 from repro.streaming.serial import (
     StreamStats,
@@ -83,10 +77,15 @@ from repro.streaming.vectorized import (
     scatter_section_flat,
 )
 
-__all__ = ["stream_out_parallel", "stream_in_parallel"]
+__all__ = ["faults_armed", "stream_out_parallel", "stream_in_parallel"]
 
-#: accepted values for the ``concurrency`` parameter
-_MODES = ("threads", "serial", "vectorized")
+
+def faults_armed(endpoint) -> bool:
+    """True when ``endpoint`` (a sink or source) is backed by a PFS
+    with a fault injector attached: its nth-write plans need the
+    per-piece write sequence."""
+    pfs = getattr(endpoint, "pfs", None)
+    return pfs is not None and getattr(pfs, "faults", None) is not None
 
 
 def _plan(
@@ -107,14 +106,6 @@ def _plan(
         )
     pieces, offsets = _cached_plan(section, darray.itemsize, target_bytes, P, order)
     return section, P, pieces, offsets
-
-
-def _check_mode(concurrency: str) -> str:
-    if concurrency not in _MODES:
-        raise StreamingError(
-            f"unknown concurrency mode {concurrency!r}; expected one of {_MODES}"
-        )
-    return concurrency
 
 
 def _coalesced_runs(
@@ -140,16 +131,11 @@ def _coalesced_runs(
     return runs
 
 
-def _pick_engine(darray, endpoint, concurrency: str, jobs) -> str:
-    """Resolve the execution engine for this operation.  Fault plans
-    force the deterministic serial loop.  Virtual arrays always take
-    the per-piece loop in every mode: there is nothing to gather, the
-    per-piece transfer granularity and ``j % P`` client attribution are
-    what the simulated Class-A phase baselines account, and the
-    simulated timing is thread-independent anyway."""
-    if faults_armed(endpoint) or not jobs or not darray.store_data:
-        return "serial"
-    return concurrency
+def _is_bulk(darray, endpoint, jobs) -> bool:
+    """The bulk path serves data-bearing arrays with something to move
+    and no fault injector on the endpoint; everything else takes the
+    per-piece loop."""
+    return bool(jobs) and darray.store_data and not faults_armed(endpoint)
 
 
 def stream_out_parallel(
@@ -159,12 +145,10 @@ def stream_out_parallel(
     P: Optional[int] = None,
     order: str = "F",
     target_bytes: int = 1 << 20,
-    concurrency: str = "threads",
 ) -> StreamStats:
     """Stream ``darray[section]`` out with ``P`` parallel I/O tasks.
     ``darray`` is the stream source: a distributed array, or a
     :class:`~repro.streaming.serial.StoredStream` replayed whole."""
-    _check_mode(concurrency)
     if not getattr(sink, "seekable", True) and (P or darray.ntasks) > 1:
         raise StreamingError(
             "parallel streaming requires a seekable sink; use serial "
@@ -172,7 +156,7 @@ def stream_out_parallel(
         )
     section, P, pieces, offsets = _plan(darray, section, P, order, target_bytes)
     jobs = [(j, piece) for j, piece in enumerate(pieces) if not piece.is_empty]
-    engine = _pick_engine(darray, sink, concurrency, jobs)
+    bulk = _is_bulk(darray, sink, jobs)
     itemsize = darray.itemsize
     obs = get_tracer()
     total = 0
@@ -181,47 +165,24 @@ def stream_out_parallel(
         "stream.out.parallel",
         array=darray.name,
         io_tasks=P,
-        concurrency=engine,
+        path="bulk" if bulk else "per-piece",
         plan_pieces=len(pieces),
     ) as op:
         plan_idx = _index_plan(darray, section, order)
         stream, sha = _intended_stream(darray, section, order, plan_idx)
-        if engine in ("threads", "vectorized"):
-            # Bulk path (data-bearing arrays only): at most P coalesced
-            # writes — run p covers a contiguous byte interval of the
-            # stream, so each I/O task issues a single write_at.
-            # Worker threads open no spans: the tracer's span stacks
-            # are per-thread, so worker spans would surface as
-            # parentless roots.  Per-run accounting is aggregated.
-            runs = _coalesced_runs(jobs, itemsize, P)
-
-            def io_task(p: int):
-                run = runs[p]
+        if bulk:
+            # run p covers a contiguous byte interval of the stream, so
+            # each I/O task issues a single write_at
+            for p, run in enumerate(_coalesced_runs(jobs, itemsize, P)):
                 start = offsets[run[0][0]]
                 nbytes = sum(piece.size for _, piece in run) * itemsize
                 sink.write_at(start, stream[start:start + nbytes], client=p)
-                t_redis = range_redistribution_bytes(
-                    plan_idx,
-                    start // itemsize,
-                    (start + nbytes) // itemsize,
-                    p,
-                    itemsize,
+                total += nbytes
+                redis += range_redistribution_bytes(
+                    plan_idx, start // itemsize, (start + nbytes) // itemsize,
+                    p, itemsize,
                 )
-                return nbytes, t_redis
-
-            thunks = [lambda p=p: io_task(p) for p in range(len(runs))]
-            results = (
-                run_tasks(thunks)
-                if engine == "threads"
-                else [t() for t in thunks]
-            )
-            for t_bytes, t_redis in results:
-                total += t_bytes
-                redis += t_redis
         else:
-            # Deterministic per-piece round-robin loop: the write
-            # sequence and the j % P client attribution are what fault
-            # plans and the simulated phase baselines address.
             for j, piece in jobs:
                 p = j % P  # I/O task for this piece (round-robin rounds of P)
                 nbytes = piece.size * itemsize
@@ -252,25 +213,22 @@ def stream_in_parallel(
     order: str = "F",
     target_bytes: int = 1 << 20,
     source_offset: int = 0,
-    concurrency: str = "threads",
     sha1: Optional[str] = None,
 ) -> StreamStats:
     """Stream a section into ``darray`` with ``P`` parallel I/O tasks.
     The inverse of :func:`stream_out_parallel`: task ``p`` reads its
-    pieces at their stream offsets, then one bulk scatter delivers the
-    section to every task mapping part of it.  Concurrent reads fill
-    disjoint intervals of the flat buffer, so they never race; the
-    scatter is applied once, after every read returned whole — a short
+    pieces at their stream offsets into disjoint intervals of one flat
+    buffer, then one bulk scatter delivers the section to every task
+    mapping part of it — after every read returned whole, so a short
     read aborts with the target array untouched.
 
     Given ``sha1`` (a manifest's digest of the stream) the buffer the
     scatter consumes is hashed first, a mismatch raising
     :class:`~repro.errors.CheckpointIntegrityError` with ``darray``
     untouched."""
-    _check_mode(concurrency)
     section, P, pieces, offsets = _plan(darray, section, P, order, target_bytes)
     jobs = [(j, piece) for j, piece in enumerate(pieces) if not piece.is_empty]
-    engine = _pick_engine(darray, source, concurrency, jobs)
+    bulk = _is_bulk(darray, source, jobs)
     itemsize = darray.itemsize
     obs = get_tracer()
     total = 0
@@ -279,7 +237,7 @@ def stream_in_parallel(
         "stream.in.parallel",
         array=darray.name,
         io_tasks=P,
-        concurrency=engine,
+        path="bulk" if bulk else "per-piece",
         plan_pieces=len(pieces),
     ) as op:
         plan_idx = _index_plan(darray, section, order)
@@ -289,34 +247,18 @@ def stream_in_parallel(
             else None
         )
         flat_u8 = flat.view(np.uint8) if flat is not None else None
-        if engine in ("threads", "vectorized"):
-            runs = _coalesced_runs(jobs, itemsize, P)
-
-            def io_task(p: int):
-                run = runs[p]
+        if bulk:
+            for p, run in enumerate(_coalesced_runs(jobs, itemsize, P)):
                 start = offsets[run[0][0]]
                 nbytes = sum(piece.size for _, piece in run) * itemsize
                 data = source.read_at(source_offset + start, nbytes, client=p)
                 _require_full_read(data, nbytes, source, darray.store_data)
                 flat_u8[start:start + nbytes] = np.frombuffer(data, dtype=np.uint8)
-                t_redis = range_redistribution_bytes(
-                    plan_idx,
-                    start // itemsize,
-                    (start + nbytes) // itemsize,
-                    p,
-                    itemsize,
+                total += nbytes
+                redis += range_redistribution_bytes(
+                    plan_idx, start // itemsize, (start + nbytes) // itemsize,
+                    p, itemsize,
                 )
-                return nbytes, t_redis
-
-            thunks = [lambda p=p: io_task(p) for p in range(len(runs))]
-            results = (
-                run_tasks(thunks)
-                if engine == "threads"
-                else [t() for t in thunks]
-            )
-            for t_bytes, t_redis in results:
-                total += t_bytes
-                redis += t_redis
         else:
             for j, piece in jobs:
                 p = j % P

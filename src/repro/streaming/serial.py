@@ -22,9 +22,8 @@ element inside a gathered piece raises instead — the verify oracle
 enables this for cases whose arrays are fully defined, turning silent
 zero-fill of data that *should* exist into a hard failure.  The scope
 is a :class:`contextvars.ContextVar`: concurrent streaming ops on
-other threads (an mlck async drain riding the shared executor pool)
-never observe a strictness scope they are not inside, and the executor
-propagates the submitting thread's context to its workers.
+other threads never observe a strictness scope they are not inside,
+and an mlck async drain runs in a copy of its submitter's context.
 """
 
 from __future__ import annotations
@@ -61,8 +60,8 @@ __all__ = [
 ]
 
 #: gather strictness scope; per-context so concurrent streaming ops on
-#: other threads (e.g. an async drain) are unaffected — executor workers
-#: inherit the submitting thread's context (see streaming.executor)
+#: other threads are unaffected — an async drain inherits the
+#: submitting thread's context (see mlck.drain.submit_task)
 _STRICT_GATHER: contextvars.ContextVar[bool] = contextvars.ContextVar(
     "strict_gather", default=False
 )

@@ -6,9 +6,9 @@ parallel streaming writes at computed offsets, so its sink must be
 :class:`MemorySink` models both a seekable buffer and a sequential
 socket/tape-like channel.
 
-Thread safety: the concurrent parstream executor
-(:mod:`repro.streaming.parallel`) issues ``write_at`` calls from a
-thread pool.  :class:`MemorySink` serializes buffer growth behind a
+Thread safety: sinks may be written from several threads (an
+asynchronous drain beside the application, concurrent workflow
+members).  :class:`MemorySink` serializes buffer growth behind a
 per-sink lock; :class:`PFSSink` inherits the PIOFS namespace lock.
 Distinct pieces land at distinct offsets, so locking only has to make
 the extend-then-copy sequence atomic — content never races.
@@ -122,7 +122,7 @@ class MemorySource(ByteSource):
 class PFSSink(ByteSink):
     """Sink writing into a (possibly virtual) PIOFS file.  Concurrent
     ``write_at`` calls are safe: PIOFS serializes behind its namespace
-    lock and the executor writes distinct pieces at distinct offsets."""
+    lock."""
 
     def __init__(self, pfs: PIOFS, name: str, virtual: bool = False, create: bool = True):
         self.pfs = pfs

@@ -3,8 +3,7 @@
 The scalar hot path assembled every piece with nested Python loops:
 for each owner task, intersect, build an ``np.ix_`` mesh, copy a small
 block.  At bench piece sizes (KB-scale) the interpreter overhead of
-those loops — not the byte copies — dominated the parstream executor
-(BENCH_parstream.json: threads_vs_serial 0.87–0.97).
+those loops — not the byte copies — dominated parallel streaming.
 
 This module replaces the loops with one numpy copy per overlapping task,
 driven by a **section index plan**: for a (distribution, section,

@@ -69,8 +69,8 @@ from repro.runtime.machine import Machine, MachineParams
 from repro.streaming.order import stream_order_bytes
 from repro.streaming.parallel import stream_out_parallel
 from repro.streaming.partition import partition_for_target, piece_offsets
-from repro.streaming.serial import strict_gather
-from repro.streaming.streams import MemorySink
+from repro.streaming.serial import strict_gather, stream_out_serial
+from repro.streaming.streams import MemorySink, PFSSink
 from repro.verify.case import Case, FaultEvent
 
 __all__ = ["CaseResult", "VerifyFailure", "run_case", "replay_case"]
@@ -261,42 +261,59 @@ def _gather_strictness(arrays):
     return nullcontext()
 
 
-def _check_cross_engine(c: _Checker, arrays) -> None:
-    """Every parstream engine must emit byte-identical streams and the
-    same ``content_sha1`` stream digest.  Each real-data array is
-    streamed through serial, threaded, and vectorized executors into
-    memory sinks under throwaway tracers; the bytes must equal the
-    distribution-independent ``stream_order_bytes`` reference and every
-    engine's op-span digest must be the SHA-1 of that reference."""
+def _streams(arr, order: str):
+    """``(path, stream bytes, digests)`` of ``arr`` streamed out in
+    ``order`` three ways, each under a throwaway tracer: the bulk path
+    into a memory sink; the per-piece path, reached the way a caller
+    reaches it — a PIOFS with an (empty) fault injector attached; and
+    serial streaming, whose digest is its ``StreamStats.sha1``."""
+    with use_tracer(Tracer()) as t:
+        sink = MemorySink()
+        stream_out_parallel(arr, sink, order=order)
+    yield "bulk", sink.getvalue(), _span_digests(t)
+    pfs = PIOFS()
+    pfs.attach_faults(FaultInjector())
+    with use_tracer(Tracer()) as t:
+        stream_out_parallel(arr, PFSSink(pfs, "cross"), order=order)
+    yield "per-piece", pfs.open("cross").read_all(), _span_digests(t)
+    with use_tracer(Tracer()):
+        sink = MemorySink()
+        stats = stream_out_serial(arr, sink, order=order)
+    yield "serial", sink.getvalue(), [stats.sha1] if stats.sha1 else []
+
+
+def _span_digests(tracer) -> List[str]:
+    return [s.attrs["content_sha1"] for s in tracer.spans if "content_sha1" in s.attrs]
+
+
+def _check_cross_engine(c: _Checker, arrays, order: str) -> None:
+    """Every way of streaming an array out must emit byte-identical
+    streams and the same stream digest: each real-data array is
+    streamed in the case's ``order`` by the bulk and per-piece parstream
+    paths and by serial streaming (:func:`_streams`); the bytes must
+    equal the distribution-independent ``stream_order_bytes`` reference
+    and every digest must be the SHA-1 of that reference."""
     for arr in arrays:
         if not arr.store_data:
             continue
-        ref = stream_order_bytes(arr.to_global(fill=0), "F")
+        ref = stream_order_bytes(arr.to_global(fill=0), order)
         digests = {}
-        for engine in ("serial", "threads", "vectorized"):
-            with use_tracer(Tracer()) as t:
-                sink = MemorySink()
-                stream_out_parallel(arr, sink, concurrency=engine)
+        for path, got, shas in _streams(arr, order):
             c.check(
-                sink.getvalue() == ref,
-                f"{engine} stream of {arr.name!r} diverges from the "
+                got == ref,
+                f"{path} stream of {arr.name!r} diverges from the "
                 f"serial-order reference bytes",
             )
-            shas = [
-                s.attrs["content_sha1"]
-                for s in t.spans
-                if "content_sha1" in s.attrs
-            ]
             c.check(
                 len(shas) == 1,
-                f"{engine} stream of {arr.name!r} recorded "
+                f"{path} stream of {arr.name!r} recorded "
                 f"{len(shas)} content_sha1 digests, expected 1",
             )
-            digests[engine] = shas[0] if shas else None
+            digests[path] = shas[0] if shas else None
         c.check(
             set(digests.values()) == {sha1_hex(ref)},
             f"content_sha1 of {arr.name!r} is not the digest of the "
-            f"reference stream in every engine: {digests}",
+            f"reference stream on every path: {digests}",
         )
 
 
@@ -332,7 +349,7 @@ def _run_drms(case: Case) -> CaseResult:
             )
     total = _check_drms_files(c, pfs, prefix, state.manifest, refs)
     _check_restored(c, state.arrays, refs)
-    _check_cross_engine(c, arrays)
+    _check_cross_engine(c, arrays, case.order)
     c.check(
         state.checkpoint_ntasks == case.t1 and state.ntasks == case.t2,
         f"restored task counts ({state.checkpoint_ntasks}->{state.ntasks}) "

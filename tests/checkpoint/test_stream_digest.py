@@ -36,7 +36,16 @@ from repro.streaming import vectorized
 from repro.streaming.order import stream_order_bytes
 from repro.streaming.vectorized import gather_section_flat
 
-ENGINES = ["serial", "threads", "vectorized"]
+#: the parstream paths: the per-piece (serial) loop, which a PIOFS with
+#: a fault injector attached selects, and the bulk (vectorized) path
+PATHS = ["serial", "vectorized"]
+
+
+def _pfs(path):
+    pfs = PIOFS()
+    if path == "serial":
+        pfs.attach_faults(FaultInjector())  # armed, planning no fault
+    return pfs
 
 
 def _segment():
@@ -73,15 +82,15 @@ def _reference(a, order):
 # -- the manifest value -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("order", ["F", "C"])
-def test_manifest_sha1_is_the_reference_digest(order, engine):
-    pfs = PIOFS()
+def test_manifest_sha1_is_the_reference_digest(order, path):
+    pfs = _pfs(path)
     arrays = _zoo()
     assert not arrays[1].defined_mask().all()
     drms_checkpoint(
         pfs, "ck", _segment(), arrays, order=order, io_tasks=2,  # P < ntasks
-        target_bytes=128, concurrency=engine,
+        target_bytes=128,
     )
     recorded = {s["name"]: s["sha1"] for s in read_manifest(pfs, "ck")["arrays"]}
     assert recorded == {a.name: _reference(a, order) for a in arrays}

@@ -1,5 +1,8 @@
 """DrainController: async promotion, crash behavior, retention interlock."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -171,6 +174,44 @@ def test_retention_never_discards_an_undrained_or_pinned_generation(
     assert generations(pfs, "ck") == ["ck.000003", "ck.000004"]
     assert store.generations() == ["ck.000001", "ck.000003", "ck.000004"]
     assert store.gen("ck.000001").drain_state == DrainState.PENDING
+
+
+def test_async_drains_commit_in_schedule_order(env, workload, monkeypatch):
+    """Queued asynchronous drains commit in the order they were
+    scheduled, even when a later one reaches the drain lock first."""
+    import repro.mlck.drain as drain_mod
+
+    machine, pfs, store = env
+    drainer = DrainController(store, pfs, synchronous=False)
+    get_flight = drain_mod.get_flight
+    delayed = []
+
+    def late_first_drain():
+        # the first call on a pool thread is the first drain starting:
+        # hold it back so the later drains get to the lock before it
+        if threading.current_thread() is not threading.main_thread() and not delayed:
+            delayed.append(True)
+            time.sleep(0.2)
+        return get_flight()
+
+    monkeypatch.setattr(drain_mod, "get_flight", late_first_drain)
+    drained = []
+    stored_streams = store.stored_streams
+
+    def record(prefix):
+        drained.append(prefix)
+        return stored_streams(prefix)
+
+    monkeypatch.setattr(store, "stored_streams", record)
+    prefixes = [f"ck.{g:06d}" for g in range(1, 6)]
+    for p in prefixes:
+        store.capture_drms(p, *workload(iteration=1))
+    for p in prefixes:
+        drainer.schedule(p)
+    drainer.wait(timeout=30.0)
+    assert delayed
+    assert drained == prefixes
+    assert generations(pfs, "ck") == prefixes
 
 
 def test_async_drains_discard_only_what_is_durable_and_pruned(

@@ -1,10 +1,11 @@
-"""Stress tests for the concurrent parstream executor.
+"""Randomized byte-identity of the two parstream paths.
 
-The contract under test is byte-identity: whatever the interleaving of
-the thread-pool workers, parallel stream-out produces exactly the bytes
+Whichever path runs — the bulk path (at most P coalesced calls) or the
+per-piece loop (one call per piece, selected here by an empty fault
+injector on the PIOFS) — parallel stream-out produces exactly the bytes
 of serial stream-out, and parallel stream-in reconstructs exactly the
-global content — because every piece's bytes and offset are fixed by
-the plan before any worker runs.
+global content, because every piece's bytes and offset are fixed by
+the plan before any call is issued.
 
 The quick matrix runs in tier-1; the ``verify``-marked sweep widens
 seeds and P for the differential harness run (``make verify-reconfig``).
@@ -16,11 +17,13 @@ import numpy as np
 import pytest
 
 from repro.arrays.darray import DistributedArray
+from repro.pfs.faults import FaultInjector
+from repro.pfs.piofs import PIOFS
 from repro.streaming.order import stream_order_bytes
 from repro.streaming.parallel import stream_in_parallel, stream_out_parallel
 from repro.streaming.partition import partition_for_target, piece_offsets
 from repro.streaming.serial import gather_piece, stream_in_serial, stream_out_serial
-from repro.streaming.streams import MemorySink, MemorySource
+from repro.streaming.streams import MemorySink, MemorySource, PFSSink, PFSSource
 from repro.verify.gen import random_distribution, random_shape
 
 
@@ -41,25 +44,29 @@ def _roundtrip(seed: int, ntasks: int, P: int, target: int) -> None:
     stream_out_serial(a, ref, target_bytes=target)
     want = ref.getvalue()
 
-    threaded = MemorySink()
-    st = stream_out_parallel(a, threaded, P=P, target_bytes=target)
-    assert threaded.getvalue() == want
+    bulk = MemorySink()
+    st = stream_out_parallel(a, bulk, P=P, target_bytes=target)
+    assert bulk.getvalue() == want
     assert st.bytes_streamed == len(want)
 
-    serial_mode = MemorySink()
-    stream_out_parallel(a, serial_mode, P=P, target_bytes=target, concurrency="serial")
-    assert serial_mode.getvalue() == want
+    armed = PIOFS()
+    armed.attach_faults(FaultInjector())
+    stream_out_parallel(a, PFSSink(armed, "f"), P=P, target_bytes=target)
+    assert armed.open("f").read_all() == want
 
     # read back into a different random distribution (which may be a
-    # legitimately partial INDEXED one), concurrently and serially: the
-    # two restored arrays must agree exactly, and must match the source
+    # legitimately partial INDEXED one) on both paths and serially: the
+    # restored arrays must agree exactly, and must match the source
     # everywhere the target distribution defines an element
     b_dist = random_distribution(random.Random(seed + 9001), list(a.shape), ntasks)
-    b_par = DistributedArray("Bp", a.shape, np.float64, b_dist)
-    stream_in_parallel(b_par, MemorySource(want), P=P, target_bytes=target)
     b_ser = DistributedArray("Bs", a.shape, np.float64, b_dist)
     stream_in_serial(b_ser, MemorySource(want), target_bytes=target)
-    np.testing.assert_array_equal(b_par.to_global(fill=0), b_ser.to_global(fill=0))
+    for source in (MemorySource(want), PFSSource(armed, "f")):
+        b_par = DistributedArray("Bp", a.shape, np.float64, b_dist)
+        stream_in_parallel(b_par, source, P=P, target_bytes=target)
+        np.testing.assert_array_equal(
+            b_par.to_global(fill=0), b_ser.to_global(fill=0)
+        )
     mask = b_par.defined_mask()
     np.testing.assert_array_equal(
         b_par.to_global(fill=0)[mask], a.to_global(fill=0)[mask]
@@ -85,8 +92,8 @@ class TestConcurrentParstream:
 
 class TestRandomizedPieceOrdering:
     """Writing pieces at their precomputed offsets in *any* order must
-    reproduce the serial stream — the invariant that makes the
-    thread-pool interleaving irrelevant."""
+    reproduce the serial stream — the invariant that lets the bulk path
+    coalesce pieces and the per-piece loop issue them one by one."""
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_shuffled_manual_writes(self, seed):

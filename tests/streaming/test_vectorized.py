@@ -9,6 +9,7 @@ empty pieces, partially-covered INDEXED axes, single-element arrays.
 
 import hashlib
 import threading
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from repro.errors import IOFaultError, StreamingError
 from repro.obs import Tracer, use_tracer
 from repro.pfs.faults import FaultInjector
 from repro.pfs.piofs import PIOFS
-from repro.streaming.executor import run_tasks
 from repro.streaming.order import stream_order_bytes
 from repro.streaming.parallel import stream_in_parallel, stream_out_parallel
 from repro.streaming.serial import (
@@ -36,7 +36,7 @@ from repro.streaming.serial import (
     stream_in_serial,
     stream_out_serial,
 )
-from repro.streaming.streams import MemorySink, MemorySource, PFSSink
+from repro.streaming.streams import MemorySink, MemorySource, PFSSink, PFSSource
 from repro.streaming.vectorized import (
     build_section_index_plan,
     gather_section_flat,
@@ -114,6 +114,39 @@ SECTIONS = {
     "holey": [Slice.full((8,)), Slice([Range([0, 1, 2])]), Slice([Range([3, 4])])],
     "one": [Slice.full((1,)), Slice([Range.empty()])],
 }
+
+
+# -- the two parstream paths, each reached the way a caller reaches it ------
+
+
+def _armed_pfs():
+    """A PIOFS with an empty fault injector attached: armed, so the
+    parstream takes its per-piece path, but planning no fault."""
+    pfs = PIOFS()
+    pfs.attach_faults(FaultInjector())
+    return pfs
+
+
+#: stream-out sink per path: bulk into memory, per-piece into armed PIOFS
+SINKS = {
+    "bulk": MemorySink,
+    "per-piece": lambda: PFSSink(_armed_pfs(), "f"),
+}
+
+
+def _written(sink) -> bytes:
+    if isinstance(sink, MemorySink):
+        return sink.getvalue()
+    return sink.pfs.open(sink.name).read_all()
+
+
+def _source(path, data):
+    """A stream-in source over ``data`` that selects ``path``."""
+    if path == "bulk":
+        return MemorySource(data)
+    pfs = _armed_pfs()
+    PFSSink(pfs, "f").write_at(0, data)
+    return PFSSource(pfs, "f")
 
 
 class TestKernels:
@@ -213,8 +246,6 @@ class TestStreamingFixes:
         a = DistributedArray("V", (8, 8), np.float64, d, store_data=False)
         pfs = PIOFS()
         stream_out_parallel(a, PFSSink(pfs, "v", virtual=True), P=2)
-        from repro.streaming.streams import PFSSource
-
         st = stream_in_parallel(a, PFSSource(pfs, "v"), P=2)
         assert st.bytes_streamed == 8 * 8 * 8
 
@@ -231,29 +262,49 @@ class TestStreamingFixes:
         assert seen["worker"] is False
 
     def test_executor_workers_inherit_strict_scope(self):
-        with strict_gather():
-            # two thunks forces the pool path (one thunk runs inline)
-            got = run_tasks([_strict_default, _strict_default])
-        assert got == [True, True]
-        assert run_tasks([_strict_default, _strict_default]) == [False, False]
+        """An asynchronous L1 -> L2 drain runs on a pool thread in the
+        strictness scope of the thread that scheduled it."""
+        from repro.checkpoint.segment import DataSegment, SegmentProfile
+        from repro.mlck.drain import DrainController
+        from repro.mlck.store import L1Store
+        from repro.runtime.machine import Machine, MachineParams
+
+        seen = []
+
+        class ProbingPIOFS(PIOFS):
+            def write_at(self, *args, **kwargs):
+                on_pool = threading.current_thread() is not threading.main_thread()
+                seen.append((on_pool, _strict_default()))
+                return super().write_at(*args, **kwargs)
+
+        machine = Machine(MachineParams(num_nodes=4))
+        store = L1Store(machine, k=1, target_bytes=64)
+        drain = DrainController(store, ProbingPIOFS(machine=machine))
+        a = DistributedArray("A", (6, 4), np.float64, block_distribution((6, 4), 4))
+        a.set_global(np.arange(24.0).reshape(6, 4))
+        for prefix, strict in (("ck.1", True), ("ck.2", False)):
+            store.capture_drms(prefix, DataSegment(SegmentProfile(100, 0, 0)), [a])
+            seen.clear()
+            with strict_gather() if strict else nullcontext():
+                future = drain.schedule(prefix)
+            assert future.result() == "durable"
+            assert seen and set(seen) == {(True, strict)}
 
     def test_serial_fallback_sets_content_sha1(self):
         g = np.arange(24.0).reshape(6, 4)
         a = DistributedArray("A", (6, 4), np.float64, block_distribution((6, 4), 4))
         a.set_global(g)
         digests = {}
-        for engine in ("serial", "threads", "vectorized"):
+        for path, make_sink in SINKS.items():
             with use_tracer(Tracer()) as t:
-                stream_out_parallel(
-                    a, MemorySink(), P=4, target_bytes=32, concurrency=engine
-                )
+                stream_out_parallel(a, make_sink(), P=4, target_bytes=32)
             shas = [
                 s.attrs["content_sha1"]
                 for s in t.spans
                 if "content_sha1" in s.attrs
             ]
-            assert len(shas) == 1, engine
-            digests[engine] = shas[0]
+            assert len(shas) == 1, path
+            digests[path] = shas[0]
         # the span attribute is the stream digest itself, not a
         # digest-of-digests over pieces
         want = hashlib.sha1(stream_order_bytes(g, "F")).hexdigest()
@@ -262,9 +313,10 @@ class TestStreamingFixes:
 
 class TestStreamDigest:
     """``StreamStats.sha1`` is the SHA-1 of the stream the operation
-    intended to write — one hash over the gather buffer, equal in every
-    engine to the independent ``stream_order_bytes(to_global())``
-    reference (which lives in tests only)."""
+    intended to write — one hash over the gather buffer, equal on both
+    paths and in serial streaming to the independent
+    ``stream_order_bytes(to_global())`` reference (which lives in tests
+    only)."""
 
     @pytest.mark.parametrize("order", ["F", "C"])
     def test_every_engine_returns_the_reference_digest(self, order):
@@ -276,14 +328,13 @@ class TestStreamDigest:
                 stream_order_bytes(arr.to_global(), order)
             ).hexdigest()
             for P in sorted({1, arr.ntasks}):  # P < ntasks and P == ntasks
-                for engine in ("serial", "threads", "vectorized"):
-                    sink = MemorySink()
+                for path, make_sink in SINKS.items():
+                    sink = make_sink()
                     stats = stream_out_parallel(
-                        arr, sink, P=P, order=order, target_bytes=64,
-                        concurrency=engine,
+                        arr, sink, P=P, order=order, target_bytes=64
                     )
-                    assert stats.sha1 == want, (arr.name, P, engine)
-                    assert hashlib.sha1(sink.getvalue()).hexdigest() == want
+                    assert stats.sha1 == want, (arr.name, P, path)
+                    assert hashlib.sha1(_written(sink)).hexdigest() == want
             stats = stream_out_serial(
                 arr, MemorySink(), order=order, target_bytes=64
             )
@@ -341,12 +392,12 @@ class TestEngineSweep:
         )
         a.set_global(g)
         want = g.flatten(order=order).tobytes()
-        for engine in ("serial", "threads", "vectorized"):
-            sink = MemorySink()
+        for path, make_sink in SINKS.items():
+            sink = make_sink()
             st = stream_out_parallel(
-                a, sink, P=4, order=order, target_bytes=target, concurrency=engine
+                a, sink, P=4, order=order, target_bytes=target
             )
-            assert sink.getvalue() == want, engine
+            assert _written(sink) == want, path
             assert st.io_tasks == 4
 
     def test_round_trip_across_engines_and_distributions(self):
@@ -354,13 +405,12 @@ class TestEngineSweep:
         a = DistributedArray("R", (20, 9), np.float64, block_distribution((20, 9), 3))
         a.set_global(g)
         sink = MemorySink()
-        stream_out_parallel(a, sink, P=3, target_bytes=64, concurrency="vectorized")
-        for engine in ("serial", "threads", "vectorized"):
+        stream_out_parallel(a, sink, P=3, target_bytes=64)
+        for path in SINKS:
             d2 = Distribution((20, 9), [Cyclic(), Cyclic()], 5)
             b = DistributedArray("R2", (20, 9), np.float64, d2)
             stream_in_parallel(
-                b, MemorySource(sink.getvalue()), P=4,
-                target_bytes=64, concurrency=engine,
+                b, _source(path, sink.getvalue()), P=4, target_bytes=64
             )
-            assert np.array_equal(b.to_global(), g), engine
+            assert np.array_equal(b.to_global(), g), path
             assert b.is_consistent()
