@@ -65,11 +65,10 @@ verify-reconfig-deep:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# the performance baselines: writes benchmarks/out/BENCH_plancache.json
-# and BENCH_mlck.json
+# the multi-level recovery baseline: writes benchmarks/out/BENCH_mlck.json
 bench-baseline:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_plancache.py \
-		benchmarks/bench_mlck_recovery.py --benchmark-only -s
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_mlck_recovery.py \
+		--benchmark-only -s
 
 # the observability-overhead gate: regenerates BENCH_obs_overhead.json
 # and fails if the always-on flight recorder costs more than 5% over

@@ -34,19 +34,10 @@ from repro.checkpoint.format import (
     spec_to_distribution,
     write_manifest,
 )
-from repro.checkpoint.recover import (
-    OpenedGeneration,
-    first_rejections,
-    open_latest_valid,
-)
+from repro.checkpoint.recover import OpenedGeneration, open_latest_valid
 from repro.checkpoint.segment import DataSegment
 from repro.checkpoint.validate import file_problem, verify_stored_sha1
-from repro.errors import (
-    CheckpointError,
-    CheckpointIntegrityError,
-    MemoryTierError,
-    RestartError,
-)
+from repro.errors import CheckpointError, CheckpointIntegrityError, RestartError
 from repro.obs import get_tracer
 from repro.pfs.phase import IOKind
 from repro.pfs.piofs import PIOFS
@@ -178,11 +169,8 @@ def drms_checkpoint(
     io_tasks: Optional[int] = None,
     target_bytes: int = 1 << 20,
     app_name: str = "",
-    tier: str = "pfs",
-    l1=None,
-    drain=None,
 ) -> CheckpointBreakdown:
-    """Write a reconfigurable checkpoint under ``prefix``.
+    """Write a reconfigurable checkpoint under ``prefix`` on the PFS.
 
     ``arrays`` are the stream sources: distributed arrays, or
     :class:`~repro.streaming.serial.StoredStream` objects bringing
@@ -195,35 +183,9 @@ def drms_checkpoint(
     fault injector attached or the array is virtual; the stored bytes
     are the same either way.
 
-    ``tier`` selects the checkpoint store: ``"pfs"`` (default) writes
-    the PFS directly; ``"memory"`` captures into the in-memory L1 store
-    ``l1`` (an :class:`~repro.mlck.store.L1Store`) only;
-    ``"memory+pfs"`` captures into L1 and promotes to the PFS through a
-    drain — the given :class:`~repro.mlck.drain.DrainController`, or an
-    inline synchronous drain when none is supplied.  Memory tiers
-    return the *capture* breakdown (kind ``mlck-l1``): that is what the
-    application blocks on."""
-    if tier != "pfs":
-        if tier not in ("memory", "memory+pfs"):
-            raise CheckpointError(
-                f"unknown checkpoint tier {tier!r} "
-                "(expected 'pfs', 'memory', or 'memory+pfs')"
-            )
-        if l1 is None:
-            raise CheckpointError(f"tier={tier!r} requires an L1Store (l1=)")
-        _, bd = l1.capture_drms(
-            prefix, segment, arrays, order=order, app_name=app_name
-        )
-        if drain is not None:
-            drain.schedule(prefix)
-        elif tier == "memory+pfs":
-            from repro.mlck.drain import DrainController
-
-            DrainController(
-                l1, pfs, synchronous=True,
-                io_tasks=io_tasks, target_bytes=target_bytes,
-            ).schedule(prefix)
-        return bd
+    The memory tier captures the same content into node memory and
+    drains it here; its one entrance is
+    :class:`~repro.mlck.checkpointer.MultiLevelCheckpointer`."""
     ntasks = _common_ntasks(arrays)
     bd = CheckpointBreakdown(kind="drms", prefix=prefix, ntasks=ntasks)
     obs = get_tracer()
@@ -536,36 +498,24 @@ def restart_opener(
 
 
 def open_generation(
-    pfs: PIOFS, prefix: str, tier: str, l1, open_one: Callable[[str, Optional[str]], tuple]
+    pfs: PIOFS, prefix: str, l1, open_one: Callable[[str, Optional[str]], tuple],
+    clock: float = 0.0,
 ) -> OpenedGeneration:
-    """Open the one generation ``prefix`` with ``open_one`` under
-    ``tier``: ``"pfs"`` the PFS copy; ``"memory+pfs"`` a walk over the
-    replicas of ``l1``, then the PFS copy; ``"memory"`` the replicas
-    alone, raising :class:`~repro.errors.MemoryTierError`."""
-    if tier == "pfs":
-        return OpenedGeneration(prefix, *open_one(prefix, "l2"))
-    if tier not in ("memory", "memory+pfs"):
-        raise RestartError(
-            f"unknown restart tier {tier!r} "
-            "(expected 'pfs', 'memory', or 'memory+pfs')"
-        )
+    """Open the one generation ``prefix`` with ``open_one``: the PFS
+    copy alone when there is no L1 store ``l1``, else a walk over its
+    replicas, then the PFS copy — the dead nodes' memory dropped first,
+    and that and the walk recorded at ``clock``."""
     if l1 is None:
-        raise RestartError(f"tier={tier!r} requires an L1Store (l1=)")
+        return OpenedGeneration(prefix, *open_one(prefix, "l2"))
     # drop dead nodes' memory first: serve from the machine as it is now
-    l1.sync_with_machine()
-    tiers = ("l1", "l2") if tier == "memory+pfs" else ("l1",)
+    l1.sync_with_machine(clock=clock)
     opened, decision = open_latest_valid(
-        pfs, prefix, open_one, l1, [(prefix, t) for t in tiers]
+        pfs, prefix, open_one, l1, [(prefix, "l1"), (prefix, "l2")],
+        clock=clock,
     )
-    if opened is not None:
-        return opened
-    if tier == "memory":
-        raise MemoryTierError(
-            f"generation {prefix!r} cannot be served from L1"
-            f"{first_rejections(decision.rejected)} and tier='memory' "
-            "forbids the PFS fallback"
-        )
-    raise RestartError(decision.failure())
+    if opened is None:
+        raise RestartError(decision.failure())
+    return opened
 
 
 def drms_restart(
@@ -576,21 +526,9 @@ def drms_restart(
     io_tasks: Optional[int] = None,
     target_bytes: int = 1 << 20,
     distribution_overrides: Optional[Dict[str, object]] = None,
-    tier: str = "pfs",
-    l1=None,
 ) -> Tuple[RestoredState, RestartBreakdown]:
-    """Restore a DRMS checkpoint onto ``ntasks`` tasks (any count >= 1):
-    :func:`restore` over the PFS copy or, under the memory tiers of
-    :func:`open_generation`, over the surviving replicas of the L1 store
-    ``l1`` first.  Every tier charges the fixed restart initialization."""
-    if tier == "pfs":
-        source = PFSCheckpointSource(pfs, prefix, io_tasks, target_bytes)
-        return restore(source, ntasks, order, distribution_overrides)
-    opened = open_generation(
-        pfs, prefix, tier, l1,
-        restart_opener(
-            pfs, ntasks, l1, order, io_tasks, target_bytes,
-            distribution_overrides,
-        ),
-    )
-    return opened.state, opened.breakdown
+    """Restore a DRMS checkpoint from its PFS copy onto ``ntasks`` tasks
+    (any count >= 1): :func:`restore` over a
+    :class:`PFSCheckpointSource`."""
+    source = PFSCheckpointSource(pfs, prefix, io_tasks, target_bytes)
+    return restore(source, ntasks, order, distribution_overrides)

@@ -9,7 +9,9 @@ count; both properties are what the paper's DRMS scheme removes.
 
 Per-task payloads (exact Python state of non-conforming applications)
 are stored verbatim; the bulk of the segment is a sized sparse span,
-like the DRMS segment file.
+like the DRMS segment file.  This is the paper's baseline and lives on
+the PFS only: the memory tier (:mod:`repro.mlck`) holds DRMS
+generations.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from repro.checkpoint.drms import (
     RestartBreakdown,
     _charge_restart_init,
     _publish_breakdown,
-    open_generation,
 )
 from repro.checkpoint.format import (
     read_manifest,
@@ -74,9 +75,6 @@ def spmd_checkpoint(
     segment_bytes: int,
     payloads: Optional[Sequence[Any]] = None,
     app_name: str = "",
-    tier: str = "pfs",
-    l1=None,
-    drain=None,
 ) -> CheckpointBreakdown:
     """Write one segment file per task in one distinct-file phase (the
     simulated clock charges the tasks as concurrent clients).
@@ -86,30 +84,7 @@ def spmd_checkpoint(
     paper measures, hence identical for every task and every run size.
     ``payloads`` carries exact per-task state for functional round
     trips; omitted for size/timing studies.
-
-    ``tier``/``l1``/``drain`` mirror
-    :func:`~repro.checkpoint.drms.drms_checkpoint`: memory tiers
-    capture into the L1 store at memory/switch speed and (for
-    ``"memory+pfs"``) promote to the PFS through a drain.
     """
-    if tier != "pfs":
-        if tier not in ("memory", "memory+pfs"):
-            raise CheckpointError(
-                f"unknown checkpoint tier {tier!r} "
-                "(expected 'pfs', 'memory', or 'memory+pfs')"
-            )
-        if l1 is None:
-            raise CheckpointError(f"tier={tier!r} requires an L1Store (l1=)")
-        _, bd = l1.capture_spmd(
-            prefix, ntasks, segment_bytes, payloads=payloads, app_name=app_name
-        )
-        if drain is not None:
-            drain.schedule(prefix)
-        elif tier == "memory+pfs":
-            from repro.mlck.drain import DrainController
-
-            DrainController(l1, pfs, synchronous=True).schedule(prefix)
-        return bd
     if ntasks < 1:
         raise CheckpointError("SPMD checkpoint needs at least one task")
     if payloads is not None and len(payloads) != ntasks:
@@ -168,11 +143,7 @@ def spmd_checkpoint(
 
 
 def spmd_restart(
-    pfs: PIOFS,
-    prefix: str,
-    ntasks: int,
-    tier: str = "pfs",
-    l1=None,
+    pfs: PIOFS, prefix: str, ntasks: int
 ) -> Tuple[SPMDRestoredState, RestartBreakdown]:
     """Restore an SPMD checkpoint.  ``ntasks`` must equal the
     checkpointing task count — the defining limitation of conventional
@@ -181,20 +152,7 @@ def spmd_restart(
 
     Each task file's header is checked against the manifest's recorded
     SHA-1 before the payload is decoded, raising
-    :class:`~repro.errors.CheckpointIntegrityError` on corruption.
-
-    ``tier``/``l1`` select the serving tiers exactly as for a DRMS
-    restart (:func:`~repro.checkpoint.drms.open_generation`)."""
-    opened = open_generation(
-        pfs, prefix, tier, l1,
-        lambda prefix, tier: l1.restore_spmd(
-            prefix, ntasks, init_seconds=pfs.params.restart_init_s
-        ) if tier == "l1" else _restart_from_pfs(pfs, prefix, ntasks),
-    )
-    return opened.state, opened.breakdown
-
-
-def _restart_from_pfs(pfs: PIOFS, prefix: str, ntasks: int):
+    :class:`~repro.errors.CheckpointIntegrityError` on corruption."""
     manifest = read_manifest(pfs, prefix)
     if manifest.get("kind") != "spmd":
         raise RestartError(

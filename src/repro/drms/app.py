@@ -470,8 +470,8 @@ class DRMSApplication:
                 None,
             )
             generation = open_generation(
-                self.pfs, generation, "pfs" if l1 is None else "memory+pfs", l1,
-                self.opener(ntasks, l1, failure, clock),
+                self.pfs, generation, l1,
+                self.opener(ntasks, l1, failure, clock), clock,
             )
         runtime = AppRuntime(
             self,

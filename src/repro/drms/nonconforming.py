@@ -13,21 +13,24 @@ Usage inside a plain SPMD ``main(ctx, ...)``::
     ...
     ck.checkpoint(comm, "prefix", payload={"u_local": u, "it": it})
 
-and for restart the driver calls :func:`restore_spmd` to obtain the
-per-task payloads, which it passes back into the application.
+and for restart the launching program calls
+:func:`~repro.checkpoint.spmd.spmd_restart` to obtain the per-task
+payloads, which it passes back into the application (it raises
+:class:`~repro.errors.RestartError` unless the task count is the
+checkpointing one: non-conforming applications cannot be reconfigured).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Tuple
 
-from repro.checkpoint.drms import CheckpointBreakdown, RestartBreakdown
-from repro.checkpoint.spmd import SPMDRestoredState, spmd_checkpoint, spmd_restart
+from repro.checkpoint.drms import CheckpointBreakdown
+from repro.checkpoint.spmd import spmd_checkpoint
 from repro.pfs.piofs import PIOFS
 from repro.runtime.comm import TaskComm
 
-__all__ = ["SPMDCheckpointer", "restore_spmd"]
+__all__ = ["SPMDCheckpointer"]
 
 
 class SPMDCheckpointer:
@@ -70,13 +73,3 @@ class SPMDCheckpointer:
         comm.clock.advance(bd.total_seconds)
         comm.barrier()
         return bd
-
-
-def restore_spmd(
-    pfs: PIOFS, prefix: str, ntasks: int
-) -> Tuple[SPMDRestoredState, RestartBreakdown]:
-    """Driver-side restore.  Raises
-    :class:`~repro.errors.RestartError` unless ``ntasks`` equals the
-    checkpointing task count — non-conforming applications cannot be
-    reconfigured at restart."""
-    return spmd_restart(pfs, prefix, ntasks)

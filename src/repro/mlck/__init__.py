@@ -14,7 +14,8 @@ blocking the application's next SOP.
 * :mod:`repro.mlck.placement` — partner selection over the machine's
   failure domains (owner + k partners, domains disjoint);
 * :mod:`repro.mlck.store`     — the replicated L1 tier: capture,
-  checksum validation, fetch, node-loss handling;
+  checksum validation, fetch, node-loss handling (every L1 generation
+  is a DRMS generation: segment + one stream per array);
 * :mod:`repro.mlck.drain`     — the L1->L2 drain state machine;
 * :mod:`repro.mlck.recovery`  — tier-aware restart-state selection
   (newest generation satisfiable from *any* tier, L1 preferred);
@@ -23,6 +24,11 @@ blocking the application's next SOP.
 * :mod:`repro.mlck.localized`  — localized recovery: rebuild only the
   dead nodes' sections from surviving replicas, then restore the
   replication factor outside the replacement's failure domain.
+
+The tier has one entrance, :class:`MultiLevelCheckpointer` (what
+``DRMSApplication(tier="memory+pfs")`` builds per checkpoint base);
+``drms_checkpoint``, ``spmd_checkpoint``, ``drms_restart`` and
+``spmd_restart`` (:mod:`repro.checkpoint`) read and write the PFS only.
 
 Quickstart::
 

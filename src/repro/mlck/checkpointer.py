@@ -9,7 +9,10 @@ One object owns the whole multi-level pipeline for one application:
 * a :class:`~repro.mlck.drain.DrainController` promoting generations
   to the PFS in the background.
 
-``checkpoint()`` returns after the L1 capture — the application's next
+It is the one entrance to the memory tier (``DRMSApplication(tier=
+"memory+pfs")`` builds one per checkpoint base): ``drms_checkpoint``,
+``spmd_checkpoint``, ``drms_restart`` and ``spmd_restart`` know nothing
+about L1.  ``checkpoint()`` returns after the L1 capture — the application's next
 SOP proceeds while the drain writes the PFS — and ``restart()`` runs
 the tier-aware recovery walk, choosing a generation by opening it:
 from surviving memory replicas when they serve, else from the newest
@@ -64,7 +67,7 @@ class MultiLevelCheckpointer:
     drain pool; ``drain="sync"`` drains inline before
     :meth:`checkpoint` returns — deterministic, used by the verify
     oracle and the benchmarks.  ``k`` is the L1 partner-replica count;
-    ``keep`` the durable-tier retention budget.
+    ``keep`` the retention budget of both tiers.
     """
 
     def __init__(
@@ -80,7 +83,6 @@ class MultiLevelCheckpointer:
         app_name: str = "",
         events=None,
         drain: str = "async",
-        evict_after_drain: bool = False,
     ):
         if drain not in ("async", "sync"):
             raise ValueError(f"drain mode must be 'async' or 'sync', not {drain!r}")
@@ -102,7 +104,6 @@ class MultiLevelCheckpointer:
             synchronous=(drain == "sync"),
             io_tasks=io_tasks,
             target_bytes=target_bytes,
-            evict_after_drain=evict_after_drain,
         )
 
     # -- prefix allocation ---------------------------------------------------
@@ -135,28 +136,6 @@ class MultiLevelCheckpointer:
         _, capture_bd = self.store.capture_drms(
             prefix, segment, arrays,
             order=self.order, nodes=nodes,
-            app_name=self.app_name, clock=clock,
-        )
-        self.drainer.schedule(prefix, clock=clock)
-        return MLCKBreakdown(
-            prefix=prefix,
-            capture=capture_bd,
-            drain_state=self.store.gen(prefix).drain_state,
-        )
-
-    def checkpoint_spmd(
-        self,
-        ntasks: int,
-        segment_bytes: int,
-        payloads: Optional[Sequence] = None,
-        nodes: Optional[Sequence[int]] = None,
-        clock: float = 0.0,
-    ) -> MLCKBreakdown:
-        """SPMD-kind capture + drain (restart task count must match)."""
-        prefix = self.next_prefix()
-        _, capture_bd = self.store.capture_spmd(
-            prefix, ntasks, segment_bytes,
-            payloads=payloads, nodes=nodes,
             app_name=self.app_name, clock=clock,
         )
         self.drainer.schedule(prefix, clock=clock)

@@ -14,8 +14,7 @@ State machine per generation::
 The drain *replays the stored streams*: the pieces, each verified as it
 is fetched from the L1 replicas, are written with the capture-time
 stream digest through the ordinary
-:func:`~repro.checkpoint.drms.drms_checkpoint` /
-:func:`~repro.checkpoint.spmd.spmd_checkpoint` paths, so the durable
+:func:`~repro.checkpoint.drms.drms_checkpoint` path, so the durable
 state is byte-identical to a direct PFS checkpoint — manifest two-phase
 commit included.  A drain that dies mid-flight therefore leaves *no*
 manifest: the half-written generation is invisible to recovery, which
@@ -43,11 +42,10 @@ import contextvars
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.checkpoint.drms import drms_checkpoint
 from repro.checkpoint.rotation import CheckpointRotation
-from repro.checkpoint.spmd import _decode_task_file, spmd_checkpoint
 from repro.errors import CheckpointError
 from repro.mlck.store import L1Store
 from repro.obs import get_flight, get_tracer
@@ -97,7 +95,6 @@ class DrainController:
         synchronous: bool = False,
         io_tasks: Optional[int] = None,
         target_bytes: int = 1 << 20,
-        evict_after_drain: bool = False,
     ):
         self.store = store
         self.pfs = pfs
@@ -105,9 +102,6 @@ class DrainController:
         self.synchronous = bool(synchronous)
         self.io_tasks = io_tasks
         self.target_bytes = int(target_bytes)
-        #: drop the L1 replicas once a generation is durable (frees
-        #: memory; recovery then serves that generation from L2)
-        self.evict_after_drain = bool(evict_after_drain)
         self._serial = threading.Lock()  # PFS phases do not nest
         self._state_lock = threading.Lock()
         self._futures: Dict[str, Future] = {}
@@ -195,30 +189,13 @@ class DrainController:
             gen.drain_state = DrainState.DRAINING
             fr.record("drain_state", prefix=prefix, state=DrainState.DRAINING)
             try:
-                if gen.kind == "drms":
-                    segment, streams = self.store.stored_streams(prefix)
-                    drms_checkpoint(
-                        self.pfs, prefix, segment, streams,
-                        order=gen.order, io_tasks=self.io_tasks,
-                        target_bytes=self.target_bytes,
-                        app_name=gen.app_name,
-                    )
-                else:
-                    # exact payloads survive in the L1 task headers
-                    # (uncharged: the drain's cost is its PFS write)
-                    fetch = self.store._fetch_pieces
-                    payloads = [
-                        _decode_task_file(b"".join(fetch(pieces, nbytes)[0]))
-                        for pieces, nbytes in zip(gen.task_pieces, gen.task_sha1_bytes)
-                    ]
-                    spmd_checkpoint(
-                        self.pfs, prefix, gen.ntasks,
-                        gen.spmd_segment_bytes,
-                        payloads=payloads
-                        if any(p is not None for p in payloads)
-                        else None,
-                        app_name=gen.app_name,
-                    )
+                segment, streams = self.store.stored_streams(prefix)
+                drms_checkpoint(
+                    self.pfs, prefix, segment, streams,
+                    order=gen.order, io_tasks=self.io_tasks,
+                    target_bytes=self.target_bytes,
+                    app_name=gen.app_name,
+                )
                 gen.drain_state = DrainState.DURABLE
                 m.counter("mlck.drain.completed").inc()
                 fr.record(
@@ -230,8 +207,6 @@ class DrainController:
                     # checkpoint may already be newer), in both tiers
                     for pruned in self.rotation.prune():
                         self.store.discard(pruned)
-                if self.evict_after_drain:
-                    self.store.discard(prefix)
             except Exception as exc:  # noqa: BLE001 - recorded, not raised
                 gen.drain_state = DrainState.FAILED
                 gen.drain_error = str(exc)

@@ -503,12 +503,14 @@ def localized_restart(
     """Localized recovery of the generation under ``prefix`` from
     whichever tier serves it: :func:`localized_opener` over the L1
     replicas of ``l1``, then the PFS copy
-    (:func:`~repro.checkpoint.drms.open_generation`)."""
+    (:func:`~repro.checkpoint.drms.open_generation`); every record it
+    leaves, the dead nodes' dropped memory included, carries ``clock``."""
     opened = open_generation(
-        pfs, prefix, "pfs" if l1 is None else "memory+pfs", l1,
+        pfs, prefix, l1,
         localized_opener(
             pfs, ntasks, placement, failed_nodes, replacements, l1, clock,
             order, io_tasks, target_bytes, distribution_overrides,
         ),
+        clock,
     )
     return opened.state, opened.breakdown, opened.scope

@@ -12,9 +12,8 @@ the PFS by more than an order of magnitude on the simulated machine):
    the replica that serves it (the audit walk:
    :meth:`~repro.mlck.store.L1Store.validate_generation`);
 2. a generation whose L1 copy cannot serve (node failure took both
-   replicas, a piece decayed in every copy, or it was evicted after
-   draining) falls back to its L2 copy, if the manifest committed and
-   the bytes verify;
+   replicas, or a piece decayed in every copy) falls back to its L2
+   copy, if the manifest committed and the bytes verify;
 3. a generation lost in *both* tiers — e.g. a mid-drain crash left no
    manifest and the L1 copy died with its node — is rejected and the
    walk continues to the older generation.

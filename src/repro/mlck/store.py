@@ -48,7 +48,6 @@ from repro.checkpoint.drms import (
     CheckpointBreakdown,
     RestartBreakdown,
     RestoredState,
-    _charge_restart_init,
     _common_ntasks,
     _publish_breakdown,
     restore,
@@ -60,12 +59,10 @@ from repro.checkpoint.format import (
     segment_name,
     sha1_hex,
     spec_to_distribution,
-    task_segment_name,
 )
 from repro.checkpoint.segment import DataSegment
-from repro.checkpoint.spmd import SPMDRestoredState, _decode_task_file, _encode_task_file
 from repro.checkpoint.validate import ValidationReport
-from repro.errors import CheckpointError, MemoryTierError, RestartError
+from repro.errors import CheckpointError, MemoryTierError
 from repro.mlck.placement import select_partners
 from repro.obs import get_flight, get_tracer
 from repro.runtime.machine import Machine
@@ -118,28 +115,20 @@ class L1ArrayEntry:
 
 @dataclass
 class L1Generation:
-    """In-memory metadata of one captured generation — the L1 analogue
-    of a PFS manifest, including the drain state machine's position
-    (see :class:`~repro.mlck.drain.DrainController`)."""
+    """In-memory metadata of one captured DRMS generation — the L1
+    analogue of a PFS manifest, including the drain state machine's
+    position (see :class:`~repro.mlck.drain.DrainController`)."""
 
     prefix: str
-    kind: str  # "drms" | "spmd"
     ntasks: int
     order: str = "F"
     app_name: str = ""
-    #: full logical segment bytes (header + sized pad), per task file
-    #: for spmd (one entry per task)
+    #: full logical segment bytes (header + sized pad)
     segment_bytes: int = 0
     segment_sha1: str = ""
     segment_sha1_bytes: int = 0
     segment_pieces: List[L1Piece] = field(default_factory=list)
     arrays: List[L1ArrayEntry] = field(default_factory=list)
-    #: spmd: per-task header pieces and sizes
-    task_pieces: List[List[L1Piece]] = field(default_factory=list)
-    task_bytes: List[int] = field(default_factory=list)
-    task_sha1: List[str] = field(default_factory=list)
-    task_sha1_bytes: List[int] = field(default_factory=list)
-    spmd_segment_bytes: int = 0
     capture_seconds: float = 0.0
     #: cluster clock at capture (drives the health cadence gauges)
     captured_at: Optional[float] = None
@@ -148,12 +137,10 @@ class L1Generation:
     drain_error: Optional[str] = None
 
     def pieces(self) -> Iterator[L1Piece]:
-        """Every piece of the generation: segment, arrays, task files."""
+        """Every piece of the generation: segment, then arrays."""
         yield from self.segment_pieces
         for entry in self.arrays:
             yield from entry.pieces
-        for pieces in self.task_pieces:
-            yield from pieces
 
     @property
     def resident_bytes(self) -> int:
@@ -421,8 +408,7 @@ class L1Store:
         bd = CheckpointBreakdown(kind="mlck-l1", prefix=prefix, ntasks=ntasks)
         obs = get_tracer()
         gen = L1Generation(
-            prefix=prefix, kind="drms", ntasks=ntasks, order=order,
-            app_name=app_name,
+            prefix=prefix, ntasks=ntasks, order=order, app_name=app_name,
         )
         with obs.span(
             "checkpoint", kind="mlck-l1", prefix=prefix, ntasks=ntasks,
@@ -478,57 +464,6 @@ class L1Store:
             op.set(nbytes=bd.total_bytes, seconds=bd.total_seconds)
         return self._captured(gen, bd, clock)
 
-    def capture_spmd(
-        self,
-        prefix: str,
-        ntasks: int,
-        segment_bytes: int,
-        payloads: Optional[Sequence] = None,
-        nodes: Optional[Sequence[int]] = None,
-        app_name: str = "",
-        clock: float = 0.0,
-    ) -> Tuple[L1Generation, CheckpointBreakdown]:
-        """Capture an SPMD-style generation: one replicated per-task
-        header (exact payload) plus the sized segment bulk."""
-        if ntasks < 1:
-            raise CheckpointError("SPMD checkpoint needs at least one task")
-        if payloads is not None and len(payloads) != ntasks:
-            raise CheckpointError(f"{len(payloads)} payloads for {ntasks} tasks")
-        nodes = self._capture_nodes(prefix, nodes)
-        partner_cache: Dict[int, List[int]] = {}
-        bd = CheckpointBreakdown(kind="mlck-l1", prefix=prefix, ntasks=ntasks)
-        obs = get_tracer()
-        gen = L1Generation(
-            prefix=prefix, kind="spmd", ntasks=ntasks, app_name=app_name,
-            spmd_segment_bytes=int(segment_bytes),
-        )
-        with obs.span(
-            "checkpoint", kind="mlck-l1", prefix=prefix, ntasks=ntasks,
-            app=app_name,
-        ) as op:
-            acct = _Accounting(self.machine)
-            with obs.span("l1_segment_capture", files=ntasks) as sp:
-                rr = 0
-                for t in range(ntasks):
-                    payload = payloads[t] if payloads is not None else None
-                    header, pad = _encode_task_file(payload, segment_bytes)
-                    fname = task_segment_name(prefix, t)
-                    pieces, rr = self._capture_stream(
-                        acct, fname, header, len(header) + pad,
-                        [nodes[t % len(nodes)]], partner_cache, rr, clock,
-                    )
-                    gen.task_pieces.append(pieces)
-                    gen.task_bytes.append(len(header) + pad)
-                    gen.task_sha1.append(_hashed(header))
-                    gen.task_sha1_bytes.append(len(header))
-                sec = acct.seconds()
-                obs.advance(sec)
-                sp.set(nbytes=sum(gen.task_bytes), seconds=sec)
-            bd.segment_seconds = sec
-            bd.segment_bytes = sum(gen.task_bytes)
-            op.set(nbytes=bd.total_bytes, seconds=bd.total_seconds)
-        return self._captured(gen, bd, clock)
-
     def _capture_nodes(self, prefix: str, nodes: Optional[Sequence[int]]) -> List[int]:
         """The nodes a capture of ``prefix`` spreads its pieces over
         (default: every up node); refuses a prefix already captured."""
@@ -555,7 +490,7 @@ class L1Store:
         m.counter("mlck.l1.captures").inc()
         m.counter("mlck.l1.capture.bytes").inc(bd.total_bytes)
         get_flight().record(
-            "l1_captured", time=clock, prefix=gen.prefix, gen_kind=gen.kind,
+            "l1_captured", time=clock, prefix=gen.prefix,
             nbytes=bd.total_bytes, seconds=bd.total_seconds,
         )
         self._update_resident_gauge()
@@ -622,12 +557,8 @@ class L1Store:
                     f"generation {prefix!r} was never captured in L1"
                 )
                 return report
-            # the stored streams: segment and data arrays, or task files
-            report.files = (
-                (gen.kind == "drms")
-                + sum(not e.virtual for e in gen.arrays)
-                + len(gen.task_pieces)
-            )
+            # the stored streams: the segment and every data array
+            report.files = 1 + sum(not e.virtual for e in gen.arrays)
             for piece in gen.pieces():
                 if self._serve(piece) is None:
                     report.errors.append(
@@ -704,76 +635,6 @@ class L1Store:
         m.counter("mlck.l1.restores").inc()
         m.counter("mlck.restore.l1.seconds").inc(bd.total_seconds)
         return state, bd
-
-    def restore_spmd(
-        self, prefix: str, ntasks: int, init_seconds: float = 0.0
-    ) -> Tuple[SPMDRestoredState, RestartBreakdown]:
-        """Restore an SPMD generation from L1 (task count must match,
-        as on the PFS path — SPMD states are not reconfigurable)."""
-        gen = self.gen(prefix)
-        if gen.kind != "spmd":
-            raise RestartError(
-                f"L1 generation {prefix!r} is kind {gen.kind!r}, not spmd"
-            )
-        if ntasks != gen.ntasks:
-            raise RestartError(
-                f"SPMD checkpoint was taken with {gen.ntasks} tasks; "
-                f"restart requested {ntasks}. Reconfigured restart "
-                "requires a DRMS checkpoint."
-            )
-        # before any span: a lost piece leaves no partial restart
-        fetched = [
-            self._fetch_pieces(pieces, nbytes)
-            for pieces, nbytes in zip(gen.task_pieces, gen.task_sha1_bytes)
-        ]
-        bd = RestartBreakdown(kind="mlck-l1", prefix=prefix, ntasks=ntasks)
-        bd.other_seconds = float(init_seconds)
-        obs = get_tracer()
-        m = obs.metrics
-        requesters = (self.machine.up_nodes() or [0])[:ntasks] or [0]
-        payloads = []
-        with obs.span(
-            "restart", kind="mlck-l1", prefix=prefix, ntasks=ntasks,
-            checkpoint_ntasks=gen.ntasks,
-        ) as op:
-            _charge_restart_init(obs, bd.other_seconds)
-            acct = _Accounting(self.machine)
-            with obs.span("l1_segment_fetch", files=ntasks) as sp:
-                for t, (chunks, nodes) in enumerate(fetched):
-                    requester = requesters[t % len(requesters)]
-                    acct.fetch(gen.task_pieces[t], nodes, requester)
-                    m.counter("mlck.l1.hits").inc(len(nodes))
-                    head = b"".join(chunks)
-                    # sized bulk rides along
-                    acct.copy(requester, max(0, gen.task_bytes[t] - len(head)))
-                    payloads.append(_decode_task_file(head))
-                sec = acct.seconds()
-                obs.advance(sec)
-                sp.set(nbytes=sum(gen.task_bytes), seconds=sec)
-            bd.segment_seconds = sec
-            bd.segment_bytes = sum(gen.task_bytes)
-            op.set(nbytes=bd.total_bytes, seconds=bd.total_seconds)
-        _publish_breakdown("restart", bd)
-        m.counter("mlck.l1.restores").inc()
-        m.counter("mlck.restore.l1.seconds").inc(bd.total_seconds)
-        return (
-            SPMDRestoredState(
-                ntasks=ntasks,
-                payloads=payloads,
-                segment_bytes=list(gen.task_bytes),
-                manifest={
-                    "kind": "spmd",
-                    "tier": "l1",
-                    "app_name": gen.app_name,
-                    "ntasks": gen.ntasks,
-                    "task_files": [
-                        task_segment_name(prefix, t) for t in range(gen.ntasks)
-                    ],
-                    "segment_bytes": list(gen.task_bytes),
-                },
-            ),
-            bd,
-        )
 
     # -- drain support -------------------------------------------------------
 
@@ -884,7 +745,7 @@ class L1ReplicaSource:
         self.spans = ("l1_segment_fetch", accountant.array_span)
         self.init_seconds = float(init_seconds)
         self.manifest = {
-            "kind": gen.kind,
+            "kind": "drms",
             "tier": "l1",
             "app_name": gen.app_name,
             "ntasks": gen.ntasks,

@@ -4,7 +4,8 @@ DRMS model (per-task SPMD checkpointing)."""
 import numpy as np
 import pytest
 
-from repro.drms.nonconforming import SPMDCheckpointer, restore_spmd
+from repro.checkpoint.spmd import spmd_restart
+from repro.drms.nonconforming import SPMDCheckpointer
 from repro.errors import RestartError
 from repro.pfs.piofs import PIOFS
 from repro.runtime.executor import run_spmd
@@ -32,7 +33,7 @@ def test_in_run_checkpoint_and_driver_restore(env):
     res = run_spmd(main, 4, machine=machine)
     assert res.returns == [16.0 * (r + 4) for r in range(4)]
 
-    state, bd = restore_spmd(pfs, "leg", 4)
+    state, bd = spmd_restart(pfs, "leg", 4)
     assert state.ntasks == 4
     for t, payload in enumerate(state.payloads):
         assert payload["it"] == 2
@@ -62,7 +63,7 @@ def test_reconfigured_restore_rejected(env):
 
     run_spmd(main, 4, machine=machine)
     with pytest.raises(RestartError):
-        restore_spmd(pfs, "x", 6)
+        spmd_restart(pfs, "x", 6)
 
 
 def test_state_size_grows_with_tasks(env):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import RestartError
+from repro.errors import ReconfigurationError, RestartError
 from repro.mlck.checkpointer import MultiLevelCheckpointer
 from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine, MachineParams
@@ -76,17 +76,16 @@ def test_restart_with_nothing_valid_raises(env):
         ck.restart(ntasks=2)
 
 
-def test_spmd_two_tier_roundtrip(env):
-    machine, pfs = env
-    ck = MultiLevelCheckpointer(pfs, "ck", machine=machine, drain="sync")
-    payloads = [{"rank": t} for t in range(2)]
-    mbd = ck.checkpoint_spmd(2, 1024, payloads=payloads)
-    assert mbd.drain_state == "durable"
-    state, _ = ck.store.restore_spmd(mbd.prefix, 2)
-    assert state.payloads == payloads
-
-
 def test_bad_drain_mode_refused(env):
     machine, pfs = env
     with pytest.raises(ValueError):
         MultiLevelCheckpointer(pfs, "ck", machine=machine, drain="lazy")
+
+
+def test_application_rejects_unknown_tier():
+    """An application reaches the memory tier only with its drain to
+    the PFS (``"memory+pfs"``); a memory-only tier does not exist."""
+    from repro.drms import DRMSApplication
+
+    with pytest.raises(ReconfigurationError, match="unknown application"):
+        DRMSApplication(lambda ctx: None, tier="memory")

@@ -12,8 +12,7 @@ it did not verify."""
 import numpy as np
 import pytest
 
-from repro.checkpoint.drms import drms_restart
-from repro.errors import MemoryTierError
+from repro.checkpoint.drms import drms_restart, open_generation, restart_opener
 from repro.mlck.checkpointer import MultiLevelCheckpointer
 from repro.mlck.drain import DrainController, DrainState
 from repro.mlck.localized import (
@@ -135,26 +134,25 @@ def durable(workload):
 
 
 def _assert_served_by_the_pfs_tier(pfs, store):
-    """Both restart entry points, called without a walk, fall back to
-    the PFS copy and leave nothing of the L1 attempt behind; the
-    memory-only tier refuses."""
+    """Both ways of opening one named generation — a full restart (what
+    ``DRMSApplication.restart(<name>)`` runs) and a localized one —
+    fall back to the PFS copy and leave nothing of the L1 attempt
+    behind."""
     reference = {n: drms_restart(pfs, PREFIX, n)[0] for n in (2, 3)}
     with use_tracer(Tracer()) as tracer:
-        state, bd = drms_restart(
-            pfs, PREFIX, 3, tier="memory+pfs", l1=store
+        opened = open_generation(
+            pfs, PREFIX, store, restart_opener(pfs, 3, store)
         )
         lstate, lbd, scope = localized_restart(
             pfs, PREFIX, 2, PLACEMENT, failed_nodes=[1], l1=store
         )
         assert _l1_restart_traces(tracer) == ([], [])
         assert tracer.metrics.flat().get("mlck.localized.pfs_fallbacks") == 1
-    assert bd.kind == lbd.kind == "drms"
+    assert opened.breakdown.kind == lbd.kind == "drms"
     assert scope.lost_ranks == (1,)
     # never a corrupt element in any restored local
-    _assert_locals_equal(state, reference[3])
+    _assert_locals_equal(opened.state, reference[3])
     _assert_locals_equal(lstate, reference[2])
-    with pytest.raises(MemoryTierError, match="forbids the PFS fallback"):
-        drms_restart(pfs, PREFIX, 3, tier="memory", l1=store)
 
 
 def test_a_piece_with_no_good_replica_sends_readers_to_the_pfs(durable):

@@ -249,17 +249,6 @@ def test_async_drains_discard_only_what_is_durable_and_pruned(
     }
 
 
-def test_evict_after_drain_frees_memory(env, workload):
-    machine, pfs, store = env
-    seg, arrays = workload()
-    store.capture_drms("ck.000001", seg, arrays)
-    DrainController(
-        store, pfs, synchronous=True, evict_after_drain=True
-    ).schedule("ck.000001")
-    assert not store.has("ck.000001")
-    assert validate_checkpoint(pfs, "ck.000001").ok
-
-
 def test_async_drain_overlaps_and_completes(env, workload):
     machine, pfs, store = env
     seg, arrays = workload()

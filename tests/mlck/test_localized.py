@@ -16,11 +16,17 @@ from repro.drms.api import (
 from repro.drms.context import CheckpointStatus
 from repro.errors import SchedulerError
 from repro.infra import DRMSCluster, FailurePlan
+from repro.infra.events import EventLog
 from repro.mlck.checkpointer import MultiLevelCheckpointer
 from repro.mlck.drain import DrainState
-from repro.mlck.localized import compute_rebuild_scope, rebuild_lost_sections
+from repro.mlck.localized import (
+    compute_rebuild_scope,
+    localized_restart,
+    rebuild_lost_sections,
+)
 from repro.mlck.placement import select_partners
-from repro.obs import Tracer, use_tracer
+from repro.mlck.store import L1Store
+from repro.obs import FlightRecorder, Tracer, use_flight, use_tracer
 from repro.pfs.faults import FaultInjector
 from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine, MachineParams
@@ -294,3 +300,28 @@ def test_failure_mid_drain_holds_the_pin_interlock(workload):
     assert scope.lost_ranks == (0,)
     for name, arr in state.arrays.items():
         np.testing.assert_array_equal(arr.to_global(fill=0), refs[name])
+
+
+def test_opening_a_named_generation_stamps_the_node_drop_with_its_clock(
+    workload,
+):
+    """A node died and nobody dropped its memory yet: opening a named
+    generation does, and the three records of that drop carry the
+    incident's clock, not 0 — as every other record of the recovery."""
+    machine = Machine(MachineParams(num_nodes=8, failure_domains=4))
+    events = EventLog()
+    store = L1Store(machine, k=1, events=events)
+    seg, arrays = workload(ntasks=2)
+    store.capture_drms("ck.000001", seg, arrays)
+    dead = 1
+    assert any(dead in p.replicas for p in store.gen("ck.000001").pieces())
+    machine.fail_node(dead)
+    with use_flight(FlightRecorder()) as fr:
+        localized_restart(
+            PIOFS(machine=machine), "ck.000001", 2, {0: 0, 1: dead},
+            failed_nodes=[dead], replacements={1: 2}, l1=store, clock=7.5,
+        )
+    (lost,) = events.of_kind("mlck_replicas_lost")
+    (dropped,) = [e for e in fr.events() if e.kind == "l1_node_dropped"]
+    (blackbox,) = fr.blackboxes
+    assert (lost.time, dropped.time, blackbox["time"]) == (7.5, 7.5, 7.5)

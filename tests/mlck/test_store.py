@@ -108,17 +108,6 @@ def test_discard_frees_resident_bytes(store, workload):
     assert store.generations() == []
 
 
-def test_spmd_capture_restore_roundtrip(store):
-    payloads = [{"rank": t, "blob": bytes(range(t + 1))} for t in range(3)]
-    store.capture_spmd("ck.000001", 3, 2048, payloads=payloads)
-    state, bd = store.restore_spmd("ck.000001", 3)
-    assert state.payloads == payloads
-    assert state.segment_bytes == [2048] * 3
-    # the defining SPMD limitation holds on the memory tier too
-    with pytest.raises(Exception):
-        store.restore_spmd("ck.000001", 4)
-
-
 def test_sized_payloads_charged_but_not_stored(store, workload):
     seg, arrays = workload()
     gen, bd = store.capture_drms("ck.000001", seg, arrays)
