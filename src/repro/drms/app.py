@@ -449,6 +449,21 @@ class DRMSApplication:
 
         return localized_opener(self.pfs, ntasks, *failure, l1, clock, *options)
 
+    def open(
+        self, prefix: str, ntasks: int, failure=None, clock: float = 0.0
+    ) -> OpenedGeneration:
+        """Open the generation ``prefix`` onto ``ntasks`` tasks without
+        running anything: the walk over that one generation's tiers —
+        the L1 store holding it, if any, then the PFS copy — localized
+        given ``failure``, its records stamped ``clock``.  Raises the
+        checkpoint or PFS error of the last tier tried."""
+        l1 = next(
+            (ck.store for ck in self._mlck.values() if ck.store.has(prefix)), None
+        )
+        return open_generation(
+            self.pfs, prefix, l1, self.opener(ntasks, l1, failure, clock), clock
+        )
+
     def _relaunch(
         self,
         generation: Union[str, OpenedGeneration],
@@ -460,19 +475,10 @@ class DRMSApplication:
         clock: float = 0.0,
     ) -> RunReport:
         """Run on from ``generation`` on ``ntasks`` tasks; a name is
-        opened first — the walk over that one generation's tiers,
-        localized given ``failure``, its records stamped ``clock``."""
+        opened first (:meth:`open`)."""
         self.soq.check(ntasks)
         if isinstance(generation, str):
-            # the L1 store holding this generation, if any
-            l1 = next(
-                (ck.store for ck in self._mlck.values() if ck.store.has(generation)),
-                None,
-            )
-            generation = open_generation(
-                self.pfs, generation, l1,
-                self.opener(ntasks, l1, failure, clock), clock,
-            )
+            generation = self.open(generation, ntasks, failure, clock)
         runtime = AppRuntime(
             self,
             ntasks,

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.checkpoint.format import manifest_name
-from repro.checkpoint.recover import first_rejections
+from repro.checkpoint.recover import OpenedGeneration, first_rejections
 from repro.drms.app import DRMSApplication, RunReport
 from repro.errors import ReconfigurationError, RestartError
 from repro.pfs.piofs import PIOFS
@@ -125,9 +125,11 @@ class MPMDApplication:
         from is resolved *jointly* — the newest generation number at
         which every component is byte-valid — instead of each component
         falling back newest-to-oldest on its own, which could silently
-        mix generations when one component's newest state is torn."""
+        mix generations when one component's newest state is torn.  That
+        walk opens every component's state onto its new task count, and
+        the components run on from the states that opened."""
         self._check_tasks(tasks)
-        resolved = self._resolve_component_states(prefix)
+        resolved = self._resolve_component_states(prefix, tasks)
         report = MPMDRunReport()
         for name, (app, args, kwargs) in self._components.items():
             report.components[name] = app.restart(
@@ -145,17 +147,19 @@ class MPMDApplication:
             return True
         return any(ck.store.has(prefix) for ck in app._mlck.values())
 
-    def _resolve_component_states(self, prefix: str) -> Dict[str, str]:
-        """The per-component restart prefixes under ``prefix``.
+    def _resolve_component_states(
+        self, prefix: str, tasks: Dict[str, int]
+    ) -> Dict[str, Union[str, OpenedGeneration]]:
+        """The per-component restart states under ``prefix``.
 
         When every component has a state at its exact namespaced prefix
         (un-rotated coordinated checkpoints), that set *is* the logical
-        generation.  Otherwise the components checkpointed under
-        rotating generation numbers, and the set is resolved through the
-        workflow-manifest validation walk
+        generation, and each component opens its own.  Otherwise the
+        components checkpointed under rotating generation numbers, and
+        the set is resolved through the workflow line walk
         (:func:`~repro.workflow.manifest.newest_consistent_generations`):
-        the newest number at which every component verifies, torn
-        numbers rejected as a unit."""
+        the newest number at which every component opens onto its count
+        in ``tasks``, torn numbers rejected as a unit."""
         exact = {
             name: self._component_prefix(prefix, name)
             for name in self._components
@@ -165,12 +169,8 @@ class MPMDApplication:
             for name, (app, _, _) in self._components.items()
         ):
             return exact
-        l1_stores = {
-            name: app.l1_store_for(exact[name])
-            for name, (app, _, _) in self._components.items()
-        }
         resolved, rejected = newest_consistent_generations(
-            self.pfs, exact, l1_stores
+            self.pfs, exact, lambda m, p: self.component(m).open(p, tasks[m])
         )
         if resolved is None:
             raise RestartError(

@@ -1347,7 +1347,7 @@ def _run_workflow(case: Case) -> CaseResult:
             if not valid[g] and (expected_gen is None or g > expected_gen)
         }
 
-        decision = coord.select_restart_line()
+        decision = coord.select_restart_line(tasks2)
         c.check(
             decision.generation == expected_gen,
             f"workflow recovery chose line {decision.generation}; newest "

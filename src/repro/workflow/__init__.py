@@ -6,9 +6,9 @@ package drives N coupled :class:`~repro.drms.app.DRMSApplication`
 members to a common quiescent exchange boundary, checkpoints each one
 there, and tags the set as one **workflow generation** recorded in a v1
 workflow manifest; restart selects the newest generation whose *every*
-member state is byte-valid and relaunches the whole ensemble from it —
-each member free to come back at a different task count, some served
-from L1 memory replicas and others from the PFS.
+member state opens and relaunches the whole ensemble from the opened
+states — each member free to come back at a different task count, some
+served from L1 memory replicas and others from the PFS.
 """
 
 from repro.workflow.coordinator import (
@@ -19,12 +19,10 @@ from repro.workflow.coordinator import (
 from repro.workflow.manifest import (
     WORKFLOW_VERSION,
     WorkflowDecision,
-    WorkflowValidation,
     check_member_name,
     newest_consistent_generations,
     read_workflow_manifest,
     select_workflow_restart_state,
-    validate_workflow_line,
     workflow_generations,
     workflow_manifest_name,
     write_workflow_manifest,
@@ -36,12 +34,10 @@ __all__ = [
     "WorkflowDecision",
     "WorkflowLine",
     "WorkflowRunReport",
-    "WorkflowValidation",
     "check_member_name",
     "newest_consistent_generations",
     "read_workflow_manifest",
     "select_workflow_restart_state",
-    "validate_workflow_line",
     "workflow_generations",
     "workflow_manifest_name",
     "write_workflow_manifest",

@@ -27,10 +27,10 @@ after it for all members.
 
 Restart is the mirror image: :meth:`WorkflowCoordinator.restart_workflow`
 asks :func:`~repro.workflow.manifest.select_workflow_restart_state` for
-the newest fully-valid line (torn sets rejected as a unit) and
-relaunches every member from its recorded prefix — each on any task
-count its SOQ allows, some served from L1 memory replicas and others
-from the PFS.
+the newest line whose every member opens (torn sets rejected as a
+unit) — each member's state opened once, onto the task count its
+relaunch uses, some from L1 memory replicas and others from the PFS —
+and relaunches every member from the state that opened.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.checkpoint.recover import first_rejections
+from repro.checkpoint.recover import OpenedGeneration, first_rejections
 from repro.drms.app import DRMSApplication, RunReport
 from repro.drms.steering import app_transfer
 from repro.errors import ArrayError, ReconfigurationError, WorkflowError
@@ -51,8 +51,8 @@ from repro.workflow.manifest import (
     WorkflowDecision,
     check_member_name,
     next_workflow_generation,
-    read_workflow_manifest,
     select_workflow_restart_state,
+    walk_workflow_lines,
     workflow_generations,
     write_workflow_manifest,
 )
@@ -290,12 +290,6 @@ class WorkflowCoordinator:
         """The checkpoint namespace of one member."""
         return f"{self.base}.{name}"
 
-    def _l1_stores(self) -> Dict[str, Any]:
-        return {
-            name: app.l1_store_for(self.member_base(name))
-            for name, (app, _, _) in self._members.items()
-        }
-
     # -- running --------------------------------------------------------------
 
     def run(self, tasks: Mapping[str, int]) -> WorkflowRunReport:
@@ -310,22 +304,20 @@ class WorkflowCoordinator:
         generation: Optional[int] = None,
     ) -> WorkflowRunReport:
         """Restart the whole ensemble from the newest workflow
-        generation whose every member state is byte-valid (or from an
-        explicit ``generation``, still validated).  Each member may come
-        back on a different task count than it checkpointed with; the
-        recovery walk serves members from L1 memory replicas where they
-        verify and from the PFS otherwise."""
-        decision = self._select(generation)
+        generation whose every member state opens (or from an explicit
+        ``generation``, a walk over that one line).  Each member may
+        come back on a different task count than it checkpointed with;
+        its state is opened once, onto that count — from L1 memory
+        replicas where they verify and from the PFS otherwise — and the
+        member runs on from it."""
+        tasks = dict(tasks)
+        decision = self._select(tasks, generation)
         if decision.generation is None:
             raise WorkflowError(
                 f"no workflow generation under {self.base!r} has every "
                 "member byte-valid" + first_rejections(decision.rejected, "gen ")
             )
-        prefixes = {
-            name: entry["prefix"]
-            for name, entry in decision.manifest["members"].items()
-        }
-        missing = set(self._members) - set(prefixes)
+        missing = set(self._members) - set(decision.opened)
         if missing:
             raise WorkflowError(
                 f"workflow generation {decision.generation} does not "
@@ -336,38 +328,44 @@ class WorkflowCoordinator:
         fr = get_flight()
         if fr.enabled:
             fr.record(
-                "workflow_restarted", node=GLOBAL_NODE,
+                "workflow_restarted", node=GLOBAL_NODE, time=self._clock(),
                 base=self.base, generation=decision.generation,
                 tiers=dict(decision.member_tiers),
                 tasks={n: int(t) for n, t in tasks.items()},
             )
-        report = self._run_ensemble(dict(tasks), restart=prefixes)
+        report = self._run_ensemble(tasks, restart=decision.opened)
         report.decision = decision
         return report
 
-    def select_restart_line(self) -> WorkflowDecision:
-        """The recovery walk alone (no relaunch): newest-to-oldest over
-        committed workflow generations, torn lines rejected as units."""
-        return select_workflow_restart_state(
-            self.pfs, self.base, l1_stores=self._l1_stores(),
-            events=self.events,
-        )
+    def select_restart_line(self, tasks: Mapping[str, int]) -> WorkflowDecision:
+        """The recovery walk of :meth:`restart_workflow` without the
+        relaunch: newest-to-oldest over committed workflow generations,
+        every member opened onto its count in ``tasks``, torn lines
+        rejected as units."""
+        return self._select(dict(tasks), None)
 
-    def _select(self, generation: Optional[int]) -> WorkflowDecision:
+    def _clock(self) -> float:
+        """The latest simulated time this coordinator has seen — its
+        newest committed line's — which stamps a recovery's records."""
+        return max((line.clock for line in self.lines), default=0.0)
+
+    def _select(
+        self, tasks: Dict[str, int], generation: Optional[int]
+    ) -> WorkflowDecision:
+        self._check_tasks(tasks)
+        clock = self._clock()
+
+        def open_member(member: str, prefix: str):
+            if member not in self._members:
+                raise WorkflowError(f"no workflow member {member!r} to open")
+            return self.member(member).open(prefix, tasks[member], clock=clock)
+
         if generation is None:
-            return self.select_restart_line()
-        from repro.workflow.manifest import validate_workflow_line
-
-        manifest = read_workflow_manifest(self.pfs, self.base, generation)
-        report = validate_workflow_line(self.pfs, manifest, self._l1_stores())
-        if not report.ok:
-            return WorkflowDecision(
-                base=self.base, generation=None,
-                rejected=[(generation, list(report.errors))],
+            return select_workflow_restart_state(
+                self.pfs, self.base, open_member, self.events, clock
             )
-        return WorkflowDecision(
-            base=self.base, generation=generation, manifest=manifest,
-            member_tiers=dict(report.member_tiers),
+        return walk_workflow_lines(
+            self.pfs, self.base, [generation], open_member, self.events, clock
         )
 
     # -- ensemble execution ---------------------------------------------------
@@ -398,7 +396,9 @@ class WorkflowCoordinator:
         return out
 
     def _run_ensemble(
-        self, tasks: Dict[str, int], restart: Optional[Dict[str, str]]
+        self,
+        tasks: Dict[str, int],
+        restart: Optional[Dict[str, OpenedGeneration]],
     ) -> WorkflowRunReport:
         if not self._members:
             raise WorkflowError("workflow has no members")

@@ -13,11 +13,13 @@ committed line untouched.
 
 Recovery inverts this: :func:`select_workflow_restart_state` walks the
 committed workflow generations newest-to-oldest and picks the first
-whose **every** member state is byte-valid — a torn set (one member's
+whose **every** member state opens — a torn set (one member's
 generation lost or corrupt) is rejected *as a unit*, never mixed with
-states from another line.  Member validation is tier-aware: a member
-whose L1 memory replicas still hold and verify the generation is served
-from memory, the rest from the PFS.
+states from another line.  A line is chosen by opening its members
+(``open_member``, :meth:`~repro.drms.app.DRMSApplication.open`): each
+state is read and hashed once, by the restore that delivers it, from
+L1 memory replicas where they verify and from the PFS otherwise, and
+the opened states are what the members run on from.
 """
 
 from __future__ import annotations
@@ -25,25 +27,23 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.checkpoint.format import commit_two_phase
-from repro.checkpoint.recover import WalkNames, walk_generations
-from repro.checkpoint.rotation import _GEN_RE, generations
-from repro.checkpoint.validate import validate_checkpoint
-from repro.errors import CheckpointError, WorkflowError
+from repro.checkpoint.recover import OpenedGeneration, WalkNames, walk_generations
+from repro.checkpoint.rotation import _GEN_RE, committed_prefixes
+from repro.errors import CheckpointError, PFSError, WorkflowError
 from repro.obs import get_tracer
 from repro.pfs.piofs import PIOFS
 
 __all__ = [
     "WORKFLOW_VERSION",
     "WorkflowDecision",
-    "WorkflowValidation",
     "check_member_name",
     "newest_consistent_generations",
     "read_workflow_manifest",
     "select_workflow_restart_state",
-    "validate_workflow_line",
+    "walk_workflow_lines",
     "workflow_generations",
     "workflow_line_prefix",
     "workflow_manifest_name",
@@ -201,67 +201,36 @@ def next_workflow_generation(
     return newest + 1
 
 
-# -- validation ---------------------------------------------------------------
+# -- opening a line -----------------------------------------------------------
+
+#: ``open_member(member, prefix) -> OpenedGeneration``: one member state
+#: opened for its relaunch, raising a checkpoint or PFS error when no
+#: tier can deliver it
+MemberOpener = Callable[[str, str], OpenedGeneration]
 
 
-@dataclass
-class WorkflowValidation:
-    """Outcome of auditing one workflow line."""
-
-    generation: int
-    #: member -> serving tier ("l1" or "l2") for every valid member
-    member_tiers: Dict[str, str] = field(default_factory=dict)
-    #: "member: detail" for every member that failed the audit
-    errors: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """True only when *every* member verified — a single torn
-        member rejects the whole line."""
-        return not self.errors
-
-
-def _validate_member(pfs: PIOFS, prefix: str, l1=None) -> Tuple[Optional[str], List[str]]:
-    """Audit one member state, memory tier first.  Returns the serving
-    tier (``"l1"``/``"l2"``) and the accumulated errors when neither
-    tier can serve."""
-    errors: List[str] = []
-    if l1 is not None and l1.has(prefix):
-        # dead nodes' memory goes first: audit the machine as it is now
-        l1.sync_with_machine()
-        report = l1.validate_generation(prefix)
-        if report.ok:
-            return "l1", []
-        errors.extend(f"l1 {prefix}: {e}" for e in report.errors)
-    report = validate_checkpoint(pfs, prefix)
-    if report.ok:
-        return "l2", []
-    errors.extend(f"l2 {prefix}: {e}" for e in report.errors)
-    return None, errors
+def _open_line(
+    prefixes: Mapping[str, str], open_member: MemberOpener
+) -> Tuple[List[str], Dict[str, OpenedGeneration]]:
+    """Open every member state of one line, in sorted member order:
+    ``([], opened)``, or ``(["<member>: <error>"], {})`` at the first
+    member that does not open — the line rejected as a unit, the states
+    already opened for it dropped."""
+    if not prefixes:
+        return ["workflow manifest names no members"], {}
+    opened: Dict[str, OpenedGeneration] = {}
+    for member, prefix in sorted(prefixes.items()):
+        try:
+            opened[member] = open_member(member, prefix)
+        except (CheckpointError, PFSError) as exc:
+            return [f"{member}: {exc}"], {}
+    return [], opened
 
 
-def validate_workflow_line(
-    pfs: PIOFS,
-    manifest: Mapping[str, Any],
-    l1_stores: Optional[Mapping[str, Any]] = None,
-) -> WorkflowValidation:
-    """Audit every member state named by a workflow manifest.  The line
-    is ``ok`` only when all members verify; ``member_tiers`` records
-    which tier would serve each member (L1 memory replicas preferred,
-    per member — a mixed-tier restart is normal)."""
-    l1_stores = dict(l1_stores or {})
-    result = WorkflowValidation(generation=int(manifest["generation"]))
-    for member, entry in sorted(manifest.get("members", {}).items()):
-        tier, errors = _validate_member(
-            pfs, entry["prefix"], l1=l1_stores.get(member)
-        )
-        if tier is None:
-            result.errors.append(f"{member}: " + "; ".join(errors[:2]))
-        else:
-            result.member_tiers[member] = tier
-    if not manifest.get("members"):
-        result.errors.append("workflow manifest names no members")
-    return result
+def _served_from(opened: OpenedGeneration) -> str:
+    """The tier an opened member state came from: ``"l1"`` (memory
+    replicas, full or localized) or ``"l2"`` (the PFS copy)."""
+    return "l1" if opened.breakdown.kind.startswith("mlck-l1") else "l2"
 
 
 # -- recovery walk ------------------------------------------------------------
@@ -272,14 +241,16 @@ class WorkflowDecision:
     """Outcome of a workflow recovery walk under ``base``."""
 
     base: str
-    #: the chosen generation, or None when no line verified
+    #: the chosen generation, or None when no line opened
     generation: Optional[int]
-    #: the chosen line's manifest (None when nothing verified)
+    #: the chosen line's manifest (None when no line opened)
     manifest: Optional[Dict[str, Any]] = None
-    #: member -> serving tier for the chosen line
+    #: member -> the tier its state opened from ("l1" or "l2")
     member_tiers: Dict[str, str] = field(default_factory=dict)
     #: (generation, errors) for every newer line rejected as a unit
     rejected: List[Tuple[int, List[str]]] = field(default_factory=list)
+    #: member -> its opened state on the chosen line, ready to run on
+    opened: Dict[str, OpenedGeneration] = field(default_factory=dict)
 
     @property
     def fell_back(self) -> bool:
@@ -287,48 +258,66 @@ class WorkflowDecision:
         return self.generation is not None and bool(self.rejected)
 
 
-def select_workflow_restart_state(
+def walk_workflow_lines(
     pfs: PIOFS,
     base: str,
-    l1_stores: Optional[Mapping[str, Any]] = None,
+    lines: Iterable[int],
+    open_member: MemberOpener,
     events=None,
     clock: float = 0.0,
 ) -> WorkflowDecision:
-    """Pick the newest workflow generation whose every member state is
-    byte-valid, walking newest-to-oldest
-    (:func:`~repro.checkpoint.recover.walk_generations`) and rejecting
-    torn lines *as a unit* — one lost or corrupt member never costs less
-    than the whole line, and never mixes with a state from another
-    line.  A committed manifest that no longer parses is a rejected
-    line like any other, with its parse error as the reason.
-
-    ``l1_stores`` maps member names to their
-    :class:`~repro.mlck.store.L1Store` (or None), upgrading per-member
-    validation to the tier-aware policy: members whose memory replicas
-    verify are served from L1, the rest from the PFS."""
-    audited: Dict[int, Tuple[Dict[str, Any], WorkflowValidation]] = {}
+    """The line walk over the workflow generations ``lines``, newest
+    first (:func:`~repro.checkpoint.recover.walk_generations`): each
+    line's manifest is read once, then every member state it names is
+    opened by ``open_member(member, prefix)``; the first line whose
+    every member opens is chosen, with its opened states.  A line where
+    any member does not open is rejected *as a unit*, its reason
+    ``"<member>: <error>"`` — one lost or corrupt member never costs
+    less than the whole line, and never mixes with a state from another
+    line.  A manifest that no longer parses is a rejected line like any
+    other, with its parse error as the reason."""
+    chosen: Dict[str, Any] = {}
 
     def validate(gen: int, _tier):
         try:
             manifest = read_workflow_manifest(pfs, base, gen)
         except WorkflowError as exc:
             return [str(exc)], {}
-        report = validate_workflow_line(pfs, manifest, l1_stores)
-        audited[gen] = (manifest, report)
-        return list(report.errors), {"tiers": dict(report.member_tiers)}
+        members = manifest.get("members", {})
+        errors, opened = _open_line(
+            {m: entry["prefix"] for m, entry in members.items()}, open_member
+        )
+        if errors:
+            return errors, {}
+        tiers = {m: _served_from(o) for m, o in opened.items()}
+        chosen.update(manifest=manifest, opened=opened, member_tiers=tiers)
+        return [], {"tiers": dict(tiers)}
 
-    lines = [(g, None) for g in reversed(_committed_line_numbers(pfs, base))]
     gen, _, rejected = walk_generations(
-        lines, validate, WORKFLOW_WALK, events, clock, base=base
+        [(g, None) for g in lines], validate, WORKFLOW_WALK, events, clock,
+        base=base,
     )
-    decision = WorkflowDecision(base=base, generation=gen, rejected=rejected)
-    if gen is not None:
-        decision.manifest, report = audited[gen]
-        decision.member_tiers = dict(report.member_tiers)
-        m = get_tracer().metrics
-        for tier in report.member_tiers.values():
-            m.counter(f"workflow.restore.{tier}").inc()
+    decision = WorkflowDecision(base=base, generation=gen, rejected=rejected, **chosen)
+    m = get_tracer().metrics
+    for tier in decision.member_tiers.values():
+        m.counter(f"workflow.restore.{tier}").inc()
     return decision
+
+
+def select_workflow_restart_state(
+    pfs: PIOFS,
+    base: str,
+    open_member: MemberOpener,
+    events=None,
+    clock: float = 0.0,
+) -> WorkflowDecision:
+    """Restart a workflow from the newest committed generation whose
+    every member state opens: :func:`walk_workflow_lines` over every
+    committed line under ``base``, newest first."""
+    return walk_workflow_lines(
+        pfs, base, reversed(_committed_line_numbers(pfs, base)),
+        open_member, events, clock,
+    )
 
 
 # -- joint rotation walk (MPMD components without workflow manifests) ---------
@@ -337,42 +326,36 @@ def select_workflow_restart_state(
 def newest_consistent_generations(
     pfs: PIOFS,
     bases: Mapping[str, str],
-    l1_stores: Optional[Mapping[str, Any]] = None,
-) -> Tuple[Optional[Dict[str, str]], List[Tuple[int, List[str]]]]:
+    open_member: MemberOpener,
+) -> Tuple[Optional[Dict[str, OpenedGeneration]], List[Tuple[int, List[str]]]]:
     """The newest rotation generation number ``g`` at which *every*
-    member has a byte-valid state ``<base>.NNNNNN`` — the consistency
-    line of a component group that rotates checkpoints without workflow
-    manifests (:meth:`~repro.drms.mpmd.MPMDApplication.restart`).
+    member's state ``<base>.NNNNNN`` opens — the consistency line of a
+    component group that rotates checkpoints without workflow manifests
+    (:meth:`~repro.drms.mpmd.MPMDApplication.restart`).
 
-    Walks the candidate numbers newest-to-oldest; a number where any
-    member is missing, lost, or corrupt is rejected **as a unit**, so
+    Walks the numbers any member has a committed manifest name for,
+    newest first, opening every member at each by
+    ``open_member(member, prefix)``; a number where any member is
+    missing, lost, or corrupt is rejected **as a unit**, so
     components never silently restart from mixed logical generations.
-    Returns ``({member: prefix}, rejected)`` with ``rejected`` the list
-    of ``(generation, errors)`` skipped, or ``(None, rejected)`` when no
-    number is consistent."""
-    l1_stores = dict(l1_stores or {})
+    Returns ``({member: opened state}, rejected)`` with ``rejected`` the
+    list of ``(generation, errors)`` skipped, or ``(None, rejected)``
+    when no number is consistent."""
     numbers: set = set()
     for mbase in bases.values():
-        for prefix in generations(pfs, mbase):
+        for prefix in committed_prefixes(pfs, mbase):
             numbers.add(int(_GEN_RE.match(prefix).group("gen")))
-    resolved: Dict[int, Dict[str, str]] = {}
+    resolved: Dict[str, OpenedGeneration] = {}
 
     def validate(g: int, _tier):
-        resolved[g] = {}
-        errors: List[str] = []
-        for member, mbase in sorted(bases.items()):
-            prefix = f"{mbase}.{g:06d}"
-            tier, errs = _validate_member(
-                pfs, prefix, l1=l1_stores.get(member)
-            )
-            if tier is None:
-                errors.append(f"{member}: " + "; ".join(errs[:2]))
-            else:
-                resolved[g][member] = prefix
-        return errors, {"prefixes": resolved[g]}
+        errors, opened = _open_line(
+            {m: f"{mbase}.{g:06d}" for m, mbase in bases.items()}, open_member
+        )
+        resolved.update(opened)
+        return errors, {"prefixes": {m: o.prefix for m, o in opened.items()}}
 
     g, _, rejected = walk_generations(
         [(n, None) for n in sorted(numbers, reverse=True)],
         validate, WORKFLOW_WALK, bases=dict(bases),
     )
-    return (resolved[g] if g is not None else None), rejected
+    return (resolved if g is not None else None), rejected

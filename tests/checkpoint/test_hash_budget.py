@@ -8,7 +8,9 @@ never to answer a question about a replica.  A recovery: a generation
 is chosen by opening it, so the walk and the restore are one pass — a
 PFS recovery reads every stored byte once and hashes it once, a memory
 recovery hashes it once, and a rejected newer generation costs at most
-its own bytes once more.
+its own bytes once more.  A workflow (or rotated MPMD) restart is the
+same: every member state is opened once, and the opened states are what
+the members run on from.
 
 The rulers are the ones ``benchmarks/e2e/layers.py`` uses for
 ``checkpoint.sha1_bytes`` and ``pfs.read_bytes``: ``sha1_hex`` wrapped
@@ -24,9 +26,17 @@ import pytest
 from repro.arrays.darray import DistributedArray
 from repro.arrays.distributions import block_distribution
 from repro.checkpoint.drms import drms_checkpoint
-from repro.checkpoint.format import array_name, manifest_name, segment_name, sha1_hex
+from repro.checkpoint.format import (
+    array_name,
+    manifest_name,
+    read_manifest,
+    segment_name,
+    sha1_hex,
+)
 from repro.checkpoint.recover import restart_latest_valid
 from repro.checkpoint.segment import DataSegment, SegmentProfile
+from repro.drms.context import CheckpointStatus
+from repro.drms.mpmd import MPMDApplication
 from repro.mlck.drain import DrainController, DrainState
 from repro.mlck.localized import localized_restart, rereplicate_after_failure
 from repro.mlck.store import L1Store
@@ -34,6 +44,8 @@ from repro.obs import Tracer, use_tracer
 from repro.pfs.faults import flip_stored_bit
 from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine, MachineParams
+from repro.workflow import WorkflowCoordinator
+from repro.workflow.manifest import workflow_manifest_name
 
 PREFIX = "ck.000001"
 NTASKS = 4
@@ -256,3 +268,128 @@ def test_a_tiered_recovery_from_memory_hashes_each_stored_byte_once(meter, reads
     wrapped, published = meter.take()
     assert wrapped == published == stored + header
     assert reads.take() == 0
+
+
+# -- a line restart: every member opened once, the line chosen by the opens -----
+
+LINE_TASKS = {"a": 3, "b": 2}
+LINE_TASKS2 = {"a": 2, "b": 3}
+
+
+def _line_main(ctx, checkpoint, value):
+    """Two 256x256 float64 arrays (512 KiB each), a checkpoint at the top
+    of iterations 1 and 2; a restarted run stops at its first
+    checkpoint call, so what a restart reads and hashes is its open."""
+    ctx.initialize()
+    d = ctx.create_distribution((256, 256))
+    arrays = [
+        ctx.distribute(name, d, init_global=np.full((256, 256), value + i))
+        for i, name in enumerate(("u", "v"))
+    ]
+    for it in ctx.iterations(1, 3):
+        status, _ = checkpoint(ctx, it)
+        if status is CheckpointStatus.RESTARTED:
+            return
+        for arr in arrays:
+            arr.set_assigned(arr.assigned + 1.0)
+
+
+def _exchange(ctx, it):
+    return ctx.workflow_exchange(final=it == 2)
+
+
+def _member_cost(pfs, prefix, upto=None):
+    """(bytes read, bytes hashed) opening the PFS state ``prefix``: its
+    manifest, the segment header prefix, then every array — or only
+    up to and including the array ``upto``, whose digest fails."""
+    m = read_manifest(pfs, prefix)
+    seg = m["segment_file"]
+    read = pfs.file_size(manifest_name(prefix)) + min(
+        pfs.file_size(seg), DataSegment.header_prefix_bytes()
+    )
+    hashed = m["segment_sha1_bytes"]
+    for spec in m["arrays"]:
+        read += spec["nbytes"]
+        hashed += spec["nbytes"]
+        if spec["file"] == upto:
+            break
+    return read, hashed
+
+
+def _line_cost(pfs, gen, upto=None):
+    """:func:`_member_cost` summed over workflow line ``gen`` of
+    :func:`_workflow`, its manifest included."""
+    costs = [
+        _member_cost(pfs, f"wf.{m}.{gen:06d}", upto) for m in sorted(LINE_TASKS)
+    ]
+    read = pfs.file_size(workflow_manifest_name("wf", gen))
+    return read + sum(r for r, _ in costs), sum(h for _, h in costs)
+
+
+def _workflow():
+    machine = Machine(MachineParams(num_nodes=12))
+    coord = WorkflowCoordinator("wf", machine=machine, pfs=PIOFS(machine=machine))
+    for i, member in enumerate(sorted(LINE_TASKS)):
+        coord.add_member(member, _line_main, args=(_exchange, 10.0 * i))
+    coord.run(LINE_TASKS)
+    assert coord.committed_generations() == [1, 2]
+    return coord
+
+
+@pytest.mark.crash_consistency
+@pytest.mark.workflow
+def test_a_line_restart_reads_and_hashes_each_stored_byte_once(meter, reads):
+    coord = _workflow()
+    read, hashed = _line_cost(coord.pfs, 2)
+    meter.take()
+    reads.take()
+    report = coord.restart_workflow(LINE_TASKS2)
+    assert report.decision.generation == 2
+    # the line's manifest, then per member its manifest, the segment
+    # header prefix and every array byte: once each, nothing audited
+    assert reads.take() == read
+    wrapped, _ = meter.take()
+    assert wrapped == hashed
+
+
+@pytest.mark.crash_consistency
+@pytest.mark.workflow
+def test_a_torn_line_costs_what_opened_before_the_tear(meter, reads):
+    coord = _workflow()
+    older = _line_cost(coord.pfs, 1)
+    # the second member's first array is torn: the first member opened
+    # whole, the second up to that array, and nothing after it
+    torn = array_name("wf.b.000002", "u")
+    flip_stored_bit(coord.pfs, torn, 1000)
+    a_read, a_hashed = _member_cost(coord.pfs, "wf.a.000002")
+    b_read, b_hashed = _member_cost(coord.pfs, "wf.b.000002", upto=torn)
+    line = coord.pfs.file_size(workflow_manifest_name("wf", 2))
+    meter.take()
+    reads.take()
+    report = coord.restart_workflow(LINE_TASKS2)
+    assert report.decision.generation == 1
+    assert older[0] < reads.take() <= older[0] + line + a_read + b_read
+    wrapped, _ = meter.take()
+    assert older[1] < wrapped <= older[1] + a_hashed + b_hashed
+
+
+def _rotate(base):
+    return lambda ctx, it: ctx.reconfig_checkpoint(f"{base}.{it:06d}")
+
+
+@pytest.mark.crash_consistency
+def test_a_rotated_mpmd_restart_reads_and_hashes_each_stored_byte_once(meter, reads):
+    app = MPMDApplication(machine=Machine(MachineParams(num_nodes=12)))
+    for i, name in enumerate(sorted(LINE_TASKS)):
+        app.add_component(name, _line_main, args=(_rotate(f"ck.{name}"), 10.0 * i))
+    app.start(LINE_TASKS)
+    costs = [_member_cost(app.pfs, f"ck.{name}.000002") for name in LINE_TASKS]
+    meter.take()
+    reads.take()
+    report = app.restart("ck", LINE_TASKS2)
+    assert {r.restarted_from for r in report.components.values()} == {
+        "ck.a.000002", "ck.b.000002",
+    }
+    assert reads.take() == sum(r for r, _ in costs)
+    wrapped, _ = meter.take()
+    assert wrapped == sum(h for _, h in costs)

@@ -1,14 +1,16 @@
 """Unit tests for the v1 workflow manifest: member-name rules, the
-two-phase commit, generation discovery, line validation (torn sets
-rejected as units), and the joint MPMD rotation walk."""
+two-phase commit, generation discovery, the line walk that opens every
+member (torn sets rejected as units), and the joint MPMD rotation
+walk."""
 
 import numpy as np
 import pytest
 
 from repro.arrays.darray import DistributedArray
 from repro.arrays.distributions import block_distribution
-from repro.checkpoint.drms import drms_checkpoint
+from repro.checkpoint.drms import drms_checkpoint, drms_restart
 from repro.checkpoint.format import array_name, manifest_name
+from repro.checkpoint.recover import OpenedGeneration
 from repro.checkpoint.segment import DataSegment, SegmentProfile
 from repro.errors import CheckpointError, WorkflowError
 from repro.pfs.faults import flip_stored_bit
@@ -20,7 +22,6 @@ from repro.workflow.manifest import (
     next_workflow_generation,
     read_workflow_manifest,
     select_workflow_restart_state,
-    validate_workflow_line,
     workflow_generations,
     workflow_manifest_name,
     write_workflow_manifest,
@@ -37,6 +38,19 @@ def take(pfs, prefix, value):
     arr.set_global(np.full((N, N), float(value)))
     seg = DataSegment(profile=SegmentProfile(1000, 0, 0), replicated={"it": value})
     drms_checkpoint(pfs, prefix, seg, [arr])
+
+
+def opener(pfs, opened=None):
+    """``open_member`` restoring each member state from the PFS onto 2
+    tasks; appends every member it opened to ``opened``."""
+
+    def open_member(member, prefix):
+        state = OpenedGeneration(prefix, *drms_restart(pfs, prefix, 2))
+        if opened is not None:
+            opened.append(member)
+        return state
+
+    return open_member
 
 
 class TestMemberNames:
@@ -125,36 +139,47 @@ class TestNextGeneration:
 
 
 class TestLineValidation:
-    def manifest_for(self, members):
-        return {
-            "generation": 1,
-            "members": {m: {"prefix": p} for m, p in members.items()},
-        }
+    """One line, checked by opening every member it names."""
+
+    def commit(self, pfs, members):
+        write_workflow_manifest(
+            pfs, "wf", 1, {"members": {m: {"prefix": p} for m, p in members.items()}}
+        )
 
     def test_all_members_valid(self, pfs):
         take(pfs, "wf.a.000001", 1)
         take(pfs, "wf.b.000001", 2)
-        report = validate_workflow_line(
-            pfs, self.manifest_for({"a": "wf.a.000001", "b": "wf.b.000001"})
-        )
-        assert report.ok
-        assert report.member_tiers == {"a": "l2", "b": "l2"}
+        self.commit(pfs, {"a": "wf.a.000001", "b": "wf.b.000001"})
+        decision = select_workflow_restart_state(pfs, "wf", opener(pfs))
+        assert decision.generation == 1
+        assert decision.member_tiers == {"a": "l2", "b": "l2"}
+        # the states the members run on from, opened onto their counts
+        assert {m: o.prefix for m, o in decision.opened.items()} == {
+            "a": "wf.a.000001", "b": "wf.b.000001",
+        }
+        assert decision.opened["b"].state.ntasks == 2
 
     def test_one_torn_member_rejects_the_line(self, pfs):
         take(pfs, "wf.a.000001", 1)
         take(pfs, "wf.b.000001", 2)
         flip_stored_bit(pfs, array_name("wf.b.000001", "u"), 5, 2)
-        report = validate_workflow_line(
-            pfs, self.manifest_for({"a": "wf.a.000001", "b": "wf.b.000001"})
-        )
-        assert not report.ok
-        assert report.errors and report.errors[0].startswith("b:")
-        # the intact member still audited clean — but ok is all-or-nothing
-        assert report.member_tiers == {"a": "l2"}
+        self.commit(pfs, {"a": "wf.a.000001", "b": "wf.b.000001"})
+        opened = []
+        decision = select_workflow_restart_state(pfs, "wf", opener(pfs, opened))
+        assert decision.generation is None
+        ((gen, errors),) = decision.rejected
+        assert gen == 1 and len(errors) == 1
+        assert errors[0].startswith("b: ") and "checksum mismatch" in errors[0]
+        # the intact member opened first (sorted order) — but the line
+        # is all-or-nothing: its state is dropped with the line
+        assert opened == ["a"]
+        assert decision.opened == {} and decision.member_tiers == {}
 
     def test_empty_member_set_rejected(self, pfs):
-        report = validate_workflow_line(pfs, {"generation": 1, "members": {}})
-        assert not report.ok
+        self.commit(pfs, {})
+        decision = select_workflow_restart_state(pfs, "wf", opener(pfs))
+        assert decision.generation is None
+        assert decision.rejected == [(1, ["workflow manifest names no members"])]
 
 
 class TestRecoveryWalk:
@@ -169,7 +194,7 @@ class TestRecoveryWalk:
     def test_newest_fully_valid_line_wins(self, pfs):
         for gen in (1, 2, 3):
             self.commit_line(pfs, gen, {"a": gen, "b": gen + 10})
-        decision = select_workflow_restart_state(pfs, "wf")
+        decision = select_workflow_restart_state(pfs, "wf", opener(pfs))
         assert decision.generation == 3
         assert not decision.fell_back
 
@@ -177,7 +202,7 @@ class TestRecoveryWalk:
         for gen in (1, 2, 3):
             self.commit_line(pfs, gen, {"a": gen, "b": gen + 10})
         flip_stored_bit(pfs, array_name("wf.a.000003", "u"), 9, 1)
-        decision = select_workflow_restart_state(pfs, "wf")
+        decision = select_workflow_restart_state(pfs, "wf", opener(pfs))
         # member b's gen-3 state is fine, but it must never pair with
         # a's gen-2 state: the whole line falls back together
         assert decision.generation == 2
@@ -189,18 +214,17 @@ class TestRecoveryWalk:
         for gen in (1, 2):
             self.commit_line(pfs, gen, {"a": gen, "b": gen + 10})
         pfs.unlink(manifest_name("wf.b.000002"))
-        decision = select_workflow_restart_state(pfs, "wf")
+        decision = select_workflow_restart_state(pfs, "wf", opener(pfs))
         assert decision.generation == 1
         assert [g for g, _ in decision.rejected] == [2]
 
     def test_no_valid_line(self, pfs):
         self.commit_line(pfs, 1, {"a": 1, "b": 2})
         flip_stored_bit(pfs, array_name("wf.b.000001", "u"), 0, 0)
-        decision = select_workflow_restart_state(pfs, "wf")
+        decision = select_workflow_restart_state(pfs, "wf", opener(pfs))
         assert decision.generation is None
         assert not decision.fell_back
         assert [g for g, _ in decision.rejected] == [1]
-
 
     def test_unreadable_manifest_is_a_rejected_line(self, pfs):
         """A committed workflow manifest that no longer parses used to
@@ -217,7 +241,7 @@ class TestRecoveryWalk:
         events = EventLog()
         with use_flight(FlightRecorder()) as fr:
             decision = select_workflow_restart_state(
-                pfs, "wf", events=events, clock=3.0
+                pfs, "wf", opener(pfs), events=events, clock=3.0
             )
         assert decision.generation == 1 and decision.fell_back
         ((gen, errors),) = decision.rejected
@@ -228,7 +252,8 @@ class TestRecoveryWalk:
             "workflow_restart_fallback",
         ]
         assert events.of_kind("workflow_line_rejected")[0].detail["errors"] == errors
-        assert [e.kind for e in fr.events()] == [
+        # (between them, the records of the members' restores)
+        assert [e.kind for e in fr.events() if e.kind.startswith("workflow_")] == [
             "workflow_recovery_walk_started", "workflow_line_rejected",
             "workflow_line_verified", "workflow_restart_fallback",
             "workflow_recovery_walk_done",
@@ -248,8 +273,12 @@ class TestRecoveryWalk:
             wm, "read_workflow_manifest",
             lambda pfs, base, gen: reads.append(gen) or real(pfs, base, gen),
         )
-        assert select_workflow_restart_state(pfs, "wf").generation == 2
+        assert select_workflow_restart_state(pfs, "wf", opener(pfs)).generation == 2
         assert reads == [3, 2]
+
+
+def prefixes(resolved):
+    return {m: opened.prefix for m, opened in resolved.items()}
 
 
 class TestJointRotationWalk:
@@ -261,9 +290,9 @@ class TestJointRotationWalk:
             take(pfs, f"g.a.{gen:06d}", gen)
             take(pfs, f"g.b.{gen:06d}", gen)
         resolved, rejected = newest_consistent_generations(
-            pfs, {"a": "g.a", "b": "g.b"}
+            pfs, {"a": "g.a", "b": "g.b"}, opener(pfs)
         )
-        assert resolved == {"a": "g.a.000003", "b": "g.b.000003"}
+        assert prefixes(resolved) == {"a": "g.a.000003", "b": "g.b.000003"}
         assert rejected == []
 
     def test_missing_component_state_rejects_the_number(self, pfs):
@@ -271,15 +300,15 @@ class TestJointRotationWalk:
             take(pfs, f"g.a.{gen:06d}", gen)
         take(pfs, "g.b.000001", 1)  # b never reached generation 2
         resolved, rejected = newest_consistent_generations(
-            pfs, {"a": "g.a", "b": "g.b"}
+            pfs, {"a": "g.a", "b": "g.b"}, opener(pfs)
         )
-        assert resolved == {"a": "g.a.000001", "b": "g.b.000001"}
+        assert prefixes(resolved) == {"a": "g.a.000001", "b": "g.b.000001"}
         assert [g for g, _ in rejected] == [2]
 
     def test_nothing_consistent(self, pfs):
         take(pfs, "g.a.000001", 1)
         flip_stored_bit(pfs, array_name("g.a.000001", "u"), 3, 3)
-        resolved, rejected = newest_consistent_generations(pfs, {"a": "g.a"})
+        resolved, rejected = newest_consistent_generations(pfs, {"a": "g.a"}, opener(pfs))
         assert resolved is None
         assert [g for g, _ in rejected] == [1]
 
@@ -291,8 +320,11 @@ class TestJointRotationWalk:
             take(pfs, f"g.a.{gen:06d}", gen)
         take(pfs, "g.b.000001", 1)
         with use_tracer(Tracer()) as tracer, use_flight(FlightRecorder()) as fr:
-            newest_consistent_generations(pfs, {"a": "g.a", "b": "g.b"})
-        assert [(e.kind, e.detail.get("generation")) for e in fr.events()] == [
+            newest_consistent_generations(pfs, {"a": "g.a", "b": "g.b"}, opener(pfs))
+        assert [
+            (e.kind, e.detail.get("generation"))
+            for e in fr.events() if e.kind.startswith("workflow_")
+        ] == [
             ("workflow_recovery_walk_started", None),
             ("workflow_line_rejected", 2),
             ("workflow_line_verified", 1),

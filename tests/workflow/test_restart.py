@@ -1,6 +1,7 @@
-"""Ensemble restart tests: the walk picks the newest fully-valid line,
-torn lines fall back as a unit, members come back on new task counts
-(and mixed tiers), and generation numbers are never reused."""
+"""Ensemble restart tests: the walk picks the newest line whose every
+member opens, torn lines fall back as a unit, members come back on new
+task counts (and mixed tiers), and generation numbers are never
+reused."""
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from repro.checkpoint.format import array_name, manifest_name
 from repro.checkpoint.rotation import generations
 from repro.drms.context import CheckpointStatus
 from repro.errors import WorkflowError
+from repro.infra.events import EventLog
+from repro.obs import FlightRecorder, use_flight
 from repro.pfs.faults import flip_stored_bit
+from repro.pfs.phase import IOKind
 from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine, MachineParams
 from repro.workflow import WorkflowCoordinator
-from repro.workflow.manifest import read_workflow_manifest, validate_workflow_line
+from repro.workflow.manifest import walk_workflow_lines
 
 pytestmark = pytest.mark.workflow
 
@@ -38,9 +42,11 @@ def member_main(ctx, base, niter=NITER):
     return float(u.assigned.sum())
 
 
-def build(tier_m1="pfs", niter=NITER):
+def build(tier_m1="pfs", niter=NITER, events=None):
     machine = Machine(MachineParams(num_nodes=12))
-    coord = WorkflowCoordinator("wf", machine=machine, pfs=PIOFS(machine=machine))
+    coord = WorkflowCoordinator(
+        "wf", machine=machine, pfs=PIOFS(machine=machine), events=events
+    )
     coord.add_member("m0", member_main, args=(1.0, niter))
     coord.add_member(
         "m1", member_main, args=(5.0, niter), tier=tier_m1,
@@ -75,9 +81,39 @@ def test_torn_line_falls_back_as_a_unit():
     rep = coord.restart_workflow(TASKS2)
     assert rep.decision.generation == NITER - 1
     assert rep.decision.fell_back
-    assert [g for g, _ in rep.decision.rejected] == [NITER]
+    ((gen, (reason,)),) = rep.decision.rejected
+    assert gen == NITER
+    # m1 is the line's second member: m0's state opened, then was dropped
+    assert reason.startswith("m1: ") and "checksum mismatch" in reason
     for name in TASKS2:
+        # no member was launched from the torn line
+        assert rep.members[name].restarted_from == f"wf.{name}.{NITER - 1:06d}"
         assert np.array_equal(final_u(rep, name), final_u(ref, name))
+    # the rejected open left no PIOFS phase behind
+    coord.pfs.begin_phase(IOKind.READ_SHARED)
+    coord.pfs.end_phase()
+
+
+def test_recovery_records_follow_the_lines_they_choose_between():
+    """The walk, the member opens and ``workflow_restarted`` are stamped
+    with the newest committed line's clock, not t = 0 — so they sort
+    after the commits they choose between."""
+    events = EventLog()
+    coord = build(events=events)
+    coord.run(TASKS1)
+    committed = events.of_kind("workflow_line_committed")[-1].time
+    assert committed > 0.0
+    flip_stored_bit(coord.pfs, array_name(f"wf.m1.{NITER:06d}", "u"), 11, 2)
+    with use_flight(FlightRecorder()) as fr:
+        coord.restart_workflow(TASKS2)
+    for kind in (
+        "workflow_line_rejected", "workflow_line_verified",
+        "workflow_restart_fallback",
+    ):
+        (event,) = events.of_kind(kind)
+        assert event.time >= committed
+    (restarted,) = [e for e in fr.events() if e.kind == "workflow_restarted"]
+    assert restarted.time >= committed
 
 
 def test_lost_member_generation_tears_the_line():
@@ -146,13 +182,29 @@ def test_memory_member_keeps_every_generation_a_valid_line_names():
     assert len(store.generations()) == 4 < niter
     valid = []
     for gen in coord.committed_generations():
-        line = validate_workflow_line(
-            coord.pfs,
-            read_workflow_manifest(coord.pfs, "wf", gen),
-            coord._l1_stores(),
+        # the walk over that one line, as an explicit restart runs it
+        line = walk_workflow_lines(
+            coord.pfs, "wf", [gen],
+            lambda m, p: coord.member(m).open(p, TASKS2[m]),
         )
-        if line.ok:
+        if line.generation is not None:
             valid.append(gen)
             assert line.member_tiers["m1"] == "l1"
     assert valid == [3, 4, 5, 6]
     assert coord.restart_workflow(TASKS2).decision.member_tiers["m1"] == "l1"
+
+
+def test_memory_member_without_replicas_opens_its_pfs_copy():
+    """A mixed-tier line whose memory member lost every replica is not
+    torn: that member opens its (drained) PFS copy instead."""
+    coord = build(tier_m1="memory+pfs")
+    ref = coord.run(TASKS1)
+    # every node fails and is repaired: no replica survives in memory
+    for node in range(coord.machine.num_nodes):
+        coord.machine.fail_node(node)
+        coord.machine.repair_node(node)
+    rep = coord.restart_workflow(TASKS2)
+    assert rep.decision.generation == NITER and not rep.decision.rejected
+    assert rep.decision.member_tiers == {"m0": "l2", "m1": "l2"}
+    for name in TASKS2:
+        assert np.array_equal(final_u(rep, name), final_u(ref, name))
