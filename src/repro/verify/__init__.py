@@ -9,13 +9,19 @@ geometry — shapes, per-axis distribution kinds, process grids,
 (:mod:`repro.verify.oracle`) runs checkpoint → restart through all
 three engines (drms; spmd where conforming, i.e. ``t2 == t1``;
 incremental), asserting bit-identical contents, serial-reference stream
-equality, and manifest/metrics/span invariants.  A second mode composes
-the generators with :mod:`repro.pfs.faults` schedules and asserts the
-recovery policy lands on the newest byte-for-byte valid checkpoint;
-failing schedules shrink (:mod:`repro.verify.shrink`) to minimal
-reproducers stored as replayable JSON case files::
+equality, and manifest/metrics/span invariants.  The fault modes
+compose the generators with :mod:`repro.pfs.faults` schedules and
+assert the recovery walk lands on the newest byte-for-byte valid
+checkpoint — on the PFS (``fault``), across the memory and PFS tiers
+(``mlck``), identically through localized and full recovery
+(``localized``), and line by line for a coupled ensemble
+(``workflow``).  A case's mode is :attr:`Case.mode`; one table per
+consumer is keyed by it (``GENERATORS``, ``ORACLES``, the CLI's
+``MODES``).  Failing schedules shrink (:mod:`repro.verify.shrink`) to
+minimal reproducers stored as replayable JSON case files::
 
     python -m repro.verify run --seed 20260806 --cases 220 --fault-cases 40
+    python -m repro.verify mlck --cases 40   # also: localized, workflow
     python -m repro.verify replay tests/verify/cases/<case>.json
 
 See DESIGN.md §10 for the harness architecture and how to add a new

@@ -3,7 +3,7 @@
 Subcommands::
 
     python -m repro.verify run     [--seed S] [--cases N] [--fault-cases M]
-                                   [--mlck-cases K] [--out DIR]
+                                   [--out DIR]
     python -m repro.verify mlck    [--seed S] [--cases N] [--out DIR]
     python -m repro.verify localized [--seed S] [--cases N] [--out DIR]
     python -m repro.verify workflow [--seed S] [--cases N] [--out DIR]
@@ -46,111 +46,72 @@ from repro.verify.gen import (
     node_loss_case,
     torn_workflow_case,
 )
-from repro.verify.harness import dump_failures, run_suite
+from repro.verify.harness import SuiteReport, dump_failures, run_suite
 from repro.verify.oracle import VerifyFailure, replay_case, run_case
 from repro.verify.shrink import shrink_case
 
 
+#: the mode gates: each suite mode's help text, its canonical
+#: ``(name, factory)`` schedules, and the ``ok`` line a passing
+#: schedule prints (formatted over the oracle's result details)
+MODES = {
+    "mlck": (
+        "run the canonical multi-level schedules plus a seeded batch of "
+        "random memory+pfs fault cases",
+        (("node-loss", node_loss_case),
+         ("mid-drain-crash", mid_drain_crash_case)),
+        "chose {chosen} from tier {tier} (failed nodes {failed_nodes}, "
+        "{pfs_reads_during_walk:g} PFS reads during the walk)",
+    ),
+    "localized": (
+        "run the canonical localized-recovery schedules plus a seeded "
+        "sweep of localized-vs-full equivalence cases",
+        (("l1-happy-path", localized_equivalence_case),
+         ("pfs-fallback", localized_pfs_fallback_case)),
+        "chose {chosen} from tier {tier}, lost ranks {lost_ranks} "
+        "(failed nodes {failed_nodes}) — localized and full recovery "
+        "byte-identical",
+    ),
+    "workflow": (
+        "run the canonical torn-workflow-line schedules plus a seeded "
+        "batch of random coupled-workflow cases",
+        (("torn-line", torn_workflow_case),
+         ("lost-member-generation", lost_member_generation_case)),
+        "chose line {chosen} (committed {committed}, rejected {rejected} "
+        "as units), ensemble restarted on tasks {restart_tasks} "
+        "byte-identically",
+    ),
+}
+
+
+def _finish(report: SuiteReport, out: str, bad: int = 0) -> int:
+    print(report.summary())
+    for p in dump_failures(report, out):
+        print(f"  reproducer: {p}")
+    return 1 if (bad or not report.ok) else 0
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    report = run_suite(
-        args.seed,
-        reconfig_cases=args.cases,
-        fault_cases=args.fault_cases,
-        mlck_cases=args.mlck_cases,
+    return _finish(
+        run_suite(
+            args.seed, {"reconfig": args.cases, "fault": args.fault_cases}
+        ),
+        args.out,
     )
-    print(report.summary())
-    if not report.ok:
-        paths = dump_failures(report, args.out)
-        for p in paths:
-            print(f"  reproducer: {p}")
-        return 1
-    return 0
 
 
-def _cmd_mlck(args: argparse.Namespace) -> int:
+def _cmd_mode(args: argparse.Namespace) -> int:
+    _, schedules, ok = MODES[args.cmd]
     bad = 0
-    for name, case in (
-        ("node-loss", node_loss_case(seed=args.seed)),
-        ("mid-drain-crash", mid_drain_crash_case(seed=args.seed)),
-    ):
+    for name, factory in schedules:
         try:
-            result = run_case(case)
+            result = run_case(factory(seed=args.seed))
         except VerifyFailure as exc:
             print(f"FAIL {name}: {exc.errors[0]}")
             bad += 1
             continue
-        d = result.details
-        print(
-            f"ok   {name}: chose {d['chosen']} from tier {d['tier']} "
-            f"(failed nodes {d['failed_nodes']}, "
-            f"{d['pfs_reads_during_walk']:g} PFS reads during the walk)"
-        )
-    report = run_suite(args.seed, reconfig_cases=0, fault_cases=0,
-                       mlck_cases=args.cases)
-    print(report.summary())
-    if not report.ok:
-        paths = dump_failures(report, args.out)
-        for p in paths:
-            print(f"  reproducer: {p}")
-    return 1 if (bad or not report.ok) else 0
-
-
-def _cmd_localized(args: argparse.Namespace) -> int:
-    bad = 0
-    for name, case in (
-        ("l1-happy-path", localized_equivalence_case(seed=args.seed)),
-        ("pfs-fallback", localized_pfs_fallback_case(seed=args.seed)),
-    ):
-        try:
-            result = run_case(case)
-        except VerifyFailure as exc:
-            print(f"FAIL {name}: {exc.errors[0]}")
-            bad += 1
-            continue
-        d = result.details
-        print(
-            f"ok   {name}: chose {d['chosen']} from tier {d['tier']}, "
-            f"lost ranks {d['lost_ranks']} "
-            f"(failed nodes {d['failed_nodes']}) — localized and full "
-            "recovery byte-identical"
-        )
-    report = run_suite(args.seed, reconfig_cases=0, fault_cases=0,
-                       localized_cases=args.cases)
-    print(report.summary())
-    if not report.ok:
-        paths = dump_failures(report, args.out)
-        for p in paths:
-            print(f"  reproducer: {p}")
-    return 1 if (bad or not report.ok) else 0
-
-
-def _cmd_workflow(args: argparse.Namespace) -> int:
-    bad = 0
-    for name, case in (
-        ("torn-line", torn_workflow_case(seed=args.seed)),
-        ("lost-member-generation", lost_member_generation_case(seed=args.seed)),
-    ):
-        try:
-            result = run_case(case)
-        except VerifyFailure as exc:
-            print(f"FAIL {name}: {exc.errors[0]}")
-            bad += 1
-            continue
-        d = result.details
-        print(
-            f"ok   {name}: chose line {d['chosen']} "
-            f"(committed {d['committed']}, rejected {d['rejected']} as "
-            f"units), ensemble restarted on tasks {d['restart_tasks']} "
-            "byte-identically"
-        )
-    report = run_suite(args.seed, reconfig_cases=0, fault_cases=0,
-                       workflow_cases=args.cases)
-    print(report.summary())
-    if not report.ok:
-        paths = dump_failures(report, args.out)
-        for p in paths:
-            print(f"  reproducer: {p}")
-    return 1 if (bad or not report.ok) else 0
+        print(f"ok   {name}: " + ok.format(**result.details))
+    return _finish(run_suite(args.seed, {args.cmd: args.cases}), args.out, bad)
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -225,53 +186,21 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("run", help="generate + run a seeded suite")
-    p.add_argument("--seed", type=int, default=20260806)
-    p.add_argument("--cases", type=int, default=200,
-                   help="reconfiguration cases across the three engines")
+    def suite(name, help_text, cases, what, fn):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--seed", type=int, default=20260806)
+        p.add_argument("--cases", type=int, default=cases, help=what)
+        p.add_argument("--out", default="verify_out",
+                       help="directory for shrunk failure reproducers")
+        p.set_defaults(fn=fn)
+        return p
+
+    p = suite("run", "generate + run a seeded suite", 200,
+              "reconfiguration cases across the three engines", _cmd_run)
     p.add_argument("--fault-cases", type=int, default=30,
                    help="fault-schedule recovery cases")
-    p.add_argument("--mlck-cases", type=int, default=0,
-                   help="multi-level (memory+pfs) fault cases")
-    p.add_argument("--out", default="verify_out",
-                   help="directory for shrunk failure reproducers")
-    p.set_defaults(fn=_cmd_run)
-
-    p = sub.add_parser(
-        "mlck",
-        help="run the canonical multi-level schedules plus a seeded "
-        "batch of random memory+pfs fault cases",
-    )
-    p.add_argument("--seed", type=int, default=20260806)
-    p.add_argument("--cases", type=int, default=25,
-                   help="random multi-level fault cases")
-    p.add_argument("--out", default="verify_out",
-                   help="directory for failure reproducers")
-    p.set_defaults(fn=_cmd_mlck)
-
-    p = sub.add_parser(
-        "localized",
-        help="run the canonical localized-recovery schedules plus a "
-        "seeded sweep of localized-vs-full equivalence cases",
-    )
-    p.add_argument("--seed", type=int, default=20260806)
-    p.add_argument("--cases", type=int, default=25,
-                   help="random localized equivalence cases")
-    p.add_argument("--out", default="verify_out",
-                   help="directory for failure reproducers")
-    p.set_defaults(fn=_cmd_localized)
-
-    p = sub.add_parser(
-        "workflow",
-        help="run the canonical torn-workflow-line schedules plus a "
-        "seeded batch of random coupled-workflow cases",
-    )
-    p.add_argument("--seed", type=int, default=20260806)
-    p.add_argument("--cases", type=int, default=25,
-                   help="random coupled-workflow cases")
-    p.add_argument("--out", default="verify_out",
-                   help="directory for failure reproducers")
-    p.set_defaults(fn=_cmd_workflow)
+    for name, (help_text, _, _) in MODES.items():
+        suite(name, help_text, 25, f"random {name} cases", _cmd_mode)
 
     p = sub.add_parser("replay", help="replay saved case files")
     p.add_argument("cases", nargs="+", metavar="CASE.json")

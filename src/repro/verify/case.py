@@ -13,6 +13,9 @@ generated experiment:
   (:mod:`repro.pfs.faults`) and asserts that the recovery policy lands
   on the newest checkpoint that is *actually* valid byte-for-byte.
 
+:attr:`Case.mode` names the oracle a case runs under, and a case may
+only carry the events (and policy) that oracle acts on.
+
 Cases round-trip through JSON (``Case.to_json`` / ``Case.from_json``)
 so a failing case shrunk by :mod:`repro.verify.shrink` can be checked
 in under ``tests/verify/cases/`` and replayed forever with::
@@ -47,6 +50,14 @@ POLICIES = ("validated", "naive")
 EXPECTATIONS = ("pass", "fail")
 EVENT_KINDS = ("write", "stored_flip", "node_loss", "drain_crash", "gen_loss")
 TIERS = ("pfs", "memory+pfs")
+#: the event kinds each fault mode's oracle acts on; a reconfig mode
+#: (an engine) acts on none
+MODE_EVENTS = {
+    "fault": ("write", "stored_flip"),
+    "mlck": ("write", "stored_flip", "node_loss", "drain_crash"),
+    "localized": ("write", "stored_flip", "node_loss", "drain_crash"),
+    "workflow": ("stored_flip", "gen_loss"),
+}
 
 
 @dataclass
@@ -209,6 +220,28 @@ class Case:
             raise CaseError(f"p1={self.p1} outside 1..t1={self.t1}")
         if not 1 <= self.p2 <= self.t2:
             raise CaseError(f"p2={self.p2} outside 1..t2={self.t2}")
+        for ev in self.events:
+            if ev.kind not in MODE_EVENTS.get(self.mode, ()):
+                raise CaseError(
+                    f"{self.mode} cases do not act on {ev.kind!r} events"
+                )
+        if self.policy == "naive" and self.mode != "fault":
+            raise CaseError(
+                f"{self.mode} cases do not act on the 'naive' policy"
+            )
+
+    @property
+    def mode(self) -> str:
+        """The oracle this case runs under: its engine for a reconfig
+        case; ``workflow``, ``localized``, ``mlck`` or ``fault`` for a
+        fault case."""
+        if self.type == "reconfig":
+            return self.engine
+        if self.workflow:
+            return "workflow"
+        if self.localized:
+            return "localized"
+        return "mlck" if self.tier == "memory+pfs" else "fault"
 
     # -- workflow geometry ----------------------------------------------
 
@@ -318,5 +351,6 @@ __all__ = [
     "CASE_VERSION",
     "ENGINES",
     "FaultEvent",
+    "MODE_EVENTS",
     "TIERS",
 ]

@@ -17,7 +17,7 @@ well as ``t1 < t2`` growing ones.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.arrays.distributions import (
     AxisDistribution,
@@ -36,6 +36,7 @@ from repro.verify.case import ArrayCase, Case, FaultEvent
 
 __all__ = [
     "CaseGen",
+    "GENERATORS",
     "known_bad_case",
     "localized_equivalence_case",
     "localized_pfs_fallback_case",
@@ -200,35 +201,28 @@ class CaseGen:
 
     # -- geometry for one case ------------------------------------------
 
+    def _axes(
+        self, shape: List[int], grid: List[int], allow_replicated: bool
+    ) -> List[AxisDistribution]:
+        return [
+            random_axis(
+                self.rng, grid[k], shape[k], allow_replicated=allow_replicated
+            )
+            for k in range(len(shape))
+        ]
+
     def _array_cases(
         self,
         shape: List[int],
-        t1: int,
-        t2: int,
         grid1: List[int],
         grid2: List[int],
-        allow_indexed: bool = True,
         allow_replicated: bool = True,
     ) -> List[ArrayCase]:
         rng = self.rng
         out = []
         for i in range(rng.choice([1, 1, 2])):
-            axes1 = [
-                random_axis(
-                    rng, grid1[k], shape[k],
-                    allow_indexed=allow_indexed,
-                    allow_replicated=allow_replicated,
-                )
-                for k in range(len(shape))
-            ]
-            axes2 = [
-                random_axis(
-                    rng, grid2[k], shape[k],
-                    allow_indexed=allow_indexed,
-                    allow_replicated=allow_replicated,
-                )
-                for k in range(len(shape))
-            ]
+            axes1 = self._axes(shape, grid1, allow_replicated)
+            axes2 = self._axes(shape, grid2, allow_replicated)
             out.append(
                 ArrayCase(
                     name=f"A{i}",
@@ -243,10 +237,10 @@ class CaseGen:
 
     # -- reconfiguration cases ------------------------------------------
 
-    def reconfig_case(self, engine: Optional[str] = None) -> Case:
+    def reconfig_case(self) -> Case:
         """One random ``(t1, p1) -> (t2, p2)`` equivalence case."""
         rng = self.rng
-        engine = engine or rng.choices(
+        engine = rng.choices(
             ["drms", "spmd", "incremental"], weights=[55, 15, 30]
         )[0]
         shape = random_shape(rng)
@@ -275,8 +269,7 @@ class CaseGen:
             # adjust() path (no per-array overrides), which cannot
             # re-host a fully replicated array on a larger task pool
             arrays=self._array_cases(
-                shape, t1, t2, grid1, grid2,
-                allow_replicated=(engine != "incremental"),
+                shape, grid1, grid2, allow_replicated=(engine != "incremental")
             ),
             target_bytes=rng.choice(_TARGET_BYTES),
             data_seed=rng.randrange(1 << 30),
@@ -285,6 +278,50 @@ class CaseGen:
         )
 
     # -- fault cases -----------------------------------------------------
+
+    def _fault_case(
+        self,
+        event: Callable[..., FaultEvent],
+        draws: Sequence[Tuple[str, Sequence[int]]] = (),
+        **fixed,
+    ) -> Case:
+        """One random fault case on the drms engine: geometry, then the
+        mode's own ``draws`` (``(field, choices)`` pairs, drawn in
+        order), then 1-4 events from ``event(generations, **drawn)``;
+        ``fixed`` sets the mode's remaining fields."""
+        rng = self.rng
+        shape = random_shape(rng, max_rank=2, max_extent=8)
+        t1 = rng.randint(1, 4)
+        t2 = rng.randint(1, 4)
+        p1 = rng.randint(1, t1)
+        p2 = rng.randint(1, t2)
+        grid1 = random_grid(rng, t1, len(shape))
+        grid2 = random_grid(rng, t2, len(shape))
+        generations = rng.randint(2, 4)
+        drawn = {name: rng.choice(choices) for name, choices in draws}
+        events = [
+            event(generations, **drawn) for _ in range(rng.randint(1, 4))
+        ]
+        return Case(
+            type="fault",
+            engine="drms",
+            order=rng.choice(["F", "C"]),
+            shape=shape,
+            t1=t1,
+            p1=p1,
+            t2=t2,
+            p2=p2,
+            grid1=grid1,
+            grid2=grid2,
+            arrays=self._array_cases(shape, grid1, grid2),
+            target_bytes=rng.choice(_TARGET_BYTES),
+            data_seed=rng.randrange(1 << 30),
+            seed=self.seed,
+            generations=generations,
+            events=events,
+            **drawn,
+            **fixed,
+        )
 
     def _fault_event(self, generations: int) -> FaultEvent:
         rng = self.rng
@@ -309,7 +346,14 @@ class CaseGen:
             bit=rng.randrange(8),
         )
 
-    def _mlck_event(self, generations: int, num_nodes: int) -> FaultEvent:
+    def fault_case(self) -> Case:
+        """One random fault-schedule case: the validated recovery policy
+        must land on the newest byte-for-byte valid generation."""
+        return self._fault_case(self._fault_event)
+
+    def _mlck_event(
+        self, generations: int, num_nodes: int, **_
+    ) -> FaultEvent:
         rng = self.rng
         gen = rng.randint(1, generations)
         roll = rng.random()
@@ -339,41 +383,8 @@ class CaseGen:
         recovery walk must land on the newest generation servable from
         *either* tier and name the tier the schedule's ground truth
         predicts."""
-        rng = self.rng
-        shape = random_shape(rng, max_rank=2, max_extent=8)
-        t1 = rng.randint(1, 4)
-        t2 = rng.randint(1, 4)
-        p1 = rng.randint(1, t1)
-        p2 = rng.randint(1, t2)
-        grid1 = random_grid(rng, t1, len(shape))
-        grid2 = random_grid(rng, t2, len(shape))
-        generations = rng.randint(2, 4)
-        num_nodes = rng.choice([4, 8])
-        events = [
-            self._mlck_event(generations, num_nodes)
-            for _ in range(rng.randint(1, 4))
-        ]
-        return Case(
-            type="fault",
-            engine="drms",
-            order=rng.choice(["F", "C"]),
-            shape=shape,
-            t1=t1,
-            p1=p1,
-            t2=t2,
-            p2=p2,
-            grid1=grid1,
-            grid2=grid2,
-            arrays=self._array_cases(shape, t1, t2, grid1, grid2),
-            target_bytes=rng.choice(_TARGET_BYTES),
-            data_seed=rng.randrange(1 << 30),
-            seed=self.seed,
-            generations=generations,
-            events=events,
-            policy="validated",
-            expect="pass",
-            tier="memory+pfs",
-            num_nodes=num_nodes,
+        return self._fault_case(
+            self._mlck_event, [("num_nodes", [4, 8])], tier="memory+pfs"
         )
 
     def localized_case(self) -> Case:
@@ -382,43 +393,10 @@ class CaseGen:
         recovery paths by the differential oracle — localized recovery
         must produce byte-identical state to the full restore, on the
         L1 happy path and through the PFS fallback alike."""
-        rng = self.rng
-        shape = random_shape(rng, max_rank=2, max_extent=8)
-        t1 = rng.randint(1, 4)
-        t2 = rng.randint(1, 4)
-        p1 = rng.randint(1, t1)
-        p2 = rng.randint(1, t2)
-        grid1 = random_grid(rng, t1, len(shape))
-        grid2 = random_grid(rng, t2, len(shape))
-        generations = rng.randint(2, 4)
-        num_nodes = rng.choice([6, 8, 12])
-        k = rng.choice([1, 1, 2])
-        events = [
-            self._mlck_event(generations, num_nodes)
-            for _ in range(rng.randint(1, 4))
-        ]
-        return Case(
-            type="fault",
-            engine="drms",
-            order=rng.choice(["F", "C"]),
-            shape=shape,
-            t1=t1,
-            p1=p1,
-            t2=t2,
-            p2=p2,
-            grid1=grid1,
-            grid2=grid2,
-            arrays=self._array_cases(shape, t1, t2, grid1, grid2),
-            target_bytes=rng.choice(_TARGET_BYTES),
-            data_seed=rng.randrange(1 << 30),
-            seed=self.seed,
-            generations=generations,
-            events=events,
-            policy="validated",
-            expect="pass",
+        return self._fault_case(
+            self._mlck_event,
+            [("num_nodes", [6, 8, 12]), ("k", [1, 1, 2])],
             tier="memory+pfs",
-            num_nodes=num_nodes,
-            k=k,
             localized=True,
         )
 
@@ -473,8 +451,6 @@ class CaseGen:
             seed=self.seed,
             generations=generations,
             events=events,
-            policy="validated",
-            expect="pass",
             num_nodes=rng.choice([8, 16]),
             workflow=True,
             members=members,
@@ -482,48 +458,23 @@ class CaseGen:
             member_tasks2=mt2,
         )
 
-    def fault_case(self) -> Case:
-        """One random fault-schedule case: the validated recovery policy
-        must land on the newest byte-for-byte valid generation."""
-        rng = self.rng
-        shape = random_shape(rng, max_rank=2, max_extent=8)
-        t1 = rng.randint(1, 4)
-        t2 = rng.randint(1, 4)
-        p1 = rng.randint(1, t1)
-        p2 = rng.randint(1, t2)
-        grid1 = random_grid(rng, t1, len(shape))
-        grid2 = random_grid(rng, t2, len(shape))
-        generations = rng.randint(2, 4)
-        events = [
-            self._fault_event(generations)
-            for _ in range(rng.randint(1, 4))
-        ]
-        return Case(
-            type="fault",
-            engine="drms",
-            order=rng.choice(["F", "C"]),
-            shape=shape,
-            t1=t1,
-            p1=p1,
-            t2=t2,
-            p2=p2,
-            grid1=grid1,
-            grid2=grid2,
-            arrays=self._array_cases(shape, t1, t2, grid1, grid2),
-            target_bytes=rng.choice(_TARGET_BYTES),
-            data_seed=rng.randrange(1 << 30),
-            seed=self.seed,
-            generations=generations,
-            events=events,
-            policy="validated",
-            expect="pass",
-        )
+
+#: each suite mode (a key of ``run_suite``'s ``counts``) and the
+#: :class:`CaseGen` method that draws its cases
+GENERATORS: Dict[str, Callable[[CaseGen], Case]] = {
+    "reconfig": CaseGen.reconfig_case,
+    "fault": CaseGen.fault_case,
+    "mlck": CaseGen.mlck_fault_case,
+    "localized": CaseGen.localized_case,
+    "workflow": CaseGen.workflow_case,
+}
 
 
-def _mlck_case_shell(seed: int, **kw) -> Case:
-    """Shared fixed geometry of the canonical multi-level schedules."""
-    rng = random.Random(seed)
-    return Case(
+def _shell(seed: int, **kw) -> Case:
+    """The fixed geometry every canonical schedule shares: one 6x4
+    float64 array, (block, cyclic) on 2 tasks restarted as (cyclic,
+    block) on 3, three generations; ``kw`` sets the rest."""
+    fields = dict(
         type="fault",
         engine="drms",
         order="F",
@@ -545,13 +496,12 @@ def _mlck_case_shell(seed: int, **kw) -> Case:
             )
         ],
         target_bytes=64,
-        data_seed=rng.randrange(1 << 30),
+        data_seed=random.Random(seed).randrange(1 << 30),
         seed=seed,
-        policy="validated",
-        expect="pass",
-        tier="memory+pfs",
-        **kw,
+        generations=3,
     )
+    fields.update(kw)
+    return Case(**fields)
 
 
 def node_loss_case(seed: int = 0) -> Case:
@@ -561,9 +511,9 @@ def node_loss_case(seed: int = 0) -> Case:
     domains, so the tier-aware walk must serve the *newest* generation
     from L1 — without touching the PFS — and the oracle asserts exactly
     that (tier ``l1``, zero PFS reads during the walk)."""
-    return _mlck_case_shell(
+    return _shell(
         seed,
-        generations=3,
+        tier="memory+pfs",
         num_nodes=8,
         events=[FaultEvent(kind="node_loss", gen=3, node=1)],
         note=(
@@ -582,9 +532,9 @@ def mid_drain_crash_case(seed: int = 0) -> Case:
     the walk must fall back to generation 2's *durable* copy (tier
     ``l2``), the exact double-fault the multi-level design degrades
     gracefully under."""
-    return _mlck_case_shell(
+    return _shell(
         seed,
-        generations=3,
+        tier="memory+pfs",
         num_nodes=4,
         events=[
             FaultEvent(kind="drain_crash", gen=3, nth=1),
@@ -605,12 +555,11 @@ def localized_equivalence_case(seed: int = 0) -> Case:
     differential oracle compares a zero-PFS-read localized recovery
     (survivors reload locally, rank 1's section crosses the switch to a
     spare) against the full L1 restore — bytes must match exactly."""
-    return _mlck_case_shell(
+    return _shell(
         seed,
-        generations=3,
+        tier="memory+pfs",
         num_nodes=8,
         events=[FaultEvent(kind="node_loss", gen=3, node=1)],
-        k=1,
         localized=True,
         note=(
             "single node loss after the newest generation: localized "
@@ -627,16 +576,15 @@ def localized_pfs_fallback_case(seed: int = 0) -> Case:
     newest generation is lost on both tiers and generation 2's L1 copy
     lost the same pair, so *both* recovery paths must fall back to
     generation 2's durable PFS copy and still agree byte-for-byte."""
-    return _mlck_case_shell(
+    return _shell(
         seed,
-        generations=3,
+        tier="memory+pfs",
         num_nodes=4,
         events=[
             FaultEvent(kind="drain_crash", gen=3, nth=1),
             FaultEvent(kind="node_loss", gen=3, node=0),
             FaultEvent(kind="node_loss", gen=3, node=1),
         ],
-        k=1,
         localized=True,
         note=(
             "all replicas of a piece die with the failed pair: localized "
@@ -646,29 +594,14 @@ def localized_pfs_fallback_case(seed: int = 0) -> Case:
     )
 
 
-def _workflow_case_shell(seed: int, **kw) -> Case:
-    """Shared fixed geometry of the canonical workflow schedules: a
-    two-member ring (stencil feeding a consumer), three committed
-    lines, mixed task counts on restart."""
-    rng = random.Random(seed)
-    return Case(
-        type="fault",
-        engine="drms",
-        order="F",
-        shape=[6, 4],
-        t1=2,
+def _workflow_shell(seed: int, **kw) -> Case:
+    """The canonical workflow geometry: a two-member ring (stencil
+    feeding a consumer), three committed lines, mixed task counts on
+    restart; the members own their arrays, so the case lists none."""
+    return _shell(
+        seed,
         p1=1,
-        t2=3,
-        p2=1,
-        grid1=[2, 1],
-        grid2=[3, 1],
         arrays=[],
-        target_bytes=64,
-        data_seed=rng.randrange(1 << 30),
-        seed=seed,
-        generations=3,
-        policy="validated",
-        expect="pass",
         workflow=True,
         members=2,
         member_tasks1=[2, 1],
@@ -684,7 +617,7 @@ def torn_workflow_case(seed: int = 0) -> Case:
     torn, so the recovery walk must reject generation 3 *as a unit*
     (never mixing member 0's gen-3 state with member 1's gen-2 one) and
     restart the whole ensemble from line 2."""
-    return _workflow_case_shell(
+    return _workflow_shell(
         seed,
         events=[
             FaultEvent(
@@ -706,7 +639,7 @@ def lost_member_generation_case(seed: int = 0) -> Case:
     the workflow manifest would look the same).  The workflow manifest
     for line 3 still exists and member 1's state is intact, but the
     walk must treat the line as torn and fall back to line 2."""
-    return _workflow_case_shell(
+    return _workflow_shell(
         seed,
         events=[FaultEvent(kind="gen_loss", gen=3, member=0)],
         note=(
@@ -722,53 +655,29 @@ def known_bad_case(seed: int = 0) -> Case:
     file took a silent short write.  The schedule carries deliberately
     redundant events; :func:`repro.verify.shrink.shrink_case` reduces
     it to a single-event reproducer."""
-    rng = random.Random(seed)
-    shape = [6, 4]
-    arrays = [
-        ArrayCase(
-            name="A0",
-            dtype="float64",
-            axes1=[{"kind": "block"}, {"kind": "cyclic"}],
-            axes2=[{"kind": "cyclic"}, {"kind": "block"}],
-            shadow1=[0, 0],
-            shadow2=[0, 0],
-        )
-    ]
-    events = [
-        # inert: generation 1's 9th segment write never happens
-        FaultEvent(kind="write", gen=1, nth=9, match=".segment", mode="fail"),
-        # inert: flips a pad byte that is never stored
-        FaultEvent(
-            kind="stored_flip", gen=1, target="segment", offset=4000, bit=1
-        ),
-        # the reproducer: a silent short write truncating the newest
-        # generation's array stream — only a checksum can catch it
-        FaultEvent(
-            kind="write", gen=3, nth=1, match=".array", mode="short",
-            keep_bytes=5,
-        ),
-        # inert: generation 3 has no 7th array write
-        FaultEvent(kind="write", gen=3, nth=7, match=".array", mode="torn"),
-        # inert: matches no file
-        FaultEvent(kind="write", gen=2, nth=1, match=".nosuch", mode="fail"),
-    ]
-    return Case(
-        type="fault",
-        engine="drms",
-        order="F",
-        shape=shape,
-        t1=2,
-        p1=2,
-        t2=3,
-        p2=1,
-        grid1=[2, 1],
-        grid2=[3, 1],
-        arrays=arrays,
-        target_bytes=64,
-        data_seed=rng.randrange(1 << 30),
-        seed=seed,
-        generations=3,
-        events=events,
+    return _shell(
+        seed,
+        events=[
+            # inert: generation 1's 9th segment write never happens
+            FaultEvent(
+                kind="write", gen=1, nth=9, match=".segment", mode="fail"
+            ),
+            # inert: flips a pad byte that is never stored
+            FaultEvent(
+                kind="stored_flip", gen=1, target="segment", offset=4000,
+                bit=1,
+            ),
+            # the reproducer: a silent short write truncating the newest
+            # generation's array stream — only a checksum can catch it
+            FaultEvent(
+                kind="write", gen=3, nth=1, match=".array", mode="short",
+                keep_bytes=5,
+            ),
+            # inert: generation 3 has no 7th array write
+            FaultEvent(kind="write", gen=3, nth=7, match=".array", mode="torn"),
+            # inert: matches no file
+            FaultEvent(kind="write", gen=2, nth=1, match=".nosuch", mode="fail"),
+        ],
         policy="naive",
         expect="fail",
         note=(

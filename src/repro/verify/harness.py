@@ -2,7 +2,7 @@
 shrink and dump anything that fails.
 
 The harness is the standing correctness gate for later performance
-work: ``run_suite(seed, ...)`` is a pure function of its arguments, so
+work: ``run_suite(seed, counts)`` is a pure function of its arguments, so
 ``make verify-reconfig`` (fixed seed, bounded case count) is fully
 deterministic, while ``make verify-reconfig-deep`` explores a fresh
 seed every run.
@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.verify.case import Case
-from repro.verify.gen import CaseGen
-from repro.verify.oracle import CaseResult, VerifyFailure, run_case
-from repro.verify.shrink import ShrinkReport, shrink_case
+from repro.verify.gen import GENERATORS, CaseGen
+from repro.verify.oracle import VerifyFailure, run_case
+from repro.verify.shrink import shrink_case
 
 __all__ = ["SuiteReport", "run_suite"]
 
@@ -54,52 +54,26 @@ class SuiteReport:
         return line
 
 
-def run_suite(
-    seed: int,
-    reconfig_cases: int = 200,
-    fault_cases: int = 30,
-    mlck_cases: int = 0,
-    localized_cases: int = 0,
-    workflow_cases: int = 0,
-    on_case: Optional[Callable[[int, Case], None]] = None,
-) -> SuiteReport:
-    """Generate and run ``reconfig_cases`` reconfiguration cases,
-    ``fault_cases`` fault-schedule cases, ``mlck_cases`` multi-level
-    (memory+pfs tier) fault cases, ``localized_cases``
-    localized-vs-full recovery equivalence cases, and
-    ``workflow_cases`` coupled-workflow torn-line cases, all from
-    ``seed``."""
+def run_suite(seed: int, counts: Dict[str, int]) -> SuiteReport:
+    """Draw ``counts[m]`` cases from ``GENERATORS[m]`` for each suite
+    mode ``m``, in ``counts`` order and all from ``seed``, and run each
+    case's oracle."""
     gen = CaseGen(seed)
     report = SuiteReport(seed=seed)
-    cases: List[Case] = [gen.reconfig_case() for _ in range(reconfig_cases)]
-    cases += [gen.fault_case() for _ in range(fault_cases)]
-    cases += [gen.mlck_fault_case() for _ in range(mlck_cases)]
-    cases += [gen.localized_case() for _ in range(localized_cases)]
-    cases += [gen.workflow_case() for _ in range(workflow_cases)]
-    for i, case in enumerate(cases):
-        if on_case is not None:
-            on_case(i, case)
-        if case.type == "reconfig":
-            key = case.engine
-        elif case.workflow:
-            key = "workflow"
-        elif case.localized:
-            key = "localized"
-        else:
-            key = "mlck" if case.tier == "memory+pfs" else "fault"
-        report.engines[key] = report.engines.get(key, 0) + 1
-        try:
-            result = run_case(case)
-            report.passed += 1
-            report.invariants_checked += result.checked
-        except VerifyFailure as failure:
-            report.failed.append((case, failure))
+    for mode, n in counts.items():
+        for _ in range(n):
+            case = GENERATORS[mode](gen)
+            report.engines[case.mode] = report.engines.get(case.mode, 0) + 1
+            try:
+                result = run_case(case)
+                report.passed += 1
+                report.invariants_checked += result.checked
+            except VerifyFailure as failure:
+                report.failed.append((case, failure))
     return report
 
 
-def dump_failures(
-    report: SuiteReport, out_dir: str, shrink: bool = True
-) -> List[str]:
+def dump_failures(report: SuiteReport, out_dir: str) -> List[str]:
     """Shrink (fault cases) and save every failure of a suite run as a
     replayable JSON case file; returns the written paths."""
     if not report.failed:
@@ -107,7 +81,7 @@ def dump_failures(
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for i, (case, _failure) in enumerate(report.failed):
-        if shrink and case.type == "fault":
+        if case.type == "fault":
             try:
                 case = shrink_case(case).shrunk
             except ValueError:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,13 +54,20 @@ from repro.checkpoint.incremental import IncrementalCheckpointer
 from repro.checkpoint.recover import open_latest_valid
 from repro.checkpoint.rotation import latest_checkpoint
 from repro.checkpoint.segment import DataSegment, ExecutionContext, SegmentProfile
-from repro.checkpoint.format import array_name, segment_name, sha1_hex
+from repro.checkpoint.format import (
+    array_name,
+    manifest_name,
+    read_manifest,
+    segment_name,
+    sha1_hex,
+)
 from repro.checkpoint.spmd import spmd_checkpoint, spmd_restart
 from repro.errors import (
     CheckpointError,
     IOFaultError,
     PFSError,
     RestartError,
+    WorkflowError,
 )
 from repro.obs import Tracer, span_tree_violations, use_tracer
 from repro.pfs.faults import FaultInjector, flip_stored_bit
@@ -73,7 +80,7 @@ from repro.streaming.serial import strict_gather, stream_out_serial
 from repro.streaming.streams import MemorySink, PFSSink
 from repro.verify.case import Case, FaultEvent
 
-__all__ = ["CaseResult", "VerifyFailure", "run_case", "replay_case"]
+__all__ = ["CaseResult", "ORACLES", "VerifyFailure", "run_case", "replay_case"]
 
 
 class VerifyFailure(AssertionError):
@@ -112,7 +119,16 @@ class _Checker:
             self.errors.append(msg)
         return bool(ok)
 
-    def finish(self, details: Optional[Dict[str, object]] = None) -> CaseResult:
+    def finish(
+        self,
+        details: Optional[Dict[str, object]] = None,
+        tracer: Optional[Tracer] = None,
+    ) -> CaseResult:
+        """The case's verdict; with a ``tracer``, its span forest is the
+        last invariant checked."""
+        if tracer is not None:
+            violations = span_tree_violations(tracer)
+            self.check(not violations, f"span tree violations: {violations[:3]}")
         if self.errors:
             raise VerifyFailure(self.case, self.errors)
         return CaseResult(self.case, checked=self.checked, details=details or {})
@@ -317,6 +333,19 @@ def _check_cross_engine(c: _Checker, arrays, order: str) -> None:
         )
 
 
+def _restore_options(case: Case) -> Dict[str, object]:
+    """The options every PFS restart of ``case`` runs with: its
+    restart-side I/O tasks and distributions."""
+    return dict(
+        order=case.order,
+        io_tasks=case.p2,
+        target_bytes=case.target_bytes,
+        distribution_overrides={
+            spec.name: case.distribution2(spec) for spec in case.arrays
+        },
+    )
+
+
 def _run_drms(case: Case) -> CaseResult:
     c = _Checker(case)
     pfs = PIOFS()
@@ -337,15 +366,7 @@ def _run_drms(case: Case) -> CaseResult:
                 app_name="verify",
             )
             state, rbd = drms_restart(
-                pfs,
-                prefix,
-                ntasks=case.t2,
-                order=case.order,
-                io_tasks=case.p2,
-                target_bytes=case.target_bytes,
-                distribution_overrides={
-                    spec.name: case.distribution2(spec) for spec in case.arrays
-                },
+                pfs, prefix, ntasks=case.t2, **_restore_options(case)
             )
     total = _check_drms_files(c, pfs, prefix, state.manifest, refs)
     _check_restored(c, state.arrays, refs)
@@ -376,9 +397,7 @@ def _run_drms(case: Case) -> CaseResult:
     _flat_eq(c, flat, "stream.out.bytes", total)
     _flat_eq(c, flat, "stream.in.bytes", total)
     _flat_eq(c, flat, "checkpoint.drms.total.bytes", total + bd.segment_bytes)
-    violations = span_tree_violations(tracer)
-    c.check(not violations, f"span tree violations: {violations[:3]}")
-    return c.finish({"engine": "drms", "array_bytes": total})
+    return c.finish({"engine": "drms", "array_bytes": total}, tracer)
 
 
 def _mutate(case: Case, g: np.ndarray, arr_index: int) -> np.ndarray:
@@ -425,8 +444,6 @@ def _run_incremental(case: Case) -> CaseResult:
     c.check(state.ntasks == case.t2, f"restored on {state.ntasks} != t2")
     # delta manifest: entry offsets must be the running nbytes sum and
     # the delta file exactly their total
-    from repro.checkpoint.format import read_manifest
-
     dm = read_manifest(pfs, f"{prefix}.d1")
     for spec in dm["arrays"]:
         pos = 0
@@ -456,9 +473,7 @@ def _run_incremental(case: Case) -> CaseResult:
     _flat_eq(c, flat, "checkpoint.drms.count", 1)
     _flat_eq(c, flat, "checkpoint.drms-delta.count", 1)
     _flat_eq(c, flat, "restart.drms.count", 1)
-    violations = span_tree_violations(tracer)
-    c.check(not violations, f"span tree violations: {violations[:3]}")
-    return c.finish({"engine": "incremental", "chain": sizes})
+    return c.finish({"engine": "incremental", "chain": sizes}, tracer)
 
 
 def _run_spmd(case: Case) -> CaseResult:
@@ -509,45 +524,55 @@ def _run_spmd(case: Case) -> CaseResult:
     _flat_eq(c, flat, "checkpoint.spmd.count", 1)
     _flat_eq(c, flat, "restart.spmd.count", 1)
     _flat_eq(c, flat, "checkpoint.spmd.segment.bytes", total)
-    violations = span_tree_violations(tracer)
-    c.check(not violations, f"span tree violations: {violations[:3]}")
-    return c.finish({"engine": "spmd", "segment_bytes": total})
+    return c.finish({"engine": "spmd", "segment_bytes": total}, tracer)
 
 
 # -- fault mode -------------------------------------------------------------
 
 
-def _arm_events(inj: FaultInjector, events: List[FaultEvent], gen: int) -> None:
+def _arm_events(inj: FaultInjector, events: List[FaultEvent], gen: int):
+    """Arm generation ``gen``'s write faults: ``write`` events in their
+    own mode (silent ones corrupt what is written), ``drain_crash``
+    events as hard failures.  Returns the armed drain-crash plans for
+    fired-ness inspection."""
+    crash_plans = []
     for ev in events:
-        if ev.kind == "write" and ev.gen == gen:
+        if ev.gen != gen:
+            continue
+        if ev.kind == "write":
             inj.fail_write(
-                nth=ev.nth,
-                match=ev.match,
-                mode=ev.mode,
+                nth=ev.nth, match=ev.match, mode=ev.mode,
                 keep_bytes=ev.keep_bytes,
             )
+        elif ev.kind == "drain_crash":
+            crash_plans.append(
+                inj.fail_write(nth=ev.nth, match=ev.match, mode="fail")
+            )
+    return crash_plans
 
 
-def _apply_stored_flips(
-    pfs: PIOFS, case: Case, events: List[FaultEvent], gen: int, prefix: str
-) -> None:
-    """Post-checkpoint persistent corruption.  Flips that find no
-    stored byte (virtual pad, missing file) are inert by design."""
-    for ev in events:
-        if ev.kind != "stored_flip" or ev.gen != gen:
-            continue
-        if ev.target == "segment":
-            fname = segment_name(prefix)
-        else:
-            idx = ev.array_index % max(len(case.arrays), 1)
-            fname = array_name(prefix, case.arrays[idx].name)
-        try:
-            size = pfs.file_size(fname)
-            if size <= 0:
-                continue
+def _flip(pfs: PIOFS, prefix: str, ev: FaultEvent, arrays: List[str]) -> None:
+    """Persistently flip ``ev``'s bit of generation ``prefix``: of its
+    segment, or of its ``ev.array_index``-th (modulo) of ``arrays``.  A
+    flip that finds no stored byte (virtual pad, missing file) is inert
+    by design."""
+    if ev.target == "segment":
+        fname = segment_name(prefix)
+    else:
+        fname = array_name(prefix, arrays[ev.array_index % len(arrays)])
+    try:
+        size = pfs.file_size(fname)
+        if size > 0:
             flip_stored_bit(pfs, fname, ev.offset % size, ev.bit)
-        except PFSError:
-            continue
+    except PFSError:
+        pass
+
+
+def _apply_stored_flips(pfs: PIOFS, case: Case, gen: int, prefix: str) -> None:
+    """Post-checkpoint persistent corruption of generation ``gen``."""
+    for ev in case.events:
+        if ev.kind == "stored_flip" and ev.gen == gen:
+            _flip(pfs, prefix, ev, [spec.name for spec in case.arrays])
 
 
 @dataclass
@@ -560,6 +585,20 @@ class _Generation:
     sizes: Dict[str, int] = field(default_factory=dict)
     refs: List[np.ndarray] = field(default_factory=list)
     segment: Optional[DataSegment] = None
+
+    def intend(
+        self, case: Case, segment: DataSegment, refs: List[np.ndarray]
+    ) -> None:
+        """Record the bytes a checkpoint of ``segment`` and ``refs``
+        means each of this generation's files to hold."""
+        header, pad = segment.serialize()
+        seg = segment_name(self.prefix)
+        self.expected[seg] = header
+        self.sizes[seg] = len(header) + pad
+        for i, spec in enumerate(case.arrays):
+            fname = array_name(self.prefix, spec.name)
+            self.expected[fname] = stream_order_bytes(refs[i], case.order)
+            self.sizes[fname] = len(self.expected[fname])
 
     def is_valid(self, pfs: PIOFS) -> bool:
         """Ground truth, independent of the recovery code: every file
@@ -609,33 +648,18 @@ def _run_fault(case: Case) -> CaseResult:
                     pass
             finally:
                 pfs.attach_faults(None)
-            _apply_stored_flips(pfs, case, case.events, g, prefix)
+            _apply_stored_flips(pfs, case, g, prefix)
             gen = _Generation(prefix=prefix, committed=committed, refs=refs,
                               segment=segment)
             if committed:
-                header, pad = segment.serialize()
-                seg = segment_name(prefix)
-                gen.expected[seg] = header
-                gen.sizes[seg] = len(header) + pad
-                for i, spec in enumerate(case.arrays):
-                    fname = array_name(prefix, spec.name)
-                    want = stream_order_bytes(refs[i], case.order)
-                    gen.expected[fname] = want
-                    gen.sizes[fname] = len(want)
+                gen.intend(case, segment, refs)
             gens.append(gen)
 
         valid = [g for g in gens if g.is_valid(pfs)]
         expected_prefix = valid[-1].prefix if valid else None
         committed = [g for g in gens if g.committed]
 
-        restore_options = dict(
-            order=case.order,
-            io_tasks=case.p2,
-            target_bytes=case.target_bytes,
-            distribution_overrides={
-                spec.name: case.distribution2(spec) for spec in case.arrays
-            },
-        )
+        restore_options = _restore_options(case)
         if case.policy == "validated":
             opened, decision = open_latest_valid(
                 pfs, base, restart_opener(pfs, case.t2, **restore_options)
@@ -680,15 +704,14 @@ def _run_fault(case: Case) -> CaseResult:
                 state.segment.serialize() == gen.segment.serialize(),
                 "restored segment differs from the chosen generation's",
             )
-    violations = span_tree_violations(tracer)
-    c.check(not violations, f"span tree violations: {violations[:3]}")
     return c.finish(
         {
             "expected_prefix": expected_prefix,
             "chosen": chosen,
             "committed": [g.prefix for g in committed],
             "valid": [g.prefix for g in valid],
-        }
+        },
+        tracer,
     )
 
 
@@ -721,27 +744,6 @@ class _MLCKGeneration:
         return self.l2 is not None and self.l2.is_valid(pfs)
 
 
-def _arm_drain_events(inj: FaultInjector, events: List[FaultEvent], gen: int):
-    """Write faults against generation ``gen``'s *drain*: both plain
-    ``write`` events (silent modes corrupt the durable copy) and
-    ``drain_crash`` events (hard failure — the drain must abort).
-    Returns the armed drain-crash plans for fired-ness inspection."""
-    crash_plans = []
-    for ev in events:
-        if ev.gen != gen:
-            continue
-        if ev.kind == "write":
-            inj.fail_write(
-                nth=ev.nth, match=ev.match, mode=ev.mode,
-                keep_bytes=ev.keep_bytes,
-            )
-        elif ev.kind == "drain_crash":
-            crash_plans.append(
-                inj.fail_write(nth=ev.nth, match=ev.match, mode="fail")
-            )
-    return crash_plans
-
-
 def _run_mlck_schedule(
     c: _Checker,
     case: Case,
@@ -754,8 +756,6 @@ def _run_mlck_schedule(
     """The shared capture + synchronous-drain + fault-schedule loop of
     the multi-level oracles.  Returns the per-generation capture-time
     intent records and the set of nodes the schedule killed."""
-    from repro.checkpoint.format import manifest_name
-
     failed: set = set()
     gens: List[_MLCKGeneration] = []
     for g in range(1, case.generations + 1):
@@ -770,7 +770,7 @@ def _run_mlck_schedule(
         rec.piece_replicas = [list(p.replicas) for p in l1gen.pieces()]
 
         inj = FaultInjector()
-        crash_plans = _arm_drain_events(inj, case.events, g)
+        crash_plans = _arm_events(inj, case.events, g)
         pfs.attach_faults(inj)
         try:
             drainer.schedule(prefix)
@@ -792,18 +792,9 @@ def _run_mlck_schedule(
                 "two-phase commit violated",
             )
         if committed:
-            l2 = _Generation(prefix=prefix, committed=True)
-            header, pad = segment.serialize()
-            seg = segment_name(prefix)
-            l2.expected[seg] = header
-            l2.sizes[seg] = len(header) + pad
-            for i, spec in enumerate(case.arrays):
-                fname = array_name(prefix, spec.name)
-                want = stream_order_bytes(refs[i], case.order)
-                l2.expected[fname] = want
-                l2.sizes[fname] = len(want)
-            rec.l2 = l2
-        _apply_stored_flips(pfs, case, case.events, g, prefix)
+            rec.l2 = _Generation(prefix=prefix, committed=True)
+            rec.l2.intend(case, segment, refs)
+        _apply_stored_flips(pfs, case, g, prefix)
         for ev in case.events:
             if ev.kind == "node_loss" and ev.gen == g:
                 node = ev.node % case.num_nodes
@@ -865,12 +856,7 @@ def _run_mlck_recovery(c: _Checker, case: Case, tracer: Tracer) -> _MLCKRun:
     gens, failed = _run_mlck_schedule(c, case, machine, pfs, store, drainer, "app.ck")
     run = _MLCKRun(
         machine, pfs, store, gens, failed, _mlck_ground_truth(gens, failed, pfs),
-        dict(
-            order=case.order, io_tasks=case.p2, target_bytes=case.target_bytes,
-            distribution_overrides={
-                spec.name: case.distribution2(spec) for spec in case.arrays
-            },
-        ),
+        _restore_options(case),
     )
     reads_before = tracer.metrics.flat().get("pfs.read.count", 0.0)
     run.opened, run.decision = open_latest_valid(
@@ -924,8 +910,6 @@ def _run_mlck_fault(case: Case) -> CaseResult:
                 state.segment.serialize() == rec.segment.serialize(),
                 "restored segment differs from the chosen generation's",
             )
-    violations = span_tree_violations(tracer)
-    c.check(not violations, f"span tree violations: {violations[:3]}")
     return c.finish(
         {
             "expected_prefix": expected_prefix,
@@ -934,7 +918,8 @@ def _run_mlck_fault(case: Case) -> CaseResult:
             "tier": decision.tier,
             "failed_nodes": sorted(run.failed),
             "pfs_reads_during_walk": run.reads,
-        }
+        },
+        tracer,
     )
 
 
@@ -970,9 +955,7 @@ def _run_localized(case: Case) -> CaseResult:
             "failed_nodes": sorted(failed),
         }
         if decision.prefix is None or decision.prefix != expected_prefix:
-            violations = span_tree_violations(tracer)
-            c.check(not violations, f"span tree violations: {violations[:3]}")
-            return c.finish(details)
+            return c.finish(details, tracer)
 
         rec = {g.prefix: g for g in run.gens}[decision.prefix]
         full_state, full_bd = run.opened.state, run.opened.breakdown
@@ -1128,8 +1111,6 @@ def _run_localized(case: Case) -> CaseResult:
                         "(and not recorded as short)",
                     )
             details["rereplicated"] = repair.copies
-    violations = span_tree_violations(tracer)
-    c.check(not violations, f"span tree violations: {violations[:3]}")
     details.update(
         {
             "chosen": decision.prefix,
@@ -1139,7 +1120,7 @@ def _run_localized(case: Case) -> CaseResult:
             else [],
         }
     )
-    return c.finish(details)
+    return c.finish(details, tracer)
 
 
 # -- coupled-workflow fault mode --------------------------------------------
@@ -1173,30 +1154,16 @@ def _apply_workflow_corruption(
     Flips that land on no stored byte and deletions of files that do
     not exist are inert by design — the ground-truth snapshot diff sees
     exactly what the recovery walk sees."""
-    from repro.checkpoint.format import manifest_name
-
     for ev in case.events:
-        if ev.kind not in ("stored_flip", "gen_loss"):
-            continue
         member = members[ev.member % len(members)]
         prefix = f"{base}.{member}.{ev.gen:06d}"
         if ev.kind == "gen_loss":
             try:
                 pfs.unlink(manifest_name(prefix))
             except PFSError:
-                continue
-            continue
-        if ev.target == "segment":
-            fname = segment_name(prefix)
+                pass
         else:
-            fname = array_name(prefix, ("u", "inbox")[ev.array_index % 2])
-        try:
-            size = pfs.file_size(fname)
-            if size <= 0:
-                continue
-            flip_stored_bit(pfs, fname, ev.offset % size, ev.bit)
-        except PFSError:
-            continue
+            _flip(pfs, prefix, ev, ["u", "inbox"])
 
 
 def _run_workflow(case: Case) -> CaseResult:
@@ -1218,7 +1185,6 @@ def _run_workflow(case: Case) -> CaseResult:
     consistency the common boundary guarantees — and resume to the same
     final state as an uninterrupted run, numbering new lines strictly
     after every old one."""
-    from repro.checkpoint.format import manifest_name
     from repro.drms import CheckpointStatus
     from repro.drms.api import (
         drms_adjust,
@@ -1226,7 +1192,6 @@ def _run_workflow(case: Case) -> CaseResult:
         drms_distribute,
         drms_initialize,
     )
-    from repro.errors import WorkflowError
     from repro.workflow import WorkflowCoordinator
 
     c = _Checker(case)
@@ -1312,33 +1277,26 @@ def _run_workflow(case: Case) -> CaseResult:
 
         # byte-level snapshot of every member generation: the intent
         # record the post-corruption ground truth diffs against
-        snapshots: Dict[int, Dict[str, Dict[str, bytes]]] = {}
+        snapshots: Dict[int, List[_Generation]] = {}
         for g in committed:
-            snapshots[g] = {}
+            snapshots[g] = []
             for m in members:
-                prefix = f"{base}.{m}.{g:06d}"
-                files = {}
-                for fname in pfs.listdir(prefix + "."):
+                snap = _Generation(prefix=f"{base}.{m}.{g:06d}", committed=True)
+                for fname in pfs.listdir(snap.prefix + "."):
                     size = pfs.file_size(fname)
-                    files[fname] = pfs.read_at(fname, 0, size) if size else b""
+                    want = pfs.read_at(fname, 0, size) if size else b""
+                    snap.expected[fname] = want
+                    snap.sizes[fname] = len(want)
                 c.check(
-                    manifest_name(prefix) in files,
+                    manifest_name(snap.prefix) in snap.expected,
                     f"member {m} generation {g} committed no manifest",
                 )
-                snapshots[g][m] = files
+                snapshots[g].append(snap)
 
         _apply_workflow_corruption(pfs, case, base, members)
-
-        def member_intact(g: int, m: str) -> bool:
-            for fname, want in snapshots[g][m].items():
-                if not pfs.exists(fname) or pfs.file_size(fname) != len(want):
-                    return False
-                if want and pfs.read_at(fname, 0, len(want)) != want:
-                    return False
-            return True
-
         valid = {
-            g: all(member_intact(g, m) for m in members) for g in committed
+            g: all(snap.is_valid(pfs) for snap in snapshots[g])
+            for g in committed
         }
         expected_gen = max((g for g in committed if valid[g]), default=None)
         want_rejected = {
@@ -1452,22 +1410,22 @@ def _run_workflow(case: Case) -> CaseResult:
 # -- entry points -----------------------------------------------------------
 
 
+#: the oracle of each case mode (:attr:`Case.mode`)
+ORACLES: Dict[str, Callable[[Case], CaseResult]] = {
+    "drms": _run_drms,
+    "spmd": _run_spmd,
+    "incremental": _run_incremental,
+    "fault": _run_fault,
+    "mlck": _run_mlck_fault,
+    "localized": _run_localized,
+    "workflow": _run_workflow,
+}
+
+
 def run_case(case: Case) -> CaseResult:
     """Run one case's oracle; raises :class:`VerifyFailure` on any
     invariant violation (regardless of the case's ``expect`` field)."""
-    if case.type == "fault":
-        if case.workflow:
-            return _run_workflow(case)
-        if case.localized:
-            return _run_localized(case)
-        if case.tier == "memory+pfs":
-            return _run_mlck_fault(case)
-        return _run_fault(case)
-    if case.engine == "drms":
-        return _run_drms(case)
-    if case.engine == "incremental":
-        return _run_incremental(case)
-    return _run_spmd(case)
+    return ORACLES[case.mode](case)
 
 
 def replay_case(case: Case) -> CaseResult:

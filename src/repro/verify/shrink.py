@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List
+from typing import Iterator, List
 
 from repro.verify.case import Case
 from repro.verify.oracle import VerifyFailure, run_case

@@ -30,6 +30,10 @@ from repro.verify.case import ArrayCase, Case, FaultEvent
 from repro.verify.gen import (
     localized_equivalence_case,
     localized_pfs_fallback_case,
+    lost_member_generation_case,
+    mid_drain_crash_case,
+    node_loss_case,
+    torn_workflow_case,
 )
 
 CASES_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cases")
@@ -121,6 +125,13 @@ def fault_cases():
     # and the full recovery path and requires byte-identical state.
     yield "localized_l1_happy.json", localized_equivalence_case(seed=0)
     yield "localized_pfs_fallback.json", localized_pfs_fallback_case(seed=0)
+
+    # Schema anchors for the multi-level and workflow modes (expect=pass):
+    # the canonical schedules their gates run first.
+    yield "mlck_node_loss.json", node_loss_case(seed=0)
+    yield "mlck_mid_drain_crash.json", mid_drain_crash_case(seed=0)
+    yield "workflow_torn_line.json", torn_workflow_case(seed=0)
+    yield "workflow_lost_member.json", lost_member_generation_case(seed=0)
 
     # The same injury the validated policy absorbs: expect=pass, and the
     # oracle asserts recovery lands on the older, intact generation.

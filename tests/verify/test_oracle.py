@@ -81,8 +81,8 @@ def test_write_fault_on_manifest_aborts_the_generation():
 
 
 def test_run_suite_aggregates_and_is_deterministic():
-    r1 = run_suite(20260806, reconfig_cases=8, fault_cases=2)
-    r2 = run_suite(20260806, reconfig_cases=8, fault_cases=2)
+    r1 = run_suite(20260806, {"reconfig": 8, "fault": 2})
+    r2 = run_suite(20260806, {"reconfig": 8, "fault": 2})
     assert r1.ok and r2.ok
     assert r1.total == r2.total == 10
     assert r1.invariants_checked == r2.invariants_checked

@@ -4,7 +4,7 @@ workflow cases."""
 
 import pytest
 
-from repro.verify.case import Case, CaseError
+from repro.verify.case import Case
 from repro.verify.gen import (
     CaseGen,
     lost_member_generation_case,
@@ -54,11 +54,3 @@ def test_generated_workflow_cases_are_legal():
         for ev in case.events:
             assert ev.kind in ("stored_flip", "gen_loss")
 
-
-def test_workflow_requires_fault_type():
-    with pytest.raises(CaseError):
-        Case(
-            type="reconfig", engine="bulk", order="F", shape=[4, 4],
-            t1=2, p1=1, t2=2, p2=1, grid1=[2], grid2=[2], arrays=[],
-            target_bytes=1 << 20, data_seed=1, workflow=True,
-        )
