@@ -179,9 +179,8 @@ def drms_checkpoint(
 
     Each array is one parstream phase
     (:func:`~repro.streaming.parallel.stream_out_parallel`): at most
-    ``io_tasks`` bulk writes, or the per-piece loop when ``pfs`` has a
-    fault injector attached or the array is virtual; the stored bytes
-    are the same either way.
+    ``io_tasks`` bulk writes, or the per-piece loop when the array is
+    virtual; the stored bytes are the same either way.
 
     The memory tier captures the same content into node memory and
     drains it here; its one entrance is
@@ -198,13 +197,12 @@ def drms_checkpoint(
         seg = segment_name(prefix)
         pfs.create(seg, virtual=False)
         with obs.span("segment_write", file=seg) as sp:
-            pfs.begin_phase(IOKind.WRITE_SERIAL)
-            pfs.write_at(seg, 0, header, client=0)
-            if pad:
-                # The bulk segment components are sized payloads (see
-                # DataSegment): a sparse span past the exact header.
-                pfs.write_at(seg, len(header), None, nbytes=pad, client=0)
-            res = pfs.end_phase()
+            with pfs.phase(IOKind.WRITE_SERIAL) as res:
+                pfs.write_at(seg, 0, header, client=0)
+                if pad:
+                    # The bulk segment components are sized payloads (see
+                    # DataSegment): a sparse span past the exact header.
+                    pfs.write_at(seg, len(header), None, nbytes=pad, client=0)
             obs.advance(res.seconds)
             sp.set(nbytes=len(header) + pad, seconds=res.seconds)
         bd.segment_seconds = res.seconds
@@ -216,11 +214,10 @@ def drms_checkpoint(
             fname = array_name(prefix, a.name)
             sink = PFSSink(pfs, fname, virtual=not a.store_data, create=True)
             with obs.span(f"parstream:{a.name}", file=fname) as sp:
-                pfs.begin_phase(IOKind.WRITE_PARALLEL)
-                stats = stream_out_parallel(
-                    a, sink, P=io_tasks, order=order, target_bytes=target_bytes
-                )
-                res = pfs.end_phase()
+                with pfs.phase(IOKind.WRITE_PARALLEL) as res:
+                    stats = stream_out_parallel(
+                        a, sink, P=io_tasks, order=order, target_bytes=target_bytes
+                    )
                 obs.advance(res.seconds)
                 sp.set(
                     nbytes=stats.bytes_streamed,
@@ -434,15 +431,14 @@ class PFSCheckpointSource:
         pfs, m = self.pfs, self.manifest
         seg = m["segment_file"]
         seg_size = pfs.file_size(seg)
-        pfs.begin_phase(IOKind.READ_SHARED)
-        head = pfs.read_at(
-            seg, 0, min(seg_size, DataSegment.header_prefix_bytes()), client=0
-        )
-        if seg_size > len(head):
-            pfs.read_virtual(seg, len(head), seg_size - len(head), client=0)
-        for t in range(1, ntasks):
-            pfs.read_virtual(seg, 0, seg_size, client=t)
-        res = pfs.end_phase()
+        with pfs.phase(IOKind.READ_SHARED) as res:
+            head = pfs.read_at(
+                seg, 0, min(seg_size, DataSegment.header_prefix_bytes()), client=0
+            )
+            if seg_size > len(head):
+                pfs.read_virtual(seg, len(head), seg_size - len(head), client=0)
+            for t in range(1, ntasks):
+                pfs.read_virtual(seg, 0, seg_size, client=t)
         verify_stored_sha1(
             pfs, seg, m.get("segment_sha1"), m.get("segment_sha1_bytes"), head=head
         )
@@ -454,18 +450,11 @@ class PFSCheckpointSource:
         """One parallel read phase: stream the file into ``arr`` under
         its (new) distribution, verified before the scatter."""
         pfs = self.pfs
-        pfs.begin_phase(IOKind.READ_PARALLEL)
-        try:
+        with pfs.phase(IOKind.READ_PARALLEL) as res:
             stats = stream_in_parallel(
                 arr, PFSSource(pfs, spec["file"]), P=self.io_tasks, order=order,
                 target_bytes=self.target_bytes, sha1=spec.get("sha1"),
             )
-        except BaseException:
-            # a failed open leaves no phase open to hide its error
-            # behind the next begin_phase ("phases do not nest")
-            pfs.abort_phase()
-            raise
-        res = pfs.end_phase()
         return res.seconds, stats.bytes_streamed, {
             "pieces": stats.pieces,
             "redistribution_bytes": stats.redistribution_bytes,

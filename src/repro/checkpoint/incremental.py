@@ -189,9 +189,8 @@ class IncrementalCheckpointer:
             seg_name = f"{self.prefix}.d{k}.segment"
             self.pfs.create(seg_name)
             with obs.span("segment_write", file=seg_name) as sp:
-                self.pfs.begin_phase(IOKind.WRITE_SERIAL)
-                self.pfs.write_at(seg_name, 0, header, client=0)
-                res = self.pfs.end_phase()
+                with self.pfs.phase(IOKind.WRITE_SERIAL) as res:
+                    self.pfs.write_at(seg_name, 0, header, client=0)
                 obs.advance(res.seconds)
                 sp.set(nbytes=len(header), seconds=res.seconds)
             bd.segment_seconds = res.seconds
@@ -210,26 +209,25 @@ class IncrementalCheckpointer:
                 entries = []
                 u8 = stream_u8(arr, order=self.order) if arr.store_data else None
                 with obs.span(f"delta:{arr.name}", file=fname) as sp:
-                    self.pfs.begin_phase(IOKind.WRITE_PARALLEL)
                     pos = 0
                     written = 0
                     file_hash = hashlib.sha1()  # intended bytes, in file order
                     P = self.io_tasks or arr.ntasks
-                    for j in dirty:
-                        piece = plan.pieces[j]
-                        nbytes = piece.size * arr.itemsize
-                        if u8 is not None:
-                            off = plan.offsets[j]
-                            data = u8[off:off + nbytes]
-                            self.pfs.write_at(fname, pos, data, client=j % P)
-                            plan.hashes[j] = sha1_hex(data)
-                            file_hash.update(data)
-                        else:
-                            self.pfs.write_at(fname, pos, None, nbytes=nbytes, client=j % P)
-                        entries.append({"piece": j, "offset": pos, "nbytes": nbytes})
-                        pos += nbytes
-                        written += nbytes
-                    res = self.pfs.end_phase()
+                    with self.pfs.phase(IOKind.WRITE_PARALLEL) as res:
+                        for j in dirty:
+                            piece = plan.pieces[j]
+                            nbytes = piece.size * arr.itemsize
+                            if u8 is not None:
+                                off = plan.offsets[j]
+                                data = u8[off:off + nbytes]
+                                self.pfs.write_at(fname, pos, data, client=j % P)
+                                plan.hashes[j] = sha1_hex(data)
+                                file_hash.update(data)
+                            else:
+                                self.pfs.write_at(fname, pos, None, nbytes=nbytes, client=j % P)
+                            entries.append({"piece": j, "offset": pos, "nbytes": nbytes})
+                            pos += nbytes
+                            written += nbytes
                     obs.advance(res.seconds)
                     sp.set(
                         nbytes=written,
@@ -353,29 +351,28 @@ class IncrementalCheckpointer:
                         )
                         arr = state.arrays[spec["name"]]
                         plan = self._plan_for(arr)
-                        self.pfs.begin_phase(IOKind.READ_PARALLEL)
                         P = self.io_tasks or ntasks
                         applied = 0
-                        for e in spec["entries"]:
-                            piece = plan.pieces[e["piece"]]
-                            if arr.store_data:
-                                data = self.pfs.read_at(
-                                    spec["file"], e["offset"], e["nbytes"],
-                                    client=e["piece"] % P,
-                                )
-                                scatter_piece(
-                                    arr,
-                                    piece,
-                                    bytes_to_section(data, piece.shape, arr.dtype, self.order),
-                                    order=self.order,
-                                )
-                            else:
-                                self.pfs.read_virtual(
-                                    spec["file"], e["offset"], e["nbytes"],
-                                    client=e["piece"] % P,
-                                )
-                            applied += e["nbytes"]
-                        res = self.pfs.end_phase()
+                        with self.pfs.phase(IOKind.READ_PARALLEL) as res:
+                            for e in spec["entries"]:
+                                piece = plan.pieces[e["piece"]]
+                                if arr.store_data:
+                                    data = self.pfs.read_at(
+                                        spec["file"], e["offset"], e["nbytes"],
+                                        client=e["piece"] % P,
+                                    )
+                                    scatter_piece(
+                                        arr,
+                                        piece,
+                                        bytes_to_section(data, piece.shape, arr.dtype, self.order),
+                                        order=self.order,
+                                    )
+                                else:
+                                    self.pfs.read_virtual(
+                                        spec["file"], e["offset"], e["nbytes"],
+                                        client=e["piece"] % P,
+                                    )
+                                applied += e["nbytes"]
                         obs.advance(res.seconds)
                         bd.arrays_seconds += res.seconds
                         bd.arrays_bytes += applied

@@ -100,26 +100,25 @@ def spmd_checkpoint(
         shas: List[str] = []
         sha_bytes: List[int] = []
         with obs.span("segment_write", files=ntasks) as sp:
-            pfs.begin_phase(IOKind.WRITE_DISTINCT)
-            # create every file first, then write them in task order:
-            # a deterministic namespace, manifest order and write sequence
-            encoded = []
-            for t in range(ntasks):
-                fname = task_segment_name(prefix, t)
-                pfs.create(fname, virtual=False)
-                payload = payloads[t] if payloads is not None else None
-                header, pad = _encode_task_file(payload, segment_bytes)
-                encoded.append((t, fname, header, pad))
-                sizes.append(len(header) + pad)
-                # hash the *intended* exact header (the sparse bulk is sized,
-                # not stored), so a torn write of the file is caught at restart
-                shas.append(sha1_hex(header))
-                sha_bytes.append(len(header))
-            for t, fname, header, pad in encoded:
-                pfs.write_at(fname, 0, header, client=t)
-                if pad:
-                    pfs.write_at(fname, len(header), None, nbytes=pad, client=t)
-            res = pfs.end_phase()
+            with pfs.phase(IOKind.WRITE_DISTINCT) as res:
+                # create every file first, then write them in task order:
+                # a deterministic namespace, manifest order and write sequence
+                encoded = []
+                for t in range(ntasks):
+                    fname = task_segment_name(prefix, t)
+                    pfs.create(fname, virtual=False)
+                    payload = payloads[t] if payloads is not None else None
+                    header, pad = _encode_task_file(payload, segment_bytes)
+                    encoded.append((t, fname, header, pad))
+                    sizes.append(len(header) + pad)
+                    # hash the *intended* exact header (the sparse bulk is sized,
+                    # not stored), so a torn write of the file is caught at restart
+                    shas.append(sha1_hex(header))
+                    sha_bytes.append(len(header))
+                for t, fname, header, pad in encoded:
+                    pfs.write_at(fname, 0, header, client=t)
+                    if pad:
+                        pfs.write_at(fname, len(header), None, nbytes=pad, client=t)
             obs.advance(res.seconds)
             sp.set(nbytes=sum(sizes), seconds=res.seconds)
         bd.segment_seconds = res.seconds
@@ -177,15 +176,14 @@ def spmd_restart(
     ) as op:
         _charge_restart_init(obs, bd.other_seconds)
         with obs.span("segment_read", files=ntasks) as sp:
-            pfs.begin_phase(IOKind.READ_DISTINCT)
-            for t, fname in enumerate(manifest["task_files"]):
-                size = pfs.file_size(fname)
-                head = pfs.read_at(fname, 0, min(size, DataSegment.header_prefix_bytes()), client=t)
-                if size > len(head):
-                    pfs.read_virtual(fname, len(head), size - len(head), client=t)
-                heads.append(head)
-                sizes.append(size)
-            res = pfs.end_phase()
+            with pfs.phase(IOKind.READ_DISTINCT) as res:
+                for t, fname in enumerate(manifest["task_files"]):
+                    size = pfs.file_size(fname)
+                    head = pfs.read_at(fname, 0, min(size, DataSegment.header_prefix_bytes()), client=t)
+                    if size > len(head):
+                        pfs.read_virtual(fname, len(head), size - len(head), client=t)
+                    heads.append(head)
+                    sizes.append(size)
             obs.advance(res.seconds)
             sp.set(nbytes=sum(sizes), seconds=res.seconds)
         shas = manifest.get("task_sha1") or []

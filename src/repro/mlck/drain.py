@@ -215,9 +215,6 @@ class DrainController:
                     "drain_state", prefix=prefix, state=DrainState.FAILED,
                     error=str(exc),
                 )
-                # the fault may have killed the checkpoint mid-phase;
-                # leave the PFS usable for the next drain
-                self.pfs.abort_phase()
             finally:
                 if protect is not None and self.rotation is not None:
                     self.rotation.unpin(protect)

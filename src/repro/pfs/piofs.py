@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import IOFaultError, PFSError
 from repro.obs import get_tracer
@@ -25,7 +26,19 @@ from repro.pfs.params import PIOFSParams
 from repro.pfs.phase import IOKind, IOPhaseResult, PhaseTransfer, solve_phase
 from repro.runtime.machine import Machine
 
-__all__ = ["PIOFS"]
+__all__ = ["PIOFS", "TimedPhase"]
+
+
+class TimedPhase:
+    """What :meth:`PIOFS.phase` yields: once the block has exited
+    cleanly, ``result`` is the closed phase."""
+
+    result: Optional[IOPhaseResult] = None
+
+    @property
+    def seconds(self) -> float:
+        """The closed phase's simulated duration."""
+        return self.result.seconds
 
 
 class PIOFS:
@@ -117,26 +130,23 @@ class PIOFS:
     def attach_faults(self, injector) -> None:
         """Arm a :class:`~repro.pfs.faults.FaultInjector` on this file
         system (pass ``None`` to disarm).  Hooks run under the namespace
-        lock, so fault counting is exact under concurrent task threads."""
+        lock, so a plan fires exactly once under concurrent task threads."""
         with self._lock:
             self.faults = injector
 
-    def _faulted_write(self, name, data, nbytes):
+    def _faulted_write(self, name, offset, data, nbytes):
         # caller holds the lock; returns (data, nbytes, deferred_error)
         if self.faults is None:
-            return data, nbytes, None
-        plan = self.faults.match_write(name)
-        if plan is None:
             return data, nbytes, None
         if data is not None:
             data = byte_view(data)  # sized and torn in bytes, not elements
         intended = len(data) if data is not None else int(nbytes or 0)
+        plan = self.faults.match_write(name, offset, intended)
+        if plan is None:
+            return data, nbytes, None
         if plan.mode == "fail":
-            self.faults.record_write_effect(plan, intended, 0)
             raise IOFaultError(f"injected write failure on {name!r}")
-        keep = plan.keep_bytes if plan.keep_bytes is not None else intended // 2
-        keep = max(0, min(int(keep), intended))
-        self.faults.record_write_effect(plan, intended, keep)
+        keep = plan.kept
         if data is not None:
             data = data[:keep]
             nbytes = None
@@ -214,6 +224,22 @@ class PIOFS:
             m.counter("pfs.phase.pressured").inc()
         return result
 
+    @contextmanager
+    def phase(self, kind: IOKind) -> Iterator[TimedPhase]:
+        """One timed phase around a block: :meth:`begin_phase` on
+        entry, :meth:`end_phase` on a clean exit (the yielded
+        :class:`TimedPhase` then holds its result), :meth:`abort_phase`
+        when the block raises — a failed operation never leaves its
+        phase open behind the next ``begin_phase``."""
+        self.begin_phase(kind)
+        timed = TimedPhase()
+        try:
+            yield timed
+        except BaseException:
+            self.abort_phase()
+            raise
+        timed.result = self.end_phase()
+
     def abort_phase(self) -> None:
         """Discard an open phase without timing it — cleanup after an
         I/O fault aborted the operation that opened the phase.  A no-op
@@ -267,7 +293,7 @@ class PIOFS:
             f = self._files.get(name)
             if f is None:
                 raise PFSError(f"no such file: {name!r}")
-            data, nbytes, fault = self._faulted_write(name, data, nbytes)
+            data, nbytes, fault = self._faulted_write(name, offset, data, nbytes)
             n = f.write_at(offset, data, nbytes)
             self._record(client, f, offset, n)
             self._meter("write", name, n, t0)
@@ -289,7 +315,7 @@ class PIOFS:
             if f is None:
                 raise PFSError(f"no such file: {name!r}")
             offset = f.size
-            data, nbytes, fault = self._faulted_write(name, data, nbytes)
+            data, nbytes, fault = self._faulted_write(name, offset, data, nbytes)
             n = f.write_at(offset, data, nbytes)
             self._record(client, f, offset, n)
             self._meter("write", name, n, t0)
@@ -306,7 +332,7 @@ class PIOFS:
                 raise PFSError(f"no such file: {name!r}")
             out = f.read_at(offset, nbytes)
             if self.faults is not None:
-                out = self.faults.apply_read(name, out)
+                out = self.faults.apply_read(name, offset, out)
             self._record(client, f, offset, nbytes)
             self._meter("read", name, nbytes, t0)
             return out

@@ -14,20 +14,19 @@ seekable sink.
 Two execution paths, chosen by what the call observes — there is no
 option:
 
-* **bulk** — for data-bearing arrays with no armed fault injector: the
-  section is gathered once through the cached plans
-  (:mod:`repro.streaming.vectorized`), the nonempty pieces are
-  coalesced into at most P stream-contiguous byte runs of near-equal
-  volume, and run ``p`` is I/O task ``p``'s **one** ``write_at`` /
-  ``read_at``, issued inline.  Empty pieces occupy zero bytes, so the
-  nonempty pieces are byte-contiguous in stream order and every run is
-  a single interval.
+* **bulk** — for data-bearing arrays: the section is gathered once
+  through the cached plans (:mod:`repro.streaming.vectorized`), the
+  nonempty pieces are coalesced into at most P stream-contiguous byte
+  runs of near-equal volume, and run ``p`` is I/O task ``p``'s **one**
+  ``write_at`` / ``read_at``, issued inline.  Empty pieces occupy zero
+  bytes, so the nonempty pieces are byte-contiguous in stream order and
+  every run is a single interval.  A storage fault
+  (:mod:`repro.pfs.faults`) names a stored byte, not a call, so fault
+  suites run this path, the one every checkpoint and restart takes.
 * **per-piece** — the deterministic round-robin loop, one call per
-  nonempty piece in ``j`` order with ``client = j % P``.  It runs when
-  the endpoint's PIOFS has a fault injector attached (fault plans
-  address the *nth matching write*, which only means something over
-  this write sequence) and for virtual (geometry-only) arrays, whose
-  per-piece transfers are what the simulated Class-A baselines account.
+  nonempty piece in ``j`` order with ``client = j % P``, for virtual
+  (geometry-only) arrays, whose per-piece transfers are what the
+  simulated Class-A baselines account.
 
 The simulated PIOFS phase models the P I/O tasks as concurrent clients
 whatever the host does, so neither path runs host threads.
@@ -77,15 +76,7 @@ from repro.streaming.vectorized import (
     scatter_section_flat,
 )
 
-__all__ = ["faults_armed", "stream_out_parallel", "stream_in_parallel"]
-
-
-def faults_armed(endpoint) -> bool:
-    """True when ``endpoint`` (a sink or source) is backed by a PFS
-    with a fault injector attached: its nth-write plans need the
-    per-piece write sequence."""
-    pfs = getattr(endpoint, "pfs", None)
-    return pfs is not None and getattr(pfs, "faults", None) is not None
+__all__ = ["stream_out_parallel", "stream_in_parallel"]
 
 
 def _plan(
@@ -131,11 +122,10 @@ def _coalesced_runs(
     return runs
 
 
-def _is_bulk(darray, endpoint, jobs) -> bool:
-    """The bulk path serves data-bearing arrays with something to move
-    and no fault injector on the endpoint; everything else takes the
-    per-piece loop."""
-    return bool(jobs) and darray.store_data and not faults_armed(endpoint)
+def _is_bulk(darray, jobs) -> bool:
+    """The bulk path serves data-bearing arrays with something to move;
+    virtual arrays take the per-piece loop."""
+    return bool(jobs) and darray.store_data
 
 
 def stream_out_parallel(
@@ -156,7 +146,7 @@ def stream_out_parallel(
         )
     section, P, pieces, offsets = _plan(darray, section, P, order, target_bytes)
     jobs = [(j, piece) for j, piece in enumerate(pieces) if not piece.is_empty]
-    bulk = _is_bulk(darray, sink, jobs)
+    bulk = _is_bulk(darray, jobs)
     itemsize = darray.itemsize
     obs = get_tracer()
     total = 0
@@ -228,7 +218,7 @@ def stream_in_parallel(
     untouched."""
     section, P, pieces, offsets = _plan(darray, section, P, order, target_bytes)
     jobs = [(j, piece) for j, piece in enumerate(pieces) if not piece.is_empty]
-    bulk = _is_bulk(darray, source, jobs)
+    bulk = _is_bulk(darray, jobs)
     itemsize = darray.itemsize
     obs = get_tracer()
     total = 0

@@ -11,8 +11,7 @@ per operation assembles the whole section through cached index-array
 plans, and each piece is a contiguous interval of that flat buffer —
 the per-piece loop only appends/reads and accounts.  The piece
 granularity of the *I/O calls* is preserved: appends stay sequential
-per piece, so fault plans addressing the nth write of a serially
-streamed file keep their meaning.
+per piece.
 
 Gather strictness: elements of a section assigned to no task are
 *undefined*; by default they stream as zeros (the paper's semantics —

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.arrays.distributions import Distribution
 from repro.checkpoint.format import spec_to_axis
@@ -43,7 +43,7 @@ class CaseError(ReproError):
 
 
 #: bump when the case schema changes incompatibly
-CASE_VERSION = 1
+CASE_VERSION = 2
 
 ENGINES = ("drms", "spmd", "incremental")
 POLICIES = ("validated", "naive")
@@ -78,11 +78,13 @@ class ArrayCase:
 class FaultEvent:
     """One scheduled fault, bound to checkpoint generation ``gen``
     (1-based).  ``kind == "write"`` arms a
-    :class:`~repro.pfs.faults.WriteFault` for that generation's
-    checkpoint; ``kind == "stored_flip"`` persistently flips a stored
-    bit of one of the generation's files after the checkpoint call.
-    Events that never match anything (wrong generation, no stored byte
-    at the offset) are inert — the shrinker removes them.
+    :class:`~repro.pfs.faults.WriteFault` at stored byte ``offset`` of
+    the files matching ``match`` for that generation's checkpoint;
+    ``kind == "stored_flip"`` persistently flips a stored bit of one of
+    the generation's files after the checkpoint call.  Events that
+    never match anything (wrong generation, no matching write covering
+    the offset, no stored byte at it) are inert — the shrinker removes
+    them.
 
     Multi-level (``tier="memory+pfs"``) cases add two kinds:
     ``kind == "node_loss"`` kills node ``node`` after generation
@@ -103,14 +105,13 @@ class FaultEvent:
 
     kind: str
     gen: int = 1
-    # write faults
-    nth: int = 1
+    # write faults: which files, and what the write does
     match: str = ""
     mode: str = "fail"
-    keep_bytes: Optional[int] = None
-    # stored flips
+    # stored flips: which file
     target: str = "array"  # "segment" | "array"
     array_index: int = 0
+    # the stored byte a write fault or a stored flip hits
     offset: int = 0
     bit: int = 0
     # node losses (tier="memory+pfs")

@@ -56,6 +56,16 @@ _DTYPES = ("float64", "float32", "int64", "int32", "int16", "uint8")
 _TARGET_BYTES = (64, 256, 1024, 4096)
 
 
+def _stored_offset(rng: random.Random) -> int:
+    """The stored byte a write fault hits: below a power of two drawn
+    log-uniformly from 8 B to 2 KiB, the span of the files a fault case
+    writes (array files of a few bytes to a few hundred, a manifest of
+    about 0.5 KiB, a segment whose 0.2 KiB header and sparse pad run to
+    2.8 KiB).  Plans land in every part of a file; one past the end of
+    every matching file stays inert."""
+    return rng.randrange(1 << rng.randint(3, 11))
+
+
 def random_shape(rng: random.Random, max_rank: int = 3, max_extent: int = 9) -> List[int]:
     """A small random array shape, biased toward degenerate extents."""
     rank = rng.randint(1, max_rank)
@@ -330,12 +340,11 @@ class CaseGen:
             return FaultEvent(
                 kind="write",
                 gen=gen,
-                nth=rng.randint(1, 3),
                 match=rng.choice(["", ".segment", ".array", ".manifest"]),
                 mode=rng.choices(
                     ["fail", "torn", "short"], weights=[30, 30, 40]
                 )[0],
-                keep_bytes=rng.choice([None, 0, 1, 7]),
+                offset=_stored_offset(rng),
             )
         return FaultEvent(
             kind="stored_flip",
@@ -365,16 +374,15 @@ class CaseGen:
             return FaultEvent(
                 kind="drain_crash",
                 gen=gen,
-                nth=rng.randint(1, 3),
                 match=rng.choice(["", ".segment", ".array", ".manifest"]),
+                offset=_stored_offset(rng),
             )
         return FaultEvent(
             kind="write",
             gen=gen,
-            nth=rng.randint(1, 3),
             match=rng.choice(["", ".segment", ".array"]),
             mode=rng.choice(["short", "torn"]),
-            keep_bytes=rng.choice([None, 0, 1, 7]),
+            offset=_stored_offset(rng),
         )
 
     def mlck_fault_case(self) -> Case:
@@ -537,7 +545,7 @@ def mid_drain_crash_case(seed: int = 0) -> Case:
         tier="memory+pfs",
         num_nodes=4,
         events=[
-            FaultEvent(kind="drain_crash", gen=3, nth=1),
+            FaultEvent(kind="drain_crash", gen=3, offset=0),
             FaultEvent(kind="node_loss", gen=3, node=0),
             FaultEvent(kind="node_loss", gen=3, node=1),
         ],
@@ -581,7 +589,7 @@ def localized_pfs_fallback_case(seed: int = 0) -> Case:
         tier="memory+pfs",
         num_nodes=4,
         events=[
-            FaultEvent(kind="drain_crash", gen=3, nth=1),
+            FaultEvent(kind="drain_crash", gen=3, offset=0),
             FaultEvent(kind="node_loss", gen=3, node=0),
             FaultEvent(kind="node_loss", gen=3, node=1),
         ],
@@ -658,25 +666,31 @@ def known_bad_case(seed: int = 0) -> Case:
     return _shell(
         seed,
         events=[
-            # inert: generation 1's 9th segment write never happens
+            # inert: the segment file is 2,816 bytes (193-byte header,
+            # sparse pad), so no segment write covers byte 4096
             FaultEvent(
-                kind="write", gen=1, nth=9, match=".segment", mode="fail"
+                kind="write", gen=1, match=".segment", mode="fail",
+                offset=4096,
             ),
-            # inert: flips a pad byte that is never stored
+            # inert: byte 4000 is past the segment's end, so there is
+            # no stored byte to flip
             FaultEvent(
                 kind="stored_flip", gen=1, target="segment", offset=4000,
                 bit=1,
             ),
             # the reproducer: a silent short write truncating the newest
-            # generation's array stream — only a checksum can catch it
+            # generation's array stream at byte 5 — only a checksum can
+            # catch it
             FaultEvent(
-                kind="write", gen=3, nth=1, match=".array", mode="short",
-                keep_bytes=5,
+                kind="write", gen=3, match=".array", mode="short", offset=5,
             ),
-            # inert: generation 3 has no 7th array write
-            FaultEvent(kind="write", gen=3, nth=7, match=".array", mode="torn"),
+            # inert: the array file is 192 bytes (6 x 4 float64), so no
+            # array write covers byte 192
+            FaultEvent(
+                kind="write", gen=3, match=".array", mode="torn", offset=192,
+            ),
             # inert: matches no file
-            FaultEvent(kind="write", gen=2, nth=1, match=".nosuch", mode="fail"),
+            FaultEvent(kind="write", gen=2, match=".nosuch", mode="fail"),
         ],
         policy="naive",
         expect="fail",

@@ -278,20 +278,19 @@ def _gather_strictness(arrays):
 
 
 def _streams(arr, order: str):
-    """``(path, stream bytes, digests)`` of ``arr`` streamed out in
+    """``(label, stream bytes, digests)`` of ``arr`` streamed out in
     ``order`` three ways, each under a throwaway tracer: the bulk path
-    into a memory sink; the per-piece path, reached the way a caller
-    reaches it — a PIOFS with an (empty) fault injector attached; and
-    serial streaming, whose digest is its ``StreamStats.sha1``."""
+    into a memory sink and into a :class:`PFSSink` (the sink every
+    checkpoint writes through), and serial streaming, whose digest is
+    its ``StreamStats.sha1``."""
     with use_tracer(Tracer()) as t:
         sink = MemorySink()
         stream_out_parallel(arr, sink, order=order)
     yield "bulk", sink.getvalue(), _span_digests(t)
     pfs = PIOFS()
-    pfs.attach_faults(FaultInjector())
     with use_tracer(Tracer()) as t:
         stream_out_parallel(arr, PFSSink(pfs, "cross"), order=order)
-    yield "per-piece", pfs.open("cross").read_all(), _span_digests(t)
+    yield "bulk-pfs", pfs.open("cross").read_all(), _span_digests(t)
     with use_tracer(Tracer()):
         sink = MemorySink()
         stats = stream_out_serial(arr, sink, order=order)
@@ -305,10 +304,11 @@ def _span_digests(tracer) -> List[str]:
 def _check_cross_engine(c: _Checker, arrays, order: str) -> None:
     """Every way of streaming an array out must emit byte-identical
     streams and the same stream digest: each real-data array is
-    streamed in the case's ``order`` by the bulk and per-piece parstream
-    paths and by serial streaming (:func:`_streams`); the bytes must
-    equal the distribution-independent ``stream_order_bytes`` reference
-    and every digest must be the SHA-1 of that reference."""
+    streamed in the case's ``order`` by the bulk parstream path into
+    memory and into a PFS file, and by serial streaming
+    (:func:`_streams`); the bytes must equal the distribution-independent
+    ``stream_order_bytes`` reference and every digest must be the SHA-1
+    of that reference."""
     for arr in arrays:
         if not arr.store_data:
             continue
@@ -540,13 +540,10 @@ def _arm_events(inj: FaultInjector, events: List[FaultEvent], gen: int):
         if ev.gen != gen:
             continue
         if ev.kind == "write":
-            inj.fail_write(
-                nth=ev.nth, match=ev.match, mode=ev.mode,
-                keep_bytes=ev.keep_bytes,
-            )
+            inj.fail_write(match=ev.match, offset=ev.offset, mode=ev.mode)
         elif ev.kind == "drain_crash":
             crash_plans.append(
-                inj.fail_write(nth=ev.nth, match=ev.match, mode="fail")
+                inj.fail_write(match=ev.match, offset=ev.offset, mode="fail")
             )
     return crash_plans
 
@@ -642,10 +639,6 @@ def _run_fault(case: Case) -> CaseResult:
                 committed = True
             except (IOFaultError, CheckpointError):
                 committed = False
-                try:
-                    pfs.abort_phase()
-                except PFSError:
-                    pass
             finally:
                 pfs.attach_faults(None)
             _apply_stored_flips(pfs, case, g, prefix)

@@ -2,7 +2,7 @@
 
 When a fault case fails its oracle, the schedule that produced the
 failure is usually noisy: inert events that never fired, generations
-that don't matter, write indices larger than needed.  ``shrink_case``
+that don't matter, byte offsets larger than needed.  ``shrink_case``
 reduces a failing case to a minimal reproducer the same way hypothesis
 shrinks a failing example — propose a simpler candidate, keep it iff
 the oracle still fails — except the proposal order is deterministic and
@@ -12,9 +12,8 @@ purpose-built for fault schedules:
 2. **drop trailing generations** past the last event that matters;
 3. **remap events to earlier generations** and shrink the generation
    count further;
-4. **normalize numeric fields** (``nth`` → 1, ``keep_bytes`` → 0,
-   ``offset``/``bit`` → 0) and **simplify the workload** (single array,
-   fewer tasks).
+4. **normalize numeric fields** (``offset``/``bit`` → 0) and
+   **simplify the workload** (single array, fewer tasks).
 
 Every accepted candidate still raises
 :class:`~repro.verify.oracle.VerifyFailure`, so the shrunk case is a
@@ -86,26 +85,17 @@ def _event_candidates(case: Case) -> Iterator[tuple]:
             out = copy.deepcopy(case)
             out.events[i].gen = ev.gen - 1
             yield f"event {i} gen -> {ev.gen - 1}", out
-    # 4. numeric normalization per event
+    # 4. numeric normalization per event: the stored byte a write
+    # fault or a flip hits, and the flipped bit
     for i, ev in enumerate(case.events):
-        if ev.kind == "write":
-            if ev.nth > 1:
-                out = copy.deepcopy(case)
-                out.events[i].nth = ev.nth - 1
-                yield f"event {i} nth -> {ev.nth - 1}", out
-            if ev.keep_bytes not in (0, None):
-                out = copy.deepcopy(case)
-                out.events[i].keep_bytes = 0
-                yield f"event {i} keep_bytes -> 0", out
-        else:
-            if ev.offset:
-                out = copy.deepcopy(case)
-                out.events[i].offset = 0
-                yield f"event {i} offset -> 0", out
-            if ev.bit:
-                out = copy.deepcopy(case)
-                out.events[i].bit = 0
-                yield f"event {i} bit -> 0", out
+        if ev.offset:
+            out = copy.deepcopy(case)
+            out.events[i].offset = 0
+            yield f"event {i} offset -> 0", out
+        if ev.bit:
+            out = copy.deepcopy(case)
+            out.events[i].bit = 0
+            yield f"event {i} bit -> 0", out
     # 5. workload simplification
     if len(case.arrays) > 1:
         out = copy.deepcopy(case)

@@ -63,7 +63,7 @@ class TestAtomicManifestCommit:
         pfs, arr, seg = env
         take(pfs, arr, seg, "job.000001", 1)
         inj = FaultInjector()
-        inj.fail_write(nth=1, match="job.000002.manifest", mode="fail")
+        inj.fail_write(match="job.000002.manifest", offset=0, mode="fail")
         pfs.attach_faults(inj)
         with pytest.raises(IOFaultError):
             take(pfs, arr, seg, "job.000002", 2)
@@ -76,7 +76,7 @@ class TestAtomicManifestCommit:
         pfs, arr, seg = env
         take(pfs, arr, seg, "job.000001", 1)
         inj = FaultInjector()
-        inj.fail_write(nth=1, match="job.000002.manifest", mode="torn")
+        inj.fail_write(match="job.000002.manifest", offset=263, mode="torn")
         pfs.attach_faults(inj)
         with pytest.raises(IOFaultError):
             take(pfs, arr, seg, "job.000002", 2)
@@ -88,7 +88,7 @@ class TestAtomicManifestCommit:
     def test_silent_short_manifest_write_detected(self, env):
         pfs, arr, seg = env
         inj = FaultInjector()
-        inj.fail_write(nth=1, match="job.000001.manifest", mode="short")
+        inj.fail_write(match="job.000001.manifest", offset=263, mode="short")
         pfs.attach_faults(inj)
         with pytest.raises(CheckpointIntegrityError, match="torn write"):
             take(pfs, arr, seg, "job.000001", 1)
@@ -104,7 +104,7 @@ class TestAtomicManifestCommit:
         pfs, arr, seg = env
         take(pfs, arr, seg, "job.000001", 1)
         inj = FaultInjector()
-        inj.fail_write(nth=1, match="job.000002.manifest", mode="torn")
+        inj.fail_write(match="job.000002.manifest", offset=263, mode="torn")
         pfs.attach_faults(inj)
         with pytest.raises(IOFaultError):
             take(pfs, arr, seg, "job.000002", 2)
@@ -197,14 +197,14 @@ class TestRestartVerification:
         with pytest.raises(CheckpointIntegrityError):
             drms_restart(pfs, "ck", 4)
 
-    def test_transient_read_corruption_detected(self, env):
+    def test_transient_read_corruption_detected(self, env, bulk_only):
         """A bit flipped on the wire (not in the store) is caught by the
         stream-in's digest of the very buffer it read, before the
         scatter — the restart's one read is the one that is hashed."""
         pfs, arr, seg = env
         take(pfs, arr, seg, "ck", 3)
         inj = FaultInjector()
-        inj.flip_read(nth=1, match="ck.array.u", offset=7, bit=2)
+        inj.flip_read(match="ck.array.u", offset=7, bit=2)
         pfs.attach_faults(inj)
         with pytest.raises(CheckpointIntegrityError):
             drms_restart(pfs, "ck", 4)
@@ -345,25 +345,42 @@ class TestRecoverySelection:
             restart_latest_valid(pfs, "job", 2)
 
 
+#: the stored byte each matrix cell's fault hits: a failed write's is
+#: its file's first byte; a torn or short write's is half-way into the
+#: 526-byte manifest, the 172-byte segment header, or I/O task 0's
+#: 256-byte run of the array stream
+MATRIX_OFFSET = {"manifest": 263, "segment": 86, "array": 128}
+
+
+def matrix_fault(target, mode):
+    """An injector armed with the matrix cell's write fault on
+    generation 2."""
+    inj = FaultInjector()
+    offset = 0 if mode == "fail" else MATRIX_OFFSET[target]
+    inj.fail_write(match=f"job.000002.{target}", offset=offset, mode=mode)
+    return inj
+
+
 @pytest.mark.crash_consistency
 @pytest.mark.parametrize("mode", ["fail", "torn", "short"])
 @pytest.mark.parametrize("target", ["manifest", "segment", "array"])
-def test_fault_matrix_recovery_always_lands_on_good_state(env, target, mode):
+def test_fault_matrix_recovery_always_lands_on_good_state(
+    env, target, mode, bulk_only
+):
     """The acceptance matrix: inject every write-fault mode into every
     component of checkpoint generation 2; whatever happens, recovery
-    selection must land on generation 1 and restore its exact state."""
+    selection must land on generation 1 and restore its exact state.
+    The faulted write and every restore read take the bulk path."""
     pfs, arr, seg = env
     take(pfs, arr, seg, "job.000001", 1)
 
-    inj = FaultInjector()
-    inj.fail_write(nth=1, match=f"job.000002.{target}", mode=mode)
+    inj = matrix_fault(target, mode)
     pfs.attach_faults(inj)
     try:
         take(pfs, arr, seg, "job.000002", 2)
         completed = True
     except (IOFaultError, CheckpointIntegrityError):
         completed = False
-    pfs.abort_phase()  # a mid-phase fault leaves the phase open
     pfs.attach_faults(None)
     assert inj.pending == 0, "the armed fault must have fired"
 
@@ -391,7 +408,7 @@ def test_fault_matrix_short_segment_write_caught_by_checksum(env):
     pad still extends the file), so only the checksum catches it."""
     pfs, arr, seg = env
     inj = FaultInjector()
-    inj.fail_write(nth=1, match="job.000001.segment", mode="short")
+    inj.fail_write(match="job.000001.segment", offset=86, mode="short")
     pfs.attach_faults(inj)
     take(pfs, arr, seg, "job.000001", 1)
     pfs.attach_faults(None)
@@ -399,3 +416,19 @@ def test_fault_matrix_short_segment_write_caught_by_checksum(env):
     assert pfs.file_size("job.000001.segment") == m["segment_bytes"]
     report = validate_checkpoint(pfs, "job.000001")
     assert any("checksum mismatch" in e for e in report.errors)
+
+
+@pytest.mark.crash_consistency
+@pytest.mark.parametrize("target", ["segment", "array"])
+def test_a_faulted_checkpoint_leaves_no_phase_open(env, target):
+    """A write fault kills a checkpoint inside its write phase; the next
+    checkpoint in the same thread opens its own phase (no "phases do
+    not nest") and recovery lands on it."""
+    pfs, arr, seg = env
+    inj = FaultInjector()
+    inj.fail_write(match=f"job.000001.{target}", offset=0, mode="fail")
+    pfs.attach_faults(inj)
+    with pytest.raises(IOFaultError):
+        take(pfs, arr, seg, "job.000001", 1)
+    take(pfs, arr, seg, "job.000002", 2)
+    assert select_restart_state(pfs, "job").prefix == "job.000002"

@@ -9,7 +9,7 @@ from the one that was scattered — a failed open leaves no PFS phase
 behind, and the opening walk decides exactly what the audit walk
 decides over every fault the audit is tested against."""
 
-import itertools
+import random
 
 import numpy as np
 import pytest
@@ -38,8 +38,8 @@ from repro.runtime.machine import Machine, MachineParams
 pytestmark = pytest.mark.crash_consistency
 
 N = 16
-#: stream-out piece size: each array file is several pieces, so the
-#: per-piece stream-in under an armed fault plan makes several reads
+#: stream piece size: each 2 KiB array file is 4 pieces, which a restart
+#: on 3 tasks reads as 2 bulk runs and the per-piece loop as 4 reads
 TARGET = 512
 
 
@@ -78,21 +78,41 @@ def _assert_restored(state, refs, gen):
         np.testing.assert_array_equal(state.arrays[name].to_global(), want)
 
 
+def _read_edges(pfs, fname):
+    """The first and last stored byte of every read a clean restart
+    makes of ``fname``: the file's first byte, the bytes on either side
+    of each run boundary, its last byte."""
+    edges = set()
+    read_at = pfs.read_at
+
+    def spy(name, offset, nbytes, client=0):
+        if name == fname:
+            edges.update((offset, offset + nbytes - 1))
+        return read_at(name, offset, nbytes, client=client)
+
+    pfs.read_at = spy  # shadows the method for this one restart
+    try:
+        restart_latest_valid(pfs, "job", 3, target_bytes=TARGET)
+    finally:
+        del pfs.read_at
+    return sorted(edges)
+
+
 @pytest.mark.parametrize("component", ["segment", "array.u", "array.v"])
 def test_a_flip_on_any_read_of_the_restart_never_reaches_an_array(
-    generations, component
+    generations, component, bulk_only
 ):
-    """Arm a bit flip on every read ordinal the recovery makes of one
-    file of the newest generation, one ordinal per recovery: each flip
+    """Flip, one recovery each, every stored byte at the edge of a read
+    the recovery makes of one file of the newest generation: each flip
     is rejected — the walk falls back and names the file — or never
     reaches a local array, and no restored element ever differs from
     the checkpointed one."""
     pfs, refs = generations
     fname = f"job.000003.{component}"
-    fired = 0
-    for nth in itertools.count(1):
+    edges = _read_edges(pfs, fname)
+    for offset in edges:
         inj = FaultInjector()
-        plan = inj.flip_read(nth=nth, match=fname, offset=3, bit=5)
+        plan = inj.flip_read(match=fname, offset=offset, bit=5)
         pfs.attach_faults(inj)
         try:
             state, _, decision = restart_latest_valid(
@@ -100,9 +120,7 @@ def test_a_flip_on_any_read_of_the_restart_never_reaches_an_array(
             )
         finally:
             pfs.attach_faults(None)
-        if not plan.fired:
-            break  # past the last read the recovery makes of the file
-        fired += 1
+        assert plan.fired
         if decision.rejected:
             ((prefix, errors),) = decision.rejected
             assert (prefix, decision.prefix) == ("job.000003", "job.000002")
@@ -110,8 +128,9 @@ def test_a_flip_on_any_read_of_the_restart_never_reaches_an_array(
         else:
             assert decision.prefix == "job.000003"
         _assert_restored(state, refs, int(decision.prefix[-1]))
-    # the segment is one header read; an array file one read per piece
-    assert fired >= (1 if component == "segment" else 2)
+    # the segment is one header read; an array file one read per run of
+    # its 4 pieces over 3 I/O tasks (2 runs)
+    assert len(edges) == (2 if component == "segment" else 4)
 
 
 def test_a_rejected_open_leaves_no_phase_open(generations):
@@ -179,20 +198,37 @@ def _rejections(decision):
     return out
 
 
+#: the stored byte a matrix cell's fault hits: a failed write's is its
+#: file's first byte; a torn or short write's is half-way into the
+#: 829-byte manifest, the 172-byte segment header, or the first 512-byte
+#: run of the array stream
+MATRIX_OFFSET = {"manifest": 414, "segment": 86, "array": 256}
+
+
+def _faulted(pfs, prefix, it, write=None):
+    """Take generation ``prefix`` with ``write`` = ``(match, offset,
+    mode)`` armed; a fault that kills the checkpoint is swallowed."""
+    inj = FaultInjector()
+    if write is not None:
+        match, offset, mode = write
+        inj.fail_write(match=match, offset=offset, mode=mode)
+    pfs.attach_faults(inj)
+    try:
+        _take(pfs, prefix, it)
+    except (IOFaultError, CheckpointIntegrityError):
+        pass
+    finally:
+        pfs.attach_faults(None)
+    return inj
+
+
 def _fault_matrix_case(target, mode):
     """test_integrity's acceptance matrix: a write fault of ``mode``
     in component ``target`` of generation 2."""
     pfs = PIOFS()
     _take(pfs, "job.000001", 1)
-    inj = FaultInjector()
-    inj.fail_write(nth=1, match=f"job.000002.{target}", mode=mode)
-    pfs.attach_faults(inj)
-    try:
-        _take(pfs, "job.000002", 2)
-    except (IOFaultError, CheckpointIntegrityError):
-        pass
-    pfs.abort_phase()  # a mid-phase write fault leaves the phase open
-    pfs.attach_faults(None)
+    offset = 0 if mode == "fail" else MATRIX_OFFSET[target]
+    _faulted(pfs, "job.000002", 2, (f"job.000002.{target}", offset, mode))
     return pfs, None
 
 
@@ -267,3 +303,74 @@ def test_the_opening_walk_decides_what_the_audit_walk_decides(case):
     assert (decision.prefix, decision.tier) == (audit.prefix, audit.tier)
     assert _rejections(decision) == _rejections(audit)
     assert opened.state.segment.replicated["it"] == int(audit.prefix[-1])
+
+
+# -- the bulk path and the per-piece loop decide alike ---------------------------
+
+
+def _decide(write=None, read=None):
+    """Three generations of a job, with ``write`` = ``(match, offset,
+    mode)`` armed on generation 3's checkpoint and ``read`` = ``(match,
+    offset)`` flipped during the walk: which plans fired, and the
+    opening walk's generation, tier and rejections."""
+    pfs = PIOFS()
+    _take(pfs, "job.000001", 1)
+    _take(pfs, "job.000002", 2)
+    wrote = _faulted(pfs, "job.000003", 3, write)
+    inj = FaultInjector()
+    if read is not None:
+        inj.flip_read(match=read[0], offset=read[1], bit=5)
+    pfs.attach_faults(inj)
+    _, decision = open_latest_valid(
+        pfs, "job", restart_opener(pfs, 3, target_bytes=TARGET)
+    )
+    fired = [p.fired for p in wrote.write_faults + inj.read_faults]
+    return fired, decision.prefix, decision.tier, _rejections(decision)
+
+
+def _plans(family):
+    """``(write, read)`` plans: the nine-cell matrix on generation 3,
+    reads flipped at the edges of every run a restart reads, or a
+    seeded sweep of both (some past their file's end, so inert)."""
+    if family == "matrix":
+        for target in ("manifest", "segment", "array"):
+            for mode in ("fail", "torn", "short"):
+                offset = 0 if mode == "fail" else MATRIX_OFFSET[target]
+                yield (f"job.000003.{target}", offset, mode), None
+        return
+    pfs = PIOFS()
+    for g in (1, 2, 3):
+        _take(pfs, f"job.{g:06d}", g)
+    if family == "reads":
+        for component in ("segment", "array.u", "array.v"):
+            fname = f"job.000003.{component}"
+            for offset in _read_edges(pfs, fname):
+                yield None, (fname, offset)
+        return
+    rng = random.Random(20261017)
+    for _ in range(24):
+        if rng.random() < 0.5:
+            component = rng.choice(["manifest", "segment", "array.u", "array.v"])
+            fname = f"job.000003.{component}"
+            size = pfs.file_size(fname)
+            mode = rng.choice(["fail", "torn", "short"])
+            yield (fname, rng.randrange(size + size // 8), mode), None
+        else:
+            fname = f"job.000003.{rng.choice(['segment', 'array.u', 'array.v'])}"
+            yield None, (fname, rng.randrange(pfs.file_size(fname)))
+
+
+@pytest.mark.parametrize("family", ["matrix", "reads", "sweep"])
+def test_bulk_and_per_piece_decide_alike(family, on_path):
+    """The same stored-offset plans on the bulk path and on the forced
+    per-piece loop fire alike and give the same opening-walk decision:
+    generation, tier, ``(prefix, tier)`` rejections, and the kind of
+    each first error.  (Here every write run is one piece.  Where a run
+    spans several, a silent short write before the last piece of the
+    last run truncates the file on the bulk path, a size rejection,
+    and leaves a hole on the per-piece loop, a checksum rejection.)"""
+    for write, read in _plans(family):
+        bulk = _decide(write, read)
+        with on_path("per-piece"):
+            per_piece = _decide(write, read)
+        assert bulk == per_piece, (write, read)

@@ -36,16 +36,9 @@ from repro.streaming import vectorized
 from repro.streaming.order import stream_order_bytes
 from repro.streaming.vectorized import gather_section_flat
 
-#: the parstream paths: the per-piece (serial) loop, which a PIOFS with
-#: a fault injector attached selects, and the bulk (vectorized) path
-PATHS = ["serial", "vectorized"]
-
-
-def _pfs(path):
-    pfs = PIOFS()
-    if path == "serial":
-        pfs.attach_faults(FaultInjector())  # armed, planning no fault
-    return pfs
+#: the parstream paths: the per-piece (serial) loop and the bulk
+#: (vectorized) path
+PATHS = {"serial": "per-piece", "vectorized": "bulk"}
 
 
 def _segment():
@@ -84,14 +77,15 @@ def _reference(a, order):
 
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("order", ["F", "C"])
-def test_manifest_sha1_is_the_reference_digest(order, path):
-    pfs = _pfs(path)
+def test_manifest_sha1_is_the_reference_digest(order, path, on_path):
+    pfs = PIOFS()
     arrays = _zoo()
     assert not arrays[1].defined_mask().all()
-    drms_checkpoint(
-        pfs, "ck", _segment(), arrays, order=order, io_tasks=2,  # P < ntasks
-        target_bytes=128,
-    )
+    with on_path(PATHS[path]):
+        drms_checkpoint(
+            pfs, "ck", _segment(), arrays, order=order, io_tasks=2,  # P < ntasks
+            target_bytes=128,
+        )
     recorded = {s["name"]: s["sha1"] for s in read_manifest(pfs, "ck")["arrays"]}
     assert recorded == {a.name: _reference(a, order) for a in arrays}
     assert recorded["zero"] == hashlib.sha1(b"").hexdigest()
@@ -117,7 +111,10 @@ def test_write_faults_are_caught_against_the_intended_digest(mode):
     pfs = PIOFS()
     a = _zoo()[0]
     inj = FaultInjector()
-    inj.fail_write(nth=2, match="ck.array.blk", mode=mode)
+    # the first byte of the array's second 96-byte piece, or half-way
+    # into it: on the bulk path, both inside I/O task 0's run
+    offset = 192 if mode == "fail" else 240
+    inj.fail_write(match="ck.array.blk", offset=offset, mode=mode)
     pfs.attach_faults(inj)
     if mode == "short":
         drms_checkpoint(pfs, "ck", _segment(), [a], target_bytes=128)
@@ -127,7 +124,6 @@ def test_write_faults_are_caught_against_the_intended_digest(mode):
     else:
         with pytest.raises(IOFaultError):
             drms_checkpoint(pfs, "ck", _segment(), [a], target_bytes=128)
-        pfs.abort_phase()
         assert not pfs.exists(manifest_name("ck"))
     assert inj.pending == 0
     assert not validate_checkpoint(pfs, "ck").ok

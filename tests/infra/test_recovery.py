@@ -228,8 +228,8 @@ def test_recovery_falls_back_past_corrupt_newest_checkpoint(cluster):
     app = cluster.build_app(rotating_main)
     inj = FaultInjector()
     # generation 3 is written at iteration 9; its array file silently
-    # loses the tail of its first write
-    inj.fail_write(nth=1, match="ck.000003.array.u", mode="short")
+    # loses byte 80 onwards of the write that covers it
+    inj.fail_write(match="ck.000003.array.u", offset=80, mode="short")
     app.pfs.attach_faults(inj)
 
     out = cluster.run_with_recovery(

@@ -58,7 +58,7 @@ def test_failed_drain_leaves_no_manifest_and_is_retryable(env, workload):
     drainer = DrainController(store, pfs, synchronous=True)
 
     inj = FaultInjector()
-    inj.fail_write(nth=1, mode="fail")
+    inj.fail_write(mode="fail")
     pfs.attach_faults(inj)
     try:
         drainer.schedule("ck.000001")

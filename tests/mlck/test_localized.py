@@ -267,7 +267,7 @@ def test_failure_mid_drain_holds_the_pin_interlock(workload):
     # drain): no manifest commits, the half-written state is invisible
     seg2, arrays2 = workload(ntasks=2, iteration=2, fill=100.0)
     inj = FaultInjector()
-    inj.fail_write(nth=1, mode="fail")
+    inj.fail_write(mode="fail")
     pfs.attach_faults(inj)
     try:
         ck.checkpoint(seg2, arrays2)

@@ -32,7 +32,7 @@ def _take(store, pfs, workload, g, drain=True, crash=False):
         drainer = DrainController(store, pfs, synchronous=True)
         if crash:
             inj = FaultInjector()
-            inj.fail_write(nth=1, mode="fail")
+            inj.fail_write(mode="fail")
             pfs.attach_faults(inj)
             try:
                 drainer.schedule(prefix)

@@ -24,7 +24,7 @@ def armed(fs):
 class TestWriteFaults:
     def test_fail_mode_writes_nothing(self, pfs):
         inj = armed(pfs)
-        inj.fail_write(nth=1, match="a", mode="fail")
+        inj.fail_write(match="a", offset=0, mode="fail")
         with pytest.raises(IOFaultError):
             pfs.write_at("a", 0, b"payload")
         assert pfs.file_size("a") == 0
@@ -32,7 +32,7 @@ class TestWriteFaults:
 
     def test_torn_write_keeps_prefix_and_raises(self, pfs):
         inj = armed(pfs)
-        inj.fail_write(nth=1, match="a", mode="torn", keep_bytes=3)
+        inj.fail_write(match="a", offset=3, mode="torn")
         with pytest.raises(IOFaultError):
             pfs.write_at("a", 0, b"abcdef")
         assert pfs.file_size("a") == 3
@@ -40,28 +40,31 @@ class TestWriteFaults:
 
     def test_short_write_is_silent(self, pfs):
         inj = armed(pfs)
-        inj.fail_write(nth=1, match="a", mode="short", keep_bytes=2)
+        inj.fail_write(match="a", offset=2, mode="short")
         n = pfs.write_at("a", 0, b"abcdef")
         assert n == 2
         assert pfs.file_size("a") == 2
 
-    def test_default_keep_is_half(self, pfs):
+    def test_write_keeps_its_bytes_below_the_offset(self, pfs):
         inj = armed(pfs)
-        inj.fail_write(nth=1, mode="short")
-        assert pfs.write_at("a", 0, b"abcdefgh") == 4
+        plan = inj.fail_write(offset=6, mode="short")
+        pfs.write_at("a", 0, b"abcd")  # bytes 0..3: the plan waits
+        assert pfs.write_at("a", 4, b"efgh") == 2  # covers byte 6
+        assert pfs.read_at("a", 0, 6) == b"abcdef"
+        assert (plan.intended, plan.kept) == (4, 2)
 
-    def test_nth_counts_only_matching_files(self, pfs):
+    def test_fires_only_on_a_matching_file(self, pfs):
         inj = armed(pfs)
-        inj.fail_write(nth=2, match="b", mode="fail")
-        pfs.write_at("a", 0, b"x")  # does not match
-        pfs.write_at("b", 0, b"x")  # 1st matching write: survives
+        inj.fail_write(match="b", offset=1, mode="fail")
+        pfs.write_at("a", 0, b"xy")  # covers byte 1, does not match
+        pfs.write_at("b", 0, b"x")  # matches, does not cover byte 1
         with pytest.raises(IOFaultError):
-            pfs.write_at("b", 1, b"x")  # 2nd: fires
+            pfs.write_at("b", 1, b"x")  # fires
         assert inj.pending == 0
 
     def test_fires_at_most_once(self, pfs):
         inj = armed(pfs)
-        inj.fail_write(nth=1, match="a", mode="fail")
+        inj.fail_write(match="a", offset=0, mode="fail")
         with pytest.raises(IOFaultError):
             pfs.write_at("a", 0, b"x")
         pfs.write_at("a", 0, b"x")  # disarmed
@@ -69,7 +72,7 @@ class TestWriteFaults:
 
     def test_append_also_hooked(self, pfs):
         inj = armed(pfs)
-        inj.fail_write(nth=1, match="a", mode="short", keep_bytes=1)
+        inj.fail_write(match="a", offset=1, mode="short")
         assert pfs.append("a", b"xyz") == 1
         assert pfs.file_size("a") == 1
 
@@ -77,36 +80,37 @@ class TestWriteFaults:
         with pytest.raises(PFSError):
             WriteFault(mode="corrupt")
         with pytest.raises(PFSError):
-            WriteFault(nth=0)
+            WriteFault(offset=-1)
 
     def test_content_free_write_can_be_shortened(self, pfs):
         inj = armed(pfs)
-        inj.fail_write(nth=1, match="a", mode="short", keep_bytes=10)
+        inj.fail_write(match="a", offset=10, mode="short")
         assert pfs.write_at("a", 0, None, nbytes=100) == 10
         assert pfs.file_size("a") == 10
 
 
 class TestReadFaults:
-    def test_bit_flip_on_nth_read(self, pfs):
+    def test_bit_flip_on_the_read_returning_the_byte(self, pfs):
         pfs.write_at("a", 0, b"\x00\x00\x00")
         inj = armed(pfs)
-        inj.flip_read(nth=2, match="a", offset=1, bit=3)
-        assert pfs.read_at("a", 0, 3) == b"\x00\x00\x00"  # 1st read clean
-        assert pfs.read_at("a", 0, 3) == b"\x00\x08\x00"  # 2nd corrupted
+        inj.flip_read(match="a", offset=1, bit=3)
+        assert pfs.read_at("a", 2, 1) == b"\x00"  # misses byte 1: clean
+        assert pfs.read_at("a", 0, 3) == b"\x00\x08\x00"  # corrupted
         assert pfs.read_at("a", 0, 3) == b"\x00\x00\x00"  # disarmed
         assert pfs.read_at("a", 1, 1) == b"\x00"  # store untouched
 
-    def test_offset_clamped_to_buffer(self, pfs):
-        pfs.write_at("a", 0, b"\x00\x00")
+    def test_flip_lands_on_the_stored_offset_in_the_buffer(self, pfs):
+        pfs.write_at("a", 0, b"\x00\x00\x00\x00")
         inj = armed(pfs)
-        inj.flip_read(nth=1, match="a", offset=10_000, bit=0)
-        assert pfs.read_at("a", 0, 2) == b"\x00\x01"
+        inj.flip_read(match="a", offset=3, bit=0)
+        assert pfs.read_at("a", 2, 2) == b"\x00\x01"
+        assert inj.log == [("read", "a", "bit 0 of byte 3 flipped")]
 
     def test_validation(self):
         with pytest.raises(PFSError):
             ReadFault(bit=8)
         with pytest.raises(PFSError):
-            ReadFault(nth=0)
+            ReadFault(offset=-1)
 
 
 class TestPersistentCorruption:
@@ -150,7 +154,7 @@ class TestRename:
 
 def test_detach_restores_health(pfs):
     inj = armed(pfs)
-    inj.fail_write(nth=1, mode="fail")
+    inj.fail_write(mode="fail")
     pfs.attach_faults(None)
     pfs.write_at("a", 0, b"fine")
     assert pfs.file_size("a") == 4

@@ -98,15 +98,19 @@ class TestEverySinkSizesInBytes:
         with pytest.raises(StreamingError, match="payload is 256 bytes"):
             sink.write_at(0, _payload(kind), nbytes=32)
 
-    @pytest.mark.parametrize("mode,keep,kept", [
+    @pytest.mark.parametrize("mode,at,kept", [
         ("torn", 12, 12), ("short", None, 128), ("fail", None, 0),
     ])
-    def test_write_faults_tear_in_bytes(self, kind, mode, keep, kept):
+    def test_write_faults_tear_in_bytes(self, kind, mode, at, kept):
+        """A fault at stored byte ``at`` (None: the payload's middle
+        byte) keeps the bytes below it, counted in bytes whatever the
+        payload's item size."""
         pfs = PIOFS()
         pfs.create("a")
         inj = FaultInjector()
         pfs.attach_faults(inj)
-        plan = inj.fail_write(nth=1, match="a", mode=mode, keep_bytes=keep)
+        offset = len(RAW) // 2 if at is None else at
+        plan = inj.fail_write(match="a", offset=offset, mode=mode)
         if mode == "short":
             assert pfs.write_at("a", 0, _payload(kind)) == kept
         else:

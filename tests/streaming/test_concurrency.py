@@ -1,8 +1,8 @@
 """Randomized byte-identity of the two parstream paths.
 
 Whichever path runs — the bulk path (at most P coalesced calls) or the
-per-piece loop (one call per piece, selected here by an empty fault
-injector on the PIOFS) — parallel stream-out produces exactly the bytes
+per-piece loop (one call per piece, forced here on data arrays with the
+``on_path`` fixture) — parallel stream-out produces exactly the bytes
 of serial stream-out, and parallel stream-in reconstructs exactly the
 global content, because every piece's bytes and offset are fixed by
 the plan before any call is issued.
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.arrays.darray import DistributedArray
-from repro.pfs.faults import FaultInjector
 from repro.pfs.piofs import PIOFS
 from repro.streaming.order import stream_order_bytes
 from repro.streaming.parallel import stream_in_parallel, stream_out_parallel
@@ -38,7 +37,7 @@ def _random_array(seed: int, ntasks: int) -> DistributedArray:
     return a
 
 
-def _roundtrip(seed: int, ntasks: int, P: int, target: int) -> None:
+def _roundtrip(on_path, seed: int, ntasks: int, P: int, target: int) -> None:
     a = _random_array(seed, ntasks)
     ref = MemorySink()
     stream_out_serial(a, ref, target_bytes=target)
@@ -49,10 +48,10 @@ def _roundtrip(seed: int, ntasks: int, P: int, target: int) -> None:
     assert bulk.getvalue() == want
     assert st.bytes_streamed == len(want)
 
-    armed = PIOFS()
-    armed.attach_faults(FaultInjector())
-    stream_out_parallel(a, PFSSink(armed, "f"), P=P, target_bytes=target)
-    assert armed.open("f").read_all() == want
+    per_piece = PIOFS()
+    with on_path("per-piece"):
+        stream_out_parallel(a, PFSSink(per_piece, "f"), P=P, target_bytes=target)
+    assert per_piece.open("f").read_all() == want
 
     # read back into a different random distribution (which may be a
     # legitimately partial INDEXED one) on both paths and serially: the
@@ -61,9 +60,12 @@ def _roundtrip(seed: int, ntasks: int, P: int, target: int) -> None:
     b_dist = random_distribution(random.Random(seed + 9001), list(a.shape), ntasks)
     b_ser = DistributedArray("Bs", a.shape, np.float64, b_dist)
     stream_in_serial(b_ser, MemorySource(want), target_bytes=target)
-    for source in (MemorySource(want), PFSSource(armed, "f")):
+    for path, source in (
+        ("bulk", MemorySource(want)), ("per-piece", PFSSource(per_piece, "f"))
+    ):
         b_par = DistributedArray("Bp", a.shape, np.float64, b_dist)
-        stream_in_parallel(b_par, source, P=P, target_bytes=target)
+        with on_path(path):
+            stream_in_parallel(b_par, source, P=P, target_bytes=target)
         np.testing.assert_array_equal(
             b_par.to_global(fill=0), b_ser.to_global(fill=0)
         )
@@ -76,18 +78,18 @@ def _roundtrip(seed: int, ntasks: int, P: int, target: int) -> None:
 class TestConcurrentParstream:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     @pytest.mark.parametrize("P", [2, 3])
-    def test_quick_matrix(self, seed, P):
-        _roundtrip(seed, ntasks=4, P=P, target=128)
+    def test_quick_matrix(self, seed, P, on_path):
+        _roundtrip(on_path, seed, ntasks=4, P=P, target=128)
 
-    def test_many_small_pieces(self):
-        _roundtrip(seed=11, ntasks=6, P=5, target=32)
+    def test_many_small_pieces(self, on_path):
+        _roundtrip(on_path, seed=11, ntasks=6, P=5, target=32)
 
     @pytest.mark.parametrize("seed", [21, 22, 23, 24, 25, 26])
     @pytest.mark.parametrize("P", [2, 4, 6])
     @pytest.mark.parametrize("target", [64, 256])
     @pytest.mark.verify
-    def test_wide_sweep(self, seed, P, target):
-        _roundtrip(seed, ntasks=6, P=P, target=target)
+    def test_wide_sweep(self, seed, P, target, on_path):
+        _roundtrip(on_path, seed, ntasks=6, P=P, target=target)
 
 
 class TestRandomizedPieceOrdering:

@@ -1,11 +1,11 @@
 """Which parstream path runs is chosen by what the call observes.
 
-* the **bulk** path — a data-bearing array, no fault injector on the
-  endpoint's PIOFS — issues at most P calls per array, one per
+* the **bulk** path — a data-bearing array, whether or not a fault
+  injector is attached — issues at most P calls per array, one per
   coalesced stream-contiguous run, with clients ``0..len(runs)-1``;
-* the **per-piece** path — a fault injector attached (even an empty
-  one), or a virtual array — issues one call per nonempty piece, in
-  ``j`` order, with ``client = j % P``.
+* the **per-piece** path — a virtual array, or a data array forced
+  through the ``_is_bulk`` seam — issues one call per nonempty piece,
+  in ``j`` order, with ``client = j % P``.
 """
 
 import numpy as np
@@ -87,21 +87,28 @@ def _round_trip(a, pfs):
 
 def test_bulk_path_issues_at_most_p_coalesced_calls():
     a = _array()
-    for calls in _round_trip(a, _pfs(armed=False)):
-        assert 1 <= len(calls) <= P
-        assert [c for _, _, c in calls] == list(range(len(calls)))
-        # the runs tile the stream in order
-        ends = [0] + [off + n for off, n, _ in calls]
-        assert [off for off, _, _ in calls] == ends[:-1]
-        assert ends[-1] == a.size * a.itemsize
+    for armed in (False, True):  # an attached fault injector changes nothing
+        for calls in _round_trip(a, _pfs(armed)):
+            assert 1 <= len(calls) <= P
+            assert [c for _, _, c in calls] == list(range(len(calls)))
+            # the runs tile the stream in order
+            ends = [0] + [off + n for off, n, _ in calls]
+            assert [off for off, _, _ in calls] == ends[:-1]
+            assert ends[-1] == a.size * a.itemsize
     assert len(_per_piece_calls(a)) > P  # coalescing did something
 
 
 @pytest.mark.parametrize(
     "virtual, armed", [(False, True), (True, False)], ids=["armed", "virtual"]
 )
-def test_per_piece_path_issues_one_call_per_piece_in_order(virtual, armed):
+def test_per_piece_path_issues_one_call_per_piece_in_order(
+    virtual, armed, on_path
+):
+    """A virtual array takes the per-piece loop; a data array, here on
+    a PIOFS with an (empty) fault injector armed, is forced onto it."""
     a = _array(virtual=virtual)
     want = _per_piece_calls(a)
-    for calls in _round_trip(a, _pfs(armed)):
-        assert calls == want
+    with on_path("per-piece"):
+        calls = _round_trip(a, _pfs(armed))
+    for got in calls:
+        assert got == want

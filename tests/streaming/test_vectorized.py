@@ -116,21 +116,13 @@ SECTIONS = {
 }
 
 
-# -- the two parstream paths, each reached the way a caller reaches it ------
+# -- the two parstream paths (per-piece forced with the ``on_path`` fixture) --
 
 
-def _armed_pfs():
-    """A PIOFS with an empty fault injector attached: armed, so the
-    parstream takes its per-piece path, but planning no fault."""
-    pfs = PIOFS()
-    pfs.attach_faults(FaultInjector())
-    return pfs
-
-
-#: stream-out sink per path: bulk into memory, per-piece into armed PIOFS
+#: stream-out sink per path: bulk into memory, per-piece into a PIOFS
 SINKS = {
     "bulk": MemorySink,
-    "per-piece": lambda: PFSSink(_armed_pfs(), "f"),
+    "per-piece": lambda: PFSSink(PIOFS(), "f"),
 }
 
 
@@ -141,10 +133,11 @@ def _written(sink) -> bytes:
 
 
 def _source(path, data):
-    """A stream-in source over ``data`` that selects ``path``."""
+    """A stream-in source over ``data`` for ``path``: memory for bulk,
+    a PIOFS file for per-piece."""
     if path == "bulk":
         return MemorySource(data)
-    pfs = _armed_pfs()
+    pfs = PIOFS()
     PFSSink(pfs, "f").write_at(0, data)
     return PFSSource(pfs, "f")
 
@@ -290,14 +283,16 @@ class TestStreamingFixes:
             assert future.result() == "durable"
             assert seen and set(seen) == {(True, strict)}
 
-    def test_serial_fallback_sets_content_sha1(self):
+    def test_serial_fallback_sets_content_sha1(self, on_path):
         g = np.arange(24.0).reshape(6, 4)
         a = DistributedArray("A", (6, 4), np.float64, block_distribution((6, 4), 4))
         a.set_global(g)
         digests = {}
         for path, make_sink in SINKS.items():
-            with use_tracer(Tracer()) as t:
+            with on_path(path), use_tracer(Tracer()) as t:
                 stream_out_parallel(a, make_sink(), P=4, target_bytes=32)
+            (op,) = [s for s in t.spans if s.name == "stream.out.parallel"]
+            assert op.attrs["path"] == path
             shas = [
                 s.attrs["content_sha1"]
                 for s in t.spans
@@ -319,7 +314,7 @@ class TestStreamDigest:
     only)."""
 
     @pytest.mark.parametrize("order", ["F", "C"])
-    def test_every_engine_returns_the_reference_digest(self, order):
+    def test_every_engine_returns_the_reference_digest(self, order, on_path):
         zero = DistributedArray(
             "zero", (0, 5), np.float64, block_distribution((0, 5), 2)
         )
@@ -330,9 +325,10 @@ class TestStreamDigest:
             for P in sorted({1, arr.ntasks}):  # P < ntasks and P == ntasks
                 for path, make_sink in SINKS.items():
                     sink = make_sink()
-                    stats = stream_out_parallel(
-                        arr, sink, P=P, order=order, target_bytes=64
-                    )
+                    with on_path(path):
+                        stats = stream_out_parallel(
+                            arr, sink, P=P, order=order, target_bytes=64
+                        )
                     assert stats.sha1 == want, (arr.name, P, path)
                     assert hashlib.sha1(_written(sink)).hexdigest() == want
             stats = stream_out_serial(
@@ -371,12 +367,12 @@ class TestStreamDigest:
         pfs = PIOFS()
         inj = FaultInjector()
         pfs.attach_faults(inj)
-        inj.fail_write(nth=2, match="short", mode="short")
+        inj.fail_write(match="short", offset=504, mode="short")
         stats = stream_out_parallel(a, PFSSink(pfs, "short"), target_bytes=256)
         assert stats.sha1 == want
         stored = pfs.read_at("short", 0, pfs.file_size("short"))
         assert hashlib.sha1(stored).hexdigest() != want
-        inj.fail_write(nth=2, match="torn", mode="torn")
+        inj.fail_write(match="torn", offset=504, mode="torn")
         with pytest.raises(IOFaultError):
             stream_out_parallel(a, PFSSink(pfs, "torn"), target_bytes=256)
 
@@ -385,7 +381,7 @@ class TestStreamDigest:
 class TestEngineSweep:
     @pytest.mark.parametrize("target", [1 << 6, 1 << 8, 1 << 12])
     @pytest.mark.parametrize("order", ["F", "C"])
-    def test_engines_byte_identical(self, target, order):
+    def test_engines_byte_identical(self, target, order, on_path):
         g = np.arange(32 * 17, dtype=np.float64).reshape(32, 17)
         a = DistributedArray(
             "S", (32, 17), np.float64, block_distribution((32, 17), 4)
@@ -394,13 +390,14 @@ class TestEngineSweep:
         want = g.flatten(order=order).tobytes()
         for path, make_sink in SINKS.items():
             sink = make_sink()
-            st = stream_out_parallel(
-                a, sink, P=4, order=order, target_bytes=target
-            )
+            with on_path(path):
+                st = stream_out_parallel(
+                    a, sink, P=4, order=order, target_bytes=target
+                )
             assert _written(sink) == want, path
             assert st.io_tasks == 4
 
-    def test_round_trip_across_engines_and_distributions(self):
+    def test_round_trip_across_engines_and_distributions(self, on_path):
         g = np.arange(20 * 9, dtype=np.float64).reshape(20, 9)
         a = DistributedArray("R", (20, 9), np.float64, block_distribution((20, 9), 3))
         a.set_global(g)
@@ -409,8 +406,9 @@ class TestEngineSweep:
         for path in SINKS:
             d2 = Distribution((20, 9), [Cyclic(), Cyclic()], 5)
             b = DistributedArray("R2", (20, 9), np.float64, d2)
-            stream_in_parallel(
-                b, _source(path, sink.getvalue()), P=4, target_bytes=64
-            )
+            with on_path(path):
+                stream_in_parallel(
+                    b, _source(path, sink.getvalue()), P=4, target_bytes=64
+                )
             assert np.array_equal(b.to_global(), g), path
             assert b.is_consistent()

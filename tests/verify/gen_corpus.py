@@ -83,10 +83,11 @@ def fault_cases():
 
     yield "naive_short_segment.json", shrink_case(_fault_base(
         events=[
-            FaultEvent(kind="write", gen=2, nth=1, match=".segment",
-                       mode="short", keep_bytes=9),
-            FaultEvent(kind="write", gen=1, nth=5, match=".segment",
-                       mode="torn"),  # inert: aborts nothing that exists
+            FaultEvent(kind="write", gen=2, match=".segment",
+                       mode="short", offset=9),
+            # inert: the 2,816-byte segment has no byte 4096
+            FaultEvent(kind="write", gen=1, match=".segment",
+                       mode="torn", offset=4096),
         ],
         note="naive recovery trusts a generation whose segment header "
              "took a silent short write",
@@ -113,8 +114,8 @@ def fault_cases():
 
     yield "naive_lost_array.json", shrink_case(_fault_base(
         events=[
-            FaultEvent(kind="write", gen=2, nth=1, match=".array",
-                       mode="short", keep_bytes=0),
+            FaultEvent(kind="write", gen=2, match=".array",
+                       mode="short", offset=0),
         ],
         note="the newest generation's array stream is a hole: the short "
              "write kept zero bytes but the manifest still committed",
@@ -137,8 +138,8 @@ def fault_cases():
     # oracle asserts recovery lands on the older, intact generation.
     yield "validated_survives_short.json", _fault_base(
         events=[
-            FaultEvent(kind="write", gen=2, nth=1, match=".array",
-                       mode="short", keep_bytes=5),
+            FaultEvent(kind="write", gen=2, match=".array",
+                       mode="short", offset=5),
         ],
         policy="validated",
         expect="pass",

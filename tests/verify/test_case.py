@@ -31,7 +31,7 @@ WORKFLOW = dict(workflow=True)
 RULES = [
     ("not-json", "{", "case file is not JSON"),
     ("not-object", "[]", "case file must hold a JSON object"),
-    ("version", dict(version=2), "case schema version 2"),
+    ("version", dict(version=1), "case schema version 1"),
     ("malformed", dict(bogus=1), "malformed case"),
     ("event-kind", dict(events=[dict(kind="meteor")]),
      "unknown fault-event kind"),

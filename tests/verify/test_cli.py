@@ -22,7 +22,7 @@ def test_run_prints_the_suite_summary(capsys, tmp_path):
                        "--out", str(tmp_path))
     assert status == 0
     assert out == [
-        "verify: seed=20260806 cases=12 passed=12 failed=0 invariants=210 "
+        "verify: seed=20260806 cases=12 passed=12 failed=0 invariants=212 "
         "[drms=4, fault=4, incremental=4]"
     ]
 
@@ -35,7 +35,7 @@ def test_mlck_prints_both_schedules_and_the_suite(capsys, tmp_path):
         "[1], 0 PFS reads during the walk)",
         "ok   mid-drain-crash: chose app.ck.000002 from tier l2 (failed "
         "nodes [0, 1], 5 PFS reads during the walk)",
-        "verify: seed=20260806 cases=4 passed=4 failed=0 invariants=47 "
+        "verify: seed=20260806 cases=4 passed=4 failed=0 invariants=48 "
         "[mlck=4]",
     ]
 
@@ -75,5 +75,5 @@ def test_interleaved_case_stream_is_pinned():
                      gen.workflow_case, gen.reconfig_case)
     )
     assert hashlib.sha1(blob.encode()).hexdigest() == (
-        "41188a370d974a712d75050cffbd19cda65e2084"
+        "32e55470f7aed4a0920903602ba9d8d9dba50492"
     )

@@ -71,8 +71,8 @@ def test_write_fault_on_manifest_aborts_the_generation():
     recovery (either policy) falls back to the previous one."""
     case = known_bad_case(seed=0)
     case.events = [
-        FaultEvent(kind="write", gen=3, nth=1, match=".manifest",
-                   mode="torn", keep_bytes=7),
+        FaultEvent(kind="write", gen=3, match=".manifest", mode="torn",
+                   offset=7),
     ]
     case.policy = "validated"
     case.expect = "pass"
