@@ -89,11 +89,14 @@ bench-localized:
 bench-workflow:
 	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_workflow.py --check
 
-# the fleet-policy gate: regenerates BENCH_fleet.json and fails if the
+# the scheduler gate, both benches of the one fleet simulation: the
+# section 8 tables (failure-free) and BENCH_fleet.json, failing if the
 # adaptive cadence does not beat the fixed one on lost work under the
 # sustained storm, or the reconfigurable scheduler loses its
 # utilization edge over the rigid one
 bench-fleet:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_scheduler_flexibility.py \
+		--benchmark-only -s
 	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_fleet_policies.py --check
 
 # the wall-clock recovery-cycle benchmark (benchmarks/e2e, declared in

@@ -70,7 +70,6 @@ def run_bench():
         sim = FleetSimulation(
             NUM_NODES,
             jobs,
-            num_domains=NUM_DOMAINS,
             failure_schedule=schedule,
             checkpoint_cost_s=CHECKPOINT_COST_S,
             fixed_interval_s=FIXED_INTERVAL_S,

@@ -8,13 +8,14 @@ quantify these results."
 This bench quantifies them: the same FCFS job stream is scheduled on a
 16-node machine under the rigid (conventional checkpointing; jobs run
 at exactly their requested size) and the reconfigurable (DRMS;
-equipartition with checkpoint+reconfigured-restart resizes) policies.
+equipartition with checkpoint+reconfigured-restart resizes) policies,
+as a failure-free, zero-checkpoint-cost run of the fleet simulation.
 The reconfiguration cost is BT's measured DRMS checkpoint+restart time.
 """
 
 import numpy as np
 
-from repro.infra.study import JobSpec, SchedulingStudy
+from repro.infra.fleet import FleetSimulation, JobSpec
 from repro.reporting.tables import Table
 
 #: BT Class A at 8 PEs: ~16 s checkpoint + ~45 s restart
@@ -44,15 +45,28 @@ def make_workload(seed: int = 11, njobs: int = 12):
     return jobs
 
 
+def run_policy(policy: str, reconfig_cost_s: float):
+    """One failure-free run of the workload: the §8 configuration."""
+    sim = FleetSimulation(
+        16, make_workload(), checkpoint_cost_s=0.0, reconfig_cost_s=reconfig_cost_s
+    )
+    return sim.run(policy, "fixed")
+
+
 def build_comparison():
-    study = SchedulingStudy(16, make_workload(), reconfig_cost_s=RECONFIG_COST_S)
-    results = study.compare()
+    results = {p: run_policy(p, RECONFIG_COST_S) for p in FleetSimulation.SCHEDULINGS}
     t = Table(
         ["policy", "makespan (s)", "mean response (s)", "utilization", "reconfigs"],
         title="Section 8 quantified: rigid vs reconfigurable scheduling, 16 nodes",
     )
-    for policy in ("rigid", "reconfigurable"):
-        t.add_row(*results[policy].row())
+    for policy, r in results.items():
+        t.add_row(
+            policy,
+            f"{r.makespan:.0f}",
+            f"{r.mean_response:.0f}",
+            f"{100 * r.utilization:.1f}%",
+            r.reconfigurations,
+        )
     return t.render(), results
 
 
@@ -63,10 +77,7 @@ def build_cost_sensitivity():
     )
     rows = {}
     for cost in (1.0, 61.0, 300.0, 1200.0):
-        r = SchedulingStudy(16, make_workload(), reconfig_cost_s=cost).run(
-            "reconfigurable"
-        )
-        rows[cost] = r
+        r = rows[cost] = run_policy("reconfigurable", cost)
         t.add_row(f"{cost:.0f}", f"{r.mean_response:.0f}", r.reconfigurations)
     return t.render(), rows
 
@@ -91,5 +102,5 @@ def test_cost_sensitivity(benchmark, report):
     # pricier reconfigurations cannot make responses better
     assert responses[0] <= responses[-1] * 1.01
     # even at BT's real cost the policy still beats rigid
-    rigid = SchedulingStudy(16, make_workload(), reconfig_cost_s=61.0).run("rigid")
+    rigid = run_policy("rigid", 61.0)
     assert rows[61.0].mean_response < rigid.mean_response

@@ -111,12 +111,14 @@ class IncrementalCheckpointer:
 
     # -- planning ----------------------------------------------------------
 
-    def _plan_for(self, arr: DistributedArray) -> _ArrayPlan:
+    def _plan_for(self, arr: DistributedArray, ntasks: int) -> _ArrayPlan:
+        """The piece plan of a chain whose base was taken on ``ntasks``
+        tasks (a restore on another count must reuse it)."""
         pieces = partition_for_target(
             Slice.full(arr.shape),
             arr.itemsize,
             target_bytes=self.target_bytes,
-            min_pieces=self.io_tasks or arr.ntasks,
+            min_pieces=self.io_tasks or ntasks,
             order=self.order,
         )
         return _ArrayPlan(
@@ -150,7 +152,7 @@ class IncrementalCheckpointer:
         )
         self._plans = {}
         for arr in arrays:
-            plan = self._plan_for(arr)
+            plan = self._plan_for(arr, arr.ntasks)
             if arr.store_data:
                 u8 = stream_u8(arr, order=self.order)
                 for i, piece in enumerate(plan.pieces):
@@ -350,7 +352,7 @@ class IncrementalCheckpointer:
                             self.pfs, spec["file"], spec.get("sha1"), spec.get("nbytes")
                         )
                         arr = state.arrays[spec["name"]]
-                        plan = self._plan_for(arr)
+                        plan = self._plan_for(arr, state.checkpoint_ntasks)
                         P = self.io_tasks or ntasks
                         applied = 0
                         with self.pfs.phase(IOKind.READ_PARALLEL) as res:

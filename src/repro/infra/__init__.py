@@ -17,10 +17,10 @@ from repro.infra.jsa import Job, JobSchedulerAnalyzer, JobState
 from repro.infra.uic import UserInterfaceCoordinator
 from repro.infra.failure import FailurePlan, NodeFailure
 from repro.infra.cluster import DRMSCluster, RecoveryOutcome
-from repro.infra.study import JobSpec, SchedulingStudy, StudyResult
 from repro.infra.fleet import (
     FleetResult,
     FleetSimulation,
+    JobSpec,
     storm_schedule,
     synthetic_stream,
 )
@@ -40,8 +40,6 @@ __all__ = [
     "DRMSCluster",
     "RecoveryOutcome",
     "JobSpec",
-    "SchedulingStudy",
-    "StudyResult",
     "FleetResult",
     "FleetSimulation",
     "storm_schedule",

@@ -1,13 +1,30 @@
-"""Fleet-scale scheduling-and-cadence study.
+"""Scheduling simulation: rigid vs reconfigurable restart, with or
+without failures (the paper's Section 8 future work, at any scale).
 
-:mod:`repro.infra.study` quantifies the Section 8 claim for one job
-stream on one failure-free machine.  This module scales the same
-question to a *fleet*: thousands of concurrent jobs on a large machine
-whose nodes fail — including correlated **failure storms** that sweep
-whole failure domains — and asks how the scheduling policy (rigid vs
-reconfigurable restart) *and* the checkpoint cadence policy (fixed
-interval vs Young/Daly adaptive, via
-:func:`repro.policy.rules.young_daly_interval`) interact at scale.
+The conclusions argue that reconfigurable checkpoint/restart benefits
+resource scheduling — long-running jobs can be shrunk, grown, or parked
+as load changes — and promise to "quantify these results in a future
+publication".  :class:`FleetSimulation` is that quantification: one
+deterministic event loop over one FCFS job stream, under two
+scheduling policies:
+
+* **rigid** — conventional checkpointing: a job runs on exactly its
+  requested ``max_tasks``; it waits until that many nodes are free and
+  never changes size (an SPMD checkpoint restarts at the same size);
+* **reconfigurable** — DRMS checkpointing: a job runs on any count in
+  its SOQ resource range (``min_tasks``..``max_tasks``); the scheduler
+  splits the machine by :func:`equipartition_targets` and resizes jobs
+  (checkpoint + reconfigured restart, paying ``reconfig_cost_s``).
+
+Jobs are perfectly parallel within their range (work in node-seconds).
+The paper's §8 study is the failure-free, zero-checkpoint-cost
+configuration (``checkpoint_cost_s=0``, no ``failure_schedule``).  The
+same loop scales the question to a *fleet* whose nodes fail, including
+correlated **failure storms** over whole failure domains, and adds the
+checkpoint cadence: the configured **fixed** interval, or an
+**adaptive** Young/Daly interval
+(:func:`repro.policy.rules.young_daly_interval`) re-derived from the
+*observed* failure rate at every (re)start anchor.
 
 The model is analytic per job, event-driven across the fleet.  A
 running job alternates work phases of length ``tau`` (its checkpoint
@@ -16,13 +33,9 @@ progress and durable state advance in closed form between events, so a
 simulation of thousands of jobs costs one event per arrival,
 completion, failure, repair — not one per second.  A node failure
 kills the whole job running on it (the paper's premise), rolls it back
-to its last completed checkpoint, and requeues it: the **rigid** policy
-must re-acquire exactly ``max_tasks`` nodes (waiting out repairs if the
-machine shrank), the **reconfigurable** policy restarts at whatever
-share the equipartition targets grant on the surviving nodes.  The
-**adaptive** cadence re-derives ``tau`` from the fleet's *observed*
-failure rate at every (re)start anchor; the **fixed** cadence keeps the
-configured interval regardless of weather.
+to its last completed checkpoint, and requeues it: the rigid policy
+waits for ``max_tasks`` nodes (repairs included), the reconfigurable
+policy restarts at its equipartition share of the surviving nodes.
 
 Failure storms are deterministic :class:`~repro.infra.failure.FailurePlan`
 schedules — ``multi=[(second, node), ...]`` with the plan's ordered
@@ -40,22 +53,46 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulerError
 from repro.infra.failure import FailurePlan
-from repro.infra.study import JobSpec, equipartition_targets
 from repro.policy import young_daly_interval
 
 __all__ = [
     "FleetResult",
     "FleetSimulation",
+    "JobSpec",
     "cadence_horizon",
     "cadence_progress",
+    "equipartition_targets",
     "storm_schedule",
     "synthetic_stream",
 ]
+
+
+@dataclass(frozen=True)
+class JobSpec:
+    """One job in the stream."""
+
+    name: str
+    #: total work in node-seconds
+    work: float
+    #: rigid request / reconfigurable maximum
+    max_tasks: int
+    #: reconfigurable minimum (SOQ resource section lower bound)
+    min_tasks: int = 1
+    arrival: float = 0.0
+
+    def __post_init__(self):
+        if self.work <= 0 or self.max_tasks < 1 or self.min_tasks < 1:
+            raise SchedulerError(f"invalid job spec {self.name!r}")
+        if self.min_tasks > self.max_tasks:
+            raise SchedulerError(
+                f"{self.name!r}: min_tasks {self.min_tasks} > max_tasks {self.max_tasks}"
+            )
 
 
 # -- closed-form progress under a work/checkpoint cadence ---------------------
@@ -148,6 +185,74 @@ def storm_schedule(
     return schedule
 
 
+def equipartition_targets(
+    num_nodes: int, running: Sequence, reconfig_cost_s: float
+) -> Dict[str, int]:
+    """The reconfigurable policy's task-count targets: split
+    ``num_nodes`` near-evenly over the running jobs (leftovers to the
+    earliest arrivals), clamped to each job's SOQ range.  Each job is
+    read through ``spec``, ``ntasks`` (0 = entering) and ``remaining``
+    (node-seconds left).
+
+    Growth is *optional*: a job whose remaining work would not repay
+    one checkpoint + reconfigured restart declines it, and — this was
+    the stranded-surplus bug — its declined share is re-offered to the
+    other growable jobs instead of idling.  Shrinks (and initial
+    placements, ``ntasks == 0``) are never declined.  The returned
+    targets leave a node idle only when every running job is capped: at
+    its ``max_tasks``, or holding at its current size having declined
+    growth.
+    """
+    if not running:
+        return {}
+    base = num_nodes // len(running)
+    extra = num_nodes - base * len(running)
+    order = sorted(running, key=lambda r: (r.spec.arrival, r.spec.name))
+    targets: Dict[str, int] = {}
+    for i, r in enumerate(order):
+        n = base + (1 if i < extra else 0)
+        targets[r.spec.name] = max(r.spec.min_tasks, min(r.spec.max_tasks, n))
+    # clamping may oversubscribe; trim the largest jobs first
+    while sum(targets.values()) > num_nodes:
+        victim = max(
+            (r for r in order if targets[r.spec.name] > r.spec.min_tasks),
+            key=lambda r: targets[r.spec.name],
+            default=None,
+        )
+        if victim is None:
+            raise SchedulerError("minimum task counts exceed the machine")
+        targets[victim.spec.name] -= 1
+    # growth is optional: a nearly-done job declines (the checkpoint +
+    # restart would not pay off before it completes) and holds at its
+    # current size — never above it
+    declined = {
+        r.spec.name
+        for r in order
+        if r.ntasks != 0
+        and targets[r.spec.name] > r.ntasks
+        and r.remaining <= reconfig_cost_s * r.ntasks
+    }
+    for r in order:
+        if r.spec.name in declined:
+            targets[r.spec.name] = r.ntasks
+    # distribute the remaining nodes — clamping slack plus declined
+    # shares — to the earliest growable jobs
+    spare = num_nodes - sum(targets.values())
+    for r in order:
+        if spare <= 0:
+            break
+        if r.spec.name in declined:
+            continue
+        grow = min(spare, r.spec.max_tasks - targets[r.spec.name])
+        targets[r.spec.name] += grow
+        spare -= grow
+    assert spare == 0 or all(
+        targets[r.spec.name] == r.spec.max_tasks or r.spec.name in declined
+        for r in order
+    ), "idle nodes stranded while a growable job sits below max_tasks"
+    return targets
+
+
 # -- the simulation -----------------------------------------------------------
 
 
@@ -161,12 +266,10 @@ class _FleetRunning:
     #: absolute time useful work (re)starts at the current size
     active_start: float
     tau: float
-    reconfigs: int = 0
 
     @property
     def remaining(self) -> float:
-        """Node-seconds beyond the durable state (the equipartition
-        decline heuristic reads this)."""
+        """Node-seconds beyond the durable state."""
         return max(0.0, self.spec.work - self.checkpointed)
 
 
@@ -182,7 +285,8 @@ class FleetResult:
     #: node-seconds of computed-but-never-checkpointed work destroyed
     #: by failures
     lost_work: float
-    completed: int
+    #: completion time of every completed job, by name
+    completions: Dict[str, float]
     checkpoints: int
     reconfigurations: int
     restarts: int
@@ -190,21 +294,15 @@ class FleetResult:
     #: mean seconds from a failure to its job computing again
     recovery_latency_mean_s: float
 
-    def row(self) -> Tuple:
-        """The result as a printable table row."""
-        return (
-            f"{self.scheduling}/{self.cadence}",
-            f"{self.makespan:.0f}",
-            f"{100 * self.utilization:.1f}%",
-            f"{self.lost_work:.0f}",
-            f"{self.recovery_latency_mean_s:.0f}",
-            self.checkpoints,
-            self.reconfigurations,
-        )
+    @property
+    def completed(self) -> int:
+        """How many jobs completed."""
+        return len(self.completions)
 
 
 class FleetSimulation:
-    """Run one job stream through failure storms under each policy pair."""
+    """Run one job stream under each (scheduling, cadence) policy pair,
+    through an optional failure schedule."""
 
     SCHEDULINGS = ("rigid", "reconfigurable")
     CADENCES = ("fixed", "adaptive")
@@ -213,7 +311,6 @@ class FleetSimulation:
         self,
         num_nodes: int,
         jobs: Sequence[JobSpec],
-        num_domains: int = 4,
         failure_schedule: Optional[Sequence[Tuple[int, int]]] = None,
         checkpoint_cost_s: float = 15.0,
         fixed_interval_s: float = 600.0,
@@ -224,21 +321,21 @@ class FleetSimulation:
     ):
         if num_nodes < 1:
             raise SchedulerError("fleet needs at least one node")
-        if num_domains < 1 or num_domains > num_nodes:
-            raise SchedulerError(
-                f"bad domain count {num_domains} for {num_nodes} nodes"
-            )
+        names = set()
         for j in jobs:
             if j.max_tasks > num_nodes:
                 raise SchedulerError(
                     f"{j.name!r} requests {j.max_tasks} tasks on a "
                     f"{num_nodes}-node fleet"
                 )
+            # completions, durable progress and targets are keyed by name
+            if j.name in names:
+                raise SchedulerError(f"duplicate job name {j.name!r}")
+            names.add(j.name)
         for second, node in failure_schedule or ():
             if not (0 <= node < num_nodes):
                 raise SchedulerError(f"storm targets unknown node {node}")
         self.num_nodes = num_nodes
-        self.num_domains = num_domains
         self.jobs = sorted(jobs, key=lambda j: (j.arrival, j.name))
         self.failure_schedule = list(failure_schedule or ())
         self.checkpoint_cost_s = float(checkpoint_cost_s)
@@ -318,6 +415,15 @@ class FleetSimulation:
             stats["ckpts"] += cycles
             return durable, partial
 
+        def as_of_now(r: _FleetRunning) -> SimpleNamespace:
+            """``r`` as the growth decline weighs it: the node-seconds
+            left at ``t``, past both the durable state and the progress
+            made since ``active_start``."""
+            done = r.ntasks * cadence_progress(t - r.active_start, r.tau, C)
+            return SimpleNamespace(
+                spec=r.spec, ntasks=r.ntasks, remaining=max(0.0, r.remaining - done)
+            )
+
         def start(spec: JobSpec, ntasks: int, fail_t: Optional[float]) -> None:
             nodes = [free.pop() for _ in range(ntasks)]
             cost = self.restart_cost_s if fail_t is not None else 0.0
@@ -338,7 +444,6 @@ class FleetSimulation:
             r.checkpointed = min(r.spec.work, r.checkpointed + partial)
             stats["ckpts"] += 1
             stats["reconfigs"] += 1
-            r.reconfigs += 1
             if ntasks < r.ntasks:
                 for _ in range(r.ntasks - ntasks):
                     free.append(r.nodes.pop())
@@ -394,7 +499,7 @@ class FleetSimulation:
             if not running:
                 return
             targets = equipartition_targets(
-                capacity, running, self.reconfig_cost_s
+                capacity, [as_of_now(r) for r in running], self.reconfig_cost_s
             )
             order = sorted(running, key=lambda r: (r.spec.arrival, r.spec.name))
             # shrink first so freed nodes are in the pool for growers
@@ -472,12 +577,6 @@ class FleetSimulation:
 
     # -- reporting ------------------------------------------------------------
 
-    def _spec(self, name: str) -> JobSpec:
-        for j in self.jobs:
-            if j.name == name:
-                return j
-        raise KeyError(name)
-
     def _result(
         self, reconfigurable, adaptive, t, completions, latencies, stats
     ) -> FleetResult:
@@ -499,7 +598,7 @@ class FleetSimulation:
                 sum(responses) / len(responses) if responses else 0.0
             ),
             lost_work=stats["lost"],
-            completed=len(completions),
+            completions=completions,
             checkpoints=stats["ckpts"],
             reconfigurations=stats["reconfigs"],
             restarts=stats["restarts"],

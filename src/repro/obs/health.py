@@ -35,8 +35,9 @@ Gauge catalog (all names under ``health.``; DESIGN.md §13):
 * ``health.checkpoint.interval_last_s`` / ``interval_mean_s`` /
   ``cadence_drift`` — drift is ``last/mean - 1`` (0 = on cadence);
 * ``health.jobs.<state>`` — jobs per lifecycle state;
-* ``health.fleet.running`` / ``health.fleet.queued`` — fleet-study
-  occupancy (sampled by :mod:`repro.infra.study`).
+* ``health.fleet.running`` / ``queued`` / ``utilization`` /
+  ``down_nodes`` / ``lost_work_node_s`` — fleet-simulation occupancy
+  (sampled by :mod:`repro.infra.fleet`).
 """
 
 from __future__ import annotations
@@ -156,26 +157,24 @@ class HealthRegistry:
         self.sample_store(checkpointer.store, clock=clock)
         self.sample_drainer(checkpointer.drainer, clock=clock)
 
-    # -- fleet study ----------------------------------------------------------
+    # -- fleet simulation -----------------------------------------------------
 
     def sample_fleet(
         self,
         running: int,
         queued: int,
         utilization: float,
-        down: Optional[int] = None,
-        lost_work: Optional[float] = None,
+        down: int,
+        lost_work: float,
     ) -> None:
-        """Occupancy snapshot from a fleet/scheduling simulation; the
-        fleet study additionally reports dark nodes and cumulative
+        """Occupancy snapshot from a fleet simulation: jobs running and
+        queued, node occupancy, dark nodes and cumulative
         failure-destroyed work."""
         self.metrics.gauge("health.fleet.running").set(running)
         self.metrics.gauge("health.fleet.queued").set(queued)
         self.metrics.gauge("health.fleet.utilization").set(utilization)
-        if down is not None:
-            self.metrics.gauge("health.fleet.down_nodes").set(down)
-        if lost_work is not None:
-            self.metrics.gauge("health.fleet.lost_work_node_s").set(lost_work)
+        self.metrics.gauge("health.fleet.down_nodes").set(down)
+        self.metrics.gauge("health.fleet.lost_work_node_s").set(lost_work)
 
     # -- convenience ----------------------------------------------------------
 

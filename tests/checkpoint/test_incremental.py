@@ -85,6 +85,25 @@ class TestRestore:
         assert np.array_equal(got.to_global(), expect)
         assert state.segment.replicated["it"] == 2
 
+    @pytest.mark.parametrize("nt", [2, 3, 8])
+    def test_chain_restore_replays_the_base_piece_plan(self, nt):
+        """Bugfix: with ``io_tasks`` unset the delta pieces follow the
+        base's task count; a restore on another count used to replan
+        them for its own count and misplace every overlaid piece."""
+        pfs = PIOFS(machine=Machine(MachineParams(num_nodes=16)))
+        g = np.arange(64 * 24, dtype=np.float64).reshape(64, 24)
+        arr = DistributedArray(
+            "u", (64, 24), np.float64, block_distribution((64, 24), 4)
+        )
+        arr.set_global(g)
+        seg = DataSegment(profile=SegmentProfile(500, 0, 0))
+        ck = IncrementalCheckpointer(pfs, "inc")
+        ck.full(seg, [arr])
+        arr.set_global(g * 2.0 + 1.0)
+        ck.incremental(seg, [arr])
+        state, _ = ck.restore(nt)
+        assert np.array_equal(state.arrays["u"].to_global(), g * 2.0 + 1.0)
+
     def test_restore_without_deltas_is_base(self, env):
         pfs, g, arr, seg, ck = env
         ck.full(seg, [arr])

@@ -5,12 +5,12 @@ import pytest
 from repro.errors import SchedulerError
 from repro.infra.fleet import (
     FleetSimulation,
+    JobSpec,
     cadence_horizon,
     cadence_progress,
     storm_schedule,
     synthetic_stream,
 )
-from repro.infra.study import JobSpec
 from repro.obs.catalog import match_family
 from repro.obs.health import HealthRegistry
 from repro.obs.metrics import MetricsRegistry
@@ -112,6 +112,15 @@ class TestFailureFreeRuns:
         with pytest.raises(SchedulerError):
             FleetSimulation(4, [JobSpec("j", work=10.0, max_tasks=8)])
 
+    def test_duplicate_job_names_rejected(self):
+        # completions, durable progress and targets are keyed by name
+        jobs = [
+            JobSpec("a", work=10.0, max_tasks=2),
+            JobSpec("a", work=20.0, max_tasks=2),
+        ]
+        with pytest.raises(SchedulerError, match="duplicate job name 'a'"):
+            FleetSimulation(4, jobs)
+
     def test_storm_node_out_of_range_rejected(self):
         with pytest.raises(SchedulerError):
             FleetSimulation(
@@ -181,7 +190,7 @@ class TestPolicyComparison:
     def run(self, stormy, scheduling, cadence):
         jobs, storm = stormy
         sim = FleetSimulation(
-            32, jobs, num_domains=4, failure_schedule=storm,
+            32, jobs, failure_schedule=storm,
             checkpoint_cost_s=15.0, fixed_interval_s=600.0,
         )
         return sim.run(scheduling, cadence)

@@ -50,16 +50,22 @@ class TestUnitSampling:
 
     def test_fleet_occupancy(self):
         health = HealthRegistry()
-        health.sample_fleet(running=3, queued=5, utilization=0.75)
+        health.sample_fleet(
+            running=3, queued=5, utilization=0.75, down=2, lost_work=40.0
+        )
         snap = health.snapshot()
         assert snap["health.fleet.running"] == 3.0
         assert snap["health.fleet.queued"] == 5.0
         assert snap["health.fleet.utilization"] == pytest.approx(0.75)
+        assert snap["health.fleet.down_nodes"] == 2.0
+        assert snap["health.fleet.lost_work_node_s"] == 40.0
 
     def test_snapshot_is_sorted_and_health_only(self):
         health = HealthRegistry()
         health.metrics.gauge("unrelated.gauge").set(9)
-        health.sample_fleet(running=1, queued=0, utilization=0.5)
+        health.sample_fleet(
+            running=1, queued=0, utilization=0.5, down=0, lost_work=0.0
+        )
         snap = health.snapshot()
         assert list(snap) == sorted(snap)
         assert all(name.startswith("health.") for name in snap)
