@@ -126,18 +126,19 @@ def walk_generations(
     Returns ``(key, tier, rejected)`` — ``key`` None when nothing
     validated; ``rejected`` lists ``(key, errors)`` for every candidate
     passed over, errors tier-tagged when the walk has tiers.  This is
-    the one place a walk emits its marks, metrics, flight records and
-    ``events`` (an :class:`~repro.infra.events.EventLog` stamped with
-    ``clock``)."""
+    the one place a walk emits its marks and metrics; each decision is
+    one :func:`~repro.infra.events.emit_event` stamped with ``clock``
+    (on ``events`` when given, on the flight ring always), and the
+    walk's ``_started`` / ``_done`` are flight records only."""
+    from repro.infra.events import emit_event  # repro.infra imports this module
+
     obs = get_tracer()
     fr = get_flight()
     m = obs.metrics
 
     def note(kind: str, **detail: Any) -> None:
         obs.mark(kind, **detail)
-        fr.record(kind, time=clock, **detail, **context)
-        if events is not None:
-            events.emit(clock, kind, **detail, **context)
+        emit_event(events, clock, kind, **detail, **context)
 
     generations_seen = len({key for key, _ in candidates})
     chosen = chosen_tier = None

@@ -218,14 +218,9 @@ class DRMSCluster:
 
         # Anchor the forensic timeline at the instant the nodes died,
         # before the detector delay elapses.
-        fr = get_flight()
         for node in failed_nodes:
             self.events.emit(
                 self.rc.clock, "failure_injected", node=node, job=job_id
-            )
-            fr.record(
-                "failure_injected", node=node, time=self.rc.clock,
-                job=job_id,
             )
         # Failure detected (lost TC connection) after the detector delay.
         self.rc.advance(self.detection_s)
@@ -248,7 +243,7 @@ class DRMSCluster:
             # snapshotted the dead node's ring; the black box here is
             # the backstop for non-mlck configurations.
             app.on_node_failure(node, clock=self.rc.clock)
-            fr.auto_blackbox(
+            get_flight().auto_blackbox(
                 node, reason="failure plan fired", time=self.rc.clock
             )
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-__all__ = ["Event", "EventLog"]
+from repro.obs.flight import get_flight
+
+__all__ = ["Event", "EventLog", "emit_event"]
 
 
 @dataclass(frozen=True)
@@ -25,41 +27,37 @@ class Event:
         return {"time": self.time, "kind": self.kind, "detail": dict(self.detail)}
 
 
+def emit_event(
+    events: Optional["EventLog"], time: float, kind: str, **detail: Any
+) -> Event:
+    """The one write of a daemon or recovery decision: append it to
+    ``events`` (when there is a log) and record the same event on the
+    active flight recorder, on the ring of ``detail["node"]`` (the
+    global ring when the detail names no node)."""
+    ev = Event(time=time, kind=kind, detail=detail)
+    if events is not None:
+        events.events.append(ev)
+    get_flight().record(kind, time=time, **detail)
+    return ev
+
+
 class EventLog:
     """Append-only event record shared by RC/TCs/JSA/UIC.
 
-    Consumers query it (:meth:`of_kind`, :meth:`between`,
-    :meth:`where`) instead of re-filtering ``events`` by hand, export it
-    (:meth:`to_json`), or subscribe live (:meth:`subscribe`) — the obs
-    bridge mirrors every emit onto a span timeline that way.
+    Every :meth:`emit` also lands on the active flight recorder's ring
+    (:func:`emit_event`), so a black box holds the daemon decisions.
+    Consumers query the log (:meth:`of_kind`, :meth:`between`,
+    :meth:`where`) instead of re-filtering ``events`` by hand, or
+    export it (:meth:`to_json`).
     """
 
     def __init__(self):
         self.events: List[Event] = []
-        self._listeners: List[Callable[[Event], None]] = []
 
     def emit(self, time: float, kind: str, **detail: Any) -> Event:
-        """Append one timestamped event (and notify subscribers)."""
-        ev = Event(time=time, kind=kind, detail=detail)
-        self.events.append(ev)
-        for listener in list(self._listeners):
-            listener(ev)
-        return ev
-
-    # -- live consumers -----------------------------------------------------
-
-    def subscribe(self, listener: Callable[[Event], None]) -> Callable[[Event], None]:
-        """Call ``listener(event)`` on every future emit; returns the
-        listener so callers can hold it for :meth:`unsubscribe`."""
-        self._listeners.append(listener)
-        return listener
-
-    def unsubscribe(self, listener: Callable[[Event], None]) -> None:
-        """Stop notifying ``listener`` (no-op when not subscribed)."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
+        """Append one timestamped event (and record it on the flight
+        recorder)."""
+        return emit_event(self, time, kind, **detail)
 
     # -- queries ------------------------------------------------------------
 

@@ -23,7 +23,7 @@ from repro.drms.app import DRMSApplication, RunReport
 from repro.errors import SchedulerError, TaskFailure
 from repro.infra.events import EventLog
 from repro.infra.rc import ResourceCoordinator
-from repro.obs import get_flight, get_tracer
+from repro.obs import get_tracer
 
 __all__ = ["JobState", "Job", "JobSchedulerAnalyzer"]
 
@@ -127,9 +127,6 @@ class JobSchedulerAnalyzer:
         self.events.emit(
             self.rc.clock, "job_completed", job=job_id, ntasks=n,
             sim_elapsed=report.sim_elapsed,
-        )
-        get_flight().record(
-            "job_completed", time=self.rc.clock, job=job_id, ntasks=n,
         )
         self._sample_health()
         return report
@@ -238,11 +235,6 @@ class JobSchedulerAnalyzer:
             restart_kind=bd.kind if bd is not None else None,
             **({"rebuild_scope": scope.describe()} if scope is not None else {}),
         )
-        get_flight().record(
-            "job_restarted", time=self.rc.clock, job=job_id, ntasks=n,
-            prefix=opened.prefix, restart_seconds=restart_seconds,
-            **({"localized": True} if localized else {}),
-        )
         self._sample_health()
         return report
 
@@ -251,9 +243,6 @@ class JobSchedulerAnalyzer:
     def _recovering(self, job: Job, **how: Any):
         """Announce a recovery and open its span."""
         self.events.emit(self.rc.clock, "recovery_started", job=job.job_id, **how)
-        get_flight().record(
-            "recovery_started", time=self.rc.clock, job=job.job_id, **how
-        )
         obs = get_tracer()
         obs.sync(self.rc.clock)
         obs.metrics.counter("jsa.recoveries").inc()

@@ -114,17 +114,15 @@ class ResourceCoordinator:
         obs = get_tracer()
         obs.sync(self.clock)
         obs.metrics.counter("rc.failures").inc()
-        fr = get_flight()
         with obs.span("rc.failure_protocol", node=node_id) as sp:
             tc = self.tcs[node_id]
             tc.disconnect()
             if self.machine.node(node_id).up:
                 self.machine.fail_node(node_id)
             self.events.emit(self.clock, "tc_disconnected", node=node_id)
-            fr.record("tc_disconnected", node=node_id, time=self.clock)
             # The node is dead: snapshot its ring before recovery events
             # start landing on the global ring.
-            fr.auto_blackbox(
+            get_flight().auto_blackbox(
                 node_id, reason="processor failure", time=self.clock
             )
 
@@ -135,7 +133,6 @@ class ResourceCoordinator:
                 tc.begin_restart()
                 self.repair_done_at[node_id] = self.clock + self.node_repair_s
                 self.events.emit(self.clock, "idle_node_failed", node=node_id)
-                fr.record("idle_node_failed", node=node_id, time=self.clock)
                 if self.health is not None:
                     self.health.sample_rc(self)
                 sp.set(job=None, idle=True)
@@ -173,10 +170,6 @@ class ResourceCoordinator:
                 job=job_id,
                 healthy=[n for n in pool if n != node_id],
             )
-            fr.record(
-                "tcs_restarted", time=self.clock, job=job_id,
-                failed=node_id, pool=list(pool),
-            )
             if self.health is not None:
                 self.health.sample_rc(self)
             sp.set(job=job_id, pool=pool)
@@ -202,7 +195,6 @@ class ResourceCoordinator:
                 raise MachineError(f"no TC for node {nid}")
         obs = get_tracer()
         obs.sync(self.clock)
-        fr = get_flight()
         with obs.span(
             "rc.failure_protocol", nodes=list(node_ids), localized=True
         ) as sp:
@@ -216,8 +208,7 @@ class ResourceCoordinator:
                 if self.machine.node(nid).up:
                     self.machine.fail_node(nid)
                 self.events.emit(self.clock, "tc_disconnected", node=nid)
-                fr.record("tc_disconnected", node=nid, time=self.clock)
-                fr.auto_blackbox(
+                get_flight().auto_blackbox(
                     nid, reason="processor failure", time=self.clock
                 )
             replacements: Dict[int, int] = {}
@@ -250,10 +241,6 @@ class ResourceCoordinator:
                     self.clock, "task_migrated", job=job,
                     node=new, from_node=nid, ranks=ranks,
                 )
-                fr.record(
-                    "task_migrated", node=new, time=self.clock,
-                    job=job, from_node=nid, ranks=ranks,
-                )
             # Only the replacement TCs spawn; survivors never restart.
             self.advance(self.tc_restart_s)
             obs.sync(self.clock)
@@ -268,10 +255,6 @@ class ResourceCoordinator:
                     replacements={
                         int(k): int(v) for k, v in replacements.items()
                     },
-                )
-                fr.record(
-                    "tcs_restarted", time=self.clock, job=job,
-                    failed=list(node_ids), pool=list(pool), localized=True,
                 )
             if self.health is not None:
                 self.health.sample_rc(self)

@@ -185,9 +185,13 @@ class DrainController:
         m = get_tracer().metrics
         fr = get_flight()
         with self._serial:
+            clock = self.scheduled_at[prefix]  # popped when the drain ends
             gen = self.store.gen(prefix)
             gen.drain_state = DrainState.DRAINING
-            fr.record("drain_state", prefix=prefix, state=DrainState.DRAINING)
+            fr.record(
+                "drain_state", time=clock, prefix=prefix,
+                state=DrainState.DRAINING,
+            )
             try:
                 segment, streams = self.store.stored_streams(prefix)
                 drms_checkpoint(
@@ -199,7 +203,8 @@ class DrainController:
                 gen.drain_state = DrainState.DURABLE
                 m.counter("mlck.drain.completed").inc()
                 fr.record(
-                    "drain_state", prefix=prefix, state=DrainState.DURABLE
+                    "drain_state", time=clock, prefix=prefix,
+                    state=DrainState.DURABLE,
                 )
                 if self.rotation is not None:
                     # retention now that the new generation is durable
@@ -212,8 +217,8 @@ class DrainController:
                 gen.drain_error = str(exc)
                 m.counter("mlck.drain.failed").inc()
                 fr.record(
-                    "drain_state", prefix=prefix, state=DrainState.FAILED,
-                    error=str(exc),
+                    "drain_state", time=clock, prefix=prefix,
+                    state=DrainState.FAILED, error=str(exc),
                 )
             finally:
                 if protect is not None and self.rotation is not None:

@@ -63,6 +63,7 @@ from repro.checkpoint.format import (
 from repro.checkpoint.segment import DataSegment
 from repro.checkpoint.validate import ValidationReport
 from repro.errors import CheckpointError, MemoryTierError
+from repro.infra.events import emit_event
 from repro.mlck.placement import select_partners
 from repro.obs import get_flight, get_tracer
 from repro.runtime.machine import Machine
@@ -303,15 +304,11 @@ class L1Store:
         with self._lock:
             lost = len(self._mem.pop(node_id, {}))
             self._mem_epoch.pop(node_id, None)
-        if lost and self.events is not None:
-            self.events.emit(
-                clock, "mlck_replicas_lost", node=node_id, pieces=lost
+        if lost:
+            emit_event(
+                self.events, clock, "mlck_replicas_lost", node=node_id, pieces=lost
             )
-        fr = get_flight()
-        if fr.enabled:
-            fr.record("l1_node_dropped", node=node_id, time=clock, pieces=lost)
-            if lost:
-                fr.auto_blackbox(node_id, reason="l1 memory lost", time=clock)
+            get_flight().auto_blackbox(node_id, reason="l1 memory lost", time=clock)
         self._update_resident_gauge()
         return lost
 

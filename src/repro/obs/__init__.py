@@ -8,14 +8,13 @@ substrate that produces such breakdowns from the live system:
   wall clocks, with a cheap :class:`NullTracer` default;
 * :mod:`repro.obs.metrics` — counters, gauges, histograms in one
   registry shared by every producer (checkpoint engines, streaming,
-  PIOFS, fault injection, comm tracing, daemon events);
+  PIOFS, fault injection);
 * :mod:`repro.obs.export`  — Chrome trace-event JSON (``about:tracing``
   / Perfetto), flat metrics dumps, and OpenMetrics/Prometheus text;
 * :mod:`repro.obs.report`  — Table 6-style phase breakdown tables;
-* :mod:`repro.obs.bridge`  — mirror the infra EventLog onto the span
-  timeline;
 * :mod:`repro.obs.flight`  — bounded per-node flight recorder whose
-  rings become black-box dumps when a node dies;
+  rings (every infra EventLog emit lands on one) become black-box
+  dumps when a node dies;
 * :mod:`repro.obs.forensics` — incident files and the recovery
   timeline reconstructor (``python -m repro.tools.forensics``);
 * :mod:`repro.obs.health`  — fleet health gauges (replica coverage,
@@ -35,7 +34,6 @@ or run ``python -m repro.tools.trace`` for a full traced
 checkpoint/restart cycle of a NAS proxy application.
 """
 
-from repro.obs.bridge import bind_event_log
 from repro.obs.catalog import METRIC_FAMILIES, match_family
 from repro.obs.invariants import span_tree_violations
 from repro.obs.export import (
@@ -144,6 +142,5 @@ __all__ = [
     "mlck_summary",
     "op_summary",
     "phase_rows",
-    "bind_event_log",
     "span_tree_violations",
 ]

@@ -13,7 +13,7 @@ fails CI instead of silently forking a new series.
 Families are full-match regular expressions over the *published* name
 (before :meth:`~repro.obs.metrics.MetricsRegistry.flat` expands
 histogram summaries).  Dynamic segments that instrumentation fills at
-runtime (the event kind, the PFS operation, the failure domain) are
+runtime (the PFS operation, the failure domain, the job state) are
 constrained to the character class the convention allows.
 """
 
@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 __all__ = ["METRIC_FAMILIES", "match_family"]
 
-#: one dynamic dotted segment (event kinds, job states, tiers, ...)
+#: one dynamic dotted segment (job states, tiers, ...)
 _SEG = r"[a-z0-9_]+"
 #: bracketed per-entity suffix (file names, domains; dots allowed)
 _ENT = r"\[[A-Za-z0-9_.{}\- ]+\]"
@@ -35,16 +35,6 @@ METRIC_FAMILIES: List[Tuple[str, str, str]] = [
         "breakdown",
         rf"(checkpoint|restart)\.(count|(segment|arrays|other|total)\.(seconds|bytes))",
         "per-operation phase breakdown totals published by the engines",
-    ),
-    (
-        "comm",
-        r"comm\.(bytes|messages)",
-        "communication-tracer totals (runtime.trace)",
-    ),
-    (
-        "events",
-        rf"events\.{_SEG}",
-        "bridged EventLog tallies, one counter per event kind (obs.bridge)",
     ),
     (
         "flight",

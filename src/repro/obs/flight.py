@@ -5,7 +5,8 @@ grepping span dumps — and only when a full :class:`~repro.obs.spans.Tracer`
 happened to be installed.  The flight recorder closes that gap: every
 node carries a **bounded ring buffer** of structured events (checkpoint
 phase transitions, SOP crossings, drain state changes, replica
-placements, PFS faults, stream ops with byte counts) that is cheap
+placements, PFS faults, stream ops with byte counts, and every daemon
+or recovery decision the cluster event log carries) that is cheap
 enough to leave on even when tracing is off.  When a node is killed —
 by a :class:`~repro.infra.failure.FailurePlan`, an
 :meth:`~repro.mlck.store.L1Store.drop_node`, or the RC's failure
@@ -39,7 +40,7 @@ import itertools
 import json
 import pathlib
 import threading
-from collections import deque
+from collections import Counter, defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
@@ -94,8 +95,9 @@ class FlightRecorder:
 
     ``capacity`` bounds each node's ring; older events fall off the
     back (the ``dropped`` count in a dump says how many).  ``record``
-    is safe under the SPMD task threads: ``deque.append`` is atomic and
-    the sequence counter is an ``itertools.count``.
+    is safe under the SPMD task threads, several of which write the
+    global ring: one lock covers the sequence number, the append and
+    the node's count.
     """
 
     enabled = True
@@ -104,8 +106,10 @@ class FlightRecorder:
         if capacity < 1:
             raise ValueError(f"flight ring capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self._rings: Dict[int, deque] = {}
-        self._recorded: Dict[int, int] = {}
+        self._rings: Dict[int, deque] = defaultdict(
+            lambda: deque(maxlen=self.capacity)
+        )
+        self._recorded: Dict[int, int] = Counter()
         self._seq = itertools.count(1)
         self._lock = threading.Lock()
         #: emitted black-box dumps, in emission order
@@ -119,12 +123,9 @@ class FlightRecorder:
     ) -> None:
         """Append one event to ``node``'s ring (the global ring by
         default).  Near-zero cost: one tuple, one deque append."""
-        ring = self._rings.get(node)
-        if ring is None:
-            with self._lock:
-                ring = self._rings.setdefault(node, deque(maxlen=self.capacity))
-        ring.append((next(self._seq), time, kind, detail))
-        self._recorded[node] = self._recorded.get(node, 0) + 1
+        with self._lock:
+            self._rings[node].append((next(self._seq), time, kind, detail))
+            self._recorded[node] += 1
 
     # -- queries -------------------------------------------------------------
 

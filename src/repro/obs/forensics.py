@@ -261,12 +261,16 @@ def _merged_entries(
         )
         for e in events
     ]
+    # Each row once: every log event is on a ring too (a black-box row
+    # of a kind the log carries is the log's row), and the rings of two
+    # dumps overlap on the global ring.
+    logged = {e.kind for e in events}
     seen = set()
     for box in blackboxes:
         for row in box.get("events", ()):
             key = row.get("seq")
-            if key is not None and key in seen:
-                continue  # rings of two dumps overlap on the global ring
+            if row.get("kind") in logged or key is not None and key in seen:
+                continue
             seen.add(key)
             entries.append(
                 TimelineEntry(

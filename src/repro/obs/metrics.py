@@ -2,10 +2,9 @@
 
 One :class:`MetricsRegistry` collects every numeric series the pipeline
 produces — bytes moved by the streaming engines, PIOFS operation and
-fault counters, phase-duration histograms, daemon event tallies.  The
-registry is the single sink the ISSUE calls for: producers that used to
-keep private accounting (``StreamStats``, ``CommTracer``) feed the same
-names here, so one flat dump carries the whole story.
+fault counters, phase-duration histograms.  The registry is the single
+sink: producers that used to keep private accounting (``StreamStats``)
+feed the same names here, so one flat dump carries the whole story.
 
 Instruments are cheap and lock-protected; ``counter()`` / ``gauge()`` /
 ``histogram()`` get-or-create by name, so producers never coordinate.

@@ -93,8 +93,8 @@ class Span:
 
 @dataclass(frozen=True)
 class Mark:
-    """An instant event on the span timeline (bridged EventLog events,
-    TC state transitions, recovery decisions)."""
+    """An instant event on the span timeline (TC state transitions,
+    recovery decisions)."""
 
     name: str
     sim_time: float

@@ -13,7 +13,6 @@ from repro.runtime.machine import Machine, MachineParams, Node
 from repro.runtime.message import Message
 from repro.runtime.comm import CommWorld, TaskComm
 from repro.runtime.executor import run_spmd, SPMDResult
-from repro.runtime.trace import CommTracer, TraceRecord
 
 __all__ = [
     "SimClock",
@@ -25,6 +24,4 @@ __all__ = [
     "TaskComm",
     "run_spmd",
     "SPMDResult",
-    "CommTracer",
-    "TraceRecord",
 ]

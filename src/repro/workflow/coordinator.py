@@ -43,6 +43,7 @@ from repro.checkpoint.recover import OpenedGeneration, first_rejections
 from repro.drms.app import DRMSApplication, RunReport
 from repro.drms.steering import app_transfer
 from repro.errors import ArrayError, ReconfigurationError, WorkflowError
+from repro.infra.events import emit_event
 from repro.obs import get_tracer
 from repro.obs.flight import GLOBAL_NODE, get_flight
 from repro.pfs.piofs import PIOFS
@@ -589,20 +590,11 @@ class WorkflowCoordinator:
         obs.metrics.histogram("workflow.line.seconds").observe(line.seconds)
         if self.policy is not None:
             self.policy.observe_cost(self.policy_state, line.seconds)
-        fr = get_flight()
-        if fr.enabled:
-            fr.record(
-                "workflow_line_committed", node=GLOBAL_NODE, time=clock,
-                base=self.base, generation=gen,
-                members={n: m["prefix"] for n, m in members.items()},
-                seconds=line.seconds,
-            )
-        if self.events is not None:
-            self.events.emit(
-                clock, "workflow_line_committed",
-                base=self.base, generation=gen,
-                members={n: m["prefix"] for n, m in members.items()},
-            )
+        emit_event(
+            self.events, clock, "workflow_line_committed",
+            base=self.base, generation=gen,
+            members={n: m["prefix"] for n, m in members.items()},
+        )
         return line
 
     # -- introspection --------------------------------------------------------

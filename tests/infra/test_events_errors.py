@@ -63,16 +63,6 @@ class TestEventLog:
         }
         assert isinstance(doc[1]["detail"]["payload"], str)
 
-    def test_subscribe_and_unsubscribe(self):
-        log = EventLog()
-        seen = []
-        listener = log.subscribe(seen.append)
-        log.emit(1.0, "a")
-        log.unsubscribe(listener)
-        log.emit(2.0, "b")
-        assert [e.kind for e in seen] == ["a"]
-        log.unsubscribe(listener)  # second unsubscribe is a no-op
-
     def test_repr_compact(self):
         ev = Event(1.5, "boom", {"node": 3})
         assert "boom" in repr(ev)

@@ -1,5 +1,8 @@
 """End-to-end failure/recovery scenarios (paper Section 4, item 3)."""
 
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from repro.drms.api import (
 from repro.drms.context import CheckpointStatus
 from repro.infra import DRMSCluster, FailurePlan
 from repro.infra.failure import NodeFailure
+from repro.obs import GLOBAL_NODE, FlightRecorder, use_flight
 from repro.runtime.machine import Machine, MachineParams
 
 N = 10
@@ -106,6 +110,37 @@ def test_events_tell_the_story(cluster):
     # failure precedes recovery precedes restart
     assert kinds.index("application_killed") < kinds.index("recovery_started")
     assert kinds.index("recovery_started") < kinds.index("job_restarted")
+
+
+@pytest.mark.flight
+@pytest.mark.parametrize("localized", [False, True], ids=["full", "localized"])
+def test_every_logged_event_is_on_a_ring_once(cluster, localized):
+    """A decision is written once: every event in the log sits on the
+    flight recorder's rings exactly once — the ring of the node it
+    names, the global ring otherwise — with the same kind, time and
+    detail."""
+    app = cluster.build_app(main, tier="memory+pfs", mlck_drain="sync")
+    run = (
+        cluster.run_with_localized_recovery if localized
+        else cluster.run_with_recovery
+    )
+    with use_flight(FlightRecorder()) as fr:
+        run(
+            "j", app, 6, args=("ck",), prefix="ck",
+            failure=FailurePlan(iteration=7, node_id=1),
+        )
+
+    def key(kind, time, detail):
+        return kind, time, json.dumps(detail, sort_keys=True, default=repr)
+
+    on_rings = Counter(
+        key(e.kind, e.time, e.detail if e.node == GLOBAL_NODE
+            else {**e.detail, "node": e.node})
+        for e in fr.events()
+    )
+    logged = [key(e.kind, e.time, e.detail) for e in cluster.events]
+    assert {"pool_formed", "tcs_restarted"} <= {k for k, _, _ in logged}
+    assert [on_rings[k] for k in logged] == [1] * len(logged)
 
 
 def test_failure_without_checkpoint_cannot_recover(cluster):

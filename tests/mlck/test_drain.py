@@ -12,7 +12,7 @@ from repro.checkpoint.validate import validate_checkpoint
 from repro.errors import CheckpointError
 from repro.mlck.drain import DrainController, DrainState
 from repro.mlck.store import L1Store
-from repro.obs import Tracer, use_tracer
+from repro.obs import FlightRecorder, Tracer, use_flight, use_tracer
 from repro.pfs.faults import FaultInjector
 from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine, MachineParams
@@ -260,3 +260,26 @@ def test_async_drain_overlaps_and_completes(env, workload):
     assert store.gen("ck.000001").drain_state == DrainState.DURABLE
     assert drainer.pending == 0
     assert validate_checkpoint(pfs, "ck.000001").ok
+
+
+@pytest.mark.parametrize("synchronous", [True, False], ids=["sync", "async"])
+def test_drain_states_carry_the_scheduled_clock(env, workload, synchronous):
+    """Every ``drain_state`` record is stamped with the clock its drain
+    was scheduled at, not 0 — which sorted a drain before the capture
+    that scheduled it in the forensic timeline."""
+    machine, pfs, store = env
+    drainer = DrainController(store, pfs, synchronous=synchronous)
+    with use_flight(FlightRecorder()) as fr:
+        for gen, clock in ((1, 2.5), (2, 4.0)):
+            seg, arrays = workload(iteration=gen)
+            store.capture_drms(f"ck.{gen:06d}", seg, arrays)
+            drainer.schedule(f"ck.{gen:06d}", clock=clock)
+        drainer.wait(timeout=30.0)
+    scheduled = {
+        e.detail["prefix"]: e.time for e in fr.events() if e.kind == "drain_scheduled"
+    }
+    assert scheduled == {"ck.000001": 2.5, "ck.000002": 4.0}
+    states = [e for e in fr.events() if e.kind == "drain_state"]
+    assert [e.detail["state"] for e in states] == ["draining", "durable"] * 2
+    for e in states:
+        assert e.time == scheduled[e.detail["prefix"]]

@@ -322,6 +322,6 @@ def test_opening_a_named_generation_stamps_the_node_drop_with_its_clock(
             failed_nodes=[dead], replacements={1: 2}, l1=store, clock=7.5,
         )
     (lost,) = events.of_kind("mlck_replicas_lost")
-    (dropped,) = [e for e in fr.events() if e.kind == "l1_node_dropped"]
+    (dropped,) = [e for e in fr.events() if e.kind == "mlck_replicas_lost"]
     (blackbox,) = fr.blackboxes
     assert (lost.time, dropped.time, blackbox["time"]) == (7.5, 7.5, 7.5)

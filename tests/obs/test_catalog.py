@@ -22,7 +22,6 @@ _TEMPLATE_VALUES = {
     "direction": "out",
     "op": "write",
     "tier": "l1",
-    "ev.kind": "pool_formed",
     "state.value": "running",
     "domain": "0",
     "fname": "ckpt.seg",

@@ -1,6 +1,7 @@
 """Flight recorder: ring bounds, black-box dumps, scoping."""
 
 import json
+import sys
 import threading
 
 import pytest
@@ -65,6 +66,32 @@ class TestRecording:
             t.join()
         assert sum(fr.recorded(n) for n in range(4)) == 2000
         assert len({e.seq for e in fr.events()}) == 2000
+
+    def test_threads_sharing_one_ring_lose_no_counts(self):
+        """The SPMD task threads all write the global ring: a black
+        box's ``recorded`` / ``dropped`` must count every record."""
+        fr = FlightRecorder(capacity=16)
+        threads, per_thread = 8, 20_000
+
+        def spin():
+            for _ in range(per_thread):
+                fr.record("t", node=1)
+
+        workers = [threading.Thread(target=spin) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave as hard as the host allows
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        total = threads * per_thread
+        assert fr.recorded(1) == total
+        assert fr.blackbox(1)["dropped"] == total - 16
+        assert [e.seq for e in fr.ring(1)] == sorted(e.seq for e in fr.ring(1))
 
 
 class TestBlackboxes:

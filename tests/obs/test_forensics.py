@@ -50,6 +50,18 @@ def _incident_log() -> EventLog:
     return log
 
 
+def assert_each_record_once(tl, events):
+    """The timeline lists no record twice: its rows of a kind the log
+    carries are the log's events, one row each, and no (time, kind,
+    node) of them repeats."""
+    logged = {e.kind for e in events}
+    rows = [(e.time, e.kind, e.node) for e in tl.entries if e.kind in logged]
+    assert sorted(rows, key=repr) == sorted(
+        ((e.time, e.kind, e.detail.get("node")) for e in events), key=repr
+    )
+    assert len(set(rows)) == len(rows)
+
+
 class TestLoadEvents:
     def test_round_trips_event_log_to_json(self):
         log = _incident_log()
@@ -129,6 +141,17 @@ class TestTimeline:
         assert times == sorted(times)
         text = render_timeline(tl)
         assert "sop_crossed" in text and "phases (failure -> resume):" in text
+
+    def test_a_logged_record_on_a_ring_is_listed_once(self):
+        log = _incident_log()
+        fr = FlightRecorder()
+        fr.record("sop_crossed", node=3, time=11.0, sop=2)
+        fr.record("tc_disconnected", node=3, time=12.0)  # the log's row
+        fr.blackbox(3, reason="killed", time=12.0)
+        tl = reconstruct_timeline(make_incident(log, flight=fr, job="j"))
+        flight_rows = [e.kind for e in tl.entries if e.source == "flight"]
+        assert flight_rows == ["sop_crossed"]
+        assert_each_record_once(tl, log.events)
 
     def test_tracer_spans_stitch_into_the_entry_stream(self):
         from repro.obs import Tracer
@@ -255,6 +278,7 @@ def test_killed_node_leaves_a_blackbox_and_a_reconstructible_timeline(tmp_path):
     assert tl.phase("rebuild").detail["kind"] == "mlck-l1"
     # the headline property: phase attribution sums to the reported latency
     assert tl.total_seconds == pytest.approx(out.recovery_latency_s, rel=1e-6)
+    assert_each_record_once(tl, out.events)
 
     # and the rendered report carries the story end to end
     text = render_timeline(tl)
@@ -320,6 +344,7 @@ def test_localized_timeline_phases_sum_and_blackbox_has_last_sop(tmp_path):
     # the invariant this test pins: phase attribution sums exactly to
     # the reported recovery latency, localized path included
     assert tl.total_seconds == pytest.approx(out.recovery_latency_s, rel=1e-9)
+    assert_each_record_once(tl, out.events)
     rebuild = tl.phase("rebuild")
     assert rebuild.detail["kind"] == "mlck-l1-localized"
     scope = rebuild.detail["rebuild_scope"]
