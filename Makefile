@@ -1,4 +1,6 @@
 PYTHON ?= python
+# every target runs the package from this checkout's src/
+export PYTHONPATH := src
 
 .PHONY: install test verify-checkpoints verify-mlck verify-localized verify-policy verify-workflow verify-reconfig verify-reconfig-deep bench bench-baseline bench-obs bench-localized bench-workflow bench-fleet bench-e2e bench-e2e-quick bench-e2e-compare report trace obs-report forensics-demo examples all clean
 
@@ -13,53 +15,53 @@ test:
 	$(PYTHON) -m pytest tests/
 
 verify-checkpoints:
-	PYTHONPATH=src $(PYTHON) -m pytest -m "crash_consistency or mlck or flight or localized or policy or workflow" tests/
+	$(PYTHON) -m pytest -m "crash_consistency or mlck or flight or localized or policy or workflow" tests/
 
 # the cadence-policy gate: the rule/engine unit suite plus the
 # context-integration scenarios (policy-marked tests)
 verify-policy:
-	PYTHONPATH=src $(PYTHON) -m pytest -m policy tests/
+	$(PYTHON) -m pytest -m policy tests/
 
 # the multi-level store gate: the canonical node-loss and
 # mid-drain-crash schedules, a seeded batch of random memory+pfs fault
 # cases, and the mlck-marked scenario tests
 verify-mlck:
-	PYTHONPATH=src $(PYTHON) -m repro.verify mlck --seed $(VERIFY_SEED) \
+	$(PYTHON) -m repro.verify mlck --seed $(VERIFY_SEED) \
 		--cases 40 --out verify_out
-	PYTHONPATH=src $(PYTHON) -m pytest -m mlck tests/
+	$(PYTHON) -m pytest -m mlck tests/
 
 # the localized-recovery equivalence gate: the canonical happy-path and
 # PFS-fallback schedules plus a seeded sweep, each schedule run through
 # BOTH the localized and the full recovery path (state must come out
 # byte-identical), and the localized-marked scenario tests
 verify-localized:
-	PYTHONPATH=src $(PYTHON) -m repro.verify localized --seed $(VERIFY_SEED) \
+	$(PYTHON) -m repro.verify localized --seed $(VERIFY_SEED) \
 		--cases 40 --out verify_out
-	PYTHONPATH=src $(PYTHON) -m pytest -m localized tests/
+	$(PYTHON) -m pytest -m localized tests/
 
 # the coupled-workflow gate: the canonical torn-line and lost-member
 # schedules, a seeded batch of random ring-coupled ensemble cases
 # (torn lines rejected as units, byte-identical mixed-task-count
 # restarts), and the workflow-marked scenario tests
 verify-workflow:
-	PYTHONPATH=src $(PYTHON) -m repro.verify workflow --seed $(VERIFY_SEED) \
+	$(PYTHON) -m repro.verify workflow --seed $(VERIFY_SEED) \
 		--cases 40 --out verify_out
-	PYTHONPATH=src $(PYTHON) -m pytest -m workflow tests/
+	$(PYTHON) -m pytest -m workflow tests/
 
 # the differential reconfiguration harness (DESIGN.md section 10):
 # 220 seeded (t1,p1)->(t2,p2) cases across all three engines plus 40
 # fault-schedule recovery cases, the known-bad shrinker demo, and the
 # property/corpus tests
 verify-reconfig:
-	PYTHONPATH=src $(PYTHON) -m repro.verify run --seed $(VERIFY_SEED) \
+	$(PYTHON) -m repro.verify run --seed $(VERIFY_SEED) \
 		--cases 220 --fault-cases 40 --out verify_out
-	PYTHONPATH=src $(PYTHON) -m repro.verify known-bad
-	PYTHONPATH=src $(PYTHON) -m pytest -m "verify or streamvec" tests/
+	$(PYTHON) -m repro.verify known-bad
+	$(PYTHON) -m pytest -m "verify or streamvec" tests/
 
 # fresh seed every day, 10x the case volume; failures shrink to
 # replayable JSON reproducers under verify_out/
 verify-reconfig-deep:
-	PYTHONPATH=src $(PYTHON) -m repro.verify run --seed $(DEEP_SEED) \
+	$(PYTHON) -m repro.verify run --seed $(DEEP_SEED) \
 		--cases 2000 --fault-cases 400 --out verify_out
 
 bench:
@@ -67,27 +69,27 @@ bench:
 
 # the multi-level recovery baseline: writes benchmarks/out/BENCH_mlck.json
 bench-baseline:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_mlck_recovery.py \
+	$(PYTHON) -m pytest benchmarks/bench_mlck_recovery.py \
 		--benchmark-only -s
 
 # the observability-overhead gate: regenerates BENCH_obs_overhead.json
 # and fails if the always-on flight recorder costs more than 5% over
 # the everything-off baseline
 bench-obs:
-	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_obs_overhead.py --check
+	PYTHONPATH=$(PYTHONPATH):benchmarks $(PYTHON) benchmarks/bench_obs_overhead.py --check
 
 # the localized-recovery gate: regenerates BENCH_localized.json and
 # fails if localized recovery does not beat a full restart on the
 # L1-served happy path
 bench-localized:
-	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_localized_recovery.py --check
+	PYTHONPATH=$(PYTHONPATH):benchmarks $(PYTHON) benchmarks/bench_localized_recovery.py --check
 
 # the workflow gate: regenerates BENCH_workflow.json and fails if
 # coordination costs an unbounded premium over independent members,
 # a torn workflow line is not rejected as a unit, or the
 # mixed-task-count ensemble restart diverges
 bench-workflow:
-	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_workflow.py --check
+	PYTHONPATH=$(PYTHONPATH):benchmarks $(PYTHON) benchmarks/bench_workflow.py --check
 
 # the scheduler gate, both benches of the one fleet simulation: the
 # section 8 tables (failure-free) and BENCH_fleet.json, failing if the
@@ -95,9 +97,9 @@ bench-workflow:
 # sustained storm, or the reconfigurable scheduler loses its
 # utilization edge over the rigid one
 bench-fleet:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_scheduler_flexibility.py \
+	$(PYTHON) -m pytest benchmarks/bench_scheduler_flexibility.py \
 		--benchmark-only -s
-	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_fleet_policies.py --check
+	PYTHONPATH=$(PYTHONPATH):benchmarks $(PYTHON) benchmarks/bench_fleet_policies.py --check
 
 # the wall-clock recovery-cycle benchmark (benchmarks/e2e, declared in
 # BENCHMARK.json): the driver's command once per workload, end to end
@@ -109,8 +111,8 @@ bench-e2e:
 # the harness self-test: two rotations on 64x64 arrays through every
 # pass with the oracle gate, then the span-arithmetic tests
 bench-e2e-quick:
-	PYTHONPATH=src $(PYTHON) -m benchmarks.e2e --quick --check
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e/tests
+	$(PYTHON) -m benchmarks.e2e --quick --check
+	$(PYTHON) -m pytest benchmarks/e2e/tests
 
 # a perf claim as one command: `make bench-e2e-compare BASE=<rev>
 # [WORKLOAD=<name>]` runs the end-to-end pass ten times at BASE and ten
@@ -136,16 +138,16 @@ report:
 # one traced checkpoint/restart lifecycle: Chrome trace (load trace_out/
 # trace.json at https://ui.perfetto.dev), metrics dump, phase breakdown
 trace:
-	PYTHONPATH=src $(PYTHON) -m repro.tools.trace --out trace_out
+	$(PYTHON) -m repro.tools.trace --out trace_out
 
 # the full paper report plus the traced-lifecycle artifacts
 obs-report:
-	PYTHONPATH=src $(PYTHON) -m repro.tools.report --out benchmarks/out --trace trace_out
+	$(PYTHON) -m repro.tools.report --out benchmarks/out --trace trace_out
 
 # kill a node mid-run and write the full forensic record (incident
 # dump, black box, OpenMetrics health) under forensics_out/
 forensics-demo:
-	PYTHONPATH=src $(PYTHON) -m repro.tools.forensics dump --out forensics_out
+	$(PYTHON) -m repro.tools.forensics dump --out forensics_out
 
 examples:
 	@for s in examples/*.py; do echo "== $$s"; $(PYTHON) $$s || exit 1; done

@@ -6,10 +6,11 @@ parallel array-section streaming.  Restart: every task loads the single
 saved data segment (restoring replicated variables and execution
 context), then each array is streamed in under the distribution
 appropriate for the *new* number of tasks — which may differ from the
-checkpointing task count.  That restart is one routine, :func:`restore`,
-whatever tier holds the bytes: the PFS copy (:class:`PFSCheckpointSource`)
-or the L1 replicas of :mod:`repro.mlck` are *generation sources* it is
-handed.
+checkpointing task count.  Each is one routine whatever tier holds the
+bytes: :func:`capture` writes into a *generation sink* — the PFS
+(:class:`PFSCheckpointSink`) or the L1 replicas of :mod:`repro.mlck` —
+and :func:`restore` reads from the matching *generation source*
+(:class:`PFSCheckpointSource`, the L1 replicas).
 
 Each step is an I/O phase, so both operations return the same component
 breakdown the paper reports in Table 6 (data-segment time/rate, array
@@ -41,6 +42,7 @@ from repro.errors import CheckpointError, CheckpointIntegrityError, RestartError
 from repro.obs import get_tracer
 from repro.pfs.phase import IOKind
 from repro.pfs.piofs import PIOFS
+from repro.streaming.order import check_order
 from repro.streaming.parallel import stream_in_parallel, stream_out_parallel
 from repro.streaming.streams import PFSSink, PFSSource
 
@@ -48,7 +50,9 @@ __all__ = [
     "CheckpointBreakdown",
     "RestartBreakdown",
     "RestoredState",
+    "PFSCheckpointSink",
     "PFSCheckpointSource",
+    "capture",
     "drms_checkpoint",
     "drms_restart",
     "open_generation",
@@ -147,17 +151,134 @@ class RestoredState:
         return self.ntasks - self.checkpoint_ntasks
 
 
-def _common_ntasks(arrays: Sequence[DistributedArray]) -> int:
-    """The task count the uniquely named ``arrays`` share (1 if none)."""
+# -- the capture pipeline -------------------------------------------------------
+
+
+def capture(
+    sink,
+    prefix: str,
+    segment: DataSegment,
+    arrays: Sequence[DistributedArray],
+    order: str,
+    app_name: str,
+    ntasks: Optional[int],
+) -> CheckpointBreakdown:
+    """Capture one DRMS generation ``prefix`` into ``sink`` — the single
+    capture routine every tier shares, the mirror of :func:`restore`.
+
+    The pipeline owns what a checkpoint *is*: the input checks, all made
+    before the first byte is stored (the stream order, unique array
+    names, one task count: ``ntasks``, the run's, else the arrays'); the
+    data segment, then one distribution-independent stream per array;
+    the v3 manifest, assembled here and nowhere else; the breakdown.  A
+    *generation sink* owns where the bytes go and what storing them
+    costs (DESIGN.md §8): ``kind``; ``spans`` (segment span, per-array
+    span stem); ``segment(file, header, pad) -> (seconds, sha1)``;
+    ``array(a, file, order) -> (seconds, nbytes, sha1, span attrs)``,
+    the digest taken over the stream it intends to store (None when
+    virtual); ``commit(manifest, bd)``, which makes the generation
+    visible."""
+    check_order(order)
     if len({a.name for a in arrays}) != len(arrays):
         raise CheckpointError("distributed array names must be unique")
-    ntasks = arrays[0].ntasks if arrays else 1
+    if ntasks is None:
+        ntasks = arrays[0].ntasks if arrays else 1
     for a in arrays:
         if a.ntasks != ntasks:
             raise CheckpointError(
                 f"array {a.name!r} has {a.ntasks} tasks; expected {ntasks}"
             )
-    return ntasks
+    bd = CheckpointBreakdown(kind=sink.kind, prefix=prefix, ntasks=ntasks)
+    obs = get_tracer()
+    segment_span, array_span = sink.spans
+
+    with obs.span(
+        "checkpoint", kind=sink.kind, prefix=prefix, ntasks=ntasks, app=app_name
+    ) as op:
+        # Phase 1: the representative task's data segment.
+        header, pad = segment.serialize()
+        seg = segment_name(prefix)
+        with obs.span(segment_span, file=seg) as sp:
+            seconds, segment_sha1 = sink.segment(seg, header, pad)
+            obs.advance(seconds)
+            sp.set(nbytes=len(header) + pad, seconds=seconds)
+        bd.segment_seconds = seconds
+        bd.segment_bytes = len(header) + pad
+
+        # Phase 2..N+1: each distributed array in sequence.
+        specs = []
+        for a in arrays:
+            fname = array_name(prefix, a.name)
+            with obs.span(f"{array_span}:{a.name}", file=fname) as sp:
+                seconds, nbytes, sha1, attrs = sink.array(a, fname, order)
+                obs.advance(seconds)
+                sp.set(nbytes=nbytes, **attrs, seconds=seconds)
+            bd.arrays_seconds += seconds
+            bd.arrays_bytes += nbytes
+            bd.per_array.append((a.name, seconds, nbytes))
+            specs.append({
+                "name": a.name, "shape": list(a.shape),
+                "dtype": np_dtype_name(a.dtype), "file": fname,
+                # Integrity record: SHA-1 over the *intended* stream, not
+                # the stored copy, so a torn or short write is caught.
+                "nbytes": nbytes, "sha1": sha1, "virtual": not a.store_data,
+                "distribution": distribution_to_spec(a.distribution),
+            })
+        sink.commit({
+            "kind": "drms", "app_name": app_name, "ntasks": ntasks,
+            "order": order, "segment_file": seg,
+            "segment_bytes": bd.segment_bytes, "segment_sha1": segment_sha1,
+            "segment_sha1_bytes": len(header), "arrays": specs,
+        }, bd)
+        op.set(nbytes=bd.total_bytes, seconds=bd.total_seconds)
+    _publish_breakdown("checkpoint", bd)
+    return bd
+
+
+class PFSCheckpointSink:
+    """Generation sink onto the PFS (see :func:`capture`): the segment
+    is one serial write phase, each array one parallel stream-out phase
+    of at most ``io_tasks`` writes
+    (:func:`~repro.streaming.parallel.stream_out_parallel`); the commit
+    writes the manifest."""
+
+    kind = "drms"
+    spans = ("segment_write", "parstream")
+
+    def __init__(self, pfs: PIOFS, io_tasks: Optional[int], target_bytes: int):
+        self.pfs = pfs
+        self.io_tasks = io_tasks
+        self.target_bytes = target_bytes
+
+    def segment(self, file: str, header: bytes, pad: int) -> Tuple[float, str]:
+        """One serial write phase: task 0 writes the exact header, the
+        pad as a sparse span after it."""
+        pfs = self.pfs
+        pfs.create(file, virtual=False)
+        with pfs.phase(IOKind.WRITE_SERIAL) as res:
+            pfs.write_at(file, 0, header, client=0)
+            if pad:  # the sized bulk components (see DataSegment)
+                pfs.write_at(file, len(header), None, nbytes=pad, client=0)
+        return res.seconds, sha1_hex(header)
+
+    def array(
+        self, a: DistributedArray, file: str, order: str
+    ) -> Tuple[float, int, Optional[str], Dict[str, int]]:
+        """One parallel write phase: stream ``a`` out into ``file``."""
+        sink = PFSSink(self.pfs, file, virtual=not a.store_data, create=True)
+        with self.pfs.phase(IOKind.WRITE_PARALLEL) as res:
+            stats = stream_out_parallel(
+                a, sink, P=self.io_tasks, order=order,
+                target_bytes=self.target_bytes,
+            )
+        return res.seconds, stats.bytes_streamed, stats.sha1, {
+            "pieces": stats.pieces,
+            "redistribution_bytes": stats.redistribution_bytes,
+        }
+
+    def commit(self, manifest: Dict, bd: CheckpointBreakdown) -> None:
+        """Commit the manifest: the generation exists from here on."""
+        write_manifest(self.pfs, bd.prefix, manifest)
 
 
 def drms_checkpoint(
@@ -169,100 +290,20 @@ def drms_checkpoint(
     io_tasks: Optional[int] = None,
     target_bytes: int = 1 << 20,
     app_name: str = "",
+    ntasks: Optional[int] = None,
 ) -> CheckpointBreakdown:
-    """Write a reconfigurable checkpoint under ``prefix`` on the PFS.
+    """Write a reconfigurable checkpoint under ``prefix`` on the PFS of
+    a run on ``ntasks`` tasks (default: the arrays'): :func:`capture`
+    into a :class:`PFSCheckpointSink`.
 
     ``arrays`` are the stream sources: distributed arrays, or
     :class:`~repro.streaming.serial.StoredStream` objects bringing
-    their captured bytes and digest (the L1 drain) — same state, byte
-    for byte.
-
-    Each array is one parstream phase
-    (:func:`~repro.streaming.parallel.stream_out_parallel`): at most
-    ``io_tasks`` bulk writes, or the per-piece loop when the array is
-    virtual; the stored bytes are the same either way.
-
-    The memory tier captures the same content into node memory and
-    drains it here; its one entrance is
-    :class:`~repro.mlck.checkpointer.MultiLevelCheckpointer`."""
-    ntasks = _common_ntasks(arrays)
-    bd = CheckpointBreakdown(kind="drms", prefix=prefix, ntasks=ntasks)
-    obs = get_tracer()
-
-    with obs.span(
-        "checkpoint", kind="drms", prefix=prefix, ntasks=ntasks, app=app_name
-    ) as op:
-        # Phase 1: the representative task writes its data segment.
-        header, pad = segment.serialize()
-        seg = segment_name(prefix)
-        pfs.create(seg, virtual=False)
-        with obs.span("segment_write", file=seg) as sp:
-            with pfs.phase(IOKind.WRITE_SERIAL) as res:
-                pfs.write_at(seg, 0, header, client=0)
-                if pad:
-                    # The bulk segment components are sized payloads (see
-                    # DataSegment): a sparse span past the exact header.
-                    pfs.write_at(seg, len(header), None, nbytes=pad, client=0)
-            obs.advance(res.seconds)
-            sp.set(nbytes=len(header) + pad, seconds=res.seconds)
-        bd.segment_seconds = res.seconds
-        bd.segment_bytes = len(header) + pad
-
-        # Phase 2..N+1: each distributed array in sequence, via parstream.
-        manifest_arrays = []
-        for a in arrays:
-            fname = array_name(prefix, a.name)
-            sink = PFSSink(pfs, fname, virtual=not a.store_data, create=True)
-            with obs.span(f"parstream:{a.name}", file=fname) as sp:
-                with pfs.phase(IOKind.WRITE_PARALLEL) as res:
-                    stats = stream_out_parallel(
-                        a, sink, P=io_tasks, order=order, target_bytes=target_bytes
-                    )
-                obs.advance(res.seconds)
-                sp.set(
-                    nbytes=stats.bytes_streamed,
-                    pieces=stats.pieces,
-                    redistribution_bytes=stats.redistribution_bytes,
-                    seconds=res.seconds,
-                )
-            bd.arrays_seconds += res.seconds
-            bd.arrays_bytes += stats.bytes_streamed
-            bd.per_array.append((a.name, res.seconds, stats.bytes_streamed))
-            manifest_arrays.append(
-                {
-                    "name": a.name,
-                    "shape": list(a.shape),
-                    "dtype": np_dtype_name(a.dtype),
-                    "file": fname,
-                    "nbytes": stats.bytes_streamed,
-                    # Integrity record: SHA-1 over the *intended* stream
-                    # (the stream-out's gather buffer, not the file
-                    # content), so a torn or short write that corrupted
-                    # the stored file is caught at restart.
-                    "sha1": stats.sha1,
-                    "virtual": not a.store_data,
-                    "distribution": distribution_to_spec(a.distribution),
-                }
-            )
-
-        write_manifest(
-            pfs,
-            prefix,
-            {
-                "kind": "drms",
-                "app_name": app_name,
-                "ntasks": ntasks,
-                "order": order,
-                "segment_file": seg,
-                "segment_bytes": bd.segment_bytes,
-                "segment_sha1": sha1_hex(header),
-                "segment_sha1_bytes": len(header),
-                "arrays": manifest_arrays,
-            },
-        )
-        op.set(nbytes=bd.total_bytes, seconds=bd.total_seconds)
-    _publish_breakdown("checkpoint", bd)
-    return bd
+    their captured bytes and digest (the L1 drain, which enters here) —
+    same state, byte for byte.  The memory tier captures the same
+    manifest (:meth:`~repro.mlck.store.L1Store.capture_drms`); its one
+    entrance is :class:`~repro.mlck.checkpointer.MultiLevelCheckpointer`."""
+    sink = PFSCheckpointSink(pfs, io_tasks, target_bytes)
+    return capture(sink, prefix, segment, arrays, order, app_name, ntasks)
 
 
 # -- the restore pipeline -------------------------------------------------------
@@ -305,7 +346,7 @@ def restore(
     charge, the saved data segment, one array after another under the
     distribution for the new task count, the component breakdown.  A
     *generation source* owns where the bytes are, what moving them
-    costs, and that they are sound (DESIGN.md §8, "Restore pipeline"):
+    costs, and that they are sound (DESIGN.md §8, "One restore"):
 
     * ``kind`` — breakdown/span kind;
     * ``prefix``, ``manifest`` — the generation's name and its
@@ -404,11 +445,7 @@ class PFSCheckpointSource:
     spans = ("segment_read", "parstream")
 
     def __init__(
-        self,
-        pfs: PIOFS,
-        prefix: str,
-        io_tasks: Optional[int] = None,
-        target_bytes: int = 1 << 20,
+        self, pfs: PIOFS, prefix: str, io_tasks: Optional[int], target_bytes: int
     ):
         self.pfs = pfs
         self.prefix = prefix

@@ -133,20 +133,16 @@ class AppRuntime:
         L1 capture, and the PFS drain runs behind its back.  ``clock``
         (the caller's simulated seconds) stamps the captured generation
         for the cadence health gauges."""
+        arrays = list(self.arrays.values())
         if self.app.tier == "memory+pfs":
             ck = self.app.mlck_for(prefix)
-            mbd = ck.checkpoint(segment, list(self.arrays.values()), clock=clock)
+            mbd = ck.checkpoint(segment, arrays, self.ntasks, clock=clock)
             self.checkpoints.append((mbd.prefix, mbd.capture))
             return mbd.capture
         bd = drms_checkpoint(
-            self.pfs,
-            prefix,
-            segment,
-            list(self.arrays.values()),
-            order=self.app.order,
-            io_tasks=self.app.io_tasks,
-            target_bytes=self.app.target_bytes,
-            app_name=self.app.name,
+            self.pfs, prefix, segment, arrays, order=self.app.order,
+            io_tasks=self.app.io_tasks, target_bytes=self.app.target_bytes,
+            app_name=self.app.name, ntasks=self.ntasks,
         )
         self.checkpoints.append((prefix, bd))
         return bd

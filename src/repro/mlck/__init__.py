@@ -54,9 +54,9 @@ from repro.mlck.localized import (
 from repro.mlck.placement import replica_nodes, select_partners
 from repro.mlck.recovery import select_tiered_restart_state
 from repro.mlck.store import (
-    L1ArrayEntry,
     L1Generation,
     L1Piece,
+    L1ReplicaSink,
     L1ReplicaSource,
     L1Store,
 )
@@ -65,9 +65,9 @@ __all__ = [
     "ArrayScope",
     "DrainController",
     "DrainState",
-    "L1ArrayEntry",
     "L1Generation",
     "L1Piece",
+    "L1ReplicaSink",
     "L1ReplicaSource",
     "L1Store",
     "MLCKBreakdown",

@@ -127,16 +127,16 @@ class MultiLevelCheckpointer:
         self,
         segment: DataSegment,
         arrays: Sequence[DistributedArray],
-        nodes: Optional[Sequence[int]] = None,
+        ntasks: Optional[int] = None,
         clock: float = 0.0,
     ) -> MLCKBreakdown:
-        """Capture a new generation into L1 and queue its drain.  The
+        """Capture a new generation of a run on ``ntasks`` tasks
+        (default: the arrays') into L1 and queue its drain.  The
         returned breakdown charges the application only the capture."""
         prefix = self.next_prefix()
         _, capture_bd = self.store.capture_drms(
-            prefix, segment, arrays,
-            order=self.order, nodes=nodes,
-            app_name=self.app_name, clock=clock,
+            prefix, segment, arrays, order=self.order,
+            app_name=self.app_name, clock=clock, ntasks=ntasks,
         )
         self.drainer.schedule(prefix, clock=clock)
         return MLCKBreakdown(

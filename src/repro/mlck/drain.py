@@ -194,11 +194,12 @@ class DrainController:
             )
             try:
                 segment, streams = self.store.stored_streams(prefix)
+                manifest = gen.manifest
                 drms_checkpoint(
                     self.pfs, prefix, segment, streams,
-                    order=gen.order, io_tasks=self.io_tasks,
+                    order=manifest["order"], io_tasks=self.io_tasks,
                     target_bytes=self.target_bytes,
-                    app_name=gen.app_name,
+                    app_name=manifest["app_name"], ntasks=manifest["ntasks"],
                 )
                 gen.drain_state = DrainState.DURABLE
                 m.counter("mlck.drain.completed").inc()

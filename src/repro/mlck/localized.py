@@ -262,13 +262,13 @@ class SurvivorLocal(SwitchFetch):
             if nb:
                 acct.send(servers[i % len(servers)], scope.replacements[r], nb)
 
-    def segment(self, acct: _Accounting, gen, nodes: Sequence[int]) -> None:
+    def segment(self, acct: _Accounting, manifest: Dict, chunks, nodes) -> None:
         """Every rank reloads the whole (sized) segment; ``nodes``
         served its pieces."""
-        self._charge(acct, sorted(set(nodes)), lambda r: gen.segment_bytes)
+        self._charge(acct, sorted(set(nodes)), lambda r: manifest["segment_bytes"])
 
     def array(
-        self, acct: _Accounting, index: int, entry, nodes: Sequence[int]
+        self, acct: _Accounting, index: int, spec: Dict, chunks, nodes
     ) -> Dict[str, int]:
         """Every rank reloads its assigned section of the array; a
         virtual array's sized payload is served by the survivors."""
@@ -276,7 +276,7 @@ class SurvivorLocal(SwitchFetch):
         ascope = scope.arrays[index]
         servers = (
             [scope.placement[r] for r in scope.survivor_ranks]
-            if entry.virtual
+            if spec["virtual"]
             else sorted(set(nodes))
         )
         self._charge(acct, servers, lambda r: ascope.rank_bytes.get(r, 0))

@@ -1,10 +1,11 @@
 """The L1 tier: replicated in-memory checkpoint storage.
 
-An L1 generation holds the same logical content as a PFS (L2)
-checkpoint — the representative task's data segment plus each
-distributed array's canonical stream — but keeps it in simulated node
-memory, chunked into *pieces* that are replicated onto ``k`` partner
-nodes in other failure domains (:mod:`repro.mlck.placement`).  Capture
+An L1 generation is the one capture (:func:`~repro.checkpoint.drms.capture`)
+into an :class:`L1ReplicaSink`: the manifest it assembled — the one its
+drain commits — plus the bytes a PFS (L2) checkpoint stores, the
+segment header and each array's canonical stream, kept in simulated
+node memory as *pieces* replicated onto ``k`` partner nodes in other
+failure domains (:mod:`repro.mlck.placement`).  Capture
 therefore costs memory copies and switch transfers (hundreds of MB/s)
 instead of PFS writes (single-digit MB/s), and recovery from a single
 node failure is served entirely from surviving replicas: no PFS read
@@ -17,7 +18,7 @@ when (DESIGN.md §12): a byte is hashed when it is captured and when it
 is handed to someone, never to answer a question about a replica.
 *Liveness* (:meth:`L1Store._replica_live`, O(1)) is all a replica-list
 scrub or a choice of charged servers needs; *verification* (the SHA-1)
-is done by the fetch (:meth:`L1Store._fetch_pieces`) on the replica it
+is done by the fetch (:meth:`L1Store._fetch`) on the replica it
 serves — once per byte delivered to a restore, the drain or a new
 replica — and by :meth:`L1Store.validate_generation`, the full audit
 (a restart's walk opens instead: liveness, then the fetch).  Every
@@ -36,8 +37,8 @@ proceed in parallel, like the parstream I/O tasks).
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections import Counter, OrderedDict
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -48,18 +49,10 @@ from repro.checkpoint.drms import (
     CheckpointBreakdown,
     RestartBreakdown,
     RestoredState,
-    _common_ntasks,
-    _publish_breakdown,
+    capture,
     restore,
 )
-from repro.checkpoint.format import (
-    array_name,
-    distribution_to_spec,
-    np_dtype_name,
-    segment_name,
-    sha1_hex,
-    spec_to_distribution,
-)
+from repro.checkpoint.format import sha1_hex, spec_to_distribution
 from repro.checkpoint.segment import DataSegment
 from repro.checkpoint.validate import ValidationReport
 from repro.errors import CheckpointError, MemoryTierError
@@ -67,14 +60,14 @@ from repro.infra.events import emit_event
 from repro.mlck.placement import select_partners
 from repro.obs import get_flight, get_tracer
 from repro.runtime.machine import Machine
-from repro.streaming.order import bytes_to_section, check_order
+from repro.streaming.order import bytes_to_section
 from repro.streaming.serial import StoredStream, stream_u8
 
 __all__ = [
     "L1Piece",
-    "L1ArrayEntry",
     "L1Generation",
     "L1Store",
+    "L1ReplicaSink",
     "L1ReplicaSource",
     "SwitchFetch",
 ]
@@ -99,49 +92,28 @@ class L1Piece:
 
 
 @dataclass
-class L1ArrayEntry:
-    """One distributed array's canonical stream, as resident pieces."""
-
-    name: str
-    file: str
-    shape: List[int]
-    dtype: str
-    #: logical stream bytes (charged); equals stored bytes unless virtual
-    nbytes: int
-    sha1: Optional[str]
-    virtual: bool
-    distribution: Dict
-    pieces: List[L1Piece] = field(default_factory=list)
-
-
-@dataclass
 class L1Generation:
-    """In-memory metadata of one captured DRMS generation — the L1
-    analogue of a PFS manifest, including the drain state machine's
-    position (see :class:`~repro.mlck.drain.DrainController`)."""
+    """One captured DRMS generation in node memory: the v3 manifest its
+    capture assembled (:func:`~repro.checkpoint.drms.capture` — the same
+    one its drain commits), the resident pieces of each stored stream,
+    and the drain state machine's position (see
+    :class:`~repro.mlck.drain.DrainController`)."""
 
     prefix: str
-    ntasks: int
-    order: str = "F"
-    app_name: str = ""
-    #: full logical segment bytes (header + sized pad)
-    segment_bytes: int = 0
-    segment_sha1: str = ""
-    segment_sha1_bytes: int = 0
-    segment_pieces: List[L1Piece] = field(default_factory=list)
-    arrays: List[L1ArrayEntry] = field(default_factory=list)
-    capture_seconds: float = 0.0
+    manifest: Dict
+    #: stored file -> its pieces: the segment header, then every data
+    #: array's stream (a virtual array stores nothing)
+    files: Dict[str, List[L1Piece]]
     #: cluster clock at capture (drives the health cadence gauges)
-    captured_at: Optional[float] = None
+    captured_at: float
     #: drain state machine: pending -> draining -> durable | failed
     drain_state: str = "pending"
     drain_error: Optional[str] = None
 
     def pieces(self) -> Iterator[L1Piece]:
         """Every piece of the generation: segment, then arrays."""
-        yield from self.segment_pieces
-        for entry in self.arrays:
-            yield from entry.pieces
+        for pieces in self.files.values():
+            yield from pieces
 
     @property
     def resident_bytes(self) -> int:
@@ -152,15 +124,8 @@ class L1Generation:
 def _chunk_spans(nbytes: int, target: int) -> List[Tuple[int, int]]:
     """(offset, length) spans covering ``nbytes`` in ``target``-sized
     chunks (at least one span, even for empty streams)."""
-    if nbytes <= 0:
-        return [(0, 0)]
-    spans = []
-    pos = 0
-    while pos < nbytes:
-        n = min(target, nbytes - pos)
-        spans.append((pos, n))
-        pos += n
-    return spans
+    spans = range(0, nbytes, target)
+    return [(pos, min(target, nbytes - pos)) for pos in spans] or [(0, 0)]
 
 
 def _hashed(data) -> str:
@@ -175,29 +140,26 @@ class _Accounting:
 
     def __init__(self, machine: Machine):
         self.machine = machine
-        self.local: Dict[int, int] = {}
-        self.sent: Dict[int, int] = {}
-        self.msgs: Dict[int, int] = {}
-        self.recv: Dict[int, int] = {}
+        self.local, self.sent, self.msgs, self.recv = (Counter() for _ in range(4))
 
     def copy(self, node: int, nbytes: int) -> None:
-        self.local[node] = self.local.get(node, 0) + nbytes
+        self.local[node] += nbytes
 
     def send(self, src: int, dst: int, nbytes: int) -> None:
-        self.sent[src] = self.sent.get(src, 0) + nbytes
-        self.msgs[src] = self.msgs.get(src, 0) + 1
-        self.recv[dst] = self.recv.get(dst, 0) + nbytes
+        self.sent[src] += nbytes
+        self.msgs[src] += 1
+        self.recv[dst] += nbytes
 
     def fetch(
-        self, pieces: Sequence[L1Piece], nodes: Sequence[int], requester: int
+        self, chunks: Sequence[bytes], nodes: Sequence[int], requester: int
     ) -> None:
-        """``requester`` pulls each piece from the node that served it
-        (a local copy when that is the requester itself)."""
-        for piece, node in zip(pieces, nodes):
+        """``requester`` pulls each served piece from the node that
+        served it (a local copy when that is the requester itself)."""
+        for chunk, node in zip(chunks, nodes):
             if node != requester:
-                self.send(node, requester, piece.nbytes)
+                self.send(node, requester, len(chunk))
             else:
-                self.copy(node, piece.nbytes)
+                self.copy(node, len(chunk))
 
     def seconds(self) -> float:
         p = self.machine.params
@@ -206,10 +168,10 @@ class _Accounting:
         busy = 0.0
         for node in set(self.local) | set(self.sent) | set(self.recv):
             t = (
-                self.local.get(node, 0) / mem_bw
-                + self.sent.get(node, 0) / link_bw
-                + self.msgs.get(node, 0) * p.link_latency_s
-                + self.recv.get(node, 0) / mem_bw
+                self.local[node] / mem_bw
+                + self.sent[node] / link_bw
+                + self.msgs[node] * p.link_latency_s
+                + self.recv[node] / mem_bw
             )
             busy = max(busy, t)
         return busy
@@ -327,60 +289,6 @@ class L1Store:
 
     # -- capture -------------------------------------------------------------
 
-    def _capture_stream(
-        self,
-        acct: _Accounting,
-        file: str,
-        data: bytes,
-        charged_total: int,
-        nodes: Sequence[int],
-        partner_cache: Dict[int, List[int]],
-        start: int,
-        clock: float,
-        store: bool = True,
-    ) -> Tuple[List[L1Piece], int]:
-        """Chunk ``data`` into replicated pieces round-robin over
-        ``nodes``; sized bytes beyond ``len(data)`` (pad, virtual
-        payload) are charged to the last piece's owner.  Returns the
-        pieces and the advanced round-robin counter."""
-        spans = _chunk_spans(len(data), self.target_bytes)
-        extra = max(0, charged_total - len(data))
-        # views of the one captured buffer: a replica is charged, not copied
-        data = memoryview(data).toreadonly()
-        pieces = []
-        for i, (off, n) in enumerate(spans):
-            owner = nodes[(start + i) % len(nodes)]
-            if owner not in partner_cache:
-                partner_cache[owner] = select_partners(
-                    self.machine, owner, k=self.k,
-                    events=self.events, clock=clock,
-                )
-            charged = n + (extra if i == len(spans) - 1 else 0)
-            chunk = data[off : off + n]
-            piece = L1Piece(
-                key=f"{file}#{i:06d}",
-                offset=off,
-                nbytes=n if store else 0,
-                sha1=_hashed(chunk),
-                replicas=[owner, *partner_cache[owner]],
-            )
-            if store:
-                with self._lock:
-                    for node in piece.replicas:
-                        self._node_mem(node)[piece.key] = chunk
-            acct.copy(owner, charged)
-            for partner in partner_cache[owner]:
-                acct.send(owner, partner, charged)
-            pieces.append(piece)
-        fr = get_flight()
-        if fr.enabled:
-            for p in pieces:
-                fr.record(
-                    "replica_placed", node=p.owner, time=clock,
-                    key=p.key, nbytes=p.nbytes, replicas=list(p.replicas),
-                )
-        return pieces, start + len(spans)
-
     def capture_drms(
         self,
         prefix: str,
@@ -390,108 +298,18 @@ class L1Store:
         nodes: Optional[Sequence[int]] = None,
         app_name: str = "",
         clock: float = 0.0,
+        ntasks: Optional[int] = None,
     ) -> Tuple[L1Generation, CheckpointBreakdown]:
-        """Capture a DRMS-style generation into node memory.
-
-        Same content as :func:`~repro.checkpoint.drms.drms_checkpoint`
-        — segment header + canonical per-array streams — but replicated
-        across memories at memory/switch speed.  Returns the generation
-        and a :class:`CheckpointBreakdown` of kind ``mlck-l1``.
-        """
-        check_order(order)
-        ntasks = _common_ntasks(arrays)
-        nodes = self._capture_nodes(prefix, nodes)
-        partner_cache: Dict[int, List[int]] = {}
-        bd = CheckpointBreakdown(kind="mlck-l1", prefix=prefix, ntasks=ntasks)
-        obs = get_tracer()
-        gen = L1Generation(
-            prefix=prefix, ntasks=ntasks, order=order, app_name=app_name,
-        )
-        with obs.span(
-            "checkpoint", kind="mlck-l1", prefix=prefix, ntasks=ntasks,
-            app=app_name,
-        ) as op:
-            header, pad = segment.serialize()
-            gen.segment_bytes = len(header) + pad
-            gen.segment_sha1 = _hashed(header)
-            gen.segment_sha1_bytes = len(header)
-            acct = _Accounting(self.machine)
-            with obs.span(
-                "l1_segment_capture", file=segment_name(prefix)
-            ) as sp:
-                gen.segment_pieces, rr = self._capture_stream(
-                    acct, segment_name(prefix), header, gen.segment_bytes,
-                    nodes, partner_cache, 0, clock,
-                )
-                sec = acct.seconds()
-                obs.advance(sec)
-                sp.set(nbytes=gen.segment_bytes, seconds=sec)
-            bd.segment_seconds = sec
-            bd.segment_bytes = gen.segment_bytes
-
-            for a in arrays:
-                fname = array_name(prefix, a.name)
-                stream = stream_u8(a, order=order) if a.store_data else b""
-                charged = len(stream) if a.store_data else int(a.nbytes_global)
-                acct = _Accounting(self.machine)
-                with obs.span(f"l1_replicate:{a.name}", file=fname) as sp:
-                    pieces, rr = self._capture_stream(
-                        acct, fname, stream, charged, nodes, partner_cache,
-                        rr, clock, store=a.store_data,
-                    )
-                    sec = acct.seconds()
-                    obs.advance(sec)
-                    sp.set(nbytes=charged, pieces=len(pieces), seconds=sec)
-                gen.arrays.append(
-                    L1ArrayEntry(
-                        name=a.name,
-                        file=fname,
-                        shape=list(a.shape),
-                        dtype=np_dtype_name(a.dtype),
-                        nbytes=charged,
-                        sha1=_hashed(stream) if a.store_data else None,
-                        virtual=not a.store_data,
-                        distribution=distribution_to_spec(a.distribution),
-                        pieces=pieces if a.store_data else [],
-                    )
-                )
-                bd.arrays_seconds += sec
-                bd.arrays_bytes += charged
-                bd.per_array.append((a.name, sec, charged))
-            op.set(nbytes=bd.total_bytes, seconds=bd.total_seconds)
-        return self._captured(gen, bd, clock)
-
-    def _capture_nodes(self, prefix: str, nodes: Optional[Sequence[int]]) -> List[int]:
-        """The nodes a capture of ``prefix`` spreads its pieces over
-        (default: every up node); refuses a prefix already captured."""
-        with self._lock:
-            if prefix in self._gens:
-                raise CheckpointError(
-                    f"L1 generation {prefix!r} already captured"
-                )
-        nodes = list(nodes) if nodes is not None else self.machine.up_nodes()
-        if not nodes:
-            raise CheckpointError("no up nodes to hold the L1 checkpoint")
-        return nodes
-
-    def _captured(
-        self, gen: L1Generation, bd: CheckpointBreakdown, clock: float
-    ) -> Tuple[L1Generation, CheckpointBreakdown]:
-        """Register a finished capture and publish its accounting."""
-        gen.capture_seconds = bd.total_seconds
-        gen.captured_at = clock
-        with self._lock:
-            self._gens[gen.prefix] = gen
-        _publish_breakdown("checkpoint", bd)
-        m = get_tracer().metrics
-        m.counter("mlck.l1.captures").inc()
-        m.counter("mlck.l1.capture.bytes").inc(bd.total_bytes)
-        get_flight().record(
-            "l1_captured", time=clock, prefix=gen.prefix,
-            nbytes=bd.total_bytes, seconds=bd.total_seconds,
-        )
-        self._update_resident_gauge()
-        return gen, bd
+        """Capture a DRMS generation of a run on ``ntasks`` tasks
+        (default: the arrays') into node memory:
+        :func:`~repro.checkpoint.drms.capture` into an
+        :class:`L1ReplicaSink` over ``nodes``.  Same content and
+        manifest as :func:`~repro.checkpoint.drms.drms_checkpoint`, at
+        memory/switch speed.  Returns the generation and a
+        :class:`CheckpointBreakdown` of kind ``mlck-l1``."""
+        sink = L1ReplicaSink(self, prefix, nodes, clock)
+        bd = capture(sink, prefix, segment, arrays, order, app_name, ntasks)
+        return self.gen(prefix), bd
 
     def _node_mem(self, node_id: int) -> Dict[str, bytes]:
         """The memory dict of ``node_id``, invalidating any bytes that
@@ -554,8 +372,7 @@ class L1Store:
                     f"generation {prefix!r} was never captured in L1"
                 )
                 return report
-            # the stored streams: the segment and every data array
-            report.files = 1 + sum(not e.virtual for e in gen.arrays)
+            report.files = len(gen.files)
             for piece in gen.pieces():
                 if self._serve(piece) is None:
                     report.errors.append(
@@ -570,39 +387,47 @@ class L1Store:
             m.counter("mlck.l1.validation_failures").inc()
         return report
 
-    def _fetch_pieces(
-        self, pieces: Sequence[L1Piece], nbytes: int
-    ) -> Tuple[List[bytes], List[int]]:
-        """The verifying fetch of one stream of ``nbytes`` stored bytes:
-        each piece comes from its first replica whose bytes hash to the
-        capture-time digest, and the pieces must tile the stream —
-        which together say what a hash of the concatenation would.
-        Returns the bytes of each piece (references, not yet joined)
-        and the node that served it; raises
+    def _fetch(self, gen: L1Generation) -> Dict[str, Tuple[List[bytes], List[int]]]:
+        """The verifying fetch of every stored stream of ``gen``, the
+        segment header first: per file, the bytes of each piece
+        (references, not yet joined) and the node that served it.  Each
+        piece comes from its first replica whose bytes hash to the
+        capture-time digest, and the pieces must tile the stored bytes
+        the manifest records — which together say what a hash of the
+        concatenation would.  Raises
         :class:`~repro.errors.MemoryTierError` on a piece no replica
         can serve."""
-        ends = list(accumulate((p.nbytes for p in pieces), initial=0))
-        if [p.offset for p in pieces] != ends[:-1] or ends[-1] != nbytes:
-            raise MemoryTierError(
-                f"pieces {[p.key for p in pieces]} do not tile a stream of "
-                f"{nbytes} stored bytes"
-            )
-        m = get_tracer().metrics
-        chunks, nodes = [], []
-        with self._lock:
-            for piece in pieces:
-                served = self._serve(piece)
-                if served is None:
-                    raise MemoryTierError(
-                        f"piece {piece.key!r}: no surviving valid replica "
-                        f"(replicas {piece.replicas})"
-                    )
-                node, data = served
-                nodes.append(node)
-                chunks.append(data)
-                if node != piece.owner:
-                    m.counter("mlck.l1.partner_serves").inc()
-        return chunks, nodes
+        m = gen.manifest
+        stored = [(m["segment_file"], m["segment_sha1_bytes"])] + [
+            (spec["file"], spec["nbytes"])
+            for spec in m["arrays"]
+            if not spec["virtual"]
+        ]
+        metrics = get_tracer().metrics
+        fetched = {}
+        for file, nbytes in stored:
+            pieces = gen.files[file]
+            ends = list(accumulate((p.nbytes for p in pieces), initial=0))
+            if [p.offset for p in pieces] != ends[:-1] or ends[-1] != nbytes:
+                raise MemoryTierError(
+                    f"pieces {[p.key for p in pieces]} do not tile a stream "
+                    f"of {nbytes} stored bytes"
+                )
+            chunks, nodes = fetched[file] = [], []
+            with self._lock:
+                for piece in pieces:
+                    served = self._serve(piece)
+                    if served is None:
+                        raise MemoryTierError(
+                            f"piece {piece.key!r}: no surviving valid replica "
+                            f"(replicas {piece.replicas})"
+                        )
+                    node, data = served
+                    nodes.append(node)
+                    chunks.append(data)
+                    if node != piece.owner:
+                        metrics.counter("mlck.l1.partner_serves").inc()
+        return fetched
 
     # -- restore -------------------------------------------------------------
 
@@ -643,27 +468,132 @@ class L1Store:
         one verified by this fetch — and the stream digest taken at
         capture.  Uncharged: the drain's measured cost is its PFS write."""
         gen = self.gen(prefix)
-        head, _ = self._fetch_pieces(gen.segment_pieces, gen.segment_sha1_bytes)
-        streams = []
-        for e in gen.arrays:
-            data = None
-            if not e.virtual:
-                chunks, _ = self._fetch_pieces(e.pieces, e.nbytes)
-                data = memoryview(b"".join(chunks))
-            streams.append(
-                StoredStream(
-                    name=e.name,
-                    shape=tuple(e.shape),
-                    dtype=np.dtype(e.dtype),
-                    distribution=spec_to_distribution(
-                        e.distribution, ntasks=gen.ntasks
-                    ),
-                    order=gen.order,
-                    stream=data,
-                    sha1=e.sha1,
-                )
+        m = gen.manifest
+        fetched = self._fetch(gen)
+        streams = [
+            StoredStream(
+                name=spec["name"],
+                shape=tuple(spec["shape"]),
+                dtype=np.dtype(spec["dtype"]),
+                distribution=spec_to_distribution(
+                    spec["distribution"], ntasks=m["ntasks"]
+                ),
+                order=m["order"],
+                stream=None if spec["virtual"]
+                else memoryview(b"".join(fetched[spec["file"]][0])),
+                sha1=spec["sha1"],
             )
-        return DataSegment.deserialize(b"".join(head)), streams
+            for spec in m["arrays"]
+        ]
+        head = b"".join(fetched[m["segment_file"]][0])
+        return DataSegment.deserialize(head), streams
+
+
+class L1ReplicaSink:
+    """Generation sink into node memory (see
+    :func:`~repro.checkpoint.drms.capture`): each stored stream is
+    chunked into pieces placed round-robin over ``nodes`` (default:
+    every up node) and replicated onto each owner's ``k`` partners,
+    charged as memory copies and switch transfers — the segment and
+    every array one round; the commit registers the generation."""
+
+    kind = "mlck-l1"
+    spans = ("l1_segment_capture", "l1_replicate")
+
+    def __init__(
+        self, store: L1Store, prefix: str, nodes: Optional[Sequence[int]],
+        clock: float,
+    ):
+        if store.has(prefix):
+            raise CheckpointError(f"L1 generation {prefix!r} already captured")
+        self.nodes = list(nodes) if nodes is not None else store.machine.up_nodes()
+        if not self.nodes:
+            raise CheckpointError("no up nodes to hold the L1 checkpoint")
+        self.store = store
+        self.clock = clock
+        self.files: Dict[str, List[L1Piece]] = {}
+        self._partners: Dict[int, List[int]] = {}
+        #: pieces placed so far: the round-robin position over ``nodes``
+        self._placed = 0
+
+    def _replicate(
+        self, file: str, data, charged: int, stored: bool
+    ) -> Tuple[float, int]:
+        """One round: chunk ``data`` into replicated pieces (kept in
+        :attr:`files` when ``stored``); the sized bytes beyond
+        ``len(data)`` (pad, virtual payload) are charged to the last
+        piece's owner.  Returns the round's seconds and piece count."""
+        store, acct = self.store, _Accounting(self.store.machine)
+        spans = _chunk_spans(len(data), store.target_bytes)
+        extra = max(0, charged - len(data))
+        # views of the one captured buffer: a replica is charged, not copied
+        data = memoryview(data).toreadonly()
+        pieces = []
+        for i, (off, n) in enumerate(spans):
+            owner = self.nodes[(self._placed + i) % len(self.nodes)]
+            if owner not in self._partners:
+                self._partners[owner] = select_partners(
+                    store.machine, owner, k=store.k,
+                    events=store.events, clock=self.clock,
+                )
+            partners = self._partners[owner]
+            chunk = data[off : off + n]
+            piece = L1Piece(
+                f"{file}#{i:06d}", off, n, _hashed(chunk), [owner, *partners]
+            )
+            if stored:
+                with store._lock:
+                    for node in piece.replicas:
+                        store._node_mem(node)[piece.key] = chunk
+            nbytes = n + (extra if i == len(spans) - 1 else 0)
+            acct.copy(owner, nbytes)
+            for partner in partners:
+                acct.send(owner, partner, nbytes)
+            pieces.append(piece)
+        fr = get_flight()
+        if fr.enabled:
+            for p in pieces:
+                fr.record(
+                    "replica_placed", node=p.owner, time=self.clock,
+                    key=p.key, nbytes=p.nbytes, replicas=list(p.replicas),
+                )
+        self._placed += len(pieces)
+        if stored:
+            self.files[file] = pieces
+        return acct.seconds(), len(pieces)
+
+    def segment(self, file: str, header: bytes, pad: int) -> Tuple[float, str]:
+        """Replicate the exact header; the sized pad is charged."""
+        sha1 = _hashed(header)
+        seconds, _ = self._replicate(file, header, len(header) + pad, True)
+        return seconds, sha1
+
+    def array(
+        self, a: DistributedArray, file: str, order: str
+    ) -> Tuple[float, int, Optional[str], Dict[str, int]]:
+        """Replicate ``a``'s canonical stream, gathered in ``order``; a
+        virtual array's sized payload is charged, nothing stored."""
+        stream = stream_u8(a, order=order) if a.store_data else b""
+        nbytes = len(stream) if a.store_data else int(a.nbytes_global)
+        seconds, pieces = self._replicate(file, stream, nbytes, a.store_data)
+        sha1 = _hashed(stream) if a.store_data else None
+        return seconds, nbytes, sha1, {"pieces": pieces}
+
+    def commit(self, manifest: Dict, bd: CheckpointBreakdown) -> None:
+        """Register the generation and publish the tier's accounting."""
+        store, clock = self.store, self.clock
+        with store._lock:
+            store._gens[bd.prefix] = L1Generation(
+                bd.prefix, manifest, self.files, clock
+            )
+        m = get_tracer().metrics
+        m.counter("mlck.l1.captures").inc()
+        m.counter("mlck.l1.capture.bytes").inc(bd.total_bytes)
+        get_flight().record(
+            "l1_captured", time=clock, prefix=bd.prefix,
+            nbytes=bd.total_bytes, seconds=bd.total_seconds,
+        )
+        store._update_resident_gauge()
 
 
 class SwitchFetch:
@@ -681,39 +611,42 @@ class SwitchFetch:
         """The restarting tasks sit on the first ``ntasks`` up nodes."""
         self.requesters = (self.store.machine.up_nodes() or [0])[:ntasks]
 
-    def segment(self, acct: _Accounting, gen: L1Generation, nodes: Sequence[int]) -> None:
+    def segment(
+        self, acct: _Accounting, manifest: Dict, chunks: Sequence[bytes], nodes
+    ) -> None:
         """Every restarting task needs the segment; the replicas that
         served its pieces (``nodes``) serve the tasks in parallel."""
         requesters = self.requesters
-        acct.fetch(gen.segment_pieces, nodes, requesters[0])
+        acct.fetch(chunks, nodes, requesters[0])
         servers = sorted(set(nodes)) or [requesters[0]]
         # remaining tasks pull the same (sized) segment bytes
         for i, task_node in enumerate(requesters[1:], start=1):
-            acct.send(servers[i % len(servers)], task_node, gen.segment_bytes)
+            acct.send(servers[i % len(servers)], task_node, manifest["segment_bytes"])
         # the sized pad rides the first fetch too
         acct.send(
             servers[0], requesters[0],
-            max(0, gen.segment_bytes - gen.segment_sha1_bytes),
+            max(0, manifest["segment_bytes"] - manifest["segment_sha1_bytes"]),
         )
 
     def array(
-        self, acct: _Accounting, index: int, entry: L1ArrayEntry,
-        nodes: Sequence[int],
+        self, acct: _Accounting, index: int, spec: Dict, chunks, nodes
     ) -> Dict[str, int]:
         """Arrays go round-robin to the requesters, each pulling its
         whole stream from ``nodes``.  Returns the span's extra attributes."""
         requesters = self.requesters
-        if entry.virtual:
+        if spec["virtual"]:
             # sized virtual payload: charged over one link
-            acct.send(requesters[0], requesters[-1], entry.nbytes)
+            acct.send(requesters[0], requesters[-1], spec["nbytes"])
         else:
-            acct.fetch(entry.pieces, nodes, requesters[index % len(requesters)])
+            acct.fetch(chunks, nodes, requesters[index % len(requesters)])
         return {}
 
 
 class L1ReplicaSource:
     """Generation source over the surviving replicas of one L1
-    generation (see :func:`~repro.checkpoint.drms.restore`).
+    generation (see :func:`~repro.checkpoint.drms.restore`): its
+    ``manifest`` is the one the capture assembled, marked ``tier``
+    ``"l1"``.
 
     *Opening* the source is the one hash pass of a restore from memory:
     the constructor checks liveness, then runs the verifying fetch over
@@ -727,42 +660,22 @@ class L1ReplicaSource:
     :class:`~repro.mlck.localized.SurvivorLocal` for a localized one.
     An accountant names the breakdown ``kind`` and the per-array span
     stem, learns the task count in ``begin(source, ntasks)``, and
-    charges, from the serving node the fetch reported per piece, in
-    ``segment(acct, gen, nodes)`` / ``array(acct, index, entry, nodes)``."""
+    charges, from the bytes the fetch served per piece and the node
+    that served each, in ``segment(acct, manifest, chunks, nodes)`` /
+    ``array(acct, index, spec, chunks, nodes)``."""
 
     def __init__(
-        self, store: L1Store, prefix: str, accountant, init_seconds: float = 0.0
+        self, store: L1Store, prefix: str, accountant, init_seconds: float
     ):
         gen = store.gen(prefix)
         self.store = store
-        self.gen = gen
         self.prefix = prefix
         self.accountant = accountant
         self.kind = accountant.kind
         self.spans = ("l1_segment_fetch", accountant.array_span)
         self.init_seconds = float(init_seconds)
-        self.manifest = {
-            "kind": "drms",
-            "tier": "l1",
-            "app_name": gen.app_name,
-            "ntasks": gen.ntasks,
-            "order": gen.order,
-            "segment_file": segment_name(prefix),
-            "segment_bytes": gen.segment_bytes,
-            "segment_sha1": gen.segment_sha1,
-            "segment_sha1_bytes": gen.segment_sha1_bytes,
-            "arrays": [
-                {
-                    key: getattr(e, key)
-                    for key in (
-                        "name", "shape", "dtype", "file", "nbytes", "sha1",
-                        "virtual", "distribution",
-                    )
-                }
-                for e in gen.arrays
-            ],
-        }
-        self._entries = {e.name: (i, e) for i, e in enumerate(gen.arrays)}
+        self.manifest = dict(gen.manifest, tier="l1")
+        self._index = {s["name"]: i for i, s in enumerate(self.manifest["arrays"])}
         # liveness first: a piece with no live replica costs no hashing
         with store._lock:
             for piece in gen.pieces():
@@ -773,14 +686,7 @@ class L1ReplicaSource:
                     )
         #: file -> (bytes of each piece, node that served it), for the
         #: segment and every stored array: the open
-        self._fetched = {
-            self.manifest["segment_file"]: store._fetch_pieces(
-                gen.segment_pieces, gen.segment_sha1_bytes
-            )
-        }
-        for e in gen.arrays:
-            if not e.virtual:
-                self._fetched[e.file] = store._fetch_pieces(e.pieces, e.nbytes)
+        self._fetched = store._fetch(gen)
         get_tracer().metrics.counter("mlck.l1.hits").inc(
             sum(len(nodes) for _, nodes in self._fetched.values())
         )
@@ -790,21 +696,25 @@ class L1ReplicaSource:
         whole (sized) segment as the accountant sees fit."""
         self.accountant.begin(self, ntasks)
         acct = _Accounting(self.store.machine)
-        chunks, nodes = self._fetched[self.manifest["segment_file"]]
-        self.accountant.segment(acct, self.gen, nodes)
-        return b"".join(chunks), acct.seconds(), self.gen.segment_bytes * ntasks
+        m = self.manifest
+        chunks, nodes = self._fetched[m["segment_file"]]
+        self.accountant.segment(acct, m, chunks, nodes)
+        return b"".join(chunks), acct.seconds(), m["segment_bytes"] * ntasks
 
     def load_array(
         self, arr: DistributedArray, spec: Dict, order: str
     ) -> Tuple[float, int, Dict[str, int]]:
         """Join one array's verified pieces and hand the stream to
         ``arr`` under its (new) distribution."""
-        index, e = self._entries[spec["name"]]
-        chunks, nodes = self._fetched.get(e.file, ([], []))
+        chunks, nodes = self._fetched.get(spec["file"], ([], []))
         acct = _Accounting(self.store.machine)
-        attrs = self.accountant.array(acct, index, e, nodes)
-        if not e.virtual:
+        attrs = self.accountant.array(
+            acct, self._index[spec["name"]], spec, chunks, nodes
+        )
+        if not spec["virtual"]:
             arr.set_global(
-                bytes_to_section(b"".join(chunks), e.shape, e.dtype, order)
+                bytes_to_section(
+                    b"".join(chunks), spec["shape"], spec["dtype"], order
+                )
             )
-        return acct.seconds(), e.nbytes, attrs
+        return acct.seconds(), spec["nbytes"], attrs

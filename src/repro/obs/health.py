@@ -112,12 +112,7 @@ class HealthRegistry:
         self._sample_cadence(store, clock)
 
     def _sample_cadence(self, store, clock: float) -> None:
-        captures = [
-            store.gen(p).captured_at
-            for p in store.generations()
-            if store.gen(p).captured_at is not None
-        ]
-        captures.sort()
+        captures = sorted(store.gen(p).captured_at for p in store.generations())
         if len(captures) < 2:
             self.metrics.gauge("health.checkpoint.cadence_drift").set(0.0)
             return

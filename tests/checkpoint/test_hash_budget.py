@@ -182,7 +182,7 @@ def _repair_bytes(meter, num_nodes):
     store = L1Store(machine, k=1, target_bytes=64 << 10)
     segment, arrays, stored = _state()
     gen, _ = store.capture_drms(PREFIX, segment, arrays)
-    assert sum(len(e.pieces) for e in gen.arrays) >= 32
+    assert sum(len(gen.files[s["file"]]) for s in gen.manifest["arrays"]) >= 32
     _lose(machine, store, 1)
     meter.take()
     repair = rereplicate_after_failure(store, [1])

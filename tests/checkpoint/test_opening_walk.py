@@ -257,19 +257,19 @@ def _decay_case(shape):
     store = ck.store
     gen = store.gen("ck.000001")
     if shape == "a":  # one decayed replica: its partner serves
-        piece = gen.arrays[0].pieces[0]
+        piece = gen.files[gen.manifest["arrays"][0]["file"]][0]
         _decay(store, piece, [piece.owner])
     elif shape == "b":  # a piece with no good replica: the PFS serves
-        piece = gen.arrays[1].pieces[0]
+        piece = gen.files[gen.manifest["arrays"][1]["file"]][0]
         _decay(store, piece, piece.replicas)
     elif shape == "c":  # decay after an audit accepted the memory tier
         assert ck.select_restart_state().tier == "l1"
-        piece = gen.arrays[0].pieces[0]
+        piece = gen.files[gen.manifest["arrays"][0]["file"]][0]
         _decay(store, piece, piece.replicas)
     else:  # an undrained newer generation decays: the older one serves
         segment, arrays = _state(2, ntasks=2)
         newer, _ = store.capture_drms("ck.000002", segment, arrays)
-        piece = newer.arrays[0].pieces[0]
+        piece = newer.files[newer.manifest["arrays"][0]["file"]][0]
         _decay(store, piece, piece.replicas)
     return pfs, store
 

@@ -142,7 +142,7 @@ def test_l1_entry_and_drained_manifest_record_the_same_digest():
     drained = {
         s["name"]: s["sha1"] for s in read_manifest(pfs, "ck.000001")["arrays"]
     }
-    assert {e.name: e.sha1 for e in gen.arrays} == drained
+    assert {s["name"]: s["sha1"] for s in gen.manifest["arrays"]} == drained
     assert drained == {a.name: _reference(a, "C") for a in arrays}
 
 

@@ -117,6 +117,29 @@ class TestRestart:
         app2.restart("ck", 4, args=(6, "ck"))
         assert seen["delta"] == 0
 
+    @pytest.mark.parametrize("tier", ["pfs", "memory+pfs"])
+    def test_a_state_without_arrays_restarts_with_delta_zero(self, tier):
+        """A state checkpointed before any array is distributed records
+        the run's task count, so restarting on that count is no
+        reconfiguration — on either tier."""
+        seen = []
+
+        def bare_main(ctx, prefix):
+            drms_initialize(ctx)
+            ctx.set_replicated("dt", 0.5)
+            status, delta = drms_reconfig_checkpoint(ctx, prefix)
+            if ctx.rank == 0:
+                seen.append((status, delta))
+            ctx.barrier()
+
+        app = DRMSApplication(bare_main, tier=tier, mlck_drain="sync")
+        [(prefix, bd)] = app.start(4, args=("ck",)).checkpoints
+        assert bd.ntasks == 4
+        app.restart(prefix, 4, args=("ck",))
+        assert seen[-1] == (CheckpointStatus.RESTARTED, 0)
+        app.restart(prefix, 2, args=("ck",))
+        assert seen[-1] == (CheckpointStatus.RESTARTED, -2)
+
     def test_restart_missing_checkpoint(self, app):
         with pytest.raises(CheckpointError):
             app.restart("ghost", 4, args=(3, "ck"))

@@ -59,7 +59,7 @@ def test_node_failure_falls_back_to_durable_tier(env, workload):
     mbd = ck.checkpoint(seg, arrays)
     # lose every replica of the first piece
     gen = ck.store.gen(mbd.prefix)
-    for node in list(gen.segment_pieces[0].replicas):
+    for node in list(gen.files[gen.manifest["segment_file"]][0].replicas):
         machine.fail_node(node)
         ck.on_node_failure(node)
     state, bd, decision = ck.restart(ntasks=2)

@@ -92,7 +92,7 @@ def test_partner_loss_schedule_falls_back_to_pfs(cluster):
     # generation 3 (iteration 9) replicated its first piece exactly onto
     # the doomed pair
     store = app.l1_store_for("ck")
-    assert store.gen("ck.000003").segment_pieces[0].replicas == [owner, partner]
+    assert next(store.gen("ck.000003").pieces()).replicas == [owner, partner]
 
     # first recovery restarts from surviving memory, resumes at
     # iteration 9, and the schedule's second entry kills the partner

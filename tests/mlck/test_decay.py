@@ -50,6 +50,12 @@ def _decay_every_replica(store, piece):
     return {node: _decay(store, piece, node) for node in piece.replicas}
 
 
+def _array_piece(store, prefix, index):
+    """The first piece of the ``index``-th array of generation ``prefix``."""
+    gen = store.gen(prefix)
+    return gen.files[gen.manifest["arrays"][index]["file"]][0]
+
+
 def _files(pfs, prefix):
     return {
         name: pfs.read_at(name, 0, pfs.file_size(name))
@@ -95,7 +101,7 @@ def captured(workload):
 
 def test_one_decayed_replica_is_served_by_its_partner(captured):
     machine, store, twin, twin_pfs = captured
-    piece = store.gen(PREFIX).arrays[0].pieces[0]
+    piece = _array_piece(store, PREFIX, 0)
     _decay(store, piece, piece.owner)
     assert store._replica_live(piece, piece.owner)
     assert not store._replica_valid(piece, piece.owner)
@@ -158,7 +164,7 @@ def _assert_served_by_the_pfs_tier(pfs, store):
 def test_a_piece_with_no_good_replica_sends_readers_to_the_pfs(durable):
     pfs, ck, _ = durable
     store = ck.store
-    piece = store.gen(PREFIX).arrays[1].pieces[0]
+    piece = _array_piece(store, PREFIX, 1)
     _decay_every_replica(store, piece)
 
     report = store.validate_generation(PREFIX)
@@ -177,7 +183,7 @@ def test_decay_between_the_walk_and_the_restore(durable):
     store = ck.store
     decision = ck.select_restart_state()
     assert (decision.prefix, decision.tier) == (PREFIX, "l1")
-    _decay_every_replica(store, store.gen(PREFIX).arrays[0].pieces[0])
+    _decay_every_replica(store, _array_piece(store, PREFIX, 0))
     _assert_served_by_the_pfs_tier(pfs, store)
 
 
@@ -186,7 +192,7 @@ def test_drain_of_a_decayed_generation_fails_and_stays_retryable(durable):
     store = ck.store
     second = "ck.000002"
     store.capture_drms(second, seg, arrays)
-    piece = store.gen(second).arrays[0].pieces[0]
+    piece = _array_piece(store, second, 0)
     good = _decay_every_replica(store, piece)
 
     ck.drainer.schedule(second)
@@ -216,7 +222,7 @@ def test_repair_verifies_its_source_and_scrubs_by_liveness(workload):
     machine = _machine()
     store = L1Store(machine, k=2, target_bytes=256)
     gen, _ = store.capture_drms(PREFIX, seg, arrays)
-    pieces = gen.segment_pieces + [p for e in gen.arrays for p in e.pieces]
+    pieces = list(gen.pieces())
     hit = pieces[0]
     dead = hit.replicas[-1]  # a partner: the owner's copy survives
     spared = next(p for p in pieces if dead not in p.replicas)

@@ -96,7 +96,7 @@ def test_survivors_keep_running_and_only_lost_sections_move(cluster):
     assert flat.get("mlck.localized.rereplicate.copies", 0) > 0
     store = app.l1_store_for("ck")
     gen = store.gen("ck.000002")
-    for pieces in [gen.segment_pieces] + [e.pieces for e in gen.arrays]:
+    for pieces in gen.files.values():
         for p in pieces:
             assert 0 not in p.replicas
 
@@ -125,10 +125,7 @@ def test_failed_node_holding_zero_pieces_still_rebuilds_its_rank(cluster):
     held = [
         p
         for prefix in store.generations()
-        for pieces in (
-            [store.gen(prefix).segment_pieces]
-            + [e.pieces for e in store.gen(prefix).arrays]
-        )
+        for pieces in store.gen(prefix).files.values()
         for p in pieces
         if 3 in p.replicas
     ]
@@ -282,7 +279,7 @@ def test_failure_mid_drain_holds_the_pin_interlock(workload):
 
     # the same incident takes every L1 copy of a generation-2 piece;
     # with its L2 copy never committed, recovery must land on ck.000001
-    failed = list(gen2.segment_pieces[0].replicas)
+    failed = list(gen2.files[gen2.manifest["segment_file"]][0].replicas)
     for node in failed:
         machine.fail_node(node)
         ck.on_node_failure(node)

@@ -73,7 +73,7 @@ def test_lost_replicas_fall_back_to_l2(env, workload):
     # kill the newest generation's whole first replica set
     gen = store.gen("ck.000001")
     with use_tracer(Tracer()) as tracer:
-        for node in list(gen.segment_pieces[0].replicas):
+        for node in list(gen.files[gen.manifest["segment_file"]][0].replicas):
             machine.fail_node(node)
             store.drop_node(node)
         decision = select_tiered_restart_state(pfs, "ck", store, events=events)

@@ -45,9 +45,7 @@ def test_capture_restore_roundtrip(store, workload):
 def test_every_piece_is_replicated_across_domains(store, machine, workload):
     seg, arrays = workload()
     gen, _ = store.capture_drms("ck.000001", seg, arrays)
-    pieces = list(gen.segment_pieces)
-    for entry in gen.arrays:
-        pieces.extend(entry.pieces)
+    pieces = list(gen.pieces())
     assert pieces
     for p in pieces:
         assert len(p.replicas) == 2  # owner + k=1 partner
@@ -59,7 +57,7 @@ def test_node_loss_served_by_partner(store, machine, workload):
     seg, arrays = workload(iteration=5)
     refs = {a.name: a.to_global(fill=0) for a in arrays}
     gen, _ = store.capture_drms("ck.000001", seg, arrays)
-    owner = gen.segment_pieces[0].owner
+    owner = gen.files[gen.manifest["segment_file"]][0].owner
     with use_tracer(Tracer()) as tracer:
         machine.fail_node(owner)
         store.drop_node(owner)
@@ -75,7 +73,7 @@ def test_losing_all_replicas_fails_validation(store, machine, workload):
     gen, _ = store.capture_drms("ck.000001", seg, arrays)
     events = EventLog()
     store.events = events
-    for node in list(gen.segment_pieces[0].replicas):
+    for node in list(gen.files[gen.manifest["segment_file"]][0].replicas):
         machine.fail_node(node)
         store.drop_node(node, clock=1.0)
     report = store.validate_generation("ck.000001")
@@ -130,7 +128,7 @@ def test_fail_repair_cycle_does_not_resurrect_stale_replicas(
     seg, arrays = workload(ntasks=2, iteration=4)
     refs = {a.name: a.to_global(fill=0) for a in arrays}
     gen, _ = store.capture_drms("ck.000001", seg, arrays)
-    piece = gen.segment_pieces[0]
+    piece = gen.files[gen.manifest["segment_file"]][0]
     owner = piece.owner
     machine.fail_node(owner)
     machine.repair_node(owner)  # up again, one incarnation later
@@ -156,7 +154,7 @@ def test_replacement_capture_after_drop_does_not_revive_old_entries(
     seg, arrays = workload(ntasks=2, iteration=1)
     refs = {a.name: a.to_global(fill=0) for a in arrays}
     gen, _ = store.capture_drms("ck.000001", seg, arrays)
-    piece = gen.segment_pieces[0]
+    piece = gen.files[gen.manifest["segment_file"]][0]
     owner = piece.owner
     machine.fail_node(owner)
     store.drop_node(owner)
@@ -167,7 +165,7 @@ def test_replacement_capture_after_drop_does_not_revive_old_entries(
     assert store.validate_generation("ck.000002").ok
     held = {
         p.key
-        for pieces in [gen2.segment_pieces] + [e.pieces for e in gen2.arrays]
+        for pieces in gen2.files.values()
         for p in pieces
         if owner in p.replicas
     }
