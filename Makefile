@@ -2,7 +2,7 @@ PYTHON ?= python
 # every target runs the package from this checkout's src/
 export PYTHONPATH := src
 
-.PHONY: install test verify-checkpoints verify-mlck verify-localized verify-policy verify-workflow verify-reconfig verify-reconfig-deep bench bench-baseline bench-obs bench-localized bench-workflow bench-fleet bench-e2e bench-e2e-quick bench-e2e-compare report trace obs-report forensics-demo examples all clean
+.PHONY: install test verify-gates verify-checkpoints verify-mlck verify-localized verify-policy verify-workflow verify-reconfig verify-reconfig-deep bench bench-baseline bench-obs bench-localized bench-workflow bench-fleet bench-e2e bench-e2e-quick bench-e2e-compare report trace obs-report forensics-demo examples all clean
 
 # fixed seed so the gate is fully deterministic; DEEP_SEED rotates daily
 VERIFY_SEED ?= 20260806
@@ -13,6 +13,20 @@ install:
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# the five verify gates whose stdout the ROADMAP rules pin, at
+# VERIFY_SEED, without the pytest halves of the targets below: the
+# gate lines of a change in one command
+verify-gates:
+	$(PYTHON) -m repro.verify run --seed $(VERIFY_SEED) \
+		--cases 220 --fault-cases 40 --out verify_out
+	$(PYTHON) -m repro.verify known-bad
+	$(PYTHON) -m repro.verify mlck --seed $(VERIFY_SEED) \
+		--cases 40 --out verify_out
+	$(PYTHON) -m repro.verify localized --seed $(VERIFY_SEED) \
+		--cases 40 --out verify_out
+	$(PYTHON) -m repro.verify workflow --seed $(VERIFY_SEED) \
+		--cases 40 --out verify_out
 
 verify-checkpoints:
 	$(PYTHON) -m pytest -m "crash_consistency or mlck or flight or localized or policy or workflow" tests/

@@ -37,7 +37,11 @@ from repro.checkpoint.format import (
 )
 from repro.checkpoint.recover import OpenedGeneration, open_latest_valid
 from repro.checkpoint.segment import DataSegment
-from repro.checkpoint.validate import file_problem, verify_stored_sha1
+from repro.checkpoint.validate import (
+    file_problem,
+    recorded_digests,
+    verify_stored_sha1,
+)
 from repro.errors import CheckpointError, CheckpointIntegrityError, RestartError
 from repro.obs import get_tracer
 from repro.pfs.phase import IOKind
@@ -170,14 +174,16 @@ def capture(
     before the first byte is stored (the stream order, unique array
     names, one task count: ``ntasks``, the run's, else the arrays'); the
     data segment, then one distribution-independent stream per array;
-    the v3 manifest, assembled here and nowhere else; the breakdown.  A
+    the manifest, assembled here and nowhere else; the breakdown.  A
     *generation sink* owns where the bytes go and what storing them
     costs (DESIGN.md §8): ``kind``; ``spans`` (segment span, per-array
-    span stem); ``segment(file, header, pad) -> (seconds, sha1)``;
-    ``array(a, file, order) -> (seconds, nbytes, sha1, span attrs)``,
-    the digest taken over the stream it intends to store (None when
-    virtual); ``commit(manifest, bd)``, which makes the generation
-    visible."""
+    span stem); ``segment(file, header, pad) -> (seconds, sha1)``, the
+    header's plain SHA-1; ``array(a, file, order) -> (seconds, nbytes,
+    sha1, span_bytes, span attrs)``, the
+    :func:`~repro.streaming.order.stream_sha1` of the stream it intends
+    to store and the span size it took it over, its ``target_bytes``
+    (both None when virtual); ``commit(manifest, bd)``, which makes the
+    generation visible."""
     check_order(order)
     if len({a.name for a in arrays}) != len(arrays):
         raise CheckpointError("distributed array names must be unique")
@@ -210,7 +216,9 @@ def capture(
         for a in arrays:
             fname = array_name(prefix, a.name)
             with obs.span(f"{array_span}:{a.name}", file=fname) as sp:
-                seconds, nbytes, sha1, attrs = sink.array(a, fname, order)
+                seconds, nbytes, sha1, span_bytes, attrs = sink.array(
+                    a, fname, order
+                )
                 obs.advance(seconds)
                 sp.set(nbytes=nbytes, **attrs, seconds=seconds)
             bd.arrays_seconds += seconds
@@ -219,9 +227,10 @@ def capture(
             specs.append({
                 "name": a.name, "shape": list(a.shape),
                 "dtype": np_dtype_name(a.dtype), "file": fname,
-                # Integrity record: SHA-1 over the *intended* stream, not
-                # the stored copy, so a torn or short write is caught.
-                "nbytes": nbytes, "sha1": sha1, "virtual": not a.store_data,
+                # Integrity record: the digest of the *intended* stream,
+                # not the stored copy, so a torn or short write is caught.
+                "nbytes": nbytes, "sha1": sha1, "span_bytes": span_bytes,
+                "virtual": not a.store_data,
                 "distribution": distribution_to_spec(a.distribution),
             })
         sink.commit({
@@ -263,7 +272,7 @@ class PFSCheckpointSink:
 
     def array(
         self, a: DistributedArray, file: str, order: str
-    ) -> Tuple[float, int, Optional[str], Dict[str, int]]:
+    ) -> Tuple[float, int, Optional[str], Optional[int], Dict[str, int]]:
         """One parallel write phase: stream ``a`` out into ``file``."""
         sink = PFSSink(self.pfs, file, virtual=not a.store_data, create=True)
         with self.pfs.phase(IOKind.WRITE_PARALLEL) as res:
@@ -271,7 +280,7 @@ class PFSCheckpointSink:
                 a, sink, P=self.io_tasks, order=order,
                 target_bytes=self.target_bytes,
             )
-        return res.seconds, stats.bytes_streamed, stats.sha1, {
+        return res.seconds, stats.bytes_streamed, stats.sha1, stats.span_bytes, {
             "pieces": stats.pieces,
             "redistribution_bytes": stats.redistribution_bytes,
         }
@@ -298,10 +307,11 @@ def drms_checkpoint(
 
     ``arrays`` are the stream sources: distributed arrays, or
     :class:`~repro.streaming.serial.StoredStream` objects bringing
-    their captured bytes and digest (the L1 drain, which enters here) —
-    same state, byte for byte.  The memory tier captures the same
-    manifest (:meth:`~repro.mlck.store.L1Store.capture_drms`); its one
-    entrance is :class:`~repro.mlck.checkpointer.MultiLevelCheckpointer`."""
+    their captured bytes, digest and span size (the L1 drain, which
+    enters here) — same state and manifest, byte for byte.  The memory
+    tier captures the same manifest
+    (:meth:`~repro.mlck.store.L1Store.capture_drms`); its one entrance
+    is :class:`~repro.mlck.checkpointer.MultiLevelCheckpointer`."""
     sink = PFSCheckpointSink(pfs, io_tasks, target_bytes)
     return capture(sink, prefix, segment, arrays, order, app_name, ntasks)
 
@@ -350,7 +360,7 @@ def restore(
 
     * ``kind`` — breakdown/span kind;
     * ``prefix``, ``manifest`` — the generation's name and its
-      manifest-shaped metadata (the v3 keys, whatever the tier);
+      manifest-shaped metadata (the v4 keys, whatever the tier);
     * ``init_seconds``, ``spans`` — the fixed initialization this
       restart pays; ``(segment span name, per-array span stem)``;
     * ``fetch_segment(ntasks) -> (header, seconds, nbytes)`` and
@@ -433,11 +443,13 @@ def restore(
 class PFSCheckpointSource:
     """Generation source over the committed PFS copy of ``prefix``: the
     segment is one shared read phase, each array one parallel
-    stream-in phase.  Opening it parses the manifest and checks every
-    component file is present at its recorded size, reading no data;
-    each step then verifies what it delivers against the manifest's
-    SHA-1 — the segment header as it is read, each array's stream-in
-    buffer before the scatter — raising
+    stream-in phase.  Opening it parses the manifest, takes the digest
+    it records for every stored stream
+    (:func:`~repro.checkpoint.validate.recorded_digests`: a missing one
+    is a corrupt manifest) and checks every component file is present
+    at its recorded size, reading no data; each step then verifies what
+    it delivers against that digest — the segment header as it is read,
+    each array's stream-in buffer before the scatter — raising
     :class:`~repro.errors.CheckpointIntegrityError` with no phase left
     open.  Every stored byte is read once and hashed once."""
 
@@ -451,6 +463,8 @@ class PFSCheckpointSource:
         self.prefix = prefix
         self.manifest = m = read_manifest(pfs, prefix)
         if m.get("kind") == "drms":
+            #: stored file -> the (sha1, nbytes, span_bytes) it verifies to
+            self.digests = recorded_digests(m)
             for name, nbytes in [(m["segment_file"], m.get("segment_bytes"))] + [
                 (spec["file"], spec.get("nbytes")) for spec in m["arrays"]
             ]:
@@ -476,9 +490,7 @@ class PFSCheckpointSource:
                 pfs.read_virtual(seg, len(head), seg_size - len(head), client=0)
             for t in range(1, ntasks):
                 pfs.read_virtual(seg, 0, seg_size, client=t)
-        verify_stored_sha1(
-            pfs, seg, m.get("segment_sha1"), m.get("segment_sha1_bytes"), head=head
-        )
+        verify_stored_sha1(pfs, seg, *self.digests[seg], head=head)
         return head, res.seconds, seg_size * ntasks  # every task reads the file
 
     def load_array(
@@ -487,10 +499,11 @@ class PFSCheckpointSource:
         """One parallel read phase: stream the file into ``arr`` under
         its (new) distribution, verified before the scatter."""
         pfs = self.pfs
+        sha1, _, span_bytes = self.digests.get(spec["file"], (None, None, None))
         with pfs.phase(IOKind.READ_PARALLEL) as res:
             stats = stream_in_parallel(
                 arr, PFSSource(pfs, spec["file"]), P=self.io_tasks, order=order,
-                target_bytes=self.target_bytes, sha1=spec.get("sha1"),
+                target_bytes=self.target_bytes, sha1=sha1, span_bytes=span_bytes,
             )
         return res.seconds, stats.bytes_streamed, {
             "pieces": stats.pieces,

@@ -20,9 +20,19 @@ only then atomically renamed to ``<prefix>.manifest``.  Since the
 manifest is written last and its presence marks a complete state, a
 crash (or injected I/O fault) at *any* point of a checkpoint leaves
 either the previous committed manifest or none — never a zero-byte or
-half-written one.  Format version 3 additionally records SHA-1
-checksums (segment header, per-array stream bytes) that restart and
-:func:`~repro.checkpoint.validate.validate_checkpoint` verify.
+half-written one.
+
+Integrity (format version 4): a DRMS manifest records the plain SHA-1
+of the segment header (``segment_sha1`` over ``segment_sha1_bytes``)
+and, per data-bearing array, ``sha1`` over its stream in
+``span_bytes`` spans: the SHA-1 of the concatenated raw SHA-1 digests
+of the stream's consecutive spans
+(:func:`~repro.streaming.order.stream_sha1`).  ``span_bytes`` is the
+capturing sink's ``target_bytes``, so the capture's one hash pass
+yields both the L1 piece digests and the stream digest.  Restart and
+:func:`~repro.checkpoint.validate.validate_checkpoint` verify them; a
+data-bearing entry without them is a corrupt manifest.  Only version 4
+is read.
 """
 
 from __future__ import annotations
@@ -65,7 +75,7 @@ __all__ = [
     "read_manifest",
 ]
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def manifest_name(prefix: str) -> str:

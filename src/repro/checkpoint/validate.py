@@ -2,11 +2,15 @@
 
 A crash — or a silently misbehaving I/O path — can leave a checkpointed
 state whose manifest committed but whose data files are torn, short, or
-bit-flipped.  The manifest's version-3 checksums (SHA-1 over the
-*intended* bytes, recorded at write time) make such states detectable:
+bit-flipped.  The manifest's version-4 digests (taken over the
+*intended* bytes at write time: the plain SHA-1 of a segment header,
+the span digest of an array's stream) make such states detectable:
 
 * :func:`file_problem` — one file missing or not its recorded size, no
   data read (a PFS restore's first check, too);
+* :func:`recorded_digests` — what a DRMS manifest says each stored
+  stream hashes to; a data-bearing entry without its digest is a
+  corrupt manifest;
 * :func:`verify_stored_sha1` checks one stored file (or the ``head`` a
   restore just read of it) against its recorded digest, raising
   :class:`~repro.errors.CheckpointIntegrityError` on a truncation or
@@ -20,30 +24,30 @@ bit-flipped.  The manifest's version-3 checksums (SHA-1 over the
 A DRMS restart does not audit: it verifies the bytes it delivers as it
 reads them (:mod:`repro.checkpoint.recover`).  Validation reads are
 untimed (no I/O phase is opened): they model an out-of-band scrub.
-States written by format version 2 carry no checksums; their files are
-only checked for existence and size, which keeps old states readable.
+Only the current format version is read
+(:func:`~repro.checkpoint.format.read_manifest`), and it records a
+digest for every stored byte.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.checkpoint.format import read_manifest, sha1_hex
 from repro.errors import CheckpointError, CheckpointIntegrityError, PFSError
 from repro.obs import get_tracer
 from repro.pfs.piofs import PIOFS
+from repro.streaming.order import stream_sha1
 
 __all__ = [
     "ValidationReport",
     "file_problem",
+    "recorded_digests",
     "validate_checkpoint",
     "verify_checkpoint",
     "verify_stored_sha1",
 ]
-
-_CHUNK = 4 << 20
 
 
 def file_problem(pfs: PIOFS, name: str, expected_bytes: Optional[int]) -> Optional[str]:
@@ -57,20 +61,54 @@ def file_problem(pfs: PIOFS, name: str, expected_bytes: Optional[int]) -> Option
     return None
 
 
+def recorded_digests(manifest: Dict) -> Dict[str, Tuple[str, int, Optional[int]]]:
+    """What a DRMS manifest says each stored stream hashes to: file ->
+    ``(sha1, nbytes, span_bytes)``, the arguments of
+    :func:`verify_stored_sha1` — the segment header's plain SHA-1
+    (``span_bytes`` None) and each data-bearing array's stream digest.
+    A virtual array stores nothing and has no entry.  A stored stream
+    whose digest or span size is missing makes the manifest corrupt:
+    raises :class:`~repro.errors.CheckpointIntegrityError`, so nothing
+    is trusted unverified."""
+    out = {}
+    seg_sha1, seg_bytes = manifest.get("segment_sha1"), manifest.get("segment_sha1_bytes")
+    if not seg_sha1 or seg_bytes is None:
+        raise CheckpointIntegrityError(
+            f"corrupt manifest: segment {manifest.get('segment_file')!r} "
+            "records no digest"
+        )
+    out[manifest["segment_file"]] = (seg_sha1, seg_bytes, None)
+    for spec in manifest["arrays"]:
+        if spec.get("virtual"):
+            continue
+        sha1, span = spec.get("sha1"), spec.get("span_bytes")
+        if not sha1 or not span:
+            raise CheckpointIntegrityError(
+                f"corrupt manifest: array {spec.get('name')!r} records no "
+                "stream digest and span size"
+            )
+        out[spec["file"]] = (sha1, spec["nbytes"], span)
+    return out
+
+
 def verify_stored_sha1(
     pfs: PIOFS,
     name: str,
     sha1: Optional[str],
     nbytes: Optional[int],
+    span_bytes: Optional[int] = None,
     head: Optional[bytes] = None,
 ) -> int:
     """Check the first ``nbytes`` stored bytes of ``name`` against the
-    recorded ``sha1`` digest.
+    recorded ``sha1``: the stream digest over ``span_bytes`` spans
+    (:func:`~repro.streaming.order.stream_sha1`) of an array file, the
+    plain SHA-1 (:func:`~repro.checkpoint.format.sha1_hex`) of anything
+    else — a segment header, an SPMD task file, a delta file.
 
-    Skips silently (returns 0) when the manifest recorded no digest —
-    pre-v3 states and virtual files.  ``head``, when given, is data the
-    caller already read from offset 0 (a restart's header read), reused
-    to avoid a second pass.  Raises
+    Returns 0 when there is nothing to check: no digest (a virtual
+    file) or no bytes.  ``head``, when given, is data the caller
+    already read from offset 0 (a restart's header read), reused to
+    avoid a second pass.  Raises
     :class:`~repro.errors.CheckpointIntegrityError` if the file is
     shorter than ``nbytes`` (torn/short write) or hashes differently
     (corruption).  Returns the number of bytes hashed.
@@ -84,15 +122,10 @@ def verify_stored_sha1(
             "(torn or short write)"
         )
     if head is not None and len(head) >= nbytes:
-        digest = sha1_hex(head[:nbytes])
+        data = head[:nbytes]
     else:
-        h = hashlib.sha1()
-        pos = 0
-        while pos < nbytes:
-            chunk = pfs.read_at(name, pos, min(_CHUNK, nbytes - pos))
-            h.update(chunk)
-            pos += len(chunk)
-        digest = h.hexdigest()
+        data = pfs.read_at(name, 0, nbytes)
+    digest = sha1_hex(data) if span_bytes is None else stream_sha1(data, span_bytes)[0]
     if digest != sha1:
         raise CheckpointIntegrityError(
             f"file {name!r} checksum mismatch: stored bytes hash to "
@@ -126,6 +159,7 @@ def _check_file(
     expected_bytes: Optional[int],
     sha1: Optional[str],
     sha_bytes: Optional[int],
+    span_bytes: Optional[int] = None,
 ) -> None:
     """Audit one component file into ``report`` (never raises)."""
     problem = file_problem(pfs, name, expected_bytes)
@@ -134,7 +168,9 @@ def _check_file(
         return
     report.files += 1
     try:
-        report.bytes_hashed += verify_stored_sha1(pfs, name, sha1, sha_bytes)
+        report.bytes_hashed += verify_stored_sha1(
+            pfs, name, sha1, sha_bytes, span_bytes
+        )
     except (CheckpointIntegrityError, PFSError) as exc:
         report.errors.append(str(exc))
 
@@ -145,7 +181,7 @@ def validate_checkpoint(
     """Audit the complete checkpointed state under ``prefix``.
 
     Every component file is checked for presence, manifest-recorded
-    size, and (v3 states) SHA-1 digest; incremental chains recurse into
+    size, and recorded digest; incremental chains recurse into
     their base and deltas.  All problems are *collected* — the returned
     :class:`ValidationReport` lists them in ``errors`` and is truthy
     exactly when the state is sound — so callers can rank candidate
@@ -182,17 +218,27 @@ def validate_checkpoint(
         return report
     report.files += 1
     kind = manifest.get("kind")
-    if kind in ("drms", "drms-delta"):
-        # a delta's segment digest covers the whole (unpadded) file
+    if kind == "drms":
+        try:
+            digests = recorded_digests(manifest)
+        except CheckpointIntegrityError as exc:
+            report.errors.append(str(exc))
+            digests = {}
+        for name, nbytes in [
+            (manifest["segment_file"], manifest.get("segment_bytes"))
+        ] + [(spec["file"], spec.get("nbytes")) for spec in manifest["arrays"]]:
+            _check_file(
+                pfs, report, name, nbytes, *digests.get(name, (None, None, None))
+            )
+    elif kind == "drms-delta":
+        # a delta's digests are plain, each over the whole (unpadded) file
         _check_file(
             pfs, report, manifest["segment_file"], manifest.get("segment_bytes"),
-            manifest.get("segment_sha1"),
-            manifest.get("segment_sha1_bytes" if kind == "drms" else "segment_bytes"),
+            manifest.get("segment_sha1"), manifest.get("segment_bytes"),
         )
         for spec in manifest["arrays"]:
             _check_file(
-                pfs, report, spec["file"], spec.get("nbytes"),
-                None if spec.get("virtual") else spec.get("sha1"),
+                pfs, report, spec["file"], spec.get("nbytes"), spec.get("sha1"),
                 spec.get("nbytes"),
             )
     elif kind == "spmd":

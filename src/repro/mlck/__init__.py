@@ -8,7 +8,7 @@ keeps each generation's stream pieces in simulated node memory with
 partner replication across failure domains (so a single node failure
 loses no data), and **L2**, the existing crash-consistent PFS path,
 populated by an *asynchronous drain* that promotes an L1 generation to
-a durable v3 manifest on a background thread — without
+a durable manifest on a background thread — without
 blocking the application's next SOP.
 
 * :mod:`repro.mlck.placement` — partner selection over the machine's

@@ -11,10 +11,13 @@ instead of PFS writes (single-digit MB/s), and recovery from a single
 node failure is served entirely from surviving replicas: no PFS read
 at all.
 
-Integrity mirrors the v3 manifest discipline: every piece records a
-SHA-1 over its bytes at capture time, and a replica that decayed (or a
-node that died) is detected exactly like a torn PFS file.  Who hashes
-when (DESIGN.md §12): a byte is hashed when it is captured and when it
+Integrity is the manifest's: a piece is one ``target_bytes`` span of
+its stream, and its digest is that span's SHA-1 — one of the span
+digests the manifest's stream digest is made of
+(:func:`~repro.streaming.order.stream_sha1`), so one pass at capture
+yields both.  A replica that decayed (or a node
+that died) is detected exactly like a torn PFS file.  Who hashes when
+(DESIGN.md §12): a byte is hashed once when it is captured and when it
 is handed to someone, never to answer a question about a replica.
 *Liveness* (:meth:`L1Store._replica_live`, O(1)) is all a replica-list
 scrub or a choice of charged servers needs; *verification* (the SHA-1)
@@ -22,7 +25,7 @@ is done by the fetch (:meth:`L1Store._fetch`) on the replica it
 serves — once per byte delivered to a restore, the drain or a new
 replica — and by :meth:`L1Store.validate_generation`, the full audit
 (a restart's walk opens instead: liveness, then the fetch).  Every
-pass goes through :func:`_hashed`.
+pass is counted by :func:`_counted`.
 
 Like the PFS segment file, the bulk byte components (segment pad,
 virtual arrays) are *sized*, not stored: timing charges the full
@@ -60,7 +63,7 @@ from repro.infra.events import emit_event
 from repro.mlck.placement import select_partners
 from repro.obs import get_flight, get_tracer
 from repro.runtime.machine import Machine
-from repro.streaming.order import bytes_to_section
+from repro.streaming.order import bytes_to_section, stream_sha1, stream_spans
 from repro.streaming.serial import StoredStream, stream_u8
 
 __all__ = [
@@ -93,7 +96,7 @@ class L1Piece:
 
 @dataclass
 class L1Generation:
-    """One captured DRMS generation in node memory: the v3 manifest its
+    """One captured DRMS generation in node memory: the manifest its
     capture assembled (:func:`~repro.checkpoint.drms.capture` — the same
     one its drain commits), the resident pieces of each stored stream,
     and the drain state machine's position (see
@@ -121,17 +124,15 @@ class L1Generation:
         return sum(p.nbytes for p in self.pieces())
 
 
-def _chunk_spans(nbytes: int, target: int) -> List[Tuple[int, int]]:
-    """(offset, length) spans covering ``nbytes`` in ``target``-sized
-    chunks (at least one span, even for empty streams)."""
-    spans = range(0, nbytes, target)
-    return [(pos, min(target, nbytes - pos)) for pos in spans] or [(0, 0)]
+def _counted(nbytes: int) -> None:
+    """Count a hash pass: ``mlck.l1.verified.bytes`` is the tier's whole
+    hashing volume (capture, audit, fetch, repair)."""
+    get_tracer().metrics.counter("mlck.l1.verified.bytes").inc(nbytes)
 
 
 def _hashed(data) -> str:
-    """SHA-1 of ``data``, counted: ``mlck.l1.verified.bytes`` is the
-    tier's whole hashing volume (capture, audit, fetch, repair)."""
-    get_tracer().metrics.counter("mlck.l1.verified.bytes").inc(len(data))
+    """SHA-1 of ``data``, counted."""
+    _counted(len(data))
     return sha1_hex(data)
 
 
@@ -482,6 +483,7 @@ class L1Store:
                 stream=None if spec["virtual"]
                 else memoryview(b"".join(fetched[spec["file"]][0])),
                 sha1=spec["sha1"],
+                span_bytes=spec["span_bytes"],
             )
             for spec in m["arrays"]
         ]
@@ -518,18 +520,22 @@ class L1ReplicaSink:
 
     def _replicate(
         self, file: str, data, charged: int, stored: bool
-    ) -> Tuple[float, int]:
-        """One round: chunk ``data`` into replicated pieces (kept in
+    ) -> Tuple[float, List[L1Piece], str]:
+        """One round: cut ``data`` into replicated pieces, one per
+        ``target_bytes`` span, each recording its span digest (kept in
         :attr:`files` when ``stored``); the sized bytes beyond
         ``len(data)`` (pad, virtual payload) are charged to the last
-        piece's owner.  Returns the round's seconds and piece count."""
+        piece's owner.  Returns the round's seconds, its pieces and the
+        stream digest — the one hash pass over ``data``."""
         store, acct = self.store, _Accounting(self.store.machine)
-        spans = _chunk_spans(len(data), store.target_bytes)
+        spans = stream_spans(len(data), store.target_bytes)
+        _counted(len(data))
+        sha1, digests = stream_sha1(data, store.target_bytes)
         extra = max(0, charged - len(data))
         # views of the one captured buffer: a replica is charged, not copied
         data = memoryview(data).toreadonly()
         pieces = []
-        for i, (off, n) in enumerate(spans):
+        for i, ((off, n), digest) in enumerate(zip(spans, digests)):
             owner = self.nodes[(self._placed + i) % len(self.nodes)]
             if owner not in self._partners:
                 self._partners[owner] = select_partners(
@@ -538,9 +544,7 @@ class L1ReplicaSink:
                 )
             partners = self._partners[owner]
             chunk = data[off : off + n]
-            piece = L1Piece(
-                f"{file}#{i:06d}", off, n, _hashed(chunk), [owner, *partners]
-            )
+            piece = L1Piece(f"{file}#{i:06d}", off, n, digest, [owner, *partners])
             if stored:
                 with store._lock:
                     for node in piece.replicas:
@@ -560,24 +564,26 @@ class L1ReplicaSink:
         self._placed += len(pieces)
         if stored:
             self.files[file] = pieces
-        return acct.seconds(), len(pieces)
+        return acct.seconds(), pieces, sha1
 
     def segment(self, file: str, header: bytes, pad: int) -> Tuple[float, str]:
-        """Replicate the exact header; the sized pad is charged."""
-        sha1 = _hashed(header)
-        seconds, _ = self._replicate(file, header, len(header) + pad, True)
-        return seconds, sha1
+        """Replicate the exact header; the sized pad is charged.  The
+        header's digest is its plain SHA-1: the digest of its one piece,
+        unless it spans several."""
+        seconds, pieces, _ = self._replicate(file, header, len(header) + pad, True)
+        return seconds, pieces[0].sha1 if len(pieces) == 1 else _hashed(header)
 
     def array(
         self, a: DistributedArray, file: str, order: str
-    ) -> Tuple[float, int, Optional[str], Dict[str, int]]:
+    ) -> Tuple[float, int, Optional[str], Optional[int], Dict[str, int]]:
         """Replicate ``a``'s canonical stream, gathered in ``order``; a
         virtual array's sized payload is charged, nothing stored."""
         stream = stream_u8(a, order=order) if a.store_data else b""
         nbytes = len(stream) if a.store_data else int(a.nbytes_global)
-        seconds, pieces = self._replicate(file, stream, nbytes, a.store_data)
-        sha1 = _hashed(stream) if a.store_data else None
-        return seconds, nbytes, sha1, {"pieces": pieces}
+        seconds, pieces, sha1 = self._replicate(file, stream, nbytes, a.store_data)
+        if not a.store_data:
+            return seconds, nbytes, None, None, {"pieces": len(pieces)}
+        return seconds, nbytes, sha1, self.store.target_bytes, {"pieces": len(pieces)}
 
     def commit(self, manifest: Dict, bd: CheckpointBreakdown) -> None:
         """Register the generation and publish the tier's accounting."""

@@ -11,14 +11,15 @@ representation.
 from __future__ import annotations
 
 import hashlib
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.arrays.slices import Slice
 from repro.errors import StreamingError
 
-__all__ = ["check_order", "sha1_hex", "stream_order_bytes", "bytes_to_section",
-           "section_stream_positions"]
+__all__ = ["check_order", "sha1_hex", "stream_spans", "stream_sha1",
+           "stream_order_bytes", "bytes_to_section", "section_stream_positions"]
 
 
 def check_order(order: str) -> str:
@@ -29,10 +30,29 @@ def check_order(order: str) -> str:
 
 
 def sha1_hex(data) -> str:
-    """SHA-1 hex digest of a buffer — the checksum manifests record
-    (:mod:`repro.checkpoint.format` re-exports it).  Defined below the
-    checkpoint layer because stream-out takes the per-array digest."""
+    """SHA-1 hex digest of a buffer — every hash pass over stored bytes
+    goes through here (:mod:`repro.checkpoint.format` re-exports it).
+    Defined below the checkpoint layer because stream-out takes the
+    per-array digest."""
     return hashlib.sha1(data).hexdigest()
+
+
+def stream_spans(nbytes: int, span_bytes: int) -> List[Tuple[int, int]]:
+    """``(offset, length)`` of the consecutive ``span_bytes`` spans
+    covering a stream of ``nbytes``: the last may be partial, and an
+    empty stream is one empty span."""
+    spans = range(0, nbytes, span_bytes)
+    return [(pos, min(span_bytes, nbytes - pos)) for pos in spans] or [(0, 0)]
+
+
+def stream_sha1(data, span_bytes: int) -> Tuple[str, List[str]]:
+    """The digest a manifest records for an array's stream, and the
+    span digests it is made of: the SHA-1 of the concatenated raw SHA-1
+    digests of the stream's :func:`stream_spans`.  One pass over
+    ``data``, each span through :func:`sha1_hex`; a span digest verifies
+    its span alone (an L1 piece), the stream digest the whole stream."""
+    spans = [sha1_hex(data[off:off + n]) for off, n in stream_spans(len(data), span_bytes)]
+    return hashlib.sha1(b"".join(map(bytes.fromhex, spans))).hexdigest(), spans
 
 
 def stream_order_bytes(values: np.ndarray, order: str = "F") -> bytes:

@@ -37,14 +37,16 @@ the plan: both paths are byte-identical to serial streaming — the
 property the verify oracle checks.
 
 One pass over the state: both paths gather the section once into a
-flat stream-order buffer, take the SHA-1 of that buffer — the stream
+flat stream-order buffer, take the digest of that buffer — the stream
 they *intend* to write, before any sink call — and hand the sink slices
-of it (a storing sink copies them, once).  The digest is
-``StreamStats.sha1`` and the ``content_sha1`` op-span attribute;
-``drms_checkpoint`` puts it in the manifest.  Stream-in mirrors it:
-given that digest, it hashes the flat buffer its reads filled and
-compares before the scatter, so a damaged write or read is caught with
-no second read or hash, and no unverified byte reaches an array.
+of it (a storing sink copies them, once).  The digest is the
+:func:`~repro.streaming.order.stream_sha1` of the buffer over
+``target_bytes`` spans: ``StreamStats.sha1`` (with ``span_bytes``) and
+the ``content_sha1`` op-span attribute; ``drms_checkpoint`` puts both
+in the manifest.  Stream-in mirrors it: given that digest and span
+size, it hashes the flat buffer its reads filled and compares before
+the scatter, so a damaged write or read is caught with no second read
+or hash, and no unverified byte reaches an array.
 
 ``P`` may be anything from 1 (fully serial) to the number of tasks;
 tasks beyond ``P`` still participate in redistribution (their assigned
@@ -61,7 +63,7 @@ from repro.arrays.darray import DistributedArray
 from repro.arrays.slices import Slice
 from repro.errors import CheckpointIntegrityError, StreamingError
 from repro.obs import get_tracer
-from repro.streaming.order import check_order, sha1_hex
+from repro.streaming.order import check_order, stream_sha1
 from repro.streaming.serial import (
     StreamStats,
     _cached_plan,
@@ -159,7 +161,9 @@ def stream_out_parallel(
         plan_pieces=len(pieces),
     ) as op:
         plan_idx = _index_plan(darray, section, order)
-        stream, sha = _intended_stream(darray, section, order, plan_idx)
+        stream, sha, span = _intended_stream(
+            darray, section, order, plan_idx, target_bytes
+        )
         if bulk:
             # run p covers a contiguous byte interval of the stream, so
             # each I/O task issues a single write_at
@@ -192,6 +196,7 @@ def stream_out_parallel(
         redistribution_bytes=redis,
         io_tasks=P,
         sha1=sha,
+        span_bytes=span,
     ).publish("out", engine="parstream")
 
 
@@ -204,6 +209,7 @@ def stream_in_parallel(
     target_bytes: int = 1 << 20,
     source_offset: int = 0,
     sha1: Optional[str] = None,
+    span_bytes: Optional[int] = None,
 ) -> StreamStats:
     """Stream a section into ``darray`` with ``P`` parallel I/O tasks.
     The inverse of :func:`stream_out_parallel`: task ``p`` reads its
@@ -212,10 +218,11 @@ def stream_in_parallel(
     mapping part of it — after every read returned whole, so a short
     read aborts with the target array untouched.
 
-    Given ``sha1`` (a manifest's digest of the stream) the buffer the
-    scatter consumes is hashed first, a mismatch raising
-    :class:`~repro.errors.CheckpointIntegrityError` with ``darray``
-    untouched."""
+    Given ``sha1`` and ``span_bytes`` (a manifest's digest of the
+    stream and the span size it was taken over) the buffer the scatter
+    consumes is hashed first (:func:`~repro.streaming.order.stream_sha1`),
+    a mismatch raising :class:`~repro.errors.CheckpointIntegrityError`
+    with ``darray`` untouched."""
     section, P, pieces, offsets = _plan(darray, section, P, order, target_bytes)
     jobs = [(j, piece) for j, piece in enumerate(pieces) if not piece.is_empty]
     bulk = _is_bulk(darray, jobs)
@@ -264,12 +271,14 @@ def stream_in_parallel(
                     )
                 total += nbytes
         if flat is not None:
-            digest = sha1 and sha1_hex(flat_u8)
-            if digest != sha1:
-                raise CheckpointIntegrityError(
-                    f"file {getattr(source, 'name', darray.name)!r} checksum "
-                    f"mismatch: bytes read hash to {digest}, manifest records {sha1}"
-                )
+            if sha1 is not None:
+                digest, _ = stream_sha1(flat_u8, span_bytes)
+                if digest != sha1:
+                    raise CheckpointIntegrityError(
+                        f"file {getattr(source, 'name', darray.name)!r} checksum "
+                        f"mismatch: bytes read hash to {digest}, manifest "
+                        f"records {sha1}"
+                    )
             scatter_section_flat(darray, section, flat, order=order)
         op.set(pieces=len(jobs), nbytes=total, redistribution_bytes=redis)
     return StreamStats(

@@ -39,7 +39,7 @@ from repro.arrays.distributions import Distribution
 from repro.arrays.slices import Slice
 from repro.errors import StreamingError
 from repro.obs import get_flight, get_tracer
-from repro.streaming.order import check_order, sha1_hex
+from repro.streaming.order import check_order, stream_sha1
 from repro.streaming.streams import ByteSink, ByteSource
 from repro.streaming.vectorized import (
     gather_section_flat,
@@ -92,10 +92,13 @@ class StreamStats:
     #: bytes moved between distinct tasks to marshal pieces
     redistribution_bytes: int
     io_tasks: int
-    #: stream-out of a data-bearing array: SHA-1 of the stream it
+    #: stream-out of a data-bearing array: the digest
+    #: (:func:`~repro.streaming.order.stream_sha1`) of the stream it
     #: *intended* to write, taken from the gather buffer before any sink
-    #: call — what a manifest records, so damaged writes are caught
+    #: call — what a manifest records, so damaged writes are caught —
+    #: and the span size it was taken over
     sha1: Optional[str] = None
+    span_bytes: Optional[int] = None
 
     def publish(self, direction: str, engine: str = "serial") -> "StreamStats":
         """Feed this operation's accounting into the active metrics
@@ -164,9 +167,10 @@ class StoredStream:
     Stream-out asks its source for geometry and for the bytes it is
     about to write with their digest: an array gathers and hashes, a
     stored stream hands over ``stream`` (a flat byte view in ``order``,
-    None for a virtual array) and ``sha1``, the digest taken at capture
-    — whoever built it vouches for the bytes (the L1 drain verifies
-    each piece as it fetches it)."""
+    None for a virtual array), ``sha1``, the digest taken at capture,
+    and ``span_bytes``, the span size it was taken over — whoever built
+    it vouches for the bytes (the L1 drain verifies each piece as it
+    fetches it)."""
 
     name: str
     shape: Tuple[int, ...]
@@ -175,6 +179,7 @@ class StoredStream:
     order: str
     stream: Optional[memoryview]
     sha1: Optional[str]
+    span_bytes: Optional[int]
 
     @property
     def store_data(self) -> bool:
@@ -189,23 +194,24 @@ class StoredStream:
         return self.distribution.ntasks
 
 
-def _intended_stream(darray, section: Slice, order: str, plan_idx):
-    """What a stream-out is about to write, as ``(byte view, SHA-1)``:
-    one gather and one hash pass over an array's gather buffer (or the
-    bytes and digest a :class:`StoredStream` holds) before any byte
-    reaches the sink, which is handed slices of the view.
-    ``(None, None)`` for virtual arrays."""
+def _intended_stream(darray, section: Slice, order: str, plan_idx, span_bytes: int):
+    """What a stream-out is about to write, as ``(byte view, digest,
+    span size)``: one gather and one hash pass over an array's gather
+    buffer, in ``span_bytes`` spans (or the bytes, digest and span size
+    a :class:`StoredStream` holds) before any byte reaches the sink,
+    which is handed slices of the view.  ``(None, None, None)`` for
+    virtual arrays."""
     if not darray.store_data:
-        return None, None
+        return None, None, None
     if isinstance(darray, StoredStream):
         if order != darray.order or section != Slice.full(darray.shape):
             raise StreamingError(
                 f"stored stream {darray.name!r} replays whole and in order "
                 f"{darray.order!r}; asked for {section} in order {order!r}"
             )
-        return darray.stream, darray.sha1
+        return darray.stream, darray.sha1, darray.span_bytes
     stream = stream_u8(darray, section, order, plan_idx)
-    return stream, sha1_hex(stream)
+    return stream, stream_sha1(stream, span_bytes)[0], span_bytes
 
 
 def scatter_piece(
@@ -318,7 +324,9 @@ def stream_out_serial(
         io_task=io_task,
         plan_pieces=len(pieces),
     ) as op:
-        stream, sha = _intended_stream(darray, section, order, plan_idx)
+        stream, sha, span = _intended_stream(
+            darray, section, order, plan_idx, target_bytes
+        )
         for j, piece in jobs:
             nbytes = piece.size * itemsize
             redis += _piece_redis(
@@ -331,7 +339,7 @@ def stream_out_serial(
         op.set(pieces=len(jobs), nbytes=total, redistribution_bytes=redis)
     return StreamStats(
         pieces=len(jobs), bytes_streamed=total, redistribution_bytes=redis,
-        io_tasks=1, sha1=sha,
+        io_tasks=1, sha1=sha, span_bytes=span,
     ).publish("out")
 
 

@@ -59,7 +59,6 @@ from repro.checkpoint.format import (
     manifest_name,
     read_manifest,
     segment_name,
-    sha1_hex,
 )
 from repro.checkpoint.spmd import spmd_checkpoint, spmd_restart
 from repro.errors import (
@@ -73,7 +72,7 @@ from repro.obs import Tracer, span_tree_violations, use_tracer
 from repro.pfs.faults import FaultInjector, flip_stored_bit
 from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine, MachineParams
-from repro.streaming.order import stream_order_bytes
+from repro.streaming.order import stream_order_bytes, stream_sha1
 from repro.streaming.parallel import stream_out_parallel
 from repro.streaming.partition import partition_for_target, piece_offsets
 from repro.streaming.serial import strict_gather, stream_out_serial
@@ -277,6 +276,10 @@ def _gather_strictness(arrays):
     return nullcontext()
 
 
+#: the span size (and piece target) of the cross-engine stream-outs
+_SPAN = 1 << 20
+
+
 def _streams(arr, order: str):
     """``(label, stream bytes, digests)`` of ``arr`` streamed out in
     ``order`` three ways, each under a throwaway tracer: the bulk path
@@ -285,15 +288,17 @@ def _streams(arr, order: str):
     its ``StreamStats.sha1``."""
     with use_tracer(Tracer()) as t:
         sink = MemorySink()
-        stream_out_parallel(arr, sink, order=order)
+        stream_out_parallel(arr, sink, order=order, target_bytes=_SPAN)
     yield "bulk", sink.getvalue(), _span_digests(t)
     pfs = PIOFS()
     with use_tracer(Tracer()) as t:
-        stream_out_parallel(arr, PFSSink(pfs, "cross"), order=order)
+        stream_out_parallel(
+            arr, PFSSink(pfs, "cross"), order=order, target_bytes=_SPAN
+        )
     yield "bulk-pfs", pfs.open("cross").read_all(), _span_digests(t)
     with use_tracer(Tracer()):
         sink = MemorySink()
-        stats = stream_out_serial(arr, sink, order=order)
+        stats = stream_out_serial(arr, sink, order=order, target_bytes=_SPAN)
     yield "serial", sink.getvalue(), [stats.sha1] if stats.sha1 else []
 
 
@@ -307,8 +312,9 @@ def _check_cross_engine(c: _Checker, arrays, order: str) -> None:
     streamed in the case's ``order`` by the bulk parstream path into
     memory and into a PFS file, and by serial streaming
     (:func:`_streams`); the bytes must equal the distribution-independent
-    ``stream_order_bytes`` reference and every digest must be the SHA-1
-    of that reference."""
+    ``stream_order_bytes`` reference and every digest must be the
+    stream digest (:func:`~repro.streaming.order.stream_sha1`) of that
+    reference."""
     for arr in arrays:
         if not arr.store_data:
             continue
@@ -327,7 +333,7 @@ def _check_cross_engine(c: _Checker, arrays, order: str) -> None:
             )
             digests[path] = shas[0] if shas else None
         c.check(
-            set(digests.values()) == {sha1_hex(ref)},
+            set(digests.values()) == {stream_sha1(ref, _SPAN)[0]},
             f"content_sha1 of {arr.name!r} is not the digest of the "
             f"reference stream on every path: {digests}",
         )

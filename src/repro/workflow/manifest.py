@@ -1,11 +1,11 @@
 """The v1 workflow manifest: one record naming a consistent line.
 
 A workflow checkpoint with base ``W`` and generation ``g`` consists of
-the member checkpoints themselves (ordinary v3 DRMS states, one per
+the member checkpoints themselves (ordinary DRMS states, one per
 member under its own prefix) plus one workflow manifest
 ``W.workflow.NNNNNN.manifest`` recording, for every member, the exact
 prefix + task count + iteration captured on the line.  The manifest is
-committed **two-phase** exactly like a v3 member manifest (staged to
+committed **two-phase** exactly like a member manifest (staged to
 ``.tmp``, read back, renamed) and written only after *every* member
 checkpoint of the line succeeded — so its presence marks a complete,
 mutually consistent set, and a crash mid-line leaves the previous
@@ -122,7 +122,7 @@ def write_workflow_manifest(
     """Commit a workflow manifest atomically (stamps the workflow
     format version); returns the manifest file name.
 
-    Same two-phase commit as the v3 member manifests
+    Same two-phase commit as the member manifests
     (:func:`~repro.checkpoint.format.commit_two_phase`): a crash
     anywhere before the rename leaves no workflow manifest, so the
     half-committed line is invisible to :func:`workflow_generations`."""

@@ -1,10 +1,14 @@
 """The recovery's read and hash budget, in passes per stored byte, held
 so it cannot creep back.
 
-The memory tier: a byte is hashed when it is captured (piece digest +
-the v3 stream digest: 2) and when it is handed to someone — the drain
-(1), a restore (1), a new replica (1 per piece re-replicated) — and
-never to answer a question about a replica.  A recovery: a generation
+A checkpoint: a byte is hashed once when it is captured, on either
+tier — the memory tier's piece digests are the span digests the
+stream digest is made of.  The memory tier then hashes a byte when it
+is handed to someone — the drain (1, so a sync-drained checkpoint is
+2), a restore (1), a new replica (1 per piece re-replicated) — and
+never to answer a question about a replica.  The audit
+(``verify_stored_sha1``) hashes a stored file once, through the same
+ruler.  A recovery: a generation
 is chosen by opening it, so the walk and the restore are one pass — a
 PFS recovery reads every stored byte once and hashes it once, a memory
 recovery hashes it once, and a rejected newer generation costs at most
@@ -34,6 +38,7 @@ from repro.checkpoint.format import (
     sha1_hex,
 )
 from repro.checkpoint.recover import restart_latest_valid
+from repro.checkpoint.validate import verify_stored_sha1
 from repro.checkpoint.segment import DataSegment, SegmentProfile
 from repro.drms.context import CheckpointStatus
 from repro.drms.mpmd import MPMDApplication
@@ -143,10 +148,10 @@ def test_passes_per_stored_byte(meter):
     segment, arrays, stored = _state()
     header = len(segment.serialize()[0])
 
-    # capture: one pass for the piece digests, one for the stream digest
+    # capture: one pass yields the piece digests and the stream digest
     store.capture_drms(PREFIX, segment, arrays, nodes=range(NTASKS))
-    wrapped, published = meter.take()
-    assert wrapped == published == 2 * (stored + header)
+    captured, published = meter.take()
+    assert captured == published == stored + header
 
     # the sync drain replays the stored streams: each piece verified as
     # it is fetched, the capture-time digest reused, nothing re-gathered
@@ -155,6 +160,8 @@ def test_passes_per_stored_byte(meter):
     wrapped, published = meter.take()
     assert published == stored + header
     assert stored <= wrapped <= stored + SMALL
+    # so a sync-drained checkpoint is two passes
+    assert 2 * stored <= captured + wrapped <= 2 * stored + SMALL
 
     # a full restart from memory: the verifying fetch, and that is all
     store.restore_drms(PREFIX, ntasks=3)
@@ -218,6 +225,26 @@ def _pfs_generations(count):
         pfs.file_size(segment_name(PREFIX)),
         pfs.file_size(manifest_name(PREFIX)),
     )
+
+
+def test_a_pfs_checkpoint_hashes_each_stored_byte_once(meter):
+    pfs = PIOFS(machine=Machine(MachineParams(num_nodes=8)))
+    segment, arrays, stored = _state()
+    meter.take()
+    drms_checkpoint(pfs, PREFIX, segment, arrays)
+    wrapped, _ = meter.take()
+    assert wrapped == stored + len(segment.serialize()[0])
+
+
+def test_the_audit_hashes_an_array_file_once_through_the_ruler(meter):
+    pfs, (stored, *_) = _pfs_generations(1)
+    spec = read_manifest(pfs, PREFIX)["arrays"][0]
+    meter.take()
+    hashed = verify_stored_sha1(
+        pfs, spec["file"], spec["sha1"], spec["nbytes"], spec["span_bytes"]
+    )
+    wrapped, _ = meter.take()
+    assert wrapped == hashed == spec["nbytes"] == stored // 2
 
 
 @pytest.mark.crash_consistency

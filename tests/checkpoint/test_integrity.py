@@ -158,21 +158,31 @@ class TestValidation:
         report = validate_checkpoint(pfs, "ghost")
         assert not report.ok
 
-    def test_checksumless_manifest_still_validates(self, env):
-        """Backward compatibility: states whose manifests carry no
-        digests (pre-v3 layout) fall back to existence/size checks."""
-        pfs, arr, seg = env
-        take(pfs, arr, seg, "ck", 1)
-        m = read_manifest(pfs, "ck")
-        for key in ("segment_sha1", "segment_sha1_bytes"):
-            del m[key]
-        for spec in m["arrays"]:
-            del spec["sha1"]
-        write_manifest(pfs, "ck", m)
-        flip_stored_bit(pfs, "ck.array.u", 0)  # cannot be detected
-        assert validate_checkpoint(pfs, "ck").ok
-        state, _ = drms_restart(pfs, "ck", 2)  # no digest to check against
-        assert state.segment.replicated["it"] == 1
+    def test_a_stored_stream_without_its_digest_is_a_corrupt_manifest(self):
+        """A manifest records a digest for every stream it stores: an
+        array entry missing ``sha1`` or ``span_bytes`` (or a segment
+        missing ``segment_sha1``) is corrupt, not a state to trust
+        unverified.  Each key is dropped from a 64x64 checkpoint whose
+        stored bytes then take a bit flip: the restore raises before a
+        byte reaches an array, and the audit reports the entry."""
+        for entry, key in (
+            ("array", "sha1"), ("array", "span_bytes"), ("segment", "segment_sha1"),
+        ):
+            pfs = PIOFS()
+            arr = DistributedArray(
+                "u", (64, 64), np.float64, block_distribution((64, 64), 4)
+            )
+            arr.set_global(np.arange(64.0 * 64).reshape(64, 64))
+            seg = DataSegment(profile=SegmentProfile(1000, 0, 0), replicated={"it": 1})
+            drms_checkpoint(pfs, "ck", seg, [arr])
+            m = read_manifest(pfs, "ck")
+            del (m["arrays"][0] if entry == "array" else m)[key]
+            write_manifest(pfs, "ck", m)
+            flip_stored_bit(pfs, "ck.array.u" if entry == "array" else "ck.segment", 5)
+            with pytest.raises(CheckpointIntegrityError, match="corrupt manifest"):
+                drms_restart(pfs, "ck", 3)
+            report = validate_checkpoint(pfs, "ck")
+            assert any("corrupt manifest" in e for e in report.errors), key
 
     def test_verify_stored_sha1_reports_truncation(self, env):
         pfs, *_ = env

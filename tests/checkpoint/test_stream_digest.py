@@ -1,8 +1,8 @@
 """One pass over the state per checkpoint: the manifest's per-array
-``sha1`` is the digest the stream-out took from its gather buffer — the
-same value the separate ``to_global`` -> ``stream_order_bytes`` ->
-``sha1_hex`` pass used to produce (kept here, in tests only, as the
-reference) — and the stored files own their bytes."""
+``sha1`` is the digest the stream-out took from its gather buffer over
+``span_bytes`` spans — the same value a separate ``to_global`` ->
+``stream_order_bytes`` -> span-hash pass produces (kept here, in tests
+only, as the reference) — and the stored files own their bytes."""
 
 import hashlib
 import sys
@@ -68,8 +68,18 @@ def _zoo():
     return out
 
 
-def _reference(a, order):
-    return hashlib.sha1(stream_order_bytes(a.to_global(), order)).hexdigest()
+def _span_sha1(stream, span):
+    """The stream digest, computed here independently of the library:
+    SHA-1 over the raw SHA-1 of each ``span``-byte span (an empty
+    stream is one empty span)."""
+    starts = range(0, max(len(stream), 1), span)
+    return hashlib.sha1(
+        b"".join(hashlib.sha1(stream[o:o + span]).digest() for o in starts)
+    ).hexdigest()
+
+
+def _reference(a, order, span):
+    return _span_sha1(stream_order_bytes(a.to_global(), order), span)
 
 
 # -- the manifest value -----------------------------------------------------------
@@ -86,9 +96,13 @@ def test_manifest_sha1_is_the_reference_digest(order, path, on_path):
             pfs, "ck", _segment(), arrays, order=order, io_tasks=2,  # P < ntasks
             target_bytes=128,
         )
-    recorded = {s["name"]: s["sha1"] for s in read_manifest(pfs, "ck")["arrays"]}
-    assert recorded == {a.name: _reference(a, order) for a in arrays}
-    assert recorded["zero"] == hashlib.sha1(b"").hexdigest()
+    specs = read_manifest(pfs, "ck")["arrays"]
+    recorded = {s["name"]: s["sha1"] for s in specs}
+    assert recorded == {a.name: _reference(a, order, 128) for a in arrays}
+    assert {s["span_bytes"] for s in specs} == {128}
+    # an empty stream is one empty span
+    empty = hashlib.sha1(hashlib.sha1(b"").digest()).hexdigest()
+    assert recorded["zero"] == empty
     assert validate_checkpoint(pfs, "ck").ok
 
 
@@ -98,7 +112,8 @@ def test_virtual_arrays_record_no_digest():
         "v", (8, 8), np.float64, block_distribution((8, 8), 2), store_data=False
     )
     drms_checkpoint(pfs, "ck", _segment(), [v])
-    assert read_manifest(pfs, "ck")["arrays"][0]["sha1"] is None
+    spec = read_manifest(pfs, "ck")["arrays"][0]
+    assert (spec["sha1"], spec["span_bytes"]) == (None, None)
 
 
 @pytest.mark.crash_consistency
@@ -118,7 +133,8 @@ def test_write_faults_are_caught_against_the_intended_digest(mode):
     pfs.attach_faults(inj)
     if mode == "short":
         drms_checkpoint(pfs, "ck", _segment(), [a], target_bytes=128)
-        assert read_manifest(pfs, "ck")["arrays"][0]["sha1"] == _reference(a, "F")
+        recorded = read_manifest(pfs, "ck")["arrays"][0]["sha1"]
+        assert recorded == _reference(a, "F", 128)
         report = validate_checkpoint(pfs, "ck")
         assert any("checksum mismatch" in e for e in report.errors)
     else:
@@ -140,10 +156,13 @@ def test_l1_entry_and_drained_manifest_record_the_same_digest():
         "ck.000001"
     )
     drained = {
-        s["name"]: s["sha1"] for s in read_manifest(pfs, "ck.000001")["arrays"]
+        s["name"]: (s["sha1"], s["span_bytes"])
+        for s in read_manifest(pfs, "ck.000001")["arrays"]
     }
-    assert {s["name"]: s["sha1"] for s in gen.manifest["arrays"]} == drained
-    assert drained == {a.name: _reference(a, "C") for a in arrays}
+    assert {
+        s["name"]: (s["sha1"], s["span_bytes"]) for s in gen.manifest["arrays"]
+    } == drained
+    assert drained == {a.name: (_reference(a, "C", 256), 256) for a in arrays}
 
 
 # -- once only ----------------------------------------------------------------------
@@ -152,8 +171,9 @@ def test_l1_entry_and_drained_manifest_record_the_same_digest():
 def test_one_gather_one_hash_pass_and_each_byte_written_once(monkeypatch):
     """During one drms_checkpoint of two data arrays the state is walked
     once: one bulk gather per array, no ``to_global`` / ``stream_order_bytes``
-    second pass, one hash pass over the stream bytes (plus the segment
-    header), and the file system is handed exactly the checkpoint's bytes."""
+    second pass, one hash pass over the stream bytes, span by span (plus
+    the segment header), and the file system is handed exactly the
+    checkpoint's bytes."""
     calls = {"gather": 0, "to_global": 0, "order_bytes": 0}
     hashed, written = [], []
 
@@ -208,9 +228,9 @@ def test_one_gather_one_hash_pass_and_each_byte_written_once(monkeypatch):
 
     stream_bytes = sum(a.nbytes_global for a in arrays)
     assert calls == {"gather": 2, "to_global": 0, "order_bytes": 0}
-    assert sorted(hashed) == sorted(
-        [len(header)] + [a.nbytes_global for a in arrays]
-    )
+    # the header whole, each 24 KiB stream in six 4 KiB spans
+    assert sorted(hashed) == sorted([len(header)] + [4096] * 6 * len(arrays))
+    assert sum(hashed) == len(header) + stream_bytes
     manifest_bytes = pfs.file_size(manifest_name("ck"))
     assert sum(written) == len(header) + pad + stream_bytes + manifest_bytes
     # header, pad, one coalesced run per I/O task per array, the manifest

@@ -1,4 +1,6 @@
-"""Unit tests for stream orderings."""
+"""Unit tests for stream orderings and the stream digest."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from repro.streaming.order import (
     check_order,
     section_stream_positions,
     stream_order_bytes,
+    stream_sha1,
+    stream_spans,
 )
 
 
@@ -67,3 +71,35 @@ def test_positions_match_enumerate_stream():
     pos = section_stream_positions(s, sub, "F")
     for p, point in zip(pos, sub.enumerate_stream("F").tolist()):
         assert pts[p] == tuple(point)
+
+
+@pytest.mark.parametrize(
+    "nbytes, spans",
+    [
+        (0, [(0, 0)]),
+        (3, [(0, 3)]),
+        (8, [(0, 4), (4, 4)]),
+        (9, [(0, 4), (4, 4), (8, 1)]),
+    ],
+)
+def test_stream_spans_cut_whole_spans_then_a_partial_one(nbytes, spans):
+    assert stream_spans(nbytes, 4) == spans
+
+
+@pytest.mark.parametrize("nbytes", [0, 1, 63, 64, 65, 1000])
+def test_stream_sha1_is_the_digest_of_the_span_digests(nbytes):
+    data = bytes(np.random.default_rng(nbytes).integers(0, 256, nbytes, np.uint8))
+    whole, spans = stream_sha1(data, 64)
+    raw = [hashlib.sha1(data[o:o + 64]).digest() for o in range(0, max(nbytes, 1), 64)]
+    assert spans == [d.hex() for d in raw]
+    assert whole == hashlib.sha1(b"".join(raw)).hexdigest()
+    # a buffer view hashes like the bytes it shows
+    assert stream_sha1(memoryview(data), 64) == (whole, spans)
+    assert stream_sha1(np.frombuffer(data, np.uint8), 64) == (whole, spans)
+
+
+def test_stream_sha1_depends_on_span_size_and_span_order():
+    data = bytes(range(256))
+    assert stream_sha1(data, 64)[0] != stream_sha1(data, 128)[0]
+    swapped = data[64:128] + data[:64] + data[128:]
+    assert stream_sha1(swapped, 64)[0] != stream_sha1(data, 64)[0]

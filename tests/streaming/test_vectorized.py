@@ -45,6 +45,17 @@ from repro.streaming.vectorized import (
 )
 
 
+def _span_sha1(stream, span):
+    """The stream digest, computed here independently of the library:
+    SHA-1 over the raw SHA-1 of each ``span``-byte span (an empty
+    stream is one empty span)."""
+    stream = bytes(stream)
+    starts = range(0, max(len(stream), 1), span)
+    return hashlib.sha1(
+        b"".join(hashlib.sha1(stream[o:o + span]).digest() for o in starts)
+    ).hexdigest()
+
+
 # -- scalar references (the pre-vectorization loops, verbatim shape) --------
 
 
@@ -300,18 +311,18 @@ class TestStreamingFixes:
             ]
             assert len(shas) == 1, path
             digests[path] = shas[0]
-        # the span attribute is the stream digest itself, not a
-        # digest-of-digests over pieces
-        want = hashlib.sha1(stream_order_bytes(g, "F")).hexdigest()
+        # the span attribute is the stream digest over target_bytes
+        # spans, the same on both paths
+        want = _span_sha1(stream_order_bytes(g, "F"), 32)
         assert set(digests.values()) == {want}, digests
 
 
 class TestStreamDigest:
-    """``StreamStats.sha1`` is the SHA-1 of the stream the operation
-    intended to write — one hash over the gather buffer, equal on both
-    paths and in serial streaming to the independent
-    ``stream_order_bytes(to_global())`` reference (which lives in tests
-    only)."""
+    """``StreamStats.sha1`` is the digest, over ``target_bytes`` spans,
+    of the stream the operation intended to write — one hash pass over
+    the gather buffer, equal on both paths and in serial streaming to
+    the independent ``stream_order_bytes(to_global())`` reference (which
+    lives in tests only)."""
 
     @pytest.mark.parametrize("order", ["F", "C"])
     def test_every_engine_returns_the_reference_digest(self, order, on_path):
@@ -319,9 +330,7 @@ class TestStreamDigest:
             "zero", (0, 5), np.float64, block_distribution((0, 5), 2)
         )
         for arr in _arrays() + [zero]:
-            want = hashlib.sha1(
-                stream_order_bytes(arr.to_global(), order)
-            ).hexdigest()
+            want = _span_sha1(stream_order_bytes(arr.to_global(), order), 64)
             for P in sorted({1, arr.ntasks}):  # P < ntasks and P == ntasks
                 for path, make_sink in SINKS.items():
                     sink = make_sink()
@@ -329,8 +338,10 @@ class TestStreamDigest:
                         stats = stream_out_parallel(
                             arr, sink, P=P, order=order, target_bytes=64
                         )
-                    assert stats.sha1 == want, (arr.name, P, path)
-                    assert hashlib.sha1(_written(sink)).hexdigest() == want
+                    assert (stats.sha1, stats.span_bytes) == (want, 64), (
+                        arr.name, P, path,
+                    )
+                    assert _span_sha1(_written(sink), 64) == want
             stats = stream_out_serial(
                 arr, MemorySink(), order=order, target_bytes=64
             )
@@ -339,9 +350,9 @@ class TestStreamDigest:
     def test_section_digest_covers_the_section_only(self):
         arr = _arrays()[0]
         sec = SECTIONS["blk"][1]
-        want = hashlib.sha1(
-            stream_order_bytes(_scalar_gather_piece(arr, sec), "F")
-        ).hexdigest()
+        want = _span_sha1(
+            stream_order_bytes(_scalar_gather_piece(arr, sec), "F"), 64
+        )
         stats = stream_out_parallel(arr, MemorySink(), section=sec, target_bytes=64)
         assert stats.sha1 == want
 
@@ -363,7 +374,7 @@ class TestStreamDigest:
         """A write fault damages the file, never the digest: the
         operation raises (torn) or returns the intended digest (short)."""
         a = _arrays()[0]
-        want = hashlib.sha1(stream_order_bytes(a.to_global(), "F")).hexdigest()
+        want = _span_sha1(stream_order_bytes(a.to_global(), "F"), 256)
         pfs = PIOFS()
         inj = FaultInjector()
         pfs.attach_faults(inj)
@@ -371,7 +382,7 @@ class TestStreamDigest:
         stats = stream_out_parallel(a, PFSSink(pfs, "short"), target_bytes=256)
         assert stats.sha1 == want
         stored = pfs.read_at("short", 0, pfs.file_size("short"))
-        assert hashlib.sha1(stored).hexdigest() != want
+        assert _span_sha1(stored, 256) != want
         inj.fail_write(match="torn", offset=504, mode="torn")
         with pytest.raises(IOFaultError):
             stream_out_parallel(a, PFSSink(pfs, "torn"), target_bytes=256)
