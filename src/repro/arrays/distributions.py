@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -316,9 +317,9 @@ class Distribution:
             self.grid = process_grid(self.ntasks, len(self.shape), fixed)
         else:
             self.grid = tuple(int(g) for g in grid)
-            if math.prod(self.grid) != self.ntasks:
+            if len(self.grid) != len(self.shape) or math.prod(self.grid) != self.ntasks:
                 raise DistributionError(
-                    f"grid {self.grid} does not multiply to ntasks={self.ntasks}"
+                    f"grid {self.grid} is not a rank-{len(self.shape)} grid of {self.ntasks} tasks"
                 )
         self.shadow: Tuple[int, ...] = (
             tuple(int(s) for s in shadow) if shadow is not None else (0,) * len(self.shape)
@@ -335,13 +336,24 @@ class Distribution:
                 f"{len(mapped)} mapped overrides for {self.ntasks} tasks"
             )
         self.mapped_overridden = mapped is not None
-        self._assigned: List[Slice] = []
-        self._mapped: List[Slice] = []
-        for t in range(self.ntasks):
-            coords = self.task_coords(t)
-            a = Slice(self._per_axis[i][c] for i, c in enumerate(coords))
-            self._assigned.append(a)
-            self._mapped.append(mapped[t] if mapped is not None else self._expand(a))
+        # Per axis and grid coordinate, the mapped column: the assigned
+        # range widened by the shadow, clipped to the axis (an override
+        # does not factor by axis, so its columns are the assigned ones).
+        self._columns: List[List[Range]] = self._per_axis if mapped is not None else [
+            [
+                r
+                if w == 0 or r.is_empty or not r.is_contiguous
+                else Range.regular(max(0, r.first - w), min(n - 1, r.last + w))
+                for r in col
+            ]
+            for col, w, n in zip(self._per_axis, self.shadow, self.shape)
+        ]
+        # Row-major over the grid, as task_coords numbers the tasks.
+        self._assigned: List[Slice] = [Slice(rs) for rs in product(*self._per_axis)]
+        self._mapped: List[Slice] = (
+            list(mapped) if mapped is not None
+            else [Slice(rs) for rs in product(*self._columns)]
+        )
         self._fingerprint: Optional[str] = None
         self.validate()
 
@@ -370,20 +382,6 @@ class Distribution:
             t = t * g + c
         return t
 
-    def _expand(self, a: Slice) -> Slice:
-        rs = []
-        for i, r in enumerate(a.ranges):
-            w = self.shadow[i]
-            if w == 0 or r.is_empty or not r.is_contiguous:
-                rs.append(r)
-            else:
-                rs.append(
-                    Range.regular(
-                        max(0, r.first - w), min(self.shape[i] - 1, r.last + w), 1
-                    )
-                )
-        return Slice(rs)
-
     # -- the (a, m) vectors ------------------------------------------------
 
     def assigned(self, task: int) -> Slice:
@@ -393,12 +391,6 @@ class Distribution:
     def mapped(self, task: int) -> Slice:
         """Slice mapped into ``task``'s address space (``m_task``)."""
         return self._mapped[task]
-
-    def all_assigned(self) -> List[Slice]:
-        return list(self._assigned)
-
-    def all_mapped(self) -> List[Slice]:
-        return list(self._mapped)
 
     def owner_tasks(self, section: Slice) -> List[int]:
         """Tasks whose assigned section intersects ``section``."""
@@ -422,30 +414,28 @@ class Distribution:
     def validate(self) -> None:
         """Raise :class:`DistributionError` unless the distribution is
         legal: disjoint assigned sections, assigned ⊆ mapped, and the
-        assigned sections tile the whole index space."""
-        full_slice = Slice.full(self.shape)
-        for t in range(self.ntasks):
-            a, m = self._assigned[t], self._mapped[t]
-            if m.rank != self.rank:
-                raise DistributionError(
-                    f"task {t}: mapped section rank {m.rank} != array rank {self.rank}"
-                )
-            if not m.issubset(full_slice):
-                raise DistributionError(
-                    f"task {t}: mapped section outside the array bounds"
-                )
-            if a.intersect(m) != a:
-                raise DistributionError(
-                    f"task {t}: assigned section not contained in mapped section"
-                )
-        # Disjointness + coverage per axis (cheaper and equivalent for
-        # per-axis tensor-product distributions).
+        assigned sections tile the whole index space.
+
+        Checked per axis: a task's sections are the product of one
+        assigned and one mapped range per axis, so ``a_t ⊆ m_t ⊆
+        array`` for every task is ``assigned ⊆ mapped ⊆ [0, n)`` for
+        every axis and coordinate.  Only mapped overrides, which do not
+        factor by axis, are checked task by task."""
+        if self.mapped_overridden:
+            full_slice = Slice.full(self.shape)
+            for t, (a, m) in enumerate(zip(self._assigned, self._mapped)):
+                if m.rank != self.rank:
+                    raise DistributionError(f"task {t}: mapped rank {m.rank} != array rank {self.rank}")
+                if not m.issubset(full_slice):
+                    raise DistributionError(f"task {t}: mapped section outside the array bounds")
+                if a.intersect(m) != a:
+                    raise DistributionError(f"task {t}: assigned section not contained in mapped")
         for i in range(self.rank):
             total = 0
             full = Range.of_size(self.shape[i])
             for c in range(self.grid[i]):
-                r = self._per_axis[i][c]
-                if not r.issubset(full):
+                r, m = self._per_axis[i][c], self._columns[i][c]
+                if not (r.issubset(m) and m.issubset(full)):
                     raise DistributionError(
                         f"axis {i} coord {c}: range outside array bounds"
                     )
@@ -491,6 +481,10 @@ class Distribution:
         new task count remains a pencil decomposition — unless the task
         count cannot be factored that way, in which case all non-
         replicated axes become eligible.
+
+        An analogue with this task count, grid, axis kinds and shadow
+        is this distribution (unless it has a mapped override): it is
+        returned itself and nothing is constructed.
         """
         if grid is None:
             fixed = [1 if g == 1 else 0 for g in self.grid]
@@ -498,25 +492,23 @@ class Distribution:
                 grid = process_grid(ntasks, self.rank, fixed)
             except DistributionError:
                 grid = None
-        return Distribution(
-            self.shape,
-            [ax.adjust(ntasks) for ax in self.axes],
-            ntasks,
-            grid=grid,
-            shadow=self.shadow,
-        )
+        axes = tuple(ax.adjust(ntasks) for ax in self.axes)
+        if (ntasks, axes) == (self.ntasks, self.axes) and not self.mapped_overridden:
+            if grid is not None and tuple(int(g) for g in grid) == self.grid:
+                return self
+        return Distribution(self.shape, axes, ntasks, grid=grid, shadow=self.shadow)
 
     def fingerprint(self) -> str:
         """Structural digest of the ``(a, m)`` geometry — the plan-cache
         key component for this distribution (see :mod:`repro.plancache`).
 
-        Two distributions compare ``==`` iff their fingerprints match:
-        the digest covers exactly the fields equality covers (shape,
-        grid, shadow, every assigned and mapped slice), canonically
-        encoded, so BLOCK-over-8 and a GENBLOCK spelling the same blocks
-        share one fingerprint while any geometric change produces a new
-        one.  Computed once per instance (distributions are immutable
-        after construction)."""
+        Equal fingerprints imply ``==``: the digest canonically encodes
+        the fields equality covers (shape, grid, shadow, every assigned
+        and mapped slice), so BLOCK-over-8 and a GENBLOCK spelling the
+        same blocks share one.  Not the converse: equality treats every
+        empty slice alike, so equal distributions with an extent-0 axis
+        may differ (a plan-cache miss, nothing worse).  Computed once
+        per instance (distributions are immutable after construction)."""
         if self._fingerprint is None:
             canon = (
                 self.shape,

@@ -341,9 +341,17 @@ class Range:
         return pos.astype(np.int64)
 
     def issubset(self, other: "Range") -> bool:
-        """True when every element of ``self`` belongs to ``other``."""
-        if self.is_empty:
+        """True when every element of ``self`` belongs to ``other``: O(1)
+        unless an index vector is involved and the bounds cannot decide."""
+        if self is other or self.is_empty:
             return True
+        if self._lo < other._lo or self._hi > other._hi:  # an empty other: lo 0 > hi -1
+            return False
+        if other.is_contiguous:
+            return True
+        if self.is_regular and other.is_regular:  # stride congruence
+            return (self._lo - other._lo) % other._step == 0 and (
+                self._size == 1 or self._step % other._step == 0)
         return self.intersect(other).size == self.size
 
 

@@ -72,6 +72,50 @@ def test_lo_hi_partition(r):
     assert lo.size - hi.size in (0, 1)
 
 
+subset_operands = st.one_of(
+    ranges,
+    st.integers(-20, 60).map(Range),  # singletons
+    st.just(Range.empty()),
+)
+
+
+@given(subset_operands, subset_operands)
+@settings(max_examples=300)
+def test_issubset_is_its_definition(q, r):
+    """``issubset`` decides from bounds and strides where it can; it must
+    still equal ``|q * r| == |q|`` — strided operands whose offsets are
+    not congruent to the stride included — and hold for ``q is q``."""
+    assert q.issubset(r) == (q.intersect(r).size == q.size)
+    assert q.issubset(q)
+    assert q.issubset(Range(q)) and Range(q).issubset(q)
+
+
+def test_issubset_is_its_definition_on_strided_pairs():
+    """Seeded strided pairs, drawn so that many are subsets: inner
+    offsets on and off the outer stride, inner strides multiples of the
+    outer one or not, and indexed inners cut from the outer range."""
+    rng = np.random.default_rng(20261017)
+    hits = 0
+    for _ in range(3000):
+        step = int(rng.integers(1, 6))
+        lo = int(rng.integers(-10, 10))
+        outer = Range.regular(lo, lo + int(rng.integers(0, 40)), step)
+        first = lo + step * int(rng.integers(-1, 6)) + int(rng.integers(0, 2))
+        inner = Range.regular(
+            first,
+            first + int(rng.integers(0, 30)),
+            step * int(rng.integers(1, 4)) + int(rng.random() < 0.2),
+        )
+        if rng.random() < 0.3 and outer.size > 2:
+            keep = rng.random(outer.size) < 0.5
+            inner = Range(outer.indices()[keep])
+        for q, r in ((inner, outer), (outer, inner)):
+            expect = q.intersect(r).size == q.size
+            assert q.issubset(r) == expect, (q, r)
+            hits += expect
+    assert 1000 < hits < 5000  # both answers, often
+
+
 @given(ranges, ranges)
 def test_union_size(q, r):
     assert q.union(r).size == q.size + r.size - (q * r).size
