@@ -12,8 +12,8 @@ answer.  :class:`PlanCache` memoizes those answers.
 Keying discipline (see DESIGN.md §11):
 
 * every key starts with a ``kind`` tag (``"schedule"``,
-  ``"partition"``, ``"offsets"``, ``"positions"``) so unrelated plans
-  never collide;
+  ``"partition"``, ``"offsets"``, ``"positions"``, ``"plan"``,
+  ``"indexplan"``, ``"parstream"``) so unrelated plans never collide;
 * distributions enter keys only through
   :meth:`~repro.arrays.distributions.Distribution.fingerprint` — a
   structural digest of the ``(a, m)`` geometry — so two distribution
@@ -211,26 +211,13 @@ class NullPlanCache(PlanCache):
 
     enabled = False
 
-    def __init__(self):  # no store, no lock
+    def __init__(self):  # a store that stays empty
+        super().__init__()
         self.maxsize = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-        self.saved_seconds = 0.0
 
     def get_or_compute(self, kind, key, compute, dist_fingerprints=()):
         self.misses += 1
         return compute()
-
-    def invalidate_distribution(self, dist) -> int:
-        return 0
-
-    def clear(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
 
     def __repr__(self) -> str:
         return "NullPlanCache()"

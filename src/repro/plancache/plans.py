@@ -14,8 +14,10 @@ plancache.cache.PlanCache`:
 * :func:`section_stream_positions` — the stream-position map of a
   sub-section (``streaming/order.py``), returned read-only because the
   cached ndarray is shared between callers;
+* :func:`section_index_plan` — a section's per-task gather / scatter plan;
 * :func:`streaming_plan` — the (pieces, offsets) pair parallel
-  streaming needs, as one composite entry.
+  streaming needs, as one composite entry;
+* :func:`parstream_schedule` — everything a bulk parstream plans, one entry.
 
 The wrapped functions stay pure and uncached in their home modules;
 callers that want memoization import from here.  Results that callers
@@ -26,7 +28,7 @@ tuples; :class:`~repro.arrays.slices.Slice` and
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +53,7 @@ __all__ = [
     "section_stream_positions",
     "section_index_plan",
     "streaming_plan",
+    "parstream_schedule",
 ]
 
 
@@ -179,4 +182,28 @@ def streaming_plan(
         (section, int(itemsize), int(target_bytes), int(min_pieces),
          check_order(order)),
         compute,
+    )
+
+
+def parstream_schedule(
+    dist: Distribution, section: Optional[Slice], itemsize: int,
+    target_bytes: int, P: int, order: str,
+):
+    """Memoized :func:`repro.streaming.parallel.build_parstream_schedule`
+    of a data-bearing array: a warm parstream is one lookup.  ``section``
+    None is the whole array (the fingerprint encodes the shape), so the
+    lookup builds and hashes no :class:`Slice`."""
+    from repro.streaming.parallel import build_parstream_schedule
+
+    fp = dist.fingerprint()
+
+    def compute():
+        sec = section or Slice.full(dist.shape)
+        return build_parstream_schedule(
+            sec, itemsize, target_bytes, P, order, section_index_plan(dist, sec, order)
+        )
+
+    return get_plan_cache().get_or_compute(
+        "parstream", (fp, section, itemsize, target_bytes, P, order), compute,
+        dist_fingerprints=(fp,),
     )

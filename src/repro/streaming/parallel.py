@@ -14,13 +14,13 @@ seekable sink.
 Two execution paths, chosen by what the call observes — there is no
 option:
 
-* **bulk** — for data-bearing arrays: the section is gathered once
-  through the cached plans (:mod:`repro.streaming.vectorized`), the
-  nonempty pieces are coalesced into at most P stream-contiguous byte
-  runs of near-equal volume, and run ``p`` is I/O task ``p``'s **one**
-  ``write_at`` / ``read_at``, issued inline.  Empty pieces occupy zero
-  bytes, so the nonempty pieces are byte-contiguous in stream order and
-  every run is a single interval.  A storage fault
+* **bulk** — for data-bearing arrays: one :class:`ParstreamSchedule`
+  lookup (planned once per geometry), then the bytes: one gather
+  through its index plan (:mod:`repro.streaming.vectorized`), and per
+  run — the nonempty pieces coalesced into at most P stream-contiguous
+  byte runs of near-equal volume, each a single interval, as empty
+  pieces occupy zero bytes — I/O task ``p``'s **one** ``write_at`` /
+  ``read_at``, issued inline.  A storage fault
   (:mod:`repro.pfs.faults`) names a stored byte, not a call, so fault
   suites run this path, the one every checkpoint and restart takes.
 * **per-piece** — the deterministic round-robin loop, one call per
@@ -55,7 +55,7 @@ data must reach the I/O tasks) but perform no I/O.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -67,13 +67,13 @@ from repro.streaming.order import check_order, stream_sha1
 from repro.streaming.serial import (
     StreamStats,
     _cached_plan,
-    _index_plan,
     _intended_stream,
     _piece_redis,
     _require_full_read,
 )
 from repro.streaming.streams import ByteSink, ByteSource
 from repro.streaming.vectorized import (
+    SectionIndexPlan,
     range_redistribution_bytes,
     scatter_section_flat,
 )
@@ -81,15 +81,49 @@ from repro.streaming.vectorized import (
 __all__ = ["stream_out_parallel", "stream_in_parallel"]
 
 
-def _plan(
-    darray: DistributedArray,
-    section: Optional[Slice],
-    P: Optional[int],
-    order: str,
-    target_bytes: int,
-):
+class ParstreamSchedule(NamedTuple):
+    """What a parstream of one geometry does besides moving bytes,
+    planned once: ``runs`` holds I/O task ``p``'s ``(p, start, nbytes,
+    redistribution_bytes)``, ``jobs`` the nonempty pieces as ``(j,
+    piece)``.  ``index_plan`` is the ``"indexplan"`` entry's own object
+    (counted there: a schedule has no ``nbytes``)."""
+
+    section: Slice
+    index_plan: Optional[SectionIndexPlan]
+    pieces: int
+    jobs: Tuple[Tuple[int, Slice], ...]
+    offsets: Tuple[int, ...]
+    runs: Tuple[Tuple[int, int, int, int], ...]
+
+
+def build_parstream_schedule(
+    section: Slice, itemsize: int, target_bytes: int, P: int, order: str,
+    index_plan: Optional[SectionIndexPlan],
+) -> ParstreamSchedule:
+    """Plan one parstream geometry (pure; cached via
+    :func:`repro.plancache.plans.parstream_schedule`).  The nonempty
+    pieces tile the stream, so each run is one interval, cut at a piece
+    end.  A virtual array has no index plan to account runs with, and
+    no bulk path."""
+    pieces, offsets = _cached_plan(section, itemsize, target_bytes, P, order)
+    jobs = tuple((j, piece) for j, piece in enumerate(pieces) if not piece.is_empty)
+    total = sum(piece.size for _, piece in jobs) * itemsize
+    target = -(-total // P)  # ceil: every run but the last fills up
+    runs, start = [], 0
+    for j, piece in jobs if index_plan is not None else ():
+        end = offsets[j] + piece.size * itemsize
+        if end == total or (end - start >= target and len(runs) < P - 1):
+            lo, hi, p = start // itemsize, end // itemsize, len(runs)
+            redis = range_redistribution_bytes(index_plan, lo, hi, p, itemsize)
+            runs.append((p, start, end - start, redis))
+            start = end
+    return ParstreamSchedule(section, index_plan, len(pieces), jobs, offsets, tuple(runs))
+
+
+def _plan(darray, section: Optional[Slice], P: Optional[int], order: str, target_bytes: int):
+    """``(P, schedule)`` after the order and ``P`` checks; a virtual
+    array's schedule is built without an index plan (it never gathers)."""
     check_order(order)
-    section = section or Slice.full(darray.shape)
     ntasks = darray.ntasks
     if P is None:
         P = ntasks
@@ -97,31 +131,15 @@ def _plan(
         raise StreamingError(
             f"I/O task count P={P} must be within 1..{ntasks} (the task pool)"
         )
-    pieces, offsets = _cached_plan(section, darray.itemsize, target_bytes, P, order)
-    return section, P, pieces, offsets
+    if not darray.store_data:
+        return P, build_parstream_schedule(
+            section or Slice.full(darray.shape), darray.itemsize, target_bytes, P, order, None
+        )
+    from repro.plancache.plans import parstream_schedule
 
-
-def _coalesced_runs(
-    jobs: List[Tuple[int, Slice]], itemsize: int, P: int
-) -> List[List[Tuple[int, Slice]]]:
-    """Split the nonempty pieces into at most ``P`` stream-contiguous
-    runs of near-equal byte volume — run ``p`` is I/O task ``p``'s
-    single bulk transfer."""
-    total = sum(piece.size for _, piece in jobs) * itemsize
-    target = -(-total // P)  # ceil: every run but the last fills up
-    runs: List[List[Tuple[int, Slice]]] = []
-    cur: List[Tuple[int, Slice]] = []
-    cur_bytes = 0
-    for j, piece in jobs:
-        cur.append((j, piece))
-        cur_bytes += piece.size * itemsize
-        if cur_bytes >= target and len(runs) < P - 1:
-            runs.append(cur)
-            cur = []
-            cur_bytes = 0
-    if cur:
-        runs.append(cur)
-    return runs
+    return P, parstream_schedule(
+        darray.distribution, section, darray.itemsize, target_bytes, P, order
+    )
 
 
 def _is_bulk(darray, jobs) -> bool:
@@ -146,8 +164,8 @@ def stream_out_parallel(
             "parallel streaming requires a seekable sink; use serial "
             "streaming for sequential channels"
         )
-    section, P, pieces, offsets = _plan(darray, section, P, order, target_bytes)
-    jobs = [(j, piece) for j, piece in enumerate(pieces) if not piece.is_empty]
+    P, sched = _plan(darray, section, P, order, target_bytes)
+    section, plan_idx, npieces, jobs, offsets, runs = sched
     bulk = _is_bulk(darray, jobs)
     itemsize = darray.itemsize
     obs = get_tracer()
@@ -158,24 +176,18 @@ def stream_out_parallel(
         array=darray.name,
         io_tasks=P,
         path="bulk" if bulk else "per-piece",
-        plan_pieces=len(pieces),
+        plan_pieces=npieces,
     ) as op:
-        plan_idx = _index_plan(darray, section, order)
         stream, sha, span = _intended_stream(
             darray, section, order, plan_idx, target_bytes
         )
         if bulk:
             # run p covers a contiguous byte interval of the stream, so
             # each I/O task issues a single write_at
-            for p, run in enumerate(_coalesced_runs(jobs, itemsize, P)):
-                start = offsets[run[0][0]]
-                nbytes = sum(piece.size for _, piece in run) * itemsize
+            for p, start, nbytes, run_redis in runs:
                 sink.write_at(start, stream[start:start + nbytes], client=p)
                 total += nbytes
-                redis += range_redistribution_bytes(
-                    plan_idx, start // itemsize, (start + nbytes) // itemsize,
-                    p, itemsize,
-                )
+                redis += run_redis
         else:
             for j, piece in jobs:
                 p = j % P  # I/O task for this piece (round-robin rounds of P)
@@ -223,8 +235,8 @@ def stream_in_parallel(
     consumes is hashed first (:func:`~repro.streaming.order.stream_sha1`),
     a mismatch raising :class:`~repro.errors.CheckpointIntegrityError`
     with ``darray`` untouched."""
-    section, P, pieces, offsets = _plan(darray, section, P, order, target_bytes)
-    jobs = [(j, piece) for j, piece in enumerate(pieces) if not piece.is_empty]
+    P, sched = _plan(darray, section, P, order, target_bytes)
+    section, plan_idx, npieces, jobs, offsets, runs = sched
     bulk = _is_bulk(darray, jobs)
     itemsize = darray.itemsize
     obs = get_tracer()
@@ -235,9 +247,8 @@ def stream_in_parallel(
         array=darray.name,
         io_tasks=P,
         path="bulk" if bulk else "per-piece",
-        plan_pieces=len(pieces),
+        plan_pieces=npieces,
     ) as op:
-        plan_idx = _index_plan(darray, section, order)
         flat = (
             np.empty(section.size, dtype=darray.dtype)
             if darray.store_data and jobs
@@ -245,17 +256,12 @@ def stream_in_parallel(
         )
         flat_u8 = flat.view(np.uint8) if flat is not None else None
         if bulk:
-            for p, run in enumerate(_coalesced_runs(jobs, itemsize, P)):
-                start = offsets[run[0][0]]
-                nbytes = sum(piece.size for _, piece in run) * itemsize
+            for p, start, nbytes, run_redis in runs:
                 data = source.read_at(source_offset + start, nbytes, client=p)
                 _require_full_read(data, nbytes, source, darray.store_data)
                 flat_u8[start:start + nbytes] = np.frombuffer(data, dtype=np.uint8)
                 total += nbytes
-                redis += range_redistribution_bytes(
-                    plan_idx, start // itemsize, (start + nbytes) // itemsize,
-                    p, itemsize,
-                )
+                redis += run_redis
         else:
             for j, piece in jobs:
                 p = j % P

@@ -221,3 +221,27 @@ class TestResidentBytes:
             partition_for_target(Slice.full((8, 8)), 8)  # evicts the vector
             assert cache.evictions == 1
             assert cache.stats()["resident_bytes"] == 0
+
+
+class TestNullCacheIntrospection:
+    def test_null_cache_reports_an_empty_cache(self):
+        """The cold baseline reports its counters like any cache: an
+        empty store, a miss per lookup."""
+        null = NullPlanCache()
+        with use_plan_cache(null):
+            partition_for_target(Slice.full((8, 8)), 8)
+            partition_for_target(Slice.full((8, 8)), 8)
+        assert null.stats() == {
+            "size": 0,
+            "maxsize": 0,
+            "hits": 0,
+            "misses": 2,
+            "evictions": 0,
+            "invalidations": 0,
+            "hit_rate": 0.0,
+            "saved_seconds": 0.0,
+            "resident_bytes": 0,
+        }
+        assert null.invalidate_distribution(block_distribution((8, 8), 2)) == 0
+        null.clear()
+        assert len(null) == 0
