@@ -28,10 +28,10 @@ def checkpoint_files(
     pfs: PIOFS, prefix: str, _seen: Optional[set] = None
 ) -> List[str]:
     """Every file belonging to the checkpointed state under ``prefix``
-    (manifest included).  A chain manifest whose base/delta references
-    loop back on themselves (a corrupt or hostile manifest) raises
-    :class:`~repro.errors.CheckpointError` instead of recursing
-    forever."""
+    (manifest included): an incremental delta's ``base`` chain too.  A
+    chain whose ``base`` links loop back on themselves (a corrupt or
+    hostile manifest) raises :class:`~repro.errors.CheckpointError`
+    instead of recursing forever."""
     seen = _seen if _seen is not None else set()
     if prefix in seen:
         raise CheckpointError(
@@ -44,25 +44,13 @@ def checkpoint_files(
     if kind == "drms":
         files.append(manifest["segment_file"])
         files.extend(a["file"] for a in manifest["arrays"])
+        if "base" in manifest:
+            files.extend(checkpoint_files(pfs, manifest["base"], _seen=seen))
     elif kind == "spmd":
         files.extend(manifest["task_files"])
-    elif kind == "drms-chain":
-        files.extend(checkpoint_files(pfs, manifest["base"], _seen=seen))
-        for delta in manifest["deltas"]:
-            files.extend(checkpoint_files(pfs, delta, _seen=seen))
-    elif kind == "drms-delta":
-        files.append(manifest["segment_file"])
-        files.extend(a["file"] for a in manifest["arrays"])
     else:
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
-    # preserve order, drop duplicates (chains share the base)
-    seen = set()
-    out = []
-    for f in files:
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
-    return out
+    return files
 
 
 def copy_checkpoint(src: PIOFS, dst: PIOFS, prefix: str) -> Dict[str, int]:

@@ -46,9 +46,9 @@ from repro.errors import CheckpointError, CheckpointIntegrityError, RestartError
 from repro.obs import get_tracer
 from repro.pfs.phase import IOKind
 from repro.pfs.piofs import PIOFS
-from repro.streaming.order import check_order
+from repro.streaming.order import check_order, stream_spans
 from repro.streaming.parallel import stream_in_parallel, stream_out_parallel
-from repro.streaming.streams import PFSSink, PFSSource
+from repro.streaming.streams import ByteSource, PFSSink, PFSSource
 
 __all__ = [
     "CheckpointBreakdown",
@@ -177,9 +177,10 @@ def capture(
     the manifest, assembled here and nowhere else; the breakdown.  A
     *generation sink* owns where the bytes go and what storing them
     costs (DESIGN.md §8): ``kind``; ``spans`` (segment span, per-array
-    span stem); ``segment(file, header, pad) -> (seconds, sha1)``, the
-    header's plain SHA-1; ``array(a, file, order) -> (seconds, nbytes,
-    sha1, span_bytes, span attrs)``, the
+    span stem); ``segment(file, header, pad) -> (seconds, nbytes,
+    sha1)``, the bytes it charged and the header's plain SHA-1;
+    ``array(a, file, order) -> (seconds, nbytes, sha1, span_bytes,
+    span attrs)``, the
     :func:`~repro.streaming.order.stream_sha1` of the stream it intends
     to store and the span size it took it over, its ``target_bytes``
     (both None when virtual); ``commit(manifest, bd)``, which makes the
@@ -205,11 +206,11 @@ def capture(
         header, pad = segment.serialize()
         seg = segment_name(prefix)
         with obs.span(segment_span, file=seg) as sp:
-            seconds, segment_sha1 = sink.segment(seg, header, pad)
+            seconds, nbytes, segment_sha1 = sink.segment(seg, header, pad)
             obs.advance(seconds)
-            sp.set(nbytes=len(header) + pad, seconds=seconds)
+            sp.set(nbytes=nbytes, seconds=seconds)
         bd.segment_seconds = seconds
-        bd.segment_bytes = len(header) + pad
+        bd.segment_bytes = nbytes
 
         # Phase 2..N+1: each distributed array in sequence.
         specs = []
@@ -249,7 +250,8 @@ class PFSCheckpointSink:
     is one serial write phase, each array one parallel stream-out phase
     of at most ``io_tasks`` writes
     (:func:`~repro.streaming.parallel.stream_out_parallel`); the commit
-    writes the manifest."""
+    writes the manifest.  ``span_sha1s`` keeps each data-bearing array's
+    span digests, from the same hash pass."""
 
     kind = "drms"
     spans = ("segment_write", "parstream")
@@ -258,8 +260,9 @@ class PFSCheckpointSink:
         self.pfs = pfs
         self.io_tasks = io_tasks
         self.target_bytes = target_bytes
+        self.span_sha1s: Dict[str, List[str]] = {}
 
-    def segment(self, file: str, header: bytes, pad: int) -> Tuple[float, str]:
+    def segment(self, file: str, header: bytes, pad: int) -> Tuple[float, int, str]:
         """One serial write phase: task 0 writes the exact header, the
         pad as a sparse span after it."""
         pfs = self.pfs
@@ -268,7 +271,7 @@ class PFSCheckpointSink:
             pfs.write_at(file, 0, header, client=0)
             if pad:  # the sized bulk components (see DataSegment)
                 pfs.write_at(file, len(header), None, nbytes=pad, client=0)
-        return res.seconds, sha1_hex(header)
+        return res.seconds, len(header) + pad, sha1_hex(header)
 
     def array(
         self, a: DistributedArray, file: str, order: str
@@ -280,6 +283,8 @@ class PFSCheckpointSink:
                 a, sink, P=self.io_tasks, order=order,
                 target_bytes=self.target_bytes,
             )
+        if stats.span_sha1s is not None:
+            self.span_sha1s[a.name] = stats.span_sha1s
         return res.seconds, stats.bytes_streamed, stats.sha1, stats.span_bytes, {
             "pieces": stats.pieces,
             "redistribution_bytes": stats.redistribution_bytes,
@@ -451,7 +456,14 @@ class PFSCheckpointSource:
     it delivers against that digest — the segment header as it is read,
     each array's stream-in buffer before the scatter — raising
     :class:`~repro.errors.CheckpointIntegrityError` with no phase left
-    open.  Every stored byte is read once and hashed once."""
+    open.  Every stored byte is read once and hashed once.
+
+    A generation with a ``base`` link (an incremental delta) opens as
+    its chain: the links are followed to the base (a cycle is a corrupt
+    manifest), and every generation of it is checked so.  The segment
+    header is the newest's, its sized bulk the base's; an array's stream
+    is the base's overlaid by each delta's stored spans, oldest first,
+    each file verified as it is read, then scattered once."""
 
     kind = "drms"
     spans = ("segment_read", "parstream")
@@ -462,15 +474,27 @@ class PFSCheckpointSource:
         self.pfs = pfs
         self.prefix = prefix
         self.manifest = m = read_manifest(pfs, prefix)
+        #: the generations ``prefix`` is stored as, its base first
+        self.chain, seen = [m], {prefix}
+        while m.get("kind") == "drms" and "base" in self.chain[0]:
+            link = self.chain[0]["base"]
+            if link in seen:
+                raise CheckpointIntegrityError(
+                    f"checkpoint chain of {prefix!r} cycles back to {link!r}"
+                )
+            seen.add(link)
+            self.chain.insert(0, read_manifest(pfs, link))
         if m.get("kind") == "drms":
             #: stored file -> the (sha1, nbytes, span_bytes) it verifies to
-            self.digests = recorded_digests(m)
-            for name, nbytes in [(m["segment_file"], m.get("segment_bytes"))] + [
-                (spec["file"], spec.get("nbytes")) for spec in m["arrays"]
-            ]:
-                problem = file_problem(pfs, name, nbytes)
-                if problem is not None:
-                    raise CheckpointIntegrityError(problem)
+            self.digests = {}
+            for g in self.chain:
+                self.digests.update(recorded_digests(g))
+                for name, nbytes in [(g["segment_file"], g.get("segment_bytes"))] + [
+                    (spec["file"], spec.get("nbytes")) for spec in g["arrays"]
+                ]:
+                    problem = file_problem(pfs, name, nbytes)
+                    if problem is not None:
+                        raise CheckpointIntegrityError(problem)
         self.init_seconds = pfs.params.restart_init_s
         self.io_tasks = io_tasks
         self.target_bytes = target_bytes
@@ -478,9 +502,10 @@ class PFSCheckpointSource:
     def fetch_segment(self, ntasks: int) -> Tuple[bytes, float, int]:
         """One shared read phase: task 0 reads the exact header, every
         task is charged the whole (sized) segment file; the header read
-        is then checked against the manifest's digest."""
-        pfs, m = self.pfs, self.manifest
-        seg = m["segment_file"]
+        is then checked against the manifest's digest.  A chain's sized
+        bulk, which only its base stores, is a second such phase."""
+        pfs, base = self.pfs, self.chain[0]
+        seg = self.manifest["segment_file"]
         seg_size = pfs.file_size(seg)
         with pfs.phase(IOKind.READ_SHARED) as res:
             head = pfs.read_at(
@@ -491,24 +516,98 @@ class PFSCheckpointSource:
             for t in range(1, ntasks):
                 pfs.read_virtual(seg, 0, seg_size, client=t)
         verify_stored_sha1(pfs, seg, *self.digests[seg], head=head)
-        return head, res.seconds, seg_size * ntasks  # every task reads the file
+        header = base["segment_sha1_bytes"]
+        bulk = base["segment_bytes"] - header if len(self.chain) > 1 else 0
+        if not bulk:
+            return head, res.seconds, seg_size * ntasks  # every task reads the file
+        with pfs.phase(IOKind.READ_SHARED) as bulk_res:
+            for t in range(ntasks):
+                pfs.read_virtual(base["segment_file"], header, bulk, client=t)
+        return head, res.seconds + bulk_res.seconds, (seg_size + bulk) * ntasks
 
     def load_array(
         self, arr: DistributedArray, spec: Dict, order: str
     ) -> Tuple[float, int, Dict[str, int]]:
-        """One parallel read phase: stream the file into ``arr`` under
-        its (new) distribution, verified before the scatter."""
+        """One parallel read phase: stream the file (a chain's composed
+        stream) into ``arr`` under its (new) distribution, verified
+        before the scatter."""
         pfs = self.pfs
         sha1, _, span_bytes = self.digests.get(spec["file"], (None, None, None))
         with pfs.phase(IOKind.READ_PARALLEL) as res:
+            if len(self.chain) == 1:
+                source = PFSSource(pfs, spec["file"])
+            else:  # every file verified as it was read
+                source, sha1 = self._compose(arr, spec["name"]), None
             stats = stream_in_parallel(
-                arr, PFSSource(pfs, spec["file"]), P=self.io_tasks, order=order,
+                arr, source, P=self.io_tasks, order=order,
                 target_bytes=self.target_bytes, sha1=sha1, span_bytes=span_bytes,
             )
-        return res.seconds, stats.bytes_streamed, {
+        charged = stats.bytes_streamed if len(self.chain) == 1 else source.nbytes
+        return res.seconds, charged, {
             "pieces": stats.pieces,
             "redistribution_bytes": stats.redistribution_bytes,
         }
+
+    def _read(self, spec: Dict, P: int) -> Optional[memoryview]:
+        """Read one stored array file in ``P`` near-equal runs, client
+        ``p`` the ``p``-th, and verify it: its bytes, None when virtual."""
+        pfs, file, size = self.pfs, spec["file"], spec["nbytes"]
+        buf = None if spec["virtual"] else memoryview(bytearray(size))
+        cuts = [size * p // P for p in range(P + 1)]
+        for p, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            if hi == lo:
+                continue
+            if buf is None:
+                pfs.read_virtual(file, lo, hi - lo, client=p)
+            else:
+                buf[lo:hi] = pfs.read_at(file, lo, hi - lo, client=p)
+        if buf is not None:
+            verify_stored_sha1(pfs, file, *self.digests[file], head=buf)
+        return buf
+
+    def _compose(self, arr: DistributedArray, name: str) -> "_ComposedStream":
+        """Array ``name``'s stream in the chain: the base's whole stream,
+        overlaid by each delta's stored spans (the ``spans`` indices,
+        stored in stream order), oldest first."""
+        P = self.io_tasks or arr.ntasks
+        layers = [s for g in self.chain for s in g["arrays"] if s["name"] == name]
+        base, deltas = layers[0], layers[1:]
+        if "spans" in base or any("spans" not in s for s in deltas) or (
+            base["nbytes"] != arr.nbytes_global
+        ):
+            raise CheckpointIntegrityError(
+                f"the chain of {self.prefix!r} holds no base stream of {name!r}"
+            )
+        out = self._read(base, P)
+        for spec in deltas:
+            data, idx = self._read(spec, P), spec["spans"]
+            if out is None:  # virtual: charged, nothing to overlay
+                continue
+            cut = stream_spans(len(out), spec["span_bytes"])
+            if idx != sorted(set(idx)) or any(not 0 <= i < len(cut) for i in idx) or (
+                sum(cut[i][1] for i in idx) != len(data)
+            ):
+                raise CheckpointIntegrityError(
+                    f"corrupt manifest: the spans of {spec['file']!r} do not "
+                    f"tile its {len(data)} bytes"
+                )
+            pos = 0
+            for i in idx:
+                off, n = cut[i]
+                out[off:off + n] = data[pos:pos + n]
+                pos += n
+        return _ComposedStream(out, sum(s["nbytes"] for s in layers))
+
+
+class _ComposedStream(ByteSource):
+    """A chain's composed stream of one array, served from memory to
+    the stream-in; ``nbytes`` is what reading its files charged."""
+
+    def __init__(self, buf: Optional[memoryview], nbytes: int):
+        self.buf, self.nbytes, self.virtual = buf, nbytes, buf is None
+
+    def read_at(self, offset, nbytes, client=0):
+        return b"" if self.buf is None else self.buf[offset:offset + nbytes]
 
 
 def restart_opener(

@@ -16,9 +16,10 @@ the span digest of an array's stream) make such states detectable:
   :class:`~repro.errors.CheckpointIntegrityError` on a truncation or
   mismatch;
 * :func:`validate_checkpoint` audits a complete state (either
-  checkpoint kind, including incremental chains) and returns a
-  :class:`ValidationReport` instead of raising, so the decision-only
-  walk, the workflow line check and the tools can rank candidates;
+  checkpoint kind; an incremental delta with its ``base`` chain) and
+  returns a :class:`ValidationReport` instead of raising, so the
+  decision-only walk, the workflow line check and the tools can rank
+  candidates;
 * :func:`verify_checkpoint` is the raising form of the audit.
 
 A DRMS restart does not audit: it verifies the bytes it delivers as it
@@ -103,7 +104,7 @@ def verify_stored_sha1(
     recorded ``sha1``: the stream digest over ``span_bytes`` spans
     (:func:`~repro.streaming.order.stream_sha1`) of an array file, the
     plain SHA-1 (:func:`~repro.checkpoint.format.sha1_hex`) of anything
-    else — a segment header, an SPMD task file, a delta file.
+    else — a segment header, an SPMD task file.
 
     Returns 0 when there is nothing to check: no digest (a virtual
     file) or no bytes.  ``head``, when given, is data the caller
@@ -181,8 +182,8 @@ def validate_checkpoint(
     """Audit the complete checkpointed state under ``prefix``.
 
     Every component file is checked for presence, manifest-recorded
-    size, and recorded digest; incremental chains recurse into
-    their base and deltas.  All problems are *collected* — the returned
+    size, and recorded digest; an incremental delta recurses into its
+    ``base`` link.  All problems are *collected* — the returned
     :class:`ValidationReport` lists them in ``errors`` and is truthy
     exactly when the state is sound — so callers can rank candidate
     states rather than stop at the first bad one.
@@ -230,17 +231,11 @@ def validate_checkpoint(
             _check_file(
                 pfs, report, name, nbytes, *digests.get(name, (None, None, None))
             )
-    elif kind == "drms-delta":
-        # a delta's digests are plain, each over the whole (unpadded) file
-        _check_file(
-            pfs, report, manifest["segment_file"], manifest.get("segment_bytes"),
-            manifest.get("segment_sha1"), manifest.get("segment_bytes"),
-        )
-        for spec in manifest["arrays"]:
-            _check_file(
-                pfs, report, spec["file"], spec.get("nbytes"), spec.get("sha1"),
-                spec.get("nbytes"),
-            )
+        if "base" in manifest:  # an incremental delta: its chain too
+            inner = validate_checkpoint(pfs, manifest["base"], _seen=seen)
+            report.errors.extend(inner.errors)
+            report.files += inner.files
+            report.bytes_hashed += inner.bytes_hashed
     elif kind == "spmd":
         sizes = manifest.get("segment_bytes") or []
         shas = manifest.get("task_sha1") or []
@@ -254,12 +249,6 @@ def validate_checkpoint(
                 shas[i] if i < len(shas) else None,
                 sha_bytes[i] if i < len(sha_bytes) else None,
             )
-    elif kind == "drms-chain":
-        for sub in [manifest["base"], *manifest["deltas"]]:
-            inner = validate_checkpoint(pfs, sub, _seen=seen)
-            report.errors.extend(inner.errors)
-            report.files += inner.files
-            report.bytes_hashed += inner.bytes_hashed
     else:
         report.errors.append(f"unknown checkpoint kind {kind!r}")
     return report

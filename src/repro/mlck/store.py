@@ -566,12 +566,13 @@ class L1ReplicaSink:
             self.files[file] = pieces
         return acct.seconds(), pieces, sha1
 
-    def segment(self, file: str, header: bytes, pad: int) -> Tuple[float, str]:
+    def segment(self, file: str, header: bytes, pad: int) -> Tuple[float, int, str]:
         """Replicate the exact header; the sized pad is charged.  The
         header's digest is its plain SHA-1: the digest of its one piece,
         unless it spans several."""
-        seconds, pieces, _ = self._replicate(file, header, len(header) + pad, True)
-        return seconds, pieces[0].sha1 if len(pieces) == 1 else _hashed(header)
+        nbytes = len(header) + pad
+        seconds, pieces, _ = self._replicate(file, header, nbytes, True)
+        return seconds, nbytes, pieces[0].sha1 if len(pieces) == 1 else _hashed(header)
 
     def array(
         self, a: DistributedArray, file: str, order: str

@@ -13,8 +13,8 @@ work and overlapping I/O):
 * :mod:`repro.plancache.plans` — cached front-ends for the pure plan
   functions, keyed by structural fingerprints.
 
-Hot paths (``streaming.serial``/``parallel``, ``arrays.assignment``,
-``checkpoint.incremental``) consult the active cache via these
+Hot paths (``streaming.serial``/``parallel``, ``arrays.assignment``)
+consult the active cache via these
 front-ends; ``plancache.hit`` / ``plancache.miss`` /
 ``plancache.eviction`` / ``plancache.saved_seconds`` metrics record
 what caching bought (see DESIGN.md §11).
@@ -28,9 +28,6 @@ from repro.plancache.cache import (
     use_plan_cache,
 )
 from repro.plancache.plans import (
-    partition,
-    partition_for_target,
-    piece_offsets,
     section_stream_positions,
     streaming_plan,
     transfer_schedule,
@@ -43,9 +40,6 @@ __all__ = [
     "set_plan_cache",
     "use_plan_cache",
     "transfer_schedule",
-    "partition",
-    "partition_for_target",
-    "piece_offsets",
     "section_stream_positions",
     "streaming_plan",
 ]

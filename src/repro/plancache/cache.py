@@ -12,8 +12,8 @@ answer.  :class:`PlanCache` memoizes those answers.
 Keying discipline (see DESIGN.md §11):
 
 * every key starts with a ``kind`` tag (``"schedule"``,
-  ``"partition"``, ``"offsets"``, ``"positions"``, ``"plan"``,
-  ``"indexplan"``, ``"parstream"``) so unrelated plans never collide;
+  ``"positions"``, ``"plan"``, ``"indexplan"``, ``"parstream"``) so
+  unrelated plans never collide;
 * distributions enter keys only through
   :meth:`~repro.arrays.distributions.Distribution.fingerprint` — a
   structural digest of the ``(a, m)`` geometry — so two distribution

@@ -7,16 +7,13 @@ plancache.cache.PlanCache`:
 * :func:`transfer_schedule` — the point-to-point schedule of an array
   assignment (``arrays/assignment.py``), keyed by the two distribution
   fingerprints;
-* :func:`partition` / :func:`partition_for_target` — the recursive
-  Fig. 5a stream-order partition (``streaming/partition.py``), keyed by
-  the section and the split parameters;
-* :func:`piece_offsets` — the running-sum byte offsets of a partition;
 * :func:`section_stream_positions` — the stream-position map of a
   sub-section (``streaming/order.py``), returned read-only because the
   cached ndarray is shared between callers;
 * :func:`section_index_plan` — a section's per-task gather / scatter plan;
-* :func:`streaming_plan` — the (pieces, offsets) pair parallel
-  streaming needs, as one composite entry;
+* :func:`streaming_plan` — the Fig. 5a stream-order partition
+  (``streaming/partition.py``) and its running-sum byte offsets, the
+  (pieces, offsets) pair streaming needs, as one composite entry;
 * :func:`parstream_schedule` — everything a bulk parstream plans, one entry.
 
 The wrapped functions stay pure and uncached in their home modules;
@@ -39,7 +36,6 @@ from repro.streaming.order import check_order
 from repro.streaming.order import (
     section_stream_positions as _section_stream_positions,
 )
-from repro.streaming.partition import partition as _partition
 from repro.streaming.partition import (
     partition_for_target as _partition_for_target,
 )
@@ -47,9 +43,6 @@ from repro.streaming.partition import piece_offsets as _piece_offsets
 
 __all__ = [
     "transfer_schedule",
-    "partition",
-    "partition_for_target",
-    "piece_offsets",
     "section_stream_positions",
     "section_index_plan",
     "streaming_plan",
@@ -72,47 +65,6 @@ def transfer_schedule(src: Distribution, dst: Distribution) -> List:
         dist_fingerprints=(sf, df),
     )
     return list(sched)
-
-
-def partition(x: Slice, m: int, order: str = "F") -> List[Slice]:
-    """Memoized :func:`repro.streaming.partition.partition`."""
-    pieces = get_plan_cache().get_or_compute(
-        "partition",
-        (x, int(m), check_order(order)),
-        lambda: tuple(_partition(x, m, order)),
-    )
-    return list(pieces)
-
-
-def partition_for_target(
-    x: Slice,
-    itemsize: int,
-    target_bytes: int = 1 << 20,
-    min_pieces: int = 1,
-    order: str = "F",
-) -> List[Slice]:
-    """Memoized :func:`repro.streaming.partition.partition_for_target`."""
-    pieces = get_plan_cache().get_or_compute(
-        "partition",
-        (x, int(itemsize), int(target_bytes), int(min_pieces), check_order(order)),
-        lambda: tuple(
-            _partition_for_target(
-                x, itemsize, target_bytes=target_bytes,
-                min_pieces=min_pieces, order=order,
-            )
-        ),
-    )
-    return list(pieces)
-
-
-def piece_offsets(pieces: List[Slice], itemsize: int) -> List[int]:
-    """Memoized :func:`repro.streaming.partition.piece_offsets`."""
-    offs = get_plan_cache().get_or_compute(
-        "offsets",
-        (tuple(pieces), int(itemsize)),
-        lambda: tuple(_piece_offsets(list(pieces), itemsize)),
-    )
-    return list(offs)
 
 
 def section_stream_positions(

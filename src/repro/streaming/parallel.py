@@ -41,9 +41,10 @@ flat stream-order buffer, take the digest of that buffer — the stream
 they *intend* to write, before any sink call — and hand the sink slices
 of it (a storing sink copies them, once).  The digest is the
 :func:`~repro.streaming.order.stream_sha1` of the buffer over
-``target_bytes`` spans: ``StreamStats.sha1`` (with ``span_bytes``) and
-the ``content_sha1`` op-span attribute; ``drms_checkpoint`` puts both
-in the manifest.  Stream-in mirrors it: given that digest and span
+``target_bytes`` spans: ``StreamStats.sha1`` (with ``span_bytes``, and
+the span digests it is made of as ``span_sha1s``) and the
+``content_sha1`` op-span attribute; ``drms_checkpoint`` puts both in
+the manifest.  Stream-in mirrors it: given that digest and span
 size, it hashes the flat buffer its reads filled and compares before
 the scatter, so a damaged write or read is caught with no second read
 or hash, and no unverified byte reaches an array.
@@ -178,7 +179,7 @@ def stream_out_parallel(
         path="bulk" if bulk else "per-piece",
         plan_pieces=npieces,
     ) as op:
-        stream, sha, span = _intended_stream(
+        stream, sha, span, span_sha1s = _intended_stream(
             darray, section, order, plan_idx, target_bytes
         )
         if bulk:
@@ -209,6 +210,7 @@ def stream_out_parallel(
         io_tasks=P,
         sha1=sha,
         span_bytes=span,
+        span_sha1s=span_sha1s,
     ).publish("out", engine="parstream")
 
 

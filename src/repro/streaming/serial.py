@@ -30,7 +30,7 @@ from __future__ import annotations
 import contextvars
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -96,9 +96,11 @@ class StreamStats:
     #: (:func:`~repro.streaming.order.stream_sha1`) of the stream it
     #: *intended* to write, taken from the gather buffer before any sink
     #: call — what a manifest records, so damaged writes are caught —
-    #: and the span size it was taken over
+    #: the span size it was taken over, and the span digests it is made
+    #: of (an incremental checkpoint's dirty test)
     sha1: Optional[str] = None
     span_bytes: Optional[int] = None
+    span_sha1s: Optional[List[str]] = None
 
     def publish(self, direction: str, engine: str = "serial") -> "StreamStats":
         """Feed this operation's accounting into the active metrics
@@ -196,22 +198,23 @@ class StoredStream:
 
 def _intended_stream(darray, section: Slice, order: str, plan_idx, span_bytes: int):
     """What a stream-out is about to write, as ``(byte view, digest,
-    span size)``: one gather and one hash pass over an array's gather
-    buffer, in ``span_bytes`` spans (or the bytes, digest and span size
-    a :class:`StoredStream` holds) before any byte reaches the sink,
-    which is handed slices of the view.  ``(None, None, None)`` for
-    virtual arrays."""
+    span size, span digests)``: one gather and one hash pass over an
+    array's gather buffer, in ``span_bytes`` spans (or the bytes, digest
+    and span size a :class:`StoredStream` holds, its span digests None)
+    before any byte reaches the sink, which is handed slices of the
+    view.  All None for virtual arrays."""
     if not darray.store_data:
-        return None, None, None
+        return None, None, None, None
     if isinstance(darray, StoredStream):
         if order != darray.order or section != Slice.full(darray.shape):
             raise StreamingError(
                 f"stored stream {darray.name!r} replays whole and in order "
                 f"{darray.order!r}; asked for {section} in order {order!r}"
             )
-        return darray.stream, darray.sha1, darray.span_bytes
+        return darray.stream, darray.sha1, darray.span_bytes, None
     stream = stream_u8(darray, section, order, plan_idx)
-    return stream, stream_sha1(stream, span_bytes)[0], span_bytes
+    sha1, span_sha1s = stream_sha1(stream, span_bytes)
+    return stream, sha1, span_bytes, span_sha1s
 
 
 def scatter_piece(
@@ -324,7 +327,7 @@ def stream_out_serial(
         io_task=io_task,
         plan_pieces=len(pieces),
     ) as op:
-        stream, sha, span = _intended_stream(
+        stream, sha, span, _ = _intended_stream(
             darray, section, order, plan_idx, target_bytes
         )
         for j, piece in jobs:

@@ -20,7 +20,9 @@ case's engine and checks, against independently computed references:
 * *segment round trip*: replicated variables and execution context
   serialize back identically;
 * for SPMD, additionally that a *non-conforming* restart (``t2 != t1``)
-  raises — the defining limitation the DRMS scheme removes.
+  raises — the defining limitation the DRMS scheme removes;
+* for incremental, that a delta stores exactly the changed spans of the
+  reference stream, ascending, and records their digest.
 
 For **fault** cases the oracle replays ``generations`` checkpoint
 attempts under the case's fault schedule, then computes ground truth
@@ -41,6 +43,7 @@ All violations of one case are collected into a single
 
 from __future__ import annotations
 
+import hashlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -72,7 +75,7 @@ from repro.obs import Tracer, span_tree_violations, use_tracer
 from repro.pfs.faults import FaultInjector, flip_stored_bit
 from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine, MachineParams
-from repro.streaming.order import stream_order_bytes, stream_sha1
+from repro.streaming.order import stream_order_bytes, stream_sha1, stream_spans
 from repro.streaming.parallel import stream_out_parallel
 from repro.streaming.partition import partition_for_target, piece_offsets
 from repro.streaming.serial import strict_gather, stream_out_serial
@@ -436,6 +439,7 @@ def _run_incremental(case: Case) -> CaseResult:
         )
         with _gather_strictness(arrays):
             ic.full(_segment(iteration=1), arrays)
+            bases = [a.to_global(fill=0) for a in arrays]
             for i, arr in enumerate(arrays):
                 arr.set_global(_mutate(case, arr.to_global(fill=0), i))
             refs = [a.to_global(fill=0) for a in arrays]
@@ -448,27 +452,38 @@ def _run_incremental(case: Case) -> CaseResult:
         "restore did not surface the newest delta's segment",
     )
     c.check(state.ntasks == case.t2, f"restored on {state.ntasks} != t2")
-    # delta manifest: entry offsets must be the running nbytes sum and
-    # the delta file exactly their total
+    # delta manifest: the file holds exactly the spans whose bytes
+    # changed, ascending, and its digest is the digest of those spans
     dm = read_manifest(pfs, f"{prefix}.d1")
-    for spec in dm["arrays"]:
-        pos = 0
-        for e in spec["entries"]:
-            c.check(
-                e["offset"] == pos,
-                f"{spec['file']}: entry offset {e['offset']} != running "
-                f"sum {pos}",
-            )
-            pos += e["nbytes"]
+    c.check(dm.get("base") == f"{prefix}.base", f"delta links base {dm.get('base')!r}")
+    for spec, base, ref in zip(dm["arrays"], bases, refs):
+        idx, span = spec["spans"], case.target_bytes
+        old, new = (stream_order_bytes(g, case.order) for g in (base, ref))
+        cut = stream_spans(len(new), span)
+        changed = [i for i, (o, n) in enumerate(cut) if old[o:o + n] != new[o:o + n]]
         c.check(
-            spec["nbytes"] == pos,
-            f"{spec['file']}: recorded nbytes {spec['nbytes']} != entry "
-            f"total {pos}",
+            idx == sorted(set(idx)),
+            f"{spec['file']}: span indices {idx} are not ascending and unique",
         )
+        c.check(
+            idx == changed,
+            f"{spec['file']}: stores spans {idx}; the changed spans are {changed}",
+        )
+        stored = [new[o:o + n] for o, n in (cut[i] for i in idx if i < len(cut))]
         size = pfs.file_size(spec["file"])
         c.check(
-            size == pos,
-            f"{spec['file']}: file size {size} != entry total {pos}",
+            size == spec["nbytes"] == sum(map(len, stored)),
+            f"{spec['file']}: file size {size} != stored span total "
+            f"{sum(map(len, stored))}",
+        )
+        c.check(
+            pfs.read_at(spec["file"], 0, size) == b"".join(stored),
+            f"{spec['file']}: stored bytes differ from the reference spans",
+        )
+        digest = hashlib.sha1(b"".join(hashlib.sha1(d).digest() for d in stored))
+        c.check(
+            spec["sha1"] == digest.hexdigest(),
+            f"{spec['file']}: recorded digest is not the digest of its spans",
         )
     sizes = ic.chain_state_bytes()
     c.check(

@@ -7,12 +7,21 @@ from repro.arrays.darray import DistributedArray
 from repro.arrays.distributions import block_distribution
 from repro.checkpoint.archive import checkpoint_files, copy_checkpoint, delete_checkpoint
 from repro.checkpoint.drms import drms_checkpoint, drms_restart
+from repro.checkpoint.format import write_manifest
 from repro.checkpoint.incremental import IncrementalCheckpointer
 from repro.checkpoint.segment import DataSegment, SegmentProfile
 from repro.checkpoint.spmd import spmd_checkpoint, spmd_restart
 from repro.errors import CheckpointError
 from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine, MachineParams
+
+
+def _linked(prefix, base):
+    """A DRMS manifest without arrays whose ``base`` link is ``base``."""
+    return {
+        "kind": "drms", "segment_file": f"{prefix}.segment", "arrays": [],
+        "base": base,
+    }
 
 
 @pytest.fixture
@@ -50,30 +59,28 @@ class TestFileEnumeration:
         ck.full(seg, [arr])
         arr.set_global(g + 1)
         ck.incremental(seg, [arr])
-        files = checkpoint_files(src, "inc.chain")
+        # the newest delta names its chain through its ``base`` link
+        # (replaces: the files of the ``inc.chain`` manifest)
+        files = checkpoint_files(src, "inc.d1")
         assert "inc.base.segment" in files
         assert "inc.d1.segment" in files
         assert any(f.startswith("inc.d1.array.") for f in files)
         assert len(files) == len(set(files))  # no duplicates
 
     def test_cyclic_chain_manifest_raises(self, env):
-        """Regression: a chain manifest whose references loop (corrupt
-        or hand-edited metadata) used to recurse without bound."""
-        from repro.checkpoint.format import write_manifest
-
+        """Regression: a chain whose ``base`` links loop (corrupt or
+        hand-edited metadata) used to recurse without bound.  (Replaces
+        the same assertion over two ``drms-chain`` manifests.)"""
         src, *_ = env
-        write_manifest(src, "c1", {"kind": "drms-chain", "base": "c2", "deltas": []})
-        write_manifest(src, "c2", {"kind": "drms-chain", "base": "c1", "deltas": []})
+        write_manifest(src, "c1", _linked("c1", "c2"))
+        write_manifest(src, "c2", _linked("c2", "c1"))
         with pytest.raises(CheckpointError, match="cycle"):
             checkpoint_files(src, "c1")
 
     def test_self_referencing_chain_raises(self, env):
-        from repro.checkpoint.format import write_manifest
-
+        # replaces: a ``drms-chain`` manifest naming itself as its base
         src, *_ = env
-        write_manifest(
-            src, "loop", {"kind": "drms-chain", "base": "loop", "deltas": []}
-        )
+        write_manifest(src, "loop", _linked("loop", "loop"))
         with pytest.raises(CheckpointError, match="cycle"):
             checkpoint_files(src, "loop")
 

@@ -14,7 +14,9 @@ PFS recovery reads every stored byte once and hashes it once, a memory
 recovery hashes it once, and a rejected newer generation costs at most
 its own bytes once more.  A workflow (or rotated MPMD) restart is the
 same: every member state is opened once, and the opened states are what
-the members run on from.
+the members run on from.  An incremental base or delta is a capture, one
+gather and one hash pass whatever its dirty fraction, and a chain
+restore reads and hashes every stored byte of the chain once.
 
 The rulers are the ones ``benchmarks/e2e/layers.py`` uses for
 ``checkpoint.sha1_bytes`` and ``pfs.read_bytes``: ``sha1_hex`` wrapped
@@ -420,3 +422,107 @@ def test_a_rotated_mpmd_restart_reads_and_hashes_each_stored_byte_once(meter, re
     assert reads.take() == sum(r for r, _ in costs)
     wrapped, _ = meter.take()
     assert wrapped == sum(h for _, h in costs)
+
+
+# -- an incremental chain: a delta is a capture, a chain is one open -------------
+
+#: 64 KiB spans over a 1 MiB array: 16 spans
+SPAN = 64 << 10
+
+
+@pytest.fixture
+def gathers(monkeypatch):
+    """Calls of ``stream_u8`` (one bulk gather each), wrapped in every
+    loaded ``repro.*`` module that holds it, and of the stream-in's
+    ``scatter_section_flat``."""
+    from repro.streaming import parallel
+    from repro.streaming.serial import stream_u8
+
+    counts = {"gather": 0, "scatter": 0}
+
+    def spy_gather(*args, _fn=stream_u8, **kwargs):
+        counts["gather"] += 1
+        return _fn(*args, **kwargs)
+
+    def spy_scatter(*args, _fn=parallel.scatter_section_flat, **kwargs):
+        counts["scatter"] += 1
+        return _fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro."):
+            for attr, held in list(vars(module).items()):
+                if held is stream_u8:
+                    monkeypatch.setattr(module, attr, spy_gather)
+    monkeypatch.setattr(parallel, "scatter_section_flat", spy_scatter)
+    return counts
+
+
+def _incremental():
+    """A 1 MiB float64 array, its segment and a checkpointer over 64 KiB
+    spans; the base not yet taken."""
+    from repro.checkpoint.incremental import IncrementalCheckpointer
+
+    pfs = PIOFS(machine=Machine(MachineParams(num_nodes=8)))
+    a = DistributedArray("u", (128, 1024), np.float64, block_distribution((128, 1024), NTASKS))
+    a.set_global(np.random.default_rng(7).random((128, 1024)))
+    segment = DataSegment(profile=SegmentProfile(1000, 200, 0), replicated={"it": 0})
+    return pfs, a, segment, IncrementalCheckpointer(pfs, "inc", target_bytes=SPAN)
+
+
+def _dirty(a, f, k):
+    """Change the first ``f`` of ``a``'s stream (F order): ceil(16 f) spans."""
+    g = a.to_global()
+    flat = g.reshape(-1, order="F")
+    flat[: int(f * flat.size)] += k
+    a.set_global(flat.reshape(a.shape, order="F"))
+
+
+def test_an_incremental_base_is_one_gather_and_one_hash_pass(meter, gathers):
+    pfs, a, segment, ck = _incremental()
+    header = len(segment.serialize()[0])
+    meter.take()
+    ck.full(segment, [a])
+    wrapped, _ = meter.take()
+    assert gathers["gather"] == 1
+    assert wrapped == a.nbytes_global + header
+
+
+@pytest.mark.parametrize("f", [0, 0.1, 1])
+def test_a_delta_is_one_gather_and_one_hash_pass(meter, gathers, f):
+    pfs, a, segment, ck = _incremental()
+    ck.full(segment, [a])
+    _dirty(a, f, 1.0)
+    header = len(segment.serialize()[0])
+    meter.take()
+    gathers["gather"] = 0
+    bd = ck.incremental(segment, [a])
+    wrapped, _ = meter.take()
+    assert gathers["gather"] == 1
+    assert wrapped == a.nbytes_global + header
+    assert bd.arrays_bytes == -(-int(f * a.nbytes_global) // SPAN) * SPAN
+
+
+def test_a_chain_restore_reads_and_hashes_each_stored_byte_once(meter, reads, gathers):
+    pfs, a, segment, ck = _incremental()
+    ck.full(segment, [a])
+    for k, f in enumerate((0.1, 0.25, 0.5), start=1):
+        _dirty(a, f, k)
+        segment.replicated["it"] = k
+        ck.incremental(segment, [a])
+    prefixes = ["inc.base", "inc.d1", "inc.d2", "inc.d3"]
+    stored = sum(pfs.file_size(array_name(p, "u")) for p in prefixes)
+    manifests = sum(pfs.file_size(manifest_name(p)) for p in prefixes)
+    header = pfs.file_size(segment_name("inc.d3"))  # a delta's segment is its header
+    meter.take()
+    reads.take()
+    gathers["scatter"] = 0
+    state, bd = ck.restore(3)
+    assert np.array_equal(state.arrays["u"].to_global(), a.to_global())
+    assert state.segment.replicated["it"] == 3
+    # every manifest of the chain, the newest header, every stored
+    # array byte of the chain: once each
+    assert reads.take() == manifests + header + stored <= 1.06 * stored
+    # each stored array file as it is read, and the header: once each
+    wrapped, _ = meter.take()
+    assert wrapped == stored + header
+    assert gathers["scatter"] == 1

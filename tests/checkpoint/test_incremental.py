@@ -66,6 +66,65 @@ class TestBaseAndDeltas:
             ck.incremental(seg, [other])
 
 
+class TestRejectedDeltas:
+    """A delta is checked against the base before a byte is stored: a
+    rejected one leaves no file, does not move ``version``, and the
+    chain stays restorable."""
+
+    def _base(self):
+        pfs = PIOFS(machine=Machine(MachineParams(num_nodes=16)))
+        g = np.arange(16 * 12, dtype=np.float64).reshape(16, 12)
+        arr = DistributedArray(
+            "u", (16, 12), np.float64, block_distribution((16, 12), 4)
+        )
+        arr.set_global(g)
+        seg = DataSegment(profile=SegmentProfile(500, 0, 0), replicated={"it": 0})
+        ck = IncrementalCheckpointer(pfs, "inc", target_bytes=128)
+        ck.full(seg, [arr])
+        return pfs, g, arr, seg, ck
+
+    def _rejected(self, pfs, ck, seg, arrays, match):
+        files = set(pfs.listdir())
+        with pytest.raises(CheckpointError, match=match):
+            ck.incremental(seg, arrays)
+        assert set(pfs.listdir()) == files
+        assert ck.version == 0
+
+    def test_a_rejected_delta_leaves_the_chain_restorable(self):
+        pfs, g, arr, seg, ck = self._base()
+        other = DistributedArray("v", (4, 4), np.float64, block_distribution((4, 4), 4))
+        other.set_global(np.ones((4, 4)))
+        self._rejected(pfs, ck, seg, [arr, other], "'v'.*no such array")
+        arr.set_global(g + 1.0)
+        seg.replicated["it"] = 1
+        ck.incremental(seg, [arr])
+        assert ck.version == 1
+        state, _ = ck.restore(3)
+        assert np.array_equal(state.arrays["u"].to_global(), g + 1.0)
+        assert state.segment.replicated["it"] == 1
+
+    @pytest.mark.parametrize(
+        "shape, dtype, stored, names",
+        [
+            ((12, 16), np.float64, True, r"\(12, 16\) float64; .*\(16, 12\) float64$"),
+            ((16, 24), np.float64, True, r"\(16, 24\) float64; .*\(16, 12\) float64$"),
+            ((16, 12), np.float32, True, r"\(16, 12\) float32; .*\(16, 12\) float64$"),
+            ((16, 12), np.float64, False, r"\(16, 12\) float64 virtual; "),
+        ],
+        ids=["transposed", "wider", "float32", "virtual"],
+    )
+    def test_a_delta_of_another_geometry_is_rejected(self, shape, dtype, stored, names):
+        pfs, g, arr, seg, ck = self._base()
+        other = DistributedArray(
+            "u", shape, dtype, block_distribution(shape, 4), store_data=stored
+        )
+        if stored:
+            other.set_global(np.ones(shape))
+        self._rejected(pfs, ck, seg, [other], "'u' is " + names)
+        state, _ = ck.restore(2)
+        assert np.array_equal(state.arrays["u"].to_global(), g)
+
+
 class TestRestore:
     @pytest.mark.parametrize("nt", [2, 4, 7])
     def test_chain_restore_reconfigurable(self, env, nt):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.arrays.darray import DistributedArray
 from repro.arrays.distributions import block_distribution
-from repro.checkpoint.drms import drms_checkpoint, drms_restart
+from repro.checkpoint.drms import drms_checkpoint, drms_restart, restart_opener
 from repro.checkpoint.format import (
     manifest_name,
     manifest_tmp_name,
@@ -17,6 +17,7 @@ from repro.checkpoint.format import (
 )
 from repro.checkpoint.incremental import IncrementalCheckpointer
 from repro.checkpoint.recover import (
+    open_latest_valid,
     restart_candidates,
     restart_latest_valid,
     select_restart_state,
@@ -233,43 +234,86 @@ class TestRestartVerification:
 
 
 class TestIncrementalChainValidation:
-    def _chain(self, pfs, arr, seg):
+    """A delta's manifest links its ``base``; the audit, the restore and
+    the opening walk follow the link."""
+
+    def _chain(self, pfs, arr, seg, deltas=1):
         inc = IncrementalCheckpointer(pfs, "inc")
         arr.set_global(np.zeros((N, N)))
         inc.full(seg, [arr])
-        arr.set_global(np.ones((N, N)))
-        inc.incremental(seg, [arr])
+        for k in range(1, deltas + 1):
+            arr.set_global(np.full((N, N), float(k)))
+            seg.replicated["it"] = k
+            inc.incremental(seg, [arr])
         return inc
 
     def test_sound_chain_validates(self, env):
         pfs, arr, seg = env
         self._chain(pfs, arr, seg)
-        report = validate_checkpoint(pfs, "inc.chain")
+        # replaces: the audit of the ``inc.chain`` manifest is ok
+        report = validate_checkpoint(pfs, "inc.d1")
         assert report.ok
+        assert report.files == 6  # two manifests, segments and array files
         assert report.bytes_hashed > 0
 
     def test_corrupt_delta_detected_and_restore_rejected(self, env):
         pfs, arr, seg = env
         inc = self._chain(pfs, arr, seg)
         flip_stored_bit(pfs, "inc.d1.array.u", 32)
-        assert not validate_checkpoint(pfs, "inc.chain").ok
-        with pytest.raises(CheckpointIntegrityError):
+        # replaces: the audit of ``inc.chain`` fails, and so does the restore
+        assert not validate_checkpoint(pfs, "inc.d1").ok
+        with pytest.raises(CheckpointIntegrityError, match="inc.d1.array.u"):
             inc.restore(2)
 
     def test_corrupt_base_detected_through_chain(self, env):
         pfs, arr, seg = env
         self._chain(pfs, arr, seg)
         flip_stored_bit(pfs, "inc.base.array.u", 8)
-        report = validate_checkpoint(pfs, "inc.chain")
+        # replaces: the audit of ``inc.chain`` names the base
+        report = validate_checkpoint(pfs, "inc.d1")
         assert any("inc.base" in e for e in report.errors)
 
     def test_cyclic_chain_reported_not_hung(self, env):
         pfs, *_ = env
+        # replaces: a ``drms-chain`` manifest naming itself as its base
         write_manifest(
-            pfs, "loop", {"kind": "drms-chain", "base": "loop", "deltas": []}
+            pfs, "loop",
+            {"kind": "drms", "segment_file": "loop.segment", "arrays": [],
+             "base": "loop"},
         )
         report = validate_checkpoint(pfs, "loop")
         assert any("cycle" in e for e in report.errors)
+        with pytest.raises(CheckpointIntegrityError):
+            drms_restart(pfs, "loop", 2)
+
+    def test_walk_over_a_chain_falls_back_past_a_damaged_delta(self, env):
+        pfs, arr, seg = env
+        self._chain(pfs, arr, seg, deltas=2)
+        flip_stored_bit(pfs, "inc.d2.array.u", 8)
+        events = EventLog()
+        candidates = [(p, None) for p in ("inc.d2", "inc.d1", "inc.base")]
+        opened, decision = open_latest_valid(
+            pfs, "inc", restart_opener(pfs, 3), candidates=candidates,
+            events=events,
+        )
+        assert decision.prefix == opened.prefix == "inc.d1"
+        assert [p for p, _ in decision.rejected] == ["inc.d2"]
+        assert events.of_kind("restart_fallback")[0].detail["skipped"] == ["inc.d2"]
+        assert np.array_equal(opened.state.arrays["u"].to_global(), np.ones((N, N)))
+        assert opened.state.segment.replicated["it"] == 1
+
+    def test_walk_over_a_chain_opens_nothing_past_a_damaged_base(self, env):
+        pfs, arr, seg = env
+        self._chain(pfs, arr, seg, deltas=2)
+        flip_stored_bit(pfs, "inc.base.array.u", 8)
+        candidates = [(p, None) for p in ("inc.d2", "inc.d1", "inc.base")]
+        opened, decision = open_latest_valid(
+            pfs, "inc", restart_opener(pfs, 3), candidates=candidates
+        )
+        assert opened is None and decision.prefix is None
+        assert len(decision.rejected) == 3
+        assert all("inc.base.array.u" in errs[0] for _, errs in decision.rejected)
+        assert "inc.base.array.u" in decision.failure()
 
 
 class TestRecoverySelection:

@@ -10,16 +10,12 @@ from repro.plancache import (
     NullPlanCache,
     PlanCache,
     get_plan_cache,
-    partition_for_target,
-    piece_offsets,
     section_stream_positions,
     streaming_plan,
     transfer_schedule,
     use_plan_cache,
 )
-from repro.streaming.partition import (
-    partition_for_target as pure_partition_for_target,
-)
+from repro.streaming.partition import partition_for_target, piece_offsets
 
 
 class TestPlanCacheCore:
@@ -59,7 +55,7 @@ class TestPlanCacheCore:
         with use_plan_cache(cache):
             transfer_schedule(d1, d2)
             transfer_schedule(d2, d2)
-            partition_for_target(Slice.full((8, 8)), 8)
+            streaming_plan(Slice.full((8, 8)), 8)
         assert len(cache) == 3
         dropped = cache.invalidate_distribution(d1)
         assert dropped == 1
@@ -67,7 +63,7 @@ class TestPlanCacheCore:
         assert cache.invalidations == 1
         # untagged entries (pure slice keys) survive
         with use_plan_cache(cache):
-            partition_for_target(Slice.full((8, 8)), 8)
+            streaming_plan(Slice.full((8, 8)), 8)
         assert cache.hits == 1
 
     def test_stats_snapshot(self):
@@ -94,8 +90,8 @@ class TestScoping:
         null = NullPlanCache()
         with use_plan_cache(null):
             s = Slice.full((16, 16))
-            p1 = partition_for_target(s, 8, target_bytes=256)
-            p2 = partition_for_target(s, 8, target_bytes=256)
+            p1 = streaming_plan(s, 8, target_bytes=256)
+            p2 = streaming_plan(s, 8, target_bytes=256)
         assert p1 == p2
         assert null.misses == 2
         assert len(null) == 0
@@ -103,18 +99,20 @@ class TestScoping:
 
 class TestCachedPlans:
     def test_partition_matches_pure(self):
+        # the cached partition is the pieces of the composite plan entry
         s = Slice.full((32, 8))
         with use_plan_cache(PlanCache()):
-            cached = partition_for_target(s, 8, target_bytes=512)
-        assert cached == pure_partition_for_target(s, 8, target_bytes=512)
+            pieces, _ = streaming_plan(s, 8, target_bytes=512)
+        assert list(pieces) == partition_for_target(s, 8, target_bytes=512)
 
     def test_returned_lists_are_private_copies(self):
-        s = Slice.full((16,))
+        # a cached schedule comes back as a fresh list each lookup
+        d = block_distribution((12, 6), 3)
         with use_plan_cache(PlanCache()):
-            p1 = partition_for_target(s, 8, target_bytes=32)
-            p1.append("garbage")
-            p2 = partition_for_target(s, 8, target_bytes=32)
-        assert "garbage" not in p2
+            s1 = transfer_schedule(d, d)
+            s1.append("garbage")
+            s2 = transfer_schedule(d, d)
+        assert "garbage" not in s2
 
     def test_streaming_plan_composite(self):
         s = Slice.full((16, 4))
@@ -152,8 +150,8 @@ class TestMetrics:
         with use_tracer(Tracer()) as tracer:
             with use_plan_cache(PlanCache()):
                 s = Slice.full((8, 8))
-                partition_for_target(s, 8, target_bytes=64)
-                partition_for_target(s, 8, target_bytes=64)
+                streaming_plan(s, 8, target_bytes=64)
+                streaming_plan(s, 8, target_bytes=64)
             flat = tracer.metrics.flat()
         assert flat.get("plancache.miss.count") or flat.get("plancache.miss")
         assert flat.get("plancache.hit.count") or flat.get("plancache.hit")
@@ -162,9 +160,9 @@ class TestMetrics:
         cache = PlanCache()
         with use_plan_cache(cache):
             s = Slice.full((32, 32))
-            partition_for_target(s, 8, target_bytes=64)
+            streaming_plan(s, 8, target_bytes=64)
             assert cache.saved_seconds == 0.0
-            partition_for_target(s, 8, target_bytes=64)
+            streaming_plan(s, 8, target_bytes=64)
         assert cache.saved_seconds > 0.0
 
 
@@ -203,7 +201,7 @@ class TestResidentBytes:
             gauge = tracer.metrics.flat()["plancache.resident_bytes"]
             assert gauge == box_bytes + plan.nbytes
             # plans without an ``nbytes`` count 0; ndarrays count theirs
-            partition_for_target(section, 8)
+            streaming_plan(section, 8)
             assert cache.stats()["resident_bytes"] == box_bytes + plan.nbytes
             assert cache.invalidate_distribution(indexed) == 1
             assert cache.stats()["resident_bytes"] == box_bytes
@@ -218,7 +216,7 @@ class TestResidentBytes:
                 Slice.full((64, 64)), Slice.full((64, 64))
             )
             assert cache.stats()["resident_bytes"] == pos.nbytes == 64 * 64 * 8
-            partition_for_target(Slice.full((8, 8)), 8)  # evicts the vector
+            streaming_plan(Slice.full((8, 8)), 8)  # evicts the vector
             assert cache.evictions == 1
             assert cache.stats()["resident_bytes"] == 0
 
@@ -229,8 +227,8 @@ class TestNullCacheIntrospection:
         empty store, a miss per lookup."""
         null = NullPlanCache()
         with use_plan_cache(null):
-            partition_for_target(Slice.full((8, 8)), 8)
-            partition_for_target(Slice.full((8, 8)), 8)
+            streaming_plan(Slice.full((8, 8)), 8)
+            streaming_plan(Slice.full((8, 8)), 8)
         assert null.stats() == {
             "size": 0,
             "maxsize": 0,

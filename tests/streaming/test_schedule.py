@@ -102,11 +102,11 @@ def _reference_runs(darray, section, P, order, target_bytes):
 
 
 def _span_sha1(stream, span):
-    """The stream digest, computed independently of the library."""
+    """The stream digest and its span digests, computed independently
+    of the library."""
     starts = range(0, max(len(stream), 1), span)
-    return hashlib.sha1(
-        b"".join(hashlib.sha1(stream[o:o + span]).digest() for o in starts)
-    ).hexdigest()
+    spans = [hashlib.sha1(stream[o:o + span]).digest() for o in starts]
+    return hashlib.sha1(b"".join(spans)).hexdigest(), [d.hex() for d in spans]
 
 
 # -- seeded geometry ------------------------------------------------------------
@@ -210,7 +210,7 @@ def test_schedule_matches_the_per_call_loop(seed):
     want_bytes = np.ascontiguousarray(
         a.to_global()[full.np_index()]
     ).reshape(-1, order=order).tobytes()
-    want_sha = _span_sha1(want_bytes, target)
+    want_sha, want_spans = _span_sha1(want_bytes, target)
     expect = np.zeros(a.shape)
     expect[full.np_index()] = a.to_global()[full.np_index()]
     restored = DistributedArray("r", a.shape, np.float64, dst)
@@ -218,7 +218,7 @@ def test_schedule_matches_the_per_call_loop(seed):
 
     for P in range(1, a.ntasks + 1):
         calls, stats = _reference_runs(a, full, P, order, target)
-        stats.sha1, stats.span_bytes = want_sha, target
+        stats.sha1, stats.span_bytes, stats.span_sha1s = want_sha, target, want_spans
         for label, cache in _caches():
             sink = _Sink()
             with use_plan_cache(cache):

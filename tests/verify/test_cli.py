@@ -22,7 +22,7 @@ def test_run_prints_the_suite_summary(capsys, tmp_path):
                        "--out", str(tmp_path))
     assert status == 0
     assert out == [
-        "verify: seed=20260806 cases=12 passed=12 failed=0 invariants=212 "
+        "verify: seed=20260806 cases=12 passed=12 failed=0 invariants=229 "
         "[drms=4, fault=4, incremental=4]"
     ]
 
