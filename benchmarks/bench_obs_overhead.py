@@ -8,7 +8,7 @@ Persists ``BENCH_obs_overhead.json``:
   only (the always-on black-box mode), and the full stack (tracer +
   metrics + flight).  Best-of-``REPEATS`` per mode, so scheduler noise
   does not masquerade as instrumentation cost;
-* **micro** — per-call cost of ``get_flight().record(...)`` for the
+* **micro** — per-call cost of ``emit_event(None, ...)`` under the
   null and active recorders (nanoseconds per event);
 * **overhead** — the gating ratio: the flight-only run must cost less
   than ``MAX_FLIGHT_OVERHEAD_PCT`` (5%) over the everything-off
@@ -32,7 +32,7 @@ from repro.drms.api import (
     drms_reconfig_checkpoint,
 )
 from repro.infra import DRMSCluster
-from repro.obs import FlightRecorder, Tracer, use_flight, use_tracer
+from repro.obs import FlightRecorder, Tracer, emit_event, use_flight, use_tracer
 from repro.runtime.machine import Machine, MachineParams
 
 N = 16
@@ -103,10 +103,11 @@ def _micro():
     from repro.obs import NULL_FLIGHT
 
     def spin(fr):
-        t0 = time.perf_counter()
-        for i in range(MICRO_EVENTS):
-            fr.record("bench_tick", node=3, time=0.0, i=i)
-        return (time.perf_counter() - t0) / MICRO_EVENTS * 1e9
+        with use_flight(fr):
+            t0 = time.perf_counter()
+            for i in range(MICRO_EVENTS):
+                emit_event(None, 0.0, "bench_tick", node=3, i=i)
+            return (time.perf_counter() - t0) / MICRO_EVENTS * 1e9
 
     return {
         "events": MICRO_EVENTS,

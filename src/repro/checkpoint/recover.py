@@ -32,7 +32,7 @@ from repro.checkpoint.format import manifest_name
 from repro.checkpoint.rotation import committed_prefixes
 from repro.checkpoint.validate import validate_checkpoint
 from repro.errors import CheckpointError, PFSError, RestartError
-from repro.obs import get_flight, get_tracer
+from repro.obs import emit_event, get_tracer
 from repro.pfs.piofs import PIOFS
 
 __all__ = [
@@ -127,13 +127,10 @@ def walk_generations(
     validated; ``rejected`` lists ``(key, errors)`` for every candidate
     passed over, errors tier-tagged when the walk has tiers.  This is
     the one place a walk emits its marks and metrics; each decision is
-    one :func:`~repro.infra.events.emit_event` stamped with ``clock``
+    one :func:`~repro.obs.flight.emit_event` stamped with ``clock``
     (on ``events`` when given, on the flight ring always), and the
     walk's ``_started`` / ``_done`` are flight records only."""
-    from repro.infra.events import emit_event  # repro.infra imports this module
-
     obs = get_tracer()
-    fr = get_flight()
     m = obs.metrics
 
     def note(kind: str, **detail: Any) -> None:
@@ -144,8 +141,8 @@ def walk_generations(
     chosen = chosen_tier = None
     rejected: List[Tuple[Any, List[str]]] = []
     with obs.span(names.walk, **context) as sp:
-        fr.record(
-            f"{names.walk}_started", time=clock,
+        emit_event(
+            None, clock, f"{names.walk}_started",
             candidates=generations_seen, **context,
         )
         for key, tier in candidates:
@@ -170,7 +167,7 @@ def walk_generations(
             **({"tier": chosen_tier} if chosen_tier else {}),
         }
         sp.set(candidates=generations_seen, **done)
-        fr.record(f"{names.walk}_done", time=clock, **done, **context)
+        emit_event(None, clock, f"{names.walk}_done", **done, **context)
     return chosen, chosen_tier, rejected
 
 

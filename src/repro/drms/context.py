@@ -27,7 +27,7 @@ from repro.arrays.darray import DistributedArray
 from repro.arrays.distributions import AxisDistribution, Block, Distribution
 from repro.arrays.slices import Slice
 from repro.errors import CheckpointError, ReconfigurationError
-from repro.obs.flight import GLOBAL_NODE, get_flight
+from repro.obs.flight import GLOBAL_NODE, emit_event, get_flight
 from repro.runtime.comm import TaskComm
 
 __all__ = ["CheckpointStatus", "DRMSContext", "TaskArrayView"]
@@ -358,23 +358,54 @@ class DRMSContext:
         application (``DRMSApplication(policy=...)``), or None."""
         return self.runtime.policy
 
+    def _cross_sop(self, **tags: Any) -> None:
+        """Count one SOP crossing: the quiesce anchor of localized
+        recovery, and a ``sop_crossed`` record (``tags`` appended to its
+        detail) on the ring of this task's node."""
+        self._sop += 1
+        self.runtime.note_sop_crossing(self._sop, self._iteration)
+        if get_flight().enabled:
+            my_node = self.comm.world.placement.get(self.rank)
+            emit_event(
+                None, self.comm.clock.now, "sop_crossed",
+                node=my_node if my_node is not None else GLOBAL_NODE,
+                sop=self._sop, iteration=self._iteration, rank=self.rank,
+                **tags,
+            )
+
+    def _capture(self, prefix: str, **member_tags: Any) -> tuple:
+        """The capture tail of a checkpointing SOP: every task captures
+        its state under ``prefix``, rank 0 records ``checkpoint_taken``,
+        and every task blocks for the capture's simulated seconds.  A
+        workflow member (``member_tags`` name the member and generation)
+        records the prefix the engine actually wrote — mlck members
+        capture under a rotation base.  Returns ``(actual, breakdown)``."""
+        rt = self.runtime
+
+        def take():
+            seg = rt.build_segment(iteration=self._iteration, sop_id=self._sop)
+            bd = rt.engine_checkpoint(prefix, seg, clock=self.comm.clock.now)
+            # engine_checkpoint records the actual prefix as the newest entry
+            return rt.checkpoints[-1][0], bd
+
+        actual, bd = self._collective(take)
+        if self.rank == 0 and get_flight().enabled:
+            emit_event(
+                None, self.comm.clock.now, "checkpoint_taken",
+                prefix=actual if member_tags else prefix, sop=self._sop,
+                iteration=self._iteration, seconds=bd.total_seconds,
+                **member_tags,
+            )
+        # Blocking checkpoint: every task waits for the state to hit its
+        # tier before continuing.
+        self.comm.clock.advance(bd.total_seconds)
+        return actual, bd
+
     def _skip_sop(self) -> tuple:
         """Cross a SOP without checkpointing (the disabled branch of an
         enabling or policy-driven checkpoint): the SOP still counts as
         a quiesce anchor and a flight-recorder crossing."""
-        rt = self.runtime
-        self._sop += 1
-        rt.note_sop_crossing(self._sop, self._iteration)
-        fr = get_flight()
-        if fr.enabled:
-            my_node = self.comm.world.placement.get(self.rank)
-            fr.record(
-                "sop_crossed",
-                node=my_node if my_node is not None else GLOBAL_NODE,
-                time=self.comm.clock.now,
-                sop=self._sop, iteration=self._iteration,
-                rank=self.rank, skipped=True,
-            )
+        self._cross_sop(skipped=True)
         return (CheckpointStatus.SKIPPED, 0)
 
     def policy_checkpoint(
@@ -433,38 +464,12 @@ class DRMSContext:
         SOP.  Returns ``(status, delta)``: after a restart the first
         call reports ``RESTARTED`` and the change in task count; on a
         normal pass the state is written and ``TAKEN`` is returned."""
-        rt = self.runtime
-        self._sop += 1
-        rt.note_sop_crossing(self._sop, self._iteration)
-        fr = get_flight()
-        if fr.enabled:
-            my_node = self.comm.world.placement.get(self.rank)
-            fr.record(
-                "sop_crossed",
-                node=my_node if my_node is not None else GLOBAL_NODE,
-                time=self.comm.clock.now,
-                sop=self._sop, iteration=self._iteration, rank=self.rank,
-            )
+        self._cross_sop()
         if self._restart_pending:
             self._restart_pending = False
             self.comm.barrier()
-            return (CheckpointStatus.RESTARTED, rt.restored.delta)
-
-        def take():
-            seg = rt.build_segment(iteration=self._iteration, sop_id=self._sop)
-            bd = rt.engine_checkpoint(prefix, seg, clock=self.comm.clock.now)
-            return bd
-
-        bd = self._collective(take)
-        if fr.enabled and self.rank == 0:
-            fr.record(
-                "checkpoint_taken", prefix=prefix, sop=self._sop,
-                time=self.comm.clock.now,
-                iteration=self._iteration, seconds=bd.total_seconds,
-            )
-        # Blocking checkpoint: every task waits for the state to hit the
-        # file system before continuing.
-        self.comm.clock.advance(bd.total_seconds)
+            return (CheckpointStatus.RESTARTED, self.runtime.restored.delta)
+        self._capture(prefix)
         return (CheckpointStatus.TAKEN, 0)
 
     def workflow_exchange(self, final: bool = False) -> tuple:
@@ -494,18 +499,7 @@ class DRMSContext:
                 "application through a WorkflowCoordinator"
             )
         hub, member, member_base = wf
-        self._sop += 1
-        rt.note_sop_crossing(self._sop, self._iteration)
-        fr = get_flight()
-        if fr.enabled:
-            my_node = self.comm.world.placement.get(self.rank)
-            fr.record(
-                "sop_crossed",
-                node=my_node if my_node is not None else GLOBAL_NODE,
-                time=self.comm.clock.now,
-                sop=self._sop, iteration=self._iteration, rank=self.rank,
-                member=member,
-            )
+        self._cross_sop(member=member)
         if self._restart_pending:
             self._restart_pending = False
             self.comm.barrier()
@@ -522,26 +516,11 @@ class DRMSContext:
             self.comm.compute(self.comm.world.transfer_cost(int(per_task)))
         if not outcome["fire"]:
             return (CheckpointStatus.SKIPPED, 0)
-        prefix = outcome["prefixes"][member]
-
-        def take():
-            seg = rt.build_segment(iteration=self._iteration, sop_id=self._sop)
-            bd = rt.engine_checkpoint(prefix, seg, clock=self.comm.clock.now)
-            # engine_checkpoint records the actual prefix (mlck members
-            # checkpoint under a rotation base) as the newest entry
-            return rt.checkpoints[-1][0], bd
-
-        actual, bd = self._collective(take)
-        if fr.enabled and self.rank == 0:
-            fr.record(
-                "checkpoint_taken", prefix=actual, sop=self._sop,
-                time=self.comm.clock.now,
-                iteration=self._iteration, seconds=bd.total_seconds,
-                member=member, generation=outcome["generation"],
-            )
-        # Blocking checkpoint: every task waits for its member's state
-        # to land before the line can commit.
-        self.comm.clock.advance(bd.total_seconds)
+        # the line commits only after every member's state landed
+        actual, bd = self._capture(
+            outcome["prefixes"][member],
+            member=member, generation=outcome["generation"],
+        )
         self._collective(
             lambda: hub.commit(
                 member, actual, self.size, self._iteration,

@@ -1,51 +1,24 @@
-"""Cluster event log: the observable record of the DRMS daemons."""
+"""Cluster event log: the observable record of the DRMS daemons.
+
+Its records are :class:`~repro.obs.flight.Event` objects, written only
+by :func:`~repro.obs.flight.emit_event` (both re-exported here)."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
-from repro.obs.flight import get_flight
+from repro.obs.flight import Event, emit_event
 
 __all__ = ["Event", "EventLog", "emit_event"]
-
-
-@dataclass(frozen=True)
-class Event:
-    """One timestamped infrastructure event."""
-
-    time: float
-    kind: str
-    detail: Dict[str, Any]
-
-    def __repr__(self) -> str:
-        items = ", ".join(f"{k}={v!r}" for k, v in self.detail.items())
-        return f"[{self.time:9.3f}s] {self.kind}({items})"
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"time": self.time, "kind": self.kind, "detail": dict(self.detail)}
-
-
-def emit_event(
-    events: Optional["EventLog"], time: float, kind: str, **detail: Any
-) -> Event:
-    """The one write of a daemon or recovery decision: append it to
-    ``events`` (when there is a log) and record the same event on the
-    active flight recorder, on the ring of ``detail["node"]`` (the
-    global ring when the detail names no node)."""
-    ev = Event(time=time, kind=kind, detail=detail)
-    if events is not None:
-        events.events.append(ev)
-    get_flight().record(kind, time=time, **detail)
-    return ev
 
 
 class EventLog:
     """Append-only event record shared by RC/TCs/JSA/UIC.
 
-    Every :meth:`emit` also lands on the active flight recorder's ring
-    (:func:`emit_event`), so a black box holds the daemon decisions.
+    Every :meth:`emit` is one :func:`~repro.obs.flight.emit_event`: the
+    same record also lands on the active flight recorder's ring, so a
+    black box holds the daemon decisions.
     Consumers query the log (:meth:`of_kind`, :meth:`between`,
     :meth:`where`) instead of re-filtering ``events`` by hand, or
     export it (:meth:`to_json`).
@@ -56,7 +29,7 @@ class EventLog:
 
     def emit(self, time: float, kind: str, **detail: Any) -> Event:
         """Append one timestamped event (and record it on the flight
-        recorder)."""
+        recorder's ring)."""
         return emit_event(self, time, kind, **detail)
 
     # -- queries ------------------------------------------------------------
@@ -93,8 +66,8 @@ class EventLog:
     # -- export -------------------------------------------------------------
 
     def to_json(self, indent: Optional[int] = None) -> str:
-        """The full log as a JSON array of ``{time, kind, detail}``
-        objects (non-JSON detail values fall back to ``repr``)."""
+        """The full log as a JSON array of :meth:`Event.to_dict` rows
+        (non-JSON detail values fall back to ``repr``)."""
         return json.dumps(
             [e.to_dict() for e in self.events], indent=indent, default=repr
         )

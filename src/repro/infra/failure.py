@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import TaskFailure
-from repro.obs import get_flight
+from repro.obs import emit_event
 
 __all__ = ["NodeFailure", "FailurePlan"]
 
@@ -117,15 +117,16 @@ class FailurePlan:
                     # the cluster's recovery handler sees the right one
                     self.node_id = node
                     self._fired = True
-                get_flight().record(
-                    "failure_plan_fired", node=node, iteration=iteration
+                emit_event(
+                    None, 0.0, "failure_plan_fired", node=node, iteration=iteration
                 )
                 return True
             self.fired_nodes.append(self.node_id)
             self.fired_at.append(iteration)
             self._fired = True
-            get_flight().record(
-                "failure_plan_fired", node=self.node_id, iteration=iteration
+            emit_event(
+                None, 0.0, "failure_plan_fired", node=self.node_id,
+                iteration=iteration,
             )
             return True
 
@@ -152,8 +153,8 @@ class FailurePlan:
                 self.fired_at.append(it)
                 self._multi_idx += 1
                 fired.append(node)
-                get_flight().record(
-                    "failure_plan_fired", node=node, iteration=it
+                emit_event(
+                    None, 0.0, "failure_plan_fired", node=node, iteration=it
                 )
             if self._multi_idx < len(self.multi):
                 self.iteration, self.node_id = self.multi[self._multi_idx]

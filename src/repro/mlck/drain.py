@@ -48,7 +48,7 @@ from repro.checkpoint.drms import drms_checkpoint
 from repro.checkpoint.rotation import CheckpointRotation
 from repro.errors import CheckpointError
 from repro.mlck.store import L1Store
-from repro.obs import get_flight, get_tracer
+from repro.obs import emit_event, get_tracer
 from repro.pfs.piofs import PIOFS
 
 __all__ = ["DrainState", "DrainController", "submit_task"]
@@ -158,8 +158,8 @@ class DrainController:
         self._set_pending(+1)
         with self._state_lock:
             self.scheduled_at[prefix] = float(clock)
-        get_flight().record(
-            "drain_scheduled", time=clock, prefix=prefix,
+        emit_event(
+            None, clock, "drain_scheduled", prefix=prefix,
             pending=self.pending,
         )
         if self.synchronous:
@@ -183,13 +183,12 @@ class DrainController:
         if after is not None:
             wait([after])
         m = get_tracer().metrics
-        fr = get_flight()
         with self._serial:
             clock = self.scheduled_at[prefix]  # popped when the drain ends
             gen = self.store.gen(prefix)
             gen.drain_state = DrainState.DRAINING
-            fr.record(
-                "drain_state", time=clock, prefix=prefix,
+            emit_event(
+                None, clock, "drain_state", prefix=prefix,
                 state=DrainState.DRAINING,
             )
             try:
@@ -203,8 +202,8 @@ class DrainController:
                 )
                 gen.drain_state = DrainState.DURABLE
                 m.counter("mlck.drain.completed").inc()
-                fr.record(
-                    "drain_state", time=clock, prefix=prefix,
+                emit_event(
+                    None, clock, "drain_state", prefix=prefix,
                     state=DrainState.DURABLE,
                 )
                 if self.rotation is not None:
@@ -217,8 +216,8 @@ class DrainController:
                 gen.drain_state = DrainState.FAILED
                 gen.drain_error = str(exc)
                 m.counter("mlck.drain.failed").inc()
-                fr.record(
-                    "drain_state", time=clock, prefix=prefix,
+                emit_event(
+                    None, clock, "drain_state", prefix=prefix,
                     state=DrainState.FAILED, error=str(exc),
                 )
             finally:

@@ -46,7 +46,7 @@ from repro.checkpoint.drms import (
 )
 from repro.mlck.placement import _rotate_past
 from repro.mlck.store import L1ReplicaSource, L1Store, SwitchFetch, _Accounting
-from repro.obs import get_flight, get_tracer
+from repro.obs import emit_event, get_flight, get_tracer
 from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine
 from repro.streaming.order import check_order
@@ -327,8 +327,8 @@ def localized_restore_drms(
         max(0, scope.total_bytes - scope.lost_bytes)
     )
     m.counter("mlck.restore.localized.seconds").inc(bd.total_seconds)
-    get_flight().record(
-        "localized_rebuilt", time=clock, prefix=prefix,
+    emit_event(
+        None, clock, "localized_rebuilt", prefix=prefix,
         lost_ranks=list(scope.lost_ranks),
         lost_bytes=scope.lost_bytes, seconds=bd.total_seconds,
     )
@@ -427,8 +427,8 @@ def rereplicate_after_failure(
                     repair.copies += 1
                     repair.nbytes += piece.nbytes
                     if fr.enabled:
-                        fr.record(
-                            "replica_replaced", node=new, time=clock,
+                        emit_event(
+                            None, clock, "replica_replaced", node=new,
                             key=piece.key, source=source,
                             nbytes=piece.nbytes,
                         )

@@ -59,9 +59,8 @@ from repro.checkpoint.format import sha1_hex, spec_to_distribution
 from repro.checkpoint.segment import DataSegment
 from repro.checkpoint.validate import ValidationReport
 from repro.errors import CheckpointError, MemoryTierError
-from repro.infra.events import emit_event
 from repro.mlck.placement import select_partners
-from repro.obs import get_flight, get_tracer
+from repro.obs import emit_event, get_flight, get_tracer
 from repro.runtime.machine import Machine
 from repro.streaming.order import bytes_to_section, stream_sha1, stream_spans
 from repro.streaming.serial import StoredStream, stream_u8
@@ -554,11 +553,10 @@ class L1ReplicaSink:
             for partner in partners:
                 acct.send(owner, partner, nbytes)
             pieces.append(piece)
-        fr = get_flight()
-        if fr.enabled:
+        if get_flight().enabled:
             for p in pieces:
-                fr.record(
-                    "replica_placed", node=p.owner, time=self.clock,
+                emit_event(
+                    None, self.clock, "replica_placed", node=p.owner,
                     key=p.key, nbytes=p.nbytes, replicas=list(p.replicas),
                 )
         self._placed += len(pieces)
@@ -596,8 +594,8 @@ class L1ReplicaSink:
         m = get_tracer().metrics
         m.counter("mlck.l1.captures").inc()
         m.counter("mlck.l1.capture.bytes").inc(bd.total_bytes)
-        get_flight().record(
-            "l1_captured", time=clock, prefix=bd.prefix,
+        emit_event(
+            None, clock, "l1_captured", prefix=bd.prefix,
             nbytes=bd.total_bytes, seconds=bd.total_seconds,
         )
         store._update_resident_gauge()

@@ -12,9 +12,10 @@ substrate that produces such breakdowns from the live system:
 * :mod:`repro.obs.export`  — Chrome trace-event JSON (``about:tracing``
   / Perfetto), flat metrics dumps, and OpenMetrics/Prometheus text;
 * :mod:`repro.obs.report`  — Table 6-style phase breakdown tables;
-* :mod:`repro.obs.flight`  — bounded per-node flight recorder whose
-  rings (every infra EventLog emit lands on one) become black-box
-  dumps when a node dies;
+* :mod:`repro.obs.flight`  — the one event record and its one write
+  (:func:`emit_event`), and the bounded per-node flight recorder whose
+  rings hold the same records as the infra EventLog and become
+  black-box dumps when a node dies;
 * :mod:`repro.obs.forensics` — incident files and the recovery
   timeline reconstructor (``python -m repro.tools.forensics``);
 * :mod:`repro.obs.health`  — fleet health gauges (replica coverage,
@@ -47,9 +48,10 @@ from repro.obs.export import (
 from repro.obs.flight import (
     GLOBAL_NODE,
     NULL_FLIGHT,
-    FlightEvent,
+    Event,
     FlightRecorder,
     NullFlightRecorder,
+    emit_event,
     get_flight,
     set_flight,
     use_flight,
@@ -115,7 +117,8 @@ __all__ = [
     "write_metrics",
     "openmetrics_text",
     "write_openmetrics",
-    "FlightEvent",
+    "Event",
+    "emit_event",
     "FlightRecorder",
     "NullFlightRecorder",
     "NULL_FLIGHT",

@@ -1,26 +1,27 @@
-"""Per-node flight recorder: the always-on "black box" of the cluster.
+"""The event record and its one write, and the per-node flight recorder.
 
-A failure in this system used to be observable only after the fact, by
-grepping span dumps — and only when a full :class:`~repro.obs.spans.Tracer`
-happened to be installed.  The flight recorder closes that gap: every
-node carries a **bounded ring buffer** of structured events (checkpoint
-phase transitions, SOP crossings, drain state changes, replica
-placements, PFS faults, stream ops with byte counts, and every daemon
-or recovery decision the cluster event log carries) that is cheap
-enough to leave on even when tracing is off.  When a node is killed —
-by a :class:`~repro.infra.failure.FailurePlan`, an
+Every daemon decision, recovery step and piece of per-node telemetry is
+one :class:`Event`, built only by :func:`emit_event`.  The same object
+lands on the cluster :class:`~repro.infra.events.EventLog` (when the
+emitter has one) and on the active flight recorder's ring of its node.
+
+The flight recorder is the always-on "black box" of the cluster: every
+node carries a **bounded ring buffer** of events (checkpoint phase
+transitions, SOP crossings, drain state changes, replica placements,
+PFS faults, stream ops with byte counts, and every daemon or recovery
+decision the cluster event log carries) that is cheap enough to leave
+on even when tracing is off.  When a node is killed — by a
+:class:`~repro.infra.failure.FailurePlan`, an
 :meth:`~repro.mlck.store.L1Store.drop_node`, or the RC's failure
 protocol — the recorder emits a **black-box dump**: a JSON-able
 snapshot of the node's last ``capacity`` events, exactly what a crash
 investigator wants to know about what the node was doing when it died.
 
-Cost model: the default is the shared :data:`NULL_FLIGHT`, whose
-``record`` is a no-op — instrumented hot paths pay one module-level
-read and one no-op call.  An active :class:`FlightRecorder` appends one
-tuple to a bounded ``deque`` per event; there is no hashing, no I/O,
-and no per-event allocation beyond the tuple and its detail dict, so
-recording stays well under the 5% overhead budget the
-``bench_obs_overhead`` benchmark enforces.
+Cost model: the default is the shared :data:`NULL_FLIGHT`, whose ring
+write is a no-op.  An active :class:`FlightRecorder` appends the event
+to a bounded ``deque``; there is no hashing and no I/O, so recording
+stays well under the 5% overhead budget the ``bench_obs_overhead``
+benchmark enforces.
 
 Scope a recorder on exactly like a tracer::
 
@@ -31,7 +32,7 @@ Scope a recorder on exactly like a tracer::
     for box in fr.blackboxes:
         print(box["node"], box["reason"], len(box["events"]))
 
-Event ring format and the dump schema are specified in DESIGN.md §13.
+The record, the ring and the dump schema are specified in DESIGN.md §13.
 """
 
 from __future__ import annotations
@@ -43,10 +44,14 @@ import threading
 from collections import Counter, defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
+
+if TYPE_CHECKING:  # infra.events imports this module
+    from repro.infra.events import EventLog
 
 __all__ = [
-    "FlightEvent",
+    "Event",
+    "emit_event",
     "FlightRecorder",
     "NullFlightRecorder",
     "NULL_FLIGHT",
@@ -65,13 +70,11 @@ BLACKBOX_SCHEMA = "repro.flight/1"
 
 
 @dataclass(frozen=True)
-class FlightEvent:
-    """One recorded ring entry, materialized for consumers.
-
-    The ring itself stores bare tuples (``seq, time, kind, detail``) —
-    this dataclass exists for query results and dump loading, not for
-    the hot recording path.
-    """
+class Event:
+    """One timestamped record: a daemon decision or a piece of per-node
+    telemetry.  ``seq`` is unique in the process and orders records
+    written concurrently; ``node`` is ``detail.get("node", GLOBAL_NODE)``
+    and ``detail`` is exactly what the emitter passed."""
 
     seq: int
     time: float
@@ -79,8 +82,12 @@ class FlightEvent:
     node: int
     detail: Dict[str, Any]
 
+    def __repr__(self) -> str:
+        items = ", ".join(f"{k}={v!r}" for k, v in self.detail.items())
+        return f"[{self.time:9.3f}s] {self.kind}({items})"
+
     def to_dict(self) -> Dict[str, Any]:
-        """The JSON-able dump row (DESIGN.md §13 event schema)."""
+        """The JSON-able row of a log export, a ring or a dump."""
         return {
             "seq": self.seq,
             "time": self.time,
@@ -89,15 +96,48 @@ class FlightEvent:
             "detail": dict(self.detail),
         }
 
+    @classmethod
+    def from_dict(cls, row: Dict[str, Any]) -> "Event":
+        """Read back a :meth:`to_dict` row; missing keys take the
+        defaults of an empty record."""
+        detail = dict(row.get("detail", {}))
+        return cls(
+            seq=int(row.get("seq", 0)),
+            time=float(row.get("time", 0.0)),
+            kind=str(row.get("kind", "")),
+            node=row.get("node", detail.get("node", GLOBAL_NODE)),
+            detail=detail,
+        )
+
+
+_seq = itertools.count(1)
+
+
+def emit_event(
+    events: Optional["EventLog"], time: float, kind: str, **detail: Any
+) -> Event:
+    """The one write of a record: append it to ``events`` (when there is
+    a log) and to the active flight recorder's ring of
+    ``detail["node"]`` (the global ring when the detail names no node).
+    One lock covers the sequence number and both appends, so a ring and
+    the log list their records in ``seq`` order under threads."""
+    fr = _current
+    with fr._lock:
+        ev = Event(next(_seq), time, kind, detail.get("node", GLOBAL_NODE), detail)
+        fr.record(ev)
+        if events is not None:
+            events.events.append(ev)
+    return ev
+
 
 class FlightRecorder:
-    """Bounded per-node rings of structured events + black-box dumps.
+    """Bounded per-node rings of events + black-box dumps.
 
     ``capacity`` bounds each node's ring; older events fall off the
-    back (the ``dropped`` count in a dump says how many).  ``record``
-    is safe under the SPMD task threads, several of which write the
-    global ring: one lock covers the sequence number, the append and
-    the node's count.
+    back (the ``dropped`` count in a dump says how many).  Records
+    arrive through :func:`emit_event` only, under the recorder's lock
+    (every SPMD task thread may write the global ring, and a dump's
+    ``recorded`` / ``dropped`` must count each record).
     """
 
     enabled = True
@@ -110,22 +150,15 @@ class FlightRecorder:
             lambda: deque(maxlen=self.capacity)
         )
         self._recorded: Dict[int, int] = Counter()
-        self._seq = itertools.count(1)
         self._lock = threading.Lock()
         #: emitted black-box dumps, in emission order
         self.blackboxes: List[Dict[str, Any]] = []
         self._dumped: set = set()
 
-    # -- recording (the hot path) -------------------------------------------
-
-    def record(
-        self, kind: str, node: int = GLOBAL_NODE, time: float = 0.0, **detail: Any
-    ) -> None:
-        """Append one event to ``node``'s ring (the global ring by
-        default).  Near-zero cost: one tuple, one deque append."""
-        with self._lock:
-            self._rings[node].append((next(self._seq), time, kind, detail))
-            self._recorded[node] += 1
+    def record(self, ev: Event) -> None:
+        """Append ``ev`` to its node's ring (caller holds the lock)."""
+        self._rings[ev.node].append(ev)
+        self._recorded[ev.node] += 1
 
     # -- queries -------------------------------------------------------------
 
@@ -134,19 +167,14 @@ class FlightRecorder:
         included as :data:`GLOBAL_NODE`)."""
         return sorted(self._rings)
 
-    def ring(self, node: int = GLOBAL_NODE) -> List[FlightEvent]:
+    def ring(self, node: int = GLOBAL_NODE) -> List[Event]:
         """The current contents of one node's ring, oldest first."""
-        return [
-            FlightEvent(seq=s, time=t, kind=k, node=node, detail=dict(d))
-            for s, t, k, d in list(self._rings.get(node, ()))
-        ]
+        return list(self._rings.get(node, ()))
 
-    def events(self) -> List[FlightEvent]:
-        """Every resident event across all rings, in global sequence
-        order (the interleaved view a forensic timeline wants)."""
-        out: List[FlightEvent] = []
-        for node in self.nodes():
-            out.extend(self.ring(node))
+    def events(self) -> List[Event]:
+        """Every resident event across all rings, in ``seq`` order (the
+        interleaved view a forensic timeline wants)."""
+        out = [ev for node in self.nodes() for ev in self.ring(node)]
         out.sort(key=lambda e: e.seq)
         return out
 
@@ -156,20 +184,14 @@ class FlightRecorder:
 
     # -- black-box dumps -----------------------------------------------------
 
-    def blackbox(
-        self, node: int, reason: str = "", time: float = 0.0
-    ) -> Dict[str, Any]:
-        """Snapshot ``node``'s ring as a black-box dump (DESIGN.md §13
-        schema), register it on :attr:`blackboxes`, and return it.
-
-        The dump interleaves the node's own ring with the global ring —
-        a dead node's story usually ends in scheduler/RC decisions that
-        were recorded globally.
-        """
+    def _box(self, node: int, reason: str, time: float) -> Dict[str, Any]:
+        """``node``'s ring interleaved with the global ring — a dead
+        node's story usually ends in scheduler/RC decisions that were
+        recorded globally — as a DESIGN.md §13 dump."""
         own = self.ring(node)
         context = self.ring(GLOBAL_NODE) if node != GLOBAL_NODE else []
         merged = sorted(own + context, key=lambda e: e.seq)
-        box = {
+        return {
             "schema": BLACKBOX_SCHEMA,
             "node": node,
             "reason": reason,
@@ -179,6 +201,13 @@ class FlightRecorder:
             "dropped": max(0, self.recorded(node) - len(own)),
             "events": [e.to_dict() for e in merged],
         }
+
+    def blackbox(
+        self, node: int, reason: str = "", time: float = 0.0
+    ) -> Dict[str, Any]:
+        """Snapshot ``node``'s ring as a black-box dump, register it on
+        :attr:`blackboxes`, and return it."""
+        box = self._box(node, reason, time)
         with self._lock:
             self.blackboxes.append(box)
             self._dumped.add(node)
@@ -239,58 +268,30 @@ class FlightRecorder:
 
     def __repr__(self) -> str:
         return (
-            f"FlightRecorder({len(self._rings)} rings, "
+            f"{type(self).__name__}({len(self._rings)} rings, "
             f"{len(self.blackboxes)} blackboxes)"
         )
 
 
 class NullFlightRecorder(FlightRecorder):
-    """The default recorder: records nothing, costs (almost) nothing."""
+    """The default recorder: its rings stay empty, and the dumps it is
+    asked for are never registered (the shared :data:`NULL_FLIGHT`
+    must not accumulate state)."""
 
     enabled = False
 
     def __init__(self):
+        super().__init__()
         self.capacity = 0
-        self.blackboxes = []
 
-    def record(self, kind, node=GLOBAL_NODE, time=0.0, **detail) -> None:
+    def record(self, ev: Event) -> None:
         pass
 
-    def nodes(self) -> List[int]:
-        return []
-
-    def ring(self, node: int = GLOBAL_NODE) -> List[FlightEvent]:
-        return []
-
-    def events(self) -> List[FlightEvent]:
-        return []
-
-    def recorded(self, node: int = GLOBAL_NODE) -> int:
-        return 0
-
     def blackbox(self, node, reason="", time=0.0) -> Dict[str, Any]:
-        return {
-            "schema": BLACKBOX_SCHEMA,
-            "node": node,
-            "reason": reason,
-            "time": time,
-            "capacity": 0,
-            "recorded": 0,
-            "dropped": 0,
-            "events": [],
-        }
+        return self._box(node, reason, time)
 
     def auto_blackbox(self, node, reason="", time=0.0) -> None:
         return None
-
-    def reset_incident(self) -> None:
-        pass
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"schema": BLACKBOX_SCHEMA, "capacity": 0, "rings": {}, "blackboxes": []}
-
-    def __repr__(self) -> str:
-        return "NullFlightRecorder()"
 
 
 #: the process-wide default

@@ -3,20 +3,22 @@ reconstructor.
 
 The paper's value proposition is recovery latency, so a failure should
 be an *explorable artifact*, not an assertion pass/fail.  This module
-stitches the three observability records of one incident — the cluster
-:class:`~repro.infra.events.EventLog`, the flight recorder's black-box
-dumps (:mod:`repro.obs.flight`), and optionally a tracer's spans — into
-a single ordered forensic report::
+turns one incident — the cluster :class:`~repro.infra.events.EventLog`,
+the flight recorder's black-box dumps (:mod:`repro.obs.flight`), and
+optionally a tracer's spans — into a single ordered forensic report::
 
     failure detected -> state selected (tier, generation, rejections)
                      -> rebuild -> resume
 
 with per-phase latency attribution that sums to the recovery latency
 the cluster reports (``RecoveryOutcome.recovery_latency_s``), a
-property the flight-marked tests assert.
+property the flight-marked tests assert.  The log and the rings hold
+the same :class:`~repro.obs.flight.Event` records, so the timeline is
+every record once (a ring row is the log's when it has the log's
+``seq``) plus the tracer's span rows.
 
 An **incident dump** is one JSON document (schema
-``repro.forensics/1``) carrying everything needed to re-run the
+``repro.forensics/2``) carrying everything needed to re-run the
 analysis offline: events, black boxes, the recovery outcome, a health
 snapshot, and the flat metrics.  ``python -m repro.tools.forensics``
 produces and consumes these; :func:`diff_incidents` compares two.
@@ -30,14 +32,15 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Union
 
-if TYPE_CHECKING:  # runtime import is lazy: infra itself imports repro.obs
-    from repro.infra.events import Event, EventLog
+from repro.obs.flight import GLOBAL_NODE, Event
+
+if TYPE_CHECKING:  # infra itself imports repro.obs
+    from repro.infra.events import EventLog
 
 __all__ = [
     "INCIDENT_SCHEMA",
-    "TimelineEntry",
     "TimelinePhase",
     "ForensicTimeline",
     "load_events",
@@ -50,34 +53,9 @@ __all__ = [
     "render_diff",
 ]
 
-#: incident dump schema version (DESIGN.md §13)
-INCIDENT_SCHEMA = "repro.forensics/1"
-
-#: sources merge in this order at equal timestamps: daemon events first
-#: (they narrate decisions), then flight events (per-node telemetry),
-#: then tracer spans (phase interiors)
-_SOURCE_ORDER = {"event": 0, "flight": 1, "span": 2}
-
-
-@dataclass(frozen=True)
-class TimelineEntry:
-    """One merged record on the forensic timeline."""
-
-    time: float
-    source: str  # "event" | "flight"
-    kind: str
-    node: Optional[int]
-    detail: Dict[str, Any]
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The JSON-able timeline row."""
-        return {
-            "time": self.time,
-            "source": self.source,
-            "kind": self.kind,
-            "node": self.node,
-            "detail": dict(self.detail),
-        }
+#: incident dump schema version (DESIGN.md §13); /2 rows carry the
+#: record's ``seq`` and ``node``
+INCIDENT_SCHEMA = "repro.forensics/2"
 
 
 @dataclass(frozen=True)
@@ -96,10 +74,13 @@ class TimelinePhase:
 
 @dataclass
 class ForensicTimeline:
-    """The reconstructed story of one failure + recovery."""
+    """The reconstructed story of one failure + recovery: every record
+    of the incident once, in ``(time, seq)`` order, and the tracer's
+    span rows (``name``, ``sim_start``, ``sim_seconds``, ``attrs``)."""
 
-    entries: List[TimelineEntry]
+    entries: List[Event]
     phases: List[TimelinePhase]
+    spans: List[Dict[str, Any]] = field(default_factory=list)
     failed_node: Optional[int] = None
     job: Optional[str] = None
     chosen_prefix: Optional[str] = None
@@ -125,39 +106,22 @@ class ForensicTimeline:
 
 
 def load_events(
-    data: Union[str, bytes, Sequence[Dict[str, Any]], EventLog]
+    data: Union[str, bytes, Iterable[Union[Event, Dict[str, Any]]]]
 ) -> List[Event]:
-    """Rebuild :class:`Event` objects from any serialized form of an
+    """Rebuild :class:`Event` records from any serialized form of an
     event log: the JSON string :meth:`EventLog.to_json` produced, the
-    already-parsed list of ``{time, kind, detail}`` dicts, a live
-    :class:`EventLog`, or a sequence of :class:`Event` objects (passed
-    through)."""
-    from repro.infra.events import Event, EventLog
-
-    if isinstance(data, EventLog):
-        return list(data.events)
+    already-parsed list of rows, a live :class:`EventLog`, or a
+    sequence of :class:`Event` objects (passed through)."""
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
-    events = []
-    for row in data:
-        if isinstance(row, Event):
-            events.append(row)
-            continue
-        events.append(
-            Event(
-                time=float(row.get("time", 0.0)),
-                kind=str(row.get("kind", "")),
-                detail=dict(row.get("detail", {})),
-            )
-        )
-    return events
+    return [row if isinstance(row, Event) else Event.from_dict(row) for row in data]
 
 
 # -- incident dumps ----------------------------------------------------------
 
 
 def make_incident(
-    events: Union[EventLog, Sequence[Event], Sequence[Dict[str, Any]]],
+    events: Union["EventLog", Sequence[Event], Sequence[Dict[str, Any]]],
     flight=None,
     outcome=None,
     health=None,
@@ -165,7 +129,7 @@ def make_incident(
     tracer=None,
     job: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Assemble one incident dump (schema ``repro.forensics/1``).
+    """Assemble one incident dump (schema ``repro.forensics/2``).
 
     ``flight`` is a :class:`~repro.obs.flight.FlightRecorder` (its
     emitted black boxes ride along), ``outcome`` a
@@ -175,14 +139,7 @@ def make_incident(
     :class:`~repro.obs.spans.Tracer` whose completed spans join the
     merged timeline.
     """
-    from repro.infra.events import Event, EventLog
-
-    if isinstance(events, EventLog):
-        event_rows = [e.to_dict() for e in events.events]
-    else:
-        event_rows = [
-            e.to_dict() if isinstance(e, Event) else dict(e) for e in events
-        ]
+    event_rows = [e.to_dict() for e in load_events(events)]
     incident: Dict[str, Any] = {
         "schema": INCIDENT_SCHEMA,
         "job": job,
@@ -246,60 +203,25 @@ def load_incident(source: Union[str, pathlib.Path, Dict[str, Any]]) -> Dict[str,
 # -- the reconstructor -------------------------------------------------------
 
 
-def _merged_entries(
-    events: List[Event],
-    blackboxes: Sequence[Dict[str, Any]],
-    spans: Sequence[Dict[str, Any]] = (),
-) -> List[TimelineEntry]:
-    entries = [
-        TimelineEntry(
-            time=e.time,
-            source="event",
-            kind=e.kind,
-            node=e.detail.get("node"),
-            detail=dict(e.detail),
-        )
-        for e in events
-    ]
-    # Each row once: every log event is on a ring too (a black-box row
-    # of a kind the log carries is the log's row), and the rings of two
-    # dumps overlap on the global ring.
-    logged = {e.kind for e in events}
-    seen = set()
+def _records(
+    events: List[Event], blackboxes: Sequence[Dict[str, Any]]
+) -> List[Event]:
+    """Each record once: the log's, then every ring row that is not one
+    of them — a log record is on a ring too, and the rings of two dumps
+    overlap on the global ring — ordered by time, then ``seq``."""
+    records = list(events)
+    seen = {e.seq for e in events}
     for box in blackboxes:
-        for row in box.get("events", ()):
-            key = row.get("seq")
-            if row.get("kind") in logged or key is not None and key in seen:
-                continue
-            seen.add(key)
-            entries.append(
-                TimelineEntry(
-                    time=float(row.get("time", 0.0)),
-                    source="flight",
-                    kind=str(row.get("kind", "")),
-                    node=row.get("node"),
-                    detail=dict(row.get("detail", {})),
-                )
-            )
-    for row in spans:
-        entries.append(
-            TimelineEntry(
-                time=float(row.get("sim_start", 0.0)),
-                source="span",
-                kind=str(row.get("name", "")),
-                node=None,
-                detail={
-                    "seconds": row.get("sim_seconds"),
-                    **dict(row.get("attrs", {})),
-                },
-            )
-        )
-    entries.sort(key=lambda t: (t.time, _SOURCE_ORDER.get(t.source, 9)))
-    return entries
+        for ev in load_events(box.get("events", ())):
+            if ev.seq not in seen:
+                seen.add(ev.seq)
+                records.append(ev)
+    records.sort(key=lambda e: (e.time, e.seq))
+    return records
 
 
 def reconstruct_timeline(
-    incident: Union[Dict[str, Any], EventLog, Sequence[Event]],
+    incident: Union[Dict[str, Any], "EventLog", Sequence[Event]],
     blackboxes: Optional[Sequence[Dict[str, Any]]] = None,
 ) -> ForensicTimeline:
     """Reconstruct the failure -> tiered-restart sequence of the *last*
@@ -329,7 +251,7 @@ def reconstruct_timeline(
         recovery = {}
 
     tl = ForensicTimeline(
-        entries=_merged_entries(events, blackboxes, spans), phases=[]
+        entries=_records(events, blackboxes), phases=[], spans=list(spans)
     )
 
     # anchor on the last observed failure: injection if recorded,
@@ -469,19 +391,21 @@ def render_timeline(tl: ForensicTimeline, max_entries: int = 60) -> str:
     if tl.failed_node is not None:
         head += f", node {tl.failed_node} failed"
     lines.append(head)
-    entries = tl.entries
-    if len(entries) > max_entries:
-        lines.append(f"  ... {len(entries) - max_entries} earlier entries elided")
-        entries = entries[-max_entries:]
-    for e in entries:
-        where = f" node={e.node}" if e.node is not None else ""
-        items = ", ".join(
-            f"{k}={v!r}" for k, v in e.detail.items() if k != "node"
-        )
-        lines.append(
-            f"  [{e.time:10.3f}s] {e.source:<6} {e.kind}{where}"
-            + (f"  ({items})" if items else "")
-        )
+    rows = []
+    for e in tl.entries:
+        where = f" node={e.node}" if e.node != GLOBAL_NODE else ""
+        items = {k: v for k, v in e.detail.items() if k != "node"}
+        rows.append((e.time, f"{e.kind}{where}", items))
+    for s in tl.spans:
+        items = {"seconds": s.get("sim_seconds"), **s.get("attrs", {})}
+        rows.append((float(s.get("sim_start", 0.0)), f"span {s.get('name')}", items))
+    rows.sort(key=lambda r: r[0])  # stable: records before spans at a tie
+    if len(rows) > max_entries:
+        lines.append(f"  ... {len(rows) - max_entries} earlier entries elided")
+        rows = rows[-max_entries:]
+    for t, what, items in rows:
+        text = ", ".join(f"{k}={v!r}" for k, v in items.items())
+        lines.append(f"  [{t:10.3f}s] {what}" + (f"  ({text})" if text else ""))
     if tl.phases:
         lines.append("phases (failure -> resume):")
         for p in tl.phases:

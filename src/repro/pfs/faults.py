@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import PFSError
-from repro.obs import get_flight, get_tracer
+from repro.obs import emit_event, get_tracer
 
 __all__ = ["WriteFault", "ReadFault", "FaultInjector", "flip_stored_bit"]
 
@@ -170,8 +170,8 @@ class FaultInjector:
                 get_tracer().metrics.counter(
                     f"pfs.faults.write.{plan.mode}"
                 ).inc()
-                get_flight().record(
-                    "pfs_fault", op="write", file=name, mode=plan.mode
+                emit_event(
+                    None, 0.0, "pfs_fault", op="write", file=name, mode=plan.mode
                 )
                 return plan
         return None
@@ -192,8 +192,8 @@ class FaultInjector:
                     ("read", name, f"bit {plan.bit} of byte {plan.offset} flipped")
                 )
                 get_tracer().metrics.counter("pfs.faults.read.bitflip").inc()
-                get_flight().record(
-                    "pfs_fault", op="read", file=name,
+                emit_event(
+                    None, 0.0, "pfs_fault", op="read", file=name,
                     mode="bitflip", offset=plan.offset, bit=plan.bit,
                 )
                 buf = bytearray(data)

@@ -2,7 +2,7 @@
 
 Checkpointing the same arrays repeatedly recomputes identical pure
 artifacts every time: redistribution transfer schedules, Fig. 5a
-stream-order partitions, piece byte offsets, stream-position maps.
+stream-order partitions, piece byte offsets, per-task index plans.
 This package amortizes them (the Plaat et al. observation from
 PAPERS.md that real checkpoint throughput comes from amortizing plan
 work and overlapping I/O):
@@ -28,7 +28,6 @@ from repro.plancache.cache import (
     use_plan_cache,
 )
 from repro.plancache.plans import (
-    section_stream_positions,
     streaming_plan,
     transfer_schedule,
 )
@@ -40,6 +39,5 @@ __all__ = [
     "set_plan_cache",
     "use_plan_cache",
     "transfer_schedule",
-    "section_stream_positions",
     "streaming_plan",
 ]

@@ -3,7 +3,7 @@
 The parstream pipeline recomputes the same pure artifacts on every
 checkpoint: the transfer schedule of the canonical redistribution, the
 recursive Fig. 5a partition of the streamed section, the running-sum
-piece offsets, the stream-position maps.  All of them are functions of
+piece offsets, the per-task index plans.  All of them are functions of
 *structural* inputs only — distribution geometry, slices, scalar
 parameters — so an application that checkpoints the same arrays every
 few minutes pays the full planning cost each time for an identical
@@ -11,9 +11,8 @@ answer.  :class:`PlanCache` memoizes those answers.
 
 Keying discipline (see DESIGN.md §11):
 
-* every key starts with a ``kind`` tag (``"schedule"``,
-  ``"positions"``, ``"plan"``, ``"indexplan"``, ``"parstream"``) so
-  unrelated plans never collide;
+* every key starts with a ``kind`` tag (``"schedule"``, ``"plan"``,
+  ``"indexplan"``, ``"parstream"``) so unrelated plans never collide;
 * distributions enter keys only through
   :meth:`~repro.arrays.distributions.Distribution.fingerprint` — a
   structural digest of the ``(a, m)`` geometry — so two distribution
@@ -169,7 +168,7 @@ class PlanCache:
 
     def _resident_bytes(self) -> int:
         """Bytes the cached values hold, by their own ``nbytes`` (index
-        plans, position vectors; 0 for a value without one) — the entry
+        plans; 0 for a value without one) — the entry
         bound says nothing about memory.  Caller holds the lock."""
         return sum(int(getattr(v[0], "nbytes", 0)) for v in self._entries.values())
 

@@ -7,10 +7,9 @@ plancache.cache.PlanCache`:
 * :func:`transfer_schedule` — the point-to-point schedule of an array
   assignment (``arrays/assignment.py``), keyed by the two distribution
   fingerprints;
-* :func:`section_stream_positions` — the stream-position map of a
-  sub-section (``streaming/order.py``), returned read-only because the
-  cached ndarray is shared between callers;
-* :func:`section_index_plan` — a section's per-task gather / scatter plan;
+* :func:`section_index_plan` — a section's per-task gather / scatter
+  plan, whose index arrays are read-only because the cached plan is
+  shared between callers;
 * :func:`streaming_plan` — the Fig. 5a stream-order partition
   (``streaming/partition.py``) and its running-sum byte offsets, the
   (pieces, offsets) pair streaming needs, as one composite entry;
@@ -27,15 +26,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.arrays.distributions import Distribution
 from repro.arrays.slices import Slice
 from repro.plancache.cache import get_plan_cache
 from repro.streaming.order import check_order
-from repro.streaming.order import (
-    section_stream_positions as _section_stream_positions,
-)
 from repro.streaming.partition import (
     partition_for_target as _partition_for_target,
 )
@@ -43,7 +37,6 @@ from repro.streaming.partition import piece_offsets as _piece_offsets
 
 __all__ = [
     "transfer_schedule",
-    "section_stream_positions",
     "section_index_plan",
     "streaming_plan",
     "parstream_schedule",
@@ -65,23 +58,6 @@ def transfer_schedule(src: Distribution, dst: Distribution) -> List:
         dist_fingerprints=(sf, df),
     )
     return list(sched)
-
-
-def section_stream_positions(
-    section: Slice, sub: Slice, order: str = "F"
-) -> np.ndarray:
-    """Memoized :func:`repro.streaming.order.section_stream_positions`.
-    The returned array is **read-only** (it is shared by every caller of
-    the same key)."""
-
-    def compute() -> np.ndarray:
-        pos = _section_stream_positions(section, sub, order)
-        pos.setflags(write=False)
-        return pos
-
-    return get_plan_cache().get_or_compute(
-        "positions", (section, sub, check_order(order)), compute
-    )
 
 
 def section_index_plan(

@@ -38,7 +38,7 @@ from repro.arrays.darray import DistributedArray
 from repro.arrays.distributions import Distribution
 from repro.arrays.slices import Slice
 from repro.errors import StreamingError
-from repro.obs import get_flight, get_tracer
+from repro.obs import emit_event, get_flight, get_tracer
 from repro.streaming.order import check_order, stream_sha1
 from repro.streaming.streams import ByteSink, ByteSource
 from repro.streaming.vectorized import (
@@ -112,10 +112,9 @@ class StreamStats:
         m.counter(f"stream.{direction}.bytes").inc(self.bytes_streamed)
         m.counter(f"stream.{direction}.pieces").inc(self.pieces)
         m.counter("stream.redistribution.bytes").inc(self.redistribution_bytes)
-        fr = get_flight()
-        if fr.enabled:
-            fr.record(
-                "stream_op",
+        if get_flight().enabled:
+            emit_event(
+                None, 0.0, "stream_op",
                 direction=direction,
                 engine=engine,
                 nbytes=self.bytes_streamed,

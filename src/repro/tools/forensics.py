@@ -15,7 +15,7 @@ checkpointing into the multi-level (``memory+pfs``) store on an
 recorder, then writes the full forensic record under ``--out``:
 
 * ``incident.json``        — the incident dump (events + black boxes +
-  recovery outcome + health + metrics; schema ``repro.forensics/1``);
+  recovery outcome + health + metrics; schema ``repro.forensics/2``);
 * ``blackbox_node<N>.json`` — the dead node's black-box ring;
 * ``metrics.om``           — health gauges and counters in OpenMetrics
   text, scrapable by standard tooling.

@@ -43,9 +43,7 @@ from repro.checkpoint.recover import OpenedGeneration, first_rejections
 from repro.drms.app import DRMSApplication, RunReport
 from repro.drms.steering import app_transfer
 from repro.errors import ArrayError, ReconfigurationError, WorkflowError
-from repro.infra.events import emit_event
-from repro.obs import get_tracer
-from repro.obs.flight import GLOBAL_NODE, get_flight
+from repro.obs import emit_event, get_flight, get_tracer
 from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine
 from repro.workflow.manifest import (
@@ -326,10 +324,9 @@ class WorkflowCoordinator:
             )
         obs = get_tracer()
         obs.metrics.counter("workflow.restarts").inc()
-        fr = get_flight()
-        if fr.enabled:
-            fr.record(
-                "workflow_restarted", node=GLOBAL_NODE, time=self._clock(),
+        if get_flight().enabled:
+            emit_event(
+                None, self._clock(), "workflow_restarted",
                 base=self.base, generation=decision.generation,
                 tiers=dict(decision.member_tiers),
                 tasks={n: int(t) for n, t in tasks.items()},
@@ -539,10 +536,9 @@ class WorkflowCoordinator:
                     outcome["prefixes"][name] = bases[name]
                 else:
                     outcome["prefixes"][name] = f"{bases[name]}.{gen:06d}"
-        fr = get_flight()
-        if fr.enabled:
-            fr.record(
-                "workflow_exchange", node=GLOBAL_NODE, time=clock,
+        if get_flight().enabled:
+            emit_event(
+                None, clock, "workflow_exchange",
                 base=self.base, iteration=iteration, fire=fire,
                 generation=outcome["generation"], steered=steered,
                 wire_bytes=total_wire,

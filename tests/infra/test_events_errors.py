@@ -3,7 +3,7 @@
 import pytest
 
 from repro import errors
-from repro.infra.events import Event, EventLog
+from repro.infra.events import EventLog, emit_event
 
 
 class TestEventLog:
@@ -57,14 +57,16 @@ class TestEventLog:
         log.emit(2.0, "odd_detail", payload=object())  # falls back to repr
         doc = json.loads(log.to_json(indent=2))
         assert doc[0] == {
+            "seq": log.events[0].seq,
             "time": 1.5,
             "kind": "pool_formed",
+            "node": -1,
             "detail": {"pool": [0, 1], "job": "bt"},
         }
         assert isinstance(doc[1]["detail"]["payload"], str)
 
     def test_repr_compact(self):
-        ev = Event(1.5, "boom", {"node": 3})
+        ev = emit_event(None, 1.5, "boom", node=3)
         assert "boom" in repr(ev)
         assert "node=3" in repr(ev)
 

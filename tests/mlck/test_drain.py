@@ -183,7 +183,7 @@ def test_async_drains_commit_in_schedule_order(env, workload, monkeypatch):
 
     machine, pfs, store = env
     drainer = DrainController(store, pfs, synchronous=False)
-    get_flight = drain_mod.get_flight
+    get_tracer = drain_mod.get_tracer
     delayed = []
 
     def late_first_drain():
@@ -192,9 +192,9 @@ def test_async_drains_commit_in_schedule_order(env, workload, monkeypatch):
         if threading.current_thread() is not threading.main_thread() and not delayed:
             delayed.append(True)
             time.sleep(0.2)
-        return get_flight()
+        return get_tracer()
 
-    monkeypatch.setattr(drain_mod, "get_flight", late_first_drain)
+    monkeypatch.setattr(drain_mod, "get_tracer", late_first_drain)
     drained = []
     stored_streams = store.stored_streams
 

@@ -1,5 +1,6 @@
-"""The metrics catalog holds: every metric literal published anywhere
-under ``src/repro`` matches a documented family."""
+"""Static scans of ``src/repro``: every metric literal published
+anywhere matches a documented family, and every event record is
+written by the one writer."""
 
 import pathlib
 import re
@@ -102,3 +103,31 @@ def test_match_family_is_full_match_only():
     assert match_family("xpfs.write.bytes") is None
     assert match_family("mlck.drian.pending") is None
     assert match_family("") is None
+
+
+#: the module holding the record type and its one write, ``emit_event``
+_WRITER = pathlib.Path("obs") / "flight.py"
+#: a call of a flight recorder's ring write
+_RECORD_CALL_RE = re.compile(r"\.record\(")
+#: a construction of the record type (``threading.Event(`` is not one)
+_BUILD_RE = re.compile(r"(?<![\w.])Event\(")
+
+
+def _scan(pattern: re.Pattern):
+    return [
+        (path.relative_to(SRC), n)
+        for path in sorted(SRC.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+
+
+def test_a_record_is_written_in_one_place():
+    """No module but the writer calls a flight recorder's ``.record(``
+    or builds an ``Event``; the writer does each once, in
+    ``emit_event``.  A record reaches the log and the rings only
+    through that one write."""
+    calls, builds = _scan(_RECORD_CALL_RE), _scan(_BUILD_RE)
+    assert [where for where in calls if where[0] != _WRITER] == []
+    assert [where for where in builds if where[0] != _WRITER] == []
+    assert len(calls) == 1 and len(builds) == 1

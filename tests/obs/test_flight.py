@@ -1,4 +1,5 @@
-"""Flight recorder: ring bounds, black-box dumps, scoping."""
+"""Flight recorder: ring bounds, black-box dumps, scoping.  Records
+reach a ring only through ``emit_event`` under the active recorder."""
 
 import json
 import sys
@@ -6,11 +7,14 @@ import threading
 
 import pytest
 
+from repro.infra.events import EventLog
 from repro.obs import (
     GLOBAL_NODE,
     NULL_FLIGHT,
+    Event,
     FlightRecorder,
     NullFlightRecorder,
+    emit_event,
     get_flight,
     set_flight,
     use_flight,
@@ -21,8 +25,9 @@ from repro.obs.flight import BLACKBOX_SCHEMA
 class TestRecording:
     def test_ring_is_bounded_and_counts_drops(self):
         fr = FlightRecorder(capacity=4)
-        for i in range(10):
-            fr.record("tick", node=1, time=float(i), i=i)
+        with use_flight(fr):
+            for i in range(10):
+                emit_event(None, float(i), "tick", node=1, i=i)
         ring = fr.ring(1)
         assert len(ring) == 4
         # oldest events fell off the back; the newest four remain
@@ -37,33 +42,51 @@ class TestRecording:
 
     def test_rings_are_per_node_with_a_global_default(self):
         fr = FlightRecorder()
-        fr.record("global_thing")
-        fr.record("node_thing", node=2)
+        with use_flight(fr):
+            emit_event(None, 0.0, "global_thing")
+            emit_event(None, 0.0, "node_thing", node=2)
         assert fr.nodes() == [GLOBAL_NODE, 2]
         assert [e.kind for e in fr.ring()] == ["global_thing"]
         assert [e.kind for e in fr.ring(2)] == ["node_thing"]
 
     def test_events_interleave_rings_in_sequence_order(self):
         fr = FlightRecorder()
-        fr.record("a", node=1)
-        fr.record("b", node=2)
-        fr.record("c", node=1)
+        with use_flight(fr):
+            emit_event(None, 0.0, "a", node=1)
+            emit_event(None, 0.0, "b", node=2)
+            emit_event(None, 0.0, "c", node=1)
         assert [e.kind for e in fr.events()] == ["a", "b", "c"]
         seqs = [e.seq for e in fr.events()]
         assert seqs == sorted(seqs)
+
+    def test_the_log_and_a_ring_hold_one_record(self):
+        log, fr = EventLog(), FlightRecorder()
+        with use_flight(fr):
+            ev = log.emit(1.0, "tc_disconnected", node=3)
+            emit_event(None, 2.0, "job_restarted", job="j")
+        (on_ring,) = fr.ring(3)
+        assert on_ring is ev and log.events == [ev]
+        assert ev.node == 3 and ev.detail == {"node": 3}
+        assert fr.ring(GLOBAL_NODE)[0].node == GLOBAL_NODE
+        # a dump row is the record's to_dict, read back by from_dict
+        (row,) = fr.blackbox(3)["events"][:1]
+        assert row == ev.to_dict() and Event.from_dict(row) == ev
 
     def test_record_is_safe_under_threads(self):
         fr = FlightRecorder(capacity=10_000)
         threads = [
             threading.Thread(
-                target=lambda n=n: [fr.record("t", node=n) for _ in range(500)]
+                target=lambda n=n: [
+                    emit_event(None, 0.0, "t", node=n) for _ in range(500)
+                ]
             )
             for n in range(4)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        with use_flight(fr):
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
         assert sum(fr.recorded(n) for n in range(4)) == 2000
         assert len({e.seq for e in fr.events()}) == 2000
 
@@ -75,16 +98,17 @@ class TestRecording:
 
         def spin():
             for _ in range(per_thread):
-                fr.record("t", node=1)
+                emit_event(None, 0.0, "t", node=1)
 
         workers = [threading.Thread(target=spin) for _ in range(threads)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave as hard as the host allows
         try:
-            for t in workers:
-                t.start()
-            for t in workers:
-                t.join(timeout=60.0)
+            with use_flight(fr):
+                for t in workers:
+                    t.start()
+                for t in workers:
+                    t.join(timeout=60.0)
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in workers)
@@ -97,21 +121,24 @@ class TestRecording:
 class TestBlackboxes:
     def test_blackbox_merges_node_and_global_rings(self):
         fr = FlightRecorder()
-        fr.record("scheduler_decision", time=1.0)  # global
-        fr.record("sop_crossed", node=3, time=2.0, sop=1)
-        fr.record("pool_formed", time=3.0)  # global
+        with use_flight(fr):
+            emit_event(None, 1.0, "scheduler_decision")  # global
+            emit_event(None, 2.0, "sop_crossed", node=3, sop=1)
+            emit_event(None, 3.0, "pool_formed")  # global
         box = fr.blackbox(3, reason="killed", time=4.0)
         assert box["schema"] == BLACKBOX_SCHEMA
         assert box["node"] == 3 and box["reason"] == "killed"
         kinds = [e["kind"] for e in box["events"]]
         assert kinds == ["scheduler_decision", "sop_crossed", "pool_formed"]
         # another node's ring does not leak in
-        fr.record("other", node=5)
+        with use_flight(fr):
+            emit_event(None, 0.0, "other", node=5)
         assert "other" not in [e["kind"] for e in fr.blackbox(3)["events"]]
 
     def test_auto_blackbox_dedupes_per_incident(self):
         fr = FlightRecorder()
-        fr.record("x", node=1)
+        with use_flight(fr):
+            emit_event(None, 0.0, "x", node=1)
         first = fr.auto_blackbox(1, reason="rc saw it")
         second = fr.auto_blackbox(1, reason="store saw it")
         assert first is not None and second is None
@@ -123,17 +150,21 @@ class TestBlackboxes:
 
     def test_write_blackboxes_emits_json_files(self, tmp_path):
         fr = FlightRecorder()
-        fr.record("last_words", node=7, time=1.5, nbytes=800)
+        with use_flight(fr):
+            emit_event(None, 1.5, "last_words", node=7, nbytes=800)
         fr.blackbox(7, reason="dropped")
         (path,) = fr.write_blackboxes(tmp_path / "boxes")
         assert path.name == "blackbox_node7.json"
         box = json.loads(path.read_text())
         assert box["schema"] == BLACKBOX_SCHEMA
-        assert box["events"][0]["detail"] == {"nbytes": 800}
+        # the row's detail is what the emitter passed, node included
+        assert box["events"][0]["node"] == 7
+        assert box["events"][0]["detail"] == {"node": 7, "nbytes": 800}
 
     def test_to_dict_round_trips_through_json(self):
         fr = FlightRecorder()
-        fr.record("e", node=1, time=0.5, k="v")
+        with use_flight(fr):
+            emit_event(None, 0.5, "e", node=1, k="v")
         fr.blackbox(1)
         doc = json.loads(json.dumps(fr.to_dict()))
         assert doc["rings"]["1"][0]["kind"] == "e"
@@ -162,7 +193,8 @@ class TestScoping:
 
     def test_null_recorder_is_inert(self):
         null = NullFlightRecorder()
-        null.record("anything", node=1, time=2.0, payload=object())
+        with use_flight(null):
+            emit_event(None, 2.0, "anything", node=1, payload=object())
         assert null.nodes() == [] and null.events() == []
         assert null.recorded(1) == 0
         assert null.auto_blackbox(1) is None
@@ -175,8 +207,9 @@ class TestScoping:
         from repro.obs import Tracer, use_tracer
 
         fr = FlightRecorder()
-        fr.record("a", node=1)
-        fr.record("b", node=1)
+        with use_flight(fr):
+            emit_event(None, 0.0, "a", node=1)
+            emit_event(None, 0.0, "b", node=1)
         fr.blackbox(1)
         with use_tracer(Tracer()) as tracer:
             fr.publish_metrics()

@@ -15,7 +15,7 @@ from repro.drms.api import (
 )
 from repro.drms.context import CheckpointStatus
 from repro.infra import DRMSCluster, FailurePlan
-from repro.infra.events import EventLog
+from repro.infra.events import EventLog, emit_event
 from repro.obs import (
     INCIDENT_SCHEMA,
     FlightRecorder,
@@ -32,7 +32,7 @@ from repro.obs import (
 from repro.runtime.machine import Machine, MachineParams
 
 
-def _incident_log() -> EventLog:
+def _incident_log(restart_seconds: float = 4.5) -> EventLog:
     """A hand-built recovery: inject at 10s, detect at 12s, protocol
     done at 17s, selection instantaneous, rebuild 4.5s."""
     log = EventLog()
@@ -45,21 +45,27 @@ def _incident_log() -> EventLog:
     log.emit(17.0, "checkpoint_verified", prefix="ck.000002", tier="l1")
     log.emit(
         17.0, "job_restarted", job="j", ntasks=8,
-        restart_seconds=4.5, restart_kind="mlck-l1", prefix="ck.000002",
+        restart_seconds=restart_seconds, restart_kind="mlck-l1",
+        prefix="ck.000002",
     )
     return log
 
 
 def assert_each_record_once(tl, events):
-    """The timeline lists no record twice: its rows of a kind the log
-    carries are the log's events, one row each, and no (time, kind,
-    node) of them repeats."""
-    logged = {e.kind for e in events}
-    rows = [(e.time, e.kind, e.node) for e in tl.entries if e.kind in logged]
-    assert sorted(rows, key=repr) == sorted(
-        ((e.time, e.kind, e.detail.get("node")) for e in events), key=repr
+    """The timeline lists every log record, and no record twice (one
+    ``seq``, one row)."""
+    seqs = [e.seq for e in tl.entries]
+    assert len(set(seqs)) == len(seqs)
+    logged = {e.seq for e in events}
+    assert [e for e in tl.entries if e.seq in logged] == sorted(
+        events, key=lambda e: (e.time, e.seq)
     )
-    assert len(set(rows)) == len(rows)
+
+
+def ring_only(tl, events):
+    """Kinds of the timeline's records that are not the log's."""
+    logged = {e.seq for e in events}
+    return [e.kind for e in tl.entries if e.seq not in logged]
 
 
 class TestLoadEvents:
@@ -129,13 +135,13 @@ class TestTimeline:
         assert "forensic timeline" in render_timeline(tl)
 
     def test_blackbox_events_merge_into_the_entry_stream(self):
-        fr = FlightRecorder()
-        fr.record("sop_crossed", node=3, time=11.0, sop=2)
+        log = _incident_log()
+        with use_flight(FlightRecorder()) as fr:
+            emit_event(None, 11.0, "sop_crossed", node=3, sop=2)
         fr.blackbox(3, reason="killed", time=12.0)
-        incident = make_incident(_incident_log(), flight=fr, job="j")
+        incident = make_incident(log, flight=fr, job="j")
         tl = reconstruct_timeline(incident)
-        flight_rows = [e for e in tl.entries if e.source == "flight"]
-        assert [e.kind for e in flight_rows] == ["sop_crossed"]
+        assert ring_only(tl, log) == ["sop_crossed"]
         # merged stream stays time-ordered
         times = [e.time for e in tl.entries]
         assert times == sorted(times)
@@ -143,15 +149,28 @@ class TestTimeline:
         assert "sop_crossed" in text and "phases (failure -> resume):" in text
 
     def test_a_logged_record_on_a_ring_is_listed_once(self):
-        log = _incident_log()
-        fr = FlightRecorder()
-        fr.record("sop_crossed", node=3, time=11.0, sop=2)
-        fr.record("tc_disconnected", node=3, time=12.0)  # the log's row
-        fr.blackbox(3, reason="killed", time=12.0)
+        with use_flight(FlightRecorder()) as fr:
+            emit_event(None, 11.0, "sop_crossed", node=3, sop=2)
+            log = _incident_log()  # tc_disconnected lands on node 3's ring
+        box = fr.blackbox(3, reason="killed", time=12.0)
+        assert "tc_disconnected" in [row["kind"] for row in box["events"]]
         tl = reconstruct_timeline(make_incident(log, flight=fr, job="j"))
-        flight_rows = [e.kind for e in tl.entries if e.source == "flight"]
-        assert flight_rows == ["sop_crossed"]
+        assert ring_only(tl, log) == ["sop_crossed"]
         assert_each_record_once(tl, log.events)
+
+    def test_a_ring_only_record_of_a_logged_kind_is_listed(self):
+        """A ring row is dropped only when it is a log record, not when
+        the log merely carries its kind: a walk without a log still
+        reaches the timeline."""
+        log = EventLog()
+        with use_flight(FlightRecorder()) as fr:
+            emit_event(log, 1.0, "checkpoint_rejected", prefix="ck.000002", node=1)
+            emit_event(None, 2.0, "checkpoint_rejected", prefix="ck.000001", node=1)
+        tl = reconstruct_timeline(log, [fr.blackbox(1)])
+        assert [e.detail["prefix"] for e in tl.entries] == [
+            "ck.000002", "ck.000001",
+        ]
+        assert [e.time for e in tl.entries] == [1.0, 2.0]
 
     def test_tracer_spans_stitch_into_the_entry_stream(self):
         from repro.obs import Tracer
@@ -162,9 +181,10 @@ class TestTimeline:
         incident = make_incident(_incident_log(), tracer=tr, job="j")
         assert incident["spans"][0]["name"] == "restart"
         tl = reconstruct_timeline(incident)
-        (row,) = [e for e in tl.entries if e.source == "span"]
-        assert row.kind == "restart" and row.time == 13.0
-        assert row.detail["seconds"] == pytest.approx(4.5)
+        (row,) = tl.spans
+        assert row["name"] == "restart" and row["sim_start"] == 13.0
+        assert row["sim_seconds"] == pytest.approx(4.5)
+        assert "span restart" in render_timeline(tl)
         # span stitching does not perturb the phase attribution
         assert tl.total_seconds == pytest.approx(11.5)
 
@@ -201,14 +221,8 @@ class TestIncidentDumps:
 
     def test_diff_reports_phase_deltas(self):
         a = make_incident(_incident_log(), job="j")
-        faster = _incident_log()
         # same story, but the rebuild got cheaper
-        faster.events[-1] = type(faster.events[-1])(
-            time=17.0, kind="job_restarted",
-            detail={"job": "j", "ntasks": 8, "restart_seconds": 2.0,
-                    "restart_kind": "mlck-l1", "prefix": "ck.000002"},
-        )
-        b = make_incident(faster, job="j")
+        b = make_incident(_incident_log(restart_seconds=2.0), job="j")
         diff = diff_incidents(a, b)
         assert diff["phases"]["rebuild"]["delta"] == pytest.approx(-2.5)
         assert diff["total"]["delta"] == pytest.approx(-2.5)

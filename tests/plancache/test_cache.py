@@ -3,18 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.arrays.distributions import block_distribution
+from repro.arrays.distributions import (
+    Distribution,
+    Indexed,
+    Replicated,
+    block_distribution,
+)
 from repro.arrays.slices import Slice
 from repro.obs import Tracer, use_tracer
 from repro.plancache import (
     NullPlanCache,
     PlanCache,
     get_plan_cache,
-    section_stream_positions,
     streaming_plan,
     transfer_schedule,
     use_plan_cache,
 )
+from repro.plancache.plans import section_index_plan
 from repro.streaming.partition import partition_for_target, piece_offsets
 
 
@@ -124,14 +129,17 @@ class TestCachedPlans:
         assert cache.hits == 1
         assert list(offsets) == piece_offsets(list(pieces), 8)
 
-    def test_positions_read_only(self):
-        s = Slice.full((8, 8))
-        sub = Slice.full((8, 8))
+    def test_index_plan_read_only(self):
+        rows = [np.array([0, 3, 5]), np.array([1, 2, 4, 6, 7])]
+        dist = Distribution((8, 8), [Indexed(rows), Replicated()], 2)
         with use_plan_cache(PlanCache()):
-            pos = section_stream_positions(s, sub)
-        assert isinstance(pos, np.ndarray)
-        with pytest.raises(ValueError):
-            pos[0] = 0
+            plan = section_index_plan(dist, Slice.full((8, 8)))
+        assert len(plan.entries) == 2
+        for entry in plan.entries:
+            for index in (entry.spos, entry.lflat, entry.spos_sorted):
+                assert isinstance(index, np.ndarray)
+                with pytest.raises(ValueError):
+                    index[0] = 0
 
     def test_schedule_fingerprint_sharing(self):
         # two Distribution objects with identical geometry share one entry
@@ -185,8 +193,6 @@ class TestResidentBytes:
 
     @pytest.mark.parametrize("kind", ["assigned", "mapped"])
     def test_box_plans_are_small_and_vector_plans_are_not(self, kind):
-        from repro.plancache.plans import section_index_plan
-
         section = Slice.full(self.SHAPE)
         cache = PlanCache()
         with use_tracer(Tracer()) as tracer, use_plan_cache(cache):
@@ -212,11 +218,9 @@ class TestResidentBytes:
     def test_eviction_releases_the_bytes(self):
         cache = PlanCache(maxsize=1)
         with use_plan_cache(cache):
-            pos = section_stream_positions(
-                Slice.full((64, 64)), Slice.full((64, 64))
-            )
-            assert cache.stats()["resident_bytes"] == pos.nbytes == 64 * 64 * 8
-            streaming_plan(Slice.full((8, 8)), 8)  # evicts the vector
+            plan = section_index_plan(self._indexed(), Slice.full(self.SHAPE))
+            assert cache.stats()["resident_bytes"] == plan.nbytes > 0
+            streaming_plan(Slice.full((8, 8)), 8)  # evicts the vectors
             assert cache.evictions == 1
             assert cache.stats()["resident_bytes"] == 0
 
