@@ -116,11 +116,10 @@ class DistributedArray:
         return self._locals[task]
 
     def local_flat(self, task: int) -> np.ndarray:
-        """1-D C-order view of ``task``'s local array — the address
-        space the index vectors of an irregular plan entry target.  Writes
-        through to local storage; a local that is not C-contiguous (not
-        produced here, but possible via direct mutation) is normalized
-        first so the flat view is guaranteed to alias it."""
+        """1-D C-order view of ``task``'s local array.  Writes through
+        to local storage; a local that is not C-contiguous (not produced
+        here, but possible via direct mutation) is normalized first so
+        the flat view is guaranteed to alias it."""
         self._need_data()
         arr = self._locals[task]
         if not arr.flags.c_contiguous:

@@ -273,8 +273,7 @@ class Slice:
         stream order).  With both set to the stream order this is the
         stream-position map of :func:`repro.streaming.order.
         section_stream_positions`; with ``address_order="C"`` it is the
-        fancy index into a C-contiguous local array — the two halves of
-        a vectorized gather/scatter plan.
+        fancy index into a C-contiguous local array.
 
         ``self`` must be a per-axis subset of ``outer``; an empty
         section yields an empty vector regardless of its ranges."""

@@ -107,8 +107,11 @@ class PFSFile:
         """Copy ``data`` into the stored content at ``offset``."""
         if offset > len(self._data):  # zero-fill a real gap only
             self._data.extend(bytes(offset - len(self._data)))
-        # overwrites what is stored, then appends the rest: one copy
-        self._data[offset:offset + len(data)] = data
+        # one copy (a bytearray slice assignment copies a view first)
+        head = min(len(data), len(self._data) - offset)
+        with memoryview(self._data) as stored:
+            stored[offset:offset + head] = data[:head]
+        self._data.extend(data[head:])
 
     def _grow_sparse(self, end: int) -> None:
         """A sparse span up to ``end``: in memory, nothing to store."""

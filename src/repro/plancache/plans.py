@@ -67,12 +67,12 @@ def section_index_plan(
     kind: str = "assigned",
 ):
     """Memoized :func:`repro.streaming.vectorized.
-    build_section_index_plan` — the per-task strided boxes (or, for
-    irregular axes, index-vector pairs) of a bulk gather (kind
+    build_section_index_plan` — the per-task strided boxes (with a
+    position list per irregular axis) of a bulk gather (kind
     ``"assigned"``) or scatter (kind ``"mapped"``).  The distribution
     enters the key only via its fingerprint, so the entry is dropped by
-    :meth:`PlanCache.invalidate_distribution`.  The plan's index arrays
-    are **read-only** (shared by every caller of the same key)."""
+    :meth:`PlanCache.invalidate_distribution`.  The plan's position
+    lists are **read-only** (shared by every caller of the same key)."""
     # local import: the pure kernel module must stay importable without
     # plancache (the cache layer sits above the pure layer)
     from repro.streaming.vectorized import build_section_index_plan

@@ -261,10 +261,10 @@ def _cached_plan(section: Slice, itemsize: int, target_bytes: int, min_pieces: i
 
 def _index_plan(darray: DistributedArray, section: Slice, order: str):
     """The section's "assigned" index plan via the active plan cache,
-    or None for virtual arrays: a geometry-only array never gathers, and
-    an irregular (INDEXED) entry's plan is O(overlap) index vectors —
-    exactly the memory the virtual mode exists to avoid.  Callers fall
-    back to the scalar slice-algebra accounting on None."""
+    or None for virtual arrays: a geometry-only array never gathers, so
+    it holds no plan, not even an irregular axis' O(extent) position
+    lists.  Callers fall back to the scalar slice-algebra accounting on
+    None."""
     if not darray.store_data:
         return None
     from repro.plancache.plans import section_index_plan

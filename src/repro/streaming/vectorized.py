@@ -7,22 +7,25 @@ those loops — not the byte copies — dominated parallel streaming.
 
 This module replaces the loops with one numpy copy per overlapping task,
 driven by a **section index plan**: for a (distribution, section,
-order) triple and a coverage kind, one entry per task whose section
-meets the section.  What an entry holds is read off its geometry
-(:func:`repro.arrays.slices.arithmetic_slice`, per axis, both sides):
-
-* a :class:`BoxEntry` when the overlap's positions are arithmetic on
-  every axis, within the section's own mesh *and* within the task's
-  local array (BLOCK, CYCLIC, GENBLOCK, replicated axes, any shadows):
-  one tuple of ``slice``s per side, and gather is ``mesh[sbox] =
-  local[lbox]`` on ``mesh = flat.reshape(section.shape, order)``, a
-  view of the flat stream buffer — a strided copy, O(rank) metadata;
-* a :class:`VectorEntry` when some axis is irregular (INDEXED index
-  lists, multi-block BLOCK(k)): int64 vectors ``spos`` (stream
-  positions within the section) and ``lflat`` (flat positions within
-  the task's C-contiguous local array), both enumerating the overlap in
-  its own ``order``-major stream, so gather is ``flat[spos] =
-  local_flat[lflat]`` — 24 B of index per element, sorted copy included.
+order) triple and a coverage kind, one :class:`BoxEntry` per task whose
+section meets the section.  An overlap is a product of per-axis sets,
+and an entry keeps it as one: per axis, on both sides (within the
+section's own mesh and within the task's local array), the basic
+``slice`` selecting its positions when they are arithmetic
+(:func:`repro.arrays.slices.arithmetic_slice`), else a read-only int64
+list of them (INDEXED rows, a BLOCK(k) owner with several blocks, an
+index-list section).  Gather is ``mesh[sbox] = local[lbox]`` on ``mesh
+= flat.reshape(section.shape, order)``, a view of the flat stream
+buffer: a strided copy when every axis is a slice, one advanced index
+per list axis otherwise.  A lone list axis may face a slice on the
+other side (numpy keeps one advanced index in place); two or more are
+lists on both sides, reshaped as one open mesh, so numpy lays out (and,
+past a slice, reorders) the dimensions of both sides alike.  Plan
+memory is O(rank) integers plus 8 B per listed position, O(sum of axis
+extents).  The flat ``spos`` / ``lflat`` / sorted-``spos`` vectors this
+replaced held 24 B per element, built in O(size) by every cold plan; a
+warm-gather micro-benchmark had favoured them, but it timed ``np.ix_``
+on every axis and counted neither that build nor that residency.
 
 Scatter is the transposed assignment per mapping task (kind
 ``"mapped"``; overlapping copies all receive the same value); gather
@@ -33,26 +36,25 @@ fingerprint, ``nbytes`` summed into ``plancache.resident_bytes``).
 Pieces of the Fig. 5a partition are stream-contiguous, so a piece is a
 stream-position interval and its redistribution accounting
 (:func:`range_redistribution_bytes`) counts each owner's elements
-inside it: a box in closed form, a vector entry by binary search.
+inside it in closed form, with a binary search per list axis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.arrays.darray import DistributedArray
 from repro.arrays.distributions import Distribution
-from repro.arrays.slices import Slice
+from repro.arrays.slices import Slice, arithmetic_slice
 from repro.errors import StreamingError
 from repro.streaming.order import check_order
 
 __all__ = [
     "BoxEntry",
-    "VectorEntry",
     "SectionIndexPlan",
     "build_section_index_plan",
     "gather_section_flat",
@@ -67,20 +69,25 @@ _KINDS = ("assigned", "mapped")
 
 @dataclass(frozen=True)
 class BoxEntry:
-    """One task's share of a plan, as a strided box on both sides."""
+    """One task's share of a plan: per axis and side, a ``slice`` or a
+    read-only int64 position list (two or more list axes are lists on
+    both sides, reshaped as one open mesh)."""
 
     task: int
     size: int
-    #: slices into the section's mesh / into the task's local array
-    sbox: Tuple[slice, ...]
-    lbox: Tuple[slice, ...]
+    #: per-axis indices into the section's mesh / the task's local array
+    sbox: Tuple[Union[slice, np.ndarray], ...]
+    lbox: Tuple[Union[slice, np.ndarray], ...]
     #: ``sbox`` in stream terms, slowest axis first: per axis (stream
-    #: stride, first index, step, count, box elements in the faster axes)
-    walk: Tuple[Tuple[int, int, int, int, int], ...]
+    #: stride, first index, step, count, box elements in the faster
+    #: axes, sorted positions or None where first and step say them)
+    walk: Tuple[Tuple[int, int, int, int, int, Optional[np.ndarray]], ...]
 
     @property
     def nbytes(self) -> int:
-        return 88 * len(self.sbox)  # eleven integers per axis
+        lists = [i for i in self.sbox + self.lbox if isinstance(i, np.ndarray)]
+        # eleven integers per axis, plus the position lists
+        return 88 * len(self.sbox) + sum(i.nbytes for i in lists)
 
     def gather(self, flat, mesh, darray: DistributedArray) -> None:
         mesh[self.sbox] = darray.local(self.task)[self.lbox]
@@ -94,14 +101,19 @@ class BoxEntry:
         elements of the faster axes; descend while the digit itself is
         a box index."""
         count = 0
-        for stride, first, step, n, inner in self.walk:
+        for stride, first, step, n, inner, at in self.walk:
             digit, pos = divmod(pos, stride)
-            k, off = divmod(digit - first, step)
-            if k < 0:
-                return count
-            if k >= n:
-                return count + n * inner
-            count += (k + (off > 0)) * inner
+            if at is None:
+                k, off = divmod(digit - first, step)
+                if k < 0:
+                    return count
+                if k >= n:
+                    return count + n * inner
+                k, off = k + (off > 0), off > 0
+            else:
+                k = int(at.searchsorted(digit))
+                off = k == n or at[k] != digit
+            count += k * inner
             if off:
                 break
         return count
@@ -118,54 +130,17 @@ class BoxEntry:
         outer = list(self.walk)
         run, base = 1, 0
         while outer:
-            stride, first, step, n, _ = outer[-1]
+            stride, first, step, n, _, at = outer[-1]
             if stride != run or step != 1:
                 break
             outer.pop()
             run, base = n * stride, base + first * stride
         starts = np.full(1, base, dtype=np.int64)
-        for stride, first, step, n, _ in outer:
-            axis = (first + step * np.arange(n, dtype=np.int64)) * stride
-            starts = np.add.outer(starts, axis).ravel()
+        for stride, first, step, n, _, at in outer:
+            if at is None:
+                at = first + step * np.arange(n, dtype=np.int64)
+            starts = np.add.outer(starts, at * stride).ravel()
         return [(s, s + run) for s in starts.tolist()]
-
-
-@dataclass(frozen=True)
-class VectorEntry:
-    """One task's share of a plan with an irregular axis, as index
-    vectors (all read-only)."""
-
-    task: int
-    size: int
-    #: stream positions within the section, in the overlap's own stream
-    spos: np.ndarray
-    #: flat positions within the task's C-contiguous local array, in the
-    #: same enumeration — positional correspondence with ``spos``
-    lflat: np.ndarray
-    #: ``np.sort(spos)`` — interval counting for accounting
-    spos_sorted: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return self.spos.nbytes + self.lflat.nbytes + self.spos_sorted.nbytes
-
-    def gather(self, flat, mesh, darray: DistributedArray) -> None:
-        flat[self.spos] = darray.local_flat(self.task)[self.lflat]
-
-    def scatter(self, flat, mesh, darray: DistributedArray) -> None:
-        darray.local_flat(self.task)[self.lflat] = flat[self.spos]
-
-    def count_between(self, lo: int, hi: int) -> int:
-        a, b = np.searchsorted(self.spos_sorted, (lo, hi))
-        return int(b - a)
-
-    def runs(self) -> List[Tuple[int, int]]:
-        """Maximal contiguous intervals of the sorted stream positions."""
-        sp = self.spos_sorted
-        breaks = np.flatnonzero(np.diff(sp) != 1)
-        starts = sp[np.concatenate(([0], breaks + 1))]
-        stops = sp[np.concatenate((breaks, [sp.size - 1]))] + 1
-        return list(zip(starts.tolist(), stops.tolist()))
 
 
 @dataclass(frozen=True)
@@ -175,7 +150,7 @@ class SectionIndexPlan:
 
     section_size: int
     kind: str
-    entries: Tuple[Union[BoxEntry, VectorEntry], ...]
+    entries: Tuple[BoxEntry, ...]
     #: total overlap elements; exact coverage for "assigned" (owners are
     #: pairwise disjoint), an upper bound for "mapped"
     covered: int
@@ -185,7 +160,22 @@ class SectionIndexPlan:
         return sum(e.nbytes for e in self.entries)
 
 
-def _stream_walk(sbox: Tuple[slice, ...], counts, shape: Tuple[int, ...], order: str):
+def _frozen(ix: np.ndarray) -> np.ndarray:
+    ix.setflags(write=False)
+    return ix
+
+
+def _axis_indices(sec: Slice, outer: Slice) -> list:
+    """Per axis, the basic slice selecting ``sec``'s positions within
+    ``outer`` or, where they are not arithmetic, those positions as a
+    read-only int64 list (sorted: ranges are increasing)."""
+    return [
+        arithmetic_slice(r, o) or _frozen(o.positions_of(r))
+        for r, o in zip(sec, outer)
+    ]
+
+
+def _stream_walk(sbox, counts, shape: Tuple[int, ...], order: str):
     """:attr:`BoxEntry.walk` of a box of ``counts`` elements per axis
     within a (nonempty) section mesh of ``shape``."""
     stride, inner = math.prod(shape), math.prod(counts)
@@ -194,8 +184,24 @@ def _stream_walk(sbox: Tuple[slice, ...], counts, shape: Tuple[int, ...], order:
     for i in range(len(shape))[:: -1 if order == "F" else 1]:
         stride //= shape[i]
         inner //= counts[i]
-        walk.append((stride, sbox[i].start, sbox[i].step, counts[i], inner))
+        ix = sbox[i]
+        if isinstance(ix, slice):
+            walk.append((stride, ix.start, ix.step, counts[i], inner, None))
+        else:
+            walk.append((stride, None, None, counts[i], inner, ix))
     return tuple(walk)
+
+
+def _open_mesh(box: list, axes: List[int]) -> Tuple:
+    """``box`` with every axis in ``axes`` a list shaped for an open
+    mesh over those axes (one list axis stays as it is: numpy keeps a
+    lone advanced index in place, beside slices on either side)."""
+    for j, i in enumerate(axes if len(axes) > 1 else ()):
+        ix = box[i]
+        if isinstance(ix, slice):
+            ix = _frozen(np.arange(ix.start, ix.stop, ix.step, dtype=np.int64))
+        box[i] = ix.reshape([-1 if k == j else 1 for k in range(len(axes))])
+    return tuple(box)
 
 
 def build_section_index_plan(
@@ -218,21 +224,13 @@ def build_section_index_plan(
         sec = (dist.assigned(t) if owners else mapped).intersect(section)
         if sec.is_empty:
             continue
-        sbox, lbox = sec.box_within(section), sec.box_within(mapped)
-        if sbox is not None and lbox is not None:
-            walk = _stream_walk(sbox, sec.shape, section.shape, order)
-            entries.append(BoxEntry(t, sec.size, sbox, lbox, walk))
-            continue
-        spos = sec.flat_positions_within(
-            section, enum_order=order, address_order=order
-        )
-        lflat = sec.flat_positions_within(
-            mapped, enum_order=order, address_order="C"
-        )
-        spos_sorted = np.sort(spos)
-        for v in (spos, lflat, spos_sorted):
-            v.setflags(write=False)
-        entries.append(VectorEntry(t, sec.size, spos, lflat, spos_sorted))
+        sbox, lbox = _axis_indices(sec, section), _axis_indices(sec, mapped)
+        walk = _stream_walk(sbox, sec.shape, section.shape, order)
+        axes = [i for i, pair in enumerate(zip(sbox, lbox))
+                if not all(isinstance(ix, slice) for ix in pair)]
+        entries.append(BoxEntry(
+            t, sec.size, _open_mesh(sbox, axes), _open_mesh(lbox, axes), walk
+        ))
     return SectionIndexPlan(
         section_size=section.size,
         kind=kind,

@@ -290,8 +290,9 @@ def test_block_arrays_never_build_index_vectors(monkeypatch):
 
 def test_indexed_arrays_keep_their_index_vectors(monkeypatch):
     """The same sequence over an [INDEXED, *] array, restarted under an
-    irregular override: two position vectors per (section ∩ task) overlap
-    of every plan built, exactly as before strided boxes existed."""
+    irregular override: the INDEXED axis keeps one index vector (its
+    position list) per entry, and no per-element position vector is
+    expanded."""
     def rows(ntasks):
         owner = np.random.default_rng(ntasks).permutation(np.arange(64) % ntasks)
         return Distribution(
@@ -307,9 +308,9 @@ def test_indexed_arrays_keep_their_index_vectors(monkeypatch):
     ncalls, peaks, state = _checkpoint_restart_counting_vectors(
         monkeypatch, [a], overrides={"w": rows(3)}
     )
-    # assigned at t1=4 (4 overlaps), assigned + mapped at t2=3 (3 each)
+    # assigned at t1=4, assigned + mapped at t2=3
     assert len(peaks) == 3
-    assert ncalls == 2 * (4 + 3 + 3)
+    assert ncalls == 0
     np.testing.assert_array_equal(state.arrays["w"].to_global(), want)
 
 

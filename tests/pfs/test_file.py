@@ -1,5 +1,8 @@
 """Unit tests for striped PFS files."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.errors import PFSError
@@ -69,6 +72,28 @@ class TestDataFiles:
         assert f.size == 102
         assert f.read_at(0, 4) == b"ab\x00\x00"
         assert f.read_at(100, 2) == b"\x00\x00"
+
+    def test_overwrite_straddling_eof(self):
+        f = make()
+        f.write_at(0, b"aaaa")
+        f.write_at(2, memoryview(b"bbbb"))
+        assert f.read_all() == b"aabbbb"
+
+    @pytest.mark.parametrize("offset", [0, 4096])
+    def test_a_write_at_eof_copies_the_payload_once(self, offset):
+        """Peak traced memory of one EOF write of an 8 MiB array is the
+        stored copy, not a temporary copy beside it."""
+        payload = np.arange(1 << 20, dtype=np.float64)
+        f = make()
+        f.write_at(0, bytes(offset))
+        tracemalloc.start()
+        try:
+            f.write_at(offset, payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= payload.nbytes + (64 << 10)
+        assert f.read_at(offset, payload.nbytes) == payload.tobytes()
 
     def test_sparse_needs_nbytes(self):
         with pytest.raises(PFSError):

@@ -1,12 +1,13 @@
-"""Strided-box plan entries against the frozen index-vector reference.
+"""Plan entries against the frozen index-vector reference.
 
-A section plan keeps a (section ∩ task) overlap as a strided box when
-its per-axis positions are arithmetic on both sides and as index
-vectors otherwise.  The parent's construction — every overlap expanded
-into ``spos`` / ``lflat`` / ``np.sort(spos)`` — is kept here, verbatim,
-as the reference (`_reference_entries`): gathered bytes, scattered
-locals, redistribution accounting and rebuild-scope intervals must be
-identical to it whichever representation the builder chose.
+A section plan keeps a (section ∩ task) overlap as one entry holding,
+per axis and side, a basic ``slice`` where that axis' positions are
+arithmetic and a read-only int64 position list where they are not.
+The construction that expanded every overlap into ``spos`` / ``lflat``
+/ ``np.sort(spos)`` is kept here, verbatim, as the reference
+(`_reference_entries`): gathered bytes, scattered locals,
+redistribution accounting and rebuild-scope intervals must be identical
+to it whatever each axis holds.
 """
 
 import math
@@ -36,7 +37,6 @@ from repro.streaming.partition import partition, piece_offsets
 from repro.streaming.serial import _piece_redistribution_bytes, strict_gather, stream_u8
 from repro.streaming.vectorized import (
     BoxEntry,
-    VectorEntry,
     build_section_index_plan,
     gather_section_flat,
     range_redistribution_bytes,
@@ -126,14 +126,25 @@ def _arithmetic(pos):
     return len(set(np.diff(pos).tolist())) <= 1
 
 
-def _is_box(dist, section, task, kind):
+def _irregular_axes(dist, section, task, kind):
+    """Axes whose overlap positions are not arithmetic on some side."""
     base = dist.assigned(task) if kind == "assigned" else dist.mapped(task)
     sec = base.intersect(section)
-    return all(
-        _arithmetic(outer[i].positions_of(sec[i]))
-        for outer in (section, dist.mapped(task))
-        for i in range(sec.rank)
-    )
+    return [
+        i for i in range(sec.rank)
+        if not all(
+            _arithmetic(outer[i].positions_of(sec[i]))
+            for outer in (section, dist.mapped(task))
+        )
+    ]
+
+
+def _list_axes(entry):
+    """Axes on which the entry holds a position list on some side."""
+    return [
+        i for i, (s, lo) in enumerate(zip(entry.sbox, entry.lbox))
+        if isinstance(s, np.ndarray) or isinstance(lo, np.ndarray)
+    ]
 
 
 # -- the differential check ---------------------------------------------------
@@ -162,9 +173,14 @@ def _check_case(dist, section, order):
         assert [e.task for e in plan.entries] == [t for t, *_ in ref]
         assert [e.size for e in plan.entries] == [sp.size for _, sp, _, _ in ref]
         for e in plan.entries:
-            want = BoxEntry if _is_box(dist, section, e.task, kind) else VectorEntry
-            assert type(e) is want, (kind, e.task)
-            assert not (isinstance(e, BoxEntry) and hasattr(e, "spos"))
+            assert type(e) is BoxEntry and not hasattr(e, "spos")
+            axes = _irregular_axes(dist, section, e.task, kind)
+            assert _list_axes(e) == axes, (kind, e.task)
+            lists = [i for i in e.sbox + e.lbox if isinstance(i, np.ndarray)]
+            assert all(i.dtype == np.int64 and not i.flags.writeable for i in lists)
+            # O(axis extents): at most one list per side per irregular axis
+            extent = sum(dist.shape[i] for i in axes)
+            assert e.nbytes <= 88 * section.rank + 16 * extent
 
     # gather: bytes identical, strictness identical
     plan = build_section_index_plan(dist, section, order, "assigned")
@@ -319,48 +335,99 @@ def test_rebuild_scope_matches_vector_reference(dist, order):
         _check_scope(dist, order)
 
 
-# -- which entries are boxes ------------------------------------------------------
+# -- which axes are lists ------------------------------------------------------------
 
 
-def _entry_types(dist, section=None, kind="assigned"):
+def _lists(dist, section=None, kind="assigned"):
     plan = build_section_index_plan(
         dist, section or Slice.full(dist.shape), "F", kind
     )
-    return [type(e) for e in plan.entries]
+    return [_list_axes(e) for e in plan.entries]
 
 
 def test_evenly_spaced_indexed_axis_is_a_box():
     even = Distribution(
         (8, 3), [Indexed([Range([0, 2, 4, 6]), Range([1, 3, 5, 7])]), Replicated()], 2
     )
-    assert _entry_types(even) == [BoxEntry, BoxEntry]
+    assert _lists(even) == [[], []]
     uneven = Distribution(
         (8, 3), [Indexed([Range([0, 1, 4, 6]), Range([2, 3, 5, 7])]), Replicated()], 2
     )
-    assert _entry_types(uneven) == [VectorEntry, VectorEntry]
+    assert _lists(uneven) == [[0], [0]]
+    # the rows' section positions are the list; their local positions
+    # (0..3) stay a slice beside it, and the replicated axis is a slice
+    e = build_section_index_plan(uneven, Slice.full((8, 3))).entries[0]
+    assert e.sbox[0].tolist() == [0, 1, 4, 6] and e.lbox[0] == slice(0, 4, 1)
+    assert e.sbox[1] == e.lbox[1] == slice(0, 3, 1)
     # decided per entry: one regular owner beside an irregular one
     mixed = Distribution(
         (8, 3), [Indexed([Range([0, 1, 2, 3]), Range([4, 6, 7])]), Replicated()], 2
     )
-    assert _entry_types(mixed) == [BoxEntry, VectorEntry]
+    assert _lists(mixed) == [[], [0]]
 
 
 def test_multi_block_blockcyclic_stays_on_vectors():
+    """A BLOCK(k) owner with several blocks keeps that axis on an index
+    vector (its position list), not a slice."""
     one_block_each = Distribution((8,), [BlockCyclic(4)], 2)
-    assert _entry_types(one_block_each) == [BoxEntry, BoxEntry]
+    assert _lists(one_block_each) == [[], []]
     two_blocks_each = Distribution((8,), [BlockCyclic(2)], 2)
-    assert _entry_types(two_blocks_each) == [VectorEntry, VectorEntry]
+    assert _lists(two_blocks_each) == [[0], [0]]
     # ... yet a section meeting only one block of each owner is a box
-    assert _entry_types(two_blocks_each, Slice([Range.regular(0, 3)])) == [
-        BoxEntry, BoxEntry,
-    ]
+    assert _lists(two_blocks_each, Slice([Range.regular(0, 3)])) == [[], []]
 
 
 def test_irregular_section_over_regular_distribution_is_vectors():
+    """An index-list section axis is an index vector over a regular
+    distribution too."""
     dist = block_distribution((8, 8), 4, shadow=(1, 1))
     section = Slice([Range([0, 1, 3, 6]), Range.regular(0, 7)])
-    assert VectorEntry in _entry_types(dist, section, "mapped")
+    assert [0] in _lists(dist, section, "mapped")
     _check_case(dist, section, "F")
+
+
+def _indexed(extent, nprocs, seed):
+    """An INDEXED axis dealing ``extent`` scattered rows over ``nprocs``
+    coordinates."""
+    owner = np.random.default_rng(seed).permutation(np.arange(extent) % nprocs)
+    return Indexed([Range(np.flatnonzero(owner == c)) for c in range(nprocs)])
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+@pytest.mark.parametrize(
+    "case",
+    ["indexed-block-indexed", "indexed-cyclic-cyclic2", "cyclic2-cyclic3"],
+)
+def test_list_axes_in_every_position(case, order):
+    """Explicit geometries the drawn ones reach only by chance: two list
+    axes separated by a slice (numpy moves both to the front, on both
+    sides alike), with a shadow on the slice or beside a multi-block
+    owner, and multi-block owners on both axes.  Gathered bytes, scattered locals (shadows included), every
+    piece's accounting and the rebuild-scope intervals, as above."""
+    if case == "indexed-block-indexed":
+        dist = Distribution(
+            (9, 6, 7),
+            [_indexed(9, 2, 1), Block(), _indexed(7, 2, 2)],
+            8, grid=(2, 2, 2), shadow=(0, 1, 0),
+        )
+        want = [0, 2]
+    elif case == "indexed-cyclic-cyclic2":
+        dist = Distribution(
+            (7, 8, 9), [_indexed(7, 2, 3), Cyclic(), BlockCyclic(2)],
+            8, grid=(2, 2, 2),
+        )
+        want = [0, 2]  # CYCLIC is strided: a slice between two lists
+    else:
+        dist = Distribution(
+            (10, 13), [BlockCyclic(2), BlockCyclic(3)], 4, grid=(2, 2)
+        )
+        want = [0, 1]
+    with use_plan_cache(NullPlanCache()):
+        for kind in ("assigned", "mapped"):
+            assert want in _lists(dist, kind=kind)
+        _check_case(dist, Slice.full(dist.shape), order)
+        _check_case(dist, partition(Slice.full(dist.shape), 4, order)[1], order)
+        _check_scope(dist, order)
 
 
 # -- the benchmark geometries and the degenerate ones --------------------------------
