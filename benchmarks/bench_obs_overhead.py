@@ -106,7 +106,7 @@ def _micro():
         with use_flight(fr):
             t0 = time.perf_counter()
             for i in range(MICRO_EVENTS):
-                emit_event(None, 0.0, "bench_tick", node=3, i=i)
+                emit_event(None, "bench_tick", node=3, i=i)
             return (time.perf_counter() - t0) / MICRO_EVENTS * 1e9
 
     return {

@@ -636,20 +636,17 @@ def restart_opener(
 
 
 def open_generation(
-    pfs: PIOFS, prefix: str, l1, open_one: Callable[[str, Optional[str]], tuple],
-    clock: float = 0.0,
+    pfs: PIOFS, prefix: str, l1, open_one: Callable[[str, Optional[str]], tuple]
 ) -> OpenedGeneration:
     """Open the one generation ``prefix`` with ``open_one``: the PFS
     copy alone when there is no L1 store ``l1``, else a walk over its
-    replicas, then the PFS copy — the dead nodes' memory dropped first,
-    and that and the walk recorded at ``clock``."""
+    replicas, then the PFS copy — the dead nodes' memory dropped first."""
     if l1 is None:
         return OpenedGeneration(prefix, *open_one(prefix, "l2"))
     # drop dead nodes' memory first: serve from the machine as it is now
-    l1.sync_with_machine(clock=clock)
+    l1.sync_with_machine()
     opened, decision = open_latest_valid(
-        pfs, prefix, open_one, l1, [(prefix, "l1"), (prefix, "l2")],
-        clock=clock,
+        pfs, prefix, open_one, l1, [(prefix, "l1"), (prefix, "l2")]
     )
     if opened is None:
         raise RestartError(decision.failure())

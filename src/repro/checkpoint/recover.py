@@ -110,7 +110,6 @@ def walk_generations(
     validate: Callable[[Any, Optional[str]], Tuple[List[str], Dict[str, Any]]],
     names: WalkNames = CHECKPOINT_WALK,
     events=None,
-    clock: float = 0.0,
     **context: Any,
 ) -> Tuple[Any, Optional[str], List[Tuple[Any, List[str]]]]:
     """The newest-to-oldest walk: take the first candidate that
@@ -127,22 +126,22 @@ def walk_generations(
     validated; ``rejected`` lists ``(key, errors)`` for every candidate
     passed over, errors tier-tagged when the walk has tiers.  This is
     the one place a walk emits its marks and metrics; each decision is
-    one :func:`~repro.obs.flight.emit_event` stamped with ``clock``
-    (on ``events`` when given, on the flight ring always), and the
-    walk's ``_started`` / ``_done`` are flight records only."""
+    one :func:`~repro.obs.flight.emit_event` (on ``events`` when given,
+    on the flight ring always), and the walk's ``_started`` / ``_done``
+    are flight records only."""
     obs = get_tracer()
     m = obs.metrics
 
     def note(kind: str, **detail: Any) -> None:
         obs.mark(kind, **detail)
-        emit_event(events, clock, kind, **detail, **context)
+        emit_event(events, kind, **detail, **context)
 
     generations_seen = len({key for key, _ in candidates})
     chosen = chosen_tier = None
     rejected: List[Tuple[Any, List[str]]] = []
     with obs.span(names.walk, **context) as sp:
         emit_event(
-            None, clock, f"{names.walk}_started",
+            None, f"{names.walk}_started",
             candidates=generations_seen, **context,
         )
         for key, tier in candidates:
@@ -167,7 +166,7 @@ def walk_generations(
             **({"tier": chosen_tier} if chosen_tier else {}),
         }
         sp.set(candidates=generations_seen, **done)
-        emit_event(None, clock, f"{names.walk}_done", **done, **context)
+        emit_event(None, f"{names.walk}_done", **done, **context)
     return chosen, chosen_tier, rejected
 
 
@@ -185,7 +184,7 @@ def restart_candidates(pfs: PIOFS, base: str) -> List[str]:
 def walk_checkpoints(
     pfs: PIOFS, base: str, validate: Callable, l1=None,
     candidates: Optional[Sequence[Tuple[str, Optional[str]]]] = None,
-    events=None, clock: float = 0.0, job: Optional[str] = None,
+    events=None, job: Optional[str] = None,
 ) -> RecoveryDecision:
     """:func:`walk_generations` over the states under ``base`` (or
     ``candidates``) as a :class:`RecoveryDecision`; tier-aware given an
@@ -198,8 +197,7 @@ def walk_checkpoints(
 
         candidates = [(p, t) for p, ts in tiered_candidates(pfs, base, l1) for t in ts]
     prefix, tier, rejected = walk_generations(
-        candidates, validate, CHECKPOINT_WALK, events, clock,
-        base=base, job=job,
+        candidates, validate, CHECKPOINT_WALK, events, base=base, job=job,
     )
     if tier is not None:
         m = get_tracer().metrics
@@ -216,14 +214,13 @@ def select_restart_state(
     pfs: PIOFS,
     base: str,
     events=None,
-    clock: float = 0.0,
     job: Optional[str] = None,
     l1=None,
 ) -> RecoveryDecision:
     """The audit walk: the newest state under ``base`` that passes
     :func:`validate_checkpoint` (``l1`` candidates:
     :meth:`~repro.mlck.store.L1Store.validate_generation`), nothing
-    restored.  ``events``/``clock``/``job`` hook it into a cluster's
+    restored.  ``events``/``job`` hook it into a cluster's
     :class:`~repro.infra.events.EventLog`; ``l1`` makes it tier-aware."""
 
     def audit(prefix: str, tier: Optional[str]):
@@ -235,7 +232,7 @@ def select_restart_state(
             "files": report.files, "bytes_hashed": report.bytes_hashed,
         }
 
-    return walk_checkpoints(pfs, base, audit, l1, None, events, clock, job)
+    return walk_checkpoints(pfs, base, audit, l1, None, events, job)
 
 
 class OpenedGeneration(NamedTuple):
@@ -252,7 +249,7 @@ class OpenedGeneration(NamedTuple):
 def open_latest_valid(
     pfs: PIOFS, base: str, open_one: Callable, l1=None,
     candidates: Optional[Sequence[Tuple[str, Optional[str]]]] = None,
-    events=None, clock: float = 0.0, job: Optional[str] = None,
+    events=None, job: Optional[str] = None,
 ) -> Tuple[Optional[OpenedGeneration], RecoveryDecision]:
     """The walk of a restart: :func:`walk_checkpoints`, each candidate
     *opened* by ``open_one(prefix, tier) -> (state, breakdown[, scope])``
@@ -268,15 +265,13 @@ def open_latest_valid(
             return [str(exc)], {}
         return [], {"seconds": opened[0].breakdown.total_seconds}
 
-    decision = walk_checkpoints(
-        pfs, base, validate, l1, candidates, events, clock, job
-    )
+    decision = walk_checkpoints(pfs, base, validate, l1, candidates, events, job)
     return (opened[0] if opened else None), decision
 
 
 def restart_latest_valid(
     pfs: PIOFS, base: str, ntasks: int, l1=None, events=None,
-    clock: float = 0.0, job: Optional[str] = None, **options: Any,
+    job: Optional[str] = None, **options: Any,
 ) -> Tuple[Any, Any, RecoveryDecision]:
     """``(state, breakdown, decision)`` of the newest generation under
     ``base`` that opens onto ``ntasks`` tasks (:func:`open_latest_valid`
@@ -286,7 +281,7 @@ def restart_latest_valid(
 
     opened, decision = open_latest_valid(
         pfs, base, restart_opener(pfs, ntasks, l1=l1, **options), l1,
-        events=events, clock=clock, job=job,
+        events=events, job=job,
     )
     if opened is None:
         raise RestartError(decision.failure())

@@ -123,20 +123,18 @@ class AppRuntime:
         )
 
     def engine_checkpoint(
-        self, prefix: str, segment: DataSegment, clock: float = 0.0
+        self, prefix: str, segment: DataSegment
     ) -> CheckpointBreakdown:
         """Run the DRMS checkpoint engine over the live array registry.
 
         Under ``tier="memory+pfs"`` the state is captured into the
         application's multi-level checkpointer: ``prefix`` acts as the
         rotation base, the application blocks only for the memory-speed
-        L1 capture, and the PFS drain runs behind its back.  ``clock``
-        (the caller's simulated seconds) stamps the captured generation
-        for the cadence health gauges."""
+        L1 capture, and the PFS drain runs behind its back."""
         arrays = list(self.arrays.values())
         if self.app.tier == "memory+pfs":
             ck = self.app.mlck_for(prefix)
-            mbd = ck.checkpoint(segment, arrays, self.ntasks, clock=clock)
+            mbd = ck.checkpoint(segment, arrays, self.ntasks)
             self.checkpoints.append((mbd.prefix, mbd.capture))
             return mbd.capture
         bd = drms_checkpoint(
@@ -285,13 +283,12 @@ class DRMSApplication:
         ck = self._mlck.get(base)
         return ck.store if ck is not None else None
 
-    def on_node_failure(self, node_id: int, clock: float = 0.0) -> int:
+    def on_node_failure(self, node_id: int) -> int:
         """A processor died: its volatile L1 memory — and every
         checkpoint replica it held — dies with it.  Returns the number
         of replica copies lost across all checkpoint bases."""
         return sum(
-            ck.on_node_failure(node_id, clock=clock)
-            for ck in self._mlck.values()
+            ck.on_node_failure(node_id) for ck in self._mlck.values()
         )
 
     def wait_for_drains(self, timeout: Optional[float] = None) -> None:
@@ -414,7 +411,6 @@ class DRMSApplication:
         placement: Optional[Dict[int, int]] = None,
         failed_nodes: Sequence[int] = (),
         replacements: Optional[Dict[int, int]] = None,
-        clock: float = 0.0,
     ) -> RunReport:
         """Localized restart after a node failure: every task rolls back
         to the generation under ``prefix``, but the data movement is
@@ -426,39 +422,34 @@ class DRMSApplication:
         the L1 generation cannot serve (the failure took every copy of
         some piece), survivors' own state of that generation is gone
         too, and the restart degrades to a full, metered PFS read
-        (:func:`~repro.mlck.localized.localized_opener`).  ``clock``
-        (the incident's cluster time) stamps the recovery's records.
-        An opened ``prefix`` runs on as restored, as for :meth:`restart`."""
+        (:func:`~repro.mlck.localized.localized_opener`).  An opened
+        ``prefix`` runs on as restored, as for :meth:`restart`."""
         failure = (dict(placement or {}), failed_nodes, dict(replacements or {}))
-        return self._relaunch(prefix, ntasks, args, kwargs, nodes, failure, clock)
+        return self._relaunch(prefix, ntasks, args, kwargs, nodes, failure)
 
-    def opener(self, ntasks: int, l1=None, failure=None, clock: float = 0.0):
+    def opener(self, ntasks: int, l1=None, failure=None):
         """How this application opens a recovery walk's candidate onto
         ``ntasks`` tasks (``l1``: its L1 store): a full restore, or a
         localized one given ``failure`` (placement, failed nodes,
-        replacements) stamped ``clock``."""
+        replacements)."""
         options = (self.order, self.io_tasks, self.target_bytes)
         if failure is None:
             return restart_opener(self.pfs, ntasks, l1, *options)
         # repro.mlck loads only for applications that use it
         from repro.mlck.localized import localized_opener
 
-        return localized_opener(self.pfs, ntasks, *failure, l1, clock, *options)
+        return localized_opener(self.pfs, ntasks, *failure, l1, *options)
 
-    def open(
-        self, prefix: str, ntasks: int, failure=None, clock: float = 0.0
-    ) -> OpenedGeneration:
+    def open(self, prefix: str, ntasks: int, failure=None) -> OpenedGeneration:
         """Open the generation ``prefix`` onto ``ntasks`` tasks without
         running anything: the walk over that one generation's tiers —
         the L1 store holding it, if any, then the PFS copy — localized
-        given ``failure``, its records stamped ``clock``.  Raises the
-        checkpoint or PFS error of the last tier tried."""
+        given ``failure``.  Raises the checkpoint or PFS error of the
+        last tier tried."""
         l1 = next(
             (ck.store for ck in self._mlck.values() if ck.store.has(prefix)), None
         )
-        return open_generation(
-            self.pfs, prefix, l1, self.opener(ntasks, l1, failure, clock), clock
-        )
+        return open_generation(self.pfs, prefix, l1, self.opener(ntasks, l1, failure))
 
     def _relaunch(
         self,
@@ -468,13 +459,12 @@ class DRMSApplication:
         kwargs: Optional[dict],
         nodes: Optional[Sequence[int]],
         failure: Optional[Tuple[Dict[int, int], Sequence[int], Dict[int, int]]] = None,
-        clock: float = 0.0,
     ) -> RunReport:
         """Run on from ``generation`` on ``ntasks`` tasks; a name is
         opened first (:meth:`open`)."""
         self.soq.check(ntasks)
         if isinstance(generation, str):
-            generation = self.open(generation, ntasks, failure, clock)
+            generation = self.open(generation, ntasks, failure)
         runtime = AppRuntime(
             self,
             ntasks,

@@ -367,7 +367,7 @@ class DRMSContext:
         if get_flight().enabled:
             my_node = self.comm.world.placement.get(self.rank)
             emit_event(
-                None, self.comm.clock.now, "sop_crossed",
+                None, "sop_crossed",
                 node=my_node if my_node is not None else GLOBAL_NODE,
                 sop=self._sop, iteration=self._iteration, rank=self.rank,
                 **tags,
@@ -384,14 +384,14 @@ class DRMSContext:
 
         def take():
             seg = rt.build_segment(iteration=self._iteration, sop_id=self._sop)
-            bd = rt.engine_checkpoint(prefix, seg, clock=self.comm.clock.now)
+            bd = rt.engine_checkpoint(prefix, seg)
             # engine_checkpoint records the actual prefix as the newest entry
             return rt.checkpoints[-1][0], bd
 
         actual, bd = self._collective(take)
         if self.rank == 0 and get_flight().enabled:
             emit_event(
-                None, self.comm.clock.now, "checkpoint_taken",
+                None, "checkpoint_taken",
                 prefix=actual if member_tags else prefix, sop=self._sop,
                 iteration=self._iteration, seconds=bd.total_seconds,
                 **member_tags,

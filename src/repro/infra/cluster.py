@@ -22,6 +22,7 @@ from repro.infra.rc import ResourceCoordinator
 from repro.infra.uic import UserInterfaceCoordinator
 from repro.obs import HealthRegistry, get_flight
 from repro.pfs.piofs import PIOFS
+from repro.runtime.clock import use_clock
 from repro.runtime.machine import Machine
 
 __all__ = ["DRMSCluster", "RecoveryOutcome"]
@@ -109,9 +110,8 @@ class DRMSCluster:
         ``mlck_partner_fallback`` warning on the cluster event log."""
         from repro.mlck.placement import select_partners
 
-        return select_partners(
-            self.machine, node_id, k=k, events=self.events, clock=self.rc.clock
-        )
+        with use_clock(self.rc):
+            return select_partners(self.machine, node_id, k=k, events=self.events)
 
     # -- the failure/recovery scenario -----------------------------------------
 
@@ -129,10 +129,11 @@ class DRMSCluster:
         """Run ``app``; if a processor fails mid-run, recover it from
         its latest checkpoint on the surviving nodes and run to
         completion.  Without a failure plan this is a plain run."""
-        return self._run_recovering(
-            job_id, app, ntasks, args, kwargs, prefix, failure,
-            restart_ntasks, localized=False,
-        )
+        with use_clock(self.rc):
+            return self._run_recovering(
+                job_id, app, ntasks, args, kwargs, prefix, failure,
+                restart_ntasks, localized=False,
+            )
 
     def run_with_localized_recovery(
         self,
@@ -153,10 +154,11 @@ class DRMSCluster:
         same task count.  Entries of a ``FailurePlan(multi=)`` schedule
         that share the crash iteration strike as one simultaneous
         multi-node failure."""
-        return self._run_recovering(
-            job_id, app, ntasks, args, kwargs, prefix, failure,
-            None, localized=True,
-        )
+        with use_clock(self.rc):
+            return self._run_recovering(
+                job_id, app, ntasks, args, kwargs, prefix, failure,
+                None, localized=True,
+            )
 
     def _run_recovering(
         self,
@@ -202,6 +204,8 @@ class DRMSCluster:
             ]
         finally:
             app.failure_plan = None
+        if failure is not None and failure.fired_nodes:
+            self.rc.merge(failure.fired_time)  # the instant the node died
 
         if localized:
             # Same-iteration schedule entries strike together: the first
@@ -219,15 +223,13 @@ class DRMSCluster:
         # Anchor the forensic timeline at the instant the nodes died,
         # before the detector delay elapses.
         for node in failed_nodes:
-            self.events.emit(
-                self.rc.clock, "failure_injected", node=node, job=job_id
-            )
+            self.events.emit("failure_injected", node=node, job=job_id)
         # Failure detected (lost TC connection) after the detector delay.
         self.rc.advance(self.detection_s)
         if localized:
             # survivors quiesce at the last SOP the group crossed
             self.events.emit(
-                self.rc.clock, "survivors_quiesced", job=job_id,
+                "survivors_quiesced", job=job_id,
                 nodes=[n for n in placement.values() if n not in failed_nodes],
                 **(app.sop_quiescence() or {}),
             )
@@ -242,10 +244,8 @@ class DRMSCluster:
             # sees the loss.  The RC (or the L1 drop) already
             # snapshotted the dead node's ring; the black box here is
             # the backstop for non-mlck configurations.
-            app.on_node_failure(node, clock=self.rc.clock)
-            get_flight().auto_blackbox(
-                node, reason="failure plan fired", time=self.rc.clock
-            )
+            app.on_node_failure(node)
+            get_flight().auto_blackbox(node, reason="failure plan fired")
 
         # The JSA restarts the job from its latest checkpoint.  It does
         # NOT wait for the repair.

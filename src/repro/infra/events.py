@@ -27,10 +27,10 @@ class EventLog:
     def __init__(self):
         self.events: List[Event] = []
 
-    def emit(self, time: float, kind: str, **detail: Any) -> Event:
-        """Append one timestamped event (and record it on the flight
-        recorder's ring)."""
-        return emit_event(self, time, kind, **detail)
+    def emit(self, kind: str, **detail: Any) -> Event:
+        """Append one event stamped with the active clock (and record
+        it on the flight recorder's ring)."""
+        return emit_event(self, kind, **detail)
 
     # -- queries ------------------------------------------------------------
 

@@ -66,6 +66,8 @@ class FailurePlan:
     #: iteration each firing happened at, parallel to ``fired_nodes`` —
     #: lets a recovery handler spot same-iteration (simultaneous) groups
     fired_at: List[int] = field(default_factory=list)
+    #: simulated time of the latest firing, its record's time
+    fired_time: float = field(default=0.0, init=False)
     _multi_idx: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
@@ -104,31 +106,30 @@ class FailurePlan:
         with self._lock:
             if not self.should_fire(iteration):
                 return False
-            if self.multi is not None:
-                _, node = self.multi[self._multi_idx]
-                self.fired_nodes.append(node)
-                self.fired_at.append(iteration)
-                self._multi_idx += 1
-                if self._multi_idx < len(self.multi):
-                    # advance the classic fields to the pending entry
-                    self.iteration, self.node_id = self.multi[self._multi_idx]
-                else:
-                    # exhausted: node_id reports the last fired node so
-                    # the cluster's recovery handler sees the right one
-                    self.node_id = node
-                    self._fired = True
-                emit_event(
-                    None, 0.0, "failure_plan_fired", node=node, iteration=iteration
-                )
+            if self.multi is None:
+                self._fired = True
+                self._record(self.node_id, iteration)
                 return True
-            self.fired_nodes.append(self.node_id)
-            self.fired_at.append(iteration)
-            self._fired = True
-            emit_event(
-                None, 0.0, "failure_plan_fired", node=self.node_id,
-                iteration=iteration,
-            )
+            _, node = self.multi[self._multi_idx]
+            self._multi_idx += 1
+            self._record(node, iteration)
+            if self._multi_idx < len(self.multi):
+                # advance the classic fields to the pending entry
+                self.iteration, self.node_id = self.multi[self._multi_idx]
+            else:
+                # exhausted: node_id reports the last fired node so
+                # the cluster's recovery handler sees the right one
+                self.node_id = node
+                self._fired = True
             return True
+
+    def _record(self, node: int, iteration: int) -> None:
+        """Book one firing (caller holds the lock)."""
+        self.fired_nodes.append(node)
+        self.fired_at.append(iteration)
+        self.fired_time = emit_event(
+            None, "failure_plan_fired", node=node, iteration=iteration
+        ).time
 
     def drain_simultaneous(self) -> List[int]:
         """Fire every remaining ``multi=`` entry scheduled at the same
@@ -149,13 +150,9 @@ class FailurePlan:
                 and self.multi[self._multi_idx][0] == it
             ):
                 _, node = self.multi[self._multi_idx]
-                self.fired_nodes.append(node)
-                self.fired_at.append(it)
                 self._multi_idx += 1
+                self._record(node, it)
                 fired.append(node)
-                emit_event(
-                    None, 0.0, "failure_plan_fired", node=node, iteration=it
-                )
             if self._multi_idx < len(self.multi):
                 self.iteration, self.node_id = self.multi[self._multi_idx]
             elif fired:

@@ -60,6 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import SchedulerError
 from repro.infra.failure import FailurePlan
 from repro.policy import young_daly_interval
+from repro.runtime.clock import SimClock, use_clock
 
 __all__ = [
     "FleetResult",
@@ -524,12 +525,13 @@ class FleetSimulation:
             for node in [n for n, ready in down.items() if ready <= t]:
                 del down[node]
                 free.append(node)
-            while plan is not None and not plan.fired:
-                sec, _node = plan.pending
-                if sec > t:
-                    break
-                if plan.claim(sec):
-                    fail_node(plan.fired_nodes[-1])
+            with use_clock(SimClock(t)):
+                while plan is not None and not plan.fired:
+                    sec, _node = plan.pending
+                    if sec > t:
+                        break
+                    if plan.claim(sec):
+                        fail_node(plan.fired_nodes[-1])
             admit()
             if self.health is not None:
                 occupied = sum(r.ntasks for r in running)

@@ -24,6 +24,7 @@ from repro.errors import SchedulerError, TaskFailure
 from repro.infra.events import EventLog
 from repro.infra.rc import ResourceCoordinator
 from repro.obs import get_tracer
+from repro.runtime.clock import use_clock
 
 __all__ = ["JobState", "Job", "JobSchedulerAnalyzer"]
 
@@ -91,7 +92,8 @@ class JobSchedulerAnalyzer:
             prefix=prefix,
         )
         self.jobs[job_id] = job
-        self.events.emit(self.rc.clock, "job_submitted", job=job_id)
+        with use_clock(self.rc):
+            self.events.emit("job_submitted", job=job_id)
         return job
 
     def pick_ntasks(self, job: Job, want: Optional[int] = None) -> int:
@@ -116,7 +118,7 @@ class JobSchedulerAnalyzer:
         n = self.pick_ntasks(job, ntasks)
         obs = get_tracer()
         obs.sync(self.rc.clock)
-        with obs.span("job.run", job=job_id, ntasks=n):
+        with use_clock(self.rc), obs.span("job.run", job=job_id, ntasks=n):
             nodes = self.rc.form_pool(job_id, n)
             report = self._execute(
                 job, n,
@@ -124,16 +126,16 @@ class JobSchedulerAnalyzer:
                     n, args=job.args, kwargs=job.kwargs, nodes=nodes
                 ),
             )
-        self.events.emit(
-            self.rc.clock, "job_completed", job=job_id, ntasks=n,
-            sim_elapsed=report.sim_elapsed,
-        )
-        self._sample_health()
+            self.events.emit(
+                "job_completed", job=job_id, ntasks=n,
+                sim_elapsed=report.sim_elapsed,
+            )
+            self._sample_health()
         return report
 
     def _execute(self, job: Job, n: int, launch) -> RunReport:
         """Run ``launch()`` as the job's execution on its pool of ``n``
-        nodes, and settle the books."""
+        nodes, and settle the books: the RC reaches its end, then frees it."""
         job.state = JobState.RUNNING
         job.ntasks = n
         try:
@@ -147,10 +149,10 @@ class JobSchedulerAnalyzer:
             job.state = JobState.KILLED
             self.rc.release_pool(job.job_id)
             raise
+        self.rc.advance(report.sim_elapsed)
         self.rc.release_pool(job.job_id)
         job.state = JobState.COMPLETED
         job.reports.append(report)
-        self.rc.advance(report.sim_elapsed)
         get_tracer().sync(self.rc.clock)
         return report
 
@@ -177,7 +179,7 @@ class JobSchedulerAnalyzer:
         job_id = job.job_id
         obs = get_tracer()
         obs.sync(self.rc.clock)
-        with obs.span("job.restart", job=job_id) as sp:
+        with use_clock(self.rc), obs.span("job.restart", job=job_id) as sp:
             if failure is None:
                 n = self.pick_ntasks(job, ntasks)
                 localized = None
@@ -206,11 +208,10 @@ class JobSchedulerAnalyzer:
             # generation satisfiable from any tier, memory preferred).
             l1 = job.app.l1_store_for(job.prefix)
             if l1 is not None:
-                l1.sync_with_machine(clock=self.rc.clock)
+                l1.sync_with_machine()
             opened, decision = open_latest_valid(
-                job.app.pfs, job.prefix,
-                job.app.opener(n, l1, localized, self.rc.clock), l1,
-                events=self.events, clock=self.rc.clock, job=job_id,
+                job.app.pfs, job.prefix, job.app.opener(n, l1, localized), l1,
+                events=self.events, job=job_id,
             )
             if opened is None:
                 raise SchedulerError(f"job {job_id!r}: {decision.failure()}")
@@ -224,25 +225,25 @@ class JobSchedulerAnalyzer:
                     opened, n, args=job.args, kwargs=job.kwargs, nodes=nodes,
                 ),
             )
-        bd = report.restart_breakdown
-        restart_seconds = bd.total_seconds if bd is not None else 0.0
-        scope = report.rebuild_scope
-        self.events.emit(
-            self.rc.clock, "job_restarted", job=job_id, ntasks=n,
-            sim_elapsed=report.sim_elapsed,
-            prefix=opened.prefix,
-            restart_seconds=restart_seconds,
-            restart_kind=bd.kind if bd is not None else None,
-            **({"rebuild_scope": scope.describe()} if scope is not None else {}),
-        )
-        self._sample_health()
+            bd = report.restart_breakdown
+            scope = report.rebuild_scope
+            self.events.emit(
+                "job_restarted", job=job_id, ntasks=n,
+                sim_elapsed=report.sim_elapsed,
+                prefix=opened.prefix,
+                restart_seconds=bd.total_seconds if bd is not None else 0.0,
+                restart_kind=bd.kind if bd is not None else None,
+                **({"rebuild_scope": scope.describe()} if scope is not None else {}),
+            )
+            self._sample_health()
         return report
 
     # -- policy hooks -----------------------------------------------------------
 
     def _recovering(self, job: Job, **how: Any):
         """Announce a recovery and open its span."""
-        self.events.emit(self.rc.clock, "recovery_started", job=job.job_id, **how)
+        with use_clock(self.rc):
+            self.events.emit("recovery_started", job=job.job_id, **how)
         obs = get_tracer()
         obs.sync(self.rc.clock)
         obs.metrics.counter("jsa.recoveries").inc()
@@ -279,7 +280,8 @@ class JobSchedulerAnalyzer:
         ``reconfig_chkenable`` call writes its state (used before a
         planned shrink/grow or priority preemption)."""
         self._job(job_id).app.enable_checkpoint()
-        self.events.emit(self.rc.clock, "checkpoint_enabled", job=job_id)
+        with use_clock(self.rc):
+            self.events.emit("checkpoint_enabled", job=job_id)
 
     def _job(self, job_id: str) -> Job:
         try:

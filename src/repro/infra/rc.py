@@ -24,6 +24,7 @@ from repro.errors import MachineError, SchedulerError
 from repro.infra.events import EventLog
 from repro.infra.tc import TaskCoordinator, TCState
 from repro.obs import get_flight, get_tracer
+from repro.runtime.clock import use_clock
 from repro.runtime.machine import Machine
 
 __all__ = ["ResourceCoordinator"]
@@ -56,16 +57,24 @@ class ResourceCoordinator:
 
     # -- time -------------------------------------------------------------
 
+    #: the RC is the daemons' active clock (``use_clock(rc)``)
+    now = property(lambda self: self.clock)
+
     def advance(self, dt: float) -> float:
-        """Advance the cluster clock; completes any due node repairs."""
-        self.clock += dt
+        """Advance the cluster clock by ``dt``; see :meth:`merge`."""
+        return self.merge(self.clock + dt)
+
+    def merge(self, at: float) -> float:
+        """Move the cluster clock forward to ``at``; completes due repairs."""
+        self.clock = max(self.clock, at)
         # Repairs that completed while time advanced bring nodes back.
         for node_id, t in list(self.repair_done_at.items()):
             if self.clock >= t:
                 self.machine.repair_node(node_id)
                 self.tcs[node_id].reconnect()
                 del self.repair_done_at[node_id]
-                self.events.emit(self.clock, "node_repaired", node=node_id)
+                with use_clock(self):
+                    self.events.emit("node_repaired", node=node_id)
         return self.clock
 
     # -- pools -------------------------------------------------------------
@@ -90,7 +99,8 @@ class ResourceCoordinator:
         for rank, nid in enumerate(nodes):
             self.tcs[nid].attach(job_id, [rank])
         self.pools[job_id] = nodes
-        self.events.emit(self.clock, "pool_formed", job=job_id, nodes=nodes)
+        with use_clock(self):
+            self.events.emit("pool_formed", job=job_id, nodes=nodes)
         return nodes
 
     def release_pool(self, job_id: str) -> None:
@@ -98,7 +108,8 @@ class ResourceCoordinator:
         for nid in self.pools.pop(job_id, []):
             if self.tcs[nid].connected:
                 self.tcs[nid].detach()
-        self.events.emit(self.clock, "pool_released", job=job_id)
+        with use_clock(self):
+            self.events.emit("pool_released", job=job_id)
 
     def pool_of(self, job_id: str) -> List[int]:
         return list(self.pools.get(job_id, []))
@@ -114,17 +125,15 @@ class ResourceCoordinator:
         obs = get_tracer()
         obs.sync(self.clock)
         obs.metrics.counter("rc.failures").inc()
-        with obs.span("rc.failure_protocol", node=node_id) as sp:
+        with use_clock(self), obs.span("rc.failure_protocol", node=node_id) as sp:
             tc = self.tcs[node_id]
             tc.disconnect()
             if self.machine.node(node_id).up:
                 self.machine.fail_node(node_id)
-            self.events.emit(self.clock, "tc_disconnected", node=node_id)
+            self.events.emit("tc_disconnected", node=node_id)
             # The node is dead: snapshot its ring before recovery events
             # start landing on the global ring.
-            get_flight().auto_blackbox(
-                node_id, reason="processor failure", time=self.clock
-            )
+            get_flight().auto_blackbox(node_id, reason="processor failure")
 
             # Step 1: which application/TC pool?
             job_id = tc.job_id
@@ -132,7 +141,7 @@ class ResourceCoordinator:
                 # Idle node failed: just schedule its repair.
                 tc.begin_restart()
                 self.repair_done_at[node_id] = self.clock + self.node_repair_s
-                self.events.emit(self.clock, "idle_node_failed", node=node_id)
+                self.events.emit("idle_node_failed", node=node_id)
                 if self.health is not None:
                     self.health.sample_rc(self)
                 sp.set(job=None, idle=True)
@@ -140,10 +149,10 @@ class ResourceCoordinator:
 
             # Step 2: kill the application's processes and the pool's TCs.
             pool = self.pool_of(job_id)
-            self.events.emit(self.clock, "application_killed", job=job_id, pool=pool)
+            self.events.emit("application_killed", job=job_id, pool=pool)
 
             # Step 3: application considered terminated; user informed.
-            self.events.emit(self.clock, "user_informed", job=job_id, reason="node failure")
+            self.events.emit("user_informed", job=job_id, reason="node failure")
 
             # Step 4: restart the killed TCs.  Healthy nodes reconnect after
             # a TC restart; the failed node needs repair first.
@@ -154,7 +163,6 @@ class ResourceCoordinator:
                 if nid == node_id:
                     self.repair_done_at[nid] = self.clock + self.node_repair_s
                     self.events.emit(
-                        self.clock,
                         "node_repair_started",
                         node=nid,
                         eta=self.clock + self.node_repair_s,
@@ -165,7 +173,6 @@ class ResourceCoordinator:
             self.advance(self.tc_restart_s)
             obs.sync(self.clock)
             self.events.emit(
-                self.clock,
                 "tcs_restarted",
                 job=job_id,
                 healthy=[n for n in pool if n != node_id],
@@ -195,7 +202,7 @@ class ResourceCoordinator:
                 raise MachineError(f"no TC for node {nid}")
         obs = get_tracer()
         obs.sync(self.clock)
-        with obs.span(
+        with use_clock(self), obs.span(
             "rc.failure_protocol", nodes=list(node_ids), localized=True
         ) as sp:
             job = job_id
@@ -207,10 +214,8 @@ class ResourceCoordinator:
                 tc.disconnect()
                 if self.machine.node(nid).up:
                     self.machine.fail_node(nid)
-                self.events.emit(self.clock, "tc_disconnected", node=nid)
-                get_flight().auto_blackbox(
-                    nid, reason="processor failure", time=self.clock
-                )
+                self.events.emit("tc_disconnected", node=nid)
+                get_flight().auto_blackbox(nid, reason="processor failure")
             replacements: Dict[int, int] = {}
             pool = self.pools.get(job, []) if job is not None else []
             spares = [n for n in self.available_nodes() if n not in pool]
@@ -220,7 +225,6 @@ class ResourceCoordinator:
                 tc.begin_restart()
                 self.repair_done_at[nid] = self.clock + self.node_repair_s
                 self.events.emit(
-                    self.clock,
                     "node_repair_started",
                     node=nid,
                     eta=self.clock + self.node_repair_s,
@@ -238,7 +242,7 @@ class ResourceCoordinator:
                 pool[pool.index(nid)] = new
                 replacements[nid] = new
                 self.events.emit(
-                    self.clock, "task_migrated", job=job,
+                    "task_migrated", job=job,
                     node=new, from_node=nid, ranks=ranks,
                 )
             # Only the replacement TCs spawn; survivors never restart.
@@ -247,7 +251,6 @@ class ResourceCoordinator:
             if job is not None:
                 healthy = [n for n in pool if n not in replacements.values()]
                 self.events.emit(
-                    self.clock,
                     "tcs_restarted",
                     job=job,
                     healthy=healthy,

@@ -128,7 +128,6 @@ class MultiLevelCheckpointer:
         segment: DataSegment,
         arrays: Sequence[DistributedArray],
         ntasks: Optional[int] = None,
-        clock: float = 0.0,
     ) -> MLCKBreakdown:
         """Capture a new generation of a run on ``ntasks`` tasks
         (default: the arrays') into L1 and queue its drain.  The
@@ -136,9 +135,9 @@ class MultiLevelCheckpointer:
         prefix = self.next_prefix()
         _, capture_bd = self.store.capture_drms(
             prefix, segment, arrays, order=self.order,
-            app_name=self.app_name, clock=clock, ntasks=ntasks,
+            app_name=self.app_name, ntasks=ntasks,
         )
-        self.drainer.schedule(prefix, clock=clock)
+        self.drainer.schedule(prefix)
         return MLCKBreakdown(
             prefix=prefix,
             capture=capture_bd,
@@ -147,29 +146,25 @@ class MultiLevelCheckpointer:
 
     # -- failure handling ----------------------------------------------------
 
-    def on_node_failure(self, node_id: int, clock: float = 0.0) -> int:
+    def on_node_failure(self, node_id: int) -> int:
         """A node died: drop its (volatile) L1 memory.  Returns the
         number of replica copies lost with it."""
-        return self.store.drop_node(node_id, clock=clock)
+        return self.store.drop_node(node_id)
 
     # -- restart -------------------------------------------------------------
 
-    def select_restart_state(
-        self, clock: float = 0.0, job: Optional[str] = None
-    ) -> RecoveryDecision:
+    def select_restart_state(self, job: Optional[str] = None) -> RecoveryDecision:
         """The tier-aware audit walk over this application's states — a
         decision, nothing restored (:meth:`restart` opens instead)."""
-        self.store.sync_with_machine(clock=clock)
+        self.store.sync_with_machine()
         return select_tiered_restart_state(
-            self.pfs, self.base, self.store,
-            events=self.events, clock=clock, job=job,
+            self.pfs, self.base, self.store, events=self.events, job=job
         )
 
     def restart(
         self,
         ntasks: int,
         distribution_overrides: Optional[Dict[str, object]] = None,
-        clock: float = 0.0,
         job: Optional[str] = None,
     ) -> Tuple[RestoredState, RestartBreakdown, RecoveryDecision]:
         """Restore the newest generation satisfiable from any tier onto
@@ -177,9 +172,9 @@ class MultiLevelCheckpointer:
         opening it.  L1-served restores still charge the fixed restart
         initialization (program text loads from the PFS regardless of
         which tier serves the checkpoint data)."""
-        self.store.sync_with_machine(clock=clock)
+        self.store.sync_with_machine()
         return restart_latest_valid(
-            self.pfs, self.base, ntasks, self.store, self.events, clock, job,
+            self.pfs, self.base, ntasks, self.store, self.events, job,
             order=self.order, io_tasks=self.io_tasks,
             distribution_overrides=distribution_overrides,
         )
@@ -191,7 +186,6 @@ class MultiLevelCheckpointer:
         failed_nodes: Sequence[int],
         replacements: Optional[Dict[int, int]] = None,
         distribution_overrides: Optional[Dict[str, object]] = None,
-        clock: float = 0.0,
         job: Optional[str] = None,
     ):
         """Localized recovery: the same walk, each candidate opened with
@@ -200,15 +194,15 @@ class MultiLevelCheckpointer:
         L1 candidate opens; an L2 candidate is a full, correctly-metered
         PFS read (:func:`~repro.mlck.localized.localized_opener`).
         Returns ``(state, breakdown, decision, scope)``."""
-        self.store.sync_with_machine(clock=clock)
+        self.store.sync_with_machine()
         opened, decision = open_latest_valid(
             self.pfs, self.base,
             localized_opener(
                 self.pfs, ntasks, placement, failed_nodes, replacements,
-                self.store, clock, self.order, self.io_tasks,
+                self.store, self.order, self.io_tasks,
                 distribution_overrides=distribution_overrides,
             ),
-            self.store, events=self.events, clock=clock, job=job,
+            self.store, events=self.events, job=job,
         )
         if opened is None:
             raise RestartError(decision.failure())

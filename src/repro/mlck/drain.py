@@ -50,6 +50,7 @@ from repro.errors import CheckpointError
 from repro.mlck.store import L1Store
 from repro.obs import emit_event, get_tracer
 from repro.pfs.piofs import PIOFS
+from repro.runtime.clock import SimClock, now, use_clock
 
 __all__ = ["DrainState", "DrainController", "submit_task"]
 
@@ -108,7 +109,7 @@ class DrainController:
         #: the newest asynchronous drain: the next one waits for it
         self._last: Optional[Future] = None
         self._pending = 0
-        #: prefix -> clock at schedule time, while the drain is in
+        #: prefix -> simulated time at schedule, while the drain is in
         #: flight (drives the health backlog-age gauge)
         self.scheduled_at: Dict[str, float] = {}
         #: optional HealthRegistry re-sampled as drains settle
@@ -138,11 +139,11 @@ class DrainController:
 
     # -- scheduling ----------------------------------------------------------
 
-    def schedule(self, prefix: str, clock: float = 0.0) -> Optional[Future]:
+    def schedule(self, prefix: str) -> Optional[Future]:
         """Queue the drain of ``prefix``.  Asynchronous mode returns the
         Future running on the shared drain pool; synchronous mode
-        drains inline and returns None.  ``clock`` stamps the backlog
-        entry for the health gauges."""
+        drains inline and returns None.  The drain runs under a clock
+        frozen at the schedule time, never the scheduling rank's live one."""
         gen = self.store.gen(prefix)
         if gen.drain_state not in (DrainState.PENDING, DrainState.FAILED):
             raise CheckpointError(
@@ -156,39 +157,37 @@ class DrainController:
         if protect is not None:
             self.rotation.pin(protect)
         self._set_pending(+1)
+        frozen = SimClock(now())
         with self._state_lock:
-            self.scheduled_at[prefix] = float(clock)
-        emit_event(
-            None, clock, "drain_scheduled", prefix=prefix,
-            pending=self.pending,
-        )
+            self.scheduled_at[prefix] = frozen.now
+        emit_event(None, "drain_scheduled", prefix=prefix, pending=self.pending)
         if self.synchronous:
-            self._drain(prefix, protect)
+            self._drain(prefix, protect, frozen)
             return None
         with self._state_lock:
             after = self._last
-            future = submit_task(lambda: self._drain(prefix, protect, after))
+            future = submit_task(lambda: self._drain(prefix, protect, frozen, after))
             self._futures[prefix] = self._last = future
         return future
 
     # -- the drain itself ----------------------------------------------------
 
     def _drain(
-        self, prefix: str, protect: Optional[str], after: Optional[Future] = None
+        self, prefix: str, protect: Optional[str], frozen: SimClock,
+        after: Optional[Future] = None,
     ) -> str:
-        """Runs on the pool (or inline), once the drain ``after`` has
-        finished: returns the final drain state.  Failures are recorded
-        on the generation, never raised — a broken drain must not take
-        the application down; recovery falls back."""
+        """Runs on the pool (or inline) under ``frozen``, once the drain
+        ``after`` has finished: returns the final drain state.  Failures
+        are recorded on the generation, never raised — a broken drain
+        must not take the application down; recovery falls back."""
         if after is not None:
             wait([after])
         m = get_tracer().metrics
-        with self._serial:
-            clock = self.scheduled_at[prefix]  # popped when the drain ends
+        with self._serial, use_clock(frozen):
             gen = self.store.gen(prefix)
             gen.drain_state = DrainState.DRAINING
             emit_event(
-                None, clock, "drain_state", prefix=prefix,
+                None, "drain_state", prefix=prefix,
                 state=DrainState.DRAINING,
             )
             try:
@@ -203,7 +202,7 @@ class DrainController:
                 gen.drain_state = DrainState.DURABLE
                 m.counter("mlck.drain.completed").inc()
                 emit_event(
-                    None, clock, "drain_state", prefix=prefix,
+                    None, "drain_state", prefix=prefix,
                     state=DrainState.DURABLE,
                 )
                 if self.rotation is not None:
@@ -217,7 +216,7 @@ class DrainController:
                 gen.drain_error = str(exc)
                 m.counter("mlck.drain.failed").inc()
                 emit_event(
-                    None, clock, "drain_state", prefix=prefix,
+                    None, "drain_state", prefix=prefix,
                     state=DrainState.FAILED, error=str(exc),
                 )
             finally:

@@ -293,7 +293,6 @@ def localized_restore_drms(
     order: Optional[str] = None,
     distribution_overrides: Optional[Dict[str, object]] = None,
     init_seconds: float = 0.0,
-    clock: float = 0.0,
 ) -> Tuple[RestoredState, RestartBreakdown, RebuildScope]:
     """Restore a DRMS generation with localized cost accounting.
 
@@ -303,7 +302,7 @@ def localized_restore_drms(
     the same replica source; only the accountant differs
     (:class:`SurvivorLocal`), and ``init_seconds`` (program-text load)
     is charged only when there is a replacement task to initialize.
-    ``clock`` stamps the ``localized_rebuilt`` flight record.  Raises
+    Raises
     :class:`~repro.errors.MemoryTierError` when any piece has lost
     every valid replica — the caller then falls back to the PFS tier.
     """
@@ -328,7 +327,7 @@ def localized_restore_drms(
     )
     m.counter("mlck.restore.localized.seconds").inc(bd.total_seconds)
     emit_event(
-        None, clock, "localized_rebuilt", prefix=prefix,
+        None, "localized_rebuilt", prefix=prefix,
         lost_ranks=list(scope.lost_ranks),
         lost_bytes=scope.lost_bytes, seconds=bd.total_seconds,
     )
@@ -373,7 +372,6 @@ def rereplicate_after_failure(
     store: L1Store,
     failed_nodes: Sequence[int],
     avoid_domains: Sequence[int] = (),
-    clock: float = 0.0,
 ) -> ReplicationRepair:
     """Restore the replication factor of every resident generation
     after ``failed_nodes`` died: dead nodes are scrubbed from each
@@ -428,7 +426,7 @@ def rereplicate_after_failure(
                     repair.nbytes += piece.nbytes
                     if fr.enabled:
                         emit_event(
-                            None, clock, "replica_replaced", node=new,
+                            None, "replica_replaced", node=new,
                             key=piece.key, source=source,
                             nbytes=piece.nbytes,
                         )
@@ -443,8 +441,7 @@ def rereplicate_after_failure(
 def localized_opener(
     pfs: PIOFS, ntasks: int, placement: Dict[int, int],
     failed_nodes: Sequence[int], replacements: Optional[Dict[int, int]] = None,
-    l1: Optional[L1Store] = None, clock: float = 0.0,
-    order: Optional[str] = None, io_tasks: Optional[int] = None,
+    l1: Optional[L1Store] = None, order: Optional[str] = None, io_tasks: Optional[int] = None,
     target_bytes: int = 1 << 20,
     distribution_overrides: Optional[Dict[str, object]] = None,
 ):
@@ -462,14 +459,14 @@ def localized_opener(
             opened = localized_restore_drms(
                 l1, prefix, ntasks, placement, failed_nodes, replacements,
                 order, distribution_overrides,
-                init_seconds=pfs.params.restart_init_s, clock=clock,
+                init_seconds=pfs.params.restart_init_s,
             )
             machine = l1.machine
             avoid = {
                 machine.domain_of(n) for n in (replacements or {}).values()
                 if 0 <= n < machine.num_nodes
             }
-            rereplicate_after_failure(l1, failed_nodes, sorted(avoid), clock)
+            rereplicate_after_failure(l1, failed_nodes, sorted(avoid))
             return opened
         state, bd = drms_restart(
             pfs, prefix, ntasks, order, io_tasks, target_bytes,
@@ -494,7 +491,6 @@ def localized_restart(
     failed_nodes: Sequence[int],
     replacements: Optional[Dict[int, int]] = None,
     l1: Optional[L1Store] = None,
-    clock: float = 0.0,
     order: Optional[str] = None,
     io_tasks: Optional[int] = None,
     target_bytes: int = 1 << 20,
@@ -503,14 +499,12 @@ def localized_restart(
     """Localized recovery of the generation under ``prefix`` from
     whichever tier serves it: :func:`localized_opener` over the L1
     replicas of ``l1``, then the PFS copy
-    (:func:`~repro.checkpoint.drms.open_generation`); every record it
-    leaves, the dead nodes' dropped memory included, carries ``clock``."""
+    (:func:`~repro.checkpoint.drms.open_generation`)."""
     opened = open_generation(
         pfs, prefix, l1,
         localized_opener(
-            pfs, ntasks, placement, failed_nodes, replacements, l1, clock,
+            pfs, ntasks, placement, failed_nodes, replacements, l1,
             order, io_tasks, target_bytes, distribution_overrides,
         ),
-        clock,
     )
     return opened.state, opened.breakdown, opened.scope

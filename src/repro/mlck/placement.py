@@ -39,7 +39,6 @@ def select_partners(
     owner: int,
     k: int = 1,
     events=None,
-    clock: float = 0.0,
 ) -> List[int]:
     """The ``k`` partner nodes replicating pieces owned by ``owner``.
 
@@ -67,7 +66,6 @@ def select_partners(
         partners = partners + same_domain[: k - len(partners)]
         if events is not None:
             events.emit(
-                clock,
                 "mlck_partner_fallback",
                 owner=owner,
                 domain=domain,
@@ -87,7 +85,6 @@ def replica_nodes(
     owner: int,
     k: int = 1,
     events=None,
-    clock: float = 0.0,
 ) -> List[int]:
     """Owner-first replica set for one piece: ``[owner, *partners]``."""
-    return [owner, *select_partners(machine, owner, k=k, events=events, clock=clock)]
+    return [owner, *select_partners(machine, owner, k=k, events=events)]

@@ -70,12 +70,9 @@ def select_tiered_restart_state(
     base: str,
     l1: L1Store,
     events=None,
-    clock: float = 0.0,
     job: Optional[str] = None,
 ) -> RecoveryDecision:
     """The tier-aware audit walk —
     :func:`~repro.checkpoint.recover.select_restart_state` with ``l1``:
     rejections tier-tagged, the decision's ``tier`` the serving tier."""
-    return select_restart_state(
-        pfs, base, events=events, clock=clock, job=job, l1=l1
-    )
+    return select_restart_state(pfs, base, events=events, job=job, l1=l1)

@@ -106,7 +106,7 @@ class L1Generation:
     #: stored file -> its pieces: the segment header, then every data
     #: array's stream (a virtual array stores nothing)
     files: Dict[str, List[L1Piece]]
-    #: cluster clock at capture (drives the health cadence gauges)
+    #: its ``l1_captured`` record's time (drives the health cadence gauges)
     captured_at: float
     #: drain state machine: pending -> draining -> durable | failed
     drain_state: str = "pending"
@@ -259,7 +259,7 @@ class L1Store:
 
     # -- node failure --------------------------------------------------------
 
-    def drop_node(self, node_id: int, clock: float = 0.0) -> int:
+    def drop_node(self, node_id: int) -> int:
         """A node died: its memory — and every replica it held — is
         gone.  Returns the number of piece copies lost; emits a
         ``mlck_replicas_lost`` event when any were."""
@@ -267,14 +267,12 @@ class L1Store:
             lost = len(self._mem.pop(node_id, {}))
             self._mem_epoch.pop(node_id, None)
         if lost:
-            emit_event(
-                self.events, clock, "mlck_replicas_lost", node=node_id, pieces=lost
-            )
-            get_flight().auto_blackbox(node_id, reason="l1 memory lost", time=clock)
+            emit_event(self.events, "mlck_replicas_lost", node=node_id, pieces=lost)
+            get_flight().auto_blackbox(node_id, reason="l1 memory lost")
         self._update_resident_gauge()
         return lost
 
-    def sync_with_machine(self, clock: float = 0.0) -> int:
+    def sync_with_machine(self) -> int:
         """Drop the memory of every node the machine reports down, and
         of every node whose incarnation advanced since its bytes were
         stored (it failed and was repaired between syncs: the repaired
@@ -284,7 +282,7 @@ class L1Store:
         for node in list(self._mem):
             n = self.machine.node(node)
             if not n.up or self._mem_epoch.get(node) != n.incarnation:
-                lost += self.drop_node(node, clock=clock)
+                lost += self.drop_node(node)
         return lost
 
     # -- capture -------------------------------------------------------------
@@ -297,7 +295,6 @@ class L1Store:
         order: str = "F",
         nodes: Optional[Sequence[int]] = None,
         app_name: str = "",
-        clock: float = 0.0,
         ntasks: Optional[int] = None,
     ) -> Tuple[L1Generation, CheckpointBreakdown]:
         """Capture a DRMS generation of a run on ``ntasks`` tasks
@@ -307,7 +304,7 @@ class L1Store:
         manifest as :func:`~repro.checkpoint.drms.drms_checkpoint`, at
         memory/switch speed.  Returns the generation and a
         :class:`CheckpointBreakdown` of kind ``mlck-l1``."""
-        sink = L1ReplicaSink(self, prefix, nodes, clock)
+        sink = L1ReplicaSink(self, prefix, nodes)
         bd = capture(sink, prefix, segment, arrays, order, app_name, ntasks)
         return self.gen(prefix), bd
 
@@ -502,8 +499,7 @@ class L1ReplicaSink:
     spans = ("l1_segment_capture", "l1_replicate")
 
     def __init__(
-        self, store: L1Store, prefix: str, nodes: Optional[Sequence[int]],
-        clock: float,
+        self, store: L1Store, prefix: str, nodes: Optional[Sequence[int]]
     ):
         if store.has(prefix):
             raise CheckpointError(f"L1 generation {prefix!r} already captured")
@@ -511,7 +507,6 @@ class L1ReplicaSink:
         if not self.nodes:
             raise CheckpointError("no up nodes to hold the L1 checkpoint")
         self.store = store
-        self.clock = clock
         self.files: Dict[str, List[L1Piece]] = {}
         self._partners: Dict[int, List[int]] = {}
         #: pieces placed so far: the round-robin position over ``nodes``
@@ -538,8 +533,7 @@ class L1ReplicaSink:
             owner = self.nodes[(self._placed + i) % len(self.nodes)]
             if owner not in self._partners:
                 self._partners[owner] = select_partners(
-                    store.machine, owner, k=store.k,
-                    events=store.events, clock=self.clock,
+                    store.machine, owner, k=store.k, events=store.events
                 )
             partners = self._partners[owner]
             chunk = data[off : off + n]
@@ -556,7 +550,7 @@ class L1ReplicaSink:
         if get_flight().enabled:
             for p in pieces:
                 emit_event(
-                    None, self.clock, "replica_placed", node=p.owner,
+                    None, "replica_placed", node=p.owner,
                     key=p.key, nbytes=p.nbytes, replicas=list(p.replicas),
                 )
         self._placed += len(pieces)
@@ -586,18 +580,18 @@ class L1ReplicaSink:
 
     def commit(self, manifest: Dict, bd: CheckpointBreakdown) -> None:
         """Register the generation and publish the tier's accounting."""
-        store, clock = self.store, self.clock
-        with store._lock:
-            store._gens[bd.prefix] = L1Generation(
-                bd.prefix, manifest, self.files, clock
-            )
+        store = self.store
         m = get_tracer().metrics
         m.counter("mlck.l1.captures").inc()
         m.counter("mlck.l1.capture.bytes").inc(bd.total_bytes)
-        emit_event(
-            None, clock, "l1_captured", prefix=bd.prefix,
+        ev = emit_event(
+            None, "l1_captured", prefix=bd.prefix,
             nbytes=bd.total_bytes, seconds=bd.total_seconds,
         )
+        with store._lock:
+            store._gens[bd.prefix] = L1Generation(
+                bd.prefix, manifest, self.files, ev.time
+            )
         store._update_resident_gauge()
 
 

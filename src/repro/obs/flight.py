@@ -46,6 +46,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
+from repro.runtime.clock import now
+
 if TYPE_CHECKING:  # infra.events imports this module
     from repro.infra.events import EventLog
 
@@ -113,15 +115,15 @@ class Event:
 _seq = itertools.count(1)
 
 
-def emit_event(
-    events: Optional["EventLog"], time: float, kind: str, **detail: Any
-) -> Event:
-    """The one write of a record: append it to ``events`` (when there is
-    a log) and to the active flight recorder's ring of
+def emit_event(events: Optional["EventLog"], kind: str, **detail: Any) -> Event:
+    """The one write of a record, stamped with the active clock's
+    :func:`~repro.runtime.clock.now`: append it to ``events`` (when
+    there is a log) and to the active flight recorder's ring of
     ``detail["node"]`` (the global ring when the detail names no node).
     One lock covers the sequence number and both appends, so a ring and
     the log list their records in ``seq`` order under threads."""
     fr = _current
+    time = now()
     with fr._lock:
         ev = Event(next(_seq), time, kind, detail.get("node", GLOBAL_NODE), detail)
         fr.record(ev)
@@ -184,10 +186,10 @@ class FlightRecorder:
 
     # -- black-box dumps -----------------------------------------------------
 
-    def _box(self, node: int, reason: str, time: float) -> Dict[str, Any]:
+    def _box(self, node: int, reason: str) -> Dict[str, Any]:
         """``node``'s ring interleaved with the global ring — a dead
         node's story usually ends in scheduler/RC decisions that were
-        recorded globally — as a DESIGN.md §13 dump."""
+        recorded globally — as a DESIGN.md §13 dump, stamped now."""
         own = self.ring(node)
         context = self.ring(GLOBAL_NODE) if node != GLOBAL_NODE else []
         merged = sorted(own + context, key=lambda e: e.seq)
@@ -195,26 +197,24 @@ class FlightRecorder:
             "schema": BLACKBOX_SCHEMA,
             "node": node,
             "reason": reason,
-            "time": time,
+            "time": now(),
             "capacity": self.capacity,
             "recorded": self.recorded(node),
             "dropped": max(0, self.recorded(node) - len(own)),
             "events": [e.to_dict() for e in merged],
         }
 
-    def blackbox(
-        self, node: int, reason: str = "", time: float = 0.0
-    ) -> Dict[str, Any]:
+    def blackbox(self, node: int, reason: str = "") -> Dict[str, Any]:
         """Snapshot ``node``'s ring as a black-box dump, register it on
         :attr:`blackboxes`, and return it."""
-        box = self._box(node, reason, time)
+        box = self._box(node, reason)
         with self._lock:
             self.blackboxes.append(box)
             self._dumped.add(node)
         return box
 
     def auto_blackbox(
-        self, node: int, reason: str = "", time: float = 0.0
+        self, node: int, reason: str = ""
     ) -> Optional[Dict[str, Any]]:
         """Emit a black-box dump for ``node`` unless one was already
         emitted this incident (several layers observe the same death:
@@ -223,7 +223,7 @@ class FlightRecorder:
         with self._lock:
             if node in self._dumped:
                 return None
-        return self.blackbox(node, reason=reason, time=time)
+        return self.blackbox(node, reason=reason)
 
     def reset_incident(self) -> None:
         """Forget which nodes already dumped (start a new incident)."""
@@ -287,10 +287,10 @@ class NullFlightRecorder(FlightRecorder):
     def record(self, ev: Event) -> None:
         pass
 
-    def blackbox(self, node, reason="", time=0.0) -> Dict[str, Any]:
-        return self._box(node, reason, time)
+    def blackbox(self, node, reason="") -> Dict[str, Any]:
+        return self._box(node, reason)
 
-    def auto_blackbox(self, node, reason="", time=0.0) -> None:
+    def auto_blackbox(self, node, reason="") -> None:
         return None
 
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
+from repro.runtime.clock import now
 
 __all__ = ["HealthRegistry"]
 
@@ -81,10 +82,10 @@ class HealthRegistry:
 
     # -- the memory tier ------------------------------------------------------
 
-    def sample_store(self, store, clock: float = 0.0) -> None:
+    def sample_store(self, store) -> None:
         """L1 replica coverage: copies per failure domain, worst-case
         surviving replica depth of the newest generation, footprint,
-        and checkpoint cadence derived from capture timestamps."""
+        and checkpoint cadence from capture times up to ``now()``."""
         machine = store.machine
         domain_copies: Dict[int, int] = {
             d: 0 for d in range(machine.num_domains)
@@ -109,25 +110,23 @@ class HealthRegistry:
         )
         self.metrics.gauge("health.l1.generations").set(len(store.generations()))
         self.metrics.gauge("health.l1.resident_bytes").set(store.resident_bytes())
-        self._sample_cadence(store, clock)
-
-    def _sample_cadence(self, store, clock: float) -> None:
         captures = sorted(store.gen(p).captured_at for p in store.generations())
         if len(captures) < 2:
             self.metrics.gauge("health.checkpoint.cadence_drift").set(0.0)
             return
         intervals = [b - a for a, b in zip(captures, captures[1:])]
         mean = sum(intervals) / len(intervals)
-        last = max(intervals[-1], max(0.0, clock - captures[-1]))
+        last = max(intervals[-1], max(0.0, now() - captures[-1]))
         self.metrics.gauge("health.checkpoint.interval_mean_s").set(mean)
         self.metrics.gauge("health.checkpoint.interval_last_s").set(last)
         self.metrics.gauge("health.checkpoint.cadence_drift").set(
             last / mean - 1.0 if mean > 0 else 0.0
         )
 
-    def sample_drainer(self, drainer, clock: float = 0.0) -> None:
-        """Drain backlog depth and age, and durable-generation lag."""
+    def sample_drainer(self, drainer) -> None:
+        """Drain backlog depth and age (to ``now()``), and durable lag."""
         self.metrics.gauge("health.drain.backlog").set(drainer.pending)
+        clock = now()
         ages = [
             clock - t for t in drainer.scheduled_at.values() if clock >= t
         ]
@@ -147,10 +146,10 @@ class HealthRegistry:
             max(0, newest_num - durable_num)
         )
 
-    def sample_mlck(self, checkpointer, clock: float = 0.0) -> None:
+    def sample_mlck(self, checkpointer) -> None:
         """One multi-level checkpointer: store + drainer together."""
-        self.sample_store(checkpointer.store, clock=clock)
-        self.sample_drainer(checkpointer.drainer, clock=clock)
+        self.sample_store(checkpointer.store)
+        self.sample_drainer(checkpointer.drainer)
 
     # -- fleet simulation -----------------------------------------------------
 
@@ -178,10 +177,9 @@ class HealthRegistry:
         RC, JSA, and the mlck pipelines of the given applications."""
         self.sample_rc(cluster.rc)
         self.sample_jsa(cluster.jsa)
-        clock = cluster.rc.clock
         for app in apps:
             for ck in getattr(app, "_mlck", {}).values():
-                self.sample_mlck(ck, clock=clock)
+                self.sample_mlck(ck)
 
     def snapshot(self) -> Dict[str, float]:
         """All health gauges as a flat, deterministically ordered dict."""

@@ -171,7 +171,7 @@ class FaultInjector:
                     f"pfs.faults.write.{plan.mode}"
                 ).inc()
                 emit_event(
-                    None, 0.0, "pfs_fault", op="write", file=name, mode=plan.mode
+                    None, "pfs_fault", op="write", file=name, mode=plan.mode
                 )
                 return plan
         return None
@@ -193,7 +193,7 @@ class FaultInjector:
                 )
                 get_tracer().metrics.counter("pfs.faults.read.bitflip").inc()
                 emit_event(
-                    None, 0.0, "pfs_fault", op="read", file=name,
+                    None, "pfs_fault", op="read", file=name,
                     mode="bitflip", offset=plan.offset, bit=plan.bit,
                 )
                 buf = bytearray(data)

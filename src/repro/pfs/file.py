@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import PFSError
 
-__all__ = ["PFSFile", "byte_view"]
+__all__ = ["PFSFile", "byte_view", "store_at"]
 
 
 def byte_view(data, error=PFSError) -> memoryview:
@@ -29,6 +29,17 @@ def byte_view(data, error=PFSError) -> memoryview:
         return view.cast("B") if view.nbytes else memoryview(b"")
     except TypeError as exc:
         raise error(f"write payload must be a C-contiguous buffer: {exc}") from None
+
+
+def store_at(buf: bytearray, offset: int, data: memoryview) -> None:
+    """Copy ``data`` into ``buf`` at ``offset`` (zero-filling a gap) once:
+    a bytearray slice assignment would copy a view to a temporary first."""
+    if offset > len(buf):  # zero-fill a real gap only
+        buf.extend(bytes(offset - len(buf)))
+    head = min(len(data), len(buf) - offset)
+    with memoryview(buf) as stored:
+        stored[offset:offset + head] = data[:head]
+    buf.extend(data[head:])
 
 
 class PFSFile:
@@ -105,13 +116,7 @@ class PFSFile:
 
     def _store(self, offset: int, data: memoryview) -> None:
         """Copy ``data`` into the stored content at ``offset``."""
-        if offset > len(self._data):  # zero-fill a real gap only
-            self._data.extend(bytes(offset - len(self._data)))
-        # one copy (a bytearray slice assignment copies a view first)
-        head = min(len(data), len(self._data) - offset)
-        with memoryview(self._data) as stored:
-            stored[offset:offset + head] = data[:head]
-        self._data.extend(data[head:])
+        store_at(self._data, offset, data)
 
     def _grow_sparse(self, end: int) -> None:
         """A sparse span up to ``end``: in memory, nothing to store."""

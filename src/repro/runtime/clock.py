@@ -1,4 +1,4 @@
-"""Per-task simulated clocks.
+"""Per-task simulated clocks, and the active clock records are stamped with.
 
 Each task carries a :class:`SimClock` measuring simulated seconds.
 Compute and I/O charge time with :meth:`SimClock.advance`; message
@@ -6,12 +6,17 @@ passing merges clocks Lamport-style (a receiver's clock becomes at least
 the message's arrival stamp), so globally synchronizing operations
 (barriers, blocking checkpoints) end with every task at the same
 simulated time — exactly the "blocking checkpoint" timing discipline the
-paper measures.
+paper measures.  The active clock is found, not passed: :func:`use_clock`
+scopes one (anything with ``now``) and :func:`now` reads it (DESIGN.md §13).
 """
 
 from __future__ import annotations
 
-__all__ = ["SimClock"]
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Any, Iterator
+
+__all__ = ["SimClock", "now", "use_clock"]
 
 
 class SimClock:
@@ -46,3 +51,22 @@ class SimClock:
 
     def __repr__(self) -> str:
         return f"SimClock({self._now:.6f}s)"
+
+
+_active: ContextVar[Any] = ContextVar("repro_clock", default=None)
+
+
+def now() -> float:
+    """The active clock's simulated time (0.0 when no clock is set)."""
+    clock = _active.get()
+    return clock.now if clock is not None else 0.0
+
+
+@contextmanager
+def use_clock(c: Any) -> Iterator[Any]:
+    """Scope ``c`` (anything with ``now``) as the active clock."""
+    token = _active.set(c)
+    try:
+        yield c
+    finally:
+        _active.reset(token)

@@ -5,20 +5,30 @@
 any task raises, the world is killed so sibling tasks unwind from
 blocked communication instead of hanging, and the original exception is
 re-raised in the caller — the behaviour of a parallel job whose task
-crash takes the whole application down (paper Section 1).
+crash takes the whole application down (paper Section 1).  A rank
+thread's active clock is the launcher's ``now()`` plus its task clock.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.errors import CommunicationError, TaskFailure
+from repro.runtime.clock import SimClock, now, use_clock
 from repro.runtime.comm import CommWorld, TaskComm
 from repro.runtime.machine import Machine
 
 __all__ = ["SPMDResult", "run_spmd"]
+
+
+class _Launched(NamedTuple):
+    """A rank's active clock: launch time plus the task's own clock."""
+
+    launch: float
+    task: SimClock
+    now = property(lambda self: self.launch + self.task.now)
 
 
 @dataclass
@@ -63,12 +73,14 @@ def run_spmd(
     world.placement = placement  # rank -> node id, visible to task code
     returns: List[Any] = [None] * ntasks
     errors: List[Optional[BaseException]] = [None] * ntasks
+    launch = now()
 
     def body(rank: int) -> None:
         comm = TaskComm(world, rank)
         ctx = make_context(comm) if make_context else comm
         try:
-            returns[rank] = fn(ctx, *args, **kwargs)
+            with use_clock(_Launched(launch, world.clocks[rank])):
+                returns[rank] = fn(ctx, *args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - must fan out any crash
             errors[rank] = exc
             world.kill()

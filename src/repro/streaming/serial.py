@@ -114,7 +114,7 @@ class StreamStats:
         m.counter("stream.redistribution.bytes").inc(self.redistribution_bytes)
         if get_flight().enabled:
             emit_event(
-                None, 0.0, "stream_op",
+                None, "stream_op",
                 direction=direction,
                 engine=engine,
                 nbytes=self.bytes_streamed,

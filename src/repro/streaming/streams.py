@@ -20,7 +20,7 @@ import threading
 from typing import Optional
 
 from repro.errors import StreamingError
-from repro.pfs.file import byte_view
+from repro.pfs.file import byte_view, store_at
 from repro.pfs.piofs import PIOFS
 
 __all__ = ["ByteSink", "ByteSource", "MemorySink", "MemorySource", "PFSSink", "PFSSource"]
@@ -77,7 +77,7 @@ class MemorySink(ByteSink):
 
     def write_at(self, offset, data, nbytes=None, client=0):
         """Write at an absolute offset (appends only when non-seekable).
-        The sink keeps its own copy of the payload."""
+        The sink keeps its own copy of the payload, copied once."""
         if data is None:
             raise StreamingError("memory sink requires real bytes")
         data = _payload_view(data, nbytes)
@@ -86,9 +86,7 @@ class MemorySink(ByteSink):
                 raise StreamingError(
                     "non-seekable sink only supports sequential appends"
                 )
-            if offset > len(self._buf):
-                self._buf.extend(bytes(offset - len(self._buf)))
-            self._buf[offset:offset + len(data)] = data
+            store_at(self._buf, offset, data)
 
     def append(self, data, nbytes=None, client=0):
         """Sequential append to the buffer."""

@@ -45,6 +45,7 @@ from repro.drms.steering import app_transfer
 from repro.errors import ArrayError, ReconfigurationError, WorkflowError
 from repro.obs import emit_event, get_flight, get_tracer
 from repro.pfs.piofs import PIOFS
+from repro.runtime.clock import SimClock, now, use_clock
 from repro.runtime.machine import Machine
 from repro.workflow.manifest import (
     WorkflowDecision,
@@ -113,6 +114,10 @@ class WorkflowRunReport:
         return sum(r.checkpoint_seconds for r in self.members.values())
 
 
+def _latest(clocks) -> SimClock:
+    return SimClock(max(clocks, default=0.0))
+
+
 class _WorkflowHub:
     """Rank-0 rendezvous of one ensemble run.
 
@@ -137,11 +142,12 @@ class _WorkflowHub:
         self._exchange_barrier = threading.Barrier(parties, action=self._run_exchange)
         self._commit_barrier = threading.Barrier(parties, action=self._run_commit)
 
-    # -- barrier actions (run exactly once, all members parked) -------------
+    # -- barrier actions (run once, all members parked, at the line's clock) --
 
     def _run_exchange(self) -> None:
         try:
-            self._outcome = self._coord._exchange_action(self._arrivals)
+            with use_clock(_latest(a["clock"] for a in self._arrivals.values())):
+                self._outcome = self._coord._exchange_action(self._arrivals)
             self._arrivals = {}
         except BaseException as exc:  # noqa: BLE001 - relayed to every member
             self._error = exc
@@ -149,7 +155,8 @@ class _WorkflowHub:
 
     def _run_commit(self) -> None:
         try:
-            self._line = self._coord._commit_action(self._outcome, self._commits)
+            with use_clock(_latest(c["clock"] for c in self._commits.values())):
+                self._line = self._coord._commit_action(self._outcome, self._commits)
             self._commits = {}
         except BaseException as exc:  # noqa: BLE001 - relayed to every member
             self._error = exc
@@ -322,11 +329,10 @@ class WorkflowCoordinator:
                 f"workflow generation {decision.generation} does not "
                 f"cover members {sorted(missing)}"
             )
-        obs = get_tracer()
-        obs.metrics.counter("workflow.restarts").inc()
-        if get_flight().enabled:
+        get_tracer().metrics.counter("workflow.restarts").inc()
+        with use_clock(_latest(line.clock for line in self.lines)):
             emit_event(
-                None, self._clock(), "workflow_restarted",
+                None, "workflow_restarted",
                 base=self.base, generation=decision.generation,
                 tiers=dict(decision.member_tiers),
                 tasks={n: int(t) for n, t in tasks.items()},
@@ -342,29 +348,24 @@ class WorkflowCoordinator:
         rejected as units."""
         return self._select(dict(tasks), None)
 
-    def _clock(self) -> float:
-        """The latest simulated time this coordinator has seen — its
-        newest committed line's — which stamps a recovery's records."""
-        return max((line.clock for line in self.lines), default=0.0)
-
     def _select(
         self, tasks: Dict[str, int], generation: Optional[int]
     ) -> WorkflowDecision:
         self._check_tasks(tasks)
-        clock = self._clock()
 
         def open_member(member: str, prefix: str):
             if member not in self._members:
                 raise WorkflowError(f"no workflow member {member!r} to open")
-            return self.member(member).open(prefix, tasks[member], clock=clock)
+            return self.member(member).open(prefix, tasks[member])
 
-        if generation is None:
-            return select_workflow_restart_state(
-                self.pfs, self.base, open_member, self.events, clock
+        with use_clock(_latest(line.clock for line in self.lines)):
+            if generation is None:
+                return select_workflow_restart_state(
+                    self.pfs, self.base, open_member, self.events
+                )
+            return walk_workflow_lines(
+                self.pfs, self.base, [generation], open_member, self.events
             )
-        return walk_workflow_lines(
-            self.pfs, self.base, [generation], open_member, self.events, clock
-        )
 
     # -- ensemble execution ---------------------------------------------------
 
@@ -462,7 +463,7 @@ class WorkflowCoordinator:
         coupling transfers, and the single ensemble cadence decision."""
         obs = get_tracer()
         obs.metrics.counter("workflow.exchanges").inc()
-        clock = max((a["clock"] for a in arrivals.values()), default=0.0)
+        clock = now()
         iteration = max((a["iteration"] for a in arrivals.values()), default=0)
         final = all(a["final"] for a in arrivals.values()) and bool(arrivals)
 
@@ -538,7 +539,7 @@ class WorkflowCoordinator:
                     outcome["prefixes"][name] = f"{bases[name]}.{gen:06d}"
         if get_flight().enabled:
             emit_event(
-                None, clock, "workflow_exchange",
+                None, "workflow_exchange",
                 base=self.base, iteration=iteration, fire=fire,
                 generation=outcome["generation"], steered=steered,
                 wire_bytes=total_wire,
@@ -557,7 +558,7 @@ class WorkflowCoordinator:
                 f"checkpoints {sorted(missing)}"
             )
         gen = outcome["generation"]
-        clock = max(c["clock"] for c in commits.values())
+        clock = now()
         members = {
             name: {
                 "prefix": entry["prefix"],
@@ -587,7 +588,7 @@ class WorkflowCoordinator:
         if self.policy is not None:
             self.policy.observe_cost(self.policy_state, line.seconds)
         emit_event(
-            self.events, clock, "workflow_line_committed",
+            self.events, "workflow_line_committed",
             base=self.base, generation=gen,
             members={n: m["prefix"] for n, m in members.items()},
         )

@@ -264,7 +264,6 @@ def walk_workflow_lines(
     lines: Iterable[int],
     open_member: MemberOpener,
     events=None,
-    clock: float = 0.0,
 ) -> WorkflowDecision:
     """The line walk over the workflow generations ``lines``, newest
     first (:func:`~repro.checkpoint.recover.walk_generations`): each
@@ -294,8 +293,7 @@ def walk_workflow_lines(
         return [], {"tiers": dict(tiers)}
 
     gen, _, rejected = walk_generations(
-        [(g, None) for g in lines], validate, WORKFLOW_WALK, events, clock,
-        base=base,
+        [(g, None) for g in lines], validate, WORKFLOW_WALK, events, base=base
     )
     decision = WorkflowDecision(base=base, generation=gen, rejected=rejected, **chosen)
     m = get_tracer().metrics
@@ -309,14 +307,12 @@ def select_workflow_restart_state(
     base: str,
     open_member: MemberOpener,
     events=None,
-    clock: float = 0.0,
 ) -> WorkflowDecision:
     """Restart a workflow from the newest committed generation whose
     every member state opens: :func:`walk_workflow_lines` over every
     committed line under ``base``, newest first."""
     return walk_workflow_lines(
-        pfs, base, reversed(_committed_line_numbers(pfs, base)),
-        open_member, events, clock,
+        pfs, base, reversed(_committed_line_numbers(pfs, base)), open_member, events
     )
 
 

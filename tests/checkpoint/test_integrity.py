@@ -38,6 +38,7 @@ from repro.errors import (
 from repro.infra.events import EventLog
 from repro.pfs.faults import FaultInjector, flip_stored_bit
 from repro.pfs.piofs import PIOFS
+from repro.runtime.clock import SimClock, use_clock
 
 N = 8
 
@@ -361,8 +362,8 @@ class TestRecoverySelection:
 
         pfs = self._two_generations(env)
         flip_stored_bit(pfs, "job.000002.array.u", 100)
-        with use_flight(FlightRecorder()) as fr:
-            select_restart_state(pfs, "job", clock=7.0, job="j")
+        with use_flight(FlightRecorder()) as fr, use_clock(SimClock(7.0)):
+            select_restart_state(pfs, "job", job="j")
         events = fr.events()
         assert [e.kind for e in events] == [
             "recovery_walk_started", "checkpoint_rejected",

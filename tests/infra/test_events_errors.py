@@ -4,30 +4,37 @@ import pytest
 
 from repro import errors
 from repro.infra.events import EventLog, emit_event
+from repro.runtime.clock import SimClock, use_clock
+
+
+def emit_at(log, t, kind, **detail):
+    """One record stamped ``t``: the log takes no time, the clock does."""
+    with use_clock(SimClock(t)):
+        return log.emit(kind, **detail)
 
 
 class TestEventLog:
     def test_emit_and_iter(self):
         log = EventLog()
-        log.emit(1.0, "a", x=1)
-        log.emit(2.0, "b")
-        log.emit(3.0, "a", x=2)
+        log.emit("a", x=1)
+        log.emit("b")
+        log.emit("a", x=2)
         assert len(log) == 3
         assert [e.kind for e in log] == ["a", "b", "a"]
 
     def test_of_kind_and_last(self):
         log = EventLog()
         assert log.last() is None
-        log.emit(1.0, "a", x=1)
-        log.emit(2.0, "b")
+        log.emit("a", x=1)
+        log.emit("b")
         assert log.last().kind == "b"
         assert log.last("a").detail == {"x": 1}
         assert log.of_kind("c") == []
 
     def test_of_kind_detail_filter(self):
         log = EventLog()
-        log.emit(1.0, "checkpoint_rejected", prefix="ck.3", job="bt")
-        log.emit(2.0, "checkpoint_rejected", prefix="ck.2", job="lu")
+        emit_at(log, 1.0, "checkpoint_rejected", prefix="ck.3", job="bt")
+        emit_at(log, 2.0, "checkpoint_rejected", prefix="ck.2", job="lu")
         hits = log.of_kind("checkpoint_rejected", prefix="ck.2")
         assert [e.time for e in hits] == [2.0]
         assert log.of_kind("checkpoint_rejected", prefix="ck.2", job="bt") == []
@@ -37,24 +44,24 @@ class TestEventLog:
     def test_between_window_is_closed(self):
         log = EventLog()
         for t in (0.0, 1.0, 2.0, 3.0):
-            log.emit(t, "tick")
-        log.emit(2.5, "tock")
+            emit_at(log, t, "tick")
+        emit_at(log, 2.5, "tock")
         assert [e.time for e in log.between(1.0, 2.5)] == [1.0, 2.0, 2.5]
         assert [e.time for e in log.between(1.0, 2.5, kind="tick")] == [1.0, 2.0]
         assert log.between(10.0, 20.0) == []
 
     def test_where_predicate(self):
         log = EventLog()
-        log.emit(1.0, "a", node=1)
-        log.emit(2.0, "b", node=2)
+        log.emit("a", node=1)
+        log.emit("b", node=2)
         assert [e.kind for e in log.where(lambda e: e.detail.get("node") == 2)] == ["b"]
 
     def test_to_json_round_trips(self):
         import json
 
         log = EventLog()
-        log.emit(1.5, "pool_formed", pool=[0, 1], job="bt")
-        log.emit(2.0, "odd_detail", payload=object())  # falls back to repr
+        emit_at(log, 1.5, "pool_formed", pool=[0, 1], job="bt")
+        emit_at(log, 2.0, "odd_detail", payload=object())  # falls back to repr
         doc = json.loads(log.to_json(indent=2))
         assert doc[0] == {
             "seq": log.events[0].seq,
@@ -66,7 +73,8 @@ class TestEventLog:
         assert isinstance(doc[1]["detail"]["payload"], str)
 
     def test_repr_compact(self):
-        ev = emit_event(None, 1.5, "boom", node=3)
+        with use_clock(SimClock(1.5)):
+            ev = emit_event(None, "boom", node=3)
         assert "boom" in repr(ev)
         assert "node=3" in repr(ev)
 

@@ -19,6 +19,7 @@ from repro.infra import DRMSCluster, FailurePlan
 from repro.mlck.placement import select_partners
 from repro.obs import FlightRecorder, Tracer, use_flight, use_tracer
 from repro.obs.forensics import make_incident, reconstruct_timeline
+from repro.runtime.clock import use_clock
 from repro.runtime.machine import Machine, MachineParams
 
 pytestmark = pytest.mark.mlck
@@ -87,7 +88,7 @@ def test_partner_loss_schedule_falls_back_to_pfs(cluster):
         cluster.jsa.run("j", ntasks=8)
     assert plan.fired_nodes == [owner]
     cluster.rc.handle_processor_failure(owner)
-    app.on_node_failure(owner, clock=cluster.rc.clock)
+    app.on_node_failure(owner)
 
     # generation 3 (iteration 9) replicated its first piece exactly onto
     # the doomed pair
@@ -101,7 +102,7 @@ def test_partner_loss_schedule_falls_back_to_pfs(cluster):
     assert plan.fired_nodes == [owner, partner]
     assert plan.fired and plan.pending is None
     cluster.rc.handle_processor_failure(partner)
-    app.on_node_failure(partner, clock=cluster.rc.clock)
+    app.on_node_failure(partner)
 
     with use_tracer(Tracer()) as tracer:
         report = cluster.jsa.recover("j")
@@ -141,7 +142,8 @@ def test_localized_recovery_records_carry_the_incident_clock(cluster):
             assert started.time <= e.time <= restarted.time
         # dump the rings the records sit on and rebuild the timeline
         for node in sorted({e.node for e in records}):
-            fr.blackbox(node, reason="post-recovery", time=cluster.rc.clock)
+            with use_clock(cluster.rc):
+                fr.blackbox(node, reason="post-recovery")
         tl = reconstruct_timeline(make_incident(cluster.events, flight=fr, job="j"))
     kinds = [e.kind for e in tl.entries]
     after = kinds.index("recovery_started")

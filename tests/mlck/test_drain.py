@@ -15,6 +15,7 @@ from repro.mlck.store import L1Store
 from repro.obs import FlightRecorder, Tracer, use_flight, use_tracer
 from repro.pfs.faults import FaultInjector
 from repro.pfs.piofs import PIOFS
+from repro.runtime.clock import SimClock, use_clock
 from repro.runtime.machine import Machine, MachineParams
 
 pytestmark = pytest.mark.mlck
@@ -273,7 +274,8 @@ def test_drain_states_carry_the_scheduled_clock(env, workload, synchronous):
         for gen, clock in ((1, 2.5), (2, 4.0)):
             seg, arrays = workload(iteration=gen)
             store.capture_drms(f"ck.{gen:06d}", seg, arrays)
-            drainer.schedule(f"ck.{gen:06d}", clock=clock)
+            with use_clock(SimClock(clock)):
+                drainer.schedule(f"ck.{gen:06d}")
         drainer.wait(timeout=30.0)
     scheduled = {
         e.detail["prefix"]: e.time for e in fr.events() if e.kind == "drain_scheduled"
@@ -283,3 +285,39 @@ def test_drain_states_carry_the_scheduled_clock(env, workload, synchronous):
     assert [e.detail["state"] for e in states] == ["draining", "durable"] * 2
     for e in states:
         assert e.time == scheduled[e.detail["prefix"]]
+
+
+def test_an_async_drain_keeps_its_schedule_time_while_the_rank_moves_on(
+    env, workload
+):
+    """A drain runs under a clock frozen at its schedule time, never the
+    live clock of the rank that scheduled it: while the first drain is
+    held at the PFS phase lock, the rank's clock moves on and a second
+    capture runs, yet every ``drain_state`` and ``stream_op`` record of
+    the first drain carries the first schedule time."""
+    machine, pfs, store = env
+    drainer = DrainController(store, pfs, synchronous=False)
+    rank = SimClock(2.5)
+    with use_flight(FlightRecorder()) as fr, use_clock(rank):
+        store.capture_drms("ck.000001", *workload(iteration=1))
+        with drainer._serial:  # the first drain waits here
+            drainer.schedule("ck.000001")
+            rank.advance(1.5)
+            store.capture_drms("ck.000002", *workload(iteration=2))
+            drainer.schedule("ck.000002")
+        drainer.wait(timeout=30.0)
+    events = fr.events()
+    captured = {e.detail["prefix"]: e.time for e in events if e.kind == "l1_captured"}
+    assert captured == {"ck.000001": 2.5, "ck.000002": 4.0}
+    for prefix, at in captured.items():
+        states = [
+            e for e in events
+            if e.kind == "drain_state" and e.detail["prefix"] == prefix
+        ]
+        assert [e.detail["state"] for e in states] == ["draining", "durable"]
+        ops = [
+            e for e in events
+            if e.kind == "stream_op" and states[0].seq < e.seq < states[1].seq
+        ]
+        assert ops
+        assert {e.time for e in states + ops} == {at}

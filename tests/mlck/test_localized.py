@@ -29,6 +29,7 @@ from repro.mlck.store import L1Store
 from repro.obs import FlightRecorder, Tracer, use_flight, use_tracer
 from repro.pfs.faults import FaultInjector
 from repro.pfs.piofs import PIOFS
+from repro.runtime.clock import SimClock, use_clock
 from repro.runtime.machine import Machine, MachineParams
 
 pytestmark = pytest.mark.localized
@@ -313,10 +314,10 @@ def test_opening_a_named_generation_stamps_the_node_drop_with_its_clock(
     dead = 1
     assert any(dead in p.replicas for p in store.gen("ck.000001").pieces())
     machine.fail_node(dead)
-    with use_flight(FlightRecorder()) as fr:
+    with use_flight(FlightRecorder()) as fr, use_clock(SimClock(7.5)):
         localized_restart(
             PIOFS(machine=machine), "ck.000001", 2, {0: 0, 1: dead},
-            failed_nodes=[dead], replacements={1: 2}, l1=store, clock=7.5,
+            failed_nodes=[dead], replacements={1: 2}, l1=store,
         )
     (lost,) = events.of_kind("mlck_replicas_lost")
     (dropped,) = [e for e in fr.events() if e.kind == "mlck_replicas_lost"]

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import CheckpointError
 from repro.infra.events import EventLog
 from repro.mlck.placement import replica_nodes, select_partners
+from repro.runtime.clock import SimClock, use_clock
 from repro.runtime.machine import Machine, MachineParams
 
 pytestmark = pytest.mark.mlck
@@ -48,7 +49,8 @@ def test_down_nodes_are_never_picked():
 def test_single_domain_fallback_warns_on_event_log():
     m = Machine(MachineParams(num_nodes=4, failure_domains=1))
     events = EventLog()
-    partners = select_partners(m, 0, k=1, events=events, clock=7.0)
+    with use_clock(SimClock(7.0)):
+        partners = select_partners(m, 0, k=1, events=events)
     # still replicated, just not cross-domain
     assert len(partners) == 1
     assert partners[0] != 0

@@ -75,7 +75,7 @@ def test_losing_all_replicas_fails_validation(store, machine, workload):
     store.events = events
     for node in list(gen.files[gen.manifest["segment_file"]][0].replicas):
         machine.fail_node(node)
-        store.drop_node(node, clock=1.0)
+        store.drop_node(node)
     report = store.validate_generation("ck.000001")
     assert not report.ok
     assert "no surviving valid replica" in report.errors[0]

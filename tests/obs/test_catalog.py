@@ -131,3 +131,78 @@ def test_a_record_is_written_in_one_place():
     assert [where for where in calls if where[0] != _WRITER] == []
     assert [where for where in builds if where[0] != _WRITER] == []
     assert len(calls) == 1 and len(builds) == 1
+
+
+#: the ``clock`` parameters a signature in ``src/repro`` may take: the
+#: wall-time callable of a wallclock rule, and the workflow members'
+#: arrival data the hub takes its line's clock from
+_CLOCK_ALLOWED = {
+    ("policy/rules.py", "WallclockRule.__init__"),
+    ("workflow/coordinator.py", "_WorkflowHub.exchange"),
+    ("workflow/coordinator.py", "_WorkflowHub.commit"),
+    ("workflow/coordinator.py", "WorkflowLine"),
+}
+
+
+def _clock_signatures():
+    """``(module, qualified name)`` of every function taking a
+    ``clock`` argument, and of every class declaring a ``clock`` field
+    (a dataclass's constructor takes it)."""
+    import ast
+
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = ".".join(scope + [child.name])
+                a = child.args
+                params = a.posonlyargs + a.args + a.kwonlyargs
+                if any(p.arg == "clock" for p in params):
+                    found.append((module, name))
+                visit(child, module, scope + [child.name])
+            elif isinstance(child, ast.ClassDef):
+                if any(
+                    isinstance(s, ast.AnnAssign)
+                    and getattr(s.target, "id", None) == "clock"
+                    for s in child.body
+                ):
+                    found.append((module, ".".join(scope + [child.name])))
+                visit(child, module, scope + [child.name])
+
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        visit(ast.parse(path.read_text()), module, [])
+    return found
+
+
+def test_a_record_takes_its_time_from_the_active_clock():
+    """A record, a black-box dump and a health sample are stamped with
+    the active clock's ``now()``: none of their writers takes a time,
+    and no signature passes a ``clock`` down to them — the clock is
+    found, not passed."""
+    import inspect
+
+    from repro.infra.events import EventLog
+    from repro.obs import FlightRecorder, HealthRegistry, NullFlightRecorder
+    from repro.obs.flight import emit_event
+
+    writers = [
+        emit_event, EventLog.emit,
+        FlightRecorder.blackbox, FlightRecorder.auto_blackbox,
+        NullFlightRecorder.blackbox, NullFlightRecorder.auto_blackbox,
+    ] + [
+        fn for name, fn in vars(HealthRegistry).items()
+        if name.startswith("sample_")
+    ]
+    timed = [
+        fn.__qualname__ for fn in writers
+        if {"time", "clock"} & set(inspect.signature(fn).parameters)
+    ]
+    assert timed == []
+    assert list(inspect.signature(emit_event).parameters) == [
+        "events", "kind", "detail",
+    ]
+    found = _clock_signatures()
+    assert ("policy/rules.py", "WallclockRule.__init__") in found  # scan works
+    assert [where for where in found if where not in _CLOCK_ALLOWED] == []

@@ -20,6 +20,7 @@ from repro.obs import (
     use_flight,
 )
 from repro.obs.flight import BLACKBOX_SCHEMA
+from repro.runtime.clock import SimClock, use_clock
 
 
 class TestRecording:
@@ -27,7 +28,7 @@ class TestRecording:
         fr = FlightRecorder(capacity=4)
         with use_flight(fr):
             for i in range(10):
-                emit_event(None, float(i), "tick", node=1, i=i)
+                emit_event(None, "tick", node=1, i=i)
         ring = fr.ring(1)
         assert len(ring) == 4
         # oldest events fell off the back; the newest four remain
@@ -43,8 +44,8 @@ class TestRecording:
     def test_rings_are_per_node_with_a_global_default(self):
         fr = FlightRecorder()
         with use_flight(fr):
-            emit_event(None, 0.0, "global_thing")
-            emit_event(None, 0.0, "node_thing", node=2)
+            emit_event(None, "global_thing")
+            emit_event(None, "node_thing", node=2)
         assert fr.nodes() == [GLOBAL_NODE, 2]
         assert [e.kind for e in fr.ring()] == ["global_thing"]
         assert [e.kind for e in fr.ring(2)] == ["node_thing"]
@@ -52,9 +53,9 @@ class TestRecording:
     def test_events_interleave_rings_in_sequence_order(self):
         fr = FlightRecorder()
         with use_flight(fr):
-            emit_event(None, 0.0, "a", node=1)
-            emit_event(None, 0.0, "b", node=2)
-            emit_event(None, 0.0, "c", node=1)
+            emit_event(None, "a", node=1)
+            emit_event(None, "b", node=2)
+            emit_event(None, "c", node=1)
         assert [e.kind for e in fr.events()] == ["a", "b", "c"]
         seqs = [e.seq for e in fr.events()]
         assert seqs == sorted(seqs)
@@ -62,8 +63,8 @@ class TestRecording:
     def test_the_log_and_a_ring_hold_one_record(self):
         log, fr = EventLog(), FlightRecorder()
         with use_flight(fr):
-            ev = log.emit(1.0, "tc_disconnected", node=3)
-            emit_event(None, 2.0, "job_restarted", job="j")
+            ev = log.emit("tc_disconnected", node=3)
+            emit_event(None, "job_restarted", job="j")
         (on_ring,) = fr.ring(3)
         assert on_ring is ev and log.events == [ev]
         assert ev.node == 3 and ev.detail == {"node": 3}
@@ -77,7 +78,7 @@ class TestRecording:
         threads = [
             threading.Thread(
                 target=lambda n=n: [
-                    emit_event(None, 0.0, "t", node=n) for _ in range(500)
+                    emit_event(None, "t", node=n) for _ in range(500)
                 ]
             )
             for n in range(4)
@@ -98,7 +99,7 @@ class TestRecording:
 
         def spin():
             for _ in range(per_thread):
-                emit_event(None, 0.0, "t", node=1)
+                emit_event(None, "t", node=1)
 
         workers = [threading.Thread(target=spin) for _ in range(threads)]
         interval = sys.getswitchinterval()
@@ -122,23 +123,24 @@ class TestBlackboxes:
     def test_blackbox_merges_node_and_global_rings(self):
         fr = FlightRecorder()
         with use_flight(fr):
-            emit_event(None, 1.0, "scheduler_decision")  # global
-            emit_event(None, 2.0, "sop_crossed", node=3, sop=1)
-            emit_event(None, 3.0, "pool_formed")  # global
-        box = fr.blackbox(3, reason="killed", time=4.0)
-        assert box["schema"] == BLACKBOX_SCHEMA
+            emit_event(None, "scheduler_decision")  # global
+            emit_event(None, "sop_crossed", node=3, sop=1)
+            emit_event(None, "pool_formed")  # global
+        with use_clock(SimClock(4.0)):
+            box = fr.blackbox(3, reason="killed")
+        assert box["schema"] == BLACKBOX_SCHEMA and box["time"] == 4.0
         assert box["node"] == 3 and box["reason"] == "killed"
         kinds = [e["kind"] for e in box["events"]]
         assert kinds == ["scheduler_decision", "sop_crossed", "pool_formed"]
         # another node's ring does not leak in
         with use_flight(fr):
-            emit_event(None, 0.0, "other", node=5)
+            emit_event(None, "other", node=5)
         assert "other" not in [e["kind"] for e in fr.blackbox(3)["events"]]
 
     def test_auto_blackbox_dedupes_per_incident(self):
         fr = FlightRecorder()
         with use_flight(fr):
-            emit_event(None, 0.0, "x", node=1)
+            emit_event(None, "x", node=1)
         first = fr.auto_blackbox(1, reason="rc saw it")
         second = fr.auto_blackbox(1, reason="store saw it")
         assert first is not None and second is None
@@ -151,7 +153,7 @@ class TestBlackboxes:
     def test_write_blackboxes_emits_json_files(self, tmp_path):
         fr = FlightRecorder()
         with use_flight(fr):
-            emit_event(None, 1.5, "last_words", node=7, nbytes=800)
+            emit_event(None, "last_words", node=7, nbytes=800)
         fr.blackbox(7, reason="dropped")
         (path,) = fr.write_blackboxes(tmp_path / "boxes")
         assert path.name == "blackbox_node7.json"
@@ -164,7 +166,7 @@ class TestBlackboxes:
     def test_to_dict_round_trips_through_json(self):
         fr = FlightRecorder()
         with use_flight(fr):
-            emit_event(None, 0.5, "e", node=1, k="v")
+            emit_event(None, "e", node=1, k="v")
         fr.blackbox(1)
         doc = json.loads(json.dumps(fr.to_dict()))
         assert doc["rings"]["1"][0]["kind"] == "e"
@@ -194,7 +196,7 @@ class TestScoping:
     def test_null_recorder_is_inert(self):
         null = NullFlightRecorder()
         with use_flight(null):
-            emit_event(None, 2.0, "anything", node=1, payload=object())
+            emit_event(None, "anything", node=1, payload=object())
         assert null.nodes() == [] and null.events() == []
         assert null.recorded(1) == 0
         assert null.auto_blackbox(1) is None
@@ -208,8 +210,8 @@ class TestScoping:
 
         fr = FlightRecorder()
         with use_flight(fr):
-            emit_event(None, 0.0, "a", node=1)
-            emit_event(None, 0.0, "b", node=1)
+            emit_event(None, "a", node=1)
+            emit_event(None, "b", node=1)
         fr.blackbox(1)
         with use_tracer(Tracer()) as tracer:
             fr.publish_metrics()

@@ -29,22 +29,29 @@ from repro.obs import (
     use_flight,
     write_incident,
 )
+from repro.runtime.clock import SimClock, use_clock
 from repro.runtime.machine import Machine, MachineParams
+
+
+def emit_at(log, t, kind, **detail):
+    """One record stamped ``t``: the clock, not the emitter, sets it."""
+    with use_clock(SimClock(t)):
+        return emit_event(log, kind, **detail)
 
 
 def _incident_log(restart_seconds: float = 4.5) -> EventLog:
     """A hand-built recovery: inject at 10s, detect at 12s, protocol
     done at 17s, selection instantaneous, rebuild 4.5s."""
     log = EventLog()
-    log.emit(10.0, "failure_injected", node=3, job="j")
-    log.emit(12.0, "tc_disconnected", node=3)
-    log.emit(12.0, "application_killed", job="j")
-    log.emit(17.0, "tcs_restarted", job="j", healthy=7)
-    log.emit(17.0, "recovery_started", job="j")
-    log.emit(17.0, "checkpoint_rejected", prefix="ck.000003", tier="l1", errors=2)
-    log.emit(17.0, "checkpoint_verified", prefix="ck.000002", tier="l1")
-    log.emit(
-        17.0, "job_restarted", job="j", ntasks=8,
+    emit_at(log, 10.0, "failure_injected", node=3, job="j")
+    emit_at(log, 12.0, "tc_disconnected", node=3)
+    emit_at(log, 12.0, "application_killed", job="j")
+    emit_at(log, 17.0, "tcs_restarted", job="j", healthy=7)
+    emit_at(log, 17.0, "recovery_started", job="j")
+    emit_at(log, 17.0, "checkpoint_rejected", prefix="ck.000003", tier="l1", errors=2)
+    emit_at(log, 17.0, "checkpoint_verified", prefix="ck.000002", tier="l1")
+    emit_at(
+        log, 17.0, "job_restarted", job="j", ntasks=8,
         restart_seconds=restart_seconds, restart_kind="mlck-l1",
         prefix="ck.000002",
     )
@@ -108,9 +115,9 @@ class TestTimeline:
     def test_anchors_on_the_last_incident(self):
         log = _incident_log()
         # a later, second incident: only its window should be analyzed
-        log.emit(100.0, "failure_injected", node=5, job="j")
-        log.emit(101.0, "tc_disconnected", node=5)
-        log.emit(106.0, "tcs_restarted", job="j", healthy=6)
+        emit_at(log, 100.0, "failure_injected", node=5, job="j")
+        emit_at(log, 101.0, "tc_disconnected", node=5)
+        emit_at(log, 106.0, "tcs_restarted", job="j", healthy=6)
         tl = reconstruct_timeline(log.events)
         assert tl.failed_node == 5
         assert tl.phase("detection").seconds == pytest.approx(1.0)
@@ -120,8 +127,8 @@ class TestTimeline:
 
     def test_falls_back_to_disconnect_without_injection_event(self):
         log = EventLog()
-        log.emit(5.0, "tc_disconnected", node=2)
-        log.emit(9.0, "tcs_restarted", job="j", healthy=3)
+        emit_at(log, 5.0, "tc_disconnected", node=2)
+        emit_at(log, 9.0, "tcs_restarted", job="j", healthy=3)
         tl = reconstruct_timeline(log.events)
         assert tl.failed_node == 2
         assert tl.phase("detection").seconds == 0.0
@@ -129,7 +136,7 @@ class TestTimeline:
 
     def test_no_failure_means_no_phases(self):
         log = EventLog()
-        log.emit(1.0, "pool_formed", job="j")
+        emit_at(log, 1.0, "pool_formed", job="j")
         tl = reconstruct_timeline(log.events)
         assert tl.phases == [] and tl.total_seconds == 0.0
         assert "forensic timeline" in render_timeline(tl)
@@ -137,8 +144,8 @@ class TestTimeline:
     def test_blackbox_events_merge_into_the_entry_stream(self):
         log = _incident_log()
         with use_flight(FlightRecorder()) as fr:
-            emit_event(None, 11.0, "sop_crossed", node=3, sop=2)
-        fr.blackbox(3, reason="killed", time=12.0)
+            emit_at(None, 11.0, "sop_crossed", node=3, sop=2)
+        fr.blackbox(3, reason="killed")
         incident = make_incident(log, flight=fr, job="j")
         tl = reconstruct_timeline(incident)
         assert ring_only(tl, log) == ["sop_crossed"]
@@ -150,9 +157,9 @@ class TestTimeline:
 
     def test_a_logged_record_on_a_ring_is_listed_once(self):
         with use_flight(FlightRecorder()) as fr:
-            emit_event(None, 11.0, "sop_crossed", node=3, sop=2)
+            emit_at(None, 11.0, "sop_crossed", node=3, sop=2)
             log = _incident_log()  # tc_disconnected lands on node 3's ring
-        box = fr.blackbox(3, reason="killed", time=12.0)
+        box = fr.blackbox(3, reason="killed")
         assert "tc_disconnected" in [row["kind"] for row in box["events"]]
         tl = reconstruct_timeline(make_incident(log, flight=fr, job="j"))
         assert ring_only(tl, log) == ["sop_crossed"]
@@ -164,8 +171,8 @@ class TestTimeline:
         reaches the timeline."""
         log = EventLog()
         with use_flight(FlightRecorder()) as fr:
-            emit_event(log, 1.0, "checkpoint_rejected", prefix="ck.000002", node=1)
-            emit_event(None, 2.0, "checkpoint_rejected", prefix="ck.000001", node=1)
+            emit_at(log, 1.0, "checkpoint_rejected", prefix="ck.000002", node=1)
+            emit_at(None, 2.0, "checkpoint_rejected", prefix="ck.000001", node=1)
         tl = reconstruct_timeline(log, [fr.blackbox(1)])
         assert [e.detail["prefix"] for e in tl.entries] == [
             "ck.000002", "ck.000001",
@@ -191,7 +198,7 @@ class TestTimeline:
     def test_entry_stream_is_tail_truncated(self):
         log = EventLog()
         for i in range(100):
-            log.emit(float(i), "tick", i=i)
+            emit_at(log, float(i), "tick", i=i)
         text = render_timeline(reconstruct_timeline(log.events), max_entries=10)
         assert "90 earlier entries elided" in text
 

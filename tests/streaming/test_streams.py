@@ -1,12 +1,34 @@
 """Unit tests for the byte sink/source layer."""
 
 import threading
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.errors import StreamingError
 from repro.pfs.piofs import PIOFS
 from repro.streaming.streams import MemorySink, MemorySource, PFSSink
+
+
+@pytest.mark.parametrize("offset", [0, 4096])
+def test_a_write_copies_the_payload_once(offset):
+    """An 8 MiB write stores one copy of the payload: into a fresh sink
+    (offset 0), and over existing content that it overwrites in part
+    and extends (offset 4096).  A bytearray slice assignment copied a
+    view into a temporary first: 2 x payload and more."""
+    payload = np.arange(1 << 20, dtype=np.float64)
+    sink = MemorySink()
+    if offset:
+        sink.write_at(0, bytes(offset + payload.nbytes // 2))
+    tracemalloc.start()
+    try:
+        sink.write_at(offset, payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= payload.nbytes + (64 << 10)
+    assert sink.getvalue()[offset:] == payload.tobytes()
 
 
 class TestPayloadValidation:

@@ -15,6 +15,7 @@ from repro.checkpoint.segment import DataSegment, SegmentProfile
 from repro.errors import CheckpointError, WorkflowError
 from repro.pfs.faults import flip_stored_bit
 from repro.pfs.piofs import PIOFS
+from repro.runtime.clock import SimClock, use_clock
 from repro.workflow.manifest import (
     WORKFLOW_VERSION,
     check_member_name,
@@ -239,9 +240,9 @@ class TestRecoveryWalk:
             self.commit_line(pfs, gen, {"a": gen, "b": gen + 10})
         flip_stored_bit(pfs, workflow_manifest_name("wf", 2), 0, 0)
         events = EventLog()
-        with use_flight(FlightRecorder()) as fr:
+        with use_flight(FlightRecorder()) as fr, use_clock(SimClock(3.0)):
             decision = select_workflow_restart_state(
-                pfs, "wf", opener(pfs), events=events, clock=3.0
+                pfs, "wf", opener(pfs), events=events
             )
         assert decision.generation == 1 and decision.fell_back
         ((gen, errors),) = decision.rejected
