@@ -24,7 +24,6 @@ from repro.pfs.phase import IOKind
 from repro.pfs.piofs import PIOFS
 from repro.reporting.tables import Table
 from repro.streaming.parallel import stream_out_parallel
-from repro.streaming.serial import stream_out_serial
 from repro.streaming.streams import MemorySink, PFSSink
 from repro.runtime.machine import Machine, MachineParams
 
@@ -95,11 +94,11 @@ def test_serial_channel_rejects_parallel(report):
         "u", (8, 8), np.float64, block_distribution((8, 8), 4)
     )
     arr.set_global(np.ones((8, 8)))
-    with pytest.raises(StreamingError):
+    with pytest.raises(StreamingError, match="use P=1"):
         stream_out_parallel(arr, MemorySink(seekable=False), P=4)
-    # serial streaming is fine on the same channel
+    # serial streaming (P=1) is fine on the same channel
     sink = MemorySink(seekable=False)
-    stream_out_serial(arr, sink)
+    stream_out_parallel(arr, sink, P=1)
     assert len(sink.getvalue()) == arr.nbytes_global
     report(
         "ablation_serial_channel",

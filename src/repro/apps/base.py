@@ -12,8 +12,7 @@ equality across reconfigured restarts.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from repro.checkpoint.segment import SYSTEM_SEGMENT_BYTES, SegmentProfile
 from repro.drms.app import DRMSApplication
 from repro.drms.context import CheckpointStatus, DRMSContext, TaskArrayView
 from repro.drms.soq import SOQSpec
-from repro.errors import ReconfigurationError
 
 __all__ = ["NPBProxy"]
 
@@ -60,13 +58,6 @@ class NPBProxy:
         self.dt = 0.05
 
     # -- geometry -------------------------------------------------------------
-
-    def field_by_name(self, name: str) -> FieldSpec:
-        """The FieldSpec with the given name."""
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise KeyError(f"{self.benchmark}: no field {name!r}")
 
     @property
     def array_bytes_total(self) -> int:

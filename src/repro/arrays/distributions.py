@@ -458,10 +458,6 @@ class Distribution:
 
     # -- sizes (Tables 3/4/6 inputs) ----------------------------------------
 
-    def local_elements(self, task: int) -> int:
-        """Mapped-section element count (local storage incl. shadows)."""
-        return self._mapped[task].size
-
     def total_local_elements(self) -> int:
         """Sum over tasks of mapped elements; exceeds the global element
         count when shadows are present (paper Section 6)."""

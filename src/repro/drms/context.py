@@ -19,7 +19,7 @@ charge the same simulated time to every task (blocking checkpoints).
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Dict, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.arrays.darray import DistributedArray
 from repro.arrays.distributions import AxisDistribution, Block, Distribution
 from repro.arrays.slices import Slice
 from repro.errors import CheckpointError, ReconfigurationError
-from repro.obs.flight import GLOBAL_NODE, emit_event, get_flight
+from repro.obs.flight import GLOBAL_NODE, emit_event
 from repro.runtime.comm import TaskComm
 
 __all__ = ["CheckpointStatus", "DRMSContext", "TaskArrayView"]
@@ -364,14 +364,13 @@ class DRMSContext:
         detail) on the ring of this task's node."""
         self._sop += 1
         self.runtime.note_sop_crossing(self._sop, self._iteration)
-        if get_flight().enabled:
-            my_node = self.comm.world.placement.get(self.rank)
-            emit_event(
-                None, "sop_crossed",
-                node=my_node if my_node is not None else GLOBAL_NODE,
-                sop=self._sop, iteration=self._iteration, rank=self.rank,
-                **tags,
-            )
+        my_node = self.comm.world.placement.get(self.rank)
+        emit_event(
+            None, "sop_crossed",
+            node=my_node if my_node is not None else GLOBAL_NODE,
+            sop=self._sop, iteration=self._iteration, rank=self.rank,
+            **tags,
+        )
 
     def _capture(self, prefix: str, **member_tags: Any) -> tuple:
         """The capture tail of a checkpointing SOP: every task captures
@@ -389,7 +388,7 @@ class DRMSContext:
             return rt.checkpoints[-1][0], bd
 
         actual, bd = self._collective(take)
-        if self.rank == 0 and get_flight().enabled:
+        if self.rank == 0:
             emit_event(
                 None, "checkpoint_taken",
                 prefix=actual if member_tags else prefix, sop=self._sop,

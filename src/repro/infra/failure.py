@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import TaskFailure
 from repro.obs import emit_event
+from repro.runtime.clock import now
 
 __all__ = ["NodeFailure", "FailurePlan"]
 
@@ -127,9 +128,8 @@ class FailurePlan:
         """Book one firing (caller holds the lock)."""
         self.fired_nodes.append(node)
         self.fired_at.append(iteration)
-        self.fired_time = emit_event(
-            None, "failure_plan_fired", node=node, iteration=iteration
-        ).time
+        self.fired_time = now()
+        emit_event(None, "failure_plan_fired", node=node, iteration=iteration)
 
     def drain_simultaneous(self) -> List[int]:
         """Fire every remaining ``multi=`` entry scheduled at the same

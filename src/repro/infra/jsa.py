@@ -52,10 +52,6 @@ class Job:
     ntasks: int = 0
     reports: List[RunReport] = field(default_factory=list)
 
-    @property
-    def last_report(self) -> Optional[RunReport]:
-        return self.reports[-1] if self.reports else None
-
 
 class JobSchedulerAnalyzer:
     """Processor assignment + checkpoint-aware scheduling policy."""

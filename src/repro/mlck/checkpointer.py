@@ -210,9 +210,6 @@ class MultiLevelCheckpointer:
 
     # -- drain control -------------------------------------------------------
 
-    def drain_pending(self) -> int:
-        return self.drainer.pending
-
     def wait_for_drains(self, timeout: Optional[float] = None) -> None:
         self.drainer.wait(timeout=timeout)
 

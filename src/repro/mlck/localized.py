@@ -46,7 +46,7 @@ from repro.checkpoint.drms import (
 )
 from repro.mlck.placement import _rotate_past
 from repro.mlck.store import L1ReplicaSource, L1Store, SwitchFetch, _Accounting
-from repro.obs import emit_event, get_flight, get_tracer
+from repro.obs import emit_event, get_tracer
 from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine
 from repro.streaming.order import check_order
@@ -387,7 +387,6 @@ def rereplicate_after_failure(
     machine = store.machine
     acct = _Accounting(machine)
     repair = ReplicationRepair()
-    fr = get_flight()
     with store._lock:
         for gen in store._gens.values():
             for piece in gen.pieces():
@@ -424,12 +423,11 @@ def rereplicate_after_failure(
                     acct.send(source, new, piece.nbytes)
                     repair.copies += 1
                     repair.nbytes += piece.nbytes
-                    if fr.enabled:
-                        emit_event(
-                            None, "replica_replaced", node=new,
-                            key=piece.key, source=source,
-                            nbytes=piece.nbytes,
-                        )
+                    emit_event(
+                        None, "replica_replaced", node=new,
+                        key=piece.key, source=source,
+                        nbytes=piece.nbytes,
+                    )
     repair.seconds = acct.seconds()
     m = get_tracer().metrics
     m.counter("mlck.localized.rereplicate.copies").inc(repair.copies)

@@ -61,6 +61,7 @@ from repro.checkpoint.validate import ValidationReport
 from repro.errors import CheckpointError, MemoryTierError
 from repro.mlck.placement import select_partners
 from repro.obs import emit_event, get_flight, get_tracer
+from repro.runtime.clock import now
 from repro.runtime.machine import Machine
 from repro.streaming.order import bytes_to_section, stream_sha1, stream_spans
 from repro.streaming.serial import StoredStream, stream_u8
@@ -547,12 +548,11 @@ class L1ReplicaSink:
             for partner in partners:
                 acct.send(owner, partner, nbytes)
             pieces.append(piece)
-        if get_flight().enabled:
-            for p in pieces:
-                emit_event(
-                    None, "replica_placed", node=p.owner,
-                    key=p.key, nbytes=p.nbytes, replicas=list(p.replicas),
-                )
+        for p in pieces:
+            emit_event(
+                None, "replica_placed", node=p.owner,
+                key=p.key, nbytes=p.nbytes, replicas=list(p.replicas),
+            )
         self._placed += len(pieces)
         if stored:
             self.files[file] = pieces
@@ -584,13 +584,13 @@ class L1ReplicaSink:
         m = get_tracer().metrics
         m.counter("mlck.l1.captures").inc()
         m.counter("mlck.l1.capture.bytes").inc(bd.total_bytes)
-        ev = emit_event(
+        emit_event(
             None, "l1_captured", prefix=bd.prefix,
             nbytes=bd.total_bytes, seconds=bd.total_seconds,
         )
         with store._lock:
             store._gens[bd.prefix] = L1Generation(
-                bd.prefix, manifest, self.files, ev.time
+                bd.prefix, manifest, self.files, now()
             )
         store._update_resident_gauge()
 

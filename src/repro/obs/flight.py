@@ -115,14 +115,18 @@ class Event:
 _seq = itertools.count(1)
 
 
-def emit_event(events: Optional["EventLog"], kind: str, **detail: Any) -> Event:
+def emit_event(events: Optional["EventLog"], kind: str, **detail: Any) -> Optional[Event]:
     """The one write of a record, stamped with the active clock's
     :func:`~repro.runtime.clock.now`: append it to ``events`` (when
     there is a log) and to the active flight recorder's ring of
     ``detail["node"]`` (the global ring when the detail names no node).
     One lock covers the sequence number and both appends, so a ring and
-    the log list their records in ``seq`` order under threads."""
+    the log list their records in ``seq`` order under threads.  With no
+    log and no enabled recorder nothing keeps the record: none is
+    built, no ``seq`` is drawn, and the call returns None."""
     fr = _current
+    if events is None and not fr.enabled:
+        return None
     time = now()
     with fr._lock:
         ev = Event(next(_seq), time, kind, detail.get("node", GLOBAL_NODE), detail)

@@ -5,12 +5,14 @@ round-robin in ``stripe_kb`` units over the server nodes (the paper:
 "each array stored in a single logical file that is physically
 distributed among the server nodes").  Files either hold real bytes
 (checkpoint data round-trips exactly) or are *virtual* (size-only, for
-Class-A-scale benchmarks that must not allocate gigabytes).
+Class-A-scale benchmarks that must not allocate gigabytes).  The one
+write is :meth:`PFSFile.write_at`; a sequential writer (serial
+streaming) passes the file's end as the offset.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import PFSError
 
@@ -120,11 +122,6 @@ class PFSFile:
 
     def _grow_sparse(self, end: int) -> None:
         """A sparse span up to ``end``: in memory, nothing to store."""
-
-    def append(self, data: Optional[bytes], nbytes: Optional[int] = None) -> int:
-        """Sequential write at EOF (what serial streaming uses; needs no
-        seek capability)."""
-        return self.write_at(self._size, data, nbytes)
 
     def read_at(self, offset: int, nbytes: int) -> bytes:
         """Read ``nbytes`` at ``offset``; sparse spans read back as zeros."""

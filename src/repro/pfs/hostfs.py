@@ -200,10 +200,3 @@ class HostFS(PIOFS):
         if self._files[name].virtual:
             self._save_meta()
         return n
-
-    def append(self, name, data, nbytes=None, client=0):
-        """Append (persisting virtual-file sizes to the sidecar metadata)."""
-        n = super().append(name, data, nbytes=nbytes, client=client)
-        if self._files[name].virtual:
-            self._save_meta()
-        return n

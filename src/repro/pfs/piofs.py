@@ -301,28 +301,6 @@ class PIOFS:
                 raise fault
             return n
 
-    def append(
-        self,
-        name: str,
-        data: Optional[bytes],
-        nbytes: Optional[int] = None,
-        client: int = 0,
-    ) -> int:
-        """Sequential write at EOF (recorded against the open phase)."""
-        t0 = time.perf_counter() if get_tracer().enabled else None
-        with self._lock:
-            f = self._files.get(name)
-            if f is None:
-                raise PFSError(f"no such file: {name!r}")
-            offset = f.size
-            data, nbytes, fault = self._faulted_write(name, offset, data, nbytes)
-            n = f.write_at(offset, data, nbytes)
-            self._record(client, f, offset, n)
-            self._meter("write", name, n, t0)
-            if fault is not None:
-                raise fault
-            return n
-
     def read_at(self, name: str, offset: int, nbytes: int, client: int = 0) -> bytes:
         """Read from a file (recorded against the open phase, if any)."""
         t0 = time.perf_counter() if get_tracer().enabled else None

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -252,13 +252,6 @@ class TaskComm:
     ) -> Any:
         """Blocking receive; returns the payload."""
         return self.world.recv(self.rank, source, tag, timeout=timeout)
-
-    def sendrecv(
-        self, payload: Any, dest: int, source: int, tag: int = 0
-    ) -> Any:
-        """Exchange with partners (send first is safe: sends buffer)."""
-        self.send(payload, dest, tag)
-        return self.recv(source, tag)
 
     def isend(self, payload: Any, dest: int, tag: int = 0) -> Request:
         """Non-blocking send: buffered by the fabric, completes at once."""

@@ -7,9 +7,11 @@ to I/O task ``p = j % P`` (rounds of ``P``): the task receives the piece
 through a canonical redistribution (an array assignment onto an
 auxiliary distribution that makes the piece wholly local), then writes
 it at the piece's stream offset — the sum of the sizes of the earlier
-pieces.  The output is byte-identical to serial streaming; only the
-access pattern differs, which is why parallel streaming requires a
-seekable sink.
+pieces.  The output is the same for every ``P``; only the access
+pattern differs, which is why ``P > 1`` requires a seekable sink.
+``P = 1`` is serial streaming: its writes land in stream order at
+contiguous offsets, so it runs over a sequential channel (a
+non-seekable sink: socket, tape).
 
 Two execution paths, chosen by what the call observes — there is no
 option:
@@ -33,7 +35,7 @@ whatever the host does, so neither path runs host threads.
 
 Pieces are disjoint in the global index space and their offsets are
 disjoint in the stream, so every piece's bytes and offset are fixed by
-the plan: both paths are byte-identical to serial streaming — the
+the plan: both paths, at every ``P``, write the same bytes — the
 property the verify oracle checks.
 
 One pass over the state: both paths gather the section once into a
@@ -49,7 +51,7 @@ size, it hashes the flat buffer its reads filled and compares before
 the scatter, so a damaged write or read is caught with no second read
 or hash, and no unverified byte reaches an array.
 
-``P`` may be anything from 1 (fully serial) to the number of tasks;
+``P`` may be anything from 1 (serial streaming) to the number of tasks;
 tasks beyond ``P`` still participate in redistribution (their assigned
 data must reach the I/O tasks) but perform no I/O.
 """
@@ -162,8 +164,8 @@ def stream_out_parallel(
     :class:`~repro.streaming.serial.StoredStream` replayed whole."""
     if not getattr(sink, "seekable", True) and (P or darray.ntasks) > 1:
         raise StreamingError(
-            "parallel streaming requires a seekable sink; use serial "
-            "streaming for sequential channels"
+            "parallel streaming requires a seekable sink; use P=1 for "
+            "sequential channels"
         )
     P, sched = _plan(darray, section, P, order, target_bytes)
     section, plan_idx, npieces, jobs, offsets, runs = sched
@@ -211,7 +213,7 @@ def stream_out_parallel(
         sha1=sha,
         span_bytes=span,
         span_sha1s=span_sha1s,
-    ).publish("out", engine="parstream")
+    ).publish("out")
 
 
 def stream_in_parallel(
@@ -294,4 +296,4 @@ def stream_in_parallel(
         bytes_streamed=total,
         redistribution_bytes=redis,
         io_tasks=P,
-    ).publish("in", engine="parstream")
+    ).publish("in")

@@ -1,17 +1,15 @@
-"""Serial array-section streaming: one task performs all I/O.
+"""What every stream-out and stream-in shares, whatever its P.
 
-The pieces of the section are produced in stream order and *appended* —
-no seek needed, so serial streaming works over sequential channels
-(sockets, tape).  All data funnels through the single I/O task, which is
-exactly why the paper adds the parallel variant.
-
-The byte shuffling itself is vectorized: one bulk
-:func:`~repro.streaming.vectorized.gather_section_flat` (or scatter)
-per operation assembles the whole section through cached index-array
-plans, and each piece is a contiguous interval of that flat buffer —
-the per-piece loop only appends/reads and accounts.  The piece
-granularity of the *I/O calls* is preserved: appends stay sequential
-per piece.
+Serial streaming — one task performs all I/O, in stream order, so it
+runs over sequential channels (sockets, tape) — is
+:func:`~repro.streaming.parallel.stream_out_parallel` with ``P=1`` into
+a non-seekable sink: its writes land at contiguous offsets, each at the
+sink's end.  This module holds the pieces both directions are built
+from: :class:`StreamStats`, the accounting an operation returns and
+publishes; :class:`StoredStream`, a stream source that is not an
+array; :func:`gather_piece` / :func:`scatter_piece` and
+:func:`stream_u8`, the piece- and stream-shaped views of the vectorized
+kernels; and :func:`strict_gather`.
 
 Gather strictness: elements of a section assigned to no task are
 *undefined*; by default they stream as zeros (the paper's semantics —
@@ -38,9 +36,9 @@ from repro.arrays.darray import DistributedArray
 from repro.arrays.distributions import Distribution
 from repro.arrays.slices import Slice
 from repro.errors import StreamingError
-from repro.obs import emit_event, get_flight, get_tracer
+from repro.obs import emit_event, get_tracer
 from repro.streaming.order import check_order, stream_sha1
-from repro.streaming.streams import ByteSink, ByteSource
+from repro.streaming.streams import ByteSource
 from repro.streaming.vectorized import (
     gather_section_flat,
     range_redistribution_bytes,
@@ -50,8 +48,6 @@ from repro.streaming.vectorized import (
 __all__ = [
     "StreamStats",
     "StoredStream",
-    "stream_out_serial",
-    "stream_in_serial",
     "gather_piece",
     "scatter_piece",
     "stream_u8",
@@ -102,26 +98,24 @@ class StreamStats:
     span_bytes: Optional[int] = None
     span_sha1s: Optional[List[str]] = None
 
-    def publish(self, direction: str, engine: str = "serial") -> "StreamStats":
+    def publish(self, direction: str) -> "StreamStats":
         """Feed this operation's accounting into the active metrics
         registry (``direction`` is ``"out"`` or ``"in"``) — StreamStats
         stays the return value, the registry carries the totals.  An
-        active flight recorder also gets one engine-tagged ``stream_op``
-        ring entry with the byte counts."""
+        active flight recorder also gets one ``stream_op`` ring entry
+        with the byte counts."""
         m = get_tracer().metrics
         m.counter(f"stream.{direction}.bytes").inc(self.bytes_streamed)
         m.counter(f"stream.{direction}.pieces").inc(self.pieces)
         m.counter("stream.redistribution.bytes").inc(self.redistribution_bytes)
-        if get_flight().enabled:
-            emit_event(
-                None, "stream_op",
-                direction=direction,
-                engine=engine,
-                nbytes=self.bytes_streamed,
-                pieces=self.pieces,
-                redistribution_bytes=self.redistribution_bytes,
-                io_tasks=self.io_tasks,
-            )
+        emit_event(
+            None, "stream_op",
+            direction=direction,
+            nbytes=self.bytes_streamed,
+            pieces=self.pieces,
+            redistribution_bytes=self.redistribution_bytes,
+            io_tasks=self.io_tasks,
+        )
         return self
 
 
@@ -259,19 +253,6 @@ def _cached_plan(section: Slice, itemsize: int, target_bytes: int, min_pieces: i
     )
 
 
-def _index_plan(darray: DistributedArray, section: Slice, order: str):
-    """The section's "assigned" index plan via the active plan cache,
-    or None for virtual arrays: a geometry-only array never gathers, so
-    it holds no plan, not even an irregular axis' O(extent) position
-    lists.  Callers fall back to the scalar slice-algebra accounting on
-    None."""
-    if not darray.store_data:
-        return None
-    from repro.plancache.plans import section_index_plan
-
-    return section_index_plan(darray.distribution, section, order=order)
-
-
 def _piece_redis(darray, plan_idx, piece, lo_el, io_task):
     """Redistribution bytes of one piece toward ``io_task`` — interval
     counting on the index plan when one exists, slice algebra for
@@ -300,102 +281,3 @@ def _require_full_read(
     raise StreamingError(
         f"short read: wanted {nbytes} bytes, got {len(data)}"
     )
-
-
-def stream_out_serial(
-    darray: DistributedArray,
-    sink: ByteSink,
-    section: Optional[Slice] = None,
-    order: str = "F",
-    io_task: int = 0,
-    target_bytes: int = 1 << 20,
-) -> StreamStats:
-    """Stream ``darray[section]`` out through a single task."""
-    check_order(order)
-    section = section or Slice.full(darray.shape)
-    pieces, offsets = _cached_plan(section, darray.itemsize, target_bytes, 1, order)
-    jobs = [(j, p) for j, p in enumerate(pieces) if not p.is_empty]
-    itemsize = darray.itemsize
-    plan_idx = _index_plan(darray, section, order)
-    obs = get_tracer()
-    total = 0
-    redis = 0
-    with obs.span(
-        "stream.out.serial",
-        array=darray.name,
-        io_task=io_task,
-        plan_pieces=len(pieces),
-    ) as op:
-        stream, sha, span, _ = _intended_stream(
-            darray, section, order, plan_idx, target_bytes
-        )
-        for j, piece in jobs:
-            nbytes = piece.size * itemsize
-            redis += _piece_redis(
-                darray, plan_idx, piece, offsets[j] // itemsize, io_task
-            )
-            # virtual arrays append content-free, sized spans
-            data = None if stream is None else stream[offsets[j]:offsets[j] + nbytes]
-            sink.append(data, nbytes=nbytes, client=io_task)
-            total += nbytes
-        op.set(pieces=len(jobs), nbytes=total, redistribution_bytes=redis)
-    return StreamStats(
-        pieces=len(jobs), bytes_streamed=total, redistribution_bytes=redis,
-        io_tasks=1, sha1=sha, span_bytes=span,
-    ).publish("out")
-
-
-def stream_in_serial(
-    darray: DistributedArray,
-    source: ByteSource,
-    section: Optional[Slice] = None,
-    order: str = "F",
-    io_task: int = 0,
-    target_bytes: int = 1 << 20,
-    source_offset: int = 0,
-) -> StreamStats:
-    """Stream a section into ``darray`` through a single task, reading
-    sequentially starting at ``source_offset``.  The scatter is applied
-    once, after every piece read back whole — a short read aborts the
-    operation with the target array untouched."""
-    check_order(order)
-    section = section or Slice.full(darray.shape)
-    pieces, offsets = _cached_plan(section, darray.itemsize, target_bytes, 1, order)
-    jobs = [(j, p) for j, p in enumerate(pieces) if not p.is_empty]
-    itemsize = darray.itemsize
-    plan_idx = _index_plan(darray, section, order)
-    obs = get_tracer()
-    pos = source_offset
-    total = 0
-    redis = 0
-    with obs.span(
-        "stream.in.serial",
-        array=darray.name,
-        io_task=io_task,
-        plan_pieces=len(pieces),
-    ) as op:
-        flat = (
-            np.empty(section.size, dtype=darray.dtype)
-            if darray.store_data and jobs
-            else None
-        )
-        flat_u8 = flat.view(np.uint8) if flat is not None else None
-        for j, piece in jobs:
-            nbytes = piece.size * itemsize
-            redis += _piece_redis(
-                darray, plan_idx, piece, offsets[j] // itemsize, io_task
-            )
-            data = source.read_at(pos, nbytes, client=io_task)
-            _require_full_read(data, nbytes, source, darray.store_data)
-            if flat_u8 is not None:
-                flat_u8[offsets[j]:offsets[j] + nbytes] = np.frombuffer(
-                    data, dtype=np.uint8
-                )
-            pos += nbytes
-            total += nbytes
-        if flat is not None:
-            scatter_section_flat(darray, section, flat, order=order)
-        op.set(pieces=len(jobs), nbytes=total, redistribution_bytes=redis)
-    return StreamStats(
-        pieces=len(jobs), bytes_streamed=total, redistribution_bytes=redis, io_tasks=1
-    ).publish("in")

@@ -1,7 +1,9 @@
 """Byte sink/source abstractions for streaming targets.
 
-Serial streaming only appends, so it runs over any sequential channel;
-parallel streaming writes at computed offsets, so its sink must be
+Every write is a ``write_at`` at a computed stream offset.  Streaming
+with one I/O task (serial streaming) writes them in order, each at the
+end of what is written, so it runs over any sequential channel;
+parallel streaming writes pieces out of order, so its sink must be
 *seekable* (paper Section 3.2).  PIOFS files provide seekable sinks;
 :class:`MemorySink` models both a seekable buffer and a sequential
 socket/tape-like channel.
@@ -52,9 +54,6 @@ class ByteSink:
     def write_at(self, offset: int, data, nbytes: Optional[int] = None, client: int = 0) -> None:
         raise NotImplementedError
 
-    def append(self, data, nbytes: Optional[int] = None, client: int = 0) -> None:
-        raise NotImplementedError
-
 
 class ByteSource:
     """Read-side interface."""
@@ -76,7 +75,7 @@ class MemorySink(ByteSink):
         self._lock = threading.Lock()
 
     def write_at(self, offset, data, nbytes=None, client=0):
-        """Write at an absolute offset (appends only when non-seekable).
+        """Write at an absolute offset (only at the end when non-seekable).
         The sink keeps its own copy of the payload, copied once."""
         if data is None:
             raise StreamingError("memory sink requires real bytes")
@@ -87,14 +86,6 @@ class MemorySink(ByteSink):
                     "non-seekable sink only supports sequential appends"
                 )
             store_at(self._buf, offset, data)
-
-    def append(self, data, nbytes=None, client=0):
-        """Sequential append to the buffer."""
-        if data is None:
-            raise StreamingError("memory sink requires real bytes")
-        data = _payload_view(data, nbytes)
-        with self._lock:
-            self._buf.extend(data)
 
     def getvalue(self) -> bytes:
         with self._lock:
@@ -132,10 +123,6 @@ class PFSSink(ByteSink):
     def write_at(self, offset, data, nbytes=None, client=0):
         data = _payload_view(data, nbytes)
         self.pfs.write_at(self.name, offset, data, nbytes=nbytes, client=client)
-
-    def append(self, data, nbytes=None, client=0):
-        data = _payload_view(data, nbytes)
-        self.pfs.append(self.name, data, nbytes=nbytes, client=client)
 
 
 class PFSSource(ByteSource):

@@ -78,7 +78,7 @@ from repro.runtime.machine import Machine, MachineParams
 from repro.streaming.order import stream_order_bytes, stream_sha1, stream_spans
 from repro.streaming.parallel import stream_out_parallel
 from repro.streaming.partition import partition_for_target, piece_offsets
-from repro.streaming.serial import strict_gather, stream_out_serial
+from repro.streaming.serial import strict_gather
 from repro.streaming.streams import MemorySink, PFSSink
 from repro.verify.case import Case, FaultEvent
 
@@ -287,8 +287,8 @@ def _streams(arr, order: str):
     """``(label, stream bytes, digests)`` of ``arr`` streamed out in
     ``order`` three ways, each under a throwaway tracer: the bulk path
     into a memory sink and into a :class:`PFSSink` (the sink every
-    checkpoint writes through), and serial streaming, whose digest is
-    its ``StreamStats.sha1``."""
+    checkpoint writes through), and serial streaming — one I/O task
+    into a non-seekable sink — whose digest is its ``StreamStats.sha1``."""
     with use_tracer(Tracer()) as t:
         sink = MemorySink()
         stream_out_parallel(arr, sink, order=order, target_bytes=_SPAN)
@@ -300,8 +300,8 @@ def _streams(arr, order: str):
         )
     yield "bulk-pfs", pfs.open("cross").read_all(), _span_digests(t)
     with use_tracer(Tracer()):
-        sink = MemorySink()
-        stats = stream_out_serial(arr, sink, order=order, target_bytes=_SPAN)
+        sink = MemorySink(seekable=False)
+        stats = stream_out_parallel(arr, sink, P=1, order=order, target_bytes=_SPAN)
     yield "serial", sink.getvalue(), [stats.sha1] if stats.sha1 else []
 
 

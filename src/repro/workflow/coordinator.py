@@ -43,7 +43,7 @@ from repro.checkpoint.recover import OpenedGeneration, first_rejections
 from repro.drms.app import DRMSApplication, RunReport
 from repro.drms.steering import app_transfer
 from repro.errors import ArrayError, ReconfigurationError, WorkflowError
-from repro.obs import emit_event, get_flight, get_tracer
+from repro.obs import emit_event, get_tracer
 from repro.pfs.piofs import PIOFS
 from repro.runtime.clock import SimClock, now, use_clock
 from repro.runtime.machine import Machine
@@ -284,10 +284,6 @@ class WorkflowCoordinator:
         edge = Coupling(src_member, src_array, dst_member, dst_array)
         self.couplings.append(edge)
         return edge
-
-    @property
-    def member_names(self) -> List[str]:
-        return list(self._members)
 
     def member(self, name: str) -> DRMSApplication:
         return self._members[name][0]
@@ -537,13 +533,12 @@ class WorkflowCoordinator:
                     outcome["prefixes"][name] = bases[name]
                 else:
                     outcome["prefixes"][name] = f"{bases[name]}.{gen:06d}"
-        if get_flight().enabled:
-            emit_event(
-                None, "workflow_exchange",
-                base=self.base, iteration=iteration, fire=fire,
-                generation=outcome["generation"], steered=steered,
-                wire_bytes=total_wire,
-            )
+        emit_event(
+            None, "workflow_exchange",
+            base=self.base, iteration=iteration, fire=fire,
+            generation=outcome["generation"], steered=steered,
+            wire_bytes=total_wire,
+        )
         return outcome
 
     def _commit_action(

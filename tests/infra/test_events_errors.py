@@ -4,6 +4,7 @@ import pytest
 
 from repro import errors
 from repro.infra.events import EventLog, emit_event
+from repro.obs import FlightRecorder, use_flight
 from repro.runtime.clock import SimClock, use_clock
 
 
@@ -73,7 +74,7 @@ class TestEventLog:
         assert isinstance(doc[1]["detail"]["payload"], str)
 
     def test_repr_compact(self):
-        with use_clock(SimClock(1.5)):
+        with use_clock(SimClock(1.5)), use_flight(FlightRecorder()):
             ev = emit_event(None, "boom", node=3)
         assert "boom" in repr(ev)
         assert "node=3" in repr(ev)

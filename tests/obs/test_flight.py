@@ -205,6 +205,17 @@ class TestScoping:
         null.reset_incident()
         assert null.to_dict()["rings"] == {}
 
+    def test_an_unkept_record_is_never_written(self):
+        """With no log and the null recorder nothing keeps a record:
+        ``emit_event`` returns None before it draws a ``seq``, so the
+        next kept record's ``seq`` follows the last one's."""
+        assert get_flight() is NULL_FLIGHT
+        log = EventLog()
+        before = emit_event(log, "kept")
+        assert emit_event(None, "unkept", node=1, payload=object()) is None
+        after = emit_event(log, "kept")
+        assert after.seq == before.seq + 1
+
     def test_publish_metrics_exports_volume_gauges(self):
         from repro.obs import Tracer, use_tracer
 

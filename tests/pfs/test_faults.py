@@ -70,12 +70,6 @@ class TestWriteFaults:
         pfs.write_at("a", 0, b"x")  # disarmed
         assert pfs.file_size("a") == 1
 
-    def test_append_also_hooked(self, pfs):
-        inj = armed(pfs)
-        inj.fail_write(match="a", offset=1, mode="short")
-        assert pfs.append("a", b"xyz") == 1
-        assert pfs.file_size("a") == 1
-
     def test_bad_mode_rejected(self):
         with pytest.raises(PFSError):
             WriteFault(mode="corrupt")

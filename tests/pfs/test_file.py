@@ -54,9 +54,10 @@ class TestDataFiles:
         assert f.read_all() == b"abba"
 
     def test_append(self):
+        """A sequential writer passes the file's end as the offset."""
         f = make()
-        f.append(b"ab")
-        f.append(b"cd")
+        f.write_at(f.size, b"ab")
+        f.write_at(f.size, b"cd")
         assert f.read_all() == b"abcd"
 
     def test_read_outside_rejected(self):

@@ -61,7 +61,7 @@ class TestEverySinkSizesInBytes:
     def test_memory_sink(self, kind):
         sink = MemorySink()
         sink.write_at(16, _payload(kind), nbytes=256)
-        sink.append(_payload(kind))
+        sink.write_at(272, _payload(kind))
         assert sink.getvalue() == bytes(16) + RAW + RAW
         with pytest.raises(StreamingError, match="payload is 256 bytes"):
             sink.write_at(0, _payload(kind), nbytes=32)
@@ -90,7 +90,7 @@ class TestEverySinkSizesInBytes:
         sink = PFSSink(pfs, "a")
         pfs.begin_phase(IOKind.WRITE_PARALLEL)
         sink.write_at(0, _payload(kind), client=1)
-        sink.append(_payload(kind), nbytes=256, client=2)
+        sink.write_at(256, _payload(kind), nbytes=256, client=2)
         res = pfs.end_phase()
         assert res.total_bytes == 512
         assert sum(res.server_bytes.values()) == 512
@@ -137,7 +137,7 @@ class TestTheStoreOwnsItsBytes:
         src = np.frombuffer(RAW, dtype=np.uint8).copy()
         sink = MemorySink()
         sink.write_at(0, memoryview(src)[:128])
-        sink.append(memoryview(src)[128:])
+        sink.write_at(128, memoryview(src)[128:])
         src[:] = 0xEE
         assert sink.getvalue() == RAW
 

@@ -3,7 +3,8 @@
 Whichever path runs — the bulk path (at most P coalesced calls) or the
 per-piece loop (one call per piece, forced here on data arrays with the
 ``on_path`` fixture) — parallel stream-out produces exactly the bytes
-of serial stream-out, and parallel stream-in reconstructs exactly the
+of serial stream-out (P = 1 into a sequential channel), and parallel
+stream-in reconstructs exactly the
 global content, because every piece's bytes and offset are fixed by
 the plan before any call is issued.
 
@@ -21,7 +22,7 @@ from repro.pfs.piofs import PIOFS
 from repro.streaming.order import stream_order_bytes
 from repro.streaming.parallel import stream_in_parallel, stream_out_parallel
 from repro.streaming.partition import partition_for_target, piece_offsets
-from repro.streaming.serial import gather_piece, stream_in_serial, stream_out_serial
+from repro.streaming.serial import gather_piece
 from repro.streaming.streams import MemorySink, MemorySource, PFSSink, PFSSource
 from repro.verify.gen import random_distribution, random_shape
 
@@ -39,8 +40,8 @@ def _random_array(seed: int, ntasks: int) -> DistributedArray:
 
 def _roundtrip(on_path, seed: int, ntasks: int, P: int, target: int) -> None:
     a = _random_array(seed, ntasks)
-    ref = MemorySink()
-    stream_out_serial(a, ref, target_bytes=target)
+    ref = MemorySink(seekable=False)
+    stream_out_parallel(a, ref, P=1, target_bytes=target)
     want = ref.getvalue()
 
     bulk = MemorySink()
@@ -59,7 +60,7 @@ def _roundtrip(on_path, seed: int, ntasks: int, P: int, target: int) -> None:
     # everywhere the target distribution defines an element
     b_dist = random_distribution(random.Random(seed + 9001), list(a.shape), ntasks)
     b_ser = DistributedArray("Bs", a.shape, np.float64, b_dist)
-    stream_in_serial(b_ser, MemorySource(want), target_bytes=target)
+    stream_in_parallel(b_ser, MemorySource(want), P=1, target_bytes=target)
     for path, source in (
         ("bulk", MemorySource(want)), ("per-piece", PFSSource(per_piece, "f"))
     ):
@@ -101,8 +102,8 @@ class TestRandomizedPieceOrdering:
     def test_shuffled_manual_writes(self, seed):
         a = _random_array(seed, ntasks=4)
         target = 96
-        ref = MemorySink()
-        stream_out_serial(a, ref, target_bytes=target)
+        ref = MemorySink(seekable=False)
+        stream_out_parallel(a, ref, P=1, target_bytes=target)
 
         from repro.arrays.slices import Slice
 

@@ -6,11 +6,17 @@
 * the **per-piece** path — a virtual array, or a data array forced
   through the ``_is_bulk`` seam — issues one call per nonempty piece,
   in ``j`` order, with ``client = j % P``.
+
+Serial streaming is the ``P = 1`` case, not a path of its own.
 """
+
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+from repro import streaming
 from repro.arrays.darray import DistributedArray
 from repro.arrays.distributions import block_distribution
 from repro.arrays.slices import Slice
@@ -112,3 +118,24 @@ def test_per_piece_path_issues_one_call_per_piece_in_order(
         calls = _round_trip(a, _pfs(armed))
     for got in calls:
         assert got == want
+
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+
+
+def test_serial_streaming_is_parstream_with_one_io_task():
+    """One streaming engine and one write call: no module defines a
+    serial engine beside parstream, no sink or file system offers an
+    ``append`` beside ``write_at``, and ``repro.streaming`` exports
+    no serial engine."""
+    engines = re.compile(r"def stream_(?:out|in)_serial\(")
+    appends = re.compile(r"def append\(")
+    sinks = {SRC / "streaming" / "streams.py", *(SRC / "pfs").glob("*.py")}
+    found = [
+        (str(path.relative_to(SRC)), n)
+        for path in sorted(SRC.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if engines.search(line) or (path in sinks and appends.search(line))
+    ]
+    assert found == []
+    assert [n for n in streaming.__all__ if "serial" in n] == []

@@ -41,15 +41,10 @@ class TestPayloadValidation:
         with pytest.raises(StreamingError, match="inconsistent write"):
             sink.write_at(0, b"abcd", nbytes=3)
 
-    def test_memory_append_rejects_mismatch(self):
-        sink = MemorySink()
-        with pytest.raises(StreamingError, match="inconsistent write"):
-            sink.append(b"abcd", nbytes=5)
-
     def test_memory_consistent_nbytes_accepted(self):
-        sink = MemorySink()
+        sink = MemorySink(seekable=False)
         sink.write_at(0, b"abcd", nbytes=4)
-        sink.append(b"ef", nbytes=2)
+        sink.write_at(4, b"ef", nbytes=2)
         assert sink.getvalue() == b"abcdef"
 
     def test_pfs_write_at_rejects_mismatch(self):
@@ -57,12 +52,6 @@ class TestPayloadValidation:
         sink = PFSSink(pfs, "f")
         with pytest.raises(StreamingError, match="inconsistent write"):
             sink.write_at(0, b"abcd", nbytes=2)
-
-    def test_pfs_append_rejects_mismatch(self):
-        pfs = PIOFS()
-        sink = PFSSink(pfs, "f")
-        with pytest.raises(StreamingError, match="inconsistent write"):
-            sink.append(b"ab", nbytes=1)
 
     def test_pfs_virtual_sized_writes_still_work(self):
         pfs = PIOFS()

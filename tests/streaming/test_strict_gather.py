@@ -8,7 +8,8 @@ from repro.arrays.distributions import Distribution, Indexed
 from repro.arrays.ranges import Range
 from repro.arrays.slices import Slice
 from repro.errors import StreamingError
-from repro.streaming.serial import gather_piece, strict_gather, stream_out_serial
+from repro.streaming.parallel import stream_out_parallel
+from repro.streaming.serial import gather_piece, strict_gather
 from repro.streaming.streams import MemorySink
 
 
@@ -46,10 +47,10 @@ class TestStrictGather:
     def test_stream_out_serial_under_strict(self, holey):
         with strict_gather():
             with pytest.raises(StreamingError):
-                stream_out_serial(holey, MemorySink(), target_bytes=16)
+                stream_out_parallel(holey, MemorySink(), P=1, target_bytes=16)
         # without strictness the stream is well-formed (holes as zeros)
-        sink = MemorySink()
-        stream_out_serial(holey, sink, target_bytes=16)
+        sink = MemorySink(seekable=False)
+        stream_out_parallel(holey, sink, P=1, target_bytes=16)
         want = np.array([1.0, 2, 3, 0, 0, 6, 7, 0]).tobytes()
         assert sink.getvalue() == want
 
@@ -60,6 +61,6 @@ class TestStrictGather:
         a = DistributedArray("F", (6, 4), np.float64, d)
         a.set_global(np.arange(24.0).reshape(6, 4))
         with strict_gather():
-            sink = MemorySink()
-            stream_out_serial(a, sink, target_bytes=32)
+            sink = MemorySink(seekable=False)
+            stream_out_parallel(a, sink, P=1, target_bytes=32)
         assert sink.getvalue() == np.arange(24.0).reshape(6, 4).flatten("F").tobytes()

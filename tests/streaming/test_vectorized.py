@@ -33,8 +33,6 @@ from repro.streaming.serial import (
     _piece_redistribution_bytes,
     _strict_default,
     strict_gather,
-    stream_in_serial,
-    stream_out_serial,
 )
 from repro.streaming.streams import MemorySink, MemorySource, PFSSink, PFSSource
 from repro.streaming.vectorized import (
@@ -241,7 +239,7 @@ class TestStreamingFixes:
         # a real source coming up short must not be silently accepted
         # just because only geometry is being restored
         with pytest.raises(StreamingError, match="short read"):
-            stream_in_serial(a, TruncatedSource())
+            stream_in_parallel(a, TruncatedSource(), P=1)
         with pytest.raises(StreamingError, match="short read"):
             stream_in_parallel(a, TruncatedSource(), P=2)
 
@@ -342,8 +340,8 @@ class TestStreamDigest:
                         arr.name, P, path,
                     )
                     assert _span_sha1(_written(sink), 64) == want
-            stats = stream_out_serial(
-                arr, MemorySink(), order=order, target_bytes=64
+            stats = stream_out_parallel(
+                arr, MemorySink(seekable=False), P=1, order=order, target_bytes=64
             )
             assert stats.sha1 == want, arr.name
 
@@ -363,7 +361,7 @@ class TestStreamDigest:
         )
         pfs = PIOFS()
         assert stream_out_parallel(v, PFSSink(pfs, "v", virtual=True)).sha1 is None
-        assert stream_out_serial(v, PFSSink(pfs, "w", virtual=True)).sha1 is None
+        assert stream_out_parallel(v, PFSSink(pfs, "w", virtual=True), P=1).sha1 is None
         a = _arrays()[0]
         sink = MemorySink()
         stream_out_parallel(a, sink)
