@@ -17,8 +17,11 @@ Public surface:
 * :mod:`~repro.drms.nonconforming` — the checkpoint API for
   applications that do not conform to the DRMS model (per-task SPMD
   checkpointing; no reconfigured restart);
-* :mod:`~repro.drms.steering` and :mod:`~repro.drms.mpmd` — the other
-  capabilities built on the array-assignment primitive.
+* :mod:`~repro.drms.steering` — steering and app-to-app transfer, built
+  on the array-assignment primitive;
+* :mod:`~repro.drms.mpmd` — MPMD applications, which run as a
+  :class:`~repro.workflow.coordinator.WorkflowCoordinator` with no
+  couplings.
 """
 
 from repro.drms.context import CheckpointStatus, DRMSContext

@@ -8,7 +8,9 @@ there, and tags the set as one **workflow generation** recorded in a v1
 workflow manifest; restart selects the newest generation whose *every*
 member state opens and relaunches the whole ensemble from the opened
 states — each member free to come back at a different task count, some
-served from L1 memory replicas and others from the PFS.
+served from L1 memory replicas and others from the PFS.  The paper's
+MPMD application (Section 2.2) is a coordinator with no couplings
+(:mod:`repro.drms.mpmd`).
 """
 
 from repro.workflow.coordinator import (
@@ -20,7 +22,6 @@ from repro.workflow.manifest import (
     WORKFLOW_VERSION,
     WorkflowDecision,
     check_member_name,
-    newest_consistent_generations,
     read_workflow_manifest,
     select_workflow_restart_state,
     workflow_generations,
@@ -35,7 +36,6 @@ __all__ = [
     "WorkflowLine",
     "WorkflowRunReport",
     "check_member_name",
-    "newest_consistent_generations",
     "read_workflow_manifest",
     "select_workflow_restart_state",
     "workflow_generations",

@@ -371,9 +371,13 @@ class WorkflowCoordinator:
             raise ReconfigurationError(
                 f"no task counts for workflow members {sorted(missing)}"
             )
+        unknown = set(tasks) - set(self._members)
+        if unknown:
+            raise ReconfigurationError(
+                f"task counts for unknown workflow members {sorted(unknown)}"
+            )
         for name, n in tasks.items():
-            if name in self._members:
-                self._members[name][0].soq.check(n)
+            self._members[name][0].soq.check(n)
 
     def _member_nodes(self, tasks: Dict[str, int]) -> Dict[str, Optional[List[int]]]:
         """Disjoint node sets per member when the machine has capacity

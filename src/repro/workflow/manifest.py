@@ -31,7 +31,6 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.checkpoint.format import commit_two_phase
 from repro.checkpoint.recover import OpenedGeneration, WalkNames, walk_generations
-from repro.checkpoint.rotation import _GEN_RE, committed_prefixes
 from repro.errors import CheckpointError, PFSError, WorkflowError
 from repro.obs import get_tracer
 from repro.pfs.piofs import PIOFS
@@ -40,7 +39,6 @@ __all__ = [
     "WORKFLOW_VERSION",
     "WorkflowDecision",
     "check_member_name",
-    "newest_consistent_generations",
     "read_workflow_manifest",
     "select_workflow_restart_state",
     "walk_workflow_lines",
@@ -52,17 +50,18 @@ __all__ = [
 
 WORKFLOW_VERSION = 1
 
-#: member (and MPMD component) names are path segments of checkpoint
-#: prefixes; the separator is ".", so a name containing one would alias
-#: another member's namespace, and a six-digit name would alias a
-#: rotation generation of the group base
+#: member names are path segments of checkpoint prefixes; the separator
+#: is ".", so a name containing one would alias another member's
+#: namespace, and a six-digit name would alias a rotation generation of
+#: the group base.  The reserved words are file kinds; "mpmd" stays
+#: reserved because older trees may hold ``<base>.mpmd`` group files
 _MEMBER_NAME_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
 _GEN_LIKE_RE = re.compile(r"^\d{6}$")
 _RESERVED_NAMES = frozenset(
     {"workflow", "mpmd", "manifest", "segment", "array", "task"}
 )
 
-#: workflow and MPMD line walks record under this vocabulary
+#: workflow line walks record under this vocabulary
 WORKFLOW_WALK = WalkNames(
     "workflow_recovery_walk", "workflow_line", "workflow_restart_fallback",
     "workflow.lines", "generation",
@@ -74,7 +73,7 @@ _MEMBER_GEN_RE = re.compile(r"\.(?P<gen>\d{6})(\..*)?$")
 
 
 def check_member_name(name: str, taken: Mapping[str, Any] = ()) -> str:
-    """Validate a workflow-member / MPMD-component name.
+    """Validate a workflow-member name.
 
     The name becomes a dotted prefix segment, so anything that would
     alias another namespace is rejected: dots (``a.b`` collides with
@@ -209,24 +208,6 @@ def next_workflow_generation(
 MemberOpener = Callable[[str, str], OpenedGeneration]
 
 
-def _open_line(
-    prefixes: Mapping[str, str], open_member: MemberOpener
-) -> Tuple[List[str], Dict[str, OpenedGeneration]]:
-    """Open every member state of one line, in sorted member order:
-    ``([], opened)``, or ``(["<member>: <error>"], {})`` at the first
-    member that does not open — the line rejected as a unit, the states
-    already opened for it dropped."""
-    if not prefixes:
-        return ["workflow manifest names no members"], {}
-    opened: Dict[str, OpenedGeneration] = {}
-    for member, prefix in sorted(prefixes.items()):
-        try:
-            opened[member] = open_member(member, prefix)
-        except (CheckpointError, PFSError) as exc:
-            return [f"{member}: {exc}"], {}
-    return [], opened
-
-
 def _served_from(opened: OpenedGeneration) -> str:
     """The tier an opened member state came from: ``"l1"`` (memory
     replicas, full or localized) or ``"l2"`` (the PFS copy)."""
@@ -268,13 +249,13 @@ def walk_workflow_lines(
     """The line walk over the workflow generations ``lines``, newest
     first (:func:`~repro.checkpoint.recover.walk_generations`): each
     line's manifest is read once, then every member state it names is
-    opened by ``open_member(member, prefix)``; the first line whose
-    every member opens is chosen, with its opened states.  A line where
-    any member does not open is rejected *as a unit*, its reason
-    ``"<member>: <error>"`` — one lost or corrupt member never costs
-    less than the whole line, and never mixes with a state from another
-    line.  A manifest that no longer parses is a rejected line like any
-    other, with its parse error as the reason."""
+    opened, in member-name order, by ``open_member(member, prefix)``;
+    the first line whose every member opens is chosen, with its opened
+    states.  A line where any member does not open is rejected *as a
+    unit*, its reason ``"<member>: <error>"`` — one lost or corrupt
+    member never costs less than the whole line, and never mixes with a
+    state from another line.  A manifest that no longer parses is a
+    rejected line like any other, with its parse error as the reason."""
     chosen: Dict[str, Any] = {}
 
     def validate(gen: int, _tier):
@@ -283,11 +264,15 @@ def walk_workflow_lines(
         except WorkflowError as exc:
             return [str(exc)], {}
         members = manifest.get("members", {})
-        errors, opened = _open_line(
-            {m: entry["prefix"] for m, entry in members.items()}, open_member
-        )
-        if errors:
-            return errors, {}
+        if not members:
+            return ["workflow manifest names no members"], {}
+        opened: Dict[str, OpenedGeneration] = {}
+        for member, entry in sorted(members.items()):
+            try:
+                opened[member] = open_member(member, entry["prefix"])
+            except (CheckpointError, PFSError) as exc:
+                # the states already opened for this line are dropped
+                return [f"{member}: {exc}"], {}
         tiers = {m: _served_from(o) for m, o in opened.items()}
         chosen.update(manifest=manifest, opened=opened, member_tiers=tiers)
         return [], {"tiers": dict(tiers)}
@@ -314,44 +299,3 @@ def select_workflow_restart_state(
     return walk_workflow_lines(
         pfs, base, reversed(_committed_line_numbers(pfs, base)), open_member, events
     )
-
-
-# -- joint rotation walk (MPMD components without workflow manifests) ---------
-
-
-def newest_consistent_generations(
-    pfs: PIOFS,
-    bases: Mapping[str, str],
-    open_member: MemberOpener,
-) -> Tuple[Optional[Dict[str, OpenedGeneration]], List[Tuple[int, List[str]]]]:
-    """The newest rotation generation number ``g`` at which *every*
-    member's state ``<base>.NNNNNN`` opens — the consistency line of a
-    component group that rotates checkpoints without workflow manifests
-    (:meth:`~repro.drms.mpmd.MPMDApplication.restart`).
-
-    Walks the numbers any member has a committed manifest name for,
-    newest first, opening every member at each by
-    ``open_member(member, prefix)``; a number where any member is
-    missing, lost, or corrupt is rejected **as a unit**, so
-    components never silently restart from mixed logical generations.
-    Returns ``({member: opened state}, rejected)`` with ``rejected`` the
-    list of ``(generation, errors)`` skipped, or ``(None, rejected)``
-    when no number is consistent."""
-    numbers: set = set()
-    for mbase in bases.values():
-        for prefix in committed_prefixes(pfs, mbase):
-            numbers.add(int(_GEN_RE.match(prefix).group("gen")))
-    resolved: Dict[str, OpenedGeneration] = {}
-
-    def validate(g: int, _tier):
-        errors, opened = _open_line(
-            {m: f"{mbase}.{g:06d}" for m, mbase in bases.items()}, open_member
-        )
-        resolved.update(opened)
-        return errors, {"prefixes": {m: o.prefix for m, o in opened.items()}}
-
-    g, _, rejected = walk_generations(
-        [(n, None) for n in sorted(numbers, reverse=True)],
-        validate, WORKFLOW_WALK, bases=dict(bases),
-    )
-    return (resolved if g is not None else None), rejected

@@ -12,9 +12,9 @@ ruler.  A recovery: a generation
 is chosen by opening it, so the walk and the restore are one pass — a
 PFS recovery reads every stored byte once and hashes it once, a memory
 recovery hashes it once, and a rejected newer generation costs at most
-its own bytes once more.  A workflow (or rotated MPMD) restart is the
-same: every member state is opened once, and the opened states are what
-the members run on from.  An incremental base or delta is a capture, one
+its own bytes once more.  A workflow restart is the same: every member
+state is opened once, and the opened states are what the members run
+on from.  An incremental base or delta is a capture, one
 gather and one hash pass whatever its dirty fraction, and a chain
 restore reads and hashes every stored byte of the chain once.
 
@@ -43,7 +43,6 @@ from repro.checkpoint.recover import restart_latest_valid
 from repro.checkpoint.validate import verify_stored_sha1
 from repro.checkpoint.segment import DataSegment, SegmentProfile
 from repro.drms.context import CheckpointStatus
-from repro.drms.mpmd import MPMDApplication
 from repro.mlck.drain import DrainController, DrainState
 from repro.mlck.localized import localized_restart, rereplicate_after_failure
 from repro.mlck.store import L1Store
@@ -305,7 +304,7 @@ LINE_TASKS = {"a": 3, "b": 2}
 LINE_TASKS2 = {"a": 2, "b": 3}
 
 
-def _line_main(ctx, checkpoint, value):
+def _line_main(ctx, value):
     """Two 256x256 float64 arrays (512 KiB each), a checkpoint at the top
     of iterations 1 and 2; a restarted run stops at its first
     checkpoint call, so what a restart reads and hashes is its open."""
@@ -316,15 +315,11 @@ def _line_main(ctx, checkpoint, value):
         for i, name in enumerate(("u", "v"))
     ]
     for it in ctx.iterations(1, 3):
-        status, _ = checkpoint(ctx, it)
+        status, _ = ctx.workflow_exchange(final=it == 2)
         if status is CheckpointStatus.RESTARTED:
             return
         for arr in arrays:
             arr.set_assigned(arr.assigned + 1.0)
-
-
-def _exchange(ctx, it):
-    return ctx.workflow_exchange(final=it == 2)
 
 
 def _member_cost(pfs, prefix, upto=None):
@@ -359,7 +354,7 @@ def _workflow():
     machine = Machine(MachineParams(num_nodes=12))
     coord = WorkflowCoordinator("wf", machine=machine, pfs=PIOFS(machine=machine))
     for i, member in enumerate(sorted(LINE_TASKS)):
-        coord.add_member(member, _line_main, args=(_exchange, 10.0 * i))
+        coord.add_member(member, _line_main, args=(10.0 * i,))
     coord.run(LINE_TASKS)
     assert coord.committed_generations() == [1, 2]
     return coord
@@ -401,27 +396,6 @@ def test_a_torn_line_costs_what_opened_before_the_tear(meter, reads):
     wrapped, _ = meter.take()
     assert older[1] < wrapped <= older[1] + a_hashed + b_hashed
 
-
-def _rotate(base):
-    return lambda ctx, it: ctx.reconfig_checkpoint(f"{base}.{it:06d}")
-
-
-@pytest.mark.crash_consistency
-def test_a_rotated_mpmd_restart_reads_and_hashes_each_stored_byte_once(meter, reads):
-    app = MPMDApplication(machine=Machine(MachineParams(num_nodes=12)))
-    for i, name in enumerate(sorted(LINE_TASKS)):
-        app.add_component(name, _line_main, args=(_rotate(f"ck.{name}"), 10.0 * i))
-    app.start(LINE_TASKS)
-    costs = [_member_cost(app.pfs, f"ck.{name}.000002") for name in LINE_TASKS]
-    meter.take()
-    reads.take()
-    report = app.restart("ck", LINE_TASKS2)
-    assert {r.restarted_from for r in report.components.values()} == {
-        "ck.a.000002", "ck.b.000002",
-    }
-    assert reads.take() == sum(r for r, _ in costs)
-    wrapped, _ = meter.take()
-    assert wrapped == sum(h for _, h in costs)
 
 
 # -- an incremental chain: a delta is a capture, a chain is one open -------------

@@ -1,6 +1,7 @@
 """Tests for the shared report generators and the CLI tool."""
 
 import io
+import pathlib
 
 import pytest
 
@@ -29,6 +30,13 @@ def test_table_texts_render(cells):
         assert name in text
         assert "BT" in text
         assert data
+
+
+def test_committed_table1_is_what_table1_renders():
+    """The committed Table 1 artifact counts the proxies as they are:
+    it goes stale whenever an app's DRMS call sites change."""
+    out = pathlib.Path(__file__).parents[2] / "benchmarks" / "out"
+    assert (out / "table1_loc.txt").read_text() == reportgen.table1()[0] + "\n"
 
 
 def test_cli_writes_artifacts(tmp_path):

@@ -117,6 +117,15 @@ def test_missing_task_counts_rejected(coord):
         coord.run({"m0": 2})
 
 
+def test_task_counts_for_unknown_members_rejected(coord):
+    # a misspelt key used to be ignored, its member run on nothing
+    with pytest.raises(ReconfigurationError, match=r"unknown.*'m2'"):
+        coord.run({"m0": 2, "m1": 2, "m2": 1})
+    assert coord.committed_generations() == []
+    with pytest.raises(ReconfigurationError, match="M1"):
+        coord.select_restart_line({"m0": 2, "m1": 2, "M1": 3})
+
+
 def test_empty_workflow_rejected():
     coord = WorkflowCoordinator("wf")
     with pytest.raises(WorkflowError, match="no members"):

@@ -1,7 +1,6 @@
 """Unit tests for the v1 workflow manifest: member-name rules, the
-two-phase commit, generation discovery, the line walk that opens every
-member (torn sets rejected as units), and the joint MPMD rotation
-walk."""
+two-phase commit, generation discovery, and the line walk that opens
+every member (torn sets rejected as units)."""
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from repro.runtime.clock import SimClock, use_clock
 from repro.workflow.manifest import (
     WORKFLOW_VERSION,
     check_member_name,
-    newest_consistent_generations,
     next_workflow_generation,
     read_workflow_manifest,
     select_workflow_restart_state,
@@ -233,14 +231,15 @@ class TestRecoveryWalk:
         It is a torn line like any other, with the parse error as its
         reason — and the walk leaves the records every walk leaves."""
         from repro.infra.events import EventLog
-        from repro.obs import FlightRecorder, use_flight
+        from repro.obs import FlightRecorder, Tracer, use_flight, use_tracer
         from repro.workflow.manifest import workflow_manifest_name
 
         for gen in (1, 2):
             self.commit_line(pfs, gen, {"a": gen, "b": gen + 10})
         flip_stored_bit(pfs, workflow_manifest_name("wf", 2), 0, 0)
         events = EventLog()
-        with use_flight(FlightRecorder()) as fr, use_clock(SimClock(3.0)):
+        with use_tracer(Tracer()) as tracer, use_flight(FlightRecorder()) as fr, \
+                use_clock(SimClock(3.0)):
             decision = select_workflow_restart_state(
                 pfs, "wf", opener(pfs), events=events
             )
@@ -259,6 +258,12 @@ class TestRecoveryWalk:
             "workflow_line_verified", "workflow_restart_fallback",
             "workflow_recovery_walk_done",
         ]
+        flat = tracer.metrics.flat()
+        assert flat["workflow.lines.rejected"] == 1
+        assert flat["workflow.lines.verified"] == 1
+        assert flat["workflow.lines.fallback"] == 1
+        (span,) = tracer.find("workflow_recovery_walk")
+        assert span.attrs["chosen"] == 1 and span.attrs["rejected"] == 1
         # the committed list still hides it (nothing to restart from there)
         assert workflow_generations(pfs, "wf") == [1]
 
@@ -277,64 +282,3 @@ class TestRecoveryWalk:
         assert select_workflow_restart_state(pfs, "wf", opener(pfs)).generation == 2
         assert reads == [3, 2]
 
-
-def prefixes(resolved):
-    return {m: opened.prefix for m, opened in resolved.items()}
-
-
-class TestJointRotationWalk:
-    """newest_consistent_generations: the manifest-free MPMD variant of
-    the same all-or-nothing rule."""
-
-    def test_newest_joint_generation(self, pfs):
-        for gen in (1, 2, 3):
-            take(pfs, f"g.a.{gen:06d}", gen)
-            take(pfs, f"g.b.{gen:06d}", gen)
-        resolved, rejected = newest_consistent_generations(
-            pfs, {"a": "g.a", "b": "g.b"}, opener(pfs)
-        )
-        assert prefixes(resolved) == {"a": "g.a.000003", "b": "g.b.000003"}
-        assert rejected == []
-
-    def test_missing_component_state_rejects_the_number(self, pfs):
-        for gen in (1, 2):
-            take(pfs, f"g.a.{gen:06d}", gen)
-        take(pfs, "g.b.000001", 1)  # b never reached generation 2
-        resolved, rejected = newest_consistent_generations(
-            pfs, {"a": "g.a", "b": "g.b"}, opener(pfs)
-        )
-        assert prefixes(resolved) == {"a": "g.a.000001", "b": "g.b.000001"}
-        assert [g for g, _ in rejected] == [2]
-
-    def test_nothing_consistent(self, pfs):
-        take(pfs, "g.a.000001", 1)
-        flip_stored_bit(pfs, array_name("g.a.000001", "u"), 3, 3)
-        resolved, rejected = newest_consistent_generations(pfs, {"a": "g.a"}, opener(pfs))
-        assert resolved is None
-        assert [g for g, _ in rejected] == [1]
-
-    def test_joint_walk_leaves_the_walk_records(self, pfs):
-        """The MPMD joint walk was silent; it is the same walk now."""
-        from repro.obs import FlightRecorder, Tracer, use_flight, use_tracer
-
-        for gen in (1, 2):
-            take(pfs, f"g.a.{gen:06d}", gen)
-        take(pfs, "g.b.000001", 1)
-        with use_tracer(Tracer()) as tracer, use_flight(FlightRecorder()) as fr:
-            newest_consistent_generations(pfs, {"a": "g.a", "b": "g.b"}, opener(pfs))
-        assert [
-            (e.kind, e.detail.get("generation"))
-            for e in fr.events() if e.kind.startswith("workflow_")
-        ] == [
-            ("workflow_recovery_walk_started", None),
-            ("workflow_line_rejected", 2),
-            ("workflow_line_verified", 1),
-            ("workflow_restart_fallback", 1),
-            ("workflow_recovery_walk_done", None),
-        ]
-        flat = tracer.metrics.flat()
-        assert flat["workflow.lines.rejected"] == 1
-        assert flat["workflow.lines.verified"] == 1
-        assert flat["workflow.lines.fallback"] == 1
-        (span,) = tracer.find("workflow_recovery_walk")
-        assert span.attrs["chosen"] == 1 and span.attrs["rejected"] == 1
