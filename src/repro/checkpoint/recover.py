@@ -13,10 +13,10 @@ restore is the validator, and it verifies exactly the bytes it delivers
 nothing restored — for the tools and the verify oracle's ground truth.
 
 There is one walk, :func:`walk_generations`; the audit and the open
-here and the workflow and MPMD line walks of
-:mod:`repro.workflow.manifest` hand it their candidates and their
-validator.  Every decision is observable, the same way for every walk:
-spans, marks, metrics and flight records always, and — when an
+here and the workflow line walk of :mod:`repro.workflow.manifest` hand
+it their candidates and their validator.  Every decision is
+observable, the same way for every walk: spans, marks, metrics and
+flight records always, and — when an
 :class:`~repro.infra.events.EventLog` is supplied —
 ``checkpoint_rejected`` for each corrupt candidate,
 ``checkpoint_verified`` for the chosen one, and ``restart_fallback``
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.checkpoint.format import manifest_name
-from repro.checkpoint.rotation import committed_prefixes
+from repro.checkpoint.rotation import committed_prefixes, parse_generation
 from repro.checkpoint.validate import validate_checkpoint
 from repro.errors import CheckpointError, PFSError, RestartError
 from repro.obs import emit_event, get_tracer
@@ -175,7 +175,8 @@ def restart_candidates(pfs: PIOFS, base: str) -> List[str]:
     rotation generations (``base.NNNNNN``), then ``base`` itself when a
     plain un-rotated state exists — from manifest names alone; whether
     a manifest parses is each candidate's first check."""
-    out = sorted(committed_prefixes(pfs, base), key=lambda p: p[-6:], reverse=True)
+    out = committed_prefixes(pfs, base)
+    out.sort(key=lambda p: parse_generation(p, base), reverse=True)
     if pfs.exists(manifest_name(base)):
         out.append(base)
     return out

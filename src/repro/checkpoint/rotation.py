@@ -27,11 +27,28 @@ from repro.pfs.piofs import PIOFS
 __all__ = [
     "CheckpointRotation",
     "committed_prefixes",
+    "generation_name",
     "generations",
     "latest_checkpoint",
+    "parse_generation",
 ]
 
 _GEN_RE = re.compile(r"^(?P<base>.+)\.(?P<gen>\d{6})$")
+
+
+def generation_name(base: str, gen: int) -> str:
+    """The prefix of rotation generation ``gen`` under ``base``:
+    ``base.NNNNNN``."""
+    return f"{base}.{gen:06d}"
+
+
+def parse_generation(prefix: str, base: Optional[str] = None) -> Optional[int]:
+    """The generation number of a rotation prefix ``base.NNNNNN``; None
+    when ``prefix`` is not one — or, given ``base``, not one under it."""
+    m = _GEN_RE.match(prefix)
+    if m is None or base is not None and m.group("base") != base:
+        return None
+    return int(m.group("gen"))
 
 
 def committed_prefixes(pfs: PIOFS, base: str) -> List[str]:
@@ -46,8 +63,7 @@ def committed_prefixes(pfs: PIOFS, base: str) -> List[str]:
         if not name.endswith(suffix):
             continue
         prefix = name[: -len(suffix)]
-        m = _GEN_RE.match(prefix)
-        if m is not None and m.group("base") == base:
+        if parse_generation(prefix, base) is not None:
             out.append(prefix)
     return out
 
@@ -63,7 +79,7 @@ def generations(pfs: PIOFS, base: str) -> List[str]:
         except CheckpointError:
             continue
         out.append(prefix)
-    return sorted(out, key=lambda p: int(_GEN_RE.match(p).group("gen")))
+    return sorted(out, key=lambda p: parse_generation(p, base))
 
 
 def latest_checkpoint(pfs: PIOFS, base: str) -> Optional[str]:
@@ -78,7 +94,7 @@ class CheckpointRotation:
     def __init__(self, pfs: PIOFS, base: str, keep: int = 2):
         if keep < 1:
             raise CheckpointError("retention must keep at least one state")
-        if _GEN_RE.match(base):
+        if parse_generation(base) is not None:
             raise CheckpointError(
                 f"base prefix {base!r} already looks like a generation"
             )
@@ -108,12 +124,13 @@ class CheckpointRotation:
         """A fresh prefix, strictly newer than every existing state —
         including incomplete ones, whose numbers must not be reused."""
         newest = 0
-        pat = re.compile(re.escape(self.base) + r"\.(?P<gen>\d{6})(\..*)?$")
+        cut = len(generation_name(self.base, 0))
         for name in self.pfs.listdir(self.base + "."):
-            m = pat.match(name)
-            if m:
-                newest = max(newest, int(m.group("gen")))
-        return f"{self.base}.{newest + 1:06d}"
+            # a generation's files are "<prefix>" and "<prefix>.<kind>"
+            gen = parse_generation(name[:cut], self.base)
+            if gen is not None and name[cut:cut + 1] in ("", "."):
+                newest = max(newest, gen)
+        return generation_name(self.base, newest + 1)
 
     def latest(self) -> Optional[str]:
         """Newest complete state (what a restart should use)."""

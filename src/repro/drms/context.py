@@ -334,13 +334,11 @@ class DRMSContext:
         if plan is None or not plan.should_fire(iteration):
             return
         my_node = self.comm.world.placement.get(self.rank)
-        # claim() is the atomic check-and-disarm: with several tasks
+        # claim() is the atomic check-and-fire: with several tasks
         # placed on the doomed node, exactly one wins the claim and
         # dies as the failing processor (the rest die as collateral
         # when the SPMD engine tears the task group down).
-        # claim() advances plan.node_id to the next schedule entry under
-        # multi=, so the node that dies is the claimer's own (my_node).
-        if my_node == plan.node_id and plan.claim(iteration):
+        if plan.claim(iteration, my_node):
             from repro.infra.failure import NodeFailure
 
             self.runtime.app.machine.fail_node(my_node)

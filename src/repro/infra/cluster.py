@@ -16,7 +16,7 @@ from typing import Any, List, Optional, Sequence
 from repro.drms.app import DRMSApplication, RunReport
 from repro.errors import TaskFailure
 from repro.infra.events import EventLog
-from repro.infra.failure import FailurePlan, NodeFailure
+from repro.infra.failure import FailurePlan
 from repro.infra.jsa import JobSchedulerAnalyzer
 from repro.infra.rc import ResourceCoordinator
 from repro.infra.uic import UserInterfaceCoordinator
@@ -32,7 +32,6 @@ __all__ = ["DRMSCluster", "RecoveryOutcome"]
 class RecoveryOutcome:
     """What happened across a failure + recovery scenario."""
 
-    failed_node: Optional[int]
     tasks_before: int
     tasks_after: int
     final_report: RunReport
@@ -41,11 +40,15 @@ class RecoveryOutcome:
     #: simulated time until the failed node itself is repaired
     node_repair_s: float
     events: List[Any] = field(default_factory=list)
-    #: all nodes lost in the incident (multi-failure scenarios list
-    #: every victim; ``failed_node`` keeps the first for compatibility)
+    #: all nodes lost in the incident, in firing order
     failed_nodes: List[int] = field(default_factory=list)
     #: localized recovery only: what was rebuilt, and for whom
     rebuild_scope: Optional[Any] = None
+
+    @property
+    def failed_node(self) -> Optional[int]:
+        """The first node lost in the incident (None without one)."""
+        return self.failed_nodes[0] if self.failed_nodes else None
 
     @property
     def recovered_without_repair(self) -> bool:
@@ -178,11 +181,11 @@ class DRMSCluster:
         pool and in which recovery the JSA runs."""
         self.jsa.submit(job_id, app, args=args, kwargs=kwargs, prefix=prefix)
         app.failure_plan = failure
+        fired_before = len(failure.fired_nodes) if failure is not None else 0
         try:
             report = self.jsa.run(job_id, ntasks=ntasks)
             self.health.sample_cluster(self, apps=[app])
             return RecoveryOutcome(
-                failed_node=None,
                 tasks_before=ntasks,
                 tasks_after=ntasks,
                 final_report=report,
@@ -190,33 +193,27 @@ class DRMSCluster:
                 node_repair_s=self.rc.node_repair_s,
                 events=list(self.events),
             )
-        except NodeFailure as exc:
-            failed_nodes = [exc.node_id]
         except TaskFailure:
-            # A sibling task's failure echo won: find the failed node
-            # from the armed plan.
-            if failure is None or not (
-                failure.fired_nodes if localized else failure.fired
-            ):
+            # Whichever task's exception surfaced (the victim's
+            # NodeFailure or a sibling's echo), the incident is what
+            # the plan fired during this run.
+            failed_nodes = (
+                failure.fired_nodes[fired_before:] if failure is not None else []
+            )
+            if not failed_nodes:
                 raise
-            failed_nodes = [
-                failure.fired_nodes[-1] if localized else failure.node_id
-            ]
         finally:
             app.failure_plan = None
-        if failure is not None and failure.fired_nodes:
-            self.rc.merge(failure.fired_time)  # the instant the node died
+        self.rc.merge(failure.fired_time)  # the instant the node died
 
         if localized:
             # Same-iteration schedule entries strike together: the first
             # victim's crash killed the task group before its siblings'
             # claims could run, so drain them into this incident.
-            if failure is not None:
-                for node in failure.drain_simultaneous():
-                    if node not in failed_nodes:
-                        failed_nodes.append(node)
-                        if self.machine.node(node).up:
-                            self.machine.fail_node(node)
+            for node in failure.drain_simultaneous():
+                failed_nodes.append(node)
+                if self.machine.node(node).up:
+                    self.machine.fail_node(node)
             # The pre-failure placement, before the RC patches the pool.
             placement = dict(enumerate(self.rc.pool_of(job_id)))
 
@@ -237,7 +234,8 @@ class DRMSCluster:
                 failed_nodes, job_id=job_id
             )
         else:
-            self.rc.handle_processor_failure(failed_nodes[0])
+            for node in failed_nodes:
+                self.rc.handle_processor_failure(node)
         for node in failed_nodes:
             # The dead node's memory is gone with it: drop any L1
             # replica copies it held so the tier-aware recovery walk
@@ -260,7 +258,6 @@ class DRMSCluster:
         )
         self.health.sample_cluster(self, apps=[app])
         return RecoveryOutcome(
-            failed_node=failed_nodes[0],
             tasks_before=ntasks,
             tasks_after=report.ntasks,
             final_report=report,

@@ -527,11 +527,11 @@ class FleetSimulation:
                 free.append(node)
             with use_clock(SimClock(t)):
                 while plan is not None and not plan.fired:
-                    sec, _node = plan.pending
+                    sec, node = plan.pending
                     if sec > t:
                         break
-                    if plan.claim(sec):
-                        fail_node(plan.fired_nodes[-1])
+                    if plan.claim(sec, node):
+                        fail_node(node)
             admit()
             if self.health is not None:
                 occupied = sum(r.ntasks for r in running)

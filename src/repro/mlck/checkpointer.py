@@ -21,7 +21,6 @@ PFS state whose bytes verify as they are read.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -32,7 +31,11 @@ from repro.checkpoint.recover import (
     open_latest_valid,
     restart_latest_valid,
 )
-from repro.checkpoint.rotation import _GEN_RE, CheckpointRotation
+from repro.checkpoint.rotation import (
+    CheckpointRotation,
+    generation_name,
+    parse_generation,
+)
 from repro.checkpoint.segment import DataSegment
 from repro.errors import RestartError
 from repro.mlck.drain import DrainController, DrainState
@@ -112,14 +115,12 @@ class MultiLevelCheckpointer:
         """A prefix strictly newer than every generation on *either*
         tier — an L1 generation whose drain has not yet written a single
         PFS byte must still reserve its number."""
-        pfs_next = self.rotation.next_prefix()
-        newest = int(_GEN_RE.match(pfs_next).group("gen")) - 1
-        pat = re.compile(re.escape(self.base) + r"\.(?P<gen>\d{6})$")
+        newest = parse_generation(self.rotation.next_prefix()) - 1
         for prefix in self.store.generations():
-            m = pat.match(prefix)
-            if m:
-                newest = max(newest, int(m.group("gen")))
-        return f"{self.base}.{newest + 1:06d}"
+            gen = parse_generation(prefix, self.base)
+            if gen is not None:
+                newest = max(newest, gen)
+        return generation_name(self.base, newest + 1)
 
     # -- checkpoint ----------------------------------------------------------
 

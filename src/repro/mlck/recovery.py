@@ -35,7 +35,7 @@ from repro.checkpoint.recover import (
     restart_candidates,
     select_restart_state,
 )
-from repro.checkpoint.rotation import _GEN_RE
+from repro.checkpoint.rotation import parse_generation
 from repro.mlck.store import L1Store
 from repro.pfs.piofs import PIOFS
 
@@ -50,13 +50,13 @@ def tiered_candidates(
     within one generation.  ``base`` itself (un-rotated) sorts oldest."""
     l1_prefixes = {
         p for p in l1.generations()
-        if p == base or p[:-7] == base and _GEN_RE.match(p)
+        if p == base or parse_generation(p, base) is not None
     }
     # L2 candidates come from manifest names alone: no PFS read
     l2_prefixes = set(restart_candidates(pfs, base))
     merged = sorted(
         l1_prefixes | l2_prefixes,
-        key=lambda p: "" if p == base else p[-6:],
+        key=lambda p: -1 if p == base else parse_generation(p, base),
         reverse=True,
     )
     return [

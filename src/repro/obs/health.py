@@ -134,11 +134,12 @@ class HealthRegistry:
             max(ages) if ages else 0.0
         )
         store = drainer.store
+        from repro.checkpoint.rotation import parse_generation
         from repro.mlck.drain import DrainState
 
         newest_num = durable_num = 0
         for prefix in store.generations():
-            num = _gen_number(prefix)
+            num = parse_generation(prefix) or 0
             newest_num = max(newest_num, num)
             if store.gen(prefix).drain_state == DrainState.DURABLE:
                 durable_num = max(durable_num, num)
@@ -195,10 +196,3 @@ class HealthRegistry:
         for name, value in self.snapshot().items():
             lines.append(f"  {name:<40} {value:g}")
         return "\n".join(lines)
-
-
-def _gen_number(prefix: str) -> int:
-    from repro.checkpoint.rotation import _GEN_RE
-
-    m = _GEN_RE.match(prefix)
-    return int(m.group("gen")) if m is not None else 0

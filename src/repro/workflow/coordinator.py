@@ -405,8 +405,8 @@ class WorkflowCoordinator:
         self.policy_state = {}
         self._hub = _WorkflowHub(self, list(self._members))
         nodes = self._member_nodes(tasks)
-        report = WorkflowRunReport()
         first_line = len(self.lines)
+        reports: Dict[str, RunReport] = {}
         errors: Dict[str, BaseException] = {}
 
         def runner(name: str) -> None:
@@ -414,11 +414,11 @@ class WorkflowCoordinator:
             app.workflow = (self._hub, name, self.member_base(name))
             try:
                 if restart is None:
-                    report.members[name] = app.start(
+                    reports[name] = app.start(
                         tasks[name], args=args, kwargs=kwargs, nodes=nodes[name]
                     )
                 else:
-                    report.members[name] = app.restart(
+                    reports[name] = app.restart(
                         restart[name], tasks[name],
                         args=args, kwargs=kwargs, nodes=nodes[name],
                     )
@@ -453,8 +453,11 @@ class WorkflowCoordinator:
                 None,
             )
             raise primary if primary is not None else next(iter(errors.values()))
-        report.lines = self.lines[first_line:]
-        return report
+        # members in add_member order, not in the order they finished
+        return WorkflowRunReport(
+            members={name: reports[name] for name in self._members},
+            lines=self.lines[first_line:],
+        )
 
     # -- hub actions (one thread, all members parked at the boundary) ---------
 

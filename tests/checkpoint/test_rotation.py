@@ -1,5 +1,8 @@
 """Tests for rotating checkpoint prefixes and retention."""
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,10 @@ from repro.arrays.distributions import block_distribution
 from repro.checkpoint.drms import drms_checkpoint, drms_restart
 from repro.checkpoint.rotation import (
     CheckpointRotation,
+    generation_name,
     generations,
     latest_checkpoint,
+    parse_generation,
 )
 from repro.checkpoint.segment import DataSegment, SegmentProfile
 from repro.errors import CheckpointError
@@ -169,3 +174,43 @@ class TestCorruptManifests:
         pfs.create("job.000002.manifest")
         pfs.write_at("job.000002.manifest", 0, b'{"version": 1, "kind": "drms"}')
         assert latest_checkpoint(pfs, "job") == good
+
+
+class TestGenerationNames:
+    def test_name_and_parse_round_trip(self):
+        assert generation_name("job", 7) == "job.000007"
+        assert parse_generation("job.000007") == 7
+        assert parse_generation("job.000007", "job") == 7
+        assert parse_generation("a.job.000007", "a.job") == 7
+
+    def test_non_generations_parse_to_none(self):
+        assert parse_generation("job") is None
+        assert parse_generation("job.00007") is None
+        assert parse_generation("job.000007.manifest") is None
+        assert parse_generation("other.000007", "job") is None
+        assert parse_generation("job.000007", "jo") is None
+
+    def test_next_prefix_counts_generation_files_only(self):
+        pfs = PIOFS()
+        for name in ("job.000002.segment", "job.000005", "job.0000099.x",
+                     "job.000009x", "jobs.000011.segment"):
+            pfs.create(name)
+        assert CheckpointRotation(pfs, "job").next_prefix() == "job.000006"
+
+    def test_only_rotation_builds_or_parses_generation_names(self):
+        """``<base>.NNNNNN`` is built and parsed by
+        :mod:`repro.checkpoint.rotation` alone: no other checkpoint,
+        multi-level or observability module spells the format."""
+        src = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+        spelled = re.compile(
+            r"_GEN_RE|\\d\{6\}|\[-6:\]|\[:-7\]|\.\{[^{}]*:06d\}"
+        )
+        offenders = [
+            f"{path.relative_to(src)}:{n}"
+            for pkg in ("checkpoint", "mlck", "obs")
+            for path in sorted((src / pkg).rglob("*.py"))
+            if path.name != "rotation.py"
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if spelled.search(line)
+        ]
+        assert offenders == []

@@ -164,15 +164,15 @@ def test_failure_without_checkpoint_cannot_recover(cluster):
 def test_failure_plan_one_shot():
     plan = FailurePlan(iteration=2, node_id=0)
     assert plan.should_fire(2)
-    plan.fire()
+    assert plan.claim(2, 0)
     assert not plan.should_fire(2)
     assert plan.fired
 
 
 def test_failure_plan_claim_is_atomic_under_racing_threads():
-    """Regression: should_fire()+fire() was a check-then-act race — two
-    task threads on the doomed node could both 'fire' a one-shot plan.
-    claim() must admit exactly one winner."""
+    """Regression: a check-then-act should_fire() + fire() was a race —
+    two task threads on the doomed node could both fire a one-shot
+    plan.  claim() must admit exactly one winner."""
     import threading
 
     plan = FailurePlan(iteration=3, node_id=0)
@@ -182,7 +182,7 @@ def test_failure_plan_claim_is_atomic_under_racing_threads():
 
     def racer():
         barrier.wait()
-        if plan.claim(3):
+        if plan.claim(3, 0):
             wins.append(threading.get_ident())
 
     threads = [threading.Thread(target=racer) for _ in range(nthreads)]
@@ -192,14 +192,14 @@ def test_failure_plan_claim_is_atomic_under_racing_threads():
         t.join()
     assert len(wins) == 1
     assert plan.fired
-    assert not plan.claim(3)  # disarmed for good
+    assert not plan.claim(3, 0)  # disarmed for good
 
 
 def test_failure_plan_claim_wrong_iteration():
     plan = FailurePlan(iteration=5, node_id=0)
-    assert not plan.claim(4)
+    assert not plan.claim(4, 0)
     assert not plan.fired
-    assert plan.claim(5)
+    assert plan.claim(5, 0)
 
 
 def test_one_shot_plan_fires_once_with_tasks_sharing_the_doomed_node():

@@ -3,6 +3,9 @@ boundaries, coupling bytes move before the line, one shared policy
 decision drives every member, and member failures surface as the root
 cause instead of wedging the ensemble."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -62,6 +65,31 @@ def test_run_commits_one_line_per_exchange(coord):
         # members write concurrently behind the boundary
         assert line.seconds <= line.serial_seconds + 1e-9
     assert [line.members["m0"]["iteration"] for line in rep.lines] == [1, 2, 3]
+
+
+def test_report_members_follow_add_member_order():
+    """The run report lists members in ``add_member`` order, not in the
+    order their threads finish: here the first-added member finishes
+    last."""
+    finished = threading.Event()
+
+    def last(ctx, base):
+        out = member_main(ctx, base)
+        finished.wait(10.0)
+        time.sleep(0.2)  # let the other member's report land first
+        return out
+
+    def first(ctx, base):
+        out = member_main(ctx, base)
+        finished.set()
+        return out
+
+    machine = Machine(MachineParams(num_nodes=8))
+    c = WorkflowCoordinator("wf", machine=machine, pfs=PIOFS(machine=machine))
+    c.add_member("slow", last, args=(1.0,))
+    c.add_member("fast", first, args=(5.0,))
+    rep = c.run({"slow": 2, "fast": 2})
+    assert list(rep.members) == ["slow", "fast"]
 
 
 def test_coupling_transfers_before_the_line(coord):
