@@ -4,8 +4,10 @@ A distributed array (paper Section 3.1) is an abstract Cartesian index
 space whose *sections* are concretely present in tasks.  In this
 reproduction the simulated machine is in-process, so the
 :class:`DistributedArray` object holds every task's local array (shaped
-like that task's *mapped* section); SPMD task code only ever touches its
-own local array through :meth:`local`.
+like that task's *mapped* section, column-major like the paper's Fortran
+arrays and the default stream order, so that a default-order gather or
+scatter copies a local one contiguous column at a time); SPMD task code
+only ever touches its own local array through :meth:`local`.
 
 Two storage modes:
 
@@ -30,10 +32,14 @@ from repro.errors import ArrayError
 __all__ = ["DistributedArray"]
 
 
-def _detached(selected: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """``selected`` as memory of its own: basic slices select a view of
-    ``owner`` and are copied here, an ``np.ix_`` mesh already copied."""
-    return selected.copy() if np.may_share_memory(selected, owner) else selected
+def _copy_tiled(dst: np.ndarray, src: np.ndarray) -> None:
+    """``dst[...] = src`` in 64-square tiles of the first and last axes:
+    a row-major block into a column-major one is a transpose, two to
+    three times faster in tiles that stay in cache than whole."""
+    dst, src = np.atleast_2d(dst, src)
+    for i in range(0, dst.shape[0], 64):
+        for j in range(0, dst.shape[-1], 64):
+            dst[i:i + 64, ..., j:j + 64] = src[i:i + 64, ..., j:j + 64]
 
 
 class DistributedArray:
@@ -63,14 +69,11 @@ class DistributedArray:
         self._alloc_locals()
 
     def _alloc_locals(self) -> None:
-        self._locals = []
-        for t in range(self.distribution.ntasks):
-            if self.store_data:
-                self._locals.append(
-                    np.zeros(self.distribution.mapped(t).shape, dtype=self.dtype)
-                )
-            else:
-                self._locals.append(None)
+        self._locals = [
+            np.zeros(self.distribution.mapped(t).shape, self.dtype, order="F")
+            if self.store_data else None
+            for t in range(self.distribution.ntasks)
+        ]
 
     # -- geometry ---------------------------------------------------------
 
@@ -115,18 +118,6 @@ class DistributedArray:
         self._need_data()
         return self._locals[task]
 
-    def local_flat(self, task: int) -> np.ndarray:
-        """1-D C-order view of ``task``'s local array.  Writes through
-        to local storage; a local that is not C-contiguous (not produced
-        here, but possible via direct mutation) is normalized first so
-        the flat view is guaranteed to alias it."""
-        self._need_data()
-        arr = self._locals[task]
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
-            self._locals[task] = arr
-        return arr.reshape(-1)
-
     def assigned_view(self, task: int) -> np.ndarray:
         """The task's *assigned* (owned) elements within its local
         array: a strided view that writes through to local storage when
@@ -145,30 +136,39 @@ class DistributedArray:
         idx = d.assigned(task).local_index_within(d.mapped(task))
         self._locals[task][idx] = values
 
-    def section_from_task(self, task: int, section: Slice) -> np.ndarray:
-        """Copy ``section`` (a subset of the task's mapped slice) out of
-        the task's local array — never memory of the local itself, also
-        when the section is the whole (contiguous) local."""
+    def _section_index(self, task: int, section: Slice) -> tuple:
+        """The index of ``section`` (within the mapped slice) in the local."""
         self._need_data()
         m = self.distribution.mapped(task)
         if not section.issubset(m):
             raise ArrayError(
                 f"section {section!r} not within mapped slice of task {task}"
             )
-        return _detached(
-            self._locals[task][section.local_index_within(m)], self._locals[task]
-        )
+        return section.local_index_within(m)
+
+    def section_from_task(self, task: int, section: Slice) -> np.ndarray:
+        """Copy ``section`` out of the task's local array, column-major
+        like it and never its memory, also when it is the whole local."""
+        idx = self._section_index(task, section)
+        local = self._locals[task]
+        if not idx or isinstance(idx[0], slice):
+            return local[idx].copy(order="K")
+        # an np.ix_ mesh: take each partial axis from the row-major
+        # transpose, whose result transposes back to column-major
+        out = local.T
+        for axis, ix in enumerate(idx):
+            if ix.size < local.shape[axis]:
+                out = out.take(ix.ravel(), axis=local.ndim - 1 - axis)
+        return out.T
 
     def section_to_task(self, task: int, section: Slice, values: np.ndarray) -> None:
-        """Write ``section`` (a subset of the task's mapped slice) into
-        the task's local array."""
-        self._need_data()
-        m = self.distribution.mapped(task)
-        if not section.issubset(m):
-            raise ArrayError(
-                f"section {section!r} not within mapped slice of task {task}"
-            )
-        self._locals[task][section.local_index_within(m)] = values.reshape(section.shape)
+        """Write ``section`` into the task's local array."""
+        idx = self._section_index(task, section)
+        values = values.reshape(section.shape)
+        if not idx or isinstance(idx[0], slice):
+            self._locals[task][idx] = values
+        else:  # a mesh writes through the row-major transpose in memory order
+            self._locals[task].T[tuple(ix.T for ix in reversed(idx))] = values.T
 
     # -- global access (drivers and tests) -----------------------------------
 
@@ -182,7 +182,7 @@ class DistributedArray:
             )
         for t in range(self.ntasks):
             m = self.distribution.mapped(t)
-            self._locals[t][...] = values[m.np_index()].reshape(m.shape)
+            _copy_tiled(self._locals[t], values[m.np_index()].reshape(m.shape))
 
     def to_global(self, fill=0) -> np.ndarray:
         """Gather the defined (assigned) elements into a global array.

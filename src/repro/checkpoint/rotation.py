@@ -30,6 +30,7 @@ __all__ = [
     "generation_name",
     "generations",
     "latest_checkpoint",
+    "newest_generation",
     "parse_generation",
 ]
 
@@ -49,6 +50,19 @@ def parse_generation(prefix: str, base: Optional[str] = None) -> Optional[int]:
     if m is None or base is not None and m.group("base") != base:
         return None
     return int(m.group("gen"))
+
+
+def newest_generation(pfs: PIOFS, base: str) -> int:
+    """The newest generation number any file under ``base`` names,
+    complete or not (a generation's files are ``<prefix>`` and
+    ``<prefix>.<kind>``); 0 when none does."""
+    newest = 0
+    cut = len(generation_name(base, 0))
+    for name in pfs.listdir(base + "."):
+        gen = parse_generation(name[:cut], base)
+        if gen is not None and name[cut:cut + 1] in ("", "."):
+            newest = max(newest, gen)
+    return newest
 
 
 def committed_prefixes(pfs: PIOFS, base: str) -> List[str]:
@@ -123,14 +137,7 @@ class CheckpointRotation:
     def next_prefix(self) -> str:
         """A fresh prefix, strictly newer than every existing state —
         including incomplete ones, whose numbers must not be reused."""
-        newest = 0
-        cut = len(generation_name(self.base, 0))
-        for name in self.pfs.listdir(self.base + "."):
-            # a generation's files are "<prefix>" and "<prefix>.<kind>"
-            gen = parse_generation(name[:cut], self.base)
-            if gen is not None and name[cut:cut + 1] in ("", "."):
-                newest = max(newest, gen)
-        return generation_name(self.base, newest + 1)
+        return generation_name(self.base, newest_generation(self.pfs, self.base) + 1)
 
     def latest(self) -> Optional[str]:
         """Newest complete state (what a restart should use)."""

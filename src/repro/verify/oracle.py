@@ -55,7 +55,7 @@ from repro.arrays.slices import Slice
 from repro.checkpoint.drms import drms_checkpoint, drms_restart, restart_opener
 from repro.checkpoint.incremental import IncrementalCheckpointer
 from repro.checkpoint.recover import open_latest_valid
-from repro.checkpoint.rotation import latest_checkpoint
+from repro.checkpoint.rotation import generation_name, latest_checkpoint
 from repro.checkpoint.segment import DataSegment, ExecutionContext, SegmentProfile
 from repro.checkpoint.format import (
     array_name,
@@ -639,7 +639,7 @@ def _run_fault(case: Case) -> CaseResult:
     gens: List[_Generation] = []
     with use_tracer(Tracer()) as tracer:
         for g in range(1, case.generations + 1):
-            prefix = f"{base}.{g:06d}"
+            prefix = generation_name(base, g)
             segment = _segment(iteration=g)
             arrays = _build_arrays(case, salt=g)
             refs = [a.to_global(fill=0) for a in arrays]
@@ -773,7 +773,7 @@ def _run_mlck_schedule(
     failed: set = set()
     gens: List[_MLCKGeneration] = []
     for g in range(1, case.generations + 1):
-        prefix = f"{base}.{g:06d}"
+        prefix = generation_name(base, g)
         segment = _segment(iteration=g)
         arrays = _build_arrays(case, salt=g)
         refs = [a.to_global(fill=0) for a in arrays]
@@ -1086,7 +1086,7 @@ def _run_localized(case: Case) -> CaseResult:
                 stream_order_bytes(ref, case.order), dtype=np.dtype(spec.dtype)
             )
             for r in scope.lost_ranks:
-                arr.local_flat(r)[:] = 0
+                arr.local(r)[...] = 0
             rebuild_lost_sections(
                 arr, flat_vals, scope.lost_ranks, order=case.order
             )
@@ -1170,7 +1170,7 @@ def _apply_workflow_corruption(
     exactly what the recovery walk sees."""
     for ev in case.events:
         member = members[ev.member % len(members)]
-        prefix = f"{base}.{member}.{ev.gen:06d}"
+        prefix = generation_name(f"{base}.{member}", ev.gen)
         if ev.kind == "gen_loss":
             try:
                 pfs.unlink(manifest_name(prefix))
@@ -1295,7 +1295,7 @@ def _run_workflow(case: Case) -> CaseResult:
         for g in committed:
             snapshots[g] = []
             for m in members:
-                snap = _Generation(prefix=f"{base}.{m}.{g:06d}", committed=True)
+                snap = _Generation(generation_name(f"{base}.{m}", g), committed=True)
                 for fname in pfs.listdir(snap.prefix + "."):
                     size = pfs.file_size(fname)
                     want = pfs.read_at(fname, 0, size) if size else b""

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.checkpoint.recover import OpenedGeneration, first_rejections
+from repro.checkpoint.rotation import generation_name
 from repro.drms.app import DRMSApplication, RunReport
 from repro.drms.steering import app_transfer
 from repro.errors import ArrayError, ReconfigurationError, WorkflowError
@@ -539,7 +540,7 @@ class WorkflowCoordinator:
                 if app.tier == "memory+pfs":
                     outcome["prefixes"][name] = bases[name]
                 else:
-                    outcome["prefixes"][name] = f"{bases[name]}.{gen:06d}"
+                    outcome["prefixes"][name] = generation_name(bases[name], gen)
         emit_event(
             None, "workflow_exchange",
             base=self.base, iteration=iteration, fire=fire,

@@ -31,6 +31,12 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.checkpoint.format import commit_two_phase
 from repro.checkpoint.recover import OpenedGeneration, WalkNames, walk_generations
+from repro.checkpoint.rotation import (
+    committed_prefixes,
+    generation_name,
+    newest_generation,
+    parse_generation,
+)
 from repro.errors import CheckpointError, PFSError, WorkflowError
 from repro.obs import get_tracer
 from repro.pfs.piofs import PIOFS
@@ -56,7 +62,6 @@ WORKFLOW_VERSION = 1
 #: the group base.  The reserved words are file kinds; "mpmd" stays
 #: reserved because older trees may hold ``<base>.mpmd`` group files
 _MEMBER_NAME_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
-_GEN_LIKE_RE = re.compile(r"^\d{6}$")
 _RESERVED_NAMES = frozenset(
     {"workflow", "mpmd", "manifest", "segment", "array", "task"}
 )
@@ -66,10 +71,6 @@ WORKFLOW_WALK = WalkNames(
     "workflow_recovery_walk", "workflow_line", "workflow_restart_fallback",
     "workflow.lines", "generation",
 )
-
-_WF_MANIFEST_RE = re.compile(r"\.workflow\.(?P<gen>\d{6})\.manifest$")
-_WF_ANY_RE = re.compile(r"\.workflow\.(?P<gen>\d{6})(\..*)?$")
-_MEMBER_GEN_RE = re.compile(r"\.(?P<gen>\d{6})(\..*)?$")
 
 
 def check_member_name(name: str, taken: Mapping[str, Any] = ()) -> str:
@@ -85,7 +86,7 @@ def check_member_name(name: str, taken: Mapping[str, Any] = ()) -> str:
             "'-' only (dots would alias another member's checkpoint "
             "namespace)"
         )
-    if _GEN_LIKE_RE.match(name):
+    if parse_generation(f"group.{name}") is not None:
         raise CheckpointError(
             f"invalid member name {name!r}: a six-digit name aliases a "
             "rotation generation of the group prefix"
@@ -104,7 +105,7 @@ def check_member_name(name: str, taken: Mapping[str, Any] = ()) -> str:
 
 def workflow_line_prefix(base: str, generation: int) -> str:
     """The dotted prefix naming workflow generation ``generation``."""
-    return f"{base}.workflow.{generation:06d}"
+    return generation_name(f"{base}.workflow", generation)
 
 
 def workflow_manifest_name(base: str, generation: int) -> str:
@@ -158,12 +159,8 @@ def read_workflow_manifest(pfs: PIOFS, base: str, generation: int) -> Dict[str, 
 def _committed_line_numbers(pfs: PIOFS, base: str) -> List[int]:
     """Generation numbers with a workflow manifest under its final
     name, oldest first — from names alone, nothing is parsed."""
-    out = []
-    for name in pfs.listdir(f"{base}.workflow."):
-        m = _WF_MANIFEST_RE.search(name)
-        if m is not None and name == workflow_manifest_name(base, int(m.group("gen"))):
-            out.append(int(m.group("gen")))
-    return sorted(out)
+    lines = f"{base}.workflow"
+    return sorted(parse_generation(p, lines) for p in committed_prefixes(pfs, lines))
 
 
 def workflow_generations(pfs: PIOFS, base: str) -> List[int]:
@@ -187,17 +184,8 @@ def next_workflow_generation(
     artifact — including incomplete lines (stale ``.tmp`` manifests)
     and every member's own numbered states, whose numbers must not be
     reused even after a manifest is lost."""
-    newest = 0
-    for name in pfs.listdir(f"{base}.workflow."):
-        m = _WF_ANY_RE.search(name)
-        if m:
-            newest = max(newest, int(m.group("gen")))
-    for mbase in dict(member_bases).values():
-        for name in pfs.listdir(mbase + "."):
-            m = _MEMBER_GEN_RE.match(name[len(mbase):])
-            if m:
-                newest = max(newest, int(m.group("gen")))
-    return newest + 1
+    bases = [f"{base}.workflow", *dict(member_bases).values()]
+    return max(newest_generation(pfs, b) for b in bases) + 1
 
 
 # -- opening a line -----------------------------------------------------------

@@ -200,14 +200,15 @@ class TestGenerationNames:
     def test_only_rotation_builds_or_parses_generation_names(self):
         """``<base>.NNNNNN`` is built and parsed by
         :mod:`repro.checkpoint.rotation` alone: no other checkpoint,
-        multi-level or observability module spells the format."""
+        multi-level, observability, workflow or verify module spells
+        the format."""
         src = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
         spelled = re.compile(
             r"_GEN_RE|\\d\{6\}|\[-6:\]|\[:-7\]|\.\{[^{}]*:06d\}"
         )
         offenders = [
             f"{path.relative_to(src)}:{n}"
-            for pkg in ("checkpoint", "mlck", "obs")
+            for pkg in ("checkpoint", "mlck", "obs", "workflow", "verify")
             for path in sorted((src / pkg).rglob("*.py"))
             if path.name != "rotation.py"
             for n, line in enumerate(path.read_text().splitlines(), 1)

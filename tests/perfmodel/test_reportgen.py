@@ -1,6 +1,7 @@
 """Tests for the shared report generators and the CLI tool."""
 
 import io
+import json
 import pathlib
 
 import pytest
@@ -37,6 +38,21 @@ def test_committed_table1_is_what_table1_renders():
     it goes stale whenever an app's DRMS call sites change."""
     out = pathlib.Path(__file__).parents[2] / "benchmarks" / "out"
     assert (out / "table1_loc.txt").read_text() == reportgen.table1()[0] + "\n"
+
+
+def test_committed_table6_metrics_hold_no_wall_clock_key():
+    """The committed Table 6 metrics dump holds simulated series only:
+    a wall-clock value differs between two regenerations of one tree."""
+    out = pathlib.Path(__file__).parents[2] / "benchmarks" / "out"
+    cells = json.loads((out / "table6_metrics.txt").read_text())
+    assert len(cells) == 6
+    wall = [
+        f"{cell}:{key}"
+        for cell, flat in cells.items()
+        for key in flat
+        if "wall_seconds" in key or key == "plancache.saved_seconds"
+    ]
+    assert wall == []
 
 
 def test_cli_writes_artifacts(tmp_path):

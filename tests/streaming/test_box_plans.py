@@ -86,7 +86,7 @@ def _reference_scatter(darray, section, flat, order, only=None):
         darray.distribution, section, order, "mapped"
     ):
         if only is None or t in only:
-            darray.local_flat(t)[lflat] = flat[spos]
+            np.put(darray.local(t), lflat, flat[spos])
 
 
 def _reference_redis(entries, lo, hi, io_task, itemsize):
