@@ -15,7 +15,6 @@ variables, the SOQ control section, and the checkpoint engine hooks.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -71,7 +70,6 @@ class AppRuntime:
         self.policy_state: Dict[str, Any] = {}
         self._restored_pool: Dict[str, Any] = dict(restored.arrays) if restored else {}
         self._coll_result: Any = None
-        self._lock = threading.Lock()
         #: volatile state captured at a reconfiguration point (see
         #: repro.drms.elastic)
         self.memory_state: Optional[Dict[str, Any]] = None
@@ -102,12 +100,10 @@ class AppRuntime:
 
     def take_restored_array(self, name: str):
         """Claim a restored array for (re)binding; one-shot per name."""
-        with self._lock:
-            return self._restored_pool.pop(name, None)
+        return self._restored_pool.pop(name, None)
 
     def peek_restored_array(self, name: str):
-        with self._lock:
-            return self._restored_pool.get(name)
+        return self._restored_pool.get(name)
 
     # -- checkpoint plumbing ------------------------------------------------------
 
@@ -187,7 +183,6 @@ class DRMSApplication:
         io_tasks: Optional[int] = None,
         target_bytes: int = 1 << 20,
         run_timeout: float = 300.0,
-        comm_timeout: float = 60.0,
         tier: str = "pfs",
         mlck_k: int = 1,
         mlck_keep: int = 2,
@@ -209,8 +204,8 @@ class DRMSApplication:
         self.order = order
         self.io_tasks = io_tasks
         self.target_bytes = target_bytes
+        #: the watchdog of a run (see run_spmd's ``timeout``)
         self.run_timeout = run_timeout
-        self.comm_timeout = comm_timeout
         #: checkpoint store tier: "pfs" writes the PFS directly;
         #: "memory+pfs" captures into the replicated L1 memory tier and
         #: drains to the PFS asynchronously (repro.mlck)
@@ -231,7 +226,8 @@ class DRMSApplication:
         #: attached to each mlck drain controller so drain completion
         #: re-samples the backlog gauges
         self.health = None
-        self._ckpt_enable = threading.Event()
+        #: the JSA's enabling signal, consumed by reconfig_chkenable
+        self._ckpt_enable = False
         #: optional armed FailurePlan (set by the failure injector)
         self.failure_plan = None
         #: live-steering queue; clients read/write fields of a running
@@ -291,10 +287,10 @@ class DRMSApplication:
             ck.on_node_failure(node_id) for ck in self._mlck.values()
         )
 
-    def wait_for_drains(self, timeout: Optional[float] = None) -> None:
+    def wait_for_drains(self) -> None:
         """Block until every queued L1->PFS drain has finished."""
         for ck in self._mlck.values():
-            ck.wait_for_drains(timeout=timeout)
+            ck.wait_for_drains()
 
     def sop_quiescence(self) -> Optional[Dict[str, Any]]:
         """Where survivors quiesce after a failure: the last SOP the
@@ -309,14 +305,12 @@ class DRMSApplication:
     def enable_checkpoint(self) -> None:
         """Send the enabling signal: the next ``reconfig_chkenable``
         call in the application takes a checkpoint (JSA hook)."""
-        self._ckpt_enable.set()
+        self._ckpt_enable = True
 
     def consume_checkpoint_enable(self) -> bool:
         """One-shot read of the enabling signal (application side)."""
-        if self._ckpt_enable.is_set():
-            self._ckpt_enable.clear()
-            return True
-        return False
+        enabled, self._ckpt_enable = self._ckpt_enable, False
+        return enabled
 
     # -- segment profile ------------------------------------------------------------
 
@@ -351,7 +345,6 @@ class DRMSApplication:
             kwargs=kwargs,
             nodes=nodes,
             timeout=self.run_timeout,
-            comm_timeout=self.comm_timeout,
             make_context=lambda comm: DRMSContext(comm, runtime),
         )
 

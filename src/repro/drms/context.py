@@ -502,9 +502,7 @@ class DRMSContext:
             self.comm.barrier()
             return (CheckpointStatus.RESTARTED, rt.restored.delta)
         outcome = self._collective(
-            lambda: hub.exchange(
-                member, self._iteration, self.comm.clock.now, final
-            )
+            lambda: hub.exchange(member, self._iteration, final)
         )
         # charge this member's share of the coupling wire traffic
         moved = outcome["transfer_bytes"].get(member, 0)
@@ -520,8 +518,7 @@ class DRMSContext:
         )
         self._collective(
             lambda: hub.commit(
-                member, actual, self.size, self._iteration,
-                self.comm.clock.now, bd.total_seconds,
+                member, actual, self.size, self._iteration, bd.total_seconds
             )
         )
         return (CheckpointStatus.TAKEN, 0)

@@ -22,7 +22,6 @@ checkpointing one: non-conforming applications cannot be reconfigured).
 
 from __future__ import annotations
 
-import threading
 from typing import Any, List, Tuple
 
 from repro.checkpoint.drms import CheckpointBreakdown
@@ -47,7 +46,6 @@ class SPMDCheckpointer:
         self.segment_bytes = int(segment_bytes)
         self.app_name = app_name
         self.breakdowns: List[Tuple[str, CheckpointBreakdown]] = []
-        self._lock = threading.Lock()
         self._slots: dict = {}
 
     def checkpoint(self, comm: TaskComm, prefix: str, payload: Any) -> CheckpointBreakdown:
@@ -64,12 +62,10 @@ class SPMDCheckpointer:
                 payloads=payloads,
                 app_name=self.app_name,
             )
-            with self._lock:
-                self._slots[prefix] = bd
-                self.breakdowns.append((prefix, bd))
+            self._slots[prefix] = bd
+            self.breakdowns.append((prefix, bd))
         comm.barrier()
-        with self._lock:
-            bd = self._slots[prefix]
+        bd = self._slots[prefix]
         comm.clock.advance(bd.total_seconds)
         comm.barrier()
         return bd

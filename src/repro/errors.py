@@ -85,9 +85,17 @@ class CommunicationError(ReproError):
     """Message-passing failure inside the simulated machine."""
 
 
+class DeadlockError(CommunicationError):
+    """Nobody was runnable while someone waited: names every waiter."""
+
+
 class TaskFailure(ReproError):
     """Raised inside a task that has been killed by the runtime (e.g.,
     because its node failed or a sibling task crashed)."""
+
+
+class GroupKilled(TaskFailure):
+    """A crash's echo: raised at the waits of the crashed thread's group."""
 
 
 class MachineError(ReproError):

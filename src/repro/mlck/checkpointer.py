@@ -211,8 +211,8 @@ class MultiLevelCheckpointer:
 
     # -- drain control -------------------------------------------------------
 
-    def wait_for_drains(self, timeout: Optional[float] = None) -> None:
-        self.drainer.wait(timeout=timeout)
+    def wait_for_drains(self) -> None:
+        self.drainer.wait()
 
     def drain_states(self) -> Dict[str, str]:
         """Drain state of every resident L1 generation."""

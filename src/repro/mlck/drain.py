@@ -1,48 +1,32 @@
 """The L1 -> L2 drain: asynchronous promotion to durable PFS state.
 
-After an L1 capture the application continues immediately; the drain
-promotes the generation to the parallel file system in the background,
-on a shared thread pool (:func:`submit_task`) — so the slow
-PFS write (the paper's dominant checkpoint cost, Table 6) overlaps the
-next SOPs instead of stalling them.
-
-State machine per generation::
+After an L1 capture the application continues; the drain promotes the
+generation to the parallel file system on a scheduled thread of its own
+(:mod:`repro.runtime.sched`), which runs whenever the application waits,
+so the slow PFS write (Table 6's dominant cost) overlaps the next SOPs.
+Per generation (DESIGN.md §12)::
 
     pending --> draining --> durable
                         \\-> failed     (fault, node loss mid-drain)
 
-The drain *replays the stored streams*: the pieces, each verified as it
-is fetched from the L1 replicas, are written with the capture-time
-stream digest through the ordinary
-:func:`~repro.checkpoint.drms.drms_checkpoint` path, so the durable
-state is byte-identical to a direct PFS checkpoint — manifest two-phase
-commit included.  A drain that dies mid-flight therefore leaves *no*
-manifest: the half-written generation is invisible to recovery, which
-falls back to the newest byte-valid L2 state (or a surviving L1 one).
-
-Retention covers both tiers: what the rotation prunes from the PFS is
-discarded from replica memory too.
-
-Retention interlock: while a drain is in flight, the rotation's newest
-durable generation is **pinned** — it is the only durable fallback
-until the draining generation supersedes it, so
-:meth:`~repro.checkpoint.rotation.CheckpointRotation.prune` must not
-delete it, however many newer generations commit meanwhile.
-
-Drains are serialized on one lock: PFS I/O phases do not nest.  An
-asynchronous drain also waits for the one scheduled before it, so
-generations commit in the order they were scheduled.  ``synchronous``
-mode runs the drain inline in :meth:`DrainController.schedule` — the
-deterministic mode the verify oracle and the benchmarks use.
+The drain *replays the stored streams* through
+:func:`~repro.checkpoint.drms.drms_checkpoint`, so the durable state is
+byte-identical to a direct PFS checkpoint, two-phase manifest commit
+included: a drain that dies mid-flight leaves no manifest, and recovery
+falls back.  While a drain is in flight the rotation's newest durable
+generation is **pinned**, the only durable fallback until the drained
+one supersedes it; what the rotation then prunes from the PFS leaves
+replica memory too.  An asynchronous drain waits for the one scheduled
+before it, so generations commit in schedule order, and runs in a copy
+of the scheduling thread's context (``strict_gather`` follows it);
+``synchronous`` mode drains inline in :meth:`DrainController.schedule`.
 """
 
 from __future__ import annotations
 
 import contextvars
-import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.checkpoint.drms import drms_checkpoint
 from repro.checkpoint.rotation import CheckpointRotation
@@ -51,23 +35,9 @@ from repro.mlck.store import L1Store
 from repro.obs import emit_event, get_tracer
 from repro.pfs.piofs import PIOFS
 from repro.runtime.clock import SimClock, now, use_clock
+from repro.runtime.sched import SCHED, Task
 
-__all__ = ["DrainState", "DrainController", "submit_task"]
-
-#: the shared drain pool (threads start on first use and are reused, so
-#: a periodic checkpointer never pays thread startup); wide enough for
-#: every plausible number of queued drains
-_POOL = ThreadPoolExecutor(
-    max_workers=max(8, (os.cpu_count() or 4) * 2), thread_name_prefix="drain"
-)
-
-
-def submit_task(task: Callable[[], object]) -> Future:
-    """Run ``task`` on the shared drain pool and return its Future.  The
-    task runs in a copy of the submitting thread's context, so it
-    observes the caller's :mod:`contextvars` scopes (notably
-    ``strict_gather``)."""
-    return _POOL.submit(contextvars.copy_context().run, task)
+__all__ = ["DrainState", "DrainController"]
 
 
 class DrainState:
@@ -103,12 +73,11 @@ class DrainController:
         self.synchronous = bool(synchronous)
         self.io_tasks = io_tasks
         self.target_bytes = int(target_bytes)
-        self._serial = threading.Lock()  # PFS phases do not nest
         self._state_lock = threading.Lock()
-        self._futures: Dict[str, Future] = {}
+        #: prefix -> the asynchronous drain in flight
+        self._tasks: Dict[str, Task] = {}
         #: the newest asynchronous drain: the next one waits for it
-        self._last: Optional[Future] = None
-        self._pending = 0
+        self._last: Optional[Task] = None
         #: prefix -> simulated time at schedule, while the drain is in
         #: flight (drives the health backlog-age gauge)
         self.scheduled_at: Dict[str, float] = {}
@@ -120,29 +89,19 @@ class DrainController:
     @property
     def pending(self) -> int:
         """Generations scheduled but not yet durable/failed."""
-        with self._state_lock:
-            return self._pending
+        return len(self.scheduled_at)
 
-    def _set_pending(self, delta: int) -> None:
-        with self._state_lock:
-            self._pending += delta
-            value = self._pending
-        get_tracer().metrics.gauge("mlck.drain.pending").set(value)
-
-    def wait(self, timeout: Optional[float] = None) -> None:
+    def wait(self) -> None:
         """Block until every scheduled drain has finished (drains swallow
         their own failures into the generation's drain state)."""
-        with self._state_lock:
-            futures = list(self._futures.values())
-        for f in futures:
-            f.result(timeout=timeout)
+        SCHED.wait("the drains in flight", until=lambda: not self._tasks)
 
     # -- scheduling ----------------------------------------------------------
 
-    def schedule(self, prefix: str) -> Optional[Future]:
+    def schedule(self, prefix: str) -> Optional[Task]:
         """Queue the drain of ``prefix``.  Asynchronous mode returns the
-        Future running on the shared drain pool; synchronous mode
-        drains inline and returns None.  The drain runs under a clock
+        scheduled thread running it; synchronous mode drains inline and
+        returns None.  The drain runs under a clock
         frozen at the schedule time, never the scheduling rank's live one."""
         gen = self.store.gen(prefix)
         if gen.drain_state not in (DrainState.PENDING, DrainState.FAILED):
@@ -156,34 +115,37 @@ class DrainController:
         protect = self.rotation.latest() if self.rotation is not None else None
         if protect is not None:
             self.rotation.pin(protect)
-        self._set_pending(+1)
         frozen = SimClock(now())
         with self._state_lock:
             self.scheduled_at[prefix] = frozen.now
+        get_tracer().metrics.gauge("mlck.drain.pending").set(self.pending)
         emit_event(None, "drain_scheduled", prefix=prefix, pending=self.pending)
         if self.synchronous:
             self._drain(prefix, protect, frozen)
             return None
-        with self._state_lock:
+        with self._state_lock:  # registered before the drain can finish
             after = self._last
-            future = submit_task(lambda: self._drain(prefix, protect, frozen, after))
-            self._futures[prefix] = self._last = future
-        return future
+            task = SCHED.start(
+                f"drain {prefix}", lambda: self._drain(prefix, protect, frozen, after),
+                contextvars.copy_context(),
+            )
+            self._tasks[prefix] = self._last = task
+        return task
 
     # -- the drain itself ----------------------------------------------------
 
     def _drain(
         self, prefix: str, protect: Optional[str], frozen: SimClock,
-        after: Optional[Future] = None,
+        after: Optional[Task] = None,
     ) -> str:
-        """Runs on the pool (or inline) under ``frozen``, once the drain
-        ``after`` has finished: returns the final drain state.  Failures
-        are recorded on the generation, never raised — a broken drain
-        must not take the application down; recovery falls back."""
+        """Runs on its own thread (or inline) under ``frozen``, once the
+        drain ``after`` has finished: returns the final drain state.
+        Failures are recorded on the generation, never raised — a broken
+        drain must not take the application down; recovery falls back."""
         if after is not None:
-            wait([after])
+            SCHED.wait(f"{after.name} to finish", until=lambda: after.done)
         m = get_tracer().metrics
-        with self._serial, use_clock(frozen):
+        with use_clock(frozen):
             gen = self.store.gen(prefix)
             gen.drain_state = DrainState.DRAINING
             emit_event(
@@ -222,10 +184,10 @@ class DrainController:
             finally:
                 if protect is not None and self.rotation is not None:
                     self.rotation.unpin(protect)
-                self._set_pending(-1)
                 with self._state_lock:
-                    self._futures.pop(prefix, None)
+                    self._tasks.pop(prefix, None)
                     self.scheduled_at.pop(prefix, None)
+                m.gauge("mlck.drain.pending").set(self.pending)
                 if self.health is not None:
                     self.health.sample_drainer(self)
         return gen.drain_state

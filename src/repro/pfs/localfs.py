@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.pfs.params import PIOFSParams
-from repro.pfs.phase import IOKind, IOPhaseResult, solve_phase
+from repro.pfs.phase import IOPhaseResult
 from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine
 
@@ -39,21 +39,11 @@ class SerialFS(PIOFS):
     def supports_parallel_streaming(self) -> bool:
         return self.seekable
 
-    def end_phase(self) -> IOPhaseResult:
+    def _solve(self, kind, transfers, server_bytes, file_sizes) -> IOPhaseResult:
         """All traffic funnels through one channel at one rate."""
-        with self._lock:
-            kind = self._phase_kind
-            transfers = self._phase_transfers
-            self._phase_kind = None
-            self._phase_transfers = []
-            self._phase_server_bytes = {}
-        if kind is None:
-            from repro.errors import PFSError
-
-            raise PFSError("no phase open")
         total_mb = sum(t.nbytes for t in transfers) / 1e6
         files = {t.filename for t in transfers}
-        result = IOPhaseResult(
+        return IOPhaseResult(
             kind=kind,
             seconds=total_mb / self.sequential_mbps
             + self.params.file_open_overhead_s * len(files),
@@ -61,5 +51,3 @@ class SerialFS(PIOFS):
             clients={t.client for t in transfers},
             files=files,
         )
-        self.phase_log.append(result)
-        return result

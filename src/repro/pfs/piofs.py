@@ -9,7 +9,10 @@ deterministic under thread scheduling: duration depends only on the set
 of transfers, never on their interleaving.
 
 Thread safety: all mutating entry points take one internal lock; task
-threads of an SPMD run may call concurrently.
+threads of an SPMD run may call concurrently.  A phase is its opener's:
+only that thread's transfers are charged to it, and another thread's
+``begin_phase`` waits (a scheduler wait, :mod:`repro.runtime.sched`)
+until it closes.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.pfs.file import PFSFile, byte_view
 from repro.pfs.params import PIOFSParams
 from repro.pfs.phase import IOKind, IOPhaseResult, PhaseTransfer, solve_phase
 from repro.runtime.machine import Machine
+from repro.runtime.sched import SCHED
 
 __all__ = ["PIOFS", "TimedPhase"]
 
@@ -53,8 +57,9 @@ class PIOFS:
         self.params = params or PIOFSParams(num_servers=self.machine.num_nodes)
         self._files: Dict[str, PFSFile] = {}
         self._lock = threading.Lock()
-        self._phase_cv = threading.Condition(self._lock)
         self._phase_owner: Optional[int] = None
+        #: the open phase's opener is not a scheduled thread (SCHED.hold)
+        self._phase_held = False
         self._phase_kind: Optional[IOKind] = None
         self._phase_transfers: List[PhaseTransfer] = []
         self._phase_server_bytes: Dict[int, int] = {}
@@ -82,10 +87,14 @@ class PIOFS:
     def open(self, name: str) -> PFSFile:
         """The PFSFile for ``name``; raises PFSError when missing."""
         with self._lock:
-            try:
-                return self._files[name]
-            except KeyError:
-                raise PFSError(f"no such file: {name!r}") from None
+            return self._get(name)
+
+    def _get(self, name: str) -> PFSFile:
+        # caller holds the lock
+        f = self._files.get(name)
+        if f is None:
+            raise PFSError(f"no such file: {name!r}")
+        return f
 
     def exists(self, name: str) -> bool:
         with self._lock:
@@ -161,31 +170,29 @@ class PIOFS:
 
     # -- timed I/O ----------------------------------------------------------
 
-    def begin_phase(self, kind: IOKind, timeout: float = 60.0) -> None:
+    def begin_phase(self, kind: IOKind) -> None:
         """Open a timed I/O phase of the given operation kind.
 
         Phases are file-system-wide critical sections: a thread opening
         a phase while it already owns one is a programming error
         (phases do not nest), but a phase opened by *another* thread —
         a concurrent workflow member checkpointing, a drain in flight —
-        simply queues behind it, the way independent jobs share a real
-        PFS's service capacity."""
-        with self._phase_cv:
-            me = threading.get_ident()
-            if self._phase_kind is not None and self._phase_owner == me:
-                raise PFSError(
-                    f"phase {self._phase_kind} already open; phases do not nest"
-                )
-            while self._phase_kind is not None:
-                if not self._phase_cv.wait(timeout=timeout):
-                    raise PFSError(
-                        f"timed out waiting {timeout}s for phase "
-                        f"{self._phase_kind} to close"
-                    )
-            self._phase_owner = me
-            self._phase_kind = kind
-            self._phase_transfers = []
-            self._phase_server_bytes = {}
+        is waited for, the way independent jobs share a real PFS's
+        service capacity."""
+        me = threading.get_ident()
+        if self._phase_kind is not None and self._phase_owner == me:
+            raise PFSError(
+                f"phase {self._phase_kind} already open; phases do not nest"
+            )
+        while True:
+            SCHED.wait(f"a {kind.value} phase behind the open one",
+                       until=lambda: self._phase_kind is None)
+            with self._lock:
+                if self._phase_kind is None:
+                    self._phase_owner = me
+                    self._phase_kind = kind
+                    self._phase_held = SCHED.hold()
+                    return
 
     def end_phase(self) -> IOPhaseResult:
         """Close the phase: solve its simulated duration and log it."""
@@ -200,20 +207,10 @@ class PIOFS:
                 for t in transfers
                 if t.filename in self._files
             }
-            self._phase_kind = None
-            self._phase_owner = None
-            self._phase_transfers = []
-            self._phase_server_bytes = {}
-            self._phase_cv.notify_all()
-        busy = sum(1 for n in self.machine.nodes if n.busy)
-        result = solve_phase(
-            kind,
-            transfers,
-            self.params,
-            busy_nodes=busy,
-            server_bytes=server_bytes,
-            file_sizes=file_sizes,
-        )
+            held = self._close_phase()
+        if held:
+            SCHED.release()
+        result = self._solve(kind, transfers, server_bytes, file_sizes)
         self.phase_log.append(result)
         m = get_tracer().metrics
         m.counter("pfs.phase.count").inc()
@@ -223,6 +220,24 @@ class PIOFS:
         if result.pressured:
             m.counter("pfs.phase.pressured").inc()
         return result
+
+    def _solve(self, kind, transfers, server_bytes, file_sizes) -> IOPhaseResult:
+        """The closed phase's simulated duration (the PIOFS model)."""
+        busy = sum(1 for n in self.machine.nodes if n.busy)
+        return solve_phase(
+            kind, transfers, self.params, busy_nodes=busy,
+            server_bytes=server_bytes, file_sizes=file_sizes,
+        )
+
+    def _close_phase(self) -> bool:
+        # caller holds the lock; True when the phase was a counted hold
+        held = self._phase_held
+        self._phase_kind = None
+        self._phase_owner = None
+        self._phase_held = False
+        self._phase_transfers = []
+        self._phase_server_bytes = {}
+        return held
 
     @contextmanager
     def phase(self, kind: IOKind) -> Iterator[TimedPhase]:
@@ -245,11 +260,9 @@ class PIOFS:
         I/O fault aborted the operation that opened the phase.  A no-op
         when no phase is open."""
         with self._lock:
-            self._phase_kind = None
-            self._phase_owner = None
-            self._phase_transfers = []
-            self._phase_server_bytes = {}
-            self._phase_cv.notify_all()
+            held = self._close_phase()
+        if held:
+            SCHED.release()
 
     def _meter(self, op: str, fname: str, nbytes: int, t0: Optional[float]) -> None:
         """Per-operation observability: global and per-file counters
@@ -269,8 +282,8 @@ class PIOFS:
                 )
 
     def _record(self, client: int, f: PFSFile, offset: int, nbytes: int) -> None:
-        # caller holds the lock
-        if self._phase_kind is not None:
+        # caller holds the lock; only the phase's opener is charged
+        if self._phase_kind is not None and self._phase_owner == threading.get_ident():
             self._phase_transfers.append(
                 PhaseTransfer(client, f.name, offset, nbytes)
             )
@@ -287,12 +300,10 @@ class PIOFS:
         nbytes: Optional[int] = None,
         client: int = 0,
     ) -> int:
-        """Write into a file (recorded against the open phase, if any)."""
+        """Write into a file (recorded against the caller's open phase, if any)."""
         t0 = time.perf_counter() if get_tracer().enabled else None
         with self._lock:
-            f = self._files.get(name)
-            if f is None:
-                raise PFSError(f"no such file: {name!r}")
+            f = self._get(name)
             data, nbytes, fault = self._faulted_write(name, offset, data, nbytes)
             n = f.write_at(offset, data, nbytes)
             self._record(client, f, offset, n)
@@ -302,12 +313,10 @@ class PIOFS:
             return n
 
     def read_at(self, name: str, offset: int, nbytes: int, client: int = 0) -> bytes:
-        """Read from a file (recorded against the open phase, if any)."""
+        """Read from a file (recorded against the caller's open phase, if any)."""
         t0 = time.perf_counter() if get_tracer().enabled else None
         with self._lock:
-            f = self._files.get(name)
-            if f is None:
-                raise PFSError(f"no such file: {name!r}")
+            f = self._get(name)
             out = f.read_at(offset, nbytes)
             if self.faults is not None:
                 out = self.faults.apply_read(name, offset, out)
@@ -318,10 +327,7 @@ class PIOFS:
     def read_virtual(self, name: str, offset: int, nbytes: int, client: int = 0) -> None:
         """Account a read without returning data (virtual files)."""
         with self._lock:
-            f = self._files.get(name)
-            if f is None:
-                raise PFSError(f"no such file: {name!r}")
-            self._record(client, f, offset, nbytes)
+            self._record(client, self._get(name), offset, nbytes)
             self._meter("read", name, nbytes, None)
 
     # -- statistics ------------------------------------------------------------

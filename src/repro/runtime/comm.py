@@ -11,23 +11,27 @@ seconds to the sender; the receiver's clock merges with the arrival
 stamp (Lamport).  Collectives are built from point-to-point sends, so
 their simulated cost emerges from the same model.
 
-Failure: killing the world (what the Resource Coordinator does when a
-node dies) aborts every blocked or future communication call with
-:class:`~repro.errors.TaskFailure`, unwinding task threads cleanly.
+Waiting: a blocking ``recv`` and ``barrier`` are scheduler waits
+(:mod:`repro.runtime.sched`): only one task runs at a time, the next
+one chosen by simulated clock.  When a task crashes, the waits of its
+siblings raise :class:`~repro.errors.GroupKilled`; when every task
+waits and none can go on, they raise
+:class:`~repro.errors.DeadlockError` at once.
 """
 
 from __future__ import annotations
 
-import threading
+import operator
 from collections import deque
 from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import CommunicationError, TaskFailure
+from repro.errors import CommunicationError
 from repro.runtime.clock import SimClock
 from repro.runtime.machine import Machine
 from repro.runtime.message import ANY_SOURCE, ANY_TAG, Message, payload_nbytes
+from repro.runtime.sched import SCHED
 
 __all__ = ["CommWorld", "TaskComm"]
 
@@ -38,29 +42,16 @@ _COLL_TAG_BASE = -(1 << 20)
 class CommWorld:
     """Shared communication state for ``ntasks`` SPMD tasks."""
 
-    def __init__(
-        self,
-        ntasks: int,
-        machine: Optional[Machine] = None,
-        copy_arrays: bool = True,
-        default_timeout: float = 60.0,
-    ):
+    def __init__(self, ntasks: int, machine: Optional[Machine] = None):
         if ntasks < 1:
             raise CommunicationError("world needs at least one task")
         self.ntasks = ntasks
         self.machine = machine or Machine()
-        self.copy_arrays = copy_arrays
-        self.default_timeout = default_timeout
         self.clocks: List[SimClock] = [SimClock() for _ in range(ntasks)]
-        self._lock = threading.Lock()
-        self._cvs: List[threading.Condition] = [
-            threading.Condition(self._lock) for _ in range(ntasks)
-        ]
         self._queues: List[deque] = [deque() for _ in range(ntasks)]
-        self._killed = False
-        self._barrier_clocks = [0.0] * ntasks
+        self._barrier_in: List[float] = []  # clocks of this round's arrivals
         self._barrier_max = 0.0
-        self._barrier = threading.Barrier(ntasks, action=self._barrier_action)
+        self._barrier_rounds = 0
         # traffic ledger
         self.total_messages = 0
         self.total_bytes = 0
@@ -73,104 +64,56 @@ class CommWorld:
         p = self.machine.params
         return p.link_latency_s + nbytes / (p.link_bandwidth_mbps * 1e6)
 
-    def _barrier_action(self) -> None:
-        self._barrier_max = max(self._barrier_clocks)
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def kill(self) -> None:
-        """Abort all communication: blocked calls raise TaskFailure."""
-        with self._lock:
-            self._killed = True
-            for cv in self._cvs:
-                cv.notify_all()
-        self._barrier.abort()
-
-    @property
-    def killed(self) -> bool:
-        return self._killed
-
-    def _check_alive(self) -> None:
-        if self._killed:
-            raise TaskFailure("task group has been killed")
-
     # -- core p2p ----------------------------------------------------------------
 
     def send(self, src: int, dst: int, tag: int, payload: Any) -> None:
         """Enqueue a message for ``dst``; charges the transfer to the sender's clock."""
-        self._check_alive()
         if not 0 <= dst < self.ntasks:
             raise CommunicationError(f"send to unknown rank {dst}")
-        if isinstance(payload, np.ndarray) and self.copy_arrays:
+        if isinstance(payload, np.ndarray):
             payload = payload.copy()
         nbytes = payload_nbytes(payload)
         cost = self.transfer_cost(nbytes) if src != dst else 0.0
         arrival = self.clocks[src].advance(cost)
-        msg = Message(src, dst, tag, payload, nbytes, arrival)
-        with self._lock:
-            self._queues[dst].append(msg)
-            self.total_messages += 1
-            self.total_bytes += nbytes
-            self.bytes_sent[src] += nbytes
-            self._cvs[dst].notify_all()
+        self._queues[dst].append(Message(src, dst, tag, payload, nbytes, arrival))
+        self.total_messages += 1
+        self.total_bytes += nbytes
+        self.bytes_sent[src] += nbytes
 
-    def recv(
-        self,
-        dst: int,
-        src: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        timeout: Optional[float] = None,
-    ) -> Any:
+    def recv(self, dst: int, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Blocking receive with optional source/tag filters."""
-        deadline_timeout = self.default_timeout if timeout is None else timeout
-        cv = self._cvs[dst]
-        with self._lock:
-            while True:
-                if self._killed:
-                    raise TaskFailure("task group has been killed")
-                msg = self._match(dst, src, tag)
-                if msg is not None:
-                    break
-                if not cv.wait(timeout=deadline_timeout):
-                    raise CommunicationError(
-                        f"rank {dst} recv(src={src}, tag={tag}) timed out "
-                        f"after {deadline_timeout}s (deadlock?)"
-                    )
+        SCHED.wait(f"rank {dst} recv(src={src}, tag={tag})",
+                   until=lambda: self._match(dst, src, tag) is not None)
+        q, i = self._queues[dst], self._match(dst, src, tag)
+        msg = q[i]
+        del q[i]
         self.clocks[dst].merge(msg.arrival_time)
         return msg.payload
 
-    def _match(self, dst: int, src: int, tag: int) -> Optional[Message]:
-        q = self._queues[dst]
-        for i, msg in enumerate(q):
+    def _match(self, dst: int, src: int, tag: int) -> Optional[int]:
+        """Index of the first message queued for ``dst`` that matches."""
+        for i, msg in enumerate(self._queues[dst]):
             if (src == ANY_SOURCE or msg.src == src) and (
                 tag == ANY_TAG or msg.tag == tag
             ):
-                del q[i]
-                return msg
+                return i
         return None
 
     def probe(self, dst: int, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """Non-blocking check for a matching pending message."""
-        with self._lock:
-            q = self._queues[dst]
-            return any(
-                (src == ANY_SOURCE or m.src == src)
-                and (tag == ANY_TAG or m.tag == tag)
-                for m in q
-            )
+        return self._match(dst, src, tag) is not None
 
     # -- barrier ----------------------------------------------------------------
 
     def barrier(self, rank: int) -> None:
         """Synchronize all tasks; clocks merge to the latest arrival."""
-        self._check_alive()
-        self._barrier_clocks[rank] = self.clocks[rank].now
-        try:
-            self._barrier.wait(timeout=self.default_timeout)
-        except threading.BrokenBarrierError:
-            if self._killed:
-                raise TaskFailure("task group has been killed") from None
-            raise CommunicationError("barrier broken (timeout or abort)") from None
+        self._barrier_in.append(self.clocks[rank].now)
+        rounds = self._barrier_rounds
+        if len(self._barrier_in) == self.ntasks:  # the last one in
+            self._barrier_max, self._barrier_in = max(self._barrier_in), []
+            self._barrier_rounds += 1
+        # the last one in, too, leaves in (clock, name) order
+        SCHED.wait(f"rank {rank} barrier", until=lambda: self._barrier_rounds != rounds)
         # everyone leaves at the same simulated instant + one latency
         self.clocks[rank].merge(
             self._barrier_max + self.machine.params.link_latency_s
@@ -181,40 +124,28 @@ class CommWorld:
 
 
 class Request:
-    """Handle for a non-blocking operation (mpi4py's ``Request``).
-
-    Sends complete immediately (the fabric buffers); receives complete
-    when a matching message arrives.  ``wait`` returns the received
-    payload (``None`` for sends); ``test`` polls without blocking.
-    """
+    """Handle for a non-blocking operation (mpi4py's ``Request``): a send
+    completes at once (the fabric buffers), a receive when a matching
+    message arrives.  ``wait`` returns the received payload (``None``
+    for sends); ``test`` polls without blocking."""
 
     def __init__(self, comm: "TaskComm", kind: str, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        self._comm = comm
-        self._kind = kind
-        self._source = source
-        self._tag = tag
-        self._done = kind == "send"
+        self._comm, self._source, self._tag = comm, source, tag
+        self.completed = kind == "send"
         self._payload = None
 
     def test(self):
         """``(completed, payload)`` without blocking."""
-        if self._done:
-            return True, self._payload
-        if self._comm.probe(self._source, self._tag):
-            self._payload = self._comm.recv(self._source, self._tag)
-            self._done = True
-        return self._done, self._payload
+        if not self.completed and self._comm.probe(self._source, self._tag):
+            self.wait()
+        return self.completed, self._payload
 
-    def wait(self, timeout=None):
+    def wait(self):
         """Block until completion; returns the payload (None for sends)."""
-        if not self._done:
-            self._payload = self._comm.recv(self._source, self._tag, timeout=timeout)
-            self._done = True
+        if not self.completed:
+            self._payload = self._comm.recv(self._source, self._tag)
+            self.completed = True
         return self._payload
-
-    @property
-    def completed(self) -> bool:
-        return self._done
 
 
 class TaskComm:
@@ -244,14 +175,9 @@ class TaskComm:
     def send(self, payload: Any, dest: int, tag: int = 0) -> None:
         self.world.send(self.rank, dest, tag, payload)
 
-    def recv(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        timeout: Optional[float] = None,
-    ) -> Any:
+    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Blocking receive; returns the payload."""
-        return self.world.recv(self.rank, source, tag, timeout=timeout)
+        return self.world.recv(self.rank, source, tag)
 
     def isend(self, payload: Any, dest: int, tag: int = 0) -> Request:
         """Non-blocking send: buffered by the fabric, completes at once."""
@@ -337,7 +263,7 @@ class TaskComm:
     ) -> Any:
         """Reduce with a binary ``op`` (default element-wise sum) at ``root``."""
         if op is None:
-            op = _add
+            op = operator.add
         gathered = self.gather(obj, root=root)
         if self.rank != root:
             return None
@@ -352,8 +278,3 @@ class TaskComm:
     def __repr__(self) -> str:
         return f"TaskComm(rank={self.rank}/{self.size})"
 
-
-def _add(a: Any, b: Any) -> Any:
-    if isinstance(a, np.ndarray):
-        return a + b
-    return a + b

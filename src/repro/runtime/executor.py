@@ -1,24 +1,26 @@
 """The SPMD execution engine: run one function on ``ntasks`` tasks.
 
-``run_spmd(fn, ntasks)`` spawns one thread per task, hands each a
-:class:`~repro.runtime.comm.TaskComm`, and collects return values.  If
-any task raises, the world is killed so sibling tasks unwind from
-blocked communication instead of hanging, and the original exception is
-re-raised in the caller — the behaviour of a parallel job whose task
-crash takes the whole application down (paper Section 1).  A rank
-thread's active clock is the launcher's ``now()`` plus its task clock.
+``run_spmd(fn, ntasks)`` runs one scheduled thread per task
+(:meth:`~repro.runtime.sched.Scheduler.run`, one runnable at a time),
+hands each a :class:`~repro.runtime.comm.TaskComm`, and collects return
+values.  If any task raises, its group is killed so sibling tasks
+unwind from blocked communication instead of hanging, and the original
+exception is re-raised in the caller — the behaviour of a parallel job
+whose task crash takes the whole application down (paper Section 1).
+A rank thread's active clock is the launcher's ``now()`` plus its task
+clock.  The run's node placements are its own: placed at launch, and
+exactly those removed when it ends, however it ends.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
-from repro.errors import CommunicationError, TaskFailure
 from repro.runtime.clock import SimClock, now, use_clock
 from repro.runtime.comm import CommWorld, TaskComm
 from repro.runtime.machine import Machine
+from repro.runtime.sched import SCHED
 
 __all__ = ["SPMDResult", "run_spmd"]
 
@@ -55,7 +57,6 @@ def run_spmd(
     kwargs: Optional[dict] = None,
     nodes: Optional[Sequence[int]] = None,
     timeout: float = 120.0,
-    comm_timeout: float = 60.0,
     make_context: Optional[Callable[[TaskComm], Any]] = None,
 ) -> SPMDResult:
     """Execute ``fn(ctx, *args, **kwargs)`` as an SPMD program.
@@ -63,60 +64,24 @@ def run_spmd(
     ``ctx`` is the task's :class:`TaskComm` unless ``make_context`` wraps
     it (the DRMS layer passes a richer task context).  Tasks are placed
     one-to-one on machine nodes; the placement is recorded so the I/O
-    cost model can see compute/server colocation.
+    cost model can see compute/server colocation.  ``timeout`` is the
+    watchdog of a run launched from a thread the scheduler did not start.
     """
     kwargs = kwargs or {}
     machine = machine or Machine()
-    machine.clear_tasks()
+    world = CommWorld(ntasks, machine=machine)
     placement = machine.place_tasks(ntasks, nodes=nodes)
-    world = CommWorld(ntasks, machine=machine, default_timeout=comm_timeout)
     world.placement = placement  # rank -> node id, visible to task code
-    returns: List[Any] = [None] * ntasks
-    errors: List[Optional[BaseException]] = [None] * ntasks
     launch = now()
 
-    def body(rank: int) -> None:
+    def body(rank: int) -> Any:
         comm = TaskComm(world, rank)
         ctx = make_context(comm) if make_context else comm
-        try:
-            with use_clock(_Launched(launch, world.clocks[rank])):
-                returns[rank] = fn(ctx, *args, **kwargs)
-        except BaseException as exc:  # noqa: BLE001 - must fan out any crash
-            errors[rank] = exc
-            world.kill()
+        with use_clock(_Launched(launch, world.clocks[rank])):
+            return fn(ctx, *args, **kwargs)
 
-    threads = [
-        threading.Thread(target=body, args=(rank,), name=f"spmd-task-{rank}")
-        for rank in range(ntasks)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=timeout)
-    hung = [t.name for t in threads if t.is_alive()]
-    if hung:
-        world.kill()
-        for t in threads:
-            t.join(timeout=5.0)
-        raise CommunicationError(f"SPMD tasks did not finish: {hung}")
-
-    # Prefer reporting a primary failure over the TaskFailure echoes the
-    # kill produced in sibling tasks.
-    primary = next(
-        (e for e in errors if e is not None and not isinstance(e, TaskFailure)),
-        None,
-    )
-    if primary is not None:
-        raise primary
-    secondary = next((e for e in errors if e is not None), None)
-    if secondary is not None:
-        raise secondary
-
-    result = SPMDResult(
-        returns=returns,
-        clocks=[c.now for c in world.clocks],
-        world=world,
-        placement=placement,
-    )
-    machine.clear_tasks()
-    return result
+    try:
+        returns = SCHED.run([str(r) for r in range(ntasks)], body, timeout)
+    finally:
+        machine.release_tasks(placement)
+    return SPMDResult(returns, [c.now for c in world.clocks], world, placement)

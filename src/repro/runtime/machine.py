@@ -157,6 +157,12 @@ class Machine:
             placement[rank] = nd
         return placement
 
+    def release_tasks(self, placement: Dict[int, int]) -> None:
+        """Remove exactly the placements of one :meth:`place_tasks`."""
+        for rank, nd in placement.items():
+            if rank in self.node(nd).tasks:  # unless cleared meanwhile
+                self.node(nd).tasks.remove(rank)
+
     def clear_tasks(self) -> None:
         for n in self.nodes:
             n.tasks.clear()

@@ -56,7 +56,7 @@ __all__ = [
 
 #: gather strictness scope; per-context so concurrent streaming ops on
 #: other threads are unaffected — an async drain inherits the
-#: submitting thread's context (see mlck.drain.submit_task)
+#: scheduling thread's context (see mlck.drain)
 _STRICT_GATHER: contextvars.ContextVar[bool] = contextvars.ContextVar(
     "strict_gather", default=False
 )

@@ -35,8 +35,8 @@ and relaunches every member from the state that opened.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.checkpoint.recover import OpenedGeneration, first_rejections
@@ -48,6 +48,7 @@ from repro.obs import emit_event, get_tracer
 from repro.pfs.piofs import PIOFS
 from repro.runtime.clock import SimClock, now, use_clock
 from repro.runtime.machine import Machine
+from repro.runtime.sched import SCHED
 from repro.workflow.manifest import (
     WorkflowDecision,
     check_member_name,
@@ -124,93 +125,55 @@ class _WorkflowHub:
 
     Each member's rank 0 enters :meth:`exchange` (inside its own
     ``_collective``, so the member's other tasks are parked at a comm
-    barrier); a :class:`threading.Barrier` across the members runs the
-    coordinator's exchange action exactly once, then releases everyone
-    with the shared outcome.  A second barrier plays the same trick for
-    the two-phase line commit: the workflow manifest is written only
-    after *every* member has reported its checkpoint complete."""
+    barrier) and waits there for its peers; the last to arrive runs the
+    coordinator's exchange action once, at the latest arrival clock, and
+    every member leaves with the shared outcome.  :meth:`commit` plays
+    the same trick for the two-phase line commit: the workflow manifest
+    is written only after *every* member has reported its checkpoint
+    complete.  A crashed member kills the ensemble, so these waits raise
+    in its peers."""
 
     def __init__(self, coordinator: "WorkflowCoordinator", members: Sequence[str]):
-        self._coord = coordinator
-        self._timeout = coordinator.exchange_timeout
-        self._lock = threading.Lock()
-        self._arrivals: Dict[str, Dict[str, Any]] = {}
-        self._commits: Dict[str, Dict[str, Any]] = {}
-        self._outcome: Optional[Dict[str, Any]] = None
-        self._line: Optional[WorkflowLine] = None
+        self._parties = len(members)
+        self._actions = {
+            "exchange": coordinator._exchange_action,
+            "line commit": lambda commits: coordinator._commit_action(
+                self._results["exchange"], commits
+            ),
+        }
+        self._arrivals: Dict[str, Dict[str, Dict[str, Any]]] = {p: {} for p in self._actions}
+        self._rounds = dict.fromkeys(self._actions, 0)
+        self._results: Dict[str, Any] = {}
         self._error: Optional[BaseException] = None
-        parties = len(members)
-        self._exchange_barrier = threading.Barrier(parties, action=self._run_exchange)
-        self._commit_barrier = threading.Barrier(parties, action=self._run_commit)
 
-    # -- barrier actions (run once, all members parked, at the line's clock) --
-
-    def _run_exchange(self) -> None:
-        try:
-            with use_clock(_latest(a["clock"] for a in self._arrivals.values())):
-                self._outcome = self._coord._exchange_action(self._arrivals)
-            self._arrivals = {}
-        except BaseException as exc:  # noqa: BLE001 - relayed to every member
-            self._error = exc
-            self._arrivals = {}
-
-    def _run_commit(self) -> None:
-        try:
-            with use_clock(_latest(c["clock"] for c in self._commits.values())):
-                self._line = self._coord._commit_action(self._outcome, self._commits)
-            self._commits = {}
-        except BaseException as exc:  # noqa: BLE001 - relayed to every member
-            self._error = exc
-            self._commits = {}
-
-    def _wait(self, barrier: threading.Barrier, member: str, phase: str) -> None:
-        try:
-            barrier.wait(timeout=self._timeout)
-        except threading.BrokenBarrierError:
-            raise WorkflowError(
-                f"workflow {phase} broken while member {member!r} waited: "
-                "a peer crashed, exited early, or never reached its "
-                "exchange boundary"
-            ) from None
+    def _meet(self, phase: str, member: str, **entry: Any) -> Any:
+        arrivals = self._arrivals[phase]
+        arrivals[member] = dict(entry, clock=now())
+        done = self._rounds[phase]
+        if len(arrivals) == self._parties:  # the last one in acts for everyone
+            self._arrivals[phase] = {}
+            self._error = None
+            try:
+                with use_clock(_latest(a["clock"] for a in arrivals.values())):
+                    self._results[phase] = self._actions[phase](arrivals)
+            except BaseException as exc:  # noqa: BLE001 - relayed to every member
+                self._error = exc
+            self._rounds[phase] += 1
+        SCHED.wait(f"the workflow {phase} of member {member!r}",
+                   until=lambda: self._rounds[phase] != done)
         if self._error is not None:
-            raise WorkflowError(
-                f"workflow {phase} failed: {self._error}"
-            ) from self._error
+            raise WorkflowError(f"workflow {phase} failed: {self._error}") from self._error
+        return self._results[phase]
 
-    # -- member side (each member's rank 0) ----------------------------------
+    def exchange(self, member: str, iteration: int, final: bool) -> Dict[str, Any]:
+        return self._meet("exchange", member, iteration=iteration, final=final)
 
-    def exchange(
-        self, member: str, iteration: int, clock: float, final: bool
-    ) -> Dict[str, Any]:
-        with self._lock:
-            self._arrivals[member] = {
-                "iteration": iteration, "clock": clock, "final": final,
-            }
-        self._wait(self._exchange_barrier, member, "exchange")
-        return self._outcome
-
-    def commit(
-        self,
-        member: str,
-        prefix: str,
-        ntasks: int,
-        iteration: int,
-        clock: float,
-        seconds: float,
-    ) -> WorkflowLine:
-        with self._lock:
-            self._commits[member] = {
-                "prefix": prefix, "ntasks": ntasks,
-                "iteration": iteration, "clock": clock, "seconds": seconds,
-            }
-        self._wait(self._commit_barrier, member, "line commit")
-        return self._line
-
-    def abort(self) -> None:
-        """Break both barriers so peers of a crashed member unwind
-        instead of blocking out their full timeout."""
-        self._exchange_barrier.abort()
-        self._commit_barrier.abort()
+    def commit(self, member: str, prefix: str, ntasks: int, iteration: int,
+               seconds: float) -> WorkflowLine:
+        return self._meet(
+            "line commit", member,
+            prefix=prefix, ntasks=ntasks, iteration=iteration, seconds=seconds,
+        )
 
 
 class WorkflowCoordinator:
@@ -222,7 +185,6 @@ class WorkflowCoordinator:
         machine: Optional[Machine] = None,
         pfs: Optional[PIOFS] = None,
         policy: Optional[Any] = None,
-        exchange_timeout: float = 30.0,
         events=None,
     ):
         self.base = base
@@ -233,7 +195,6 @@ class WorkflowCoordinator:
         #: every exchange checkpoints (the mandatory-SOP analogue)
         self.policy = policy
         self.policy_state: Dict[str, Any] = {}
-        self.exchange_timeout = exchange_timeout
         self.events = events
         self._members: Dict[str, Tuple[DRMSApplication, tuple, dict]] = {}
         self.couplings: List[Coupling] = []
@@ -407,57 +368,26 @@ class WorkflowCoordinator:
         self._hub = _WorkflowHub(self, list(self._members))
         nodes = self._member_nodes(tasks)
         first_line = len(self.lines)
-        reports: Dict[str, RunReport] = {}
-        errors: Dict[str, BaseException] = {}
+        names = list(self._members)
 
-        def runner(name: str) -> None:
+        def runner(i: int) -> RunReport:
+            name = names[i]
             app, args, kwargs = self._members[name]
             app.workflow = (self._hub, name, self.member_base(name))
+            launch = app.start if restart is None else partial(app.restart, restart[name])
             try:
-                if restart is None:
-                    reports[name] = app.start(
-                        tasks[name], args=args, kwargs=kwargs, nodes=nodes[name]
-                    )
-                else:
-                    reports[name] = app.restart(
-                        restart[name], tasks[name],
-                        args=args, kwargs=kwargs, nodes=nodes[name],
-                    )
-            except BaseException as exc:  # noqa: BLE001 - reported to caller
-                errors[name] = exc
-                self._hub.abort()
+                return launch(tasks[name], args=args, kwargs=kwargs, nodes=nodes[name])
             finally:
                 app.workflow = None
 
-        threads = [
-            threading.Thread(target=runner, args=(name,), name=f"wf-{name}")
-            for name in self._members
-        ]
-        for t in threads:
-            t.start()
-        join_timeout = max(
-            app.run_timeout for app, _, _ in self._members.values()
-        ) + 30.0
-        for t in threads:
-            t.join(timeout=join_timeout)
-        hung = [t.name for t in threads if t.is_alive()]
-        if hung:
-            self._hub.abort()
-            for t in threads:
-                t.join(timeout=5.0)
-            raise WorkflowError(f"workflow members did not finish: {hung}")
-        if errors:
-            # Prefer the root cause over the WorkflowError echoes the
-            # broken barriers produced in peer members.
-            primary = next(
-                (e for e in errors.values() if not isinstance(e, WorkflowError)),
-                None,
-            )
-            raise primary if primary is not None else next(iter(errors.values()))
-        # members in add_member order, not in the order they finished
+        # one member thread each, the caller sees a crashed member's own
+        # error; members in add_member order, not in the order they finished
+        reports = SCHED.run(
+            names, runner,
+            timeout=max(app.run_timeout for app, _, _ in self._members.values()),
+        )
         return WorkflowRunReport(
-            members={name: reports[name] for name in self._members},
-            lines=self.lines[first_line:],
+            members=dict(zip(names, reports)), lines=self.lines[first_line:],
         )
 
     # -- hub actions (one thread, all members parked at the boundary) ---------

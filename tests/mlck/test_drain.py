@@ -1,8 +1,5 @@
 """DrainController: async promotion, crash behavior, retention interlock."""
 
-import threading
-import time
-
 import numpy as np
 import pytest
 
@@ -16,6 +13,7 @@ from repro.obs import FlightRecorder, Tracer, use_flight, use_tracer
 from repro.pfs.faults import FaultInjector
 from repro.pfs.piofs import PIOFS
 from repro.runtime.clock import SimClock, use_clock
+from repro.runtime.executor import run_spmd
 from repro.runtime.machine import Machine, MachineParams
 
 pytestmark = pytest.mark.mlck
@@ -179,23 +177,11 @@ def test_retention_never_discards_an_undrained_or_pinned_generation(
 
 def test_async_drains_commit_in_schedule_order(env, workload, monkeypatch):
     """Queued asynchronous drains commit in the order they were
-    scheduled, even when a later one reaches the drain lock first."""
-    import repro.mlck.drain as drain_mod
-
+    scheduled, even when a later one would run first: drains scheduled
+    under falling clocks all become runnable at the rank's wait, the
+    last one with the least clock."""
     machine, pfs, store = env
     drainer = DrainController(store, pfs, synchronous=False)
-    get_tracer = drain_mod.get_tracer
-    delayed = []
-
-    def late_first_drain():
-        # the first call on a pool thread is the first drain starting:
-        # hold it back so the later drains get to the lock before it
-        if threading.current_thread() is not threading.main_thread() and not delayed:
-            delayed.append(True)
-            time.sleep(0.2)
-        return get_tracer()
-
-    monkeypatch.setattr(drain_mod, "get_tracer", late_first_drain)
     drained = []
     stored_streams = store.stored_streams
 
@@ -207,10 +193,15 @@ def test_async_drains_commit_in_schedule_order(env, workload, monkeypatch):
     prefixes = [f"ck.{g:06d}" for g in range(1, 6)]
     for p in prefixes:
         store.capture_drms(p, *workload(iteration=1))
-    for p in prefixes:
-        drainer.schedule(p)
-    drainer.wait(timeout=30.0)
-    assert delayed
+
+    def rank(comm):
+        for p, clock in zip(prefixes, (5.0, 4.0, 3.0, 2.0, 1.0)):
+            with use_clock(SimClock(clock)):
+                drainer.schedule(p)
+        assert drained == []  # nothing ran while the rank held the baton
+        drainer.wait()
+
+    run_spmd(rank, 1, machine=machine)
     assert drained == prefixes
     assert generations(pfs, "ck") == prefixes
 
@@ -234,7 +225,7 @@ def test_async_drains_discard_only_what_is_durable_and_pruned(
     for g in range(1, 6):
         store.capture_drms(f"ck.{g:06d}", *workload(iteration=g))
         drainer.schedule(f"ck.{g:06d}")
-    drainer.wait(timeout=30.0)
+    drainer.wait()
     assert drainer.pending == 0
     # whatever the interleaving (a pin can hold one extra generation
     # past the last prune), both tiers hold the same generations...
@@ -257,7 +248,7 @@ def test_async_drain_overlaps_and_completes(env, workload):
     drainer = DrainController(store, pfs, synchronous=False)
     future = drainer.schedule("ck.000001")
     assert future is not None
-    drainer.wait(timeout=30.0)
+    drainer.wait()
     assert store.gen("ck.000001").drain_state == DrainState.DURABLE
     assert drainer.pending == 0
     assert validate_checkpoint(pfs, "ck.000001").ok
@@ -276,7 +267,7 @@ def test_drain_states_carry_the_scheduled_clock(env, workload, synchronous):
             store.capture_drms(f"ck.{gen:06d}", seg, arrays)
             with use_clock(SimClock(clock)):
                 drainer.schedule(f"ck.{gen:06d}")
-        drainer.wait(timeout=30.0)
+        drainer.wait()
     scheduled = {
         e.detail["prefix"]: e.time for e in fr.events() if e.kind == "drain_scheduled"
     }
@@ -291,21 +282,23 @@ def test_an_async_drain_keeps_its_schedule_time_while_the_rank_moves_on(
     env, workload
 ):
     """A drain runs under a clock frozen at its schedule time, never the
-    live clock of the rank that scheduled it: while the first drain is
-    held at the PFS phase lock, the rank's clock moves on and a second
-    capture runs, yet every ``drain_state`` and ``stream_op`` record of
-    the first drain carries the first schedule time."""
+    live clock of the rank that scheduled it: the first drain runs only
+    once the rank waits, after its clock moved on and a second capture
+    ran, yet every ``drain_state`` and ``stream_op`` record of the first
+    drain carries the first schedule time."""
     machine, pfs, store = env
     drainer = DrainController(store, pfs, synchronous=False)
-    rank = SimClock(2.5)
-    with use_flight(FlightRecorder()) as fr, use_clock(rank):
+
+    def rank(comm):
         store.capture_drms("ck.000001", *workload(iteration=1))
-        with drainer._serial:  # the first drain waits here
-            drainer.schedule("ck.000001")
-            rank.advance(1.5)
-            store.capture_drms("ck.000002", *workload(iteration=2))
-            drainer.schedule("ck.000002")
-        drainer.wait(timeout=30.0)
+        drainer.schedule("ck.000001")
+        comm.compute(1.5)
+        store.capture_drms("ck.000002", *workload(iteration=2))
+        drainer.schedule("ck.000002")
+        drainer.wait()
+
+    with use_flight(FlightRecorder()) as fr, use_clock(SimClock(2.5)):
+        run_spmd(rank, 1, machine=machine)
     events = fr.events()
     captured = {e.detail["prefix"]: e.time for e in events if e.kind == "l1_captured"}
     assert captured == {"ck.000001": 2.5, "ck.000002": 4.0}
@@ -321,3 +314,6 @@ def test_an_async_drain_keeps_its_schedule_time_while_the_rank_moves_on(
         ]
         assert ops
         assert {e.time for e in states + ops} == {at}
+    # the second capture ran before the first drain started
+    first = next(e.seq for e in events if e.kind == "drain_state")
+    assert [e.seq for e in events if e.kind == "l1_captured"][1] < first

@@ -134,12 +134,9 @@ def test_a_record_is_written_in_one_place():
 
 
 #: the ``clock`` parameters a signature in ``src/repro`` may take: the
-#: wall-time callable of a wallclock rule, and the workflow members'
-#: arrival data the hub takes its line's clock from
+#: wall-time callable of a wallclock rule, and the committed line's clock
 _CLOCK_ALLOWED = {
     ("policy/rules.py", "WallclockRule.__init__"),
-    ("workflow/coordinator.py", "_WorkflowHub.exchange"),
-    ("workflow/coordinator.py", "_WorkflowHub.commit"),
     ("workflow/coordinator.py", "WorkflowLine"),
 }
 

@@ -95,6 +95,23 @@ class TestPhases:
         fs.write_at("f", 0, b"free")  # no phase open: no accounting
         assert fs.phase_log == []
 
+    def test_a_transfer_is_charged_only_to_its_own_threads_phase(self, fs):
+        """One thread's phase is not charged for bytes another thread
+        moves outside any phase (a workflow member's manifest commit
+        beside its peer's open phase)."""
+        import threading
+
+        fs.create("mine")
+        fs.create("theirs")
+        fs.begin_phase(IOKind.WRITE_SERIAL)
+        fs.write_at("mine", 0, b"1234", client=0)
+        other = threading.Thread(target=lambda: fs.write_at("theirs", 0, b"x" * 100))
+        other.start()
+        other.join()
+        res = fs.end_phase()
+        assert res.total_bytes == 4
+        assert res.files == {"mine"}
+
     def test_server_byte_accounting(self, fs):
         fs.create("f")
         fs.begin_phase(IOKind.WRITE_PARALLEL)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import CommunicationError
+from repro.errors import CommunicationError, DeadlockError
 from repro.runtime.comm import CommWorld
 from repro.runtime.executor import run_spmd
 from repro.runtime.message import ANY_SOURCE, payload_nbytes
@@ -71,12 +71,27 @@ class TestPointToPoint:
         res = run_spmd(prog, 3)
         assert res.returns[0] == {1, 2}
 
-    def test_recv_timeout_reports_deadlock(self):
+    def test_mutual_recv_reports_deadlock_at_once(self):
+        """Two ranks that each wait for the other deadlock: the run
+        raises at once, naming both waiters and what they waited for."""
+        import time
+
+        def prog(comm):
+            comm.recv(source=1 - comm.rank)
+
+        t0 = time.monotonic()
+        with pytest.raises(DeadlockError) as err:
+            run_spmd(prog, 2)
+        assert time.monotonic() - t0 < 1.0
+        assert "0 waits for rank 0 recv(src=1" in str(err.value)
+        assert "1 waits for rank 1 recv(src=0" in str(err.value)
+
+    def test_recv_from_a_finished_rank_reports_deadlock(self):
         def prog(comm):
             if comm.rank == 0:
-                comm.recv(source=1, timeout=0.2)
+                comm.recv(source=1)
 
-        with pytest.raises(CommunicationError, match="timed out"):
+        with pytest.raises(CommunicationError, match="deadlock.*rank 0 recv"):
             run_spmd(prog, 2)
 
     def test_send_to_unknown_rank(self):

@@ -264,8 +264,8 @@ class TestStreamingFixes:
         assert seen["worker"] is False
 
     def test_executor_workers_inherit_strict_scope(self):
-        """An asynchronous L1 -> L2 drain runs on a pool thread in the
-        strictness scope of the thread that scheduled it."""
+        """An asynchronous L1 -> L2 drain runs on a thread of its own in
+        the strictness scope of the thread that scheduled it."""
         from repro.checkpoint.segment import DataSegment, SegmentProfile
         from repro.mlck.drain import DrainController
         from repro.mlck.store import L1Store
@@ -288,8 +288,9 @@ class TestStreamingFixes:
             store.capture_drms(prefix, DataSegment(SegmentProfile(100, 0, 0)), [a])
             seen.clear()
             with strict_gather() if strict else nullcontext():
-                future = drain.schedule(prefix)
-            assert future.result() == "durable"
+                drain.schedule(prefix)
+            drain.wait()
+            assert store.gen(prefix).drain_state == "durable"
             assert seen and set(seen) == {(True, strict)}
 
     def test_serial_fallback_sets_content_sha1(self, on_path):

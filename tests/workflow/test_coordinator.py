@@ -162,10 +162,7 @@ def test_empty_workflow_rejected():
 
 def test_member_crash_aborts_peers_and_surfaces_root_cause():
     machine = Machine(MachineParams(num_nodes=8))
-    coord = WorkflowCoordinator(
-        "wf", machine=machine, pfs=PIOFS(machine=machine),
-        exchange_timeout=10.0,
-    )
+    coord = WorkflowCoordinator("wf", machine=machine, pfs=PIOFS(machine=machine))
 
     def crashing_main(ctx, base):
         ctx.initialize()
@@ -173,8 +170,8 @@ def test_member_crash_aborts_peers_and_surfaces_root_cause():
 
     coord.add_member("good", member_main, args=(1.0,))
     coord.add_member("bad", crashing_main, args=(2.0,))
-    # the peer parked at the exchange barrier unwinds via the abort;
-    # the caller sees the member's own error, not the barrier echo
+    # the peer parked at the exchange unwinds as the ensemble is killed;
+    # the caller sees the member's own error, not the peer's echo
     with pytest.raises(ValueError, match="blew up"):
         coord.run({"good": 2, "bad": 2})
 
