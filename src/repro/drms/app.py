@@ -126,13 +126,16 @@ class AppRuntime:
         Under ``tier="memory+pfs"`` the state is captured into the
         application's multi-level checkpointer: ``prefix`` acts as the
         rotation base, the application blocks only for the memory-speed
-        L1 capture, and the PFS drain runs behind its back."""
+        L1 capture, and the PFS drain runs behind its back — unless
+        ``mlck_drain="sync"``, which waits for the drain here."""
         arrays = list(self.arrays.values())
         if self.app.tier == "memory+pfs":
             ck = self.app.mlck_for(prefix)
-            mbd = ck.checkpoint(segment, arrays, self.ntasks)
-            self.checkpoints.append((mbd.prefix, mbd.capture))
-            return mbd.capture
+            actual, bd = ck.checkpoint(segment, arrays, self.ntasks)
+            if self.app.mlck_drain == "sync":
+                ck.wait_for_drains()
+            self.checkpoints.append((actual, bd))
+            return bd
         bd = drms_checkpoint(
             self.pfs, prefix, segment, arrays, order=self.app.order,
             io_tasks=self.app.io_tasks, target_bytes=self.app.target_bytes,
@@ -194,6 +197,11 @@ class DRMSApplication:
                 f"unknown application checkpoint tier {tier!r} "
                 "(expected 'pfs' or 'memory+pfs')"
             )
+        if mlck_drain not in ("async", "sync"):
+            raise ReconfigurationError(
+                f"unknown memory-tier drain mode {mlck_drain!r} "
+                "(expected 'async' or 'sync')"
+            )
         self.main = main
         self.name = name
         self.machine = machine or Machine()
@@ -212,6 +220,8 @@ class DRMSApplication:
         self.tier = tier
         self.mlck_k = mlck_k
         self.mlck_keep = mlck_keep
+        #: "sync": each memory-tier checkpoint waits for its drain
+        #: (the generation is durable when the SOP returns)
         self.mlck_drain = mlck_drain
         #: checkpoint-cadence policy driving ``ctx.policy_checkpoint``
         #: (a :class:`~repro.policy.engine.CheckpointPolicy`, or None
@@ -265,7 +275,6 @@ class DRMSApplication:
                 io_tasks=self.io_tasks,
                 app_name=self.name,
                 events=self.events,
-                drain=self.mlck_drain,
             )
             self._mlck[base].drainer.health = self.health
         return self._mlck[base]

@@ -8,8 +8,8 @@ keeps each generation's stream pieces in simulated node memory with
 partner replication across failure domains (so a single node failure
 loses no data), and **L2**, the existing crash-consistent PFS path,
 populated by an *asynchronous drain* that promotes an L1 generation to
-a durable manifest on a background thread — without
-blocking the application's next SOP.
+a durable manifest on a scheduled thread of its own — without blocking
+the application's next SOP.
 
 * :mod:`repro.mlck.placement` — partner selection over the machine's
   failure domains (owner + k partners, domains disjoint);
@@ -32,14 +32,18 @@ The tier has one entrance, :class:`MultiLevelCheckpointer` (what
 
 Quickstart::
 
+    from repro.checkpoint import restart_latest_valid
     from repro.mlck import MultiLevelCheckpointer
 
     ck = MultiLevelCheckpointer(pfs, "app.ck", machine=machine)
-    ck.checkpoint(segment, arrays)        # memory-speed, drain queued
-    state, bd, decision = ck.restart(ntasks)   # L1 when it survives
+    prefix, capture = ck.checkpoint(segment, arrays)  # drain scheduled
+    ck.wait_for_drains()                              # durable on the PFS
+    state, bd, decision = restart_latest_valid(       # L1 when it survives
+        pfs, "app.ck", ntasks, l1=ck.store
+    )
 """
 
-from repro.mlck.checkpointer import MLCKBreakdown, MultiLevelCheckpointer
+from repro.mlck.checkpointer import MultiLevelCheckpointer
 from repro.mlck.drain import DrainController, DrainState
 from repro.mlck.localized import (
     ArrayScope,
@@ -70,7 +74,6 @@ __all__ = [
     "L1ReplicaSink",
     "L1ReplicaSource",
     "L1Store",
-    "MLCKBreakdown",
     "MultiLevelCheckpointer",
     "RebuildScope",
     "ReplicationRepair",

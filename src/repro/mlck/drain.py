@@ -1,9 +1,10 @@
 """The L1 -> L2 drain: asynchronous promotion to durable PFS state.
 
-After an L1 capture the application continues; the drain promotes the
-generation to the parallel file system on a scheduled thread of its own
-(:mod:`repro.runtime.sched`), which runs whenever the application waits,
-so the slow PFS write (Table 6's dominant cost) overlaps the next SOPs.
+After an L1 capture the application continues; every drain promotes
+its generation to the parallel file system on a scheduled thread of its
+own (:mod:`repro.runtime.sched`), which runs whenever the application
+waits (at once, beside a caller the scheduler did not start), so the
+slow PFS write (Table 6's dominant cost) overlaps the next SOPs.
 Per generation (DESIGN.md §12)::
 
     pending --> draining --> durable
@@ -16,10 +17,11 @@ included: a drain that dies mid-flight leaves no manifest, and recovery
 falls back.  While a drain is in flight the rotation's newest durable
 generation is **pinned**, the only durable fallback until the drained
 one supersedes it; what the rotation then prunes from the PFS leaves
-replica memory too.  An asynchronous drain waits for the one scheduled
-before it, so generations commit in schedule order, and runs in a copy
-of the scheduling thread's context (``strict_gather`` follows it);
-``synchronous`` mode drains inline in :meth:`DrainController.schedule`.
+replica memory too.  A drain waits for the one scheduled before it, so
+generations commit in schedule order, and runs in a copy of the
+scheduling thread's context (``strict_gather`` follows it).  A caller
+that needs durability before its next step schedules, then waits
+(:meth:`DrainController.wait`).
 """
 
 from __future__ import annotations
@@ -63,20 +65,18 @@ class DrainController:
         store: L1Store,
         pfs: PIOFS,
         rotation: Optional[CheckpointRotation] = None,
-        synchronous: bool = False,
         io_tasks: Optional[int] = None,
         target_bytes: int = 1 << 20,
     ):
         self.store = store
         self.pfs = pfs
         self.rotation = rotation
-        self.synchronous = bool(synchronous)
         self.io_tasks = io_tasks
         self.target_bytes = int(target_bytes)
         self._state_lock = threading.Lock()
-        #: prefix -> the asynchronous drain in flight
+        #: prefix -> the drain in flight
         self._tasks: Dict[str, Task] = {}
-        #: the newest asynchronous drain: the next one waits for it
+        #: the newest drain: the next one waits for it
         self._last: Optional[Task] = None
         #: prefix -> simulated time at schedule, while the drain is in
         #: flight (drives the health backlog-age gauge)
@@ -98,11 +98,10 @@ class DrainController:
 
     # -- scheduling ----------------------------------------------------------
 
-    def schedule(self, prefix: str) -> Optional[Task]:
-        """Queue the drain of ``prefix``.  Asynchronous mode returns the
-        scheduled thread running it; synchronous mode drains inline and
-        returns None.  The drain runs under a clock
-        frozen at the schedule time, never the scheduling rank's live one."""
+    def schedule(self, prefix: str) -> Task:
+        """Queue the drain of ``prefix`` and return the scheduled thread
+        running it.  The drain runs under a clock frozen at the schedule
+        time, never the scheduling rank's live one."""
         gen = self.store.gen(prefix)
         if gen.drain_state not in (DrainState.PENDING, DrainState.FAILED):
             raise CheckpointError(
@@ -120,9 +119,6 @@ class DrainController:
             self.scheduled_at[prefix] = frozen.now
         get_tracer().metrics.gauge("mlck.drain.pending").set(self.pending)
         emit_event(None, "drain_scheduled", prefix=prefix, pending=self.pending)
-        if self.synchronous:
-            self._drain(prefix, protect, frozen)
-            return None
         with self._state_lock:  # registered before the drain can finish
             after = self._last
             task = SCHED.start(
@@ -136,16 +132,19 @@ class DrainController:
 
     def _drain(
         self, prefix: str, protect: Optional[str], frozen: SimClock,
-        after: Optional[Task] = None,
+        after: Optional[Task],
     ) -> str:
-        """Runs on its own thread (or inline) under ``frozen``, once the
-        drain ``after`` has finished: returns the final drain state.
+        """Runs on its own thread under ``frozen``, once the drain
+        ``after`` has finished: returns the final drain state.
         Failures are recorded on the generation, never raised — a broken
         drain must not take the application down; recovery falls back."""
-        if after is not None:
-            SCHED.wait(f"{after.name} to finish", until=lambda: after.done)
         m = get_tracer().metrics
         with use_clock(frozen):
+            # waits at its schedule time too: under the scheduling rank's
+            # live clock it would trail the rank, and run only once the
+            # rank stopped
+            if after is not None:
+                SCHED.wait(f"{after.name} to finish", until=lambda: after.done)
             gen = self.store.gen(prefix)
             gen.drain_state = DrainState.DRAINING
             emit_event(

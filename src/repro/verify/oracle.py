@@ -767,7 +767,7 @@ def _run_mlck_schedule(
     drainer,
     base: str,
 ) -> Tuple[List[_MLCKGeneration], set]:
-    """The shared capture + synchronous-drain + fault-schedule loop of
+    """The shared capture + drain-and-wait + fault-schedule loop of
     the multi-level oracles.  Returns the per-generation capture-time
     intent records and the set of nodes the schedule killed."""
     failed: set = set()
@@ -788,6 +788,7 @@ def _run_mlck_schedule(
         pfs.attach_faults(inj)
         try:
             drainer.schedule(prefix)
+            drainer.wait()
         finally:
             pfs.attach_faults(None)
         crashed = any(p.fired for p in crash_plans)
@@ -853,7 +854,7 @@ class _MLCKRun:
 
 def _run_mlck_recovery(c: _Checker, case: Case, tracer: Tracer) -> _MLCKRun:
     """The multi-level oracles' common part: ``generations`` L1 capture
-    + synchronous drain rounds under the case's schedule of drain faults
+    + drain-and-wait rounds under the case's schedule of drain faults
     and node losses, ground truth from capture-time intent, then the
     walk a restart runs — tier-aware, each candidate opened onto
     ``case.t2`` tasks — whose choice of generation and tier must be the
@@ -864,9 +865,7 @@ def _run_mlck_recovery(c: _Checker, case: Case, tracer: Tracer) -> _MLCKRun:
     machine = Machine(MachineParams(num_nodes=case.num_nodes))
     pfs = PIOFS(machine=machine)
     store = L1Store(machine, k=case.k, target_bytes=case.target_bytes)
-    drainer = DrainController(
-        store, pfs, synchronous=True, target_bytes=case.target_bytes
-    )
+    drainer = DrainController(store, pfs, target_bytes=case.target_bytes)
     gens, failed = _run_mlck_schedule(c, case, machine, pfs, store, drainer, "app.ck")
     run = _MLCKRun(
         machine, pfs, store, gens, failed, _mlck_ground_truth(gens, failed, pfs),

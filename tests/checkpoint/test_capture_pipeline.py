@@ -74,9 +74,9 @@ def test_one_manifest_across_tiers(order, kinds):
         PREFIX, _segment(), _arrays(kinds), order=order, app_name="m",
         ntasks=NTASKS,
     )
-    DrainController(store, pfs, synchronous=True, target_bytes=1024).schedule(
-        PREFIX
-    )
+    drainer = DrainController(store, pfs, target_bytes=1024)
+    drainer.schedule(PREFIX)
+    drainer.wait()
     drained = read_manifest(pfs, PREFIX)
     direct_pfs, _ = _tiers()
     drms_checkpoint(

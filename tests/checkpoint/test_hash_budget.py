@@ -154,14 +154,16 @@ def test_passes_per_stored_byte(meter):
     captured, published = meter.take()
     assert captured == published == stored + header
 
-    # the sync drain replays the stored streams: each piece verified as
-    # it is fetched, the capture-time digest reused, nothing re-gathered
-    DrainController(store, pfs, synchronous=True).schedule(PREFIX)
+    # the drain replays the stored streams: each piece verified as it
+    # is fetched, the capture-time digest reused, nothing re-gathered
+    drainer = DrainController(store, pfs)
+    drainer.schedule(PREFIX)
+    drainer.wait()
     assert store.gen(PREFIX).drain_state == DrainState.DURABLE
     wrapped, published = meter.take()
     assert published == stored + header
     assert stored <= wrapped <= stored + SMALL
-    # so a sync-drained checkpoint is two passes
+    # so a drained checkpoint is two passes
     assert 2 * stored <= captured + wrapped <= 2 * stored + SMALL
 
     # a full restart from memory: the verifying fetch, and that is all
@@ -286,7 +288,9 @@ def test_a_tiered_recovery_from_memory_hashes_each_stored_byte_once(meter, reads
     segment, arrays, stored = _state()
     header = len(segment.serialize()[0])
     store.capture_drms(PREFIX, segment, arrays, nodes=range(NTASKS))
-    DrainController(store, pfs, synchronous=True).schedule(PREFIX)
+    drainer = DrainController(store, pfs)
+    drainer.schedule(PREFIX)
+    drainer.wait()
     meter.take()
     reads.take()
     # the tiered walk opens the L1 candidate: liveness, then the one

@@ -236,9 +236,10 @@ def _durable_generation():
     """A multi-level checkpointer with one generation resident in L1
     and drained to the PFS (test_decay's fixture)."""
     pfs = PIOFS(machine=Machine(MachineParams(num_nodes=8, failure_domains=4)))
-    ck = MultiLevelCheckpointer(pfs, "ck", k=1, drain="sync")
+    ck = MultiLevelCheckpointer(pfs, "ck", k=1)
     segment, arrays = _state(1, ntasks=2)
-    assert ck.checkpoint(segment, arrays).prefix == "ck.000001"
+    assert ck.checkpoint(segment, arrays)[0] == "ck.000001"
+    ck.wait_for_drains()
     return pfs, ck
 
 
@@ -263,7 +264,7 @@ def _decay_case(shape):
         piece = gen.files[gen.manifest["arrays"][1]["file"]][0]
         _decay(store, piece, piece.replicas)
     elif shape == "c":  # decay after an audit accepted the memory tier
-        assert ck.select_restart_state().tier == "l1"
+        assert select_restart_state(pfs, "ck", l1=store).tier == "l1"
         piece = gen.files[gen.manifest["arrays"][0]["file"]][0]
         _decay(store, piece, piece.replicas)
     else:  # an undrained newer generation decays: the older one serves

@@ -182,9 +182,9 @@ def _captured(t1):
         )
     )
     store.capture_drms(PREFIX, _segment(), arrays, order="F", app_name="fx")
-    DrainController(
-        store, pfs, synchronous=True, target_bytes=4096
-    ).schedule(PREFIX)
+    drainer = DrainController(store, pfs, target_bytes=4096)
+    drainer.schedule(PREFIX)
+    drainer.wait()
     return machine, pfs, store, arrays
 
 

@@ -99,9 +99,9 @@ def test_the_digest_depends_on_neither_task_count_nor_tier(order):
         gen, _ = store.capture_drms(PREFIX, _segment(), _arrays(t), order=order)
         recorded += [_digests(direct), _digests(gen.manifest)]
         drained_pfs = PIOFS(machine=machine)
-        DrainController(
-            store, drained_pfs, synchronous=True, target_bytes=SPAN
-        ).schedule(PREFIX)
+        drainer = DrainController(store, drained_pfs, target_bytes=SPAN)
+        drainer.schedule(PREFIX)
+        drainer.wait()
         drained = read_manifest(drained_pfs, PREFIX)
         assert _without_tier(drained) == _without_tier(direct), t
     assert len(recorded) == 2 * len(TASKS)

@@ -152,9 +152,9 @@ def test_l1_entry_and_drained_manifest_record_the_same_digest():
     store = L1Store(machine, k=1, target_bytes=256)
     arrays = _zoo()
     gen, _ = store.capture_drms("ck.000001", _segment(), arrays, order="C")
-    DrainController(store, pfs, synchronous=True, target_bytes=256).schedule(
-        "ck.000001"
-    )
+    drainer = DrainController(store, pfs, target_bytes=256)
+    drainer.schedule("ck.000001")
+    drainer.wait()
     drained = {
         s["name"]: (s["sha1"], s["span_bytes"])
         for s in read_manifest(pfs, "ck.000001")["arrays"]

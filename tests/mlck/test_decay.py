@@ -20,6 +20,7 @@ from repro.mlck.localized import (
     localized_restore_drms,
     rereplicate_after_failure,
 )
+from repro.mlck.recovery import select_tiered_restart_state
 from repro.mlck.store import L1Store
 from repro.obs import FlightRecorder, Tracer, use_flight, use_tracer
 from repro.pfs.piofs import PIOFS
@@ -95,7 +96,9 @@ def captured(workload):
     twin_pfs = PIOFS(machine=_machine())
     twin = L1Store(twin_pfs.machine, k=1)
     twin.capture_drms(PREFIX, seg, arrays)
-    DrainController(twin, twin_pfs, synchronous=True).schedule(PREFIX)
+    drainer = DrainController(twin, twin_pfs)
+    drainer.schedule(PREFIX)
+    drainer.wait()
     return machine, store, twin, twin_pfs
 
 
@@ -118,7 +121,9 @@ def test_one_decayed_replica_is_served_by_its_partner(captured):
             store, PREFIX, 2, PLACEMENT, failed_nodes=[]
         )
         assert serves() == 2
-        DrainController(store, pfs, synchronous=True).schedule(PREFIX)
+        drainer = DrainController(store, pfs)
+        drainer.schedule(PREFIX)
+        drainer.wait()
         assert serves() == 3
     assert store.gen(PREFIX).drain_state == DrainState.DURABLE
 
@@ -134,8 +139,9 @@ def durable(workload):
     drained to the PFS, and the state a PFS restart of it yields."""
     seg, arrays = workload(ntasks=2, iteration=6)
     pfs = PIOFS(machine=_machine())
-    ck = MultiLevelCheckpointer(pfs, "ck", k=1, drain="sync")
-    assert ck.checkpoint(seg, arrays).prefix == PREFIX
+    ck = MultiLevelCheckpointer(pfs, "ck", k=1)
+    assert ck.checkpoint(seg, arrays)[0] == PREFIX
+    ck.wait_for_drains()
     return pfs, ck, (seg, arrays)
 
 
@@ -170,7 +176,7 @@ def test_a_piece_with_no_good_replica_sends_readers_to_the_pfs(durable):
     report = store.validate_generation(PREFIX)
     assert not report.ok
     assert [piece.key in err for err in report.errors] == [True]
-    decision = ck.select_restart_state()
+    decision = select_tiered_restart_state(pfs, "ck", store)
     assert (decision.prefix, decision.tier) == (PREFIX, "l2")
     _assert_served_by_the_pfs_tier(pfs, store)
 
@@ -181,7 +187,7 @@ def test_decay_between_the_walk_and_the_restore(durable):
     those bytes and the arrays."""
     pfs, ck, _ = durable
     store = ck.store
-    decision = ck.select_restart_state()
+    decision = select_tiered_restart_state(pfs, "ck", store)
     assert (decision.prefix, decision.tier) == (PREFIX, "l1")
     _decay_every_replica(store, _array_piece(store, PREFIX, 0))
     _assert_served_by_the_pfs_tier(pfs, store)
@@ -196,6 +202,7 @@ def test_drain_of_a_decayed_generation_fails_and_stays_retryable(durable):
     good = _decay_every_replica(store, piece)
 
     ck.drainer.schedule(second)
+    ck.wait_for_drains()
     gen = store.gen(second)
     assert gen.drain_state == DrainState.FAILED
     assert piece.key in gen.drain_error
@@ -206,6 +213,7 @@ def test_drain_of_a_decayed_generation_fails_and_stays_retryable(durable):
     # failed generation is still there to drain
     store._mem[piece.owner][piece.key] = good[piece.owner]
     ck.drainer.schedule(second)
+    ck.wait_for_drains()
     assert store.gen(second).drain_state == DrainState.DURABLE
     _assert_locals_equal(
         drms_restart(pfs, second, 2)[0], drms_restart(pfs, PREFIX, 2)[0]

@@ -31,7 +31,9 @@ def test_drained_state_is_byte_identical_to_direct_checkpoint(env, workload):
     machine, pfs, store = env
     seg, arrays = workload(iteration=2)
     store.capture_drms("ck.000001", seg, arrays)
-    DrainController(store, pfs, synchronous=True).schedule("ck.000001")
+    drainer = DrainController(store, pfs)
+    drainer.schedule("ck.000001")
+    drainer.wait()
 
     # the drained generation passes the ordinary PFS validation...
     assert validate_checkpoint(pfs, "ck.000001").ok
@@ -54,13 +56,14 @@ def test_failed_drain_leaves_no_manifest_and_is_retryable(env, workload):
     machine, pfs, store = env
     seg, arrays = workload()
     store.capture_drms("ck.000001", seg, arrays)
-    drainer = DrainController(store, pfs, synchronous=True)
+    drainer = DrainController(store, pfs)
 
     inj = FaultInjector()
     inj.fail_write(mode="fail")
     pfs.attach_faults(inj)
     try:
         drainer.schedule("ck.000001")
+        drainer.wait()
     finally:
         pfs.attach_faults(None)
     gen = store.gen("ck.000001")
@@ -70,6 +73,7 @@ def test_failed_drain_leaves_no_manifest_and_is_retryable(env, workload):
 
     # the failure was recorded, not raised; a retry drains cleanly
     drainer.schedule("ck.000001")
+    drainer.wait()
     assert store.gen("ck.000001").drain_state == DrainState.DURABLE
     assert validate_checkpoint(pfs, "ck.000001").ok
 
@@ -78,8 +82,9 @@ def test_draining_twice_is_refused(env, workload):
     machine, pfs, store = env
     seg, arrays = workload()
     store.capture_drms("ck.000001", seg, arrays)
-    drainer = DrainController(store, pfs, synchronous=True)
+    drainer = DrainController(store, pfs)
     drainer.schedule("ck.000001")
+    drainer.wait()
     with pytest.raises(CheckpointError):
         drainer.schedule("ck.000001")
 
@@ -94,9 +99,9 @@ def test_prune_during_drain_keeps_newest_durable_fallback(env, workload):
     # one durable generation on L2
     seg1, arrays1 = workload(iteration=1)
     store.capture_drms("ck.000001", seg1, arrays1)
-    DrainController(store, pfs, rotation=rot, synchronous=True).schedule(
-        "ck.000001"
-    )
+    drainer = DrainController(store, pfs, rotation=rot)
+    drainer.schedule("ck.000001")
+    drainer.wait()
     assert generations(pfs, "ck") == ["ck.000001"]
 
     # a second generation's drain is "in flight": the controller has
@@ -118,13 +123,16 @@ def test_prune_during_drain_keeps_newest_durable_fallback(env, workload):
 
 
 def test_sync_drain_applies_retention(env, workload):
+    """Each drain waited for before the next capture: retention keeps
+    the newest ``keep`` generations on the PFS."""
     machine, pfs, store = env
     rot = CheckpointRotation(pfs, "ck", keep=2)
-    drainer = DrainController(store, pfs, rotation=rot, synchronous=True)
+    drainer = DrainController(store, pfs, rotation=rot)
     for g in (1, 2, 3):
         seg, arrays = workload(iteration=g)
         store.capture_drms(f"ck.{g:06d}", seg, arrays)
         drainer.schedule(f"ck.{g:06d}")
+        drainer.wait()
     assert generations(pfs, "ck") == ["ck.000002", "ck.000003"]
 
 
@@ -134,13 +142,14 @@ def test_retention_releases_replica_memory_too(env, workload):
     growing once the budget is full."""
     machine, pfs, store = env
     rot = CheckpointRotation(pfs, "ck", keep=2)
-    drainer = DrainController(store, pfs, rotation=rot, synchronous=True)
+    drainer = DrainController(store, pfs, rotation=rot)
     resident = []
     with use_tracer(Tracer()) as tracer:
         for g in range(1, 7):
             seg, arrays = workload(iteration=1)
             store.capture_drms(f"ck.{g:06d}", seg, arrays)
             drainer.schedule(f"ck.{g:06d}")
+            drainer.wait()
             resident.append(tracer.metrics.flat()["mlck.l1.resident_bytes"])
     assert store.generations() == ["ck.000005", "ck.000006"]
     assert store.generations() == generations(pfs, "ck")
@@ -153,20 +162,23 @@ def test_retention_never_discards_an_undrained_or_pinned_generation(
 ):
     machine, pfs, store = env
     rot = CheckpointRotation(pfs, "ck", keep=1)
-    drainer = DrainController(store, pfs, rotation=rot, synchronous=True)
+    drainer = DrainController(store, pfs, rotation=rot)
     for g in (1, 2, 3, 4):
         store.capture_drms(f"ck.{g:06d}", *workload(iteration=g))
     # ck.000001 is never scheduled: it exists in memory only
     drainer.schedule("ck.000002")
+    drainer.wait()
     rot.pin("ck.000002")  # as a drain in flight elsewhere would
     try:
         drainer.schedule("ck.000003")
+        drainer.wait()
         # keep=1 dooms ck.000002 the moment ck.000003 is durable, but
         # the pin holds it on the PFS, and so in memory
         assert store.generations() == [f"ck.{g:06d}" for g in (1, 2, 3, 4)]
     finally:
         rot.unpin("ck.000002")
     drainer.schedule("ck.000004")
+    drainer.wait()
     # retention caught up with ck.000002 (ck.000003 was this drain's
     # pinned fallback); memory holds what the PFS holds — and the
     # undrained generation, still there, still drainable
@@ -181,7 +193,7 @@ def test_async_drains_commit_in_schedule_order(env, workload, monkeypatch):
     under falling clocks all become runnable at the rank's wait, the
     last one with the least clock."""
     machine, pfs, store = env
-    drainer = DrainController(store, pfs, synchronous=False)
+    drainer = DrainController(store, pfs)
     drained = []
     stored_streams = store.stored_streams
 
@@ -206,12 +218,34 @@ def test_async_drains_commit_in_schedule_order(env, workload, monkeypatch):
     assert generations(pfs, "ck") == prefixes
 
 
+def test_a_queued_drain_runs_while_the_rank_moves_on(env, workload):
+    """A drain queued behind another waits for it at its own schedule
+    time, so both run at the rank's next waits, not once the rank stops
+    (the second once waited under the rank's live clock, and trailed it
+    to the end of the run)."""
+    machine, pfs, store = env
+    drainer = DrainController(store, pfs)
+    seen = []
+
+    def rank(comm):
+        for g in (1, 2):
+            store.capture_drms(f"ck.{g:06d}", *workload(iteration=g))
+            drainer.schedule(f"ck.{g:06d}")
+        for _ in range(3):
+            comm.compute(1.0)
+            comm.barrier()
+        seen.extend(store.gen(p).drain_state for p in ("ck.000001", "ck.000002"))
+
+    run_spmd(rank, 1, machine=machine)
+    assert seen == [DrainState.DURABLE, DrainState.DURABLE]
+
+
 def test_async_drains_discard_only_what_is_durable_and_pruned(
     env, workload, monkeypatch
 ):
     machine, pfs, store = env
     rot = CheckpointRotation(pfs, "ck", keep=2)
-    drainer = DrainController(store, pfs, rotation=rot, synchronous=False)
+    drainer = DrainController(store, pfs, rotation=rot)
     discarded = []
     discard = store.discard
 
@@ -245,7 +279,7 @@ def test_async_drain_overlaps_and_completes(env, workload):
     machine, pfs, store = env
     seg, arrays = workload()
     store.capture_drms("ck.000001", seg, arrays)
-    drainer = DrainController(store, pfs, synchronous=False)
+    drainer = DrainController(store, pfs)
     future = drainer.schedule("ck.000001")
     assert future is not None
     drainer.wait()
@@ -254,19 +288,24 @@ def test_async_drain_overlaps_and_completes(env, workload):
     assert validate_checkpoint(pfs, "ck.000001").ok
 
 
-@pytest.mark.parametrize("synchronous", [True, False], ids=["sync", "async"])
-def test_drain_states_carry_the_scheduled_clock(env, workload, synchronous):
+@pytest.mark.parametrize("wait_each", [True, False], ids=["sync", "async"])
+def test_drain_states_carry_the_scheduled_clock(env, workload, wait_each):
     """Every ``drain_state`` record is stamped with the clock its drain
     was scheduled at, not 0 — which sorted a drain before the capture
-    that scheduled it in the forensic timeline."""
+    that scheduled it in the forensic timeline.  Holds whether each
+    drain is waited for before the next capture (``sync``) or both are
+    queued and waited for together (``async``); either wait runs outside
+    the schedule-time clock."""
     machine, pfs, store = env
-    drainer = DrainController(store, pfs, synchronous=synchronous)
+    drainer = DrainController(store, pfs)
     with use_flight(FlightRecorder()) as fr:
         for gen, clock in ((1, 2.5), (2, 4.0)):
             seg, arrays = workload(iteration=gen)
             store.capture_drms(f"ck.{gen:06d}", seg, arrays)
             with use_clock(SimClock(clock)):
                 drainer.schedule(f"ck.{gen:06d}")
+            if wait_each:
+                drainer.wait()
         drainer.wait()
     scheduled = {
         e.detail["prefix"]: e.time for e in fr.events() if e.kind == "drain_scheduled"
@@ -287,7 +326,7 @@ def test_an_async_drain_keeps_its_schedule_time_while_the_rank_moves_on(
     ran, yet every ``drain_state`` and ``stream_op`` record of the first
     drain carries the first schedule time."""
     machine, pfs, store = env
-    drainer = DrainController(store, pfs, synchronous=False)
+    drainer = DrainController(store, pfs)
 
     def rank(comm):
         store.capture_drms("ck.000001", *workload(iteration=1))

@@ -6,6 +6,7 @@ multi-node failure, failure mid-drain) all resolve correctly."""
 import numpy as np
 import pytest
 
+from repro.checkpoint.recover import open_latest_valid
 from repro.drms.api import (
     drms_adjust,
     drms_create_distribution,
@@ -21,6 +22,7 @@ from repro.mlck.checkpointer import MultiLevelCheckpointer
 from repro.mlck.drain import DrainState
 from repro.mlck.localized import (
     compute_rebuild_scope,
+    localized_opener,
     localized_restart,
     rebuild_lost_sections,
 )
@@ -253,12 +255,11 @@ def test_failure_mid_drain_holds_the_pin_interlock(workload):
     recovery falls back past the undrained generation to it."""
     machine = Machine(MachineParams(num_nodes=8))
     pfs = PIOFS(machine=machine)
-    ck = MultiLevelCheckpointer(
-        pfs, "ck", machine=machine, k=1, keep=1, drain="sync"
-    )
+    ck = MultiLevelCheckpointer(pfs, "ck", machine=machine, k=1, keep=1)
     seg1, arrays1 = workload(ntasks=2, iteration=1)
     refs = {a.name: a.to_global(fill=0) for a in arrays1}
     ck.checkpoint(seg1, arrays1)  # ck.000001: captured + drained durable
+    ck.wait_for_drains()
     assert ck.store.gen("ck.000001").drain_state == DrainState.DURABLE
 
     # generation 2's drain dies mid-write (the node failure hit the
@@ -269,6 +270,7 @@ def test_failure_mid_drain_holds_the_pin_interlock(workload):
     pfs.attach_faults(inj)
     try:
         ck.checkpoint(seg2, arrays2)
+        ck.wait_for_drains()
     finally:
         pfs.attach_faults(None)
     gen2 = ck.store.gen("ck.000002")
@@ -291,12 +293,16 @@ def test_failure_mid_drain_holds_the_pin_interlock(workload):
         for n in machine.up_nodes()
         if n not in placement.values() and n not in failed
     )
-    state, bd, decision, scope = ck.restart_localized(
-        2, placement, failed, replacements={failed[0]: spare}
+    opened, decision = open_latest_valid(
+        pfs, "ck",
+        localized_opener(
+            pfs, 2, placement, failed, {failed[0]: spare}, l1=ck.store
+        ),
+        l1=ck.store,
     )
     assert decision.prefix == "ck.000001"
-    assert scope.lost_ranks == (0,)
-    for name, arr in state.arrays.items():
+    assert opened.scope.lost_ranks == (0,)
+    for name, arr in opened.state.arrays.items():
         np.testing.assert_array_equal(arr.to_global(fill=0), refs[name])
 
 

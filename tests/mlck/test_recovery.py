@@ -24,29 +24,31 @@ def env():
     return machine, pfs, store
 
 
-def _take(store, pfs, workload, g, drain=True, crash=False):
+def _take(store, pfs, workload, g, drained=True, crash=False):
     seg, arrays = workload(iteration=g)
     prefix = f"ck.{g:06d}"
     store.capture_drms(prefix, seg, arrays)
-    if drain:
-        drainer = DrainController(store, pfs, synchronous=True)
+    if drained:
+        drainer = DrainController(store, pfs)
         if crash:
             inj = FaultInjector()
             inj.fail_write(mode="fail")
             pfs.attach_faults(inj)
             try:
                 drainer.schedule(prefix)
+                drainer.wait()
             finally:
                 pfs.attach_faults(None)
         else:
             drainer.schedule(prefix)
+            drainer.wait()
     return prefix
 
 
 def test_candidates_newest_first_with_tier_order(env, workload):
     machine, pfs, store = env
     _take(store, pfs, workload, 1)              # both tiers
-    _take(store, pfs, workload, 2, drain=False)  # L1 only
+    _take(store, pfs, workload, 2, drained=False)  # L1 only
     cands = tiered_candidates(pfs, "ck", store)
     assert cands[0] == ("ck.000002", ["l1"])
     assert cands[1] == ("ck.000001", ["l1", "l2"])
@@ -55,7 +57,7 @@ def test_candidates_newest_first_with_tier_order(env, workload):
 def test_newest_l1_generation_wins_without_pfs_reads(env, workload):
     machine, pfs, store = env
     _take(store, pfs, workload, 1)
-    _take(store, pfs, workload, 2, drain=False)
+    _take(store, pfs, workload, 2, drained=False)
     with use_tracer(Tracer()) as tracer:
         decision = select_tiered_restart_state(pfs, "ck", store)
         assert decision.prefix == "ck.000002"
@@ -103,7 +105,7 @@ def test_nothing_valid_returns_none(env):
 
 def test_select_restart_state_delegates_when_l1_given(env, workload):
     machine, pfs, store = env
-    _take(store, pfs, workload, 1, drain=False)
+    _take(store, pfs, workload, 1, drained=False)
     decision = select_restart_state(pfs, "ck", l1=store)
     assert decision.prefix == "ck.000001"
     assert decision.tier == "l1"
@@ -127,7 +129,7 @@ def test_tiered_walk_writes_the_same_flight_records(env, workload):
 
     machine, pfs, store = env
     _take(store, pfs, workload, 1)
-    _take(store, pfs, workload, 2, drain=False)  # L1 only
+    _take(store, pfs, workload, 2, drained=False)  # L1 only
     for node in range(machine.num_nodes):
         store.drop_node(node)  # every replica gone: only gen 1 on L2 left
     with use_flight(FlightRecorder()) as fr:
