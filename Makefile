@@ -126,13 +126,15 @@ bench-fleet:
 
 # every committed artifact under benchmarks/out reproduces: regenerate
 # them all (`make bench bench-baseline bench-localized bench-fleet
-# bench-workflow`), then fail on any difference from the committed files.
-# BENCH_obs_overhead.json holds wall-clock values (and its 5% gate passes
-# or fails by chance), so `bench_obs_overhead.py` is not run and the file
-# is left out until that bench goes (ROADMAP 11 (iv)).
+# bench-workflow`, and verify_gates.txt, the gate lines `make -s
+# verify-gates` prints), then fail on any difference from the committed
+# files.  BENCH_obs_overhead.json holds wall-clock values (and its 5%
+# gate passes or fails by chance), so `bench_obs_overhead.py` is not run
+# and the file is left out until that bench goes (ROADMAP 11 (iv)).
 bench-artifacts: bench-baseline bench-localized bench-fleet bench-workflow
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s \
 		--ignore=benchmarks/bench_obs_overhead.py
+	$(MAKE) -s --no-print-directory verify-gates > benchmarks/out/verify_gates.txt
 	git diff --exit-code -- benchmarks/out
 
 # the wall-clock recovery-cycle benchmark (benchmarks/e2e, declared in

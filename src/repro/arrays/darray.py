@@ -32,16 +32,6 @@ from repro.errors import ArrayError
 __all__ = ["DistributedArray"]
 
 
-def _copy_tiled(dst: np.ndarray, src: np.ndarray) -> None:
-    """``dst[...] = src`` in 64-square tiles of the first and last axes:
-    a row-major block into a column-major one is a transpose, two to
-    three times faster in tiles that stay in cache than whole."""
-    dst, src = np.atleast_2d(dst, src)
-    for i in range(0, dst.shape[0], 64):
-        for j in range(0, dst.shape[-1], 64):
-            dst[i:i + 64, ..., j:j + 64] = src[i:i + 64, ..., j:j + 64]
-
-
 class DistributedArray:
     """A global array distributed over the tasks of an application."""
 
@@ -173,16 +163,18 @@ class DistributedArray:
     # -- global access (drivers and tests) -----------------------------------
 
     def set_global(self, values: np.ndarray) -> None:
-        """Scatter a global numpy array into every task's mapped section."""
+        """Scatter a global numpy array, in any memory layout, into every
+        task's mapped section
+        (:func:`~repro.streaming.vectorized.scatter_section_flat`)."""
+        from repro.streaming.vectorized import scatter_section_flat
+
         self._need_data()
         values = np.asarray(values, dtype=self.dtype)
         if values.shape != self.shape:
             raise ArrayError(
                 f"global values shape {values.shape} != array shape {self.shape}"
             )
-        for t in range(self.ntasks):
-            m = self.distribution.mapped(t)
-            _copy_tiled(self._locals[t], values[m.np_index()].reshape(m.shape))
+        scatter_section_flat(self, Slice.full(self.shape), values)
 
     def to_global(self, fill=0) -> np.ndarray:
         """Gather the defined (assigned) elements into a global array.

@@ -162,10 +162,16 @@ class Slice:
         return self.intersect(other)
 
     def issubset(self, other: "Slice") -> bool:
-        """True when the section lies entirely inside ``other``."""
-        if self.is_empty:
-            return True
-        return self.intersect(other) == self
+        """True when the section lies entirely inside ``other``: per
+        axis, the range within ``other``'s (an empty section is inside
+        any of equal rank)."""
+        if self.rank != other.rank:
+            raise SliceError(
+                f"rank mismatch: {self.rank} vs {other.rank} in subset test"
+            )
+        return self.is_empty or all(
+            a.issubset(b) for a, b in zip(self._ranges, other._ranges)
+        )
 
     def contains_point(self, point: Sequence[int]) -> bool:
         """True when the d-dimensional point lies in the section."""

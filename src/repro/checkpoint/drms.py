@@ -25,6 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arrays.darray import DistributedArray
+from repro.arrays.slices import Slice
 from repro.checkpoint.format import (
     array_name,
     distribution_to_spec,
@@ -48,7 +49,8 @@ from repro.pfs.phase import IOKind
 from repro.pfs.piofs import PIOFS
 from repro.streaming.order import check_order, stream_spans
 from repro.streaming.parallel import stream_in_parallel, stream_out_parallel
-from repro.streaming.streams import ByteSource, PFSSink, PFSSource
+from repro.streaming.streams import PFSSink, PFSSource
+from repro.streaming.vectorized import scatter_section_flat
 
 __all__ = [
     "CheckpointBreakdown",
@@ -528,25 +530,31 @@ class PFSCheckpointSource:
     def load_array(
         self, arr: DistributedArray, spec: Dict, order: str
     ) -> Tuple[float, int, Dict[str, int]]:
-        """One parallel read phase: stream the file (a chain's composed
-        stream) into ``arr`` under its (new) distribution, verified
-        before the scatter."""
+        """One parallel read phase: stream the file into ``arr`` under
+        its (new) distribution, verified before the scatter — or scatter
+        a chain's composed stream, every file of it verified as it was
+        read."""
         pfs = self.pfs
-        sha1, _, span_bytes = self.digests.get(spec["file"], (None, None, None))
         with pfs.phase(IOKind.READ_PARALLEL) as res:
-            if len(self.chain) == 1:
-                source = PFSSource(pfs, spec["file"])
-            else:  # every file verified as it was read
-                source, sha1 = self._compose(arr, spec["name"]), None
-            stats = stream_in_parallel(
-                arr, source, P=self.io_tasks, order=order,
-                target_bytes=self.target_bytes, sha1=sha1, span_bytes=span_bytes,
-            )
-        charged = stats.bytes_streamed if len(self.chain) == 1 else source.nbytes
-        return res.seconds, charged, {
-            "pieces": stats.pieces,
-            "redistribution_bytes": stats.redistribution_bytes,
-        }
+            if len(self.chain) > 1:
+                stream, charged = self._compose(arr, spec["name"])
+                if stream is not None:
+                    scatter_section_flat(
+                        arr, Slice.full(arr.shape),
+                        np.frombuffer(stream, arr.dtype), order,
+                    )
+                attrs = {}
+            else:
+                sha1, _, span_bytes = self.digests.get(spec["file"], (None, None, None))
+                stats = stream_in_parallel(
+                    arr, PFSSource(pfs, spec["file"]), P=self.io_tasks, order=order,
+                    target_bytes=self.target_bytes, sha1=sha1, span_bytes=span_bytes,
+                )
+                charged, attrs = stats.bytes_streamed, {
+                    "pieces": stats.pieces,
+                    "redistribution_bytes": stats.redistribution_bytes,
+                }
+        return res.seconds, charged, attrs
 
     def _read(self, spec: Dict, P: int) -> Optional[memoryview]:
         """Read one stored array file in ``P`` near-equal runs, client
@@ -565,10 +573,13 @@ class PFSCheckpointSource:
             verify_stored_sha1(pfs, file, *self.digests[file], head=buf)
         return buf
 
-    def _compose(self, arr: DistributedArray, name: str) -> "_ComposedStream":
-        """Array ``name``'s stream in the chain: the base's whole stream,
-        overlaid by each delta's stored spans (the ``spans`` indices,
-        stored in stream order), oldest first."""
+    def _compose(
+        self, arr: DistributedArray, name: str
+    ) -> Tuple[Optional[memoryview], int]:
+        """Array ``name``'s stream in the chain — the base's whole
+        stream, overlaid by each delta's stored spans (the ``spans``
+        indices, stored in stream order), oldest first; None when
+        virtual — and the bytes reading its files charged."""
         P = self.io_tasks or arr.ntasks
         layers = [s for g in self.chain for s in g["arrays"] if s["name"] == name]
         base, deltas = layers[0], layers[1:]
@@ -596,18 +607,7 @@ class PFSCheckpointSource:
                 off, n = cut[i]
                 out[off:off + n] = data[pos:pos + n]
                 pos += n
-        return _ComposedStream(out, sum(s["nbytes"] for s in layers))
-
-
-class _ComposedStream(ByteSource):
-    """A chain's composed stream of one array, served from memory to
-    the stream-in; ``nbytes`` is what reading its files charged."""
-
-    def __init__(self, buf: Optional[memoryview], nbytes: int):
-        self.buf, self.nbytes, self.virtual = buf, nbytes, buf is None
-
-    def read_at(self, offset, nbytes, client=0):
-        return b"" if self.buf is None else self.buf[offset:offset + nbytes]
+        return out, sum(s["nbytes"] for s in layers)
 
 
 def restart_opener(

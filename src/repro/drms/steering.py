@@ -26,9 +26,9 @@ from repro.arrays.assignment import array_assign, build_schedule, schedule_bytes
 from repro.arrays.darray import DistributedArray
 from repro.arrays.slices import Slice
 from repro.errors import ArrayError, SteeringTimeoutError
-from repro.streaming.order import bytes_to_section, check_order
-from repro.streaming.serial import gather_piece, scatter_piece
-from repro.streaming.partition import partition_for_target
+from repro.streaming.order import check_order
+from repro.streaming.serial import _strict_default
+from repro.streaming.vectorized import gather_section_flat, scatter_section_flat
 
 __all__ = [
     "steer_read",
@@ -45,10 +45,13 @@ def steer_read(
     order: str = "F",
 ) -> np.ndarray:
     """Read ``array[section]`` into a dense array shaped like the
-    section — the steering client's distribution-independent view."""
+    section — the steering client's distribution-independent view.
+    Elements assigned to no task read as zeros, or raise inside a
+    :func:`~repro.streaming.serial.strict_gather` scope."""
     check_order(order)
     section = section or Slice.full(array.shape)
-    return gather_piece(array, section, order)
+    flat = gather_section_flat(array, section, order, strict=_strict_default())
+    return flat.reshape(section.shape, order=order)
 
 
 def steer_write(
@@ -64,7 +67,7 @@ def steer_write(
         raise ArrayError(
             f"steer_write: values shape {values.shape} != section shape {section.shape}"
         )
-    scatter_piece(array, section, values)
+    scatter_section_flat(array, section, values)
 
 
 class SteeringFuture:

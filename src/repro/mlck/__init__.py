@@ -52,7 +52,6 @@ from repro.mlck.localized import (
     compute_rebuild_scope,
     localized_restart,
     localized_restore_drms,
-    rebuild_lost_sections,
     rereplicate_after_failure,
 )
 from repro.mlck.placement import replica_nodes, select_partners
@@ -80,7 +79,6 @@ __all__ = [
     "compute_rebuild_scope",
     "localized_restart",
     "localized_restore_drms",
-    "rebuild_lost_sections",
     "replica_nodes",
     "rereplicate_after_failure",
     "select_partners",

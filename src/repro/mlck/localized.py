@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arrays.darray import DistributedArray
 from repro.arrays.slices import Slice
 from repro.checkpoint.drms import (
     RestartBreakdown,
@@ -56,7 +55,6 @@ __all__ = [
     "ArrayScope",
     "RebuildScope",
     "compute_rebuild_scope",
-    "rebuild_lost_sections",
     "SurvivorLocal",
     "localized_opener",
     "localized_restore_drms",
@@ -208,30 +206,6 @@ def compute_rebuild_scope(
         segment_bytes=int(manifest.get("segment_bytes", 0)),
         arrays=tuple(scopes),
     )
-
-
-def rebuild_lost_sections(
-    darray: DistributedArray,
-    flat: np.ndarray,
-    lost_ranks: Sequence[int],
-    order: str = "F",
-) -> int:
-    """Scatter only the lost ranks' mapped pieces of a stream-ordered
-    value vector into ``darray``, leaving every survivor's local section
-    untouched — the section-scoped rebuild primitive, built on the
-    "mapped" section plans.  Returns elements delivered."""
-    check_order(order)
-    section = Slice.full(darray.shape)
-    plan = _cached_index_plan(darray.distribution, section, order, "mapped")
-    lost = set(int(r) for r in lost_ranks)
-    flat = np.ascontiguousarray(flat).reshape(-1)
-    mesh = flat.reshape(darray.shape, order=order)
-    delivered = 0
-    for entry in plan.entries:
-        if entry.task in lost:
-            entry.scatter(flat, mesh, darray)
-            delivered += entry.size
-    return delivered
 
 
 class SurvivorLocal(SwitchFetch):

@@ -48,6 +48,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arrays.darray import DistributedArray
+from repro.arrays.slices import Slice
 from repro.checkpoint.drms import (
     CheckpointBreakdown,
     RestartBreakdown,
@@ -63,8 +64,9 @@ from repro.mlck.placement import select_partners
 from repro.obs import emit_event, get_flight, get_tracer
 from repro.runtime.clock import now
 from repro.runtime.machine import Machine
-from repro.streaming.order import bytes_to_section, stream_sha1, stream_spans
+from repro.streaming.order import stream_sha1, stream_spans
 from repro.streaming.serial import StoredStream, stream_u8
+from repro.streaming.vectorized import scatter_section_flat
 
 __all__ = [
     "L1Piece",
@@ -388,7 +390,7 @@ class L1Store:
     def _fetch(self, gen: L1Generation) -> Dict[str, Tuple[List[bytes], List[int]]]:
         """The verifying fetch of every stored stream of ``gen``, the
         segment header first: per file, the bytes of each piece
-        (references, not yet joined) and the node that served it.  Each
+        (references, not yet copied) and the node that served it.  Each
         piece comes from its first replica whose bytes hash to the
         capture-time digest, and the pieces must tile the stored bytes
         the manifest records — which together say what a hash of the
@@ -703,17 +705,18 @@ class L1ReplicaSource:
     def load_array(
         self, arr: DistributedArray, spec: Dict, order: str
     ) -> Tuple[float, int, Dict[str, int]]:
-        """Join one array's verified pieces and hand the stream to
-        ``arr`` under its (new) distribution."""
+        """Copy one array's verified pieces into one stream buffer and
+        scatter it into ``arr`` under its (new) distribution."""
         chunks, nodes = self._fetched.get(spec["file"], ([], []))
         acct = _Accounting(self.store.machine)
         attrs = self.accountant.array(
             acct, self._index[spec["name"]], spec, chunks, nodes
         )
         if not spec["virtual"]:
-            arr.set_global(
-                bytes_to_section(
-                    b"".join(chunks), spec["shape"], spec["dtype"], order
-                )
-            )
+            flat = np.empty(arr.size, arr.dtype)
+            stream, pos = flat.view(np.uint8), 0
+            for chunk in chunks:
+                stream[pos:pos + len(chunk)] = np.frombuffer(chunk, np.uint8)
+                pos += len(chunk)
+            scatter_section_flat(arr, Slice.full(arr.shape), flat, order)
         return acct.seconds(), spec["nbytes"], attrs

@@ -19,7 +19,7 @@ from repro.arrays.slices import Slice
 from repro.errors import StreamingError
 
 __all__ = ["check_order", "sha1_hex", "stream_spans", "stream_sha1",
-           "stream_order_bytes", "bytes_to_section", "section_stream_positions"]
+           "stream_order_bytes", "section_stream_positions"]
 
 
 def check_order(order: str) -> str:
@@ -60,18 +60,6 @@ def stream_order_bytes(values: np.ndarray, order: str = "F") -> bytes:
     order."""
     check_order(order)
     return np.ascontiguousarray(values).tobytes(order=order)
-
-
-def bytes_to_section(data: bytes, shape, dtype, order: str = "F") -> np.ndarray:
-    """Inverse of :func:`stream_order_bytes`."""
-    check_order(order)
-    flat = np.frombuffer(data, dtype=dtype)
-    expect = int(np.prod(shape)) if len(shape) else 1
-    if flat.size != expect:
-        raise StreamingError(
-            f"stream has {flat.size} elements for section shape {tuple(shape)}"
-        )
-    return flat.reshape(shape, order=order)
 
 
 def section_stream_positions(section: Slice, sub: Slice, order: str = "F") -> np.ndarray:

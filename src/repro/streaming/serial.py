@@ -7,9 +7,8 @@ a non-seekable sink: its writes land at contiguous offsets, each at the
 sink's end.  This module holds the pieces both directions are built
 from: :class:`StreamStats`, the accounting an operation returns and
 publishes; :class:`StoredStream`, a stream source that is not an
-array; :func:`gather_piece` / :func:`scatter_piece` and
-:func:`stream_u8`, the piece- and stream-shaped views of the vectorized
-kernels; and :func:`strict_gather`.
+array; :func:`stream_u8`, the stream-shaped view of the gather kernel;
+and :func:`strict_gather`.
 
 Gather strictness: elements of a section assigned to no task are
 *undefined*; by default they stream as zeros (the paper's semantics —
@@ -37,19 +36,13 @@ from repro.arrays.distributions import Distribution
 from repro.arrays.slices import Slice
 from repro.errors import StreamingError
 from repro.obs import emit_event, get_tracer
-from repro.streaming.order import check_order, stream_sha1
+from repro.streaming.order import stream_sha1
 from repro.streaming.streams import ByteSource
-from repro.streaming.vectorized import (
-    gather_section_flat,
-    range_redistribution_bytes,
-    scatter_section_flat,
-)
+from repro.streaming.vectorized import gather_section_flat, range_redistribution_bytes
 
 __all__ = [
     "StreamStats",
     "StoredStream",
-    "gather_piece",
-    "scatter_piece",
     "stream_u8",
     "strict_gather",
 ]
@@ -65,8 +58,8 @@ _STRICT_GATHER: contextvars.ContextVar[bool] = contextvars.ContextVar(
 @contextmanager
 def strict_gather(enabled: bool = True) -> Iterator[None]:
     """Scope the gather strictness default: within the context,
-    :func:`gather_piece` raises on undefined elements instead of
-    zero-filling them."""
+    :func:`stream_u8` and :func:`~repro.drms.steering.steer_read` raise
+    on undefined elements instead of zero-filling them."""
     token = _STRICT_GATHER.set(bool(enabled))
     try:
         yield
@@ -117,25 +110,6 @@ class StreamStats:
             io_tasks=self.io_tasks,
         )
         return self
-
-
-def gather_piece(
-    darray: DistributedArray,
-    piece: Slice,
-    order: str = "F",
-    strict: Optional[bool] = None,
-) -> np.ndarray:
-    """Assemble one piece (shaped like the piece) from its owner tasks.
-    Elements assigned to no task are undefined; they stream as zeros —
-    unless ``strict`` (or the :func:`strict_gather` scope) is on, in
-    which case undefined elements raise ``StreamingError``.  Assigned
-    sections are pairwise disjoint, so the covered count is an exact
-    element count, not an upper bound."""
-    check_order(order)
-    if strict is None:
-        strict = _strict_default()
-    flat = gather_section_flat(darray, piece, order=order, strict=strict)
-    return flat.reshape(piece.shape, order=order)
 
 
 def stream_u8(
@@ -208,22 +182,6 @@ def _intended_stream(darray, section: Slice, order: str, plan_idx, span_bytes: i
     stream = stream_u8(darray, section, order, plan_idx)
     sha1, span_sha1s = stream_sha1(stream, span_bytes)
     return stream, sha1, span_bytes, span_sha1s
-
-
-def scatter_piece(
-    darray: DistributedArray,
-    piece: Slice,
-    values: np.ndarray,
-    order: str = "F",
-) -> None:
-    """Deliver one piece into every task whose mapped section overlaps
-    it — all copies of each element are updated consistently.
-    ``order`` only selects the cached index plan used for the delivery
-    (pass the surrounding stream order to share plans with it); the
-    result is order-independent."""
-    check_order(order)
-    flat = np.asarray(values).reshape(-1, order=order)
-    scatter_section_flat(darray, piece, flat, order=order)
 
 
 def _piece_redistribution_bytes(

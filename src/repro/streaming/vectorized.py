@@ -28,7 +28,13 @@ warm-gather micro-benchmark had favoured them, but it timed ``np.ix_``
 on every axis and counted neither that build nor that residency.
 
 Scatter is the transposed assignment per mapping task (kind
-``"mapped"``; overlapping copies all receive the same value); gather
+``"mapped"``; overlapping copies all receive the same value), and the
+one writer of task locals from a stream or a global: every restore,
+``DistributedArray.set_global`` and steering write.  The plan's boxes
+index the section's mesh whatever its memory layout, so a section-shaped
+array scatters through the default-order plan; a basic-slice box out of
+a row-major mesh into the column-major locals is a transpose, copied in
+cache-sized tiles, and out of a column-major one a copy per column.  Gather
 runs over owners (kind ``"assigned"``; pairwise disjoint).  Plans depend
 only on distribution geometry, so they are cached in
 :mod:`repro.plancache` (kind ``"indexplan"``, keyed by the distribution
@@ -89,11 +95,20 @@ class BoxEntry:
         # eleven integers per axis, plus the position lists
         return 88 * len(self.sbox) + sum(i.nbytes for i in lists)
 
-    def gather(self, flat, mesh, darray: DistributedArray) -> None:
+    def gather(self, mesh, darray: DistributedArray) -> None:
         mesh[self.sbox] = darray.local(self.task)[self.lbox]
 
-    def scatter(self, flat, mesh, darray: DistributedArray) -> None:
-        darray.local(self.task)[self.lbox] = mesh[self.sbox]
+    def scatter(self, mesh, darray: DistributedArray) -> None:
+        """Write this task's box from ``mesh``; a box of basic slices
+        out of a mesh that is not column-major like the local is a
+        transpose, copied in tiles."""
+        local = darray.local(self.task)
+        if mesh.flags.f_contiguous or not all(
+            isinstance(ix, slice) for ix in self.sbox + self.lbox
+        ):
+            local[self.lbox] = mesh[self.sbox]
+        else:
+            _copy_tiled(local[self.lbox], mesh[self.sbox])
 
     def _count_below(self, pos: int) -> int:
         """Box elements at stream positions ``< pos``: per axis, every
@@ -158,6 +173,16 @@ class SectionIndexPlan:
     @property
     def nbytes(self) -> int:
         return sum(e.nbytes for e in self.entries)
+
+
+def _copy_tiled(dst: np.ndarray, src: np.ndarray) -> None:
+    """``dst[...] = src`` in 64-square tiles of the first and last axes:
+    a row-major block into a column-major one is a transpose, two to
+    three times faster in tiles that stay in cache than whole."""
+    dst, src = np.atleast_2d(dst, src)
+    for i in range(0, dst.shape[0], 64):
+        for j in range(0, dst.shape[-1], 64):
+            dst[i:i + 64, ..., j:j + 64] = src[i:i + 64, ..., j:j + 64]
 
 
 def _frozen(ix: np.ndarray) -> np.ndarray:
@@ -275,33 +300,38 @@ def gather_section_flat(
     flat = (np.empty if exact else np.zeros)(plan.section_size, dtype=darray.dtype)
     mesh = flat.reshape(section.shape, order=order)
     for e in plan.entries:
-        e.gather(flat, mesh, darray)
+        e.gather(mesh, darray)
     return flat
 
 
 def scatter_section_flat(
     darray: DistributedArray,
     section: Slice,
-    flat: np.ndarray,
+    values: np.ndarray,
     order: str = "F",
     plan: SectionIndexPlan | None = None,
 ) -> None:
-    """Deliver a stream-ordered 1-D value vector into every task whose
-    mapped section overlaps ``section`` — all copies of every element
-    are updated consistently, one strided (or fancy-indexed) assignment
-    per task."""
+    """Deliver the section's values into every task whose mapped section
+    overlaps ``section`` — all copies of every element are updated
+    consistently, one strided (or fancy-indexed) assignment per task.
+    ``values`` is a 1-D vector in stream ``order`` or an array shaped
+    like the section, in any memory layout; a basic-slice box out of a
+    layout that is not column-major is copied in tiles."""
     check_order(order)
     if plan is None:
         plan = _cached_index_plan(darray.distribution, section, order, "mapped")
-    flat = np.asarray(flat)
-    if flat.size != plan.section_size:
+    values = np.asarray(values)
+    if values.size != plan.section_size:
         raise StreamingError(
-            f"scatter of {flat.size} values into a section of "
+            f"scatter of {values.size} values into a section of "
             f"{plan.section_size} elements"
         )
-    mesh = flat.reshape(section.shape, order=order)
+    mesh = (
+        values if values.shape == section.shape
+        else values.reshape(section.shape, order=order)
+    )
     for e in plan.entries:
-        e.scatter(flat, mesh, darray)
+        e.scatter(mesh, darray)
 
 
 def range_redistribution_bytes(

@@ -947,13 +947,10 @@ def _run_localized(case: Case) -> CaseResult:
     the post-recovery array bytes, segment, manifest state, and
     breakdown byte ledgers are identical.  Localized recovery changes
     the *cost model*, never the bytes.  Additionally exercises the
-    section-scoped scatter primitive (zero the lost ranks' locals,
-    rebuild only them from the reference stream) and the post-recovery
-    re-replication repair."""
+    post-recovery re-replication repair."""
     from repro.mlck.localized import (
         localized_restart,
         localized_restore_drms,
-        rebuild_lost_sections,
         rereplicate_after_failure,
     )
 
@@ -1073,27 +1070,6 @@ def _run_localized(case: Case) -> CaseResult:
                 ilost == a.lost_bytes,
                 f"scope of {a.name!r}: interval total {ilost} != "
                 f"lost_bytes {a.lost_bytes}",
-            )
-
-        # -- the section-scoped scatter primitive ----------------------
-        for i, spec in enumerate(case.arrays):
-            arr = loc_state.arrays.get(spec.name)
-            if arr is None or not arr.store_data:
-                continue
-            ref = rec.refs[i]
-            flat_vals = np.frombuffer(
-                stream_order_bytes(ref, case.order), dtype=np.dtype(spec.dtype)
-            )
-            for r in scope.lost_ranks:
-                arr.local(r)[...] = 0
-            rebuild_lost_sections(
-                arr, flat_vals, scope.lost_ranks, order=case.order
-            )
-            got, want = _masked_bytes(arr, ref)
-            c.check(
-                got == want,
-                f"array {spec.name!r}: section-scoped rebuild of the lost "
-                "ranks did not reproduce the reference bytes",
             )
 
         # -- re-replication repair -------------------------------------

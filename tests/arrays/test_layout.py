@@ -1,8 +1,8 @@
 """Task locals are column-major, in the stream's default order.
 
 Every local a :class:`DistributedArray` holds is F-contiguous, however
-it was built: by the constructor, by a redistribution, by a restore
-from either tier, or rebuilt in place after a node loss.  So a
+it was built: by the constructor, by a redistribution or by a restore
+from either tier.  So a
 default-order (``"F"``) gather or scatter of a whole local is one
 contiguous copy per column.  The layout is memory only: the stream a
 checkpoint stores is defined by global index order, so gather and
@@ -18,7 +18,6 @@ from repro.arrays.ranges import Range
 from repro.arrays.slices import Slice
 from repro.checkpoint.drms import drms_checkpoint, drms_restart
 from repro.checkpoint.segment import DataSegment, SegmentProfile
-from repro.mlck.localized import rebuild_lost_sections
 from repro.mlck.store import L1Store
 from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine, MachineParams
@@ -94,21 +93,6 @@ def test_l1_restore_locals_are_column_major():
     state, _ = store.restore_drms("ck.000001", 3)
     _assert_column_major(state.arrays["u"])
     np.testing.assert_array_equal(state.arrays["u"].to_global(), arr.to_global())
-
-
-@pytest.mark.parametrize("order", ["F", "C"])
-def test_rebuilt_lost_sections_keep_the_layout(order):
-    values = _values()
-    arr = _array(GEOMETRIES["shadowed"](4), values)
-    before = [arr.local(t) for t in range(4)]
-    for r in (1, 2):
-        arr.local(r)[...] = 0
-    flat = np.frombuffer(stream_order_bytes(values, order), dtype=values.dtype)
-    assert rebuild_lost_sections(arr, flat, [1, 2], order=order) > 0
-    _assert_column_major(arr)
-    assert all(arr.local(t) is before[t] for t in range(4))
-    np.testing.assert_array_equal(arr.to_global(), values)
-    assert arr.is_consistent()
 
 
 def _sections(mapped, assigned):

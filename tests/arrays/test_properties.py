@@ -2,6 +2,7 @@
 algebra — the invariants in DESIGN.md §6."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from repro.arrays.distributions import (
 )
 from repro.arrays.ranges import Range
 from repro.arrays.slices import Slice
+from repro.errors import SliceError
 
 
 # -- strategies ---------------------------------------------------------------
@@ -88,6 +90,27 @@ def test_issubset_is_its_definition(q, r):
     assert q.issubset(r) == (q.intersect(r).size == q.size)
     assert q.issubset(q)
     assert q.issubset(Range(q)) and Range(q).issubset(q)
+
+
+#: two per-axis range lists of one rank, 1 to 3
+slice_pairs = st.integers(1, 3).flatmap(lambda rank: st.tuples(
+    st.lists(subset_operands, min_size=rank, max_size=rank),
+    st.lists(subset_operands, min_size=rank, max_size=rank),
+))
+
+
+@given(slice_pairs)
+@settings(max_examples=300)
+def test_slice_issubset_is_the_intersect_form(pair):
+    """``Slice.issubset`` asks each axis' ``Range.issubset``; it must
+    equal the form it replaced, ``s * t == s`` (an empty ``s`` inside
+    any ``t``), over regular, INDEXED and empty ranges, and refuse a
+    rank mismatch."""
+    s, t = Slice(pair[0]), Slice(pair[1])
+    assert s.issubset(t) == (s.is_empty or s.intersect(t) == s)
+    assert s.issubset(s)
+    with pytest.raises(SliceError):
+        s.issubset(Slice(list(pair[1]) + [Range.of_size(3)]))
 
 
 def test_issubset_is_its_definition_on_strided_pairs():

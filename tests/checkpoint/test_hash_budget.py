@@ -410,28 +410,27 @@ SPAN = 64 << 10
 
 @pytest.fixture
 def gathers(monkeypatch):
-    """Calls of ``stream_u8`` (one bulk gather each), wrapped in every
-    loaded ``repro.*`` module that holds it, and of the stream-in's
-    ``scatter_section_flat``."""
-    from repro.streaming import parallel
+    """Calls of ``stream_u8`` (one bulk gather each) and of
+    ``scatter_section_flat``, each wrapped in every loaded ``repro.*``
+    module that holds it."""
     from repro.streaming.serial import stream_u8
+    from repro.streaming.vectorized import scatter_section_flat
 
     counts = {"gather": 0, "scatter": 0}
 
-    def spy_gather(*args, _fn=stream_u8, **kwargs):
-        counts["gather"] += 1
-        return _fn(*args, **kwargs)
+    def spy(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
-    def spy_scatter(*args, _fn=parallel.scatter_section_flat, **kwargs):
-        counts["scatter"] += 1
-        return _fn(*args, **kwargs)
-
+    spies = {stream_u8: spy("gather", stream_u8),
+             scatter_section_flat: spy("scatter", scatter_section_flat)}
     for name, module in list(sys.modules.items()):
         if name.startswith("repro."):
             for attr, held in list(vars(module).items()):
-                if held is stream_u8:
-                    monkeypatch.setattr(module, attr, spy_gather)
-    monkeypatch.setattr(parallel, "scatter_section_flat", spy_scatter)
+                if callable(held) and held in spies:
+                    monkeypatch.setattr(module, attr, spies[held])
     return counts
 
 

@@ -21,7 +21,7 @@ from repro.mlck.store import L1Store
 from repro.obs import Tracer, use_tracer
 from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine, MachineParams
-from repro.streaming.order import bytes_to_section, stream_order_bytes
+from repro.streaming.order import stream_order_bytes
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 PREFIX = "fx.000001"
@@ -80,7 +80,9 @@ class DictSource:
 
     def load_array(self, arr, spec, order):
         data = self.streams[spec["name"]]
-        arr.set_global(bytes_to_section(data, spec["shape"], spec["dtype"], order))
+        arr.set_global(
+            np.frombuffer(data, spec["dtype"]).reshape(spec["shape"], order=order)
+        )
         return 0.5, len(data), {"note": 1}
 
 

@@ -31,7 +31,7 @@ from repro.arrays.distributions import (
 from repro.arrays.ranges import Range
 from repro.arrays.slices import Slice
 from repro.errors import StreamingError
-from repro.mlck.localized import compute_rebuild_scope, rebuild_lost_sections
+from repro.mlck.localized import compute_rebuild_scope
 from repro.plancache import NullPlanCache, use_plan_cache
 from repro.streaming.partition import partition, piece_offsets
 from repro.streaming.serial import _piece_redistribution_bytes, strict_gather, stream_u8
@@ -81,12 +81,11 @@ def _reference_gather(darray, section, order):
     return flat
 
 
-def _reference_scatter(darray, section, flat, order, only=None):
+def _reference_scatter(darray, section, flat, order):
     for t, spos, lflat, _ in _reference_entries(
         darray.distribution, section, order, "mapped"
     ):
-        if only is None or t in only:
-            np.put(darray.local(t), lflat, flat[spos])
+        np.put(darray.local(t), lflat, flat[spos])
 
 
 def _reference_redis(entries, lo, hi, io_task, itemsize):
@@ -223,9 +222,8 @@ def _check_case(dist, section, order):
             )
 
 
-def _check_scope(dist, order, rebuild=True):
-    """Rebuild scope and (``rebuild``) section-scoped rebuild for every
-    lost rank."""
+def _check_scope(dist, order):
+    """Rebuild scope for every lost rank."""
     section = Slice.full(dist.shape)
     ref = _reference_entries(dist, section, order, "assigned")
     manifest = {
@@ -236,7 +234,6 @@ def _check_scope(dist, order, rebuild=True):
         }],
     }
     placement = {r: r for r in range(dist.ntasks)}
-    values = np.random.default_rng(4).random(section.size)
     for lost in range(dist.ntasks):
         scope = compute_rebuild_scope(
             manifest, dist.ntasks, placement, [lost], order=order,
@@ -246,13 +243,6 @@ def _check_scope(dist, order, rebuild=True):
         assert scope.rank_bytes == {t: sp.size * 8 for t, sp, _, _ in ref}
         assert scope.lost_bytes == scope.rank_bytes.get(lost, 0)
         assert scope.lost_bytes == sum(hi - lo for lo, hi in scope.lost_intervals)
-        if not rebuild:
-            continue
-        a, b = _filled(dist, seed=5), _filled(dist, seed=5)
-        rebuild_lost_sections(a, values, [lost], order=order)
-        _reference_scatter(b, section, values, order, only={lost})
-        for t in range(dist.ntasks):
-            assert np.array_equal(a.local(t), b.local(t)), (lost, t)
 
 
 # -- hypothesis-drawn geometry --------------------------------------------------
@@ -480,7 +470,7 @@ def test_benchmark_geometries(dist, order):
             assert got == _reference_redis(ref, lo, lo + piece.size, p, 8)
             assert got == _piece_redistribution_bytes(arr, piece, p)
     with use_plan_cache(NullPlanCache()):
-        _check_scope(dist, order, rebuild=False)
+        _check_scope(dist, order)
 
 
 @pytest.mark.parametrize("order", ["F", "C"])
@@ -516,7 +506,6 @@ def test_non_c_contiguous_local_needs_no_normalisation(order):
     assert gather_section_flat(arr, section, order=order).tobytes() == want.tobytes()
     assert bytes(stream_u8(arr, order=order)) == want.tobytes()
     scatter_section_flat(arr, section, want + 1.0, order=order)
-    rebuild_lost_sections(arr, want + 1.0, [1], order=order)
     for t in range(dist.ntasks):
         assert arr.local(t) is held[t]
     assert np.array_equal(

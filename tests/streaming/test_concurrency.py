@@ -19,11 +19,10 @@ import pytest
 
 from repro.arrays.darray import DistributedArray
 from repro.pfs.piofs import PIOFS
-from repro.streaming.order import stream_order_bytes
 from repro.streaming.parallel import stream_in_parallel, stream_out_parallel
 from repro.streaming.partition import partition_for_target, piece_offsets
-from repro.streaming.serial import gather_piece
 from repro.streaming.streams import MemorySink, MemorySource, PFSSink, PFSSource
+from repro.streaming.vectorized import gather_section_flat
 from repro.verify.gen import random_distribution, random_shape
 
 
@@ -114,5 +113,5 @@ class TestRandomizedPieceOrdering:
         random.Random(seed * 7).shuffle(jobs)
         sink = MemorySink()
         for j, piece in jobs:
-            sink.write_at(offsets[j], stream_order_bytes(gather_piece(a, piece), "F"))
+            sink.write_at(offsets[j], gather_section_flat(a, piece).tobytes())
         assert sink.getvalue() == ref.getvalue()

@@ -9,7 +9,6 @@ from repro.arrays.ranges import Range
 from repro.arrays.slices import Slice
 from repro.errors import StreamingError
 from repro.streaming.order import (
-    bytes_to_section,
     check_order,
     section_stream_positions,
     stream_order_bytes,
@@ -29,7 +28,7 @@ def test_stream_order_bytes_roundtrip():
     a = np.arange(24.0).reshape(2, 3, 4)
     for order in ("F", "C"):
         data = stream_order_bytes(a, order)
-        back = bytes_to_section(data, (2, 3, 4), np.float64, order)
+        back = np.frombuffer(data, np.float64).reshape((2, 3, 4), order=order)
         assert np.array_equal(back, a)
 
 
@@ -38,9 +37,6 @@ def test_f_vs_c_differ():
     assert stream_order_bytes(a, "F") != stream_order_bytes(a, "C")
 
 
-def test_bytes_to_section_size_checked():
-    with pytest.raises(StreamingError):
-        bytes_to_section(b"\x00" * 8, (2, 2), np.float64, "F")
 
 
 def test_stream_positions_identity():

@@ -66,25 +66,26 @@ def _array(ntasks):
     return a
 
 
-def _out(cache):
+def _out(cache, a):
     with use_plan_cache(cache):
-        return stream_out_parallel(_array(4), MemorySink(), target_bytes=TARGET)
+        return stream_out_parallel(a, MemorySink(), target_bytes=TARGET)
 
 
-def _in(cache, stream):
+def _in(cache, a, stream):
     with use_plan_cache(cache):
-        return stream_in_parallel(
-            _array(3), MemorySource(stream), target_bytes=TARGET
-        )
+        return stream_in_parallel(a, MemorySource(stream), target_bytes=TARGET)
 
 
 def test_a_warm_stream_out_is_one_lookup(lookups, accounting):
+    # arrays are built before the measured window: set_global is a
+    # scatter, with its own "mapped" plan lookup
+    a, b = _array(4), _array(4)
     cache = PlanCache()
-    cold = _out(cache)
+    cold = _out(cache, a)
     assert cold.pieces == 8 and cold.redistribution_bytes > 0
     lookups.clear()
     accounting.clear()
-    assert _out(cache) == cold
+    assert _out(cache, b) == cold
     assert lookups == [("parstream", None)]
     assert accounting == []
 
@@ -92,23 +93,25 @@ def test_a_warm_stream_out_is_one_lookup(lookups, accounting):
 def test_a_warm_stream_in_is_one_lookup_and_its_scatter(lookups, accounting):
     sink = MemorySink()
     stream_out_parallel(_array(4), sink, target_bytes=TARGET)
+    a, b = _array(3), _array(3)
     cache = PlanCache()
-    cold = _in(cache, sink.getvalue())
+    cold = _in(cache, a, sink.getvalue())
     assert cold.redistribution_bytes > 0
     lookups.clear()
     accounting.clear()
-    assert _in(cache, sink.getvalue()) == cold
+    assert _in(cache, b, sink.getvalue()) == cold
     assert lookups == [("parstream", None), ("indexplan", "mapped")]
     assert accounting == []
 
 
 def test_invalidate_distribution_drops_the_schedule(lookups):
+    a = _array(4)
     cache = PlanCache()
-    _out(cache)
+    _out(cache, a)
     # the schedule and the index plan it holds; the untagged
     # (pieces, offsets) entry stays
-    assert cache.invalidate_distribution(_array(4).distribution) == 2
+    assert cache.invalidate_distribution(a.distribution) == 2
     hits, misses = cache.hits, cache.misses
-    _out(cache)
+    _out(cache, a)
     assert (cache.hits - hits, cache.misses - misses) == (1, 2)
     assert len(cache) == 3

@@ -9,8 +9,10 @@ from repro.arrays.ranges import Range
 from repro.arrays.slices import Slice
 from repro.errors import StreamingError
 from repro.streaming.parallel import stream_out_parallel
-from repro.streaming.serial import gather_piece, strict_gather
+from repro.drms.steering import steer_read
+from repro.streaming.serial import strict_gather
 from repro.streaming.streams import MemorySink
+from repro.streaming.vectorized import gather_section_flat
 
 
 @pytest.fixture
@@ -25,24 +27,24 @@ def holey():
 
 class TestStrictGather:
     def test_default_zero_fills_holes(self, holey):
-        buf = gather_piece(holey, Slice.full((8,)))
+        buf = gather_section_flat(holey, Slice.full((8,)))
         assert buf.tolist() == [1.0, 2.0, 3.0, 0.0, 0.0, 6.0, 7.0, 0.0]
 
     def test_strict_raises_on_hole(self, holey):
         with pytest.raises(StreamingError, match="undefined element"):
-            gather_piece(holey, Slice.full((8,)), strict=True)
+            gather_section_flat(holey, Slice.full((8,)), strict=True)
 
     def test_strict_passes_on_covered_piece(self, holey):
         piece = Slice([Range([0, 1, 2])])
-        buf = gather_piece(holey, piece, strict=True)
+        buf = gather_section_flat(holey, piece, strict=True)
         assert buf.tolist() == [1.0, 2.0, 3.0]
 
     def test_context_manager_scopes_default(self, holey):
         with strict_gather():
             with pytest.raises(StreamingError):
-                gather_piece(holey, Slice.full((8,)))
+                steer_read(holey)
         # restored on exit
-        gather_piece(holey, Slice.full((8,)))
+        assert steer_read(holey).tolist() == [1.0, 2.0, 3.0, 0.0, 0.0, 6.0, 7.0, 0.0]
 
     def test_stream_out_serial_under_strict(self, holey):
         with strict_gather():

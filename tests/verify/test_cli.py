@@ -41,7 +41,7 @@ def test_mlck_prints_both_schedules_and_the_suite(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "mode, invariants", [("localized", 105), ("workflow", 140)]
+    "mode, invariants", [("localized", 100), ("workflow", 140)]
 )
 def test_mode_gates_count_their_invariants(capsys, tmp_path, mode,
                                            invariants):
