@@ -35,7 +35,11 @@ from repro.pfs.piofs import PIOFS
 from repro.runtime.executor import SPMDResult, run_spmd
 from repro.runtime.machine import Machine
 
-__all__ = ["AppRuntime", "RunReport", "DRMSApplication"]
+__all__ = ["AppRuntime", "RunReport", "DRMSApplication", "RUN_TIMEOUT_S"]
+
+#: the watchdog of a run launched from a thread the scheduler did not
+#: start (``run_spmd``'s ``timeout``), and of a workflow ensemble
+RUN_TIMEOUT_S = 300.0
 
 
 class AppRuntime:
@@ -185,7 +189,6 @@ class DRMSApplication:
         order: str = "F",
         io_tasks: Optional[int] = None,
         target_bytes: int = 1 << 20,
-        run_timeout: float = 300.0,
         tier: str = "pfs",
         mlck_k: int = 1,
         mlck_keep: int = 2,
@@ -212,8 +215,6 @@ class DRMSApplication:
         self.order = order
         self.io_tasks = io_tasks
         self.target_bytes = target_bytes
-        #: the watchdog of a run (see run_spmd's ``timeout``)
-        self.run_timeout = run_timeout
         #: checkpoint store tier: "pfs" writes the PFS directly;
         #: "memory+pfs" captures into the replicated L1 memory tier and
         #: drains to the PFS asynchronously (repro.mlck)
@@ -353,7 +354,7 @@ class DRMSApplication:
             args=args,
             kwargs=kwargs,
             nodes=nodes,
-            timeout=self.run_timeout,
+            timeout=RUN_TIMEOUT_S,
             make_context=lambda comm: DRMSContext(comm, runtime),
         )
 

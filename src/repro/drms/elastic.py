@@ -31,7 +31,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.arrays.assignment import build_schedule, schedule_bytes
+from repro.arrays.assignment import array_assign, schedule_bytes
+from repro.arrays.darray import DistributedArray
 from repro.checkpoint.drms import RestoredState
 from repro.checkpoint.segment import DataSegment, ExecutionContext
 from repro.drms.app import AppRuntime, DRMSApplication, RunReport
@@ -159,10 +160,13 @@ class ElasticRunner:
         arrays = {}
         wire = 0
         for name, arr in mem["arrays"].items():
-            new_dist = arr.distribution.adjust(new_ntasks)
-            sched = build_schedule(arr.distribution, new_dist)
+            arrays[name] = out = DistributedArray(
+                arr.name, arr.shape, arr.dtype,
+                arr.distribution.adjust(new_ntasks), store_data=arr.store_data,
+            )
+            # the one cached schedule moves the data and counts the wire
+            sched = array_assign(out, arr)
             wire += schedule_bytes(sched, arr.itemsize, remote_only=True)
-            arrays[name] = arr.redistributed(new_dist)
         segment = DataSegment(
             profile=self.app.resolve_segment_profile(runtime),
             replicated=dict(mem["replicated"]),

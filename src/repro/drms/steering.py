@@ -22,10 +22,11 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.arrays.assignment import array_assign, build_schedule, schedule_bytes
+from repro.arrays.assignment import array_assign, schedule_bytes
 from repro.arrays.darray import DistributedArray
 from repro.arrays.slices import Slice
 from repro.errors import ArrayError, SteeringTimeoutError
+from repro.plancache.plans import transfer_schedule
 from repro.streaming.order import check_order
 from repro.streaming.serial import _strict_default
 from repro.streaming.vectorized import gather_section_flat, scatter_section_flat
@@ -184,5 +185,5 @@ def app_transfer(dst: DistributedArray, src: DistributedArray) -> int:
     if dst.store_data and src.store_data:
         sched = array_assign(dst, src)
     else:
-        sched = build_schedule(src.distribution, dst.distribution)
+        sched = transfer_schedule(src.distribution, dst.distribution)
     return schedule_bytes(sched, src.itemsize, remote_only=True)

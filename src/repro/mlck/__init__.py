@@ -54,7 +54,7 @@ from repro.mlck.localized import (
     localized_restore_drms,
     rereplicate_after_failure,
 )
-from repro.mlck.placement import replica_nodes, select_partners
+from repro.mlck.placement import select_partners
 from repro.mlck.recovery import select_tiered_restart_state
 from repro.mlck.store import (
     L1Generation,
@@ -79,7 +79,6 @@ __all__ = [
     "compute_rebuild_scope",
     "localized_restart",
     "localized_restore_drms",
-    "replica_nodes",
     "rereplicate_after_failure",
     "select_partners",
     "select_tiered_restart_state",

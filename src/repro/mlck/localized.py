@@ -43,8 +43,10 @@ from repro.checkpoint.drms import (
     restart_distribution,
     restore,
 )
-from repro.mlck.placement import _rotate_past
-from repro.mlck.store import L1ReplicaSource, L1Store, SwitchFetch, _Accounting
+from repro.mlck.placement import ranked_nodes
+from repro.mlck.store import (
+    L1Piece, L1ReplicaSource, L1Store, SwitchFetch, _Accounting,
+)
 from repro.obs import emit_event, get_tracer
 from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine
@@ -319,27 +321,12 @@ class ReplicationRepair:
     short: List[str] = field(default_factory=list)
 
 
-def _repair_candidates(
-    machine: Machine,
-    source: int,
-    exclude: Sequence[int],
-    avoid_domains: Sequence[int],
-) -> List[int]:
-    """New-replica candidates: up nodes, not already replicas, outside
-    the avoided domains (the replacement node's frame), preferring
-    nodes outside the source's own domain; same-domain nodes fill in
-    last so a degenerate cluster still re-replicates."""
-    excluded = set(exclude)
-    avoid = set(avoid_domains)
-    src_domain = machine.domain_of(source)
-    eligible = [
-        n
-        for n in machine.up_nodes()
-        if n not in excluded and machine.domain_of(n) not in avoid
-    ]
-    outside = [n for n in eligible if machine.domain_of(n) != src_domain]
-    inside = [n for n in eligible if machine.domain_of(n) == src_domain]
-    return _rotate_past(outside, source) + _rotate_past(inside, source)
+def _unlist(machine: Machine, piece: L1Piece, nodes: Sequence[int]) -> None:
+    """Take ``nodes`` off ``piece``'s replica list, and its key out of
+    their memory."""
+    for n in nodes:
+        piece.replicas.remove(n)
+        machine.node(n).memory.pop(piece.key, None)
 
 
 def rereplicate_after_failure(
@@ -368,31 +355,30 @@ def rereplicate_after_failure(
                 # incident's victims: nodes that died in earlier
                 # incidents (or were repaired empty) still linger
                 # in replica lists until a repair pass cleans them.
-                piece.replicas[:] = [
-                    n
-                    for n in piece.replicas
-                    if n not in failed and store._replica_live(piece, n)
-                ]
+                _unlist(machine, piece, [
+                    n for n in piece.replicas
+                    if n in failed or not store.replica_live(piece, n)
+                ])
                 if len(piece.replicas) > store.k:
                     continue
-                # a source that decayed is no replica: drop it, try the
+                # a source that decayed is no replica: unlist it, try the
                 # next (none left: validation rejects the generation)
                 data = None
                 while piece.replicas and data is None:
                     source = piece.replicas[0]
                     data = store._verified_bytes(piece, source)
                     if data is None:
-                        del piece.replicas[0]
+                        _unlist(machine, piece, [source])
                 if data is None:
                     continue
                 need = (store.k + 1) - len(piece.replicas)
-                candidates = _repair_candidates(
+                placed = ranked_nodes(
                     machine, source, piece.replicas, avoid_domains
-                )
-                if len(candidates) < need:
+                )[:need]
+                if len(placed) < need:
                     repair.short.append(piece.key)
-                for new in candidates[:need]:
-                    store._node_mem(new)[piece.key] = data
+                for new in placed:
+                    machine.node(new).memory[piece.key] = data
                     piece.replicas.append(new)
                     acct.send(source, new, piece.nbytes)
                     repair.copies += 1

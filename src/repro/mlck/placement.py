@@ -6,9 +6,10 @@ therefore pairs each piece's owner with ``k`` partner nodes drawn from
 **other** failure domains: a whole-frame failure (or any single node
 failure) still leaves at least one live copy of every piece.
 
-Selection is deterministic — sorted candidates rotated to start just
-past the owner — so capture, tests, and the verify oracle all agree on
-where every replica lives without recording placement decisions.
+Selection is one deterministic ranking (:func:`ranked_nodes`: sorted
+candidates rotated to start just past the owner), so capture, repair,
+tests, and the verify oracle all agree on where every replica lives
+without recording placement decisions.
 
 Degenerate clusters (one failure domain, or every other domain down)
 cannot satisfy domain disjointness.  Rather than refuse to checkpoint,
@@ -20,71 +21,57 @@ replicated, just without the cross-domain guarantee.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List
 
 from repro.runtime.machine import Machine
 
-__all__ = ["select_partners", "replica_nodes"]
+__all__ = ["ranked_nodes", "select_partners"]
 
 
-def _rotate_past(candidates: List[int], owner: int) -> List[int]:
-    """Sorted candidates, rotated so selection starts just past the
-    owner — spreads partner load instead of piling onto node 0."""
-    ordered = sorted(candidates)
-    return [n for n in ordered if n > owner] + [n for n in ordered if n <= owner]
+def ranked_nodes(
+    machine: Machine,
+    node: int,
+    exclude: Iterable[int] = (),
+    avoid_domains: Iterable[int] = (),
+) -> List[int]:
+    """Where copies of ``node``'s data go, best first: the up nodes
+    other than ``node`` that are neither excluded nor in an avoided
+    domain, those outside ``node``'s failure domain first and its
+    domain-mates after, each group in id order rotated to start just
+    past ``node`` (spreading partner load instead of piling onto node
+    0).  Capture (:func:`select_partners`) and repair
+    (:func:`~repro.mlck.localized.rereplicate_after_failure`) both take
+    a prefix of this one ranking."""
+    excluded, avoid = {node, *exclude}, set(avoid_domains)
+    domain = machine.domain_of(node)
+    eligible = [
+        n for n in machine.up_nodes()
+        if n not in excluded and machine.domain_of(n) not in avoid
+    ]
+    return sorted(
+        eligible, key=lambda n: (machine.domain_of(n) == domain, n <= node, n)
+    )
 
 
 def select_partners(
-    machine: Machine,
-    owner: int,
-    k: int = 1,
-    events=None,
+    machine: Machine, owner: int, k: int = 1, events=None
 ) -> List[int]:
-    """The ``k`` partner nodes replicating pieces owned by ``owner``.
-
-    Partners are up nodes outside the owner's failure domain, chosen
-    deterministically.  When fewer than ``k`` such nodes exist (single
-    domain, mass failure), any other up node fills in and a
-    ``mlck_partner_fallback`` event is emitted on ``events``; when the
-    owner is the only up node, the (possibly empty) partner list is
-    returned with the same warning — the caller keeps the sole copy.
+    """The ``k`` partner nodes replicating pieces owned by ``owner``:
+    the first ``k`` of :func:`ranked_nodes`.  When fewer than ``k`` of
+    them lie outside the owner's failure domain (single domain, mass
+    failure), a ``mlck_partner_fallback`` event is emitted on
+    ``events``; when the owner is the only up node, the (possibly
+    empty) partner list is returned with the same warning — the caller
+    keeps the sole copy.
     """
+    partners = ranked_nodes(machine, owner)[:k]
     domain = machine.domain_of(owner)
-    pool = _rotate_past(
-        [n for n in machine.up_nodes_outside_domain(domain) if n != owner], owner
-    )
-    partners = pool[:k]
-    if len(partners) < k:
-        same_domain = _rotate_past(
-            [
-                n
-                for n in machine.up_nodes()
-                if n != owner and n not in partners
-            ],
-            owner,
+    outside = sum(machine.domain_of(n) != domain for n in partners)
+    if outside < k and events is not None:
+        events.emit(
+            "mlck_partner_fallback", owner=owner, domain=domain,
+            partners=list(partners), wanted=k,
+            reason="no up node outside the owner's failure domain"
+            if machine.num_domains > 1 else "cluster has a single failure domain",
         )
-        partners = partners + same_domain[: k - len(partners)]
-        if events is not None:
-            events.emit(
-                "mlck_partner_fallback",
-                owner=owner,
-                domain=domain,
-                partners=list(partners),
-                wanted=k,
-                reason=(
-                    "no up node outside the owner's failure domain"
-                    if machine.num_domains > 1
-                    else "cluster has a single failure domain"
-                ),
-            )
     return partners
-
-
-def replica_nodes(
-    machine: Machine,
-    owner: int,
-    k: int = 1,
-    events=None,
-) -> List[int]:
-    """Owner-first replica set for one piece: ``[owner, *partners]``."""
-    return [owner, *select_partners(machine, owner, k=k, events=events)]

@@ -3,9 +3,13 @@
 An L1 generation is the one capture (:func:`~repro.checkpoint.drms.capture`)
 into an :class:`L1ReplicaSink`: the manifest it assembled — the one its
 drain commits — plus the bytes a PFS (L2) checkpoint stores, the
-segment header and each array's canonical stream, kept in simulated
-node memory as *pieces* replicated onto ``k`` partner nodes in other
-failure domains (:mod:`repro.mlck.placement`).  Capture
+segment header and each array's canonical stream, kept in the memory
+of the simulated nodes (:attr:`~repro.runtime.machine.Node.memory`) as
+*pieces* replicated onto ``k`` partner nodes in other failure domains
+(:mod:`repro.mlck.placement`).  A copy lives and dies with its node:
+a failed node's copies are unreachable, a repaired one comes back
+empty, and the store keeps only the index — each piece's replica
+list — of which keys it wrote where.  Capture
 therefore costs memory copies and switch transfers (hundreds of MB/s)
 instead of PFS writes (single-digit MB/s), and recovery from a single
 node failure is served entirely from surviving replicas: no PFS read
@@ -19,8 +23,9 @@ yields both.  A replica that decayed (or a node
 that died) is detected exactly like a torn PFS file.  Who hashes when
 (DESIGN.md §12): a byte is hashed once when it is captured and when it
 is handed to someone, never to answer a question about a replica.
-*Liveness* (:meth:`L1Store._replica_live`, O(1)) is all a replica-list
-scrub or a choice of charged servers needs; *verification* (the SHA-1)
+*Liveness* (:meth:`L1Store.replica_live`, O(1): node up, key present,
+length right) is all a replica-list scrub, a choice of charged servers
+or a health gauge needs; *verification* (the SHA-1)
 is done by the fetch (:meth:`L1Store._fetch`) on the replica it
 serves — once per byte delivered to a restore, the drain or a new
 replica — and by :meth:`L1Store.validate_generation`, the full audit
@@ -202,12 +207,6 @@ class L1Store:
         self.k = int(k)
         self.events = events
         self.target_bytes = int(target_bytes)
-        #: node id -> piece key -> bytes (simulated node memory)
-        self._mem: Dict[int, Dict[str, bytes]] = {}
-        #: node id -> machine incarnation the resident bytes belong to;
-        #: a repaired node is a fresh machine, so bytes stamped with an
-        #: older incarnation are stale and must never serve a fetch
-        self._mem_epoch: Dict[int, int] = {}
         self._gens: "OrderedDict[str, L1Generation]" = OrderedDict()
         self._lock = threading.RLock()
 
@@ -237,11 +236,21 @@ class L1Store:
         with self._lock:
             return prefix in self._gens
 
+    def _copies(self) -> Iterator[Tuple[L1Piece, int]]:
+        """Every ``(piece, node)`` this store's replica lists name — its
+        index into node memory.  Caller holds ``_lock``."""
+        for gen in self._gens.values():
+            for piece in gen.pieces():
+                for node in piece.replicas:
+                    yield piece, node
+
     def resident_bytes(self) -> int:
-        """Total bytes held across all node memories (replicas counted)."""
+        """Bytes this store's listed copies hold in node memory
+        (replicas counted)."""
         with self._lock:
             return sum(
-                sum(map(len, d.values())) for d in self._mem.values()
+                len(self.machine.node(node).memory.get(piece.key, b""))
+                for piece, node in self._copies()
             )
 
     def _update_resident_gauge(self) -> None:
@@ -257,18 +266,23 @@ class L1Store:
                 return
             for piece in gen.pieces():
                 for node in piece.replicas:
-                    self._mem.get(node, {}).pop(piece.key, None)
+                    self.machine.node(node).memory.pop(piece.key, None)
         self._update_resident_gauge()
 
     # -- node failure --------------------------------------------------------
 
     def drop_node(self, node_id: int) -> int:
-        """A node died: its memory — and every replica it held — is
-        gone.  Returns the number of piece copies lost; emits a
-        ``mlck_replicas_lost`` event when any were."""
+        """A node died: its memory — and every replica of this store it
+        held — is gone.  Returns the number of piece copies lost; emits
+        a ``mlck_replicas_lost`` event when any were.  The node stays
+        listed until a repair pass scrubs it."""
         with self._lock:
-            lost = len(self._mem.pop(node_id, {}))
-            self._mem_epoch.pop(node_id, None)
+            memory = self.machine.node(node_id).memory
+            lost = sum(
+                memory.pop(piece.key, None) is not None
+                for piece, node in self._copies()
+                if node == node_id
+            )
         if lost:
             emit_event(self.events, "mlck_replicas_lost", node=node_id, pieces=lost)
             get_flight().auto_blackbox(node_id, reason="l1 memory lost")
@@ -276,17 +290,14 @@ class L1Store:
         return lost
 
     def sync_with_machine(self) -> int:
-        """Drop the memory of every node the machine reports down, and
-        of every node whose incarnation advanced since its bytes were
-        stored (it failed and was repaired between syncs: the repaired
-        node is a new machine with empty memory, so the recorded bytes
-        would be stale resurrections)."""
-        lost = 0
-        for node in list(self._mem):
-            n = self.machine.node(node)
-            if not n.up or self._mem_epoch.get(node) != n.incarnation:
-                lost += self.drop_node(node)
-        return lost
+        """Drop every down node this store's pieces list (see
+        :meth:`drop_node`); returns the piece copies lost."""
+        with self._lock:
+            listed = dict.fromkeys(node for _, node in self._copies())
+        return sum(
+            self.drop_node(node) for node in listed
+            if not self.machine.node(node).up
+        )
 
     # -- capture -------------------------------------------------------------
 
@@ -311,38 +322,27 @@ class L1Store:
         bd = capture(sink, prefix, segment, arrays, order, app_name, ntasks)
         return self.gen(prefix), bd
 
-    def _node_mem(self, node_id: int) -> Dict[str, bytes]:
-        """The memory dict of ``node_id``, invalidating any bytes that
-        were stored against an earlier incarnation of the node (a fail +
-        repair cycle wipes real memory, so it must wipe ours).  Caller
-        holds ``_lock``."""
-        inc = self.machine.node(node_id).incarnation
-        if self._mem_epoch.get(node_id, inc) != inc:
-            self._mem[node_id] = {}
-        self._mem_epoch[node_id] = inc
-        return self._mem.setdefault(node_id, {})
-
     # -- liveness, verification and fetch -------------------------------------
 
-    def _replica_live(self, piece: L1Piece, node: int) -> bool:
-        """Liveness, O(1): ``node`` is up, on the incarnation its bytes
-        were stored under, and holds ``piece.nbytes`` bytes of it."""
-        if not (0 <= node < self.machine.num_nodes):
-            return False
+    def _live_bytes(self, piece: L1Piece, node: int):
+        """``node``'s bytes of ``piece`` when the copy is live, else
+        None: the node is up and holds ``piece.nbytes`` bytes under the
+        piece's key (a repair or a drop left none)."""
         n = self.machine.node(node)
-        if not n.up or self._mem_epoch.get(node) != n.incarnation:
-            return False
-        data = self._mem.get(node, {}).get(piece.key)
-        return data is not None and len(data) == piece.nbytes
+        data = n.memory.get(piece.key) if n.up else None
+        return data if data is not None and len(data) == piece.nbytes else None
+
+    def replica_live(self, piece: L1Piece, node: int) -> bool:
+        """Liveness, O(1) — the tier's one rule of which copies count:
+        node up, key present, length right."""
+        return self._live_bytes(piece, node) is not None
 
     def _verified_bytes(self, piece: L1Piece, node: int):
         """Verification: ``node``'s bytes of ``piece`` when live and
         hashing to the capture-time SHA-1, else None — the one gate
         replica bytes leave node memory through."""
-        if not self._replica_live(piece, node):
-            return None
-        data = self._mem[node][piece.key]
-        return data if _hashed(data) == piece.sha1 else None
+        data = self._live_bytes(piece, node)
+        return data if data is not None and _hashed(data) == piece.sha1 else None
 
     def _replica_valid(self, piece: L1Piece, node: int) -> bool:
         """True when ``node`` holds a live, checksum-valid replica of
@@ -496,7 +496,8 @@ class L1ReplicaSink:
     chunked into pieces placed round-robin over ``nodes`` (default:
     every up node) and replicated onto each owner's ``k`` partners,
     charged as memory copies and switch transfers — the segment and
-    every array one round; the commit registers the generation."""
+    every array one round; the commit writes every piece into its
+    replicas' memory and registers the generation that lists them."""
 
     kind = "mlck-l1"
     spans = ("l1_segment_capture", "l1_replicate")
@@ -511,6 +512,9 @@ class L1ReplicaSink:
             raise CheckpointError("no up nodes to hold the L1 checkpoint")
         self.store = store
         self.files: Dict[str, List[L1Piece]] = {}
+        #: each stored piece's bytes, written only by the commit, so a
+        #: capture that fails leaves no unlisted bytes in node memory
+        self._chunks: List[Tuple[L1Piece, memoryview]] = []
         self._partners: Dict[int, List[int]] = {}
         #: pieces placed so far: the round-robin position over ``nodes``
         self._placed = 0
@@ -542,9 +546,7 @@ class L1ReplicaSink:
             chunk = data[off : off + n]
             piece = L1Piece(f"{file}#{i:06d}", off, n, digest, [owner, *partners])
             if stored:
-                with store._lock:
-                    for node in piece.replicas:
-                        store._node_mem(node)[piece.key] = chunk
+                self._chunks.append((piece, chunk))
             nbytes = n + (extra if i == len(spans) - 1 else 0)
             acct.copy(owner, nbytes)
             for partner in partners:
@@ -581,7 +583,8 @@ class L1ReplicaSink:
         return seconds, nbytes, sha1, self.store.target_bytes, {"pieces": len(pieces)}
 
     def commit(self, manifest: Dict, bd: CheckpointBreakdown) -> None:
-        """Register the generation and publish the tier's accounting."""
+        """Write and register the generation; publish the tier's
+        accounting."""
         store = self.store
         m = get_tracer().metrics
         m.counter("mlck.l1.captures").inc()
@@ -591,6 +594,9 @@ class L1ReplicaSink:
             nbytes=bd.total_bytes, seconds=bd.total_seconds,
         )
         with store._lock:
+            for piece, chunk in self._chunks:
+                for node in piece.replicas:
+                    store.machine.node(node).memory[piece.key] = chunk
             store._gens[bd.prefix] = L1Generation(
                 bd.prefix, manifest, self.files, now()
             )
@@ -680,7 +686,7 @@ class L1ReplicaSource:
         # liveness first: a piece with no live replica costs no hashing
         with store._lock:
             for piece in gen.pieces():
-                if not any(store._replica_live(piece, n) for n in piece.replicas):
+                if not any(store.replica_live(piece, n) for n in piece.replicas):
                     raise MemoryTierError(
                         f"piece {piece.key!r}: no surviving valid replica "
                         f"(replicas {piece.replicas})"

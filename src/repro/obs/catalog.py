@@ -81,7 +81,7 @@ METRIC_FAMILIES: List[Tuple[str, str, str]] = [
     ),
     (
         "plancache",
-        rf"plancache\.(hit|miss|eviction|invalidation|saved_seconds|resident_bytes)"
+        rf"plancache\.(hit|miss|eviction|saved_seconds|resident_bytes)"
         rf"({_ENT})?",
         "plan-cache hit/miss/eviction accounting and resident plan bytes",
     ),

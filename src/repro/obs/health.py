@@ -23,8 +23,10 @@ the whole installation.
 Gauge catalog (all names under ``health.``; DESIGN.md §13):
 
 * ``health.nodes.up`` / ``health.nodes.down`` — machine liveness;
-* ``health.l1.replicas[<domain>]`` — valid replica copies resident in
-  each failure domain (the replica-coverage view);
+* ``health.l1.replicas[<domain>]`` — live replica copies in each
+  failure domain, by the store's own rule
+  (:meth:`~repro.mlck.store.L1Store.replica_live`; the
+  replica-coverage view);
 * ``health.l1.min_live_replicas`` — worst-case surviving copies over
   all pieces of the newest generation (0 means that state is lost);
 * ``health.l1.resident_bytes`` — memory-tier footprint;
@@ -83,8 +85,9 @@ class HealthRegistry:
     # -- the memory tier ------------------------------------------------------
 
     def sample_store(self, store) -> None:
-        """L1 replica coverage: copies per failure domain, worst-case
-        surviving replica depth of the newest generation, footprint,
+        """L1 replica coverage: live copies (the copies the store would
+        serve) per failure domain, worst-case surviving replica depth of
+        the newest generation, footprint,
         and checkpoint cadence from capture times up to ``now()``."""
         machine = store.machine
         domain_copies: Dict[int, int] = {
@@ -94,15 +97,10 @@ class HealthRegistry:
         min_live: Optional[int] = None
         if newest is not None:
             for piece in store.gen(newest).pieces():
-                live = 0
-                for node in piece.replicas:
-                    if not (0 <= node < machine.num_nodes):
-                        continue
-                    if not machine.node(node).up:
-                        continue
-                    live += 1
+                live = [n for n in piece.replicas if store.replica_live(piece, n)]
+                for node in live:
                     domain_copies[machine.domain_of(node)] += 1
-                min_live = live if min_live is None else min(min_live, live)
+                min_live = len(live) if min_live is None else min(min_live, len(live))
         for domain, copies in sorted(domain_copies.items()):
             self.metrics.gauge(f"health.l1.replicas[{domain}]").set(copies)
         self.metrics.gauge("health.l1.min_live_replicas").set(

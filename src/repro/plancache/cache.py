@@ -22,10 +22,9 @@ Keying discipline (see DESIGN.md §11):
 * slices and scalars enter keys directly (:class:`~repro.arrays.slices.
   Slice` is immutable and hashable).
 
-Eviction is LRU with a bounded entry count; entries touching a
-distribution can also be dropped explicitly with
-:meth:`PlanCache.invalidate_distribution` (for callers that discard a
-distribution and want its plans gone now rather than aged out).
+Eviction is LRU with a bounded entry count.  Nothing is ever
+invalidated: keys are structural, so a changed geometry never meets a
+stale entry, and an unused one ages out.
 
 Every lookup feeds the active :mod:`repro.obs` metrics registry:
 ``plancache.hit`` / ``plancache.miss`` / ``plancache.eviction``
@@ -75,30 +74,22 @@ class PlanCache:
         if maxsize < 1:
             raise ValueError(f"plan cache needs maxsize >= 1, got {maxsize}")
         self.maxsize = int(maxsize)
-        #: key -> (value, compute_seconds, distribution fingerprints)
-        self._entries: "OrderedDict[tuple, Tuple[object, float, Tuple[str, ...]]]" = (
-            OrderedDict()
-        )
+        #: key -> (value, compute_seconds)
+        self._entries: "OrderedDict[tuple, Tuple[object, float]]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.invalidations = 0
         #: wall seconds of original computations credited back on hits
         self.saved_seconds = 0.0
 
     # -- core --------------------------------------------------------------
 
     def get_or_compute(
-        self,
-        kind: str,
-        key: tuple,
-        compute: Callable[[], object],
-        dist_fingerprints: Tuple[str, ...] = (),
+        self, kind: str, key: tuple, compute: Callable[[], object]
     ) -> object:
         """The memoized value for ``(kind, *key)``, computing (and
-        timing) it on a miss.  ``dist_fingerprints`` tags the entry for
-        :meth:`invalidate_distribution`."""
+        timing) it on a miss."""
         full_key = (kind,) + key
         with self._lock:
             entry = self._entries.get(full_key)
@@ -121,7 +112,7 @@ class PlanCache:
         evicted = 0
         with self._lock:
             self.misses += 1
-            self._entries[full_key] = (value, cost, tuple(dist_fingerprints))
+            self._entries[full_key] = (value, cost)
             self._entries.move_to_end(full_key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
@@ -135,29 +126,6 @@ class PlanCache:
         if evicted:
             m.counter("plancache.eviction").inc(evicted)
         return value
-
-    # -- invalidation ------------------------------------------------------
-
-    def invalidate_distribution(self, dist) -> int:
-        """Drop every entry whose key involves ``dist``'s geometry;
-        returns the number of entries removed.  Keys are structural, so
-        a *changed* distribution never matches a stale entry anyway —
-        this is for callers that retire a distribution and want its
-        plans released immediately."""
-        fp = dist.fingerprint()
-        with self._lock:
-            doomed = [
-                k for k, (_, _, tags) in self._entries.items() if fp in tags
-            ]
-            for k in doomed:
-                del self._entries[k]
-            self.invalidations += len(doomed)
-            resident = self._resident_bytes()
-        if doomed:
-            m = get_tracer().metrics
-            m.counter("plancache.invalidation").inc(len(doomed))
-            m.gauge("plancache.resident_bytes").set(resident)
-        return len(doomed)
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
@@ -191,7 +159,6 @@ class PlanCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "invalidations": self.invalidations,
                 "hit_rate": self.hit_rate,
                 "saved_seconds": self.saved_seconds,
                 "resident_bytes": self._resident_bytes(),
@@ -214,7 +181,7 @@ class NullPlanCache(PlanCache):
         super().__init__()
         self.maxsize = 0
 
-    def get_or_compute(self, kind, key, compute, dist_fingerprints=()):
+    def get_or_compute(self, kind, key, compute):
         self.misses += 1
         return compute()
 

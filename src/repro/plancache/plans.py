@@ -50,12 +50,10 @@ def transfer_schedule(src: Distribution, dst: Distribution) -> List:
     # plancache (the cache layer sits above the pure layer)
     from repro.arrays.assignment import build_schedule
 
-    sf, df = src.fingerprint(), dst.fingerprint()
     sched = get_plan_cache().get_or_compute(
         "schedule",
-        (sf, df),
+        (src.fingerprint(), dst.fingerprint()),
         lambda: tuple(build_schedule(src, dst)),
-        dist_fingerprints=(sf, df),
     )
     return list(sched)
 
@@ -70,19 +68,16 @@ def section_index_plan(
     build_section_index_plan` — the per-task strided boxes (with a
     position list per irregular axis) of a bulk gather (kind
     ``"assigned"``) or scatter (kind ``"mapped"``).  The distribution
-    enters the key only via its fingerprint, so the entry is dropped by
-    :meth:`PlanCache.invalidate_distribution`.  The plan's position
-    lists are **read-only** (shared by every caller of the same key)."""
+    enters the key only via its fingerprint.  The plan's position lists
+    are **read-only** (shared by every caller of the same key)."""
     # local import: the pure kernel module must stay importable without
     # plancache (the cache layer sits above the pure layer)
     from repro.streaming.vectorized import build_section_index_plan
 
-    fp = dist.fingerprint()
     return get_plan_cache().get_or_compute(
         "indexplan",
-        (fp, section, check_order(order), str(kind)),
+        (dist.fingerprint(), section, check_order(order), str(kind)),
         lambda: build_section_index_plan(dist, section, order=order, kind=kind),
-        dist_fingerprints=(fp,),
     )
 
 
@@ -123,8 +118,6 @@ def parstream_schedule(
     lookup builds and hashes no :class:`Slice`."""
     from repro.streaming.parallel import build_parstream_schedule
 
-    fp = dist.fingerprint()
-
     def compute():
         sec = section or Slice.full(dist.shape)
         return build_parstream_schedule(
@@ -132,6 +125,7 @@ def parstream_schedule(
         )
 
     return get_plan_cache().get_or_compute(
-        "parstream", (fp, section, itemsize, target_bytes, P, order), compute,
-        dist_fingerprints=(fp,),
+        "parstream",
+        (dist.fingerprint(), section, itemsize, target_bytes, P, order),
+        compute,
     )

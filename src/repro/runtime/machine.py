@@ -61,10 +61,10 @@ class Node:
     up: bool = True
     #: task ranks currently placed on this node
     tasks: List[int] = field(default_factory=list)
-    #: bumped on every repair: a repaired node is a *new* machine whose
-    #: memory is empty, so volatile tiers must not trust state recorded
-    #: against an earlier incarnation (see L1Store)
-    incarnation: int = 0
+    #: the node's volatile memory: L1 replica key -> bytes.  It lives
+    #: and dies with the node: unreachable while the node is down,
+    #: empty again after a repair (see L1Store)
+    memory: Dict[str, bytes] = field(default_factory=dict)
 
     @property
     def busy(self) -> bool:
@@ -116,15 +116,6 @@ class Machine:
         """Ids of all nodes in ``domain`` (up or down)."""
         return [
             n.node_id for n in self.nodes if self.domain_of(n.node_id) == domain
-        ]
-
-    def up_nodes_outside_domain(self, domain: int) -> List[int]:
-        """Up nodes whose failure domain differs from ``domain`` — the
-        candidate pool for partner-replica placement."""
-        return [
-            n.node_id
-            for n in self.nodes
-            if n.up and self.domain_of(n.node_id) != domain
         ]
 
     # -- placement ----------------------------------------------------------
@@ -181,12 +172,11 @@ class Machine:
         self.node(node_id).up = False
 
     def repair_node(self, node_id: int) -> None:
-        """Bring a failed node back up under a new incarnation — its
-        memory was wiped, so anything stored under the old epoch is
-        stale (the L1 store refuses it; see DESIGN.md section 14)."""
+        """Bring a failed node back up with empty memory: what it held
+        before it failed is gone (DESIGN.md section 14)."""
         node = self.node(node_id)
         if not node.up:
-            node.incarnation += 1
+            node.memory.clear()
         node.up = True
 
     def __repr__(self) -> str:

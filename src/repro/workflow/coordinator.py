@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.checkpoint.recover import OpenedGeneration, first_rejections
 from repro.checkpoint.rotation import generation_name
-from repro.drms.app import DRMSApplication, RunReport
+from repro.drms.app import RUN_TIMEOUT_S, DRMSApplication, RunReport
 from repro.drms.steering import app_transfer
 from repro.errors import ArrayError, ReconfigurationError, WorkflowError
 from repro.obs import emit_event, get_tracer
@@ -382,10 +382,7 @@ class WorkflowCoordinator:
 
         # one member thread each, the caller sees a crashed member's own
         # error; members in add_member order, not in the order they finished
-        reports = SCHED.run(
-            names, runner,
-            timeout=max(app.run_timeout for app, _, _ in self._members.values()),
-        )
+        reports = SCHED.run(names, runner, timeout=RUN_TIMEOUT_S)
         return WorkflowRunReport(
             members=dict(zip(names, reports)), lines=self.lines[first_line:],
         )

@@ -247,9 +247,10 @@ def _decay(store, piece, nodes):
     """Flip one bit of the replicas of ``piece`` on ``nodes`` (the
     replicas stay live: only a hash can tell)."""
     for node in nodes:
-        bad = bytearray(store._mem[node][piece.key])
+        memory = store.machine.node(node).memory
+        bad = bytearray(memory[piece.key])
         bad[len(bad) // 2] ^= 0x40
-        store._mem[node][piece.key] = bytes(bad)
+        memory[piece.key] = bytes(bad)
 
 
 def _decay_case(shape):

@@ -37,15 +37,6 @@ def test_domain_of_bounds_checked():
         m.domain_of(4)
 
 
-def test_up_nodes_outside_domain_excludes_down_nodes():
-    m = Machine(MachineParams(num_nodes=8, failure_domains=4))
-    assert m.up_nodes_outside_domain(0) == [2, 3, 4, 5, 6, 7]
-    m.fail_node(2)
-    assert m.up_nodes_outside_domain(0) == [3, 4, 5, 6, 7]
-    # a node's own domain-mates are never candidates, up or not
-    assert 1 not in m.up_nodes_outside_domain(0)
-
-
 def test_cluster_exposes_domain_queries():
     cluster = DRMSCluster(machine=Machine(MachineParams(num_nodes=8)))
     assert cluster.failure_domain_of(5) == cluster.machine.domain_of(5)

@@ -1,6 +1,6 @@
 """Replica decay: resident bytes that silently changed on a live node.
 
-Node loss and incarnation bumps are *liveness* faults; decay is the
+Node loss and repair are *liveness* faults; decay is the
 fault only a hash can see.  The memory tier hashes a byte when it is
 handed to someone — a restore, the drain, a new replica — so a decayed
 replica must be caught exactly there: one bad copy is served by its
@@ -40,10 +40,11 @@ def _decay(store, piece, node):
     """Flip one bit of ``node``'s replica of ``piece`` in place of the
     stored bytes (same key, same length: the replica stays *live*).
     Returns the original bytes."""
-    good = store._mem[node][piece.key]
+    memory = store.machine.node(node).memory
+    good = memory[piece.key]
     bad = bytearray(good)
     bad[len(bad) // 2] ^= 0x40
-    store._mem[node][piece.key] = bytes(bad)
+    memory[piece.key] = bytes(bad)
     return good
 
 
@@ -106,7 +107,7 @@ def test_one_decayed_replica_is_served_by_its_partner(captured):
     machine, store, twin, twin_pfs = captured
     piece = _array_piece(store, PREFIX, 0)
     _decay(store, piece, piece.owner)
-    assert store._replica_live(piece, piece.owner)
+    assert store.replica_live(piece, piece.owner)
     assert not store._replica_valid(piece, piece.owner)
     assert store.validate_generation(PREFIX).ok  # the partner still serves
 
@@ -211,7 +212,7 @@ def test_drain_of_a_decayed_generation_fails_and_stays_retryable(durable):
 
     # one replica comes good again (say, rewritten by its owner): the
     # failed generation is still there to drain
-    store._mem[piece.owner][piece.key] = good[piece.owner]
+    store.machine.node(piece.owner).memory[piece.key] = good[piece.owner]
     ck.drainer.schedule(second)
     ck.wait_for_drains()
     assert store.gen(second).drain_state == DrainState.DURABLE

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import CheckpointError
 from repro.infra.events import EventLog
-from repro.mlck.placement import replica_nodes, select_partners
+from repro.mlck.placement import ranked_nodes, select_partners
 from repro.runtime.clock import SimClock, use_clock
 from repro.runtime.machine import Machine, MachineParams
 
@@ -29,12 +29,15 @@ def test_selection_is_deterministic_and_spreads():
     assert len(partners) > 1
 
 
-def test_replica_nodes_lead_with_owner():
+def test_one_ranking_orders_other_domains_first_then_domain_mates():
+    """Capture and repair take prefixes of one ranking: other-domain
+    nodes, then the node's domain-mates, each rotated past the node."""
     m = Machine(MachineParams(num_nodes=8, failure_domains=4))
-    nodes = replica_nodes(m, 5, k=1)
-    assert nodes[0] == 5
-    assert len(nodes) == 2
-    assert len(set(nodes)) == 2
+    assert ranked_nodes(m, 3) == [4, 5, 6, 7, 0, 1, 2]
+    assert ranked_nodes(m, 3, exclude=[5], avoid_domains=[3]) == [4, 0, 1, 2]
+    m.fail_node(4)
+    assert ranked_nodes(m, 3, exclude=[5], avoid_domains=[3]) == [0, 1, 2]
+    assert select_partners(m, 3, k=2) == ranked_nodes(m, 3)[:2] == [5, 6]
 
 
 def test_down_nodes_are_never_picked():

@@ -122,25 +122,24 @@ def test_fail_repair_cycle_does_not_resurrect_stale_replicas(
     store, machine, workload
 ):
     """Reproducer: a node fails and is repaired before any recovery
-    pass scrubbed it.  Real memory was wiped by the repair, so the
-    bytes recorded under the old incarnation are stale — they must
-    never serve a fetch, and a machine sync must drop them."""
+    pass scrubbed it.  The repair brought it back with empty memory, so
+    the copies it held are gone — they must never serve a fetch."""
     seg, arrays = workload(ntasks=2, iteration=4)
     refs = {a.name: a.to_global(fill=0) for a in arrays}
     gen, _ = store.capture_drms("ck.000001", seg, arrays)
     piece = gen.files[gen.manifest["segment_file"]][0]
     owner = piece.owner
     machine.fail_node(owner)
-    machine.repair_node(owner)  # up again, one incarnation later
+    machine.repair_node(owner)  # up again, its memory empty
     assert owner in piece.replicas  # the entry still lingers...
     assert store._serve(piece)[0] != owner  # ...but never serves
     assert store.validate_generation("ck.000001").ok  # partner carries it
     state, _ = store.restore_drms("ck.000001", ntasks=2)
     for name, got in _globals(state).items():
         np.testing.assert_array_equal(got, refs[name])
-    # the sync recognizes the incarnation bump and drops the stale bytes
-    assert store.sync_with_machine() > 0
-    assert store._mem.get(owner, {}) == {}
+    # the repaired node holds none of the generation's keys
+    memory = machine.node(owner).memory
+    assert not any(p.key in memory for p in gen.pieces())
 
 
 @pytest.mark.localized
@@ -149,8 +148,8 @@ def test_replacement_capture_after_drop_does_not_revive_old_entries(
 ):
     """drop_node followed by immediately re-registering the repaired
     node as a capture target must not resurrect the dropped
-    generation's replica entries: the fresh capture is valid on the new
-    incarnation, the old generation still refuses the node."""
+    generation's replica entries: the fresh capture is valid on the
+    repaired node, the old generation still refuses it."""
     seg, arrays = workload(ntasks=2, iteration=1)
     refs = {a.name: a.to_global(fill=0) for a in arrays}
     gen, _ = store.capture_drms("ck.000001", seg, arrays)

@@ -53,24 +53,6 @@ class TestPlanCacheCore:
         # key 3 survived both evictions (it was never LRU)
         assert cache.get_or_compute("k", (3,), lambda: 0) == 3
 
-    def test_invalidate_distribution(self):
-        cache = PlanCache()
-        d1 = block_distribution((8, 8), 2)
-        d2 = block_distribution((8, 8), 4)
-        with use_plan_cache(cache):
-            transfer_schedule(d1, d2)
-            transfer_schedule(d2, d2)
-            streaming_plan(Slice.full((8, 8)), 8)
-        assert len(cache) == 3
-        dropped = cache.invalidate_distribution(d1)
-        assert dropped == 1
-        assert len(cache) == 2
-        assert cache.invalidations == 1
-        # untagged entries (pure slice keys) survive
-        with use_plan_cache(cache):
-            streaming_plan(Slice.full((8, 8)), 8)
-        assert cache.hits == 1
-
     def test_stats_snapshot(self):
         cache = PlanCache()
         cache.get_or_compute("k", (1,), lambda: 1)
@@ -217,9 +199,6 @@ class TestResidentBytes:
             # plans without an ``nbytes`` count 0; ndarrays count theirs
             streaming_plan(section, 8)
             assert cache.stats()["resident_bytes"] == box_bytes + plan.nbytes
-            assert cache.invalidate_distribution(indexed) == 1
-            assert cache.stats()["resident_bytes"] == box_bytes
-            assert tracer.metrics.flat()["plancache.resident_bytes"] == box_bytes
             cache.clear()
             assert cache.stats()["resident_bytes"] == 0
 
@@ -247,11 +226,9 @@ class TestNullCacheIntrospection:
             "hits": 0,
             "misses": 2,
             "evictions": 0,
-            "invalidations": 0,
             "hit_rate": 0.0,
             "saved_seconds": 0.0,
             "resident_bytes": 0,
         }
-        assert null.invalidate_distribution(block_distribution((8, 8), 2)) == 0
         null.clear()
         assert len(null) == 0

@@ -34,9 +34,9 @@ def lookups(monkeypatch):
     seen = []
     real = PlanCache.get_or_compute
 
-    def spy(self, kind, key, compute, dist_fingerprints=()):
+    def spy(self, kind, key, compute):
         seen.append((kind, key[-1] if kind == "indexplan" else None))
-        return real(self, kind, key, compute, dist_fingerprints)
+        return real(self, kind, key, compute)
 
     monkeypatch.setattr(PlanCache, "get_or_compute", spy)
     return seen
@@ -103,15 +103,3 @@ def test_a_warm_stream_in_is_one_lookup_and_its_scatter(lookups, accounting):
     assert lookups == [("parstream", None), ("indexplan", "mapped")]
     assert accounting == []
 
-
-def test_invalidate_distribution_drops_the_schedule(lookups):
-    a = _array(4)
-    cache = PlanCache()
-    _out(cache, a)
-    # the schedule and the index plan it holds; the untagged
-    # (pieces, offsets) entry stays
-    assert cache.invalidate_distribution(a.distribution) == 2
-    hits, misses = cache.hits, cache.misses
-    _out(cache, a)
-    assert (cache.hits - hits, cache.misses - misses) == (1, 2)
-    assert len(cache) == 3

@@ -160,11 +160,11 @@ def test_an_l1_restore_reuses_the_pfs_restore_plan(monkeypatch, order):
     misses = []
     real = PlanCache.get_or_compute
 
-    def spy(self, kind, key, compute, dist_fingerprints=()):
+    def spy(self, kind, key, compute):
         def counted():
             misses.append(kind)
             return compute()
-        return real(self, kind, key, counted, dist_fingerprints)
+        return real(self, kind, key, counted)
 
     monkeypatch.setattr(PlanCache, "get_or_compute", spy)
     with use_plan_cache(PlanCache()):
