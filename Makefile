@@ -2,7 +2,7 @@ PYTHON ?= python
 # every target runs the package from this checkout's src/
 export PYTHONPATH := src
 
-.PHONY: install test verify-gates verify-determinism verify-checkpoints verify-mlck verify-localized verify-policy verify-workflow verify-reconfig verify-reconfig-deep bench bench-baseline bench-obs bench-localized bench-workflow bench-fleet bench-artifacts bench-e2e bench-e2e-quick bench-e2e-compare report trace obs-report forensics-demo examples all clean
+.PHONY: install test verify-gates verify-determinism verify-checkpoints verify-mlck verify-localized verify-workflow verify-reconfig verify-reconfig-deep bench bench-baseline bench-obs bench-localized bench-workflow bench-fleet bench-artifacts bench-e2e bench-e2e-quick bench-e2e-compare report trace obs-report forensics-demo examples all clean
 
 # fixed seed so the gate is fully deterministic; DEEP_SEED rotates daily
 VERIFY_SEED ?= 20260806
@@ -38,12 +38,7 @@ verify-determinism:
 	$(PYTHON) -m pytest tests/integration/determinism_gates.py
 
 verify-checkpoints:
-	$(PYTHON) -m pytest -m "crash_consistency or mlck or flight or localized or policy or workflow" tests/
-
-# the cadence-policy gate: the rule/engine unit suite plus the
-# context-integration scenarios (policy-marked tests)
-verify-policy:
-	$(PYTHON) -m pytest -m policy tests/
+	$(PYTHON) -m pytest -m "crash_consistency or mlck or flight or localized or workflow" tests/
 
 # the multi-level store gate: the canonical node-loss and
 # mid-drain-crash schedules, a seeded batch of random memory+pfs fault

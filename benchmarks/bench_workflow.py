@@ -58,7 +58,7 @@ def _member_main(ctx, workflow):
     inbox = drms_distribute(ctx, "inbox", dist, init_global=np.zeros((N, N)))
     for it in ctx.iterations(1, NITER + 1):
         if workflow:
-            status, delta = ctx.workflow_exchange(final=(it == NITER))
+            status, delta = ctx.workflow_exchange()
         else:
             status, delta = drms_reconfig_checkpoint(ctx, "solo.ck")
         if status is CheckpointStatus.RESTARTED and delta != 0:

@@ -171,18 +171,12 @@ class NPBProxy:
         prefix: str,
         checkpoint_every: int = 10,
         enable_mode: bool = False,
-        policy=None,
     ) -> float:
-        """Run ``niter`` solver iterations with the checkpoint cadence
-        decided by a :class:`~repro.policy.engine.CheckpointPolicy`:
-        ``policy`` if given, else the application's attached policy,
-        else the Fig. 1 fixed cadence built from ``checkpoint_every``
-        (iterations 1, 1+every, ... — the old hardcoded ``it % every ==
-        1`` test never fired for ``every=1``).  ``enable_mode`` uses
-        the enabling (system-initiated) checkpoint variant, so the
-        JSA's signal still gates the write at policy-chosen SOPs."""
-        from repro.policy import CheckpointPolicy
-
+        """Run ``niter`` solver iterations with the Fig. 1 cadence:
+        checkpoint at iterations 1, 1 + every, ... (see
+        :meth:`~repro.drms.context.DRMSContext.checkpoint_due`).
+        ``enable_mode`` uses the enabling (system-initiated) checkpoint
+        variant, so the JSA's signal gates the write at those SOPs."""
         ctx.initialize()
         views: Dict[str, TaskArrayView] = {}
         for f in self.fields:
@@ -200,16 +194,13 @@ class NPBProxy:
         ctx.set_replicated("dt", self.dt)
         ctx.set_replicated("niter", niter)
         ctx.set_control("checkpoint_every", checkpoint_every)
-        pol = policy if policy is not None else ctx.policy
-        if pol is None:
-            pol = CheckpointPolicy.every_iterations(checkpoint_every)
 
         for it in ctx.iterations(1, niter + 1):
-            if pol.rules or pol.throttles:
-                status, delta = ctx.policy_checkpoint(
-                    prefix, policy=pol, final=(it == niter),
-                    enable_mode=enable_mode,
-                )
+            if ctx.checkpoint_due(checkpoint_every):
+                if enable_mode:
+                    status, delta = ctx.reconfig_chkenable(prefix)
+                else:
+                    status, delta = ctx.reconfig_checkpoint(prefix)
                 if status is CheckpointStatus.RESTARTED and delta != 0:
                     for f in self.fields:
                         views[f.name] = ctx.distribute(f.name, ctx.adjust(f.name))

@@ -30,15 +30,11 @@ class StencilApp:
         weight: float = 0.4,
         checkpoint_every: int = 5,
         field: str = "grid",
-        policy=None,
     ):
         self.shape = tuple(int(s) for s in shape)
         self.weight = float(weight)
         self.checkpoint_every = int(checkpoint_every)
         self.field = field
-        #: explicit cadence policy; None derives the Fig. 1 fixed
-        #: cadence from ``checkpoint_every``
-        self.policy = policy
 
     def initial(self, shape) -> np.ndarray:
         """Initial condition: a hot corner relaxing into a cold domain."""
@@ -57,16 +53,9 @@ class StencilApp:
         g = ctx.distribute(
             self.field, dist, dtype=np.float64, init_global=self.initial
         )
-        from repro.policy import CheckpointPolicy
-
-        pol = self.policy if self.policy is not None else ctx.policy
-        if pol is None:
-            pol = CheckpointPolicy.every_iterations(self.checkpoint_every)
         for it in ctx.iterations(1, niter + 1):
-            if pol.rules or pol.throttles:
-                status, delta = ctx.policy_checkpoint(
-                    prefix, policy=pol, final=(it == niter)
-                )
+            if ctx.checkpoint_due(self.checkpoint_every):
+                status, delta = ctx.reconfig_checkpoint(prefix)
                 if status is CheckpointStatus.RESTARTED and delta != 0:
                     g = ctx.distribute(self.field, ctx.adjust(self.field))
             ctx.update_shadows(self.field)

@@ -35,7 +35,6 @@ from repro.drms.api import (
     drms_adjust,
     drms_reconfig_checkpoint,
     drms_reconfig_chkenable,
-    drms_policy_checkpoint,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "drms_adjust",
     "drms_reconfig_checkpoint",
     "drms_reconfig_chkenable",
-    "drms_policy_checkpoint",
 ]

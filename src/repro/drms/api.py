@@ -27,7 +27,6 @@ __all__ = [
     "drms_adjust",
     "drms_reconfig_checkpoint",
     "drms_reconfig_chkenable",
-    "drms_policy_checkpoint",
 ]
 
 
@@ -83,17 +82,3 @@ def drms_reconfig_chkenable(ctx: DRMSContext, prefix: str):
     :meth:`~repro.drms.app.DRMSApplication.enable_checkpoint`)."""
     return ctx.reconfig_chkenable(prefix)
 
-
-def drms_policy_checkpoint(
-    ctx: DRMSContext,
-    prefix: str,
-    policy=None,
-    final: bool = False,
-    enable_mode: bool = False,
-):
-    """Cadence decision point: the attached
-    :class:`~repro.policy.engine.CheckpointPolicy` decides whether this
-    SOP checkpoints.  Returns ``(status, delta)``."""
-    return ctx.policy_checkpoint(
-        prefix, policy=policy, final=final, enable_mode=enable_mode
-    )

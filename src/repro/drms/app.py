@@ -68,10 +68,6 @@ class AppRuntime:
             dict(restored.segment.context.control) if restored else {}
         )
         self.checkpoints: List[Tuple[str, CheckpointBreakdown]] = []
-        #: the application's cadence policy and this run's private rule
-        #: state (fresh per run, so a restart re-anchors every schedule)
-        self.policy = app.policy
-        self.policy_state: Dict[str, Any] = {}
         self._restored_pool: Dict[str, Any] = dict(restored.arrays) if restored else {}
         self._coll_result: Any = None
         #: volatile state captured at a reconfiguration point (see
@@ -193,7 +189,6 @@ class DRMSApplication:
         mlck_k: int = 1,
         mlck_keep: int = 2,
         mlck_drain: str = "async",
-        policy: Optional[Any] = None,
     ):
         if tier not in ("pfs", "memory+pfs"):
             raise ReconfigurationError(
@@ -224,10 +219,6 @@ class DRMSApplication:
         #: "sync": each memory-tier checkpoint waits for its drain
         #: (the generation is durable when the SOP returns)
         self.mlck_drain = mlck_drain
-        #: checkpoint-cadence policy driving ``ctx.policy_checkpoint``
-        #: (a :class:`~repro.policy.engine.CheckpointPolicy`, or None
-        #: when the application decides its own cadence)
-        self.policy = policy
         #: one MultiLevelCheckpointer per checkpoint base prefix
         self._mlck: Dict[str, Any] = {}
         #: optional cluster EventLog (wired by DRMSCluster.build_app) —

@@ -350,12 +350,6 @@ class DRMSContext:
 
     # -- checkpointing --------------------------------------------------------------
 
-    @property
-    def policy(self):
-        """The checkpoint-cadence policy attached to this run's
-        application (``DRMSApplication(policy=...)``), or None."""
-        return self.runtime.policy
-
     def _cross_sop(self, **tags: Any) -> None:
         """Count one SOP crossing: the quiesce anchor of localized
         recovery, and a ``sop_crossed`` record (``tags`` appended to its
@@ -400,61 +394,23 @@ class DRMSContext:
 
     def _skip_sop(self) -> tuple:
         """Cross a SOP without checkpointing (the disabled branch of an
-        enabling or policy-driven checkpoint): the SOP still counts as
-        a quiesce anchor and a flight-recorder crossing."""
+        enabling checkpoint): the SOP still counts as a quiesce anchor
+        and a flight-recorder crossing."""
         self._cross_sop(skipped=True)
         return (CheckpointStatus.SKIPPED, 0)
 
-    def policy_checkpoint(
-        self,
-        prefix: str,
-        policy=None,
-        final: bool = False,
-        enable_mode: bool = False,
-    ) -> tuple:
-        """``drms_policy_checkpoint``: a cadence decision point.  The
-        attached :class:`~repro.policy.engine.CheckpointPolicy` (or the
-        explicit ``policy``) decides whether this SOP checkpoints;
-        applications call it every iteration instead of hardcoding an
-        ``it % every`` test.
-
-        Collective.  The decision is made once (on rank 0, against the
-        run's shared policy state) so every task agrees.  Semantics
-        match the API calls it wraps: the first call after a restart
-        reports ``(RESTARTED, delta)`` without consulting the policy; a
-        positive decision runs ``reconfig_checkpoint`` (or
-        ``reconfig_chkenable`` when ``enable_mode`` — the JSA's
-        enabling signal still gates the write); a negative decision
-        crosses the SOP and returns ``(SKIPPED, 0)``.  ``final`` marks
-        the run's last SOP for ``at_end`` rules.  Observed checkpoint
-        costs are fed back to adaptive rules."""
-        rt = self.runtime
-        pol = policy if policy is not None else rt.policy
-        if pol is None:
-            raise CheckpointError(
-                "policy_checkpoint needs a cadence policy: pass policy= "
-                "or construct DRMSApplication(policy=...)"
-            )
+    def checkpoint_due(self, every: int) -> bool:
+        """The Fig. 1 cadence test at this SOP: true at iterations 1,
+        1 + every, 1 + 2 * every, ... (``every = 1`` is every iteration;
+        a literal ``it % every == 1`` never fires then), never for
+        ``every = 0``, and always at the first SOP of a restarted run,
+        which must report ``RESTARTED`` whether or not the restored
+        iteration lies on this run's cadence."""
+        if every < 0:
+            raise ValueError(f"negative checkpoint interval {every}")
         if self._restart_pending:
-            return self.reconfig_checkpoint(prefix)
-        from repro.policy.rules import Observation
-
-        obs = Observation(
-            iteration=self._iteration,
-            sim_time=self.comm.clock.now,
-            final=final,
-            health=rt.app.health,
-        )
-        decision = self._collective(lambda: pol.decide(obs, rt.policy_state))
-        if not decision.fire:
-            return self._skip_sop()
-        if enable_mode:
-            return self.reconfig_chkenable(prefix)
-        status, delta = self.reconfig_checkpoint(prefix)
-        if status is CheckpointStatus.TAKEN and rt.checkpoints:
-            cost = rt.checkpoints[-1][1].total_seconds
-            self._collective(lambda: pol.observe_cost(rt.policy_state, cost))
-        return (status, delta)
+            return True
+        return every > 0 and (self._iteration - 1) % every == 0
 
     def reconfig_checkpoint(self, prefix: str) -> tuple:
         """``drms_reconfig_checkpoint``: mandatory checkpoint at this
@@ -475,19 +431,16 @@ class DRMSContext:
         *and* aligned across every member of the owning
         :class:`~repro.workflow.coordinator.WorkflowCoordinator`: all
         members quiesce at the boundary, the coordinator services
-        steering queues and coupling transfers and makes one ensemble
-        cadence decision, and a positive decision checkpoints every
-        member as one workflow generation (the manifest commits only
-        after all member states landed).
+        steering queues and coupling transfers, and every member
+        checkpoints as one workflow generation (the manifest commits
+        only after all member states landed).
 
         Returns ``(status, delta)`` with ``reconfig_checkpoint``
         semantics: the first call of a restarted run reports
         ``(RESTARTED, delta)`` without entering the rendezvous (every
         member restarts together, so all of them skip the same
-        boundary); a negative cadence decision crosses the SOP and
-        returns ``(SKIPPED, 0)``; a committed line returns
-        ``(TAKEN, 0)``.  ``final`` marks the run's last exchange for
-        ``at_end`` policy rules."""
+        boundary); a committed line returns ``(TAKEN, 0)``.  ``final``
+        is accepted and ignored: every exchange commits a line."""
         rt = self.runtime
         wf = getattr(rt.app, "workflow", None)
         if wf is None:
@@ -502,15 +455,13 @@ class DRMSContext:
             self.comm.barrier()
             return (CheckpointStatus.RESTARTED, rt.restored.delta)
         outcome = self._collective(
-            lambda: hub.exchange(member, self._iteration, final)
+            lambda: hub.exchange(member, self._iteration)
         )
         # charge this member's share of the coupling wire traffic
         moved = outcome["transfer_bytes"].get(member, 0)
         if moved:
             per_task = moved / max(1, self.size)
             self.comm.compute(self.comm.world.transfer_cost(int(per_task)))
-        if not outcome["fire"]:
-            return (CheckpointStatus.SKIPPED, 0)
         # the line commits only after every member's state landed
         actual, bd = self._capture(
             outcome["prefixes"][member],

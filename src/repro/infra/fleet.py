@@ -22,9 +22,8 @@ configuration (``checkpoint_cost_s=0``, no ``failure_schedule``).  The
 same loop scales the question to a *fleet* whose nodes fail, including
 correlated **failure storms** over whole failure domains, and adds the
 checkpoint cadence: the configured **fixed** interval, or an
-**adaptive** Young/Daly interval
-(:func:`repro.policy.rules.young_daly_interval`) re-derived from the
-*observed* failure rate at every (re)start anchor.
+**adaptive** Young/Daly interval (:func:`young_daly_interval`)
+re-derived from the *observed* failure rate at every (re)start anchor.
 
 The model is analytic per job, event-driven across the fleet.  A
 running job alternates work phases of length ``tau`` (its checkpoint
@@ -59,7 +58,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulerError
 from repro.infra.failure import FailurePlan
-from repro.policy import young_daly_interval
 from repro.runtime.clock import SimClock, use_clock
 
 __all__ = [
@@ -71,6 +69,7 @@ __all__ = [
     "equipartition_targets",
     "storm_schedule",
     "synthetic_stream",
+    "young_daly_interval",
 ]
 
 
@@ -97,6 +96,18 @@ class JobSpec:
 
 
 # -- closed-form progress under a work/checkpoint cadence ---------------------
+
+
+def young_daly_interval(checkpoint_cost_s: float, mtbf_s: float) -> float:
+    """The Young/Daly first-order optimal checkpoint interval
+    ``sqrt(2 * C * MTBF)``, floored at the checkpoint cost itself (an
+    interval shorter than one checkpoint write is unserviceable)."""
+    if checkpoint_cost_s < 0 or mtbf_s <= 0:
+        raise ValueError(
+            f"young_daly_interval needs cost >= 0 and mtbf > 0, got "
+            f"cost={checkpoint_cost_s}, mtbf={mtbf_s}"
+        )
+    return max(checkpoint_cost_s, math.sqrt(2.0 * checkpoint_cost_s * mtbf_s))
 
 
 def cadence_progress(x: float, tau: float, cost: float) -> float:

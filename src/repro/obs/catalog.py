@@ -61,12 +61,6 @@ METRIC_FAMILIES: List[Tuple[str, str, str]] = [
         "parallel-file-system operation/phase/fault accounting",
     ),
     (
-        "policy",
-        rf"policy\.(evaluations|skipped|fired\.{_SEG}|throttled\.{_SEG}|adaptive\.{_SEG})",
-        "checkpoint-cadence engine tallies: per-SOP evaluations, rule "
-        "firings/vetoes by kind, and the adaptive interval in force",
-    ),
-    (
         "fleet",
         rf"fleet\.{_SEG}(\.{_SEG})?",
         "fleet-simulation outcome totals (infra.fleet): completions, "

@@ -1208,7 +1208,7 @@ def _run_workflow(case: Case) -> CaseResult:
             init_global=lambda s: np.zeros(s),
         )
         for it in ctx.iterations(1, niter + 1):
-            status, delta = ctx.workflow_exchange(final=(it == niter))
+            status, delta = ctx.workflow_exchange()
             if status is CheckpointStatus.RESTARTED:
                 if delta != 0:
                     u = drms_distribute(ctx, "u", drms_adjust(ctx, "u"))

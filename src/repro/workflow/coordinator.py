@@ -11,13 +11,10 @@ logical point of their outer loops — where the coordinator:
 1. services every member's steering queue (the ensemble-wide analogue
    of a consistent steering point),
 2. performs the coupling transfers (``dst <- src`` across independent
-   distributions, :func:`~repro.drms.steering.app_transfer`),
-3. makes **one** cadence decision for the whole ensemble (a shared
-   :class:`~repro.policy.engine.CheckpointPolicy`, evaluated once,
-   rank-0 style, and serviced by all members), and
-4. on a positive decision, has every member checkpoint *at this
-   boundary* and — only after every member state committed — writes the
-   v1 workflow manifest naming the set as one workflow generation.
+   distributions, :func:`~repro.drms.steering.app_transfer`), and
+3. has every member checkpoint *at this boundary* and — only after
+   every member state committed — writes the v1 workflow manifest
+   naming the set as one workflow generation.
 
 Because all members are quiescent inside the same exchange (their SOP
 crossing anchors are noted first, exactly like ``reconfig_checkpoint``),
@@ -165,8 +162,8 @@ class _WorkflowHub:
             raise WorkflowError(f"workflow {phase} failed: {self._error}") from self._error
         return self._results[phase]
 
-    def exchange(self, member: str, iteration: int, final: bool) -> Dict[str, Any]:
-        return self._meet("exchange", member, iteration=iteration, final=final)
+    def exchange(self, member: str, iteration: int) -> Dict[str, Any]:
+        return self._meet("exchange", member, iteration=iteration)
 
     def commit(self, member: str, prefix: str, ntasks: int, iteration: int,
                seconds: float) -> WorkflowLine:
@@ -184,17 +181,11 @@ class WorkflowCoordinator:
         base: str,
         machine: Optional[Machine] = None,
         pfs: Optional[PIOFS] = None,
-        policy: Optional[Any] = None,
         events=None,
     ):
         self.base = base
         self.machine = machine or Machine()
         self.pfs = pfs or PIOFS(machine=self.machine)
-        #: shared cadence policy deciding the workflow line (one
-        #: decision per exchange, serviced by every member); None means
-        #: every exchange checkpoints (the mandatory-SOP analogue)
-        self.policy = policy
-        self.policy_state: Dict[str, Any] = {}
         self.events = events
         self._members: Dict[str, Tuple[DRMSApplication, tuple, dict]] = {}
         self.couplings: List[Coupling] = []
@@ -258,8 +249,8 @@ class WorkflowCoordinator:
 
     def run(self, tasks: Mapping[str, int]) -> WorkflowRunReport:
         """Run every member from the beginning, concurrently, on its own
-        task count; exchange boundaries align them and commit workflow
-        lines per the shared policy."""
+        task count; exchange boundaries align them and each commits a
+        workflow line."""
         return self._run_ensemble(dict(tasks), restart=None)
 
     def restart_workflow(
@@ -364,7 +355,6 @@ class WorkflowCoordinator:
         if not self._members:
             raise WorkflowError("workflow has no members")
         self._check_tasks(tasks)
-        self.policy_state = {}
         self._hub = _WorkflowHub(self, list(self._members))
         nodes = self._member_nodes(tasks)
         first_line = len(self.lines)
@@ -391,12 +381,11 @@ class WorkflowCoordinator:
 
     def _exchange_action(self, arrivals: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
         """The coordinator's turn at an exchange boundary: steering,
-        coupling transfers, and the single ensemble cadence decision."""
+        coupling transfers, and the prefixes of the line every member
+        checkpoints."""
         obs = get_tracer()
         obs.metrics.counter("workflow.exchanges").inc()
-        clock = now()
         iteration = max((a["iteration"] for a in arrivals.values()), default=0)
-        final = all(a["final"] for a in arrivals.values()) and bool(arrivals)
 
         steered = 0
         runtimes = {}
@@ -435,46 +424,27 @@ class WorkflowCoordinator:
         if total_wire:
             obs.metrics.counter("workflow.transfer.bytes").inc(total_wire)
 
-        if self.policy is not None:
-            from repro.policy.rules import Observation
-
-            decision = self.policy.decide(
-                Observation(iteration=iteration, sim_time=clock, final=final),
-                self.policy_state,
-            )
-            fire = decision.fire
-        else:
-            fire = True
-
-        outcome: Dict[str, Any] = {
-            "fire": fire,
-            "generation": None,
-            "prefixes": {},
-            "transfer_bytes": transfer_bytes,
-            "steered": steered,
-            "clock": clock,
-            "iteration": iteration,
+        bases = {n: self.member_base(n) for n in self._members}
+        gen = next_workflow_generation(self.pfs, self.base, bases)
+        # mlck members checkpoint under their rotation base (the engine
+        # numbers the generation); PFS members take the workflow
+        # generation number directly.  The commit records the *actual*
+        # prefixes either way.
+        prefixes = {
+            name: bases[name] if app.tier == "memory+pfs"
+            else generation_name(bases[name], gen)
+            for name, (app, _, _) in self._members.items()
         }
-        if fire:
-            bases = {n: self.member_base(n) for n in self._members}
-            gen = next_workflow_generation(self.pfs, self.base, bases)
-            outcome["generation"] = gen
-            for name, (app, _, _) in self._members.items():
-                # mlck members checkpoint under their rotation base (the
-                # engine numbers the generation); PFS members take the
-                # workflow generation number directly.  The commit
-                # records the *actual* prefixes either way.
-                if app.tier == "memory+pfs":
-                    outcome["prefixes"][name] = bases[name]
-                else:
-                    outcome["prefixes"][name] = generation_name(bases[name], gen)
         emit_event(
             None, "workflow_exchange",
-            base=self.base, iteration=iteration, fire=fire,
-            generation=outcome["generation"], steered=steered,
-            wire_bytes=total_wire,
+            base=self.base, iteration=iteration, generation=gen,
+            steered=steered, wire_bytes=total_wire,
         )
-        return outcome
+        return {
+            "generation": gen,
+            "prefixes": prefixes,
+            "transfer_bytes": transfer_bytes,
+        }
 
     def _commit_action(
         self, outcome: Dict[str, Any], commits: Dict[str, Dict[str, Any]]
@@ -515,8 +485,6 @@ class WorkflowCoordinator:
         obs = get_tracer()
         obs.metrics.counter("workflow.lines.committed").inc()
         obs.metrics.histogram("workflow.line.seconds").observe(line.seconds)
-        if self.policy is not None:
-            self.policy.observe_cost(self.policy_state, line.seconds)
         emit_event(
             self.events, "workflow_line_committed",
             base=self.base, generation=gen,

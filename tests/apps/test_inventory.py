@@ -2,11 +2,13 @@
 array inventories (Table 3), segment composition (Table 4), and
 source-line accounting (Table 1)."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.apps import BTProxy, LUProxy, SPProxy, make_proxy
-from repro.apps.meta import count_drms_lines, npb_class_n
+from repro.apps.meta import DRMS_CALL_RE, count_drms_lines, npb_class_n
 from repro.perfmodel.paper_data import PAPER_TABLE1, PAPER_TABLE3, PAPER_TABLE4
 
 MB = 1e6
@@ -87,6 +89,13 @@ class TestTable1Lines:
         proxy = make_proxy(name, "toy")
         n = count_drms_lines(proxy.spmd_main)
         assert 5 <= n <= 30  # a handful of API touch points
+
+    def test_counted_lines_include_the_checkpoint_call(self, name):
+        """Table 1 counts the SOP's checkpoint call: some counted line
+        of the proxy's program calls ``reconfig_checkpoint``."""
+        src = inspect.getsource(make_proxy(name, "toy").spmd_main)
+        counted = [line for line in src.splitlines() if DRMS_CALL_RE.search(line)]
+        assert any("reconfig_checkpoint(" in line for line in counted)
 
 
 class TestGeometry:

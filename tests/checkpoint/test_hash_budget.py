@@ -319,7 +319,7 @@ def _line_main(ctx, value):
         for i, name in enumerate(("u", "v"))
     ]
     for it in ctx.iterations(1, 3):
-        status, _ = ctx.workflow_exchange(final=it == 2)
+        status, _ = ctx.workflow_exchange()
         if status is CheckpointStatus.RESTARTED:
             return
         for arr in arrays:

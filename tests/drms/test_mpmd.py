@@ -25,7 +25,7 @@ def make_component_main(name, every=2):
         )
         for it in ctx.iterations(1, 4):
             if (it - 1) % every == 0:
-                _, delta = ctx.workflow_exchange(final=(it == 3))
+                _, delta = ctx.workflow_exchange()
                 if delta != 0:
                     u = ctx.distribute("u", ctx.adjust("u"))
             u.set_assigned(u.assigned + 1.0)

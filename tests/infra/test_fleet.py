@@ -1,5 +1,7 @@
 """Tests for the fleet-scale scheduling x cadence study (infra.fleet)."""
 
+import math
+
 import pytest
 
 from repro.errors import SchedulerError
@@ -10,10 +12,27 @@ from repro.infra.fleet import (
     cadence_progress,
     storm_schedule,
     synthetic_stream,
+    young_daly_interval,
 )
 from repro.obs.catalog import match_family
 from repro.obs.health import HealthRegistry
 from repro.obs.metrics import MetricsRegistry
+
+
+class TestYoungDalyInterval:
+    def test_formula(self):
+        assert young_daly_interval(30.0, 86_400.0) == pytest.approx(
+            math.sqrt(2 * 30.0 * 86_400.0)
+        )
+
+    def test_floored_at_cost(self):
+        # an interval shorter than one checkpoint write is unserviceable
+        assert young_daly_interval(100.0, 1.0) == 100.0
+
+    @pytest.mark.parametrize("cost,mtbf", [(-1.0, 100.0), (1.0, 0.0), (1.0, -5.0)])
+    def test_rejects_bad_inputs(self, cost, mtbf):
+        with pytest.raises(ValueError):
+            young_daly_interval(cost, mtbf)
 
 
 class TestCadenceMath:

@@ -44,7 +44,7 @@ def _member(ctx):
     u = ctx.distribute("u", dist, init_global=np.ones((N, N)))
     inbox = ctx.distribute("inbox", dist, init_global=np.zeros((N, N)))
     for it in ctx.iterations(1, NITER + 1):
-        ctx.workflow_exchange(final=(it == NITER))
+        ctx.workflow_exchange()
         u.set_assigned(u.assigned + inbox.assigned.mean())
         ctx.barrier()
     return float(u.assigned.sum())

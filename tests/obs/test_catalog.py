@@ -134,9 +134,8 @@ def test_a_record_is_written_in_one_place():
 
 
 #: the ``clock`` parameters a signature in ``src/repro`` may take: the
-#: wall-time callable of a wallclock rule, and the committed line's clock
+#: committed line's clock
 _CLOCK_ALLOWED = {
-    ("policy/rules.py", "WallclockRule.__init__"),
     ("workflow/coordinator.py", "WorkflowLine"),
 }
 
@@ -201,5 +200,5 @@ def test_a_record_takes_its_time_from_the_active_clock():
         "events", "kind", "detail",
     ]
     found = _clock_signatures()
-    assert ("policy/rules.py", "WallclockRule.__init__") in found  # scan works
+    assert ("workflow/coordinator.py", "WorkflowLine") in found  # scan works
     assert [where for where in found if where not in _CLOCK_ALLOWED] == []

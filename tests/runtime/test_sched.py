@@ -122,7 +122,7 @@ def _member(ctx, delay, die_before_exchange):
     if die_before_exchange:
         raise PeerDied("peer died")
     for it in ctx.iterations(1, 2):
-        ctx.workflow_exchange(final=True)
+        ctx.workflow_exchange()
 
 
 def _workflow(die_at):

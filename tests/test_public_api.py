@@ -34,7 +34,6 @@ def test_all_exports_resolve():
         "repro.drms.steering",
         "repro.infra",
         "repro.infra.fleet",
-        "repro.policy",
         "repro.apps",
         "repro.apps.unstructured",
         "repro.apps.verify",

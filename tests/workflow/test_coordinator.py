@@ -1,6 +1,6 @@
 """End-to-end coordinator tests: coupled members align at exchange
-boundaries, coupling bytes move before the line, one shared policy
-decision drives every member, and member failures surface as the root
+boundaries, coupling bytes move before the line, every exchange
+commits one line for all members, and member failures surface as the root
 cause instead of wedging the ensemble."""
 
 import threading
@@ -13,7 +13,6 @@ from repro.drms.app import DRMSApplication
 from repro.drms.context import CheckpointStatus
 from repro.errors import CheckpointError, ReconfigurationError, WorkflowError
 from repro.pfs.piofs import PIOFS
-from repro.policy.engine import CheckpointPolicy
 from repro.runtime.machine import Machine, MachineParams
 from repro.workflow import WorkflowCoordinator
 
@@ -26,14 +25,14 @@ NITER = 3
 def member_main(ctx, base, niter=NITER):
     """An evolving field plus an inbox fed by the peer's field at every
     exchange boundary.  Returns the per-status exchange counts so tests
-    can see the shared cadence decision from inside a member."""
+    can see the exchange outcomes from inside a member."""
     ctx.initialize()
     d = ctx.create_distribution((N, N))
     u = ctx.distribute("u", d, init_global=np.full((N, N), float(base)))
     ctx.distribute("inbox", d, init_global=np.zeros((N, N)))
     counts = {s: 0 for s in CheckpointStatus}
     for it in ctx.iterations(1, niter + 1):
-        status, delta = ctx.workflow_exchange(final=(it == niter))
+        status, delta = ctx.workflow_exchange()
         counts[status] += 1
         if status is CheckpointStatus.RESTARTED and delta != 0:
             u = ctx.distribute("u", ctx.adjust("u"))
@@ -108,14 +107,12 @@ def test_coupling_transfers_before_the_line(coord):
     )
 
 
-def test_shared_policy_one_decision_for_all_members(coord):
-    coord.policy = CheckpointPolicy.every_iterations(2)
+def test_every_exchange_commits_for_all_members(coord):
     rep = coord.run({"m0": 2, "m1": 2})
-    # the rule fires at iterations 1 and 3: two lines, numbered 1, 2
-    assert coord.committed_generations() == [1, 2]
-    # every member saw the *same* decision sequence: 2 taken, 1 skipped
+    assert coord.committed_generations() == list(range(1, NITER + 1))
+    # every task of every member took every line
     for ret in (r for rep_m in rep.members.values() for r in rep_m.returns):
-        assert ret == {"TAKEN": 2, "SKIPPED": 1}
+        assert ret == {"TAKEN": NITER}
 
 
 def test_unknown_member_coupling_rejected(coord):

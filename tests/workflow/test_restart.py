@@ -33,7 +33,7 @@ def member_main(ctx, base, niter=NITER):
     u = ctx.distribute("u", d, init_global=np.full((N, N), float(base)))
     ctx.distribute("inbox", d, init_global=np.zeros((N, N)))
     for it in ctx.iterations(1, niter + 1):
-        status, delta = ctx.workflow_exchange(final=(it == niter))
+        status, delta = ctx.workflow_exchange()
         if status is CheckpointStatus.RESTARTED and delta != 0:
             u = ctx.distribute("u", ctx.adjust("u"))
             ctx.distribute("inbox", ctx.adjust("inbox"))
