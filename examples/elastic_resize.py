@@ -7,14 +7,17 @@ memory — no checkpoint I/O — while a steering client watches the live
 field.  Compare examples/scheduler_reconfiguration.py, which resizes
 through checkpoint files (what failures and migration require).
 
+The controller is one more task of the run: it starts the application
+on a scheduled thread and, whenever it waits for a steering result,
+lets the run advance to its next steering point.
+
 Run:  python examples/elastic_resize.py
 """
-
-import threading
 
 import numpy as np
 
 from repro.drms import CheckpointStatus, DRMSApplication, ElasticRunner
+from repro.runtime.sched import SCHED
 
 N = 16
 NITER = 300
@@ -38,12 +41,8 @@ if __name__ == "__main__":
     app = DRMSApplication(main, name="elastic")
     runner = ElasticRunner(app)
 
-    box = {}
-    t = threading.Thread(
-        target=lambda: box.update(report=runner.run(8, args=(NITER, "el")))
-    )
     print(f"starting on 8 tasks ({NITER} iterations)...")
-    t.start()
+    run = SCHED.start("elastic", lambda: runner.run(8, args=(NITER, "el")))
 
     # live peek at the running field
     snap = app.steering.read_async("u").result()
@@ -54,8 +53,10 @@ if __name__ == "__main__":
     snap2 = app.steering.read_async("u").result()
     print(f"steering snapshot after resize request queued: {snap2[0, 0]:.0f}")
 
-    t.join(timeout=120)
-    report = box["report"]
+    SCHED.wait("the elastic run to finish", until=lambda: run.done)
+    if run.error is not None:
+        raise run.error
+    report = run.value
     print(f"\nsegments (tasks, simulated s): "
           f"{[(n, round(s, 2)) for n, s in report.segments]}")
     print(f"in-memory redistribution cost: "

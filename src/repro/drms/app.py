@@ -37,8 +37,8 @@ from repro.runtime.machine import Machine
 
 __all__ = ["AppRuntime", "RunReport", "DRMSApplication", "RUN_TIMEOUT_S"]
 
-#: the watchdog of a run launched from a thread the scheduler did not
-#: start (``run_spmd``'s ``timeout``), and of a workflow ensemble
+#: the watchdog (``run_spmd``'s ``timeout``) of a run or a workflow
+#: ensemble launched from an adopted thread, one the scheduler did not start
 RUN_TIMEOUT_S = 300.0
 
 

@@ -74,6 +74,7 @@ class ElasticRunner:
 
     def __init__(self, app: DRMSApplication):
         self.app = app
+        # a controller that has not yet called the scheduler requests without the baton
         self._lock = threading.Lock()
         self._request: Optional[int] = None
 

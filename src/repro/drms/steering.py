@@ -11,7 +11,9 @@ Live steering: requests from a client (any thread) queue in the
 application's :class:`SteeringHub`; the running SPMD program services
 them *at steering points* — globally consistent SOP-like points marked
 with :meth:`~repro.drms.context.DRMSContext.steering_point` — so a
-client never observes a half-updated field.
+client never observes a half-updated field.  A client waiting for its
+result is one more task of the run (:mod:`repro.runtime.sched`): a
+request nothing will service is a deadlock, raised at once.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ import numpy as np
 from repro.arrays.assignment import array_assign, schedule_bytes
 from repro.arrays.darray import DistributedArray
 from repro.arrays.slices import Slice
-from repro.errors import ArrayError, SteeringTimeoutError
+from repro.errors import ArrayError
 from repro.plancache.plans import transfer_schedule
+from repro.runtime.sched import SCHED
 from repro.streaming.order import check_order
 from repro.streaming.serial import _strict_default
 from repro.streaming.vectorized import gather_section_flat, scatter_section_flat
@@ -73,38 +76,34 @@ def steer_write(
 
 class SteeringFuture:
     """Completion handle for one queued steering request.  Knows which
-    request it tracks (``kind``/``name``/``section``) so a timeout can
-    say *what* was never serviced."""
+    request it tracks (``kind``/``name``/``section``) so a wait nobody
+    can end says *what* was never serviced."""
 
     def __init__(self, kind: str = "", name: str = "",
                  section: Optional[Slice] = None):
         self.kind = kind
         self.name = name
         self.section = section
-        self._event = threading.Event()
+        self._done = False
         self._result: Any = None
         self._error: Optional[BaseException] = None
 
     def _fulfill(self, result: Any = None, error: Optional[BaseException] = None):
         self._result = result
         self._error = error
-        self._event.set()
+        self._done = True
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._done
 
-    def result(self, timeout: Optional[float] = 30.0) -> Any:
-        """Block for the serviced result; raises the relayed error, or
-        :class:`~repro.errors.SteeringTimeoutError` when the request is
-        never serviced (the application has no steering point in its
-        loop, or exited before reaching one)."""
-        if not self._event.wait(timeout=timeout):
-            where = f" section {self.section}" if self.section is not None else ""
-            raise SteeringTimeoutError(
-                f"steering {self.kind or 'request'} of {self.name!r}{where} "
-                f"not serviced within {timeout}s (no steering point?)",
-                kind=self.kind, name=self.name, section=self.section,
-            )
+    def result(self) -> Any:
+        """Wait (a scheduler wait) for the serviced result; raises the
+        relayed error, or :class:`~repro.errors.DeadlockError` naming
+        the request when nothing will service it (the application has
+        no steering point in its loop, or exited before reaching one)."""
+        where = f" section {self.section}" if self.section is not None else ""
+        SCHED.wait(f"steering {self.kind or 'request'} of {self.name!r}{where}",
+                   until=self.done)
         if self._error is not None:
             raise self._error
         return self._result
@@ -121,6 +120,7 @@ class SteeringHub:
 
     def __init__(self, order: str = "F"):
         self.order = check_order(order)
+        # a client that has not yet called the scheduler enqueues without the baton
         self._lock = threading.Lock()
         self._queue: deque = deque()
 

@@ -29,21 +29,6 @@ class ArrayError(ReproError):
     access outside the local section."""
 
 
-class SteeringTimeoutError(ArrayError):
-    """A steering request was never serviced within the wait budget —
-    the application has no steering point in its loop, or it exited
-    before reaching one.  Carries the request ``kind``/``name``/
-    ``section`` so a client steering many fields can tell which one
-    wedged."""
-
-    def __init__(self, message: str, kind: str = "", name: str = "",
-                 section=None):
-        super().__init__(message)
-        self.kind = kind
-        self.name = name
-        self.section = section
-
-
 class StreamingError(ReproError):
     """Array-section streaming failure (bad partition, seek on a
     non-seekable stream, short read/write)."""

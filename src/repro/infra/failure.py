@@ -17,7 +17,6 @@ exactly once, and the plan disarms when the schedule is spent.
 
 from __future__ import annotations
 
-import threading
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import TaskFailure
@@ -41,10 +40,11 @@ class FailurePlan:
     schedule in turn.  The schedule must be non-decreasing in iteration:
     a plan cannot fire into the past.
 
-    Task threads check the plan concurrently — several tasks may share
-    the doomed node — so firing must be atomic: :meth:`claim` is the
-    check-and-fire used by the runtime, guaranteeing each entry fires
-    on exactly one task even under racing threads.
+    Every task checks the plan — several tasks may share the doomed
+    node — so firing must be atomic: :meth:`claim` is the check-and-fire
+    used by the runtime, with no scheduler wait between check and fire,
+    so each entry fires on exactly one task (only the baton's holder
+    runs, :mod:`repro.runtime.sched`).
     """
 
     def __init__(
@@ -66,7 +66,6 @@ class FailurePlan:
         self.fired_at: List[int] = []
         #: simulated time of the latest firing, its record's time
         self.fired_time = 0.0
-        self._lock = threading.Lock()
 
     @property
     def pending(self) -> Optional[Tuple[int, int]]:
@@ -91,14 +90,13 @@ class FailurePlan:
         """Atomically fire the pending entry if it is ``(iteration,
         node)``: True for exactly one caller per entry, False for every
         other racer."""
-        with self._lock:
-            if self.pending != (iteration, node):
-                return False
-            self._record(node, iteration)
-            return True
+        if self.pending != (iteration, node):
+            return False
+        self._record(node, iteration)
+        return True
 
     def _record(self, node: int, iteration: int) -> None:
-        """Book one firing (caller holds the lock)."""
+        """Book one firing."""
         self.fired_nodes.append(node)
         self.fired_at.append(iteration)
         self.fired_time = now()
@@ -113,10 +111,9 @@ class FailurePlan:
         meant to strike *simultaneously* would otherwise stay pending.
         A localized recovery handler drains them into one correlated
         failure event before computing the rebuild scope."""
-        with self._lock:
-            fired: List[int] = []
-            while self.fired_at and self.should_fire(self.fired_at[-1]):
-                it, node = self.pending
-                self._record(node, it)
-                fired.append(node)
-            return fired
+        fired: List[int] = []
+        while self.fired_at and self.should_fire(self.fired_at[-1]):
+            it, node = self.pending
+            self._record(node, it)
+            fired.append(node)
+        return fired

@@ -3,8 +3,8 @@
 After an L1 capture the application continues; every drain promotes
 its generation to the parallel file system on a scheduled thread of its
 own (:mod:`repro.runtime.sched`), which runs whenever the application
-waits (at once, beside a caller the scheduler did not start), so the
-slow PFS write (Table 6's dominant cost) overlaps the next SOPs.
+waits, so the slow PFS write (Table 6's dominant cost) overlaps the
+next SOPs.
 Per generation (DESIGN.md §12)::
 
     pending --> draining --> durable
@@ -27,7 +27,6 @@ that needs durability before its next step schedules, then waits
 from __future__ import annotations
 
 import contextvars
-import threading
 from typing import Dict, Optional
 
 from repro.checkpoint.drms import drms_checkpoint
@@ -73,7 +72,6 @@ class DrainController:
         self.rotation = rotation
         self.io_tasks = io_tasks
         self.target_bytes = int(target_bytes)
-        self._state_lock = threading.Lock()
         #: prefix -> the drain in flight
         self._tasks: Dict[str, Task] = {}
         #: the newest drain: the next one waits for it
@@ -115,17 +113,15 @@ class DrainController:
         if protect is not None:
             self.rotation.pin(protect)
         frozen = SimClock(now())
-        with self._state_lock:
-            self.scheduled_at[prefix] = frozen.now
+        self.scheduled_at[prefix] = frozen.now
         get_tracer().metrics.gauge("mlck.drain.pending").set(self.pending)
         emit_event(None, "drain_scheduled", prefix=prefix, pending=self.pending)
-        with self._state_lock:  # registered before the drain can finish
-            after = self._last
-            task = SCHED.start(
-                f"drain {prefix}", lambda: self._drain(prefix, protect, frozen, after),
-                contextvars.copy_context(),
-            )
-            self._tasks[prefix] = self._last = task
+        after = self._last
+        task = SCHED.start(
+            f"drain {prefix}", lambda: self._drain(prefix, protect, frozen, after),
+            contextvars.copy_context(),
+        )
+        self._tasks[prefix] = self._last = task
         return task
 
     # -- the drain itself ----------------------------------------------------
@@ -183,9 +179,8 @@ class DrainController:
             finally:
                 if protect is not None and self.rotation is not None:
                     self.rotation.unpin(protect)
-                with self._state_lock:
-                    self._tasks.pop(prefix, None)
-                    self.scheduled_at.pop(prefix, None)
+                self._tasks.pop(prefix, None)
+                self.scheduled_at.pop(prefix, None)
                 m.gauge("mlck.drain.pending").set(self.pending)
                 if self.health is not None:
                     self.health.sample_drainer(self)

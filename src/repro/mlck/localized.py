@@ -348,46 +348,45 @@ def rereplicate_after_failure(
     machine = store.machine
     acct = _Accounting(machine)
     repair = ReplicationRepair()
-    with store._lock:
-        for gen in store._gens.values():
-            for piece in gen.pieces():
-                # Scrub every unservable entry, not just this
-                # incident's victims: nodes that died in earlier
-                # incidents (or were repaired empty) still linger
-                # in replica lists until a repair pass cleans them.
-                _unlist(machine, piece, [
-                    n for n in piece.replicas
-                    if n in failed or not store.replica_live(piece, n)
-                ])
-                if len(piece.replicas) > store.k:
-                    continue
-                # a source that decayed is no replica: unlist it, try the
-                # next (none left: validation rejects the generation)
-                data = None
-                while piece.replicas and data is None:
-                    source = piece.replicas[0]
-                    data = store._verified_bytes(piece, source)
-                    if data is None:
-                        _unlist(machine, piece, [source])
+    for gen in store._gens.values():
+        for piece in gen.pieces():
+            # Scrub every unservable entry, not just this
+            # incident's victims: nodes that died in earlier
+            # incidents (or were repaired empty) still linger
+            # in replica lists until a repair pass cleans them.
+            _unlist(machine, piece, [
+                n for n in piece.replicas
+                if n in failed or not store.replica_live(piece, n)
+            ])
+            if len(piece.replicas) > store.k:
+                continue
+            # a source that decayed is no replica: unlist it, try the
+            # next (none left: validation rejects the generation)
+            data = None
+            while piece.replicas and data is None:
+                source = piece.replicas[0]
+                data = store._verified_bytes(piece, source)
                 if data is None:
-                    continue
-                need = (store.k + 1) - len(piece.replicas)
-                placed = ranked_nodes(
-                    machine, source, piece.replicas, avoid_domains
-                )[:need]
-                if len(placed) < need:
-                    repair.short.append(piece.key)
-                for new in placed:
-                    machine.node(new).memory[piece.key] = data
-                    piece.replicas.append(new)
-                    acct.send(source, new, piece.nbytes)
-                    repair.copies += 1
-                    repair.nbytes += piece.nbytes
-                    emit_event(
-                        None, "replica_replaced", node=new,
-                        key=piece.key, source=source,
-                        nbytes=piece.nbytes,
-                    )
+                    _unlist(machine, piece, [source])
+            if data is None:
+                continue
+            need = (store.k + 1) - len(piece.replicas)
+            placed = ranked_nodes(
+                machine, source, piece.replicas, avoid_domains
+            )[:need]
+            if len(placed) < need:
+                repair.short.append(piece.key)
+            for new in placed:
+                machine.node(new).memory[piece.key] = data
+                piece.replicas.append(new)
+                acct.send(source, new, piece.nbytes)
+                repair.copies += 1
+                repair.nbytes += piece.nbytes
+                emit_event(
+                    None, "replica_replaced", node=new,
+                    key=piece.key, source=source,
+                    nbytes=piece.nbytes,
+                )
     repair.seconds = acct.seconds()
     m = get_tracer().metrics
     m.counter("mlck.localized.rereplicate.copies").inc(repair.copies)

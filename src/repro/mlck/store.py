@@ -44,7 +44,6 @@ proceed in parallel, like the parstream I/O tasks).
 
 from __future__ import annotations
 
-import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
@@ -208,14 +207,12 @@ class L1Store:
         self.events = events
         self.target_bytes = int(target_bytes)
         self._gens: "OrderedDict[str, L1Generation]" = OrderedDict()
-        self._lock = threading.RLock()
 
     # -- bookkeeping ---------------------------------------------------------
 
     def generations(self) -> List[str]:
         """Captured prefixes, oldest first."""
-        with self._lock:
-            return list(self._gens)
+        return list(self._gens)
 
     def latest(self) -> Optional[str]:
         gens = self.generations()
@@ -224,21 +221,19 @@ class L1Store:
     def gen(self, prefix: str) -> L1Generation:
         """The resident generation under ``prefix``; raises
         :class:`~repro.errors.MemoryTierError` if never captured."""
-        with self._lock:
-            try:
-                return self._gens[prefix]
-            except KeyError:
-                raise MemoryTierError(
-                    f"generation {prefix!r} was never captured in L1"
-                ) from None
+        try:
+            return self._gens[prefix]
+        except KeyError:
+            raise MemoryTierError(
+                f"generation {prefix!r} was never captured in L1"
+            ) from None
 
     def has(self, prefix: str) -> bool:
-        with self._lock:
-            return prefix in self._gens
+        return prefix in self._gens
 
     def _copies(self) -> Iterator[Tuple[L1Piece, int]]:
         """Every ``(piece, node)`` this store's replica lists name — its
-        index into node memory.  Caller holds ``_lock``."""
+        index into node memory."""
         for gen in self._gens.values():
             for piece in gen.pieces():
                 for node in piece.replicas:
@@ -247,11 +242,10 @@ class L1Store:
     def resident_bytes(self) -> int:
         """Bytes this store's listed copies hold in node memory
         (replicas counted)."""
-        with self._lock:
-            return sum(
-                len(self.machine.node(node).memory.get(piece.key, b""))
-                for piece, node in self._copies()
-            )
+        return sum(
+            len(self.machine.node(node).memory.get(piece.key, b""))
+            for piece, node in self._copies()
+        )
 
     def _update_resident_gauge(self) -> None:
         get_tracer().metrics.gauge("mlck.l1.resident_bytes").set(
@@ -260,13 +254,12 @@ class L1Store:
 
     def discard(self, prefix: str) -> None:
         """Drop a generation and free its replicas (retention/eviction)."""
-        with self._lock:
-            gen = self._gens.pop(prefix, None)
-            if gen is None:
-                return
-            for piece in gen.pieces():
-                for node in piece.replicas:
-                    self.machine.node(node).memory.pop(piece.key, None)
+        gen = self._gens.pop(prefix, None)
+        if gen is None:
+            return
+        for piece in gen.pieces():
+            for node in piece.replicas:
+                self.machine.node(node).memory.pop(piece.key, None)
         self._update_resident_gauge()
 
     # -- node failure --------------------------------------------------------
@@ -276,13 +269,12 @@ class L1Store:
         held — is gone.  Returns the number of piece copies lost; emits
         a ``mlck_replicas_lost`` event when any were.  The node stays
         listed until a repair pass scrubs it."""
-        with self._lock:
-            memory = self.machine.node(node_id).memory
-            lost = sum(
-                memory.pop(piece.key, None) is not None
-                for piece, node in self._copies()
-                if node == node_id
-            )
+        memory = self.machine.node(node_id).memory
+        lost = sum(
+            memory.pop(piece.key, None) is not None
+            for piece, node in self._copies()
+            if node == node_id
+        )
         if lost:
             emit_event(self.events, "mlck_replicas_lost", node=node_id, pieces=lost)
             get_flight().auto_blackbox(node_id, reason="l1 memory lost")
@@ -292,8 +284,7 @@ class L1Store:
     def sync_with_machine(self) -> int:
         """Drop every down node this store's pieces list (see
         :meth:`drop_node`); returns the piece copies lost."""
-        with self._lock:
-            listed = dict.fromkeys(node for _, node in self._copies())
+        listed = dict.fromkeys(node for _, node in self._copies())
         return sum(
             self.drop_node(node) for node in listed
             if not self.machine.node(node).up
@@ -365,22 +356,21 @@ class L1Store:
         :func:`~repro.checkpoint.validate.validate_checkpoint` so the
         tier-aware audit walk can rank candidates."""
         report = ValidationReport(prefix=prefix)
-        with self._lock:
-            gen = self._gens.get(prefix)
-            if gen is None:
+        gen = self._gens.get(prefix)
+        if gen is None:
+            report.errors.append(
+                f"generation {prefix!r} was never captured in L1"
+            )
+            return report
+        report.files = len(gen.files)
+        for piece in gen.pieces():
+            if self._serve(piece) is None:
                 report.errors.append(
-                    f"generation {prefix!r} was never captured in L1"
+                    f"piece {piece.key!r}: no surviving valid "
+                    f"replica (replicas {piece.replicas})"
                 )
-                return report
-            report.files = len(gen.files)
-            for piece in gen.pieces():
-                if self._serve(piece) is None:
-                    report.errors.append(
-                        f"piece {piece.key!r}: no surviving valid "
-                        f"replica (replicas {piece.replicas})"
-                    )
-                else:
-                    report.bytes_hashed += piece.nbytes
+            else:
+                report.bytes_hashed += piece.nbytes
         m = get_tracer().metrics
         m.counter("mlck.l1.validations").inc()
         if not report.ok:
@@ -414,19 +404,18 @@ class L1Store:
                     f"of {nbytes} stored bytes"
                 )
             chunks, nodes = fetched[file] = [], []
-            with self._lock:
-                for piece in pieces:
-                    served = self._serve(piece)
-                    if served is None:
-                        raise MemoryTierError(
-                            f"piece {piece.key!r}: no surviving valid replica "
-                            f"(replicas {piece.replicas})"
-                        )
-                    node, data = served
-                    nodes.append(node)
-                    chunks.append(data)
-                    if node != piece.owner:
-                        metrics.counter("mlck.l1.partner_serves").inc()
+            for piece in pieces:
+                served = self._serve(piece)
+                if served is None:
+                    raise MemoryTierError(
+                        f"piece {piece.key!r}: no surviving valid replica "
+                        f"(replicas {piece.replicas})"
+                    )
+                node, data = served
+                nodes.append(node)
+                chunks.append(data)
+                if node != piece.owner:
+                    metrics.counter("mlck.l1.partner_serves").inc()
         return fetched
 
     # -- restore -------------------------------------------------------------
@@ -593,13 +582,12 @@ class L1ReplicaSink:
             None, "l1_captured", prefix=bd.prefix,
             nbytes=bd.total_bytes, seconds=bd.total_seconds,
         )
-        with store._lock:
-            for piece, chunk in self._chunks:
-                for node in piece.replicas:
-                    store.machine.node(node).memory[piece.key] = chunk
-            store._gens[bd.prefix] = L1Generation(
-                bd.prefix, manifest, self.files, now()
-            )
+        for piece, chunk in self._chunks:
+            for node in piece.replicas:
+                store.machine.node(node).memory[piece.key] = chunk
+        store._gens[bd.prefix] = L1Generation(
+            bd.prefix, manifest, self.files, now()
+        )
         store._update_resident_gauge()
 
 
@@ -684,13 +672,12 @@ class L1ReplicaSource:
         self.manifest = dict(gen.manifest, tier="l1")
         self._index = {s["name"]: i for i, s in enumerate(self.manifest["arrays"])}
         # liveness first: a piece with no live replica costs no hashing
-        with store._lock:
-            for piece in gen.pieces():
-                if not any(store.replica_live(piece, n) for n in piece.replicas):
-                    raise MemoryTierError(
-                        f"piece {piece.key!r}: no surviving valid replica "
-                        f"(replicas {piece.replicas})"
-                    )
+        for piece in gen.pieces():
+            if not any(store.replica_live(piece, n) for n in piece.replicas):
+                raise MemoryTierError(
+                    f"piece {piece.key!r}: no surviving valid replica "
+                    f"(replicas {piece.replicas})"
+                )
         #: file -> (bytes of each piece, node that served it), for the
         #: segment and every stored array: the open
         self._fetched = store._fetch(gen)

@@ -156,6 +156,7 @@ class FlightRecorder:
             lambda: deque(maxlen=self.capacity)
         )
         self._recorded: Dict[int, int] = Counter()
+        # a library caller's own thread records without the baton
         self._lock = threading.Lock()
         #: emitted black-box dumps, in emission order
         self.blackboxes: List[Dict[str, Any]] = []

@@ -150,6 +150,7 @@ class MetricsRegistry:
         self.counters: Dict[str, Counter] = {}
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
+        # a library caller's own thread counts without the baton
         self._lock = threading.Lock()
 
     def counter(self, name: str) -> Counter:

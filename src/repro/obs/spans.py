@@ -113,6 +113,7 @@ class Tracer:
         self.spans: List[Span] = []
         self.marks: List[Mark] = []
         self._sim_now = float(sim_start)
+        # a library caller's own thread traces without the baton
         self._lock = threading.Lock()
         self._tls = threading.local()
         self._ids = itertools.count(1)

@@ -115,6 +115,7 @@ class FaultInjector:
         self.read_faults: List[ReadFault] = []
         #: fired faults, as (kind, filename, human detail)
         self.log: List[Tuple[str, str, str]] = []
+        # a library caller's own thread arms and reads plans without the baton
         self._lock = threading.Lock()
 
     # -- arming -----------------------------------------------------------

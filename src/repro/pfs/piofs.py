@@ -56,10 +56,9 @@ class PIOFS:
         self.machine = machine or Machine()
         self.params = params or PIOFSParams(num_servers=self.machine.num_nodes)
         self._files: Dict[str, PFSFile] = {}
+        # a library caller's own thread reads and writes without the baton
         self._lock = threading.Lock()
         self._phase_owner: Optional[int] = None
-        #: the open phase's opener is not a scheduled thread (SCHED.hold)
-        self._phase_held = False
         self._phase_kind: Optional[IOKind] = None
         self._phase_transfers: List[PhaseTransfer] = []
         self._phase_server_bytes: Dict[int, int] = {}
@@ -191,7 +190,6 @@ class PIOFS:
                 if self._phase_kind is None:
                     self._phase_owner = me
                     self._phase_kind = kind
-                    self._phase_held = SCHED.hold()
                     return
 
     def end_phase(self) -> IOPhaseResult:
@@ -207,9 +205,7 @@ class PIOFS:
                 for t in transfers
                 if t.filename in self._files
             }
-            held = self._close_phase()
-        if held:
-            SCHED.release()
+            self._close_phase()
         result = self._solve(kind, transfers, server_bytes, file_sizes)
         self.phase_log.append(result)
         m = get_tracer().metrics
@@ -229,15 +225,12 @@ class PIOFS:
             server_bytes=server_bytes, file_sizes=file_sizes,
         )
 
-    def _close_phase(self) -> bool:
-        # caller holds the lock; True when the phase was a counted hold
-        held = self._phase_held
+    def _close_phase(self) -> None:
+        # caller holds the lock
         self._phase_kind = None
         self._phase_owner = None
-        self._phase_held = False
         self._phase_transfers = []
         self._phase_server_bytes = {}
-        return held
 
     @contextmanager
     def phase(self, kind: IOKind) -> Iterator[TimedPhase]:
@@ -260,9 +253,7 @@ class PIOFS:
         I/O fault aborted the operation that opened the phase.  A no-op
         when no phase is open."""
         with self._lock:
-            held = self._close_phase()
-        if held:
-            SCHED.release()
+            self._close_phase()
 
     def _meter(self, op: str, fname: str, nbytes: int, t0: Optional[float]) -> None:
         """Per-operation observability: global and per-file counters

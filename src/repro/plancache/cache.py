@@ -76,6 +76,7 @@ class PlanCache:
         self.maxsize = int(maxsize)
         #: key -> (value, compute_seconds)
         self._entries: "OrderedDict[tuple, Tuple[object, float]]" = OrderedDict()
+        # a library caller's own thread plans without the baton
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0

@@ -65,7 +65,11 @@ def run_spmd(
     it (the DRMS layer passes a richer task context).  Tasks are placed
     one-to-one on machine nodes; the placement is recorded so the I/O
     cost model can see compute/server colocation.  ``timeout`` is the
-    watchdog of a run launched from a thread the scheduler did not start.
+    watchdog of a run launched from an adopted thread (one the scheduler
+    did not start): when the ranks have not finished within ``timeout``
+    wall seconds, the launcher leaves the scheduler and raises
+    :class:`~repro.errors.CommunicationError`; its next scheduler call
+    adopts it afresh.  A run launched from a scheduled thread ignores it.
     """
     kwargs = kwargs or {}
     machine = machine or Machine()

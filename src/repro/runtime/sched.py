@@ -6,8 +6,9 @@ A wait is :meth:`Scheduler.wait`; the baton goes to the runnable thread
 with the least (simulated clock, name); a crash kills its group, whose
 waiters raise :class:`~repro.errors.GroupKilled`; nobody runnable while
 someone waits raises :class:`~repro.errors.DeadlockError` in every
-waiter.  A thread started elsewhere runs beside the baton; what it holds
-that a scheduled thread may wait for it declares with :meth:`Scheduler.hold`.
+waiter.  A thread started elsewhere is *adopted* as a task of its own at
+its first scheduler call, and from then on holds the baton whenever it
+is not in a wait, until it ends.
 """
 
 from __future__ import annotations
@@ -37,15 +38,16 @@ class Group:
 
 
 class Task:
-    """A scheduled thread (or an outside thread's wait): its place in
-    the run order, what it waits for, and its outcome."""
+    """A scheduled or adopted thread: its place in the run order, what
+    it waits for, and its outcome."""
 
-    __slots__ = ("name", "key", "group", "baton", "reason", "until",
+    __slots__ = ("name", "key", "group", "adopted", "baton", "reason", "until",
                  "killable", "fault", "done", "value", "error")
 
-    def __init__(self, name: str, group: Optional[Group], key: tuple):
-        self.name, self.group = name, group
+    def __init__(self, name: str, group: Group, key: tuple, adopted: bool = False):
+        self.name, self.group, self.adopted = name, group, adopted
         self.key = key  # (simulated clock, name, start order)
+        # held by the scheduler until it hands this task the run
         self.baton = threading.Lock()
         self.baton.acquire()
         self.reason, self.until, self.killable = "", None, True
@@ -53,38 +55,62 @@ class Task:
         self.done, self.value, self.error = False, None, None
 
 
+class _Seat:
+    """What an adopted thread's thread-local holds: when the thread ends
+    (or leaves), the seat goes and takes its task out of the scheduler."""
+
+    __slots__ = ("sched", "task")
+
+    def __init__(self, sched: "Scheduler", task: Task):
+        self.sched, self.task = sched, task
+
+    def __del__(self) -> None:
+        self.sched._drop(self.task)
+
+
 class Scheduler:
     """The baton and every thread that can hold it."""
 
     def __init__(self) -> None:
+        # an adopting or ending thread reaches the run order without the baton
         self._lock = threading.Lock()
         self._live: List[Task] = []
         self._running: Optional[Task] = None
-        self._holds = 0
         self._here = threading.local()
         self._seq = itertools.count()
 
-    def current(self) -> Optional[Task]:
-        """The calling thread's task; None for a thread started elsewhere."""
-        return getattr(self._here, "task", None)
+    def current(self) -> Task:
+        """The calling thread's task.  A thread started elsewhere is
+        adopted at its first call: a task in a group of its own, keyed
+        (``now()``, thread name), that returns once it holds the baton."""
+        task = getattr(self._here, "task", None)
+        if task is None:
+            name = threading.current_thread().name
+            task = Task(name, Group(), (now(), name, next(self._seq)), adopted=True)
+            with self._lock:
+                self._live.append(task)
+                if self._running is None:
+                    self._switch()
+            self._here.task, self._here.seat = task, _Seat(self, task)
+            task.baton.acquire()
+        return task
 
     def start(self, name: str, fn: Callable[[], Any], context: Optional[Context] = None) -> Task:
-        """Start ``fn`` on a scheduled thread named ``<caller>/<name>``,
-        in a group of its own, runnable at the caller's ``now()``, in
-        ``context`` (default: a new thread's own)."""
+        """Start ``fn`` on a scheduled thread named ``<caller>/<name>``
+        (``<name>`` when the caller is adopted), in a group of its own,
+        runnable at the caller's ``now()``, in ``context`` (default: a
+        new thread's own)."""
         return self._start([(name, fn)], Group(), context)[0]
 
     def _start(self, jobs, group: Group, context: Optional[Context]) -> List[Task]:
         me, at = self.current(), now()
         tasks = []
         for name, _ in jobs:
-            name = name if me is None else f"{me.name}/{name}"
+            name = name if me.adopted else f"{me.name}/{name}"
             tasks.append(Task(name, group, (at, name, next(self._seq))))
         with self._lock:  # every task registered before any can run
             group.live += len(tasks)
             self._live.extend(tasks)
-            if self._running is None:
-                self._switch()
         for task, (_, fn) in zip(tasks, jobs):
             threading.Thread(
                 target=self._main, args=(task, fn, context), name=task.name, daemon=True
@@ -112,10 +138,9 @@ class Scheduler:
         ``names[i]``, runnable at the caller's clock; their return values
         in order.  A crash kills the group; the launcher waits for every
         thread to unwind, then re-raises the root cause — the first error
-        that is not a kill's echo.  ``timeout`` is the watchdog of a
-        launcher the scheduler did not start."""
-        me = self.current()
-        group = Group(me.group if me is not None else None)
+        that is not a kill's echo.  ``timeout`` is the watchdog of an
+        adopted launcher."""
+        group = Group(self.current().group)
         jobs = [(name, lambda i=i: body(i)) for i, name in enumerate(names)]
         tasks = self._start(jobs, group, None)
         if not self.wait(f"{len(tasks)} threads to finish", lambda: group.live == 0,
@@ -136,12 +161,12 @@ class Scheduler:
         """Return once ``until()`` holds and no runnable thread comes
         first in (clock, name) order, running the others meanwhile.  A
         killable wait raises when the caller's group is killed, and any
-        wait raises when nobody can end it.  Only a caller the scheduler
-        did not start honours ``timeout`` (and returns False when it
-        runs out)."""
+        wait raises when nobody can end it.  Only an adopted caller
+        honours ``timeout``: when a baton wait runs out, it leaves the
+        scheduler (its next call adopts it afresh) and returns
+        ``until()``."""
         me = self.current()
-        if me is None:
-            return self._wait_outside(reason, until, killable, timeout)
+        patience = timeout if me.adopted and timeout is not None else -1
         while True:
             if me.fault is not None:
                 fault, me.fault = me.fault, None
@@ -152,54 +177,30 @@ class Scheduler:
                 me.reason, me.until, me.killable = reason, until, killable
                 me.key = (now(),) + me.key[1:]
                 if until() and self._pick(me.key) is None:
-                    return True  # nobody runnable runs before me
+                    # nobody runnable runs before me; an adopted thread
+                    # must not keep what its predicate holds alive
+                    me.until = None
+                    return True
                 self._running = None
                 self._switch()
-            me.baton.acquire()
+            if not me.baton.acquire(timeout=patience):
+                del self._here.task, self._here.seat  # the seat drops the task
+                return until()
 
-    def _wait_outside(self, reason: str, until: Callable[[], bool],
-                      killable: bool, timeout: Optional[float]) -> bool:
-        # a thread started elsewhere waits as a task of its own, and
-        # hands the baton straight on when it is picked
-        if until():
-            return True
-        me = Task(threading.current_thread().name, Group(), (now(), "", next(self._seq)))
-        me.reason, me.until, me.killable = reason, until, killable
+    def _drop(self, task: Task) -> None:
+        # an adopted thread ended or left: out of the run order, and
+        # the baton on if it held it
         with self._lock:
-            self._live.append(me)
-            if self._running is None:
-                self._switch()
-        woken = me.baton.acquire(timeout=-1 if timeout is None else timeout)
-        with self._lock:
-            self._live.remove(me)
-            if self._running is me:
+            self._live.remove(task)
+            if self._running is task:
                 self._running = None
-                self._switch()
-        if me.fault is not None:
-            raise me.fault
-        return woken or until()
-
-    def hold(self) -> bool:
-        """The caller took something a scheduled thread may wait for;
-        counted (True) only when the caller is not scheduled."""
-        if self.current() is not None:
-            return False
-        with self._lock:
-            self._holds += 1
-        return True
-
-    def release(self) -> None:
-        """End a counted :meth:`hold`: its waiters may run again."""
-        with self._lock:
-            self._holds -= 1
-            if self._running is None:
                 self._switch()
 
     def _switch(self) -> None:
         # lock held, nobody running: the baton to the least runnable
-        # task; none, nothing held outside and someone waits: deadlock
+        # task; none and someone waits: deadlock
         nxt = self._pick()
-        if nxt is None and self._holds == 0 and self._live:
+        if nxt is None and self._live:
             error = "deadlock, nobody runnable: " + "; ".join(
                 f"{t.name} waits for {t.reason}" for t in self._live
             )

@@ -72,6 +72,7 @@ class MemorySink(ByteSink):
     def __init__(self, seekable: bool = True):
         self.seekable = bool(seekable)
         self._buf = bytearray()
+        # a library caller's own thread streams into a sink without the baton
         self._lock = threading.Lock()
 
     def write_at(self, offset, data, nbytes=None, client=0):

@@ -1081,24 +1081,23 @@ def _run_localized(case: Case) -> CaseResult:
                 store, failed_in, avoid_domains=avoid
             )
             short = set(repair.short)
-            with store._lock:
-                for piece in store._gens[decision.prefix].pieces():
-                    c.check(
-                        not (set(piece.replicas) & failed),
-                        f"piece {piece.key}: dead node still listed "
-                        "as a replica after re-replication",
-                    )
-                    live = [
-                        nd
-                        for nd in piece.replicas
-                        if store._replica_valid(piece, nd)
-                    ]
-                    c.check(
-                        len(live) >= store.k + 1 or piece.key in short,
-                        f"piece {piece.key}: {len(live)} valid "
-                        f"replicas after repair, need {store.k + 1} "
-                        "(and not recorded as short)",
-                    )
+            for piece in store._gens[decision.prefix].pieces():
+                c.check(
+                    not (set(piece.replicas) & failed),
+                    f"piece {piece.key}: dead node still listed "
+                    "as a replica after re-replication",
+                )
+                live = [
+                    nd
+                    for nd in piece.replicas
+                    if store._replica_valid(piece, nd)
+                ]
+                c.check(
+                    len(live) >= store.k + 1 or piece.key in short,
+                    f"piece {piece.key}: {len(live)} valid "
+                    f"replicas after repair, need {store.k + 1} "
+                    "(and not recorded as short)",
+                )
             details["rereplicated"] = repair.copies
     details.update(
         {

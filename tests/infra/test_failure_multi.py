@@ -4,7 +4,7 @@ A single failure is a schedule of one: ``FailurePlan(iteration=i,
 node_id=n)`` and ``FailurePlan(multi=[(i, n)])`` are the same plan.
 """
 
-import threading
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from repro.drms.context import CheckpointStatus
 from repro.infra import DRMSCluster
 from repro.infra.failure import FailurePlan
 from repro.runtime.machine import Machine, MachineParams
+from repro.runtime.sched import SCHED
 
 NITER = 8
 
@@ -101,22 +102,25 @@ def test_drain_fires_the_entries_at_the_last_fired_iteration():
 
 
 def test_concurrent_claims_fire_each_entry_once():
+    """Scheduled tasks racing to claim under the hardest preemption the
+    host allows: the baton, not a lock, makes the claim atomic."""
     plan = FailurePlan(multi=[(3, 0), (3, 1)])
     nthreads = 16
-    barrier = threading.Barrier(nthreads)
-    wins = []
+    arrived, wins = [], []
 
-    def racer():
-        barrier.wait()
+    def racer(i):
+        arrived.append(i)
+        SCHED.wait("every racer", until=lambda: len(arrived) == nthreads)
         for node in (0, 1):
             if plan.claim(3, node):
                 wins.append(node)
 
-    threads = [threading.Thread(target=racer) for _ in range(nthreads)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        SCHED.run([str(i) for i in range(nthreads)], racer)
+    finally:
+        sys.setswitchinterval(interval)
     # exactly one winner per schedule entry
     assert sorted(wins) == [0, 1]
     assert plan.fired_nodes == [0, 1]

@@ -172,24 +172,28 @@ def test_failure_plan_one_shot():
 def test_failure_plan_claim_is_atomic_under_racing_threads():
     """Regression: a check-then-act should_fire() + fire() was a race —
     two task threads on the doomed node could both fire a one-shot
-    plan.  claim() must admit exactly one winner."""
-    import threading
+    plan.  claim() must admit exactly one winner, among scheduled tasks
+    racing under the hardest preemption the host allows."""
+    import sys
+
+    from repro.runtime.sched import SCHED
 
     plan = FailurePlan(iteration=3, node_id=0)
     nthreads = 16
-    barrier = threading.Barrier(nthreads)
-    wins = []
+    arrived, wins = [], []
 
-    def racer():
-        barrier.wait()
+    def racer(i):
+        arrived.append(i)
+        SCHED.wait("every racer", until=lambda: len(arrived) == nthreads)
         if plan.claim(3, 0):
-            wins.append(threading.get_ident())
+            wins.append(i)
 
-    threads = [threading.Thread(target=racer) for _ in range(nthreads)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        SCHED.run([str(i) for i in range(nthreads)], racer)
+    finally:
+        sys.setswitchinterval(interval)
     assert len(wins) == 1
     assert plan.fired
     assert not plan.claim(3, 0)  # disarmed for good

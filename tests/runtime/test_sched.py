@@ -2,18 +2,22 @@
 clock, name) next, a crash surfacing its root cause at once from any
 wait, and a deadlock raised at once with every waiter named."""
 
+import os
 import pathlib
 import re
+import subprocess
 import sys
-import threading
+import textwrap
 import time
 
 import numpy as np
 import pytest
 
 from repro.drms.app import DRMSApplication
-from repro.errors import DeadlockError
-from repro.mlck.drain import DrainController
+from repro.drms.steering import SteeringFuture
+from repro.errors import CommunicationError, DeadlockError
+from repro.mlck.checkpointer import MultiLevelCheckpointer
+from repro.mlck.drain import DrainController, DrainState
 from repro.mlck.store import L1Store
 from repro.pfs.phase import IOKind
 from repro.pfs.piofs import PIOFS
@@ -202,8 +206,8 @@ def test_a_member_that_never_reaches_the_exchange_is_a_deadlock():
 
 
 def test_waiting_for_nothing_outside_is_a_deadlock():
-    """A thread the scheduler did not start that waits for what no
-    thread can bring raises at once."""
+    """An adopted thread (one the scheduler did not start) that waits
+    for what no thread can bring raises at once."""
     store = L1Store(Machine(MachineParams(num_nodes=4)), k=1)
     drainer = DrainController(store, PIOFS())
     drainer.wait()  # nothing in flight: returns
@@ -211,51 +215,162 @@ def test_waiting_for_nothing_outside_is_a_deadlock():
         SCHED.wait("the impossible", until=lambda: False)
 
 
-def test_a_phase_held_outside_is_not_a_deadlock():
-    """A rank waiting for a phase that a thread outside the scheduler
-    holds waits, and runs once the phase closes."""
+# -- adoption: a thread the scheduler did not start is a task ---------------------
+
+
+def test_a_phase_opened_by_an_adopted_thread_admits_ranks_once_closed():
+    """The main thread opens a phase and starts a run: the ranks wait
+    behind the phase until main closes it and waits for the run."""
     pfs = PIOFS()
     pfs.begin_phase(IOKind.WRITE_SERIAL)
-    box = {}
+    arrived = []
 
     def prog(comm):
+        arrived.append(comm.rank)
         with pfs.phase(IOKind.READ_SHARED):
             pass
         return comm.rank
 
-    launcher = threading.Thread(target=lambda: box.update(run=run_spmd(prog, 2)))
-    launcher.start()
-    time.sleep(0.05)
-    assert "run" not in box  # still admitted behind our phase
+    run = SCHED.start("run", lambda: run_spmd(prog, 2))
+    SCHED.wait("both ranks at the phase", until=lambda: len(arrived) == 2)
+    assert not run.done and len(pfs.phase_log) == 0  # admitted behind ours
     pfs.end_phase()
-    launcher.join(timeout=10.0)
-    assert not launcher.is_alive()
-    assert box["run"].returns == [0, 1]
+    SCHED.wait("the run", until=lambda: run.done)
+    assert run.error is None and run.value.returns == [0, 1]
+    assert [p.kind for p in pfs.phase_log] == [IOKind.WRITE_SERIAL] + [IOKind.READ_SHARED] * 2
+
+
+def test_an_adopted_thread_that_ends_hands_the_baton_on():
+    """A raw thread runs an SPMD program and ends; the main thread's
+    next run completes.  In a fresh interpreter, so that the main
+    thread is not adopted (and holding the baton) while it joins."""
+    script = textwrap.dedent("""
+        import threading
+        from repro.runtime.executor import run_spmd
+
+        def prog(comm):
+            comm.barrier()
+            return comm.rank
+
+        raw = threading.Thread(target=lambda: run_spmd(prog, 2))
+        raw.start()
+        raw.join()
+        print(run_spmd(prog, 3).returns)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[0, 1, 2]\n", "")
+
+
+def test_a_launcher_whose_watchdog_fires_leaves_and_is_adopted_afresh():
+    """A rank that sleeps outside the scheduler outlives the watchdog:
+    the launcher raises, and once the rank ends, the same thread's next
+    run returns."""
+
+    def sleeper(comm):
+        if comm.rank == 0:
+            time.sleep(0.3)  # holds the baton without waiting
+        comm.barrier()
+        return comm.rank
+
+    with pytest.raises(CommunicationError, match=r"did not finish in 0.05s: \['0', '1'\]"):
+        run_spmd(sleeper, 2, timeout=0.05)
+    assert run_spmd(lambda comm: comm.rank, 2).returns == [0, 1]
+
+
+def test_drains_scheduled_by_an_adopted_thread_run_only_while_it_waits():
+    machine = Machine(MachineParams(num_nodes=4))
+    ck = MultiLevelCheckpointer(PIOFS(machine=machine), "ck", machine=machine)
+    from repro.arrays.darray import DistributedArray
+    from repro.arrays.distributions import block_distribution
+    from repro.checkpoint.segment import DataSegment, SegmentProfile
+
+    a = DistributedArray("a", (8,), np.float64, block_distribution((8,), 2))
+    a.set_global(np.arange(8.0))
+    for _ in range(2):
+        ck.checkpoint(DataSegment(SegmentProfile(64, 0, 0)), [a])
+
+    def states():
+        return [ck.store.gen(p).drain_state for p in ck.store.generations()]
+
+    time.sleep(0.05)  # a drain running beside its scheduler would move now
+    assert states() == [DrainState.PENDING] * 2
+    ck.wait_for_drains()
+    assert states() == [DrainState.DURABLE] * 2
 
 
 # -- what the scheduler replaced ------------------------------------------------
 
-#: primitives a scheduled thread would block on outside the scheduler
+#: primitives a thread would block on outside the scheduler
 _PRIMITIVES = re.compile(
     r"threading\.(Condition|Barrier|Event)\b|ThreadPoolExecutor|concurrent\.futures"
     r"|\bwait\(timeout=|\bjoin\(timeout="
 )
-#: the one exception: a steering client's wait, on a thread of its own
-_ALLOWED = {
-    ("drms/steering.py", "        self._event = threading.Event()"),
-    ("drms/steering.py", "        if not self._event.wait(timeout=timeout):"),
-}
 
 
 def test_every_wait_is_a_scheduler_wait():
-    found = {
+    found = [
         (path.relative_to(SRC).as_posix(), line)
         for path in sorted(SRC.rglob("*.py"))
-        if path.name != "sched.py"
         for line in path.read_text().splitlines()
         if _PRIMITIVES.search(line)
-    }
-    assert found == _ALLOWED
+    ]
+    assert found == []
+
+
+#: every ``threading`` primitive under ``src/repro``, with its reason.  A
+#: lock outside the scheduler guards what a thread can still reach
+#: without the baton: a library caller's own thread, or a client that
+#: has not yet called the scheduler.
+_INVENTORY = {
+    ("runtime/sched.py", "self.baton = threading.Lock()"):
+        "a task's baton: its thread blocks on it until it is handed the run",
+    ("runtime/sched.py", "self._lock = threading.Lock()"):
+        "the run order: an adopting or ending thread reaches it without the baton",
+    ("runtime/sched.py", "self._here = threading.local()"):
+        "each thread's task, and an adopted thread's seat",
+    ("runtime/sched.py", "threading.Thread("):
+        "the one place a thread starts: a scheduled task's",
+    ("pfs/piofs.py", "self._lock = threading.Lock()"):
+        "the namespace and the open phase: a library caller's own thread",
+    ("pfs/faults.py", "self._lock = threading.Lock()"):
+        "armed plans: a library caller's own thread arms and reads them",
+    ("streaming/streams.py", "self._lock = threading.Lock()"):
+        "a MemorySink's buffer: a library caller's own thread streams into it",
+    ("plancache/cache.py", "self._lock = threading.Lock()"):
+        "the LRU map: a library caller's own thread plans",
+    ("obs/spans.py", "self._lock = threading.Lock()"):
+        "the span list: a library caller's own thread traces",
+    ("obs/spans.py", "self._tls = threading.local()"):
+        "each thread's stack of open spans",
+    ("obs/metrics.py", "self._lock = threading.Lock()"):
+        "the instruments: a library caller's own thread counts",
+    ("obs/flight.py", "self._lock = threading.Lock()"):
+        "the rings: a library caller's own thread records",
+    ("drms/steering.py", "self._lock = threading.Lock()"):
+        "the request queue: a client that has not yet called the scheduler",
+    ("drms/elastic.py", "self._lock = threading.Lock()"):
+        "the resize request: a controller that has not yet called the scheduler",
+}
+_PRIMITIVE = re.compile(
+    r"threading\.(Lock|RLock|Condition|Semaphore|BoundedSemaphore|Event|Barrier"
+    r"|Timer|Thread|local)\("
+)
+
+
+def test_every_threading_primitive_is_inventoried():
+    found, uncommented = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        lines = path.read_text().splitlines()
+        for above, line in zip([""] + lines, lines):
+            if _PRIMITIVE.search(line):
+                found.append((module, line.strip()))
+                if "Lock()" in line and not above.strip().startswith("#"):
+                    uncommented.append((module, line.strip()))
+    assert sorted(found) == sorted(_INVENTORY)
+    assert uncommented == []  # every lock says who reaches it without the baton
 
 
 def test_the_wait_timeouts_are_gone():
@@ -270,13 +385,12 @@ def test_the_wait_timeouts_are_gone():
     assert hits == []
     import inspect
 
-    from repro.mlck.checkpointer import MultiLevelCheckpointer
     from repro.runtime.comm import CommWorld, Request, TaskComm
 
     for fn in (
         CommWorld, CommWorld.recv, TaskComm.recv, Request.wait, PIOFS.begin_phase,
         DrainController.wait, MultiLevelCheckpointer.wait_for_drains,
-        DRMSApplication.wait_for_drains,
+        DRMSApplication.wait_for_drains, SteeringFuture.result,
     ):
         assert "timeout" not in inspect.signature(fn).parameters, fn
     assert list(inspect.signature(run_spmd).parameters).count("timeout") == 1
